@@ -59,8 +59,6 @@ def _add_common(p: argparse.ArgumentParser, with_seed: bool = True) -> None:
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--max-states", type=int, default=None,
                    help="cap on enumerated states (also applied to the CCE LP)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallelism hint; results never depend on it")
     if with_seed:
         p.add_argument("--seed", type=int, default=0)
 

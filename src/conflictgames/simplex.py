@@ -1,19 +1,30 @@
-"""Dense two-phase simplex over exact rationals with Bland's rule.
+"""Two-phase simplex with Bland's rule on a fraction-free integer tableau.
 
-Solves  min/max c.x  subject to  A_eq x = b_eq,  A_ge x >= b_ge,  x >= 0.
-Small and dense on purpose: the equilibrium LPs here have at most a few
-thousand columns and a few dozen rows, and exact verdicts matter more than
-speed.  Bland's pivoting rule guarantees termination on degenerate tableaus.
+Solves  min/max c.x  subject to  A_eq x = b_eq,  A_ge x >= b_ge,  x >= 0,
+exactly.  The constraint data are scaled by the lcm of all their
+denominators and the objective by the lcm of its own, so the tableau holds
+integers; ints pass through unconverted.  One scale for all rows keeps the
+phase-1 reduced costs, and with them the pivots, those of the unscaled LP.
+
+Every row shares one positive denominator ``d``, the absolute value of the
+basis determinant: the rational tableau is ``T / d``.  A pivot at (row, col)
+with ``p = T[row][col]`` maps every other row r to
+``(p*T[r] - T[r][col]*T[row]) // d`` and then sets ``d = |p|`` (negating all
+rows when ``p < 0``).  By Sylvester's identity every entry stays a minor of
+the input, so each division is exact (Bareiss, *Sylvester's identity and
+multistep integer-preserving Gaussian elimination*, Math. Comp. 1968); a row
+with a zero in ``col`` is still rescaled by ``p / d``.  Bland's rule reads
+only signs and ratio comparisons, which the integer tableau gives exactly,
+so the pivot sequence is that of the rational tableau.  Artificial columns
+are never read once phase 1 starts, so they are not stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from math import lcm
+from typing import Sequence
 
 
 class LpInfeasible(Exception):
@@ -30,38 +41,67 @@ class LpSolution:
     x: tuple[Fraction, ...]
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
+def _pivot(tableau: list[list[int]], basis: list[int], d: int, row: int, col: int) -> int:
+    """Pivot on (row, col) in place; returns the new common denominator."""
+    prow = tableau[row]
+    p = prow[col]
     for r, line in enumerate(tableau):
-        if r != row and line[col] != 0:
-            factor = line[col]
-            prow = tableau[row]
-            tableau[r] = [v - factor * p for v, p in zip(line, prow)]
+        if r == row:
+            continue
+        f = line[col]
+        if f:
+            tableau[r] = [(p * v - f * w) // d for v, w in zip(line, prow)]
+        elif p != d:
+            tableau[r] = [p * v // d for v in line]
     basis[row] = col
+    if p < 0:  # only when an artificial is driven out after phase 1
+        for r, line in enumerate(tableau):
+            tableau[r] = [-v for v in line]
+        p = -p
+    return p
 
 
-def _run_simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> None:
+def _run_simplex(tableau: list[list[int]], basis: list[int], d: int, ncols: int) -> int:
     """Minimize; the objective row is tableau[-1] with reduced costs in front
-    and the (negated) objective value in the last column."""
-    obj = tableau[-1]
+    and the (negated) objective value in the last column.  Returns ``d``."""
     while True:
+        obj = tableau[-1]
         # Bland: entering variable = lowest index with a negative reduced cost
         col = next((j for j in range(ncols) if obj[j] < 0), None)
         if col is None:
-            return
+            return d
         row = None
-        best: Optional[Fraction] = None
         for r in range(len(tableau) - 1):
-            a = tableau[r][col]
+            line = tableau[r]
+            a = line[col]
             if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                    best, row = ratio, r
+                # rhs/a < best_rhs/best_a, cross-multiplied (both a positive)
+                if row is None:
+                    row, best_rhs, best_a = r, line[-1], a
+                    continue
+                lhs, rhs = line[-1] * best_a, best_rhs * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[row]):
+                    row, best_rhs, best_a = r, line[-1], a
         if row is None:
             raise LpUnbounded(f"column {col} can increase without bound")
-        _pivot(tableau, basis, row, col)
-        obj = tableau[-1]
+        d = _pivot(tableau, basis, d, row, col)
+
+
+def _integer_lines(lines: list[list]) -> tuple[list[list[int]], int]:
+    """The lines times the lcm of all their denominators, and that lcm.
+
+    Rewrites ``lines`` in place; lines of ints pass through unconverted.
+    """
+    rational = {r for r, line in enumerate(lines) if not all(type(v) is int for v in line)}
+    for r in rational:
+        lines[r] = [Fraction(v) for v in lines[r]]
+    scale = lcm(*{v.denominator for r in rational for v in lines[r]})
+    for r, line in enumerate(lines):
+        if r in rational:
+            lines[r] = [v.numerator * (scale // v.denominator) for v in line]
+        elif scale != 1:
+            lines[r] = [v * scale for v in line]
+    return lines, scale
 
 
 def solve(
@@ -74,51 +114,42 @@ def solve(
 ) -> LpSolution:
     """Solve the LP; raises LpInfeasible / LpUnbounded accordingly."""
     nvars = len(objective)
-    cost = [Fraction(-c if maximize else c) for c in objective]
+    [cost], cost_scale = _integer_lines([list(objective)])
+    if maximize:
+        cost = [-c for c in cost]
 
-    # Normalize rows to (coeffs, rhs >= 0, sense in {"eq", "ge", "le"}).
-    rows: list[tuple[list[Fraction], Fraction, str]] = []
-    for coeffs, rhs in zip(a_eq, b_eq):
-        line = [Fraction(v) for v in coeffs]
-        r = Fraction(rhs)
-        if r < 0:
-            line, r = [-v for v in line], -r
-        rows.append((line, r, "eq"))
-    for coeffs, rhs in zip(a_ge, b_ge):
-        line = [Fraction(v) for v in coeffs]
-        r = Fraction(rhs)
-        sense = "ge"
-        if r < 0:
-            line, r, sense = [-v for v in line], -r, "le"
-        rows.append((line, r, sense))
+    # Rows as coeffs + [rhs], all scaled by one factor.
+    lines = [[*coeffs, rhs] for coeffs, rhs in zip(a_eq, b_eq)]
+    neq = len(lines)
+    lines += [[*coeffs, rhs] for coeffs, rhs in zip(a_ge, b_ge)]
+    lines, _ = _integer_lines(lines)
 
-    # Columns: structural | slack/surplus (one per non-eq row) | artificial | rhs.
-    nrows = len(rows)
-    slack_rows = [i for i, (_, _, sense) in enumerate(rows) if sense != "eq"]
+    # Normalize to rhs >= 0 with sense in {"eq", "ge", "le"}.
+    senses = []
+    for r, line in enumerate(lines):
+        sense = "eq" if r < neq else "ge"
+        if line[-1] < 0:
+            lines[r] = [-v for v in line]
+            sense = "le" if sense == "ge" else sense
+        senses.append(sense)
+
+    # Columns: structural | slack/surplus (one per non-eq row) | rhs.  The
+    # artificial of row r has the index art_start + r in `basis` only.
+    nrows = len(lines)
+    slack_rows = [r for r, sense in enumerate(senses) if sense != "eq"]
     nslack = len(slack_rows)
     art_start = nvars + nslack
-    ncols = art_start + nrows
 
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    for r, (line, rhs, sense) in enumerate(rows):
-        full = line + [ZERO] * (nslack + nrows) + [rhs]
-        if sense != "eq":
-            full[nvars + slack_rows.index(r)] = -ONE if sense == "ge" else ONE
-        full[art_start + r] = ONE
-        tableau.append(full)
-        basis.append(art_start + r)
+    tableau = [line[:nvars] + [0] * nslack + line[nvars:] for line in lines]
+    for k, r in enumerate(slack_rows):
+        tableau[r][nvars + k] = -1 if senses[r] == "ge" else 1
+    basis = [art_start + r for r in range(nrows)]
+    d = 1
 
     # Phase 1: minimize the sum of artificials.
-    phase1 = [ZERO] * (ncols + 1)
-    for r in range(nrows):
-        for j in range(ncols + 1):
-            phase1[j] -= tableau[r][j]
-    for r in range(nrows):
-        phase1[art_start + r] = ZERO
-    tableau.append(phase1)
-    _run_simplex(tableau, basis, art_start)  # artificials never re-enter
-    if -tableau[-1][-1] != 0:
+    tableau.append([-sum(column) for column in zip(*tableau)] or [0] * (art_start + 1))
+    d = _run_simplex(tableau, basis, d, art_start)  # artificials never re-enter
+    if tableau[-1][-1] != 0:
         raise LpInfeasible("artificial variables cannot be driven to zero")
     tableau.pop()
 
@@ -130,22 +161,23 @@ def solve(
                 tableau.pop(r)
                 basis.pop(r)
             else:
-                _pivot(tableau, basis, r, col)
+                d = _pivot(tableau, basis, d, r, col)
 
-    # Phase 2 on the real objective, with basic columns priced out.
-    obj = [Fraction(c) for c in cost] + [ZERO] * (nslack + nrows + 1)
-    tableau.append(obj)
+    # Phase 2 on the real objective, with basic columns priced out:
+    # d * (c - c_B B^-1 A), an integer row.
+    obj = [d * c for c in cost] + [0] * (nslack + 1)
     for r, b in enumerate(basis):
-        if obj[b] != 0:
-            factor = obj[b]
-            tableau[-1] = [v - factor * p for v, p in zip(tableau[-1], tableau[r])]
-    _run_simplex(tableau, basis, art_start)
+        if b < nvars and cost[b] != 0:
+            factor = cost[b]
+            obj = [v - factor * t for v, t in zip(obj, tableau[r])]
+    tableau.append(obj)
+    d = _run_simplex(tableau, basis, d, art_start)
 
-    x = [ZERO] * nvars
+    x = [Fraction(0)] * nvars
     for r, b in enumerate(basis):
         if b < nvars:
-            x[b] = tableau[r][-1]
-    value = -tableau[-1][-1]
+            x[b] = Fraction(tableau[r][-1], d)
+    value = Fraction(-tableau[-1][-1], d * cost_scale)
     if maximize:
         value = -value
     return LpSolution(value=value, x=tuple(x))

@@ -7,6 +7,7 @@ instances.
 from __future__ import annotations
 
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,8 @@ BWCF_PRESETS = (
 def small_instance(kind: GameKind, seed: int, n_max: int = 5, m_max: int = 3,
                    allow_small_n: bool = True):
     """One deterministic random instance with n <= n_max, m <= m_max."""
-    rng = random.Random((hash(kind.value) & 0xFFFF) * 1_000_003 + seed)
+    # crc32, unlike hash(), does not change with PYTHONHASHSEED
+    rng = random.Random((zlib.crc32(kind.value.encode()) & 0xFFFF) * 1_000_003 + seed)
     m = 2 if kind is GameKind.MAXCUT else rng.randrange(1, m_max + 1)
     low = 1 if allow_small_n else m
     n = rng.randrange(max(1, low), n_max + 1)

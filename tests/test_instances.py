@@ -1,9 +1,14 @@
 """Generators and the instance document format."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import conflictgames
 from conflictgames.games import GameKind
 from conflictgames.instances import (
     InstanceFormatError,
@@ -117,6 +122,21 @@ class TestRandomGenerator:
 
         with pytest.raises(InvalidInstanceError):
             gen_random(3, 2, GameKind.BWC, F(3, 2), seed=0)
+
+    def test_test_pools_ignore_the_hash_seed(self):
+        code = ("from conftest import ALL_KINDS, kind_pool\n"
+                "from conflictgames.instances import write_instance\n"
+                "print([write_instance(i) for k in ALL_KINDS for i in kind_pool(k, 6)])")
+        path = os.pathsep.join([str(Path(__file__).parent),
+                                str(Path(conflictgames.__file__).parents[1])])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+            ).stdout
+            for hash_seed in ("1", "2")
+        }
+        assert len(outputs) == 1
 
 
 class TestInstanceSpec:
