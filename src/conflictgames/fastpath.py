@@ -8,6 +8,24 @@ Comparisons between like-scaled integers are therefore exact, and the
 Fraction API is recovered by dividing out the scale (``as_value`` /
 ``as_potential``).
 
+The six kinds share one shape, and the kind is decided once, when the tables
+are built:
+
+* machine term: ``mach[k][x]`` is a player's value on machine ``k`` at
+  occupancy ``x`` (``alpha*x`` for the cost kinds, ``p_k/x`` for the sharing
+  kinds, 0 for the cut game); ``pot[k][x]`` is the potential's machine term
+  (``alpha*x^2``, ``p_k*H_x``, 0);
+* signed edges: ``edges`` holds ``(a, b, w)`` with ``w > 0`` for an edge that
+  counts when its ends share a machine (BwC/BwCF conflicts at beta, SwF
+  friends) and ``w < 0`` for one that counts when they are separated (BwF/BwCF
+  friends at gamma, SwC enemies, cut edges at 1); zero weights are dropped;
+* base: ``base[i]`` is the separated-edge weight at player ``i`` (what ``i``
+  would collect with every such neighbour elsewhere), and ``w_sep`` is
+  ``sum(base) / 2``.
+
+A player's value is then ``mach[k][occupancy] + base[i]`` plus the signed
+weights of its neighbours on ``k``.
+
 Equivalence with the public Fraction evaluation in :mod:`conflictgames.games`
 is enforced exhaustively by the test suite.
 """
@@ -25,26 +43,20 @@ class StateEvaluator:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.n = inst.n
-        self.m = inst.m
-        self.kind = inst.kind
+        self.n = n = inst.n
+        self.m = m = inst.m
         self.minimizes = inst.kind.minimizes
-        n, m = self.n, self.m
+        conf = sorted(inst.conflict_edges)
+        fr = sorted(inst.friendship_edges)
 
-        self._conf = [(a - 1, b - 1) for a, b in sorted(inst.conflict_edges)]
-        self._fr = [(a - 1, b - 1) for a, b in sorted(inst.friendship_edges)]
-
-        if inst.kind.balancing:
+        if inst.kind.minimizes:
             den = lcm(inst.alpha.denominator, inst.beta.denominator, inst.gamma.denominator)
             self.value_scale = den
             self.potential_scale = 2 * den
-            self._a = int(inst.alpha * den)
-            self._b = int(inst.beta * den)
-            self._g = int(inst.gamma * den)
-            self._fr_deg = [0] * n
-            for a, b in self._fr:
-                self._fr_deg[a] += 1
-                self._fr_deg[b] += 1
+            a, b, g = int(inst.alpha * den), int(inst.beta * den), int(inst.gamma * den)
+            self.mach = [[a * x for x in range(n + 1)]] * m
+            self.pot = [[a * x * x for x in range(n + 1)]] * m
+            signed = [(e, b) for e in conf] + [(e, -g) for e in fr]
         elif inst.kind.sharing:
             weights = sharing_weights(inst)
             dens = [p.denominator for p in inst.machine_values]
@@ -54,27 +66,28 @@ class StateEvaluator:
             self.value_scale = d * ell
             self.potential_scale = d * ell
             p_scaled = [int(p * d) for p in inst.machine_values]
-            # share_table[k][x] = p_k / x  (scaled); index 0 unused
-            self._share = [[0] + [pk * (ell // x) for x in range(1, n + 1)] for pk in p_scaled]
+            # index 0 is never read as a value and contributes 0 to sums
+            self.mach = [[0] + [pk * (ell // x) for x in range(1, n + 1)] for pk in p_scaled]
             hsum = [0]
             for x in range(1, n + 1):
                 hsum.append(hsum[-1] + ell // x)
-            # pot_share[k][x] = p_k * H_x  (scaled)
-            self._pot_share = [[pk * h for h in hsum] for pk in p_scaled]
-            self._wedges = [
-                (a - 1, b - 1, int(w * d) * ell) for (a, b), w in sorted(weights.items())
-            ]
-            self._w_deg = [0] * n
-            for a, b, w in self._wedges:
-                self._w_deg[a] += w
-                self._w_deg[b] += w
+            self.pot = [[pk * h for h in hsum] for pk in p_scaled]
+            sign = -1 if inst.kind is GameKind.SWC else 1
+            signed = [(e, sign * int(w * d) * ell) for e, w in sorted(weights.items())]
         else:  # cut game
             self.value_scale = 1
             self.potential_scale = 1
-            self._deg = [0] * n
-            for a, b in self._conf:
-                self._deg[a] += 1
-                self._deg[b] += 1
+            self.mach = [[0] * (n + 1)] * m
+            self.pot = self.mach
+            signed = [(e, -1) for e in conf]
+
+        self.edges = [(a - 1, b - 1, w) for (a, b), w in signed if w]
+        self.base = [0] * n
+        for a, b, w in self.edges:
+            if w < 0:
+                self.base[a] -= w
+                self.base[b] -= w
+        self.w_sep = sum(self.base) // 2
 
     # -- conversions --------------------------------------------------------
 
@@ -92,89 +105,61 @@ class StateEvaluator:
             loads[k] += 1
         return loads
 
+    def _edge_term(self, state) -> int:
+        """Separated-edge weight at ``state``: w_sep plus the signed weight of
+        every co-located edge."""
+        return self.w_sep + sum(w for a, b, w in self.edges if state[a] == state[b])
+
     def social(self, state) -> int:
-        loads = self.loads(state)
-        if self.kind.balancing:
-            squares = sum(x * x for x in loads)
-            same = sum(1 for a, b in self._conf if state[a] == state[b])
-            cross = sum(1 for a, b in self._fr if state[a] != state[b])
-            return self._a * squares + 2 * self._b * same + 2 * self._g * cross
-        if self.kind.sharing:
-            # share[k][1] is p_k at full scale
-            base = sum(self._share[k][1] for k in range(self.m) if loads[k])
-            if self.kind is GameKind.SWC:
-                edge = sum(w for a, b, w in self._wedges if state[a] != state[b])
-            else:
-                edge = sum(w for a, b, w in self._wedges if state[a] == state[b])
-            return base + 2 * edge
-        return 2 * sum(1 for a, b in self._conf if state[a] != state[b])
+        machines = sum(x * row[x] for row, x in zip(self.mach, self.loads(state)))
+        return machines + 2 * self._edge_term(state)
 
     def potential(self, state) -> int:
-        if self.kind.balancing:
-            return self.social(state)  # potential_scale is twice value_scale
-        loads = self.loads(state)
-        if self.kind.sharing:
-            shares = sum(self._pot_share[k][x] for k, x in enumerate(loads))
-            if self.kind is GameKind.SWC:
-                edge = sum(w for a, b, w in self._wedges if state[a] != state[b])
-            else:
-                edge = sum(w for a, b, w in self._wedges if state[a] == state[b])
-            return shares + edge
-        return sum(1 for a, b in self._conf if state[a] != state[b])
+        machines = sum(row[x] for row, x in zip(self.pot, self.loads(state)))
+        return machines + self.potential_scale // self.value_scale * self._edge_term(state)
 
     # -- per-state deviation tables ------------------------------------------
 
     def analyze(self, state):
-        """Aux bundle for :meth:`value`: (state, loads, conflict table,
-        friendship/weight table).  Tables are flat n*m lists: entry i*m+k is
-        the (scaled) weight of i's relevant edges into machine k."""
-        n, m = self.n, self.m
-        loads = self.loads(state)
-        if self.kind.balancing:
-            conf = [0] * (n * m)
-            fr = [0] * (n * m)
-            for a, b in self._conf:
-                conf[a * m + state[b]] += 1
-                conf[b * m + state[a]] += 1
-            for a, b in self._fr:
-                fr[a * m + state[b]] += 1
-                fr[b * m + state[a]] += 1
-            return (tuple(state), loads, conf, fr)
-        if self.kind.sharing:
-            tab = [0] * (n * m)
-            for a, b, w in self._wedges:
-                tab[a * m + state[b]] += w
-                tab[b * m + state[a]] += w
-            return (tuple(state), loads, tab, None)
-        tab = [0] * (n * m)
-        for a, b in self._conf:
-            tab[a * m + state[b]] += 1
-            tab[b * m + state[a]] += 1
-        return (tuple(state), loads, tab, None)
+        """Aux bundle for :meth:`value`: (state, loads, table).  The table is
+        a flat n*m list; entry i*m+k is the signed weight of i's neighbours
+        on machine k."""
+        m = self.m
+        tab = [0] * (self.n * m)
+        for a, b, w in self.edges:
+            tab[a * m + state[b]] += w
+            tab[b * m + state[a]] += w
+        return (tuple(state), self.loads(state), tab)
 
     def value(self, aux, i: int, k: int) -> int:
         """Scaled value of player ``i`` if assigned to ``k``, all others fixed
         at the analyzed state.  Exact both for k == s_i and for deviations."""
-        state, loads, tab, tab2 = aux
-        m = self.m
-        if self.kind.balancing:
-            load = loads[k] if state[i] == k else loads[k] + 1
-            return (
-                self._a * load
-                + self._b * tab[i * m + k]
-                + self._g * (self._fr_deg[i] - tab2[i * m + k])
-            )
-        if self.kind is GameKind.SWC:
-            occ = loads[k] if state[i] == k else loads[k] + 1
-            return self._share[k][occ] + self._w_deg[i] - tab[i * m + k]
-        if self.kind is GameKind.SWF:
-            occ = loads[k] if state[i] == k else loads[k] + 1
-            return self._share[k][occ] + tab[i * m + k]
-        return self._deg[i] - tab[i * m + k]
+        state, loads, tab = aux
+        occ = loads[k] if state[i] == k else loads[k] + 1
+        return self.mach[k][occ] + self.base[i] + tab[i * self.m + k]
 
     def values(self, aux) -> list[int]:
         state = aux[0]
         return [self.value(aux, i, state[i]) for i in range(self.n)]
+
+    def uniform_deviation_lhs(self, state, support) -> int:
+        """Semi-smoothness left-hand side at ``state`` for the profile that is
+        uniform over the machines in ``support``, scaled by
+        ``len(support) * value_scale``: every player's value summed over
+        every support machine, everyone else pinned at ``state``."""
+        n, loads = self.n, self.loads(state)
+        in_support = [False] * self.m
+        for l in support:
+            in_support[l] = True
+        total = 2 * len(support) * self.w_sep
+        for l in support:
+            x, row = loads[l], self.mach[l]
+            total += x * row[x]
+            if x < n:
+                total += (n - x) * row[x + 1]
+        for a, b, w in self.edges:
+            total += w * (in_support[state[a]] + in_support[state[b]])
+        return total
 
 
 def to_internal(state: tuple[int, ...]) -> tuple[int, ...]:

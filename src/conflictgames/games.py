@@ -303,7 +303,7 @@ def machine_loads(inst: Instance, state: State) -> tuple[int, ...]:
 def _player_value_unchecked(inst: Instance, state: State, i: int) -> Fraction:
     k = state[i - 1]
     kind = inst.kind
-    if kind.balancing:
+    if kind.minimizes:
         load = sum(1 for x in state if x == k)
         conf_here = sum(1 for j in conflict_neighbors(inst)[i - 1] if state[j - 1] == k)
         friends_away = sum(1 for j in friendship_neighbors(inst)[i - 1] if state[j - 1] != k)
@@ -339,7 +339,7 @@ def social_value(inst: Instance, state: State) -> Fraction:
     validate_state(inst, state)
     kind = inst.kind
     loads = machine_loads(inst, state)
-    if kind.balancing:
+    if kind.minimizes:
         squares = sum(x * x for x in loads)
         conf_same = sum(1 for a, b in inst.conflict_edges if state[a - 1] == state[b - 1])
         friends_cross = sum(1 for a, b in inst.friendship_edges if state[a - 1] != state[b - 1])
@@ -362,17 +362,11 @@ def social_value(inst: Instance, state: State) -> Fraction:
     return Fraction(2 * cut)
 
 
-def social_value_from_players(inst: Instance, state: State) -> Fraction:
-    """Definitional route: sum of :func:`player_value`.  Must equal
-    :func:`social_value` exactly on every state (tested exhaustively)."""
-    return sum(player_values(inst, state), Fraction(0))
-
-
 def potential(inst: Instance, state: State) -> Fraction:
     """Exact potential: any unilateral move changes it by the mover's value change."""
     validate_state(inst, state)
     kind = inst.kind
-    if kind.balancing:
+    if kind.minimizes:
         return social_value(inst, state) / 2
     loads = machine_loads(inst, state)
     if kind is GameKind.SWC:

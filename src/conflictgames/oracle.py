@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Optional
 
 import numpy as np
@@ -72,18 +73,23 @@ def _states0(inst: Instance):
     return itertools.product(range(inst.m), repeat=inst.n)
 
 
-def optimum(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[State, Fraction]:
-    """Social optimum (min for cost kinds, max for payoff kinds); lex-smallest tie."""
+def _extreme_state(
+    inst: Instance, limits: OracleLimits, lowest: bool
+) -> tuple[State, Fraction]:
+    """The state of lowest (or highest) social value; lex-smallest tie."""
     _guard(inst, limits.max_states, "max_states")
     ev = StateEvaluator(inst)
-    minimizes = inst.kind.minimizes
-    best_state = None
-    best = 0
-    for s in _states0(inst):
-        v = ev.social(s)
-        if best_state is None or (v < best if minimizes else v > best):
-            best_state, best = s, v
+    pick = min if lowest else max
+    # min/max keep the first extremal item, and states come in lex order
+    best_state, best = pick(
+        zip(_states0(inst), map(ev.social, _states0(inst))), key=itemgetter(1)
+    )
     return to_public(best_state), ev.as_value(best)
+
+
+def optimum(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[State, Fraction]:
+    """Social optimum (min for cost kinds, max for payoff kinds); lex-smallest tie."""
+    return _extreme_state(inst, limits, lowest=inst.kind.minimizes)
 
 
 def worst_social_state(
@@ -91,16 +97,7 @@ def worst_social_state(
 ) -> tuple[State, Fraction]:
     """The socially worst state (max cost / min utility); lex-smallest tie.
     Used by the worst-start mode of the dynamics."""
-    _guard(inst, limits.max_states, "max_states")
-    ev = StateEvaluator(inst)
-    minimizes = inst.kind.minimizes
-    best_state = None
-    best = 0
-    for s in _states0(inst):
-        v = ev.social(s)
-        if best_state is None or (v > best if minimizes else v < best):
-            best_state, best = s, v
-    return to_public(best_state), ev.as_value(best)
+    return _extreme_state(inst, limits, lowest=not inst.kind.minimizes)
 
 
 def _is_pure_ne(ev: StateEvaluator, aux) -> bool:
@@ -140,8 +137,9 @@ def pure_nash_set(
 # strictly improves under the same outcome: non-movers in C never affect the
 # outcome, and movers are themselves a valid coalition.  So a state is a
 # strong equilibrium iff no alternative state strictly improves all of its
-# movers, which needs one pass over ordered state pairs instead of the
-# 2^n-coalition definition.  The two routes are equivalence-tested.
+# movers.  Singleton coalitions make every strong equilibrium a pure one, so
+# only the pure equilibria are tested, each against all states at once.  The
+# coalition definition itself is kept in the tests as the reference.
 
 
 def strong_nash_set(
@@ -153,106 +151,23 @@ def strong_nash_set(
     _guard(inst, limits.max_states, "max_states")
     ev = StateEvaluator(inst)
     states = list(_states0(inst))
-    vals = [ev.values(ev.analyze(s)) for s in states]
-    if inst.m == 2 and max(max(map(abs, row)) for row in vals) < _INT64_SAFE:
-        flags = _strong_flags_two_machines(vals, inst.n, ev.minimizes)
-    else:
-        flags = _strong_flags_generic(states, vals, ev.minimizes)
-    return [
-        (to_public(s), ev.as_value(ev.social(s)))
-        for s, ok in zip(states, flags)
-        if ok
-    ]
-
-
-def _strong_flags_generic(states, vals, minimizes: bool) -> list[bool]:
-    count = len(states)
-    n = len(states[0])
-    flags = [True] * count
-    for si in range(count):
-        s = states[si]
-        vs = vals[si]
-        for ti in range(count):
-            if ti == si:
-                continue
-            t = states[ti]
-            vt = vals[ti]
-            refutes = True
-            for i in range(n):
-                if s[i] != t[i]:
-                    better = vt[i] < vs[i] if minimizes else vt[i] > vs[i]
-                    if not better:
-                        refutes = False
-                        break
-            if refutes:
-                flags[si] = False
-                break
-    return flags
-
-
-def _strong_flags_two_machines(vals, n: int, minimizes: bool) -> list[bool]:
-    """Vectorized pair scan for m = 2: states are bitmasks (player 0 is the
-    most significant bit, matching lexicographic enumeration), alternative
-    states are XOR masks.  Values are small exact integers, so int64 is exact."""
-    arr = np.asarray(vals, dtype=np.int64)
-    count = len(vals)
-    idx = np.arange(count)
-    refuted = np.zeros(count, dtype=bool)
-    for mask in range(1, count):
-        movers = [i for i in range(n) if (mask >> (n - 1 - i)) & 1]
-        target = idx ^ mask
-        ok = np.ones(count, dtype=bool)
-        for i in movers:
-            if minimizes:
-                ok &= arr[target, i] < arr[idx, i]
-            else:
-                ok &= arr[target, i] > arr[idx, i]
-            if not ok.any():
-                break
-        refuted |= ok
-    return [not r for r in refuted]
-
-
-def strong_nash_set_by_coalitions(
-    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
-) -> list[tuple[State, Fraction]]:
-    """Literal definition: every nonempty coalition, every joint deviation.
-    Exponentially slower than :func:`strong_nash_set`; kept as the reference
-    the fast route is checked against."""
-    if inst.n > limits.strong_max_players:
-        raise StateSpaceExceeded("strong_max_players", inst.n, limits.strong_max_players)
-    _guard(inst, limits.max_states, "max_states")
-    ev = StateEvaluator(inst)
-    n, m = inst.n, inst.m
-    players = range(n)
-    out = []
-    for s in _states0(inst):
+    vals = []
+    candidates = []
+    for idx, s in enumerate(states):
         aux = ev.analyze(s)
-        vs = ev.values(aux)
-        stable = True
-        for size in range(1, n + 1):
-            for coalition in itertools.combinations(players, size):
-                for joint in itertools.product(range(m), repeat=size):
-                    t = list(s)
-                    for i, k in zip(coalition, joint):
-                        t[i] = k
-                    if tuple(t) == s:
-                        continue
-                    taux = ev.analyze(t)
-                    if all(
-                        (ev.value(taux, i, t[i]) < vs[i])
-                        if ev.minimizes
-                        else (ev.value(taux, i, t[i]) > vs[i])
-                        for i in coalition
-                    ):
-                        stable = False
-                        break
-                if not stable:
-                    break
-            if not stable:
-                break
-        if stable:
-            out.append((to_public(s), ev.as_value(ev.social(s))))
+        vals.append(ev.values(aux))
+        if _is_pure_ne(ev, aux):
+            candidates.append(idx)
+    big = max(abs(v) for row in vals for v in row) >= _INT64_SAFE
+    vals = np.array(vals, dtype=object if big else np.int64)
+    grid = np.array(states, dtype=np.int64)
+    out = []
+    for idx in candidates:
+        moved = grid != grid[idx]
+        better = vals < vals[idx] if ev.minimizes else vals > vals[idx]
+        # a state refutes s when someone moves and every mover is better off
+        if not ((better | ~moved).all(axis=1) & moved.any(axis=1)).any():
+            out.append((to_public(states[idx]), ev.as_value(ev.social(states[idx]))))
     return out
 
 
@@ -273,7 +188,7 @@ def expected_player_value(
     if not 1 <= k <= inst.m:
         raise ValueError(f"machine id {k} out of range 1..{inst.m}")
     kind = inst.kind
-    if kind.balancing:
+    if kind.minimizes:
         load = 1 + sum(profile[j - 1][k - 1] for j in range(1, inst.n + 1) if j != i)
         conf_here = sum(profile[j - 1][k - 1] for j in conflict_neighbors(inst)[i - 1])
         friends_away = sum(1 - profile[j - 1][k - 1] for j in friendship_neighbors(inst)[i - 1])

@@ -79,43 +79,6 @@ def semi_smooth_lhs(inst: Instance, state: State, profile: MixedProfile) -> Frac
     return total / ev.value_scale
 
 
-def _closed_lhs_constant(inst: Instance, ev: StateEvaluator) -> Optional[int]:
-    """State-independent LHS of the canonical profile, scaled by m*value_scale;
-    None when the LHS is state-dependent (sharing kinds)."""
-    n, m = inst.n, inst.m
-    if inst.kind.balancing:
-        e_minus = len(inst.conflict_edges)
-        e_plus = len(inst.friendship_edges)
-        return ev._a * n * (n + m - 1) + 2 * ev._b * e_minus + 2 * ev._g * (m - 1) * e_plus
-    if inst.kind is GameKind.MAXCUT:
-        return 2 * len(inst.conflict_edges)  # |E| times m*value_scale = 2
-    return None
-
-
-def _sharing_lhs_scaled(ev: StateEvaluator, support: list[int], state, loads) -> int:
-    """Sharing-kind LHS of the canonical profile at one state, scaled by
-    t*value_scale where t = len(support)."""
-    n = ev.n
-    t = len(support)
-    in_support = [False] * ev.m
-    for l in support:
-        in_support[l] = True
-    machine = 0
-    for l in support:
-        x = loads[l]
-        if x:
-            machine += ev._share[l][1]
-        if x < n:
-            machine += (n - x) * ev._share[l][x + 1]
-    ends_in_support = 0
-    for a, b, w in ev._wedges:
-        ends_in_support += w * (in_support[state[a]] + in_support[state[b]])
-    if ev.kind is GameKind.SWC:
-        total_w = sum(w for _, _, w in ev._wedges)
-        return machine + 2 * t * total_w - ends_in_support
-    return machine + ends_in_support
-
-
 def check_semi_smooth(
     inst: Instance,
     params: SmoothnessParams,
@@ -143,18 +106,15 @@ def check_semi_smooth(
     if profile == canonical:
         support = [k for k in range(inst.m) if canonical[0][k] != 0]
         t = len(support)
-        const = _closed_lhs_constant(inst, ev)
 
-        def lhs_scaled(state, loads):  # times t * value_scale
-            if const is not None:
-                return const
-            return _sharing_lhs_scaled(ev, support, state, loads)
+        def lhs_scaled(state):  # times t * value_scale
+            return ev.uniform_deviation_lhs(state, support)
 
     else:
         t = 1
 
-        def lhs_scaled(state, loads):
-            aux = (tuple(state), loads, *_tables(ev, state))
+        def lhs_scaled(state):
+            aux = ev.analyze(state)
             total = Fraction(0)
             for i in range(inst.n):
                 for k in range(inst.m):
@@ -170,8 +130,7 @@ def check_semi_smooth(
     worst_state = None
     worst_slack = None
     for s in oracle._states0(inst):
-        loads = ev.loads(s)
-        lhs = lhs_scaled(s, loads) * ld * ud
+        lhs = lhs_scaled(s) * ld * ud
         social = ev.social(s)
         rhs = ln * ud * t * opt_scaled + un * ld * t * social * (1 if minimizes else -1)
         slack = rhs - lhs if minimizes else lhs - rhs
@@ -186,11 +145,6 @@ def check_semi_smooth(
     return SmoothnessVerdict(
         holds=slack_frac >= 0, worst_state=to_public(worst_state), slack=slack_frac
     )
-
-
-def _tables(ev: StateEvaluator, state):
-    aux = ev.analyze(state)
-    return aux[2], aux[3]
 
 
 def check_nice(
@@ -375,14 +329,14 @@ def check_opt_lower_bounds(
           provable alpha*n constant term).
     Payoff kinds have no such floors; the verdict is trivially true.
     """
-    if not inst.kind.balancing:
+    if not inst.kind.minimizes:
         return LowerBoundVerdict(holds=True, checks=(), witness=None)
     if state_count(inst) > limits.max_states:
         raise StateSpaceExceeded("max_states", state_count(inst), limits.max_states)
     ev = StateEvaluator(inst)
     n, m = inst.n, inst.m
     vs = ev.value_scale
-    a_n, b_n, g_n = ev._a, ev._b, ev._g
+    a_n, b_n, g_n = (int(w * vs) for w in (inst.alpha, inst.beta, inst.gamma))
     e_minus = len(inst.conflict_edges)
     e_plus = len(inst.friendship_edges)
 

@@ -17,7 +17,6 @@ from conflictgames.games import (
     point_mass_profile,
     potential,
     social_value,
-    social_value_from_players,
     uniform_profile,
     validate_profile,
 )
@@ -27,6 +26,8 @@ from conflictgames.instances import (
     gen_maxcut_edge,
     gen_swc_pos,
 )
+
+from reference_oracle import social_value_from_players
 
 F = Fraction
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conflictgames.fastpath import StateEvaluator, to_internal
 from conflictgames.games import (
     GameKind,
     make_instance,
@@ -24,6 +25,7 @@ from conflictgames.instances import (
     gen_swf_nostrong,
 )
 from conflictgames.oracle import (
+    _INT64_SAFE,
     OracleLimits,
     StateSpaceExceeded,
     enumerate_states,
@@ -34,12 +36,12 @@ from conflictgames.oracle import (
     pure_nash_set,
     state_count,
     strong_nash_set,
-    strong_nash_set_by_coalitions,
     verify_mixed_ne,
     worst_cce_value,
     worst_social_state,
 )
 
+from reference_oracle import strong_nash_set_by_coalitions
 from conftest import ALL_KINDS, small_instance
 
 F = Fraction
@@ -159,9 +161,44 @@ class TestStrongNash:
 
     def test_fast_scan_matches_coalition_reference(self):
         for kind in ALL_KINDS:
-            for seed in range(3):
-                inst = small_instance(kind, seed, n_max=3)
+            pool = [small_instance(kind, seed, n_max=4) for seed in range(4)]
+            if kind is not GameKind.MAXCUT:  # n = 4, m = 3; SwC/SwF refute some pure NE
+                for seed, prob in ((7, F(1, 2)), (5, F(1))):
+                    pool.append(gen_random(4, 3, kind, prob, seed=seed, weighted=kind.sharing))
+            for inst in pool:
                 assert strong_nash_set(inst) == strong_nash_set_by_coalitions(inst)
+
+    def test_fast_scan_matches_reference_beyond_int64(self):
+        # scaled values above the int64-safe bound take the object-dtype scan
+        huge = (F(3, 2**61 - 1), F(5, 2**62 + 3))
+        pool = [
+            make_instance(
+                GameKind.SWC, 4, 3, conflict_edges=[(1, 2), (2, 3), (3, 4), (1, 4)],
+                machine_values=(huge[0], huge[1], F(1)),
+            ),
+            make_instance(
+                GameKind.SWC, 3, 3, conflict_edges=[(1, 2), (1, 3)],
+                machine_values=(huge[1], huge[0], huge[0]),
+                edge_weights={(1, 2): F(1, 7), (1, 3): huge[0]},
+            ),
+            make_instance(
+                GameKind.SWF, 4, 2, friendship_edges=[(1, 2), (2, 3), (3, 4)],
+                machine_values=huge,
+            ),
+            make_instance(
+                GameKind.SWF, 4, 2, friendship_edges=[(1, 2), (3, 4)],
+                machine_values=(F(2), huge[1]), edge_weights={(1, 2): huge[0]},
+            ),
+        ]
+        for inst in pool:
+            ev = StateEvaluator(inst)
+            top = max(
+                abs(v)
+                for s in enumerate_states(inst)
+                for v in ev.values(ev.analyze(to_internal(s)))
+            )
+            assert top >= _INT64_SAFE
+            assert strong_nash_set(inst) == strong_nash_set_by_coalitions(inst)
 
     def test_subset_of_pure(self, mixed_pool):
         for inst in mixed_pool:

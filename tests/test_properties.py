@@ -15,11 +15,12 @@ from conflictgames.games import (
     player_values,
     potential,
     social_value,
-    social_value_from_players,
 )
 from conflictgames.instances import parse_instance, write_instance
 from conflictgames.oracle import expected_player_value
 from conflictgames.games import point_mass_profile
+
+from reference_oracle import social_value_from_players
 
 F = Fraction
 

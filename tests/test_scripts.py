@@ -1,0 +1,29 @@
+"""Smoke runs of the measurement scripts: they exit 0 and print their summary."""
+
+import pathlib
+import subprocess
+import sys
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_strong_ne_search():
+    lines = _run("search_strong_ne_m3.py", "--count", "6", "--max-n", "5")
+    assert lines[-1] == "scanned 6 instances (m=3, n up to 5): 0 without a strong equilibrium"
+
+
+def test_poa_conjecture_sweep():
+    lines = _run("poa_conjecture_sweep.py", "--m", "2", "--count", "1")
+    assert lines[0] == "m=2: certified pure bound 2-m/n, conjectured 2-1/m = 3/2"
+    assert [line.split(":")[0].strip() for line in lines[1:]] == [
+        f"n={n}" for n in range(5, 11)
+    ]

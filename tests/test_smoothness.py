@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conflictgames.fastpath import StateEvaluator, to_internal
 from conflictgames.games import (
     GameKind,
     canonical_deviation_profile,
@@ -33,7 +34,7 @@ from conflictgames.smoothness import (
     semi_smooth_lhs,
 )
 
-from conftest import ALL_KINDS, small_instance
+from conftest import ALL_KINDS, kind_pool, small_instance
 
 F = Fraction
 
@@ -78,6 +79,41 @@ class TestLhs:
                 assert semi_smooth_lhs(inst, state, prof) == _definitional_lhs(
                     inst, state, prof
                 )
+
+
+def _closed_form_pool():
+    pool = [inst for kind in ALL_KINDS for inst in kind_pool(kind, 6, n_max=4)]
+    pool += [  # rational combination weights, weighted sharing, SwC with n < m
+        gen_random(3, 3, GameKind.BWCF, F(1, 2), seed=5,
+                   alpha=F(2, 3), beta=F(3, 5), gamma=F(5, 7)),
+        gen_random(4, 2, GameKind.BWCF, F(3, 4), seed=6,
+                   alpha=F(1, 3), beta=F(7, 2), gamma=F(4, 3)),
+        gen_random(4, 3, GameKind.SWC, F(1, 2), seed=1, weighted=True),
+        gen_random(4, 3, GameKind.SWF, F(3, 4), seed=2, weighted=True),
+    ]
+    pool += [gen_random(2, 3, GameKind.SWC, F(1), seed=s, weighted=s % 2 == 0) for s in range(3)]
+    return pool
+
+
+class TestClosedFormLhs:
+    def test_equals_definitional_double_sum_at_every_state(self):
+        # t * value_scale * (Fraction double sum), t = support size of the profile
+        pool = _closed_form_pool()
+        assert {inst.kind for inst in pool} == set(ALL_KINDS)
+        assert any(inst.kind.sharing and inst.edge_weights for inst in pool)
+        narrow = 0
+        for inst in pool:
+            ev = StateEvaluator(inst)
+            prof = canonical_deviation_profile(inst)
+            support = [k for k in range(inst.m) if prof[0][k] != 0]
+            t = len(support)
+            if inst.kind is GameKind.SWC and inst.n < inst.m:
+                assert t == inst.n
+                narrow += 1
+            for state in enumerate_states(inst):
+                expected = t * ev.value_scale * _definitional_lhs(inst, state, prof)
+                assert ev.uniform_deviation_lhs(to_internal(state), support) == expected
+        assert narrow
 
 
 class TestCheckSemiSmooth:
