@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+import numpy as np
+
 from . import oracle
-from .fastpath import StateEvaluator, to_internal, to_public
+from .fastpath import StateEvaluator, state_blocks, to_internal, to_public
 from .games import GameKind, Instance, State, harmonic, validate_state
 from .oracle import DEFAULT_LIMITS, OracleLimits
 from .smoothness import certificate_params
@@ -148,6 +150,30 @@ class SandwichResult:
     skipped: int
 
 
+def _max_ratio(num, den):
+    """Exact maximum of num/den over a block (every den > 0) as a pair of
+    Python ints; None for an empty block.  A float ratio only proposes the
+    candidate: integer cross-multiplication confirms it, and any entry it
+    finds above the candidate becomes the next candidate."""
+    if not len(num):
+        return None
+    num, den = num.astype(object), den.astype(object)  # exact products
+    idx = int(np.argmax(num / den))
+    while True:
+        p, q = num[idx], den[idx]
+        above = np.flatnonzero(num * q > den * p)
+        if not above.size:
+            return p, q
+        idx = above[0]
+
+
+def _pair_max(x, y):
+    """The larger of two (num, den) ratios (den > 0); None is no ratio."""
+    if x is None or (y is not None and y[0] * x[1] > x[0] * y[1]):
+        return y
+    return x
+
+
 def sandwich_constants(
     inst: Instance,
     states: Optional[Iterable[State]] = None,
@@ -156,31 +182,27 @@ def sandwich_constants(
     ev = StateEvaluator(inst)
     if states is None:
         oracle._guard(inst, limits.max_states, "max_states")
-        scan = oracle._states0(inst)
+        blocks = state_blocks(inst.n, inst.m)
     else:
-        scan = (to_internal(s) for s in states)
+        grid = [to_internal(s) for s in states]
+        if not grid:
+            raise ValueError("sandwich_constants needs at least one state")
+        blocks = [np.array(grid, dtype=np.int64)]
     vs, ps = ev.value_scale, ev.potential_scale
-    best_a = None  # max value/potential, tracked as a cross-multiplied pair
-    best_b = None  # max potential/value
+    best_a = None  # max social/potential over phi != 0, as a (num, den) pair
+    best_b = None  # max potential/social over phi != 0 and social != 0
     skipped = 0
-    seen = False
-    for s in scan:
-        seen = True
-        u = ev.social(s)
-        phi = ev.potential(s)
-        if phi == 0:
-            skipped += 1
-            continue
-        # value/potential = (u * ps) / (phi * vs)
-        if best_a is None or u * ps * best_a[1] > best_a[0] * phi * vs:
-            best_a = (u * ps, phi * vs)
-        if u != 0 and (best_b is None or phi * vs * best_b[1] > best_b[0] * u * ps):
-            best_b = (phi * vs, u * ps)
-    if not seen:
-        raise ValueError("sandwich_constants needs at least one state")
+    for grid in blocks:
+        _, _, u, phi = ev.table(grid, potential=True)
+        live = phi != 0
+        skipped += len(grid) - int(live.sum())
+        best_a = _pair_max(best_a, _max_ratio(u[live], phi[live]))
+        live &= u != 0
+        best_b = _pair_max(best_b, _max_ratio(phi[live], u[live]))
+    # value/potential = (u * ps) / (phi * vs)
     return SandwichResult(
-        a=Fraction(*best_a) if best_a else None,
-        b=Fraction(*best_b) if best_b else None,
+        a=Fraction(best_a[0] * ps, best_a[1] * vs) if best_a else None,
+        b=Fraction(best_b[0] * vs, best_b[1] * ps) if best_b else None,
         skipped=skipped,
     )
 

@@ -26,20 +26,53 @@ are built:
 A player's value is then ``mach[k][occupancy] + base[i]`` plus the signed
 weights of its neighbours on ``k``.
 
-Equivalence with the public Fraction evaluation in :mod:`conflictgames.games`
-is enforced exhaustively by the test suite.
+Two ways read these tables.  :meth:`StateEvaluator.analyze` and
+:meth:`StateEvaluator.value` evaluate one state at a time, for the passes that
+cannot enumerate (best-response runs, single-state left-hand sides).  Every
+enumeration pass instead reads the state table:
+
+* blocks: :func:`state_blocks` yields the m^n states in lex order as ``(S, n)``
+  int64 arrays, built from the mixed-radix digits of ``arange``; a block holds
+  at most ``_BLOCK_CELLS`` (state, player, machine) cells, so memory stays flat
+  however many states there are;
+* table: :meth:`StateEvaluator.table` turns a block into ``vals[s, i, k]`` (the
+  value of player ``i`` on machine ``k`` with everyone else at ``s``, equal to
+  ``value(analyze(s), i, k)``), ``cur[s, i]`` (the value at ``s``) and
+  ``social = cur.sum(1)``, plus the potential when asked.  It is the same
+  formula on arrays: a one-hot of the block, its loads, the neighbour weights
+  ``tab = W @ onehot`` (``W`` the n x n signed adjacency of ``edges``) and
+  ``mach[k][load + (s_i != k)] + base[i] + tab``;
+* dtype: int64 only when a bound computed from the tables shows that no value,
+  no sum of values over all players and machines, and no multiple of such a
+  sum by the caller's ``factor`` (its slack combination) can reach
+  ``_INT64_SAFE``; otherwise the same code runs on ``dtype=object`` arrays of
+  exact Python ints.  No float ever decides a result.
+
+Equivalence of both ways with the public Fraction evaluation in
+:mod:`conflictgames.games` is enforced exhaustively by the test suite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from typing import Iterator
+
+import numpy as np
 
 from .games import GameKind, Instance, sharing_weights
 
+# magnitudes at or above this may overflow an int64 expression; use object
+_INT64_SAFE = 1 << 60
+
+# upper bound on the (state, player, machine) cells of one table block
+_BLOCK_CELLS = 1 << 13
+
 
 class StateEvaluator:
-    """Per-instance tables plus O(n*m + |E|) per-state evaluation."""
+    """Per-instance tables, O(n*m + |E|) evaluation of one state, and the
+    state table over a block of states."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -88,6 +121,7 @@ class StateEvaluator:
                 self.base[a] -= w
                 self.base[b] -= w
         self.w_sep = sum(self.base) // 2
+        self._arrays_by_dtype = {}
 
     # -- conversions --------------------------------------------------------
 
@@ -142,24 +176,89 @@ class StateEvaluator:
         state = aux[0]
         return [self.value(aux, i, state[i]) for i in range(self.n)]
 
-    def uniform_deviation_lhs(self, state, support) -> int:
-        """Semi-smoothness left-hand side at ``state`` for the profile that is
-        uniform over the machines in ``support``, scaled by
-        ``len(support) * value_scale``: every player's value summed over
-        every support machine, everyone else pinned at ``state``."""
-        n, loads = self.n, self.loads(state)
-        in_support = [False] * self.m
-        for l in support:
-            in_support[l] = True
-        total = 2 * len(support) * self.w_sep
-        for l in support:
-            x, row = loads[l], self.mach[l]
-            total += x * row[x]
-            if x < n:
-                total += (n - x) * row[x + 1]
+    # -- the state table -------------------------------------------------------
+
+    @cached_property
+    def _magnitude(self) -> int:
+        """Bound on |any table entry summed over all players and machines|
+        and on |any potential|."""
+        touching = list(self.base)  # |w| summed over the edges at each player
         for a, b, w in self.edges:
-            total += w * (in_support[state[a]] + in_support[state[b]])
-        return total
+            if w > 0:
+                touching[a] += w
+                touching[b] += w
+        value = max(abs(v) for row in self.mach for v in row) + max(
+            base + touch for base, touch in zip(self.base, touching)
+        )
+        potential = sum(max(abs(v) for v in row) for row in self.pot) + (
+            self.potential_scale // self.value_scale
+        ) * (self.w_sep + sum(abs(w) for _, _, w in self.edges))
+        return max(self.n * self.m * value, potential)
+
+    def dtype(self, factor: int = 1):
+        """np.int64 when ``factor`` times :attr:`_magnitude` stays below
+        ``_INT64_SAFE``, else ``object``."""
+        return np.int64 if factor * self._magnitude < _INT64_SAFE else object
+
+    def _arrays(self, dtype):
+        """The tables as arrays of ``dtype``: mach (with one spare column, so
+        that ``load + 1`` is a valid index even when everyone shares a
+        machine), base, W transposed, pot, edge ends, edge weights."""
+        arrays = self._arrays_by_dtype.get(dtype)
+        if arrays is None:
+            adj = np.zeros((self.n, self.n), dtype=dtype)
+            for a, b, w in self.edges:
+                adj[a, b] += w
+                adj[b, a] += w
+            ends = np.array([(a, b) for a, b, _ in self.edges], dtype=np.int64).reshape(-1, 2)
+            arrays = self._arrays_by_dtype[dtype] = (
+                np.array([row + [0] for row in self.mach], dtype=dtype),
+                np.array(self.base, dtype=dtype),
+                adj.T,
+                np.array(self.pot, dtype=dtype),
+                ends.T,
+                np.array([w for _, _, w in self.edges], dtype=dtype),
+            )
+        return arrays
+
+    def table(self, grid, factor: int = 1, potential: bool = False):
+        """(vals, cur, social[, potential]) at every state of ``grid``, an
+        ``(S, n)`` array of internal states; the dtype is ``dtype(factor)``.
+
+        ``vals`` is indexed ``[s, i, k]`` but laid out machine-major, so the
+        reductions over machines are elementwise operations on ``(S, n)``
+        slices."""
+        mach, base, adj_t, pot, (ea, eb), weights = self._arrays(self.dtype(factor))
+        count, m = len(grid), self.m
+        machines = np.arange(m)
+        onehot = grid == machines[:, None, None]  # [k, s, i]
+        loads = np.bincount((grid + m * np.arange(count)[:, None]).ravel(), minlength=count * m)
+        loads = loads.reshape(count, m)
+        here = mach[machines, loads].T[:, :, None]  # i on k already
+        there = mach[machines, loads + 1].T[:, :, None]  # i joins k
+        tab = onehot.astype(adj_t.dtype) @ adj_t  # [k, s, i]: neighbour weight on k
+        vals = np.where(onehot, here, there) + base + tab
+        cur = (vals * onehot).sum(0)
+        vals = vals.transpose(1, 2, 0)
+        social = cur.sum(1)
+        if not potential:
+            return vals, cur, social
+        colocated = (grid[:, ea] == grid[:, eb]).astype(weights.dtype) @ weights
+        phi = pot[machines, loads].sum(1) + (self.potential_scale // self.value_scale) * (
+            self.w_sep + colocated
+        )
+        return vals, cur, social, phi
+
+
+def state_blocks(n: int, m: int) -> Iterator[np.ndarray]:
+    """All m^n internal states in lex order, as ``(S, n)`` int64 blocks of at
+    most ``_BLOCK_CELLS`` (state, player, machine) cells."""
+    count = m**n
+    step = max(1, _BLOCK_CELLS // (n * m))
+    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    for start in range(0, count, step):
+        index = np.arange(start, min(start + step, count), dtype=np.int64)
+        yield index[:, None] // place % m
 
 
 def to_internal(state: tuple[int, ...]) -> tuple[int, ...]:

@@ -214,8 +214,12 @@ def make_instance(
 # ---------------------------------------------------------------------------
 # cached per-instance structure
 
+# entries kept per helper: enough for the instances one pass works on, while
+# a long battery of fresh instances cannot grow the caches without bound
+_CACHE_SIZE = 256
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def conflict_neighbors(inst: Instance) -> tuple[tuple[int, ...], ...]:
     """Adjacency over conflict edges; entry i-1 lists i's neighbours."""
     adj: list[list[int]] = [[] for _ in range(inst.n)]
@@ -225,7 +229,7 @@ def conflict_neighbors(inst: Instance) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in adj)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def friendship_neighbors(inst: Instance) -> tuple[tuple[int, ...], ...]:
     adj: list[list[int]] = [[] for _ in range(inst.n)]
     for a, b in sorted(inst.friendship_edges):
@@ -234,7 +238,7 @@ def friendship_neighbors(inst: Instance) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in adj)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def sharing_weights(inst: Instance) -> dict[Edge, Fraction]:
     """Edge -> weight map for the sharing kinds (default weight 1)."""
     own = inst.conflict_edges if inst.kind is GameKind.SWC else inst.friendship_edges
@@ -244,7 +248,7 @@ def sharing_weights(inst: Instance) -> dict[Edge, Fraction]:
     return weights
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def weighted_neighbors(inst: Instance) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
     """Weighted adjacency over the sharing kind's own edge set."""
     adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(inst.n)]

@@ -2,9 +2,10 @@
 exact expectations for product profiles, and the worst coarse-correlated
 equilibrium via an exact-rational LP.
 
-Enumeration passes run on the scaled-integer evaluator; every reported value
-is an exact Fraction.  Ties (optimum, worst equilibrium) always resolve to the
-lexicographically smallest state, so results are deterministic.
+Enumeration passes are array reductions over the evaluator's state table,
+block by block; every reported value is an exact Fraction.  Ties (optimum,
+worst equilibrium) always resolve to the lexicographically smallest state, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import simplex
-from .fastpath import StateEvaluator, to_public
+from .fastpath import _INT64_SAFE  # noqa: F401 -- kept importable from here
+from .fastpath import StateEvaluator, state_blocks, to_public
 from .games import (
     GameKind,
     Instance,
@@ -41,9 +42,6 @@ class OracleLimits:
 
 
 DEFAULT_LIMITS = OracleLimits()
-
-# beyond this magnitude the int64 vector path could overflow; fall back
-_INT64_SAFE = 1 << 60
 
 
 class StateSpaceExceeded(RuntimeError):
@@ -69,22 +67,40 @@ def enumerate_states(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> I
     return itertools.product(range(1, inst.m + 1), repeat=inst.n)
 
 
-def _states0(inst: Instance):
-    return itertools.product(range(inst.m), repeat=inst.n)
+def scan_tables(
+    inst: Instance, limits: OracleLimits, factor: int = 1, potential: bool = False
+):
+    """(evaluator, iterator of (block, table)) over all states, lex order;
+    raises :class:`StateSpaceExceeded` first when the state space is too big."""
+    _guard(inst, limits.max_states, "max_states")
+    ev = StateEvaluator(inst)
+    blocks = state_blocks(inst.n, inst.m)
+    return ev, ((grid, ev.table(grid, factor, potential)) for grid in blocks)
+
+
+def beats(new, old, lowest: bool) -> bool:
+    """True when ``new`` strictly beats ``old`` (None: nothing held yet).
+    Replacing only on a strict win keeps the lex-smallest tie across blocks."""
+    return old is None or (new < old if lowest else new > old)
+
+
+def block_extreme(keys, lowest: bool) -> tuple[int, int]:
+    """(index, value) of the first extremum of a block's keys."""
+    idx = int(keys.argmin() if lowest else keys.argmax())
+    return idx, int(keys[idx])
 
 
 def _extreme_state(
     inst: Instance, limits: OracleLimits, lowest: bool
 ) -> tuple[State, Fraction]:
     """The state of lowest (or highest) social value; lex-smallest tie."""
-    _guard(inst, limits.max_states, "max_states")
-    ev = StateEvaluator(inst)
-    pick = min if lowest else max
-    # min/max keep the first extremal item, and states come in lex order
-    best_state, best = pick(
-        zip(_states0(inst), map(ev.social, _states0(inst))), key=itemgetter(1)
-    )
-    return to_public(best_state), ev.as_value(best)
+    ev, tables = scan_tables(inst, limits)
+    best = best_state = None
+    for grid, (_, _, social) in tables:
+        idx, value = block_extreme(social, lowest)
+        if beats(value, best, lowest):
+            best, best_state = value, grid[idx]
+    return to_public(best_state.tolist()), ev.as_value(best)
 
 
 def optimum(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[State, Fraction]:
@@ -100,32 +116,21 @@ def worst_social_state(
     return _extreme_state(inst, limits, lowest=not inst.kind.minimizes)
 
 
-def _is_pure_ne(ev: StateEvaluator, aux) -> bool:
-    state = aux[0]
-    n, m = ev.n, ev.m
-    minimizes = ev.minimizes
-    for i in range(n):
-        cur = ev.value(aux, i, state[i])
-        for k in range(m):
-            if k == state[i]:
-                continue
-            dev = ev.value(aux, i, k)
-            if dev < cur if minimizes else dev > cur:
-                return False
-    return True
+def pure_ne_flags(ev: StateEvaluator, vals, cur):
+    """Per state: no player has a strictly better machine."""
+    best = vals.min(2) if ev.minimizes else vals.max(2)
+    return (cur == best).all(1)
 
 
 def pure_nash_set(
     inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
 ) -> list[tuple[State, Fraction]]:
     """All states with no strictly improving unilateral deviation, lex order."""
-    _guard(inst, limits.max_states, "max_states")
-    ev = StateEvaluator(inst)
+    ev, tables = scan_tables(inst, limits)
     out = []
-    for s in _states0(inst):
-        aux = ev.analyze(s)
-        if _is_pure_ne(ev, aux):
-            out.append((to_public(s), ev.as_value(ev.social(s))))
+    for grid, (vals, cur, social) in tables:
+        for idx in np.flatnonzero(pure_ne_flags(ev, vals, cur)):
+            out.append((to_public(grid[idx].tolist()), ev.as_value(int(social[idx]))))
     return out
 
 
@@ -148,26 +153,21 @@ def strong_nash_set(
     """All states no coalition can leave with every member strictly better off."""
     if inst.n > limits.strong_max_players:
         raise StateSpaceExceeded("strong_max_players", inst.n, limits.strong_max_players)
-    _guard(inst, limits.max_states, "max_states")
-    ev = StateEvaluator(inst)
-    states = list(_states0(inst))
-    vals = []
-    candidates = []
-    for idx, s in enumerate(states):
-        aux = ev.analyze(s)
-        vals.append(ev.values(aux))
-        if _is_pure_ne(ev, aux):
-            candidates.append(idx)
-    big = max(abs(v) for row in vals for v in row) >= _INT64_SAFE
-    vals = np.array(vals, dtype=object if big else np.int64)
-    grid = np.array(states, dtype=np.int64)
+    ev, tables = scan_tables(inst, limits)
+    grids, curs, socials, flags = [], [], [], []
+    for grid, (vals, cur, social) in tables:
+        grids.append(grid)
+        curs.append(cur)
+        socials.append(social)
+        flags.append(pure_ne_flags(ev, vals, cur))
+    grid, cur, social = map(np.concatenate, (grids, curs, socials))
     out = []
-    for idx in candidates:
+    for idx in np.flatnonzero(np.concatenate(flags)):
         moved = grid != grid[idx]
-        better = vals < vals[idx] if ev.minimizes else vals > vals[idx]
+        better = cur < cur[idx] if ev.minimizes else cur > cur[idx]
         # a state refutes s when someone moves and every mover is better off
         if not ((better | ~moved).all(axis=1) & moved.any(axis=1)).any():
-            out.append((to_public(states[idx]), ev.as_value(ev.social(states[idx]))))
+            out.append((to_public(grid[idx].tolist()), ev.as_value(int(social[idx]))))
     return out
 
 
@@ -274,23 +274,19 @@ def worst_cce_value(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Cc
     if count > limits.lp_max_states:
         raise StateSpaceExceeded("lp_max_states", count, limits.lp_max_states)
     ev = StateEvaluator(inst)
-    states = list(_states0(inst))
-    socials = []
-    deviation_rows = [
-        [0] * count for _ in range(inst.n * inst.m)
-    ]
-    for idx, s in enumerate(states):
-        aux = ev.analyze(s)
-        socials.append(ev.social(s))
-        for i in range(inst.n):
-            cur = ev.value(aux, i, s[i])
-            for k in range(inst.m):
-                diff = ev.value(aux, i, k) - cur
-                # cost: E[dev - cur] >= 0;  payoff: E[cur - dev] >= 0
-                deviation_rows[i * inst.m + k][idx] = diff if ev.minimizes else -diff
+    grids, socials, columns = [], [], []
+    for grid in state_blocks(inst.n, inst.m):
+        vals, cur, social = ev.table(grid)
+        # cost: E[dev - cur] >= 0;  payoff: E[cur - dev] >= 0
+        diff = vals - cur[..., None] if ev.minimizes else cur[..., None] - vals
+        grids.append(grid)
+        socials.append(social)
+        columns.append(diff.reshape(len(grid), -1))
+    states = np.concatenate(grids).tolist()
+    deviation_rows = np.concatenate(columns).T.tolist()  # Python ints
     try:
         sol = simplex.solve(
-            objective=socials,
+            objective=np.concatenate(socials).tolist(),
             a_eq=[[1] * count],
             b_eq=[1],
             a_ge=deviation_rows,

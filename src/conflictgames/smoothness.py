@@ -1,18 +1,20 @@
 """Numeric certification of semi-smoothness, niceness, the known
 price-of-total-anarchy parameters, and the optimum lower-bound inequalities.
 
-All verdicts are exact: the per-state inequalities are evaluated in scaled
-integers (or Fractions on the general-profile path), never floats.
+All verdicts are exact: the per-state inequalities are array reductions over
+the evaluator's state table in scaled integers, never floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from . import oracle
-from .fastpath import StateEvaluator, to_internal, to_public
+import numpy as np
+
+from .fastpath import _INT64_SAFE, StateEvaluator, to_internal, to_public
 from .games import (
     GameKind,
     Instance,
@@ -22,7 +24,13 @@ from .games import (
     validate_profile,
     validate_state,
 )
-from .oracle import DEFAULT_LIMITS, OracleLimits, StateSpaceExceeded, state_count
+from .oracle import (
+    DEFAULT_LIMITS,
+    OracleLimits,
+    beats,
+    block_extreme,
+    scan_tables,
+)
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,37 @@ def semi_smooth_lhs(inst: Instance, state: State, profile: MixedProfile) -> Frac
     return total / ev.value_scale
 
 
+def _worst_slack(inst, params, limits, t: int, lhs_of) -> SmoothnessVerdict:
+    """Scan of ``lhs_of(vals)`` (the LHS at every state of a block, times
+    ``t * value_scale``) against lam * opt +/- mu * value(s).
+
+    With the LHS and the social value scaled by ``t * value_scale * lam.den *
+    mu.den``, the slack is ``sign * lam.num * mu.den * t * opt + key`` with
+    ``key = mu.num * lam.den * t * social - sign * lam.den * mu.den * lhs``
+    (sign +1 for cost kinds, -1 for payoff kinds).  The lam * opt term is the
+    same at every state, so one pass finds both the smallest key (lex-smallest
+    tie) and the optimum.
+    """
+    ln, ld = params.lam.numerator, params.lam.denominator
+    un, ud = params.mu.numerator, params.mu.denominator
+    minimizes = inst.kind.minimizes
+    sign = 1 if minimizes else -1
+    ev, tables = scan_tables(inst, limits, factor=t * ld * (abs(un) + ud))
+    opt = worst_key = worst_state = None
+    for grid, (vals, _, social) in tables:
+        _, value = block_extreme(social, minimizes)
+        if beats(value, opt, minimizes):
+            opt = value
+        keys = un * ld * t * social - sign * ld * ud * lhs_of(vals)
+        idx, key = block_extreme(keys, True)
+        if beats(key, worst_key, True):
+            worst_key, worst_state = key, grid[idx]
+    slack = Fraction(sign * ln * ud * t * opt + worst_key, t * ev.value_scale * ld * ud)
+    return SmoothnessVerdict(
+        holds=slack >= 0, worst_state=to_public(worst_state.tolist()), slack=slack
+    )
+
+
 def check_semi_smooth(
     inst: Instance,
     params: SmoothnessParams,
@@ -90,61 +129,26 @@ def check_semi_smooth(
     Cost kinds:    LHS <= lam * c(opt) + mu * c(s)
     Payoff kinds:  LHS >= lam * u(opt) - mu * u(s)
 
-    ``profile`` defaults to the canonical deviation profile, for which a
-    closed form of the LHS is used; arbitrary product profiles fall back to
-    the definitional sum.
+    ``profile`` defaults to the canonical deviation profile.  With ``t`` the
+    lcm of the profile's denominators, ``t * value_scale * LHS`` is the table
+    weighted by the integers ``t * q_ik`` (0/1 for the canonical profile).
     """
-    canonical = canonical_deviation_profile(inst)
     if profile is None:
-        profile = canonical
+        profile = canonical_deviation_profile(inst)
     else:
         validate_profile(inst, profile)
-    ev = StateEvaluator(inst)
-    _, opt_value = oracle.optimum(inst, limits)
-    opt_scaled = int(opt_value * ev.value_scale)
-
-    if profile == canonical:
-        support = [k for k in range(inst.m) if canonical[0][k] != 0]
-        t = len(support)
-
-        def lhs_scaled(state):  # times t * value_scale
-            return ev.uniform_deviation_lhs(state, support)
-
-    else:
-        t = 1
-
-        def lhs_scaled(state):
-            aux = ev.analyze(state)
-            total = Fraction(0)
-            for i in range(inst.n):
-                for k in range(inst.m):
-                    q = profile[i][k]
-                    if q != 0:
-                        total += q * ev.value(aux, i, k)
-            return total  # exact Fraction, times value_scale
-
-    # slack scaled by t * value_scale * lam.den * mu.den, all integer arithmetic
-    ln, ld = params.lam.numerator, params.lam.denominator
-    un, ud = params.mu.numerator, params.mu.denominator
-    minimizes = inst.kind.minimizes
-    worst_state = None
-    worst_slack = None
-    for s in oracle._states0(inst):
-        lhs = lhs_scaled(s) * ld * ud
-        social = ev.social(s)
-        rhs = ln * ud * t * opt_scaled + un * ld * t * social * (1 if minimizes else -1)
-        slack = rhs - lhs if minimizes else lhs - rhs
-        if worst_slack is None or slack < worst_slack:
-            worst_slack, worst_state = slack, s
-    denom = t * ev.value_scale * ld * ud
-    slack_frac = (
-        Fraction(worst_slack, denom)
-        if isinstance(worst_slack, int)
-        else worst_slack / denom
+    t, weights = deviation_weights(profile)
+    return _worst_slack(
+        inst, params, limits, t, lambda vals: (vals * weights).sum((1, 2))
     )
-    return SmoothnessVerdict(
-        holds=slack_frac >= 0, worst_state=to_public(worst_state), slack=slack_frac
-    )
+
+
+def deviation_weights(profile: MixedProfile) -> tuple[int, np.ndarray]:
+    """(t, W) with t the lcm of the profile's denominators and W[i, k] the
+    integer t * q_ik, so that t * value_scale * LHS = sum_ik W[i, k] * vals[s, i, k]."""
+    t = lcm(*(q.denominator for row in profile for q in row))
+    dtype = np.int64 if t < _INT64_SAFE else object  # a caller's profile may need big ints
+    return t, np.array([[int(q * t) for q in row] for row in profile], dtype=dtype)
 
 
 def check_nice(
@@ -153,29 +157,8 @@ def check_nice(
     """Niceness check with the deviation target at the joint best responses:
     for every state, sum_i value_i(best response, s_-i) against
     lam * extremal +/- mu * value(s)."""
-    ev = StateEvaluator(inst)
-    _, opt_value = oracle.optimum(inst, limits)
-    opt_scaled = int(opt_value * ev.value_scale)
-    ln, ld = params.lam.numerator, params.lam.denominator
-    un, ud = params.mu.numerator, params.mu.denominator
-    minimizes = inst.kind.minimizes
-    pick = min if minimizes else max
-    worst_state = None
-    worst_slack = None
-    for s in oracle._states0(inst):
-        aux = ev.analyze(s)
-        lhs = sum(
-            pick(ev.value(aux, i, k) for k in range(inst.m)) for i in range(inst.n)
-        )
-        social = ev.social(s)
-        rhs = ln * ud * opt_scaled + un * ld * social * (1 if minimizes else -1)
-        slack = rhs - lhs * ld * ud if minimizes else lhs * ld * ud - rhs
-        if worst_slack is None or slack < worst_slack:
-            worst_slack, worst_state = slack, s
-    slack_frac = Fraction(worst_slack, ev.value_scale * ld * ud)
-    return SmoothnessVerdict(
-        holds=slack_frac >= 0, worst_state=to_public(worst_state), slack=slack_frac
-    )
+    pick = np.min if inst.kind.minimizes else np.max
+    return _worst_slack(inst, params, limits, 1, lambda vals: pick(vals, 2).sum(1))
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +181,22 @@ def max_rho_pure_sigma(
     if inst.kind.minimizes:
         raise ValueError("pure-deviation ratio search applies to payoff kinds only")
     validate_state(inst, sigma_state)
-    ev = StateEvaluator(inst)
-    sigma0 = to_internal(sigma_state)
-    _, opt_value = oracle.optimum(inst, limits)
+    sigma = np.array(to_internal(sigma_state), dtype=np.int64)
+    ev, tables = scan_tables(inst, limits)
+    opt = None
+    rows = []
+    for _, (vals, _, social) in tables:
+        lhs = vals[:, np.arange(inst.n), sigma].sum(1)
+        _, value = block_extreme(social, False)
+        if beats(value, opt, False):
+            opt = value
+        rows.extend(
+            (ev.as_value(u), ev.as_value(l))
+            for u, l in zip(social.tolist(), lhs.tolist())
+        )
+    opt_value = ev.as_value(opt)
     if opt_value == 0:
         raise ValueError("degenerate instance: the optimum value is 0, every ratio works")
-    rows = []
-    for s in oracle._states0(inst):
-        aux = ev.analyze(s)
-        lhs = Fraction(
-            sum(ev.value(aux, i, sigma0[i]) for i in range(inst.n)), ev.value_scale
-        )
-        rows.append((Fraction(ev.social(s), ev.value_scale), lhs))
 
     def feasible(rho: Fraction) -> bool:
         # lambda = rho * (1 + mu); need mu >= 0 with, per state s,
@@ -331,9 +318,7 @@ def check_opt_lower_bounds(
     """
     if not inst.kind.minimizes:
         return LowerBoundVerdict(holds=True, checks=(), witness=None)
-    if state_count(inst) > limits.max_states:
-        raise StateSpaceExceeded("max_states", state_count(inst), limits.max_states)
-    ev = StateEvaluator(inst)
+    ev, tables = scan_tables(inst, limits)
     n, m = inst.n, inst.m
     vs = ev.value_scale
     a_n, b_n, g_n = (int(w * vs) for w in (inst.alpha, inst.beta, inst.gamma))
@@ -358,15 +343,22 @@ def check_opt_lower_bounds(
         if inst.alpha <= inst.gamma:
             checks.append(("friend_volume_heavy", 1, 2 * a_n * e_plus + a_n * n))
 
-    for s in oracle._states0(inst):
-        social = ev.social(s)
-        for name, mult, floor in checks:
-            if mult * social < floor:
-                return LowerBoundVerdict(
-                    holds=False,
-                    checks=tuple(name for name, _, _ in checks),
-                    witness=(name, to_public(s), ev.as_value(social)),
-                )
-    return LowerBoundVerdict(
-        holds=True, checks=tuple(name for name, _, _ in checks), witness=None
-    )
+    names = tuple(name for name, _, _ in checks)
+    # mult * c < floor  <=>  c < ceil(floor / mult).  On the int64 table every
+    # |c| < _INT64_SAFE, so clipping the threshold to that range changes no
+    # comparison and keeps it representable.
+    below = [-(-floor // mult) for _, mult, floor in checks]
+    if ev.dtype() is np.int64:
+        below = [min(max(b, -_INT64_SAFE), _INT64_SAFE) for b in below]
+    for grid, (_, _, social) in tables:
+        fails = np.stack([social < b for b in below])  # (check, state)
+        bad = np.flatnonzero(fails.any(0))
+        if bad.size:
+            idx = bad[0]
+            name = names[int(fails[:, idx].argmax())]
+            return LowerBoundVerdict(
+                holds=False,
+                checks=names,
+                witness=(name, to_public(grid[idx].tolist()), ev.as_value(int(social[idx]))),
+            )
+    return LowerBoundVerdict(holds=True, checks=names, witness=None)

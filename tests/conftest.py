@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conflictgames.games import GameKind
+from conflictgames.games import GameKind, make_instance
 from conflictgames.instances import gen_random
 
 ALL_KINDS = (
@@ -54,6 +54,32 @@ def small_instance(kind: GameKind, seed: int, n_max: int = 5, m_max: int = 3,
 
 def kind_pool(kind: GameKind, count: int, **kwargs):
     return [small_instance(kind, seed, **kwargs) for seed in range(count)]
+
+
+def beyond_int64_pool():
+    """SwC and SwF instances whose scaled values pass the int64-safe bound,
+    so every table pass runs on the object dtype."""
+    F = Fraction
+    huge = (F(3, 2**61 - 1), F(5, 2**62 + 3))
+    return [
+        make_instance(
+            GameKind.SWC, 4, 3, conflict_edges=[(1, 2), (2, 3), (3, 4), (1, 4)],
+            machine_values=(huge[0], huge[1], F(1)),
+        ),
+        make_instance(
+            GameKind.SWC, 3, 3, conflict_edges=[(1, 2), (1, 3)],
+            machine_values=(huge[1], huge[0], huge[0]),
+            edge_weights={(1, 2): F(1, 7), (1, 3): huge[0]},
+        ),
+        make_instance(
+            GameKind.SWF, 4, 2, friendship_edges=[(1, 2), (2, 3), (3, 4)],
+            machine_values=huge,
+        ),
+        make_instance(
+            GameKind.SWF, 4, 2, friendship_edges=[(1, 2), (3, 4)],
+            machine_values=(F(2), huge[1]), edge_weights={(1, 2): huge[0]},
+        ),
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -2,21 +2,34 @@
 
 This is the chain of trust for every enumeration pass: values, socials,
 potentials, and deviation values are compared exhaustively on small instances
-of every kind, including weighted sharing and rational combination weights.
+of every kind, including weighted sharing and rational combination weights,
+and every entry of the state table is compared with the pointwise evaluator.
 """
 
 import itertools
 from fractions import Fraction
 
-from conflictgames.fastpath import StateEvaluator, to_internal, to_public
+import numpy as np
+
+from conflictgames.fastpath import (
+    _BLOCK_CELLS,
+    StateEvaluator,
+    state_blocks,
+    to_internal,
+    to_public,
+)
 from conflictgames.games import (
+    GameKind,
     player_value,
     player_values,
     potential,
     social_value,
 )
+from conflictgames.instances import gen_random
 
-from conftest import ALL_KINDS, kind_pool
+from conftest import ALL_KINDS, beyond_int64_pool, kind_pool
+
+F = Fraction
 
 
 def _all_states(inst):
@@ -52,3 +65,64 @@ def test_deviation_values_match_mutated_states():
                         moved = state[:i] + (k + 1,) + state[i + 1:]
                         expected = player_value(inst, moved, i + 1)
                         assert ev.as_value(ev.value(aux, i, k)) == expected
+
+
+def _table_pool():
+    pool = [inst for kind in ALL_KINDS for inst in kind_pool(kind, 4, n_max=4)]
+    pool += [  # rational combination weights, weighted sharing
+        gen_random(3, 3, GameKind.BWCF, F(1, 2), seed=5,
+                   alpha=F(2, 3), beta=F(3, 5), gamma=F(5, 7)),
+        gen_random(4, 3, GameKind.SWC, F(1, 2), seed=1, weighted=True),
+        gen_random(4, 3, GameKind.SWF, F(3, 4), seed=2, weighted=True),
+    ]
+    return pool
+
+
+def _assert_table_matches_pointwise(ev):
+    inst = ev.inst
+    for grid in state_blocks(inst.n, inst.m):
+        vals, cur, social, phi = ev.table(grid, potential=True)
+        assert vals.shape == (len(grid), inst.n, inst.m)
+        for s, state in enumerate(grid.tolist()):
+            aux = ev.analyze(state)
+            assert vals[s].tolist() == [
+                [ev.value(aux, i, k) for k in range(inst.m)] for i in range(inst.n)
+            ]
+            assert cur[s].tolist() == ev.values(aux)
+            assert social[s] == ev.social(state)
+            assert phi[s] == ev.potential(state)
+    return vals.dtype
+
+
+def test_state_blocks_cover_every_state_in_lex_order():
+    for n, m in ((1, 1), (1, 3), (3, 1), (4, 3), (10, 2), (11, 2), (5, 4)):
+        blocks = list(state_blocks(n, m))
+        assert all(b.dtype == np.int64 and b.shape[1] == n for b in blocks)
+        assert all(len(b) * n * m <= _BLOCK_CELLS for b in blocks)
+        states = [tuple(s) for b in blocks for s in b.tolist()]
+        assert states == list(itertools.product(range(m), repeat=n))
+    assert len(list(state_blocks(10, 2))) > 1
+
+
+def test_table_matches_pointwise_evaluator():
+    pool = _table_pool()
+    assert {inst.kind for inst in pool} == set(ALL_KINDS)
+    assert any(inst.kind.sharing and inst.edge_weights for inst in pool)
+    for inst in pool:
+        assert _assert_table_matches_pointwise(StateEvaluator(inst)) == np.int64
+
+
+def test_table_beyond_int64_is_exact_on_object_dtype():
+    for inst in beyond_int64_pool():
+        assert _assert_table_matches_pointwise(StateEvaluator(inst)) == object
+
+
+def test_table_dtype_covers_the_callers_scaling():
+    # a factor that would push a scaled sum past the int64-safe bound switches
+    # the same table to exact Python ints
+    ev = StateEvaluator(gen_random(4, 3, GameKind.BWC, F(1, 2), seed=1))
+    grid = next(state_blocks(4, 3))
+    assert ev.table(grid)[0].dtype == np.int64
+    wide = ev.table(grid, factor=1 << 60)
+    assert wide[0].dtype == object
+    assert all(a.tolist() == b.tolist() for a, b in zip(ev.table(grid), wide))

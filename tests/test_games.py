@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conflictgames import games
 from conflictgames.games import (
     GameKind,
     InvalidInstanceError,
@@ -245,3 +246,26 @@ class TestProfiles:
             GameKind.SWF, 2, 4, machine_values=[1, 7, 3, 7], friendship_edges=[(1, 2)]
         )
         assert canonical_deviation_profile(inst) == uniform_profile(inst)
+
+
+class TestCaches:
+    CACHED = (
+        games.conflict_neighbors,
+        games.friendship_neighbors,
+        games.sharing_weights,
+        games.weighted_neighbors,
+    )
+
+    def test_per_instance_caches_stay_bounded(self):
+        bound = games._CACHE_SIZE
+        for cached in self.CACHED:
+            assert cached.cache_info().maxsize == bound
+        for j in range(bound + 20):  # more distinct instances than the bound
+            inst = make_instance(
+                GameKind.SWC, 3, 2, machine_values=[j, 1], conflict_edges=[(1, 2)]
+            )
+            social_value(inst, (1, 2, 1))
+            for cached in self.CACHED:
+                cached(inst)
+                assert cached.cache_info().currsize <= bound
+        assert all(cached.cache_info().currsize == bound for cached in self.CACHED)

@@ -42,7 +42,7 @@ from conflictgames.oracle import (
 )
 
 from reference_oracle import strong_nash_set_by_coalitions
-from conftest import ALL_KINDS, small_instance
+from conftest import ALL_KINDS, beyond_int64_pool, small_instance
 
 F = Fraction
 
@@ -170,26 +170,7 @@ class TestStrongNash:
 
     def test_fast_scan_matches_reference_beyond_int64(self):
         # scaled values above the int64-safe bound take the object-dtype scan
-        huge = (F(3, 2**61 - 1), F(5, 2**62 + 3))
-        pool = [
-            make_instance(
-                GameKind.SWC, 4, 3, conflict_edges=[(1, 2), (2, 3), (3, 4), (1, 4)],
-                machine_values=(huge[0], huge[1], F(1)),
-            ),
-            make_instance(
-                GameKind.SWC, 3, 3, conflict_edges=[(1, 2), (1, 3)],
-                machine_values=(huge[1], huge[0], huge[0]),
-                edge_weights={(1, 2): F(1, 7), (1, 3): huge[0]},
-            ),
-            make_instance(
-                GameKind.SWF, 4, 2, friendship_edges=[(1, 2), (2, 3), (3, 4)],
-                machine_values=huge,
-            ),
-            make_instance(
-                GameKind.SWF, 4, 2, friendship_edges=[(1, 2), (3, 4)],
-                machine_values=(F(2), huge[1]), edge_weights={(1, 2): huge[0]},
-            ),
-        ]
+        pool = beyond_int64_pool()
         for inst in pool:
             ev = StateEvaluator(inst)
             top = max(

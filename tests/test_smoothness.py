@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conflictgames.fastpath import StateEvaluator, to_internal
+from conflictgames.fastpath import StateEvaluator, state_blocks, to_public
 from conflictgames.games import (
     GameKind,
     canonical_deviation_profile,
@@ -29,12 +29,14 @@ from conflictgames.smoothness import (
     check_nice,
     check_opt_lower_bounds,
     check_semi_smooth,
+    deviation_weights,
     make_params,
     max_rho_pure_sigma,
     semi_smooth_lhs,
 )
 
 from conftest import ALL_KINDS, kind_pool, small_instance
+from reference_oracle import slack_verdict_by_fractions
 
 F = Fraction
 
@@ -95,25 +97,64 @@ def _closed_form_pool():
     return pool
 
 
+# one explicit non-uniform profile, denominators 3 and 5 (t = 15)
+THIRDS_FIFTHS = (F(1, 3), F(2, 3), F(0)), (F(2, 5), F(0), F(3, 5))
+
+
+def _thirds_fifths(inst):
+    return tuple(THIRDS_FIFTHS[i % 2] for i in range(inst.n))
+
+
 class TestClosedFormLhs:
     def test_equals_definitional_double_sum_at_every_state(self):
-        # t * value_scale * (Fraction double sum), t = support size of the profile
-        pool = _closed_form_pool()
-        assert {inst.kind for inst in pool} == set(ALL_KINDS)
-        assert any(inst.kind.sharing and inst.edge_weights for inst in pool)
+        # t * value_scale * (Fraction double sum), t the lcm of the profile's
+        # denominators: the support size for the canonical profile
+        cases = [(inst, canonical_deviation_profile(inst)) for inst in _closed_form_pool()]
+        cases += [
+            (inst, _thirds_fifths(inst))
+            for inst in (
+                gen_random(3, 3, GameKind.BWCF, F(1, 2), seed=5,
+                           alpha=F(2, 3), beta=F(3, 5), gamma=F(5, 7)),
+                gen_random(4, 3, GameKind.SWC, F(1, 2), seed=1, weighted=True),
+            )
+        ]
+        assert {inst.kind for inst, _ in cases} == set(ALL_KINDS)
+        assert any(inst.kind.sharing and inst.edge_weights for inst, _ in cases)
         narrow = 0
-        for inst in pool:
+        for inst, prof in cases:
             ev = StateEvaluator(inst)
-            prof = canonical_deviation_profile(inst)
-            support = [k for k in range(inst.m) if prof[0][k] != 0]
-            t = len(support)
+            t, weights = deviation_weights(prof)
+            if prof == canonical_deviation_profile(inst):
+                assert t == sum(1 for q in prof[0] if q)
+                assert set(weights.ravel().tolist()) <= {0, 1}
+            else:
+                assert t == 15
             if inst.kind is GameKind.SWC and inst.n < inst.m:
                 assert t == inst.n
                 narrow += 1
-            for state in enumerate_states(inst):
-                expected = t * ev.value_scale * _definitional_lhs(inst, state, prof)
-                assert ev.uniform_deviation_lhs(to_internal(state), support) == expected
+            for grid in state_blocks(inst.n, inst.m):
+                lhs = (ev.table(grid)[0] * weights).sum((1, 2))
+                for state, got in zip(grid.tolist(), lhs.tolist()):
+                    expected = t * ev.value_scale * _definitional_lhs(inst, to_public(state), prof)
+                    assert got == expected
         assert narrow
+
+    def test_semi_smooth_verdict_matches_fraction_reference(self):
+        for inst in _closed_form_pool()[::3]:
+            params, _ = certificate_params(
+                inst.kind, inst.n, inst.m, inst.alpha, inst.beta, inst.gamma
+            )
+            profiles = [canonical_deviation_profile(inst)]
+            if inst.m >= 2:
+                tiny = F(1, 2**70 + 1)  # t past int64: weights and table widen
+                profiles.append(((tiny, 1 - tiny) + (F(0),) * (inst.m - 2),) * inst.n)
+            if inst.m == 3:
+                profiles.append(_thirds_fifths(inst))
+            for prof in profiles:
+                verdict = check_semi_smooth(inst, params, profile=prof)
+                lhs = {s: _definitional_lhs(inst, s, prof) for s in enumerate_states(inst)}
+                expected = slack_verdict_by_fractions(inst, params, lhs)
+                assert (verdict.holds, verdict.worst_state, verdict.slack) == expected
 
 
 class TestCheckSemiSmooth:

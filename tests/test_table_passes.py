@@ -1,0 +1,209 @@
+"""Every enumeration pass as a reduction over the state table.
+
+The passes must give the lex-smallest tie across table blocks, keep their
+state-space guard, read no pointwise evaluation, and stay exact on the
+object dtype.  Expected values come from the Fraction API through
+``reference_oracle``.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from conflictgames import dynamics, oracle, smoothness
+from conflictgames.fastpath import StateEvaluator, state_blocks
+from conflictgames.games import (
+    GameKind,
+    canonical_deviation_profile,
+    deviation_gain,
+    make_instance,
+    social_value,
+)
+from conflictgames.instances import gen_random
+from conflictgames.oracle import OracleLimits, StateSpaceExceeded, enumerate_states
+from conflictgames.smoothness import certificate_params, make_params
+
+from conftest import beyond_int64_pool
+from reference_oracle import (
+    best_response_lhs_by_fractions,
+    extreme_state_by_fractions,
+    profile_lhs_by_fractions,
+    sandwich_by_fractions,
+    slack_verdict_by_fractions,
+)
+
+F = Fraction
+
+
+def _param_sets(inst):
+    certified, _ = certificate_params(
+        inst.kind, inst.n, inst.m, inst.alpha, inst.beta, inst.gamma
+    )
+    # a nonzero mu exercises the whole slack combination
+    other = (
+        make_params(inst.kind, F(7, 5), F(1, 3))
+        if inst.kind.minimizes
+        else make_params(inst.kind, F(1, 3), F(1, 7))
+    )
+    return certified, other
+
+
+def _assert_passes_match_fractions(inst):
+    minimizes = inst.kind.minimizes
+    assert oracle.optimum(inst) == extreme_state_by_fractions(inst, minimizes)
+    assert oracle.worst_social_state(inst) == extreme_state_by_fractions(inst, not minimizes)
+    profile = canonical_deviation_profile(inst)
+    nice_lhs = best_response_lhs_by_fractions(inst)
+    semi_lhs = profile_lhs_by_fractions(inst, profile)
+    for params in _param_sets(inst):
+        nice = smoothness.check_nice(inst, params)
+        assert (nice.holds, nice.worst_state, nice.slack) == slack_verdict_by_fractions(
+            inst, params, nice_lhs
+        )
+        semi = smoothness.check_semi_smooth(inst, params)
+        assert (semi.holds, semi.worst_state, semi.slack) == slack_verdict_by_fractions(
+            inst, params, semi_lhs
+        )
+    sandwich = dynamics.sandwich_constants(inst)
+    assert (sandwich.a, sandwich.b, sandwich.skipped) == sandwich_by_fractions(inst)
+
+
+# more than one table block each: 1024 and 2048 states
+EDGELESS_BWC = make_instance(GameKind.BWC, 10, 2)
+MAXCUT_11 = gen_random(11, 2, GameKind.MAXCUT, F(1, 2), seed=3)
+
+
+def _block_of(inst, state):
+    """Index of the table block that holds a public state."""
+    target = [k - 1 for k in state]
+    for idx, grid in enumerate(state_blocks(inst.n, inst.m)):
+        if target in grid.tolist():
+            return idx
+    raise AssertionError(state)
+
+
+class TestBlockBoundaries:
+    def test_optimum_ties_spread_over_blocks(self):
+        for inst in (EDGELESS_BWC, MAXCUT_11):
+            assert len(list(state_blocks(inst.n, inst.m))) > 1
+            _, best = extreme_state_by_fractions(inst, inst.kind.minimizes)
+            ties = [s for s in enumerate_states(inst) if social_value(inst, s) == best]
+            assert len({_block_of(inst, s) for s in ties}) > 1
+
+    def test_edgeless_bwc_pins(self):
+        inst = EDGELESS_BWC
+        assert oracle.optimum(inst) == ((1,) * 5 + (2,) * 5, 50)
+        assert oracle.worst_social_state(inst) == ((1,) * 10, 100)
+        params, _ = certificate_params(inst.kind, inst.n, inst.m)
+        # the balanced states tie for niceness, and every state ties for the
+        # uniform semi-smoothness LHS (55 everywhere): the first one wins
+        nice = smoothness.check_nice(inst, params)
+        assert (nice.worst_state, nice.slack) == ((1,) * 5 + (2,) * 5, 30)
+        semi = smoothness.check_semi_smooth(inst, params)
+        assert (semi.worst_state, semi.slack) == ((1,) * 10, 25)
+        _assert_passes_match_fractions(inst)
+
+    def test_maxcut_state_and_complement_tie_in_different_blocks(self):
+        inst = MAXCUT_11
+        state, value = oracle.optimum(inst)
+        complement = tuple(3 - k for k in state)
+        assert state[0] == 1 and social_value(inst, complement) == value
+        assert _block_of(inst, state) < _block_of(inst, complement)
+        assert oracle.worst_social_state(inst) == ((1,) * 11, 0)
+        _assert_passes_match_fractions(inst)
+
+
+class TestBeyondInt64:
+    def test_every_pass_matches_fractions_on_object_dtype(self):
+        cost = make_instance(  # huge weight denominators on a cost kind
+            GameKind.BWCF, 3, 2, conflict_edges=[(1, 2)], friendship_edges=[(2, 3)],
+            alpha=F(1, 2**61 + 1), beta=F(3, 2**62 + 5), gamma=F(1, 3),
+        )
+        assert smoothness.check_opt_lower_bounds(cost).holds
+        for inst in beyond_int64_pool() + [cost]:
+            assert StateEvaluator(inst).dtype() is object
+            _assert_passes_match_fractions(inst)
+            expected = [
+                s for s in enumerate_states(inst)
+                if all(
+                    deviation_gain(inst, s, i, k) <= 0
+                    for i in range(1, inst.n + 1)
+                    for k in range(1, inst.m + 1)
+                )
+            ]
+            assert [s for s, _ in oracle.pure_nash_set(inst)] == expected
+
+
+    def test_slack_combination_past_int64_runs_on_object_dtype(self):
+        # values fit int64 (about 2^54), but lam.den * mu.den * t times them
+        # would not: the checks must widen the table, not wrap around
+        inst = make_instance(
+            GameKind.SWF, 3, 2, friendship_edges=[(1, 2)],
+            machine_values=(F(2**52 + 1, 2**52 + 3), F(1)),
+        )
+        ev = StateEvaluator(inst)
+        assert ev.dtype() is np.int64
+        params = make_params(inst.kind, F(1, 10**6), F(3, 10**6 + 3))
+        assert ev.dtype(10**6 * (10**6 + 6)) is object
+        profile = canonical_deviation_profile(inst)
+        for check, lhs in (
+            (smoothness.check_nice, best_response_lhs_by_fractions(inst)),
+            (smoothness.check_semi_smooth, profile_lhs_by_fractions(inst, profile)),
+        ):
+            verdict = check(inst, params)
+            assert (verdict.holds, verdict.worst_state, verdict.slack) == (
+                slack_verdict_by_fractions(inst, params, lhs)
+            )
+
+
+def _capped_passes():
+    cost = make_instance(GameKind.BWC, 10, 2)  # 1024 states
+    payoff = gen_random(7, 2, GameKind.SWC, F(1, 2), seed=1)  # 128 states
+    params, _ = certificate_params(cost.kind, cost.n, cost.m)
+    return {
+        "optimum": lambda lim: oracle.optimum(cost, lim),
+        "pure_nash_set": lambda lim: oracle.pure_nash_set(cost, lim),
+        "check_semi_smooth": lambda lim: smoothness.check_semi_smooth(cost, params, limits=lim),
+        "check_nice": lambda lim: smoothness.check_nice(cost, params, lim),
+        "check_opt_lower_bounds": lambda lim: smoothness.check_opt_lower_bounds(cost, lim),
+        "sandwich_constants": lambda lim: dynamics.sandwich_constants(cost, None, lim),
+        "max_rho_pure_sigma": lambda lim: smoothness.max_rho_pure_sigma(
+            payoff, (1,) * payoff.n, lim
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_capped_passes()))
+def test_state_cap_guards_every_pass(name):
+    run = _capped_passes()[name]
+    with pytest.raises(StateSpaceExceeded) as err:
+        run(OracleLimits(max_states=100))
+    assert err.value.limit_name == "max_states"
+    run(OracleLimits(max_states=1024))  # at the cap it runs
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("pointwise evaluation inside a table pass")
+
+
+def test_table_passes_use_no_pointwise_evaluation(monkeypatch):
+    inst = gen_random(4, 3, GameKind.BWCF, F(1, 2), seed=2,
+                      alpha=F(1), beta=F(1), gamma=F(1, 2))
+    swc = gen_random(4, 2, GameKind.SWC, F(1, 2), seed=2)
+    params, _ = certificate_params(inst.kind, inst.n, inst.m, inst.alpha, inst.beta, inst.gamma)
+    for attr in ("analyze", "value", "values", "social", "potential"):
+        monkeypatch.setattr(StateEvaluator, attr, _raise)
+    assert oracle.optimum(inst)
+    assert oracle.worst_social_state(inst)
+    monkeypatch.setattr(oracle, "optimum", _raise)
+    assert oracle.pure_nash_set(inst)
+    assert oracle.strong_nash_set(inst) is not None
+    assert smoothness.check_semi_smooth(inst, params).holds
+    assert smoothness.check_nice(inst, params).holds
+    assert smoothness.check_opt_lower_bounds(inst).holds
+    assert dynamics.sandwich_constants(inst).a is not None
+    assert dynamics.sandwich_constants(inst, states=[(1, 2, 3, 1)]).a is not None
+    assert oracle.worst_cce_value(inst).distribution
+    lo, hi = smoothness.max_rho_pure_sigma(swc, (1, 2, 1, 2))
+    assert lo <= hi
