@@ -5,6 +5,12 @@ The mover each step is the player with the largest deviation gain (ties:
 lowest player index, then lowest machine index), so traces are fully
 deterministic.  The potential strictly improves every step, which both
 terminates the dynamic and drives the quality guarantees checked here.
+
+:func:`run_br` only loops and records: the state lives in the evaluator's
+move table (:class:`conflictgames.fastpath.Walk`), which finds the max-gain
+move with one argmax and applies it in O(n + m), and which keeps the social
+value and the potential current as exact scaled integers.  The whole state is
+evaluated once, at the start.
 """
 
 from __future__ import annotations
@@ -58,52 +64,37 @@ def run_br(inst: Instance, start: State, max_steps: Optional[int] = None) -> Tra
     """Iterate max-gain best responses until no player improves (or the step
     budget runs out, which is flagged, not an error)."""
     validate_state(inst, start)
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     ev = StateEvaluator(inst)
-    n, m = inst.n, inst.m
-    minimizes = ev.minimizes
-    cur = list(to_internal(start))
+    walk = ev.walk(to_internal(start))
+    start_social, start_potential = walk.social, walk.potential
     steps: list[TraceStep] = []
     exhausted = False
-    while True:
-        aux = ev.analyze(cur)
-        best_gain = 0
-        best_player = -1
-        best_machine = -1
-        for i in range(n):
-            here = ev.value(aux, i, cur[i])
-            for k in range(m):
-                if k == cur[i]:
-                    continue
-                dev = ev.value(aux, i, k)
-                gain = here - dev if minimizes else dev - here
-                if gain > best_gain:
-                    best_gain, best_player, best_machine = gain, i, k
-        if best_gain <= 0:
-            break
+    while (best := walk.best()) is not None:
         if max_steps is not None and len(steps) >= max_steps:
             exhausted = True
             break
-        source = cur[best_player]
-        cur[best_player] = best_machine
+        gain, player, target = best
+        source = walk.move(player, target)
         steps.append(
             TraceStep(
                 index=len(steps) + 1,
-                mover=best_player + 1,
+                mover=player + 1,
                 source=source + 1,
-                target=best_machine + 1,
-                gain=ev.as_value(best_gain),
-                potential=ev.as_potential(ev.potential(cur)),
-                social=ev.as_value(ev.social(cur)),
+                target=target + 1,
+                gain=ev.as_value(gain),
+                potential=ev.as_potential(walk.potential),
+                social=ev.as_value(walk.social),
             )
         )
-    start0 = to_internal(start)
     return Trace(
         start=tuple(start),
-        end=to_public(cur),
+        end=to_public(walk.cur.tolist()),
         steps=tuple(steps),
-        start_social=ev.as_value(ev.social(start0)),
-        start_potential=ev.as_potential(ev.potential(start0)),
-        maximizes=not minimizes,
+        start_social=ev.as_value(start_social),
+        start_potential=ev.as_potential(start_potential),
+        maximizes=not ev.minimizes,
         exhausted=exhausted,
     )
 

@@ -26,10 +26,20 @@ are built:
 A player's value is then ``mach[k][occupancy] + base[i]`` plus the signed
 weights of its neighbours on ``k``.
 
-Two ways read these tables.  :meth:`StateEvaluator.analyze` and
-:meth:`StateEvaluator.value` evaluate one state at a time, for the passes that
-cannot enumerate (best-response runs, single-state left-hand sides).  Every
-enumeration pass instead reads the state table:
+Three ways read these tables.  :meth:`StateEvaluator.analyze` and
+:meth:`StateEvaluator.value` evaluate one state at a time, for single-state
+left-hand sides, the start of a best-response run and the test references.
+Best-response runs read a move table instead:
+
+* walk: :meth:`StateEvaluator.walk` returns a :class:`Walk`, which holds the
+  state, its loads, ``bt[i, k] = base[i] + sum_j W[i, j] [s_j = k]`` and the
+  social value and potential as exact ints.  :meth:`Walk.best` forms every
+  player's gain on every machine from ``bt`` and ``mach[k][load + 1]`` and
+  returns the first maximum in (player, machine) order; :meth:`Walk.move`
+  updates the two loads, the two columns of ``bt`` and both aggregates, which
+  change only on the mover's two machines and the mover's edges.
+
+Every enumeration pass reads the state table:
 
 * blocks: :func:`state_blocks` yields the m^n states in lex order as ``(S, n)``
   int64 arrays, built from the mixed-radix digits of ``arange``; a block holds
@@ -46,9 +56,10 @@ enumeration pass instead reads the state table:
   no sum of values over all players and machines, and no multiple of such a
   sum by the caller's ``factor`` (its slack combination) can reach
   ``_INT64_SAFE``; otherwise the same code runs on ``dtype=object`` arrays of
-  exact Python ints.  No float ever decides a result.
+  exact Python ints.  The move table takes the same rule with ``factor`` 1.
+  No float ever decides a result.
 
-Equivalence of both ways with the public Fraction evaluation in
+Equivalence of all three ways with the public Fraction evaluation in
 :mod:`conflictgames.games` is enforced exhaustively by the test suite.
 """
 
@@ -56,7 +67,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
+from operator import add
 from typing import Iterator
 
 import numpy as np
@@ -71,16 +84,16 @@ _BLOCK_CELLS = 1 << 13
 
 
 class StateEvaluator:
-    """Per-instance tables, O(n*m + |E|) evaluation of one state, and the
-    state table over a block of states."""
+    """Per-instance tables, O(n*m + |E|) evaluation of one state, the state
+    table over a block of states, and the move table of a best-response run."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.n = n = inst.n
         self.m = m = inst.m
         self.minimizes = inst.kind.minimizes
-        conf = sorted(inst.conflict_edges)
-        fr = sorted(inst.friendship_edges)
+        # every use of the edges sums over them, so their order does not matter
+        conf, fr = inst.conflict_edges, inst.friendship_edges
 
         if inst.kind.minimizes:
             den = lcm(inst.alpha.denominator, inst.beta.denominator, inst.gamma.denominator)
@@ -98,15 +111,17 @@ class StateEvaluator:
             ell = lcm(*range(1, n + 1))
             self.value_scale = d * ell
             self.potential_scale = d * ell
-            p_scaled = [int(p * d) for p in inst.machine_values]
+            p_scaled = [p.numerator * (d // p.denominator) for p in inst.machine_values]
             # index 0 is never read as a value and contributes 0 to sums
-            self.mach = [[0] + [pk * (ell // x) for x in range(1, n + 1)] for pk in p_scaled]
-            hsum = [0]
-            for x in range(1, n + 1):
-                hsum.append(hsum[-1] + ell // x)
+            shares = [0] + [ell // x for x in range(1, n + 1)]
+            self.mach = [[pk * q for q in shares] for pk in p_scaled]
+            hsum = list(accumulate(shares))
             self.pot = [[pk * h for h in hsum] for pk in p_scaled]
             sign = -1 if inst.kind is GameKind.SWC else 1
-            signed = [(e, sign * int(w * d) * ell) for e, w in sorted(weights.items())]
+            signed = [
+                (e, sign * w.numerator * (d // w.denominator) * ell)
+                for e, w in weights.items()
+            ]
         else:  # cut game
             self.value_scale = 1
             self.potential_scale = 1
@@ -183,16 +198,18 @@ class StateEvaluator:
         """Bound on |any table entry summed over all players and machines|
         and on |any potential|."""
         touching = list(self.base)  # |w| summed over the edges at each player
+        positive = 0
         for a, b, w in self.edges:
             if w > 0:
                 touching[a] += w
                 touching[b] += w
-        value = max(abs(v) for row in self.mach for v in row) + max(
-            base + touch for base, touch in zip(self.base, touching)
-        )
-        potential = sum(max(abs(v) for v in row) for row in self.pot) + (
+                positive += w
+        # every machine and potential term is >= 0 (alpha > 0, p_k >= 0), and
+        # w_sep is the sum of |w| over the negative edges
+        value = max(map(max, self.mach)) + max(map(add, self.base, touching))
+        potential = sum(map(max, self.pot)) + (
             self.potential_scale // self.value_scale
-        ) * (self.w_sep + sum(abs(w) for _, _, w in self.edges))
+        ) * (2 * self.w_sep + positive)
         return max(self.n * self.m * value, potential)
 
     def dtype(self, factor: int = 1):
@@ -206,18 +223,18 @@ class StateEvaluator:
         machine), base, W transposed, pot, edge ends, edge weights."""
         arrays = self._arrays_by_dtype.get(dtype)
         if arrays is None:
+            ends = np.array([(a, b) for a, b, _ in self.edges], dtype=np.int64).reshape(-1, 2).T
+            weights = np.array([w for _, _, w in self.edges], dtype=dtype)
             adj = np.zeros((self.n, self.n), dtype=dtype)
-            for a, b, w in self.edges:
-                adj[a, b] += w
-                adj[b, a] += w
-            ends = np.array([(a, b) for a, b, _ in self.edges], dtype=np.int64).reshape(-1, 2)
+            np.add.at(adj, (ends[0], ends[1]), weights)
+            adj = adj + adj.T
             arrays = self._arrays_by_dtype[dtype] = (
                 np.array([row + [0] for row in self.mach], dtype=dtype),
                 np.array(self.base, dtype=dtype),
                 adj.T,
                 np.array(self.pot, dtype=dtype),
-                ends.T,
-                np.array([w for _, _, w in self.edges], dtype=dtype),
+                ends,
+                weights,
             )
         return arrays
 
@@ -248,6 +265,72 @@ class StateEvaluator:
             self.w_sep + colocated
         )
         return vals, cur, social, phi
+
+    def walk(self, state) -> "Walk":
+        """A :class:`Walk` from ``state``, an internal state."""
+        return Walk(self, state)
+
+
+class Walk:
+    """The state of a best-response run, kept current move by move.
+
+    ``cur`` and ``loads`` are the state and its machine loads; ``bt[i, k]`` is
+    ``base[i]`` plus the signed weight of ``i``'s neighbours on ``k``, so a
+    player's value on ``k`` is ``mach[k][occupancy] + bt[i, k]``; ``social``
+    and ``potential`` are the scaled aggregates as exact Python ints.  One
+    move touches two columns of ``bt`` and two loads, so :meth:`move` costs
+    O(n) and :meth:`best` one pass over the n x m gains.  The arrays have the
+    evaluator's ``dtype()``: int64 when that bound allows, else exact ints.
+    """
+
+    def __init__(self, ev: StateEvaluator, state):
+        self.ev = ev
+        mach, base, adj, _, (ea, eb), weights = ev._arrays(ev.dtype())
+        self._mach, self._adj = mach, adj  # adj is symmetric
+        self._players, self._machines = np.arange(ev.n), np.arange(ev.m)
+        self.cur = cur = np.array(state, dtype=np.int64)
+        self.loads = np.bincount(cur, minlength=ev.m)
+        self.bt = np.repeat(base[:, None], ev.m, axis=1)
+        np.add.at(self.bt, (ea, cur[eb]), weights)
+        np.add.at(self.bt, (eb, cur[ea]), weights)
+        self.social = ev.social(state)
+        self.potential = ev.potential(state)
+
+    def best(self):
+        """``(gain, player, machine)`` of the max-gain move, or None at a pure
+        NE.  Ties go to the first maximum in (player, machine) order."""
+        players, cur, loads = self._players, self.cur, self.loads
+        here = self._mach[cur, loads[cur]] + self.bt[players, cur]
+        there = self.bt + self._mach[self._machines, loads + 1]
+        gain = here[:, None] - there if self.ev.minimizes else there - here[:, None]
+        gain[players, cur] = 0
+        flat = int(gain.argmax())
+        top = int(gain.flat[flat])
+        if top <= 0:
+            return None
+        return (top,) + divmod(flat, self.ev.m)
+
+    def move(self, p: int, t: int) -> int:
+        """Move player ``p`` to machine ``t``; returns its source machine."""
+        ev, loads, bt = self.ev, self.loads, self.bt
+        s = int(self.cur[p])
+        xs, xt = int(loads[s]), int(loads[t])
+        edges = int(bt[p, t] - bt[p, s])  # change of the co-located edge weight
+        ms, mt, ps, pt = ev.mach[s], ev.mach[t], ev.pot[s], ev.pot[t]
+        self.social += (
+            (xs - 1) * ms[xs - 1] - xs * ms[xs] + (xt + 1) * mt[xt + 1] - xt * mt[xt] + 2 * edges
+        )
+        self.potential += (
+            ps[xs - 1] - ps[xs] + pt[xt + 1] - pt[xt]
+            + ev.potential_scale // ev.value_scale * edges
+        )
+        loads[s] -= 1
+        loads[t] += 1
+        column = self._adj[:, p]
+        bt[:, s] -= column
+        bt[:, t] += column
+        self.cur[p] = t
+        return s
 
 
 def state_blocks(n: int, m: int) -> Iterator[np.ndarray]:

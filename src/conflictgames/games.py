@@ -14,7 +14,7 @@ machine ids, 1-based; players are 1-based throughout the public API.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Union
@@ -96,6 +96,19 @@ class Instance:
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
+
+    def __hash__(self) -> int:
+        # every per-instance cache hashes the instance on every lookup, and
+        # hashing its Fractions anew each time cost a third of a player_value
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self):
+        # str and enum hashes differ between processes: never pickle the memo
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 _FIXED_WEIGHTS = {
@@ -242,7 +255,7 @@ def friendship_neighbors(inst: Instance) -> tuple[tuple[int, ...], ...]:
 def sharing_weights(inst: Instance) -> dict[Edge, Fraction]:
     """Edge -> weight map for the sharing kinds (default weight 1)."""
     own = inst.conflict_edges if inst.kind is GameKind.SWC else inst.friendship_edges
-    weights = {e: Fraction(1) for e in own}
+    weights = dict.fromkeys(own, Fraction(1))
     if inst.edge_weights:
         weights.update(dict(inst.edge_weights))
     return weights

@@ -103,6 +103,14 @@ class TestDynamics:
                 "--seed", "5", "--format", "csv")
         assert run_cli(*args) == run_cli(*args)
 
+    def test_negative_step_budget_exits_two(self):
+        code, out, err = run_cli(
+            "dynamics", "--generator", "swc-pos", "--m", "3", "--eps", "1/10",
+            "--start", "1,2,3", "--max-steps", "-1",
+        )
+        assert code == 2 and out == ""
+        assert "max_steps must be >= 0, got -1" in err
+
 
 class TestSmoothnessAndCce:
     def test_smoothness_defaults_pass(self):

@@ -65,6 +65,12 @@ class TestRunBr:
         trace = run_br(inst, (1, 1, 1, 1), max_steps=1)
         assert trace.exhausted and len(trace.steps) == 1
 
+    def test_negative_step_budget_rejected(self):
+        inst = gen_swc_pos(3, F(1, 10))
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            run_br(inst, (1, 2, 3), max_steps=-1)
+        assert run_br(inst, (1, 2, 3), max_steps=0).exhausted
+
     def test_potential_strictly_monotone_and_no_revisits(self, mixed_pool):
         rng = random.Random(9)
         for inst in mixed_pool:

@@ -1,5 +1,7 @@
 """Per-player values, aggregates, potentials, deviations, and validation."""
 
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -269,3 +271,26 @@ class TestCaches:
                 cached(inst)
                 assert cached.cache_info().currsize <= bound
         assert all(cached.cache_info().currsize == bound for cached in self.CACHED)
+
+    def test_equal_instances_share_hash_and_cache_entries(self):
+        def build():
+            return make_instance(
+                GameKind.SWF, 4, 2, friendship_edges=[(1, 2), (3, 4)],
+                machine_values=[Fraction(7, 3), 1], edge_weights={(1, 2): Fraction(5, 2)},
+            )
+
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        # the memoized hash is the hash of the fields, and nothing else changed
+        assert hash(a) == hash(tuple(getattr(a, f.name) for f in dataclasses.fields(a)))
+        assert repr(a) == repr(build()) and "_hash" not in repr(a)
+        assert [f.name for f in dataclasses.fields(a)] == [
+            "kind", "n", "m", "conflict_edges", "friendship_edges", "machine_values",
+            "edge_weights", "alpha", "beta", "gamma",
+        ]
+        assert pickle.loads(pickle.dumps(a)).__dict__.get("_hash") is None
+        for cached in self.CACHED:
+            cached(a)
+            hits = cached.cache_info().hits
+            assert cached(b) is cached(a)
+            assert cached.cache_info().hits == hits + 2

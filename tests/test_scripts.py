@@ -1,8 +1,10 @@
-"""Smoke runs of the measurement scripts: they exit 0 and print their summary."""
+"""Smoke runs of the scripts: they exit 0 and print their summary."""
 
 import pathlib
 import subprocess
 import sys
+
+from conflictgames.verdicts import CSV_HEADER
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -27,3 +29,11 @@ def test_poa_conjecture_sweep():
     assert [line.split(":")[0].strip() for line in lines[1:]] == [
         f"n={n}" for n in range(5, 11)
     ]
+
+
+def test_run_reproduction_writes_both_reports(tmp_path):
+    lines = _run("run_reproduction.py", "--out-dir", str(tmp_path), "--trials", "2")
+    assert lines[-1] == f"reports written to {tmp_path}/"
+    for name in ("named_examples.csv", "bound_table.csv"):
+        text = (tmp_path / name).read_text()
+        assert text.splitlines()[0] == CSV_HEADER
