@@ -8,9 +8,12 @@ terminates the dynamic and drives the quality guarantees checked here.
 
 :func:`run_br` only loops and records: the state lives in the evaluator's
 move table (:class:`conflictgames.fastpath.Walk`), which finds the max-gain
-move with one argmax and applies it in O(n + m), and which keeps the social
-value and the potential current as exact scaled integers.  The whole state is
-evaluated once, at the start.
+move in one pass over the n x m gains and applies it in O(n + m), and which
+keeps the social value and the potential current as exact scaled integers,
+the start's included.  Where exact gains fit int64 one argmax picks the move;
+where they do not (the sharing kinds at large n), float gains propose
+candidates and exact integers decide among them, so no float ever picks a
+move.  No state is ever evaluated pointwise.
 """
 
 from __future__ import annotations

@@ -28,16 +28,40 @@ weights of its neighbours on ``k``.
 
 Three ways read these tables.  :meth:`StateEvaluator.analyze` and
 :meth:`StateEvaluator.value` evaluate one state at a time, for single-state
-left-hand sides, the start of a best-response run and the test references.
-Best-response runs read a move table instead:
+left-hand sides and the test references.  Best-response runs read a move
+table instead:
 
 * walk: :meth:`StateEvaluator.walk` returns a :class:`Walk`, which holds the
-  state, its loads, ``bt[i, k] = base[i] + sum_j W[i, j] [s_j = k]`` and the
-  social value and potential as exact ints.  :meth:`Walk.best` forms every
-  player's gain on every machine from ``bt`` and ``mach[k][load + 1]`` and
-  returns the first maximum in (player, machine) order; :meth:`Walk.move`
-  updates the two loads, the two columns of ``bt`` and both aggregates, which
-  change only on the mover's two machines and the mover's edges.
+  state, its loads, ``bt[i, k] = (base[i] + sum_j W[i, j] [s_j = k]) / u`` and
+  the social value and potential as exact ints.  The start's aggregates come
+  from the table too: ``sum_i bt[i, s_i] * u`` is twice ``w_sep`` plus twice
+  the co-located signed weight.  :meth:`Walk.best` forms every player's gain
+  on every machine, ``sg * (mach[t][x_t + 1] - mach[s][x_s]) / u + sg *
+  (bt[i, t] - bt[i, s])`` (``sg`` -1 for the cost kinds), and returns the
+  first maximum in (player, machine) order; :meth:`Walk.move` updates the two
+  loads, the two columns of ``bt`` and both aggregates, which change only on
+  the mover's two machines and the mover's edges.
+* unit and mode: when :meth:`StateEvaluator.dtype` allows int64, ``u`` is 1,
+  every gain is an exact int64 and one argmax decides.  Otherwise (the
+  sharing kinds from about n = 40 on: their value scale is ``d * lcm(1..n)``)
+  ``u``
+  is the gcd of the value scale and every edge weight, so ``bt`` holds small
+  exact ints, and the machine terms ``mach / u`` are floats, correctly
+  rounded from the exact ints.  Floats propose and integers decide: every
+  entry within ``2 * tol`` of the float maximum is a candidate, and exact
+  Python-int gains pick the first maximum among the candidates and make the
+  ``> 0`` test.  No float is ever accumulated: each step converts the exact
+  ``bt`` and the two changed machine terms afresh.
+* tol: ``S`` bounds every ``bt`` entry (the |w| summed at one player, over
+  ``u``) plus every machine term over ``u``.  Both parts are >= 0, so the two
+  exact sums of a gain ("there" and "here") lie in ``[0, S]`` and their
+  difference in ``[-S, S]``.  A float gain takes seven roundings of relative
+  error at most ``2^-53`` (per side a ``bt`` conversion, a machine term and
+  their sum, then the difference), which together err by less than ``6 *
+  2^-53 * S``.  With ``tol = 2^-49 * S`` every exact maximum's float is
+  therefore at least the float maximum minus ``2 * tol``, with room left for
+  rounding that threshold.  Where ``S`` reaches ``_FLOAT_SAFE`` floats cannot
+  hold the gains, and the exact argmax runs on ``dtype=object``.
 
 Every enumeration pass reads the state table:
 
@@ -56,8 +80,7 @@ Every enumeration pass reads the state table:
   no sum of values over all players and machines, and no multiple of such a
   sum by the caller's ``factor`` (its slack combination) can reach
   ``_INT64_SAFE``; otherwise the same code runs on ``dtype=object`` arrays of
-  exact Python ints.  The move table takes the same rule with ``factor`` 1.
-  No float ever decides a result.
+  exact Python ints.  No float ever decides a result.
 
 Equivalence of all three ways with the public Fraction evaluation in
 :mod:`conflictgames.games` is enforced exhaustively by the test suite.
@@ -68,16 +91,19 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm, ldexp
 from operator import add
 from typing import Iterator
 
 import numpy as np
 
-from .games import GameKind, Instance, sharing_weights
+from .games import GameKind, Instance
 
 # magnitudes at or above this may overflow an int64 expression; use object
 _INT64_SAFE = 1 << 60
+
+# a move table whose gains reach this (in units of its unit) stays exact
+_FLOAT_SAFE = 1 << 1000
 
 # upper bound on the (state, player, machine) cells of one table block
 _BLOCK_CELLS = 1 << 13
@@ -104,9 +130,9 @@ class StateEvaluator:
             self.pot = [[a * x * x for x in range(n + 1)]] * m
             signed = [(e, b) for e in conf] + [(e, -g) for e in fr]
         elif inst.kind.sharing:
-            weights = sharing_weights(inst)
+            explicit = inst.edge_weights or ()  # every other edge weighs 1
             dens = [p.denominator for p in inst.machine_values]
-            dens += [w.denominator for w in weights.values()]
+            dens += [w.denominator for _, w in explicit]
             d = lcm(*dens) if dens else 1
             ell = lcm(*range(1, n + 1))
             self.value_scale = d * ell
@@ -118,10 +144,10 @@ class StateEvaluator:
             hsum = list(accumulate(shares))
             self.pot = [[pk * h for h in hsum] for pk in p_scaled]
             sign = -1 if inst.kind is GameKind.SWC else 1
-            signed = [
-                (e, sign * w.numerator * (d // w.denominator) * ell)
-                for e, w in weights.items()
-            ]
+            own = conf if inst.kind is GameKind.SWC else fr
+            scaled = dict.fromkeys(own, sign * d * ell)
+            scaled.update((e, sign * w.numerator * (d // w.denominator) * ell) for e, w in explicit)
+            signed = scaled.items()
         else:  # cut game
             self.value_scale = 1
             self.potential_scale = 1
@@ -136,7 +162,7 @@ class StateEvaluator:
                 self.base[a] -= w
                 self.base[b] -= w
         self.w_sep = sum(self.base) // 2
-        self._arrays_by_dtype = {}
+        self._arrays_by_key = {}  # see _arrays and _edge_arrays
 
     # -- conversions --------------------------------------------------------
 
@@ -194,44 +220,80 @@ class StateEvaluator:
     # -- the state table -------------------------------------------------------
 
     @cached_property
-    def _magnitude(self) -> int:
-        """Bound on |any table entry summed over all players and machines|
-        and on |any potential|."""
-        touching = list(self.base)  # |w| summed over the edges at each player
-        positive = 0
+    def _touching(self) -> list[int]:
+        """|w| summed over the edges at each player: every ``bt[i, k]`` of a
+        move table lies in ``[0, _touching[i]]``."""
+        touching = list(self.base)  # the negative edges
         for a, b, w in self.edges:
             if w > 0:
                 touching[a] += w
                 touching[b] += w
-                positive += w
-        # every machine and potential term is >= 0 (alpha > 0, p_k >= 0), and
-        # w_sep is the sum of |w| over the negative edges
-        value = max(map(max, self.mach)) + max(map(add, self.base, touching))
-        potential = sum(map(max, self.pot)) + (
+        return touching
+
+    @cached_property
+    def _mach_max(self) -> int:
+        """The largest machine term.  Every machine term is >= 0 (alpha > 0,
+        p_k >= 0) and monotone in the occupancy (``alpha*x`` rises, ``p_k/x``
+        falls, 0 stays), and so is every potential term (it rises)."""
+        return max(max(row[1], row[-1]) for row in self.mach)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple, tuple, tuple]:
+        """``edges`` as three columns: first ends, second ends, weights."""
+        return tuple(zip(*self.edges)) or ((), (), ())
+
+    @cached_property
+    def _magnitude(self) -> int:
+        """Bound on |any table entry summed over all players and machines|
+        and on |any potential|."""
+        value = self._mach_max + max(map(add, self.base, self._touching))
+        # the edges at all players count every edge twice, w_sep of them
+        # negative
+        potential = sum(row[-1] for row in self.pot) + (
             self.potential_scale // self.value_scale
-        ) * (2 * self.w_sep + positive)
+        ) * (self.w_sep + sum(self._touching) // 2)
         return max(self.n * self.m * value, potential)
 
     def dtype(self, factor: int = 1):
         """np.int64 when ``factor`` times :attr:`_magnitude` stays below
-        ``_INT64_SAFE``, else ``object``."""
+        ``_INT64_SAFE``, else ``object``.  The state table takes this rule,
+        and so does a move table whose gains are all exact (``factor`` 1)."""
         return np.int64 if factor * self._magnitude < _INT64_SAFE else object
 
-    def _arrays(self, dtype):
-        """The tables as arrays of ``dtype``: mach (with one spare column, so
-        that ``load + 1`` is a valid index even when everyone shares a
-        machine), base, W transposed, pot, edge ends, edge weights."""
-        arrays = self._arrays_by_dtype.get(dtype)
+    def _edge_arrays(self, dtype, unit: int = 1):
+        """Edge ends, and as multiples of ``unit`` (which divides every edge
+        weight) the edge weights, the symmetric n x n signed adjacency and the
+        base of each player, in ``dtype``."""
+        key = (dtype, unit)
+        arrays = self._arrays_by_key.get(key)
         if arrays is None:
-            ends = np.array([(a, b) for a, b, _ in self.edges], dtype=np.int64).reshape(-1, 2).T
-            weights = np.array([w for _, _, w in self.edges], dtype=dtype)
+            a, b, w = self._columns
+
+            def scaled(values):
+                if unit == 1:
+                    return np.array(values, dtype=dtype)
+                return (np.array(values, dtype=object) // unit).astype(dtype)
+
+            ends = np.array([a, b], dtype=np.int64).reshape(2, -1)
+            weights = scaled(w)
             adj = np.zeros((self.n, self.n), dtype=dtype)
-            np.add.at(adj, (ends[0], ends[1]), weights)
-            adj = adj + adj.T
-            arrays = self._arrays_by_dtype[dtype] = (
+            adj[ends[0], ends[1]] = weights  # every pair appears once
+            adj[ends[1], ends[0]] = weights
+            arrays = self._arrays_by_key[key] = (ends, weights, adj, scaled(self.base))
+        return arrays
+
+    def _arrays(self, dtype):
+        """The tables of :meth:`table` as arrays of ``dtype``: mach (with one
+        spare column, so that ``load + 1`` is a valid index even when everyone
+        shares a machine), base, the adjacency, pot, edge ends, edge
+        weights."""
+        arrays = self._arrays_by_key.get(dtype)
+        if arrays is None:
+            ends, weights, adj, base = self._edge_arrays(dtype)
+            arrays = self._arrays_by_key[dtype] = (
                 np.array([row + [0] for row in self.mach], dtype=dtype),
-                np.array(self.base, dtype=dtype),
-                adj.T,
+                base,
+                adj,
                 np.array(self.pot, dtype=dtype),
                 ends,
                 weights,
@@ -245,7 +307,7 @@ class StateEvaluator:
         ``vals`` is indexed ``[s, i, k]`` but laid out machine-major, so the
         reductions over machines are elementwise operations on ``(S, n)``
         slices."""
-        mach, base, adj_t, pot, (ea, eb), weights = self._arrays(self.dtype(factor))
+        mach, base, adj, pot, (ea, eb), weights = self._arrays(self.dtype(factor))
         count, m = len(grid), self.m
         machines = np.arange(m)
         onehot = grid == machines[:, None, None]  # [k, s, i]
@@ -253,7 +315,7 @@ class StateEvaluator:
         loads = loads.reshape(count, m)
         here = mach[machines, loads].T[:, :, None]  # i on k already
         there = mach[machines, loads + 1].T[:, :, None]  # i joins k
-        tab = onehot.astype(adj_t.dtype) @ adj_t  # [k, s, i]: neighbour weight on k
+        tab = onehot.astype(adj.dtype) @ adj  # [k, s, i]: neighbour weight on k
         vals = np.where(onehot, here, there) + base + tab
         cur = (vals * onehot).sum(0)
         vals = vals.transpose(1, 2, 0)
@@ -266,6 +328,25 @@ class StateEvaluator:
         )
         return vals, cur, social, phi
 
+    @cached_property
+    def _move_mode(self):
+        """``(unit, tol, dtype)`` of a move table, see :class:`Walk`.
+
+        Gains are exact in value-scale units (``unit`` 1, ``tol`` None) when
+        :meth:`dtype` allows int64, or when even floats cannot hold them.
+        Otherwise ``unit`` is the gcd of the value scale and every edge
+        weight, floats propose within ``tol`` and ``dtype`` is that of ``bt``
+        in units of ``unit``."""
+        if self.dtype() is np.int64:
+            return 1, None, np.int64
+        unit = gcd(self.value_scale, *set(self._columns[2]))
+        edges = max(self._touching) // unit
+        scale = edges + self._mach_max // unit + 1
+        if scale >= _FLOAT_SAFE:
+            return 1, None, object
+        dtype = np.int64 if self.n * edges < _INT64_SAFE else object
+        return unit, ldexp(scale, -49), dtype
+
     def walk(self, state) -> "Walk":
         """A :class:`Walk` from ``state``, an internal state."""
         return Walk(self, state)
@@ -274,48 +355,92 @@ class StateEvaluator:
 class Walk:
     """The state of a best-response run, kept current move by move.
 
-    ``cur`` and ``loads`` are the state and its machine loads; ``bt[i, k]`` is
-    ``base[i]`` plus the signed weight of ``i``'s neighbours on ``k``, so a
-    player's value on ``k`` is ``mach[k][occupancy] + bt[i, k]``; ``social``
-    and ``potential`` are the scaled aggregates as exact Python ints.  One
-    move touches two columns of ``bt`` and two loads, so :meth:`move` costs
-    O(n) and :meth:`best` one pass over the n x m gains.  The arrays have the
-    evaluator's ``dtype()``: int64 when that bound allows, else exact ints.
+    ``cur`` and ``loads`` are the state and its machine loads; ``bt[i, k]``
+    times ``unit`` is ``base[i]`` plus the signed weight of ``i``'s neighbours
+    on ``k``, so a player's value on ``k`` is ``mach[k][occupancy] + unit *
+    bt[i, k]``; ``social`` and ``potential`` are the scaled aggregates as
+    exact Python ints.  One move touches two columns of ``bt`` and two loads,
+    so :meth:`move` costs O(n) and :meth:`best` one pass over the n x m
+    gains.
+
+    With ``tol`` None every gain is exact (``unit`` 1, ``bt`` of the
+    evaluator's ``dtype()``) and one argmax decides.  Otherwise ``bt`` holds
+    small exact ints, the machine terms are floats, and :meth:`best` lets the
+    float gains propose candidates and exact Python ints decide among them.
     """
 
     def __init__(self, ev: StateEvaluator, state):
         self.ev = ev
-        mach, base, adj, _, (ea, eb), weights = ev._arrays(ev.dtype())
-        self._mach, self._adj = mach, adj  # adj is symmetric
-        self._players, self._machines = np.arange(ev.n), np.arange(ev.m)
+        self.unit, self.tol, dtype = ev._move_mode
+        (ea, eb), weights, self._adj, base = ev._edge_arrays(dtype, self.unit)
+        self._players = np.arange(ev.n)
         self.cur = cur = np.array(state, dtype=np.int64)
-        self.loads = np.bincount(cur, minlength=ev.m)
+        self.loads = np.bincount(cur, minlength=ev.m).tolist()
         self.bt = np.repeat(base[:, None], ev.m, axis=1)
         np.add.at(self.bt, (ea, cur[eb]), weights)
         np.add.at(self.bt, (eb, cur[ea]), weights)
-        self.social = ev.social(state)
-        self.potential = ev.potential(state)
+        terms = dtype if self.tol is None else np.float64
+        self._here = np.zeros(ev.m, dtype=terms)  # mach[k][load] / unit
+        self._there = np.zeros(ev.m, dtype=terms)  # mach[k][load + 1] / unit
+        for k in range(ev.m):
+            self._set_terms(k)
+        # sum_i bt[i, s_i] counts every separated edge and every co-located
+        # signed weight twice: it is 2 * (w_sep + co-located weight)
+        edges = self.unit * int(self.bt[self._players, cur].sum())
+        loads = self.loads
+        self.social = sum(x * row[x] for row, x in zip(ev.mach, loads)) + edges
+        self.potential = sum(row[x] for row, x in zip(ev.pot, loads)) + (
+            ev.potential_scale // ev.value_scale * edges // 2
+        )
+
+    def _set_terms(self, k: int) -> None:
+        row, x = self.ev.mach[k], self.loads[k]
+        here, there = row[x], row[x + 1] if x < self.ev.n else 0
+        if self.tol is not None:  # correctly rounded
+            here, there = here / self.unit, there / self.unit
+        self._here[k], self._there[k] = here, there
+
+    def gain(self, i: int, k: int) -> int:
+        """Exact scaled gain of player ``i`` moving to machine ``k != s_i``."""
+        ev, loads, bt = self.ev, self.loads, self.bt
+        s = int(self.cur[i])
+        delta = ev.mach[k][loads[k] + 1] - ev.mach[s][loads[s]]
+        delta += self.unit * int(bt[i, k] - bt[i, s])
+        return -delta if ev.minimizes else delta
 
     def best(self):
         """``(gain, player, machine)`` of the max-gain move, or None at a pure
         NE.  Ties go to the first maximum in (player, machine) order."""
-        players, cur, loads = self._players, self.cur, self.loads
-        here = self._mach[cur, loads[cur]] + self.bt[players, cur]
-        there = self.bt + self._mach[self._machines, loads + 1]
+        players, cur = self._players, self.cur
+        bt = self.bt if self.tol is None else self.bt.astype(np.float64)
+        here = self._here[cur] + bt[players, cur]
+        there = bt + self._there
         gain = here[:, None] - there if self.ev.minimizes else there - here[:, None]
-        gain[players, cur] = 0
-        flat = int(gain.argmax())
-        top = int(gain.flat[flat])
-        if top <= 0:
-            return None
-        return (top,) + divmod(flat, self.ev.m)
+        if self.tol is None:
+            gain[players, cur] = 0
+            flat = int(gain.argmax())
+            top = int(gain.flat[flat])
+            return (top,) + divmod(flat, self.ev.m) if top > 0 else None
+        # every float gain is within tol of its exact value, so the exact
+        # maxima all lie within 2 * tol of the float maximum
+        gain[players, cur] = -np.inf
+        top = gain.max()
+        best = (0,)
+        if top > -np.inf:  # else one machine: no move at all
+            for flat in np.flatnonzero(gain >= top - 2 * self.tol).tolist():
+                move = divmod(flat, self.ev.m)
+                exact = self.gain(*move)
+                if exact > best[0]:
+                    best = (exact,) + move
+        return best if best[0] > 0 else None
 
     def move(self, p: int, t: int) -> int:
         """Move player ``p`` to machine ``t``; returns its source machine."""
         ev, loads, bt = self.ev, self.loads, self.bt
         s = int(self.cur[p])
-        xs, xt = int(loads[s]), int(loads[t])
-        edges = int(bt[p, t] - bt[p, s])  # change of the co-located edge weight
+        xs, xt = loads[s], loads[t]
+        # change of the co-located edge weight
+        edges = self.unit * int(bt[p, t] - bt[p, s])
         ms, mt, ps, pt = ev.mach[s], ev.mach[t], ev.pot[s], ev.pot[t]
         self.social += (
             (xs - 1) * ms[xs - 1] - xs * ms[xs] + (xt + 1) * mt[xt + 1] - xt * mt[xt] + 2 * edges
@@ -330,6 +455,8 @@ class Walk:
         bt[:, s] -= column
         bt[:, t] += column
         self.cur[p] = t
+        self._set_terms(s)
+        self._set_terms(t)
         return s
 
 

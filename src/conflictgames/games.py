@@ -354,6 +354,10 @@ def player_values(inst: Instance, state: State) -> tuple[Fraction, ...]:
 def social_value(inst: Instance, state: State) -> Fraction:
     """Sum of player values, computed through the closed per-machine aggregate."""
     validate_state(inst, state)
+    return _social_value_unchecked(inst, state)
+
+
+def _social_value_unchecked(inst: Instance, state: State) -> Fraction:
     kind = inst.kind
     loads = machine_loads(inst, state)
     if kind.minimizes:
@@ -384,7 +388,7 @@ def potential(inst: Instance, state: State) -> Fraction:
     validate_state(inst, state)
     kind = inst.kind
     if kind.minimizes:
-        return social_value(inst, state) / 2
+        return _social_value_unchecked(inst, state) / 2
     loads = machine_loads(inst, state)
     if kind is GameKind.SWC:
         shares = sum((p * harmonic(x) for p, x in zip(inst.machine_values, loads)), Fraction(0))
@@ -412,6 +416,10 @@ def deviation_gain(inst: Instance, state: State, i: int, k: int) -> Fraction:
     _check_player(inst, i)
     _check_machine(inst, k)
     validate_state(inst, state)
+    return _deviation_gain_unchecked(inst, state, i, k)
+
+
+def _deviation_gain_unchecked(inst: Instance, state: State, i: int, k: int) -> Fraction:
     if state[i - 1] == k:
         return Fraction(0)
     moved = state[: i - 1] + (k,) + state[i:]
@@ -433,7 +441,7 @@ def best_response(inst: Instance, state: State, i: int) -> tuple[int, Fraction]:
     for k in range(1, inst.m + 1):
         if k == state[i - 1]:
             continue
-        gain = deviation_gain(inst, state, i, k)
+        gain = _deviation_gain_unchecked(inst, state, i, k)
         if gain > best_gain:
             best_k, best_gain = k, gain
     return best_k, best_gain

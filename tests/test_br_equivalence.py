@@ -1,20 +1,22 @@
 """``dynamics.run_br`` against the pointwise reference loop.
 
 ``run_br`` keeps the state in a move table updated move by move and picks the
-max-gain move with one argmax; ``reference_dynamics.run_br_reference`` is the
-loop it replaced, which re-evaluates the whole state every step.  The two must
-return equal ``Trace`` objects, down to the types of their fields, on every
-kind, on both dtypes, and under every step budget.
+max-gain move with one argmax, or, where exact gains would not fit int64, lets
+float gains propose and exact ints decide; ``reference_dynamics.run_br_reference``
+is the loop it replaced, which re-evaluates the whole state every step.  The
+two must return equal ``Trace`` objects, down to the types of their fields, on
+every kind, in every mode of the move table, and under every step budget.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
 from conflictgames.dynamics import random_start, run_br
-from conflictgames.fastpath import StateEvaluator
+from conflictgames.fastpath import StateEvaluator, to_internal
 from conflictgames.games import GameKind, make_instance
 from conflictgames.instances import gen_random
 from conflictgames.oracle import pure_nash_set
@@ -38,6 +40,12 @@ def _starts(inst, count, seed):
     return [random_start(inst, rng) for _ in range(count)]
 
 
+def _move_table(inst, start):
+    """(whether floats propose, dtype of ``bt``) of the walk from ``start``."""
+    walk = StateEvaluator(inst).walk(to_internal(start))
+    return walk.tol is not None, walk.bt.dtype
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_kind_pools(kind):
     for seed, inst in enumerate(kind_pool(kind, 12)):
@@ -51,13 +59,18 @@ def test_large_instances_on_both_dtypes(kind):
         inst = gen_random(n, m, kind, prob, seed=n + m, weighted=kind.sharing and n == 60)
         expected = object if kind.sharing else np.int64
         assert StateEvaluator(inst).dtype() is expected
-        _assert_same_traces(inst, _starts(inst, 2, n))
+        starts = _starts(inst, 2, n)
+        # the sharing kinds' gains pass int64, but their edge terms do not
+        assert _move_table(inst, starts[0]) == (kind.sharing, np.int64)
+        _assert_same_traces(inst, starts)
 
 
 def test_beyond_int64_pool():
     for seed, inst in enumerate(beyond_int64_pool()):
         assert StateEvaluator(inst).dtype() is object
-        _assert_same_traces(inst, _starts(inst, 6, seed))
+        starts = _starts(inst, 6, seed)
+        assert _move_table(inst, starts[0])[0]
+        _assert_same_traces(inst, starts)
 
 
 def test_weighted_sharing():
@@ -83,6 +96,88 @@ def test_edgeless_bwc_ties_go_to_the_first_maximum():
     first = trace.steps[0]
     assert (first.mover, first.source, first.target) == (1, 1, 2)
     _assert_same_traces(inst, [crowd, (4,) * 10] + _starts(inst, 4, 1))
+
+
+def _near_tie_instance(kind, seed, n=40):
+    """Four machines whose shares nearly tie at the start: a player joining
+    machine 2 gets exactly 1/lcm(1..n) more than one on machine 1 has, and
+    one joining machine 4 exactly that much less than one on machine 3 has.
+    The graph is a sparse random one, so edge terms mix into every gain."""
+    rng = random.Random(seed)
+    ell = lcm(*range(1, n + 1))
+    cuts = sorted(rng.sample(range(1, n), 3))
+    x = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    h1, h3 = F(rng.randrange(1, 400), 100), F(rng.randrange(1, 400), 100)
+    values = (h1 * x[0], (x[1] + 1) * (h1 + F(1, ell)),
+              h3 * x[2], (x[3] + 1) * (h3 - F(1, ell)))
+    graph = gen_random(n, 4, kind, F(1, 20), seed=seed)
+    inst = make_instance(kind, n, 4, graph.conflict_edges, graph.friendship_edges,
+                         machine_values=values)
+    start = [k + 1 for k in range(4) for _ in range(x[k])]
+    rng.shuffle(start)
+    return inst, tuple(start)
+
+
+@pytest.mark.parametrize("kind", (GameKind.SWC, GameKind.SWF), ids=lambda k: k.value)
+def test_near_ties_between_shares(kind):
+    for seed in range(20):
+        inst, start = _near_tie_instance(kind, seed)
+        assert _move_table(inst, start) == (True, np.int64)
+        _assert_same_traces(inst, [start] + _starts(inst, 1, seed))
+
+
+def test_equal_gains_on_different_machines():
+    # player 1, alone on machine 1 with its only friend on machine 3, gains
+    # p_2/21 - p_1 on machine 2 and 1 + p_3/20 - p_1 on machine 3: equal,
+    # the largest of all, but formed from different float terms
+    n = 40
+    start = (1, 3) + (2,) * 20 + (3,) * 18
+    inst = make_instance(GameKind.SWF, n, 3, friendship_edges=[(1, 2)],
+                         machine_values=(F(1, 100), F(70), F(140, 3)))
+    assert _move_table(inst, start) == (True, np.int64)
+    walk = StateEvaluator(inst).walk(to_internal(start))
+    assert walk.gain(0, 1) == walk.gain(0, 2)
+    first = run_br(inst, start).steps[0]
+    assert (first.mover, first.source, first.target) == (1, 1, 2)
+    _assert_same_traces(inst, [start, (1,) * n] + _starts(inst, 2, 3))
+
+
+@pytest.mark.parametrize("kind", (GameKind.SWC, GameKind.SWF), ids=lambda k: k.value)
+def test_many_way_ties(kind):
+    n, m = 40, 8
+    inst = make_instance(kind, n, m, machine_values=(F(7, 3),) * m)
+    crowd = (1,) * n
+    assert _move_table(inst, crowd) == (True, np.int64)
+    # every player gains the same on every other machine: player 1, machine 2
+    first = run_br(inst, crowd).steps[0]
+    assert (first.mover, first.source, first.target) == (1, 1, 2)
+    _assert_same_traces(inst, [crowd, (m,) * n] + _starts(inst, 2, 5))
+    # one machine: every gain is a masked diagonal entry, nobody moves
+    single = make_instance(kind, n, 1, machine_values=(F(7, 3),))
+    assert _move_table(single, crowd) == (True, np.int64)
+    assert run_br(single, crowd).steps == ()
+    _assert_same_traces(single, [crowd])
+
+
+def test_edge_terms_beyond_int64():
+    huge = (F(1, 2**61 - 1), F(1, 2**62 + 3))
+    for kind in (GameKind.SWC, GameKind.SWF):
+        graph = gen_random(40, 3, kind, F(1, 8), seed=11)
+        edges = sorted(graph.conflict_edges | graph.friendship_edges)
+        inst = make_instance(kind, 40, 3, graph.conflict_edges, graph.friendship_edges,
+                             machine_values=graph.machine_values,
+                             edge_weights={edges[0]: huge[0], edges[-1]: huge[1]})
+        starts = _starts(inst, 3, 11)
+        assert _move_table(inst, starts[0]) == (True, object)
+        _assert_same_traces(inst, starts)
+
+
+def test_gains_past_any_float_stay_exact():
+    inst = make_instance(GameKind.SWC, 6, 3, conflict_edges=[(1, 2), (2, 3), (4, 6)],
+                         machine_values=(F(2**1100), F(3, 7), F(2**1100 + 1)))
+    starts = [(1,) * 6] + _starts(inst, 3, 2)
+    assert _move_table(inst, starts[0]) == (False, object)
+    _assert_same_traces(inst, starts)
 
 
 def test_equilibrium_start():
@@ -126,4 +221,5 @@ def test_run_br_evaluates_no_state_pointwise(monkeypatch):
         calls.update(social=0, potential=0)
         trace = run_br(inst, (1,) * inst.n)
         assert trace.steps
-        assert calls == {"social": 1, "potential": 1}
+        # the start's aggregates come from the move table too
+        assert calls == {"social": 0, "potential": 0}

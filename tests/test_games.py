@@ -161,6 +161,67 @@ class TestBestResponse:
                 assert best_k == state[i - 1]
 
 
+# every public entry point that takes a state, with a valid player and machine
+_STATE_ENTRY_POINTS = {
+    "player_value": lambda inst, state: player_value(inst, state, 1),
+    "player_values": player_values,
+    "social_value": social_value,
+    "potential": potential,
+    "deviation_gain": lambda inst, state: deviation_gain(inst, state, 1, 2),
+    "best_response": lambda inst, state: best_response(inst, state, 1),
+    "point_mass_profile": point_mass_profile,
+}
+
+
+class TestEntryPointChecks:
+    """Each public call validates once, and still rejects what it rejected."""
+
+    @pytest.mark.parametrize("name", sorted(_STATE_ENTRY_POINTS))
+    @pytest.mark.parametrize("kind", list(GameKind), ids=lambda k: k.value)
+    def test_bad_states(self, name, kind):
+        inst = make_instance(kind, 3, 2, machine_values=(1, 2) if kind.sharing else None)
+        call = _STATE_ENTRY_POINTS[name]
+        for state, message in (
+            ((1, 2), "state length 2 != n = 3"),
+            ((1, 2, 3), "state[3] = 3 not a machine id in 1..2"),
+            ((1, 0, 1), "state[2] = 0 not a machine id in 1..2"),
+            ((1, "2", 1), "state[2] = '2' not a machine id in 1..2"),
+        ):
+            with pytest.raises(ValueError) as err:
+                call(inst, state)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind", list(GameKind), ids=lambda k: k.value)
+    def test_bad_ids(self, kind):
+        inst = make_instance(kind, 3, 2, machine_values=(1, 2) if kind.sharing else None)
+        state = (1, 2, 1)
+        for call, message in (
+            (lambda: player_value(inst, state, 4), "player id 4 out of range 1..3"),
+            (lambda: deviation_gain(inst, state, 0, 1), "player id 0 out of range 1..3"),
+            (lambda: deviation_gain(inst, state, 1, 3), "machine id 3 out of range 1..2"),
+            (lambda: best_response(inst, state, 4), "player id 4 out of range 1..3"),
+            # ids are checked before the state
+            (lambda: deviation_gain(inst, (1,), 1, 3), "machine id 3 out of range 1..2"),
+            (lambda: best_response(inst, (1,), 4), "player id 4 out of range 1..3"),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_each_call_validates_the_state_once(self, monkeypatch):
+        calls = []
+        original = games.validate_state
+        monkeypatch.setattr(
+            games, "validate_state", lambda inst, state: calls.append(state) or original(inst, state)
+        )
+        for kind in GameKind:
+            inst = make_instance(kind, 3, 2, machine_values=(1, 2) if kind.sharing else None)
+            for name in ("social_value", "potential", "best_response", "deviation_gain"):
+                calls.clear()
+                _STATE_ENTRY_POINTS[name](inst, (1, 2, 1))
+                assert calls == [(1, 2, 1)], (kind, name)
+
+
 class TestValidation:
     def test_overlapping_edge_sets_rejected(self):
         with pytest.raises(InvalidInstanceError):

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 
+from conflictgames.games import GameKind
 from conflictgames.verdicts import CSV_HEADER
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
@@ -37,3 +38,10 @@ def test_run_reproduction_writes_both_reports(tmp_path):
     for name in ("named_examples.csv", "bound_table.csv"):
         text = (tmp_path / name).read_text()
         assert text.splitlines()[0] == CSV_HEADER
+
+
+def test_br_step_times():
+    lines = _run("br_step_times.py", "--n", "12", "--repeats", "1")
+    assert lines[0] == "us per BR step, n=12, edge probability 1/16, best of 1"
+    assert [line.split()[0] for line in lines[1:]] == [kind.value for kind in GameKind]
+    assert all("us/step" in line for line in lines[1:])
