@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Time each exhaustive scan pass, with the state table built afresh (cold)
+and read from the table the previous pass kept (warm).
+
+One cycle is one cycle of the benchmark's scan workload, drawn by
+``perfbench/workloads.py`` from ``--seed``: twelve instances of 1024-2187
+states, all six kinds, with the strong scan on the three m = 3 ones.  Each
+pass is timed cold (the kept table dropped just before the call, so the pass
+builds its own) and then warm (right after, on the table it kept).  The best
+of ``--repeats`` cycles is printed in milliseconds per cycle.
+
+Usage:
+    python scripts/scan_pass_times.py [--seed 1] [--repeats 3]
+"""
+
+import argparse
+import pathlib
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402 -- the benchmark's seeded instances
+from conflictgames import dynamics, oracle, smoothness  # noqa: E402
+
+PASSES = (
+    ("optimum", lambda job: oracle.optimum(job.inst)),
+    ("pure NE", lambda job: oracle.pure_nash_set(job.inst)),
+    ("semi-smooth", lambda job: smoothness.check_semi_smooth(job.inst, job.params[0])),
+    ("nice", lambda job: smoothness.check_nice(job.inst, job.params[0])),
+    ("floors", lambda job: smoothness.check_opt_lower_bounds(job.inst)),
+    ("sandwich", lambda job: dynamics.sandwich_constants(job.inst)),
+    ("strong", lambda job: oracle.strong_nash_set(job.inst)),
+)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+
+    jobs = workloads.generate(workloads.WORKLOADS["scan"], args.seed, 1)
+    best = {name: [float("inf"), float("inf")] for name, _ in PASSES}
+    for _ in range(args.repeats):
+        spent = {name: [0.0, 0.0] for name, _ in PASSES}
+        for job in jobs:
+            for name, run in PASSES:
+                if name == "strong" and not job.strong:
+                    continue
+                oracle._kept = None  # cold: the pass builds the table itself
+                for warm in (0, 1):
+                    t0 = time.perf_counter()
+                    run(job)
+                    spent[name][warm] += time.perf_counter() - t0
+        for name, pair in spent.items():
+            best[name] = [min(b, s) for b, s in zip(best[name], pair)]
+
+    print(f"ms per scan pass, one cycle of {len(jobs)} instances (seed {args.seed}), "
+          f"best of {args.repeats}")
+    print(f"  {'pass':12} {'cold':>8} {'warm':>8}")
+    for name, (cold, warm) in best.items():
+        print(f"  {name:12} {1e3 * cold:8.2f} {1e3 * warm:8.2f}")
+    cold, warm = (sum(pair[k] for pair in best.values()) for k in (0, 1))
+    print(f"  {'all':12} {1e3 * cold:8.2f} {1e3 * warm:8.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

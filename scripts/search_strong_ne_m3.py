@@ -9,6 +9,8 @@ either way: on every pool scanned so far the strong set has been nonempty.
 
 Usage:
     python scripts/search_strong_ne_m3.py [--count 200] [--max-n 6] [--m 3]
+
+``--max-n`` runs from ``--m`` up to ``strong_max_players``.
 """
 
 import argparse
@@ -20,7 +22,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from conflictgames.games import GameKind
 from conflictgames.instances import gen_random, write_instance
-from conflictgames.oracle import strong_nash_set
+from conflictgames.oracle import DEFAULT_LIMITS, strong_nash_set
 
 
 def main() -> int:
@@ -30,6 +32,10 @@ def main() -> int:
     parser.add_argument("--m", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    cap = DEFAULT_LIMITS.strong_max_players
+    if not args.m <= args.max_n <= cap:
+        parser.error(f"need m <= max-n <= {cap} (strong_max_players), got m={args.m}, "
+                     f"max-n={args.max_n}")
 
     probs = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     found = 0

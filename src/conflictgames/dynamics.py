@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import oracle
-from .fastpath import StateEvaluator, state_blocks, to_internal, to_public
+from .fastpath import StateEvaluator, to_internal, to_public
 from .games import GameKind, Instance, State, harmonic, validate_state
 from .oracle import DEFAULT_LIMITS, OracleLimits
 from .smoothness import certificate_params
@@ -173,21 +173,20 @@ def sandwich_constants(
     states: Optional[Iterable[State]] = None,
     limits: OracleLimits = DEFAULT_LIMITS,
 ) -> SandwichResult:
-    ev = StateEvaluator(inst)
     if states is None:
-        oracle._guard(inst, limits.max_states, "max_states")
-        blocks = state_blocks(inst.n, inst.m)
+        ev, tables = oracle.scan_tables(inst, limits, potential=True)
     else:
         grid = [to_internal(s) for s in states]
         if not grid:
             raise ValueError("sandwich_constants needs at least one state")
-        blocks = [np.array(grid, dtype=np.int64)]
+        grid = np.array(grid, dtype=np.int64)
+        ev = StateEvaluator(inst)
+        tables = [(grid, ev.table(grid, potential=True))]
     vs, ps = ev.value_scale, ev.potential_scale
     best_a = None  # max social/potential over phi != 0, as a (num, den) pair
     best_b = None  # max potential/social over phi != 0 and social != 0
     skipped = 0
-    for grid in blocks:
-        _, _, u, phi = ev.table(grid, potential=True)
+    for grid, (_, _, u, phi) in tables:
         live = phi != 0
         skipped += len(grid) - int(live.sum())
         best_a = _pair_max(best_a, _max_ratio(u[live], phi[live]))

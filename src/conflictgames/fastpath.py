@@ -68,7 +68,9 @@ Every enumeration pass reads the state table:
 * blocks: :func:`state_blocks` yields the m^n states in lex order as ``(S, n)``
   int64 arrays, built from the mixed-radix digits of ``arange``; a block holds
   at most ``_BLOCK_CELLS`` (state, player, machine) cells, so memory stays flat
-  however many states there are;
+  however many states there are.  :func:`conflictgames.oracle.scan_tables`
+  keeps the whole table of one instance between passes when it has at most
+  ``_TABLE_CELLS`` cells, and streams the blocks of a larger one;
 * table: :meth:`StateEvaluator.table` turns a block into ``vals[s, i, k]`` (the
   value of player ``i`` on machine ``k`` with everyone else at ``s``, equal to
   ``value(analyze(s), i, k)``), ``cur[s, i]`` (the value at ``s``) and
@@ -80,7 +82,9 @@ Every enumeration pass reads the state table:
   no sum of values over all players and machines, and no multiple of such a
   sum by the caller's ``factor`` (its slack combination) can reach
   ``_INT64_SAFE``; otherwise the same code runs on ``dtype=object`` arrays of
-  exact Python ints.  No float ever decides a result.
+  exact Python ints.  No float ever decides a result.  A table kept at
+  ``dtype()`` is widened with ``astype(object)`` for a pass whose ``factor``
+  needs it: both dtypes hold the same exact values.
 
 Equivalence of all three ways with the public Fraction evaluation in
 :mod:`conflictgames.games` is enforced exhaustively by the test suite.
@@ -107,6 +111,10 @@ _FLOAT_SAFE = 1 << 1000
 
 # upper bound on the (state, player, machine) cells of one table block
 _BLOCK_CELLS = 1 << 13
+
+# upper bound on the cells of a whole state table kept between scan passes;
+# a larger table streams block by block
+_TABLE_CELLS = 1 << 20
 
 
 class StateEvaluator:

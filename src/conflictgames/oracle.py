@@ -6,6 +6,30 @@ Enumeration passes are array reductions over the evaluator's state table,
 block by block; every reported value is an exact Fraction.  Ties (optimum,
 worst equilibrium) always resolve to the lexicographically smallest state, so
 results are deterministic.
+
+One table per instance: :func:`scan_tables` keeps the table of the last
+instance it was asked for (one entry, keyed by instance equality, the last
+one dropped before the next is built), so the optimum, the Nash and strong
+sets, the smoothness and niceness checks, the floors and the sandwich
+constants over one instance share one evaluator and one table build.
+
+* kept: every block, its states as a player-major small-int array (read
+  through a transposed view) and ``vals``, ``cur``, ``social`` and the
+  potential at the evaluator's ``dtype()``, all read-only;
+* budget: a table of more than ``fastpath._TABLE_CELLS`` (state, player,
+  machine) cells is not kept and streams block by block as before, so memory
+  stays flat up to ``max_states``;
+* widening: a pass whose ``factor`` needs ``object`` (see
+  :meth:`StateEvaluator.dtype`) reads the kept int64 blocks through
+  ``astype(object)``; the values are the same exact integers.
+
+The strong scan (:func:`strong_nash_set`) tests the pure equilibria in chunks
+of at most ``_STRONG_CELLS`` (candidate, state) cells.  Each player's values
+become ranks (``np.unique``, reversed for the payoff kinds, so that lower is
+better and the order is exact also on ``object``).  Per player, one
+elementwise ``stay | better`` over (candidates x states) narrows the states
+that still refute some candidate of the chunk; a candidate survives when no
+state other than itself is left for it.
 """
 
 from __future__ import annotations
@@ -19,7 +43,7 @@ import numpy as np
 
 from . import simplex
 from .fastpath import _INT64_SAFE  # noqa: F401 -- kept importable from here
-from .fastpath import StateEvaluator, state_blocks, to_public
+from .fastpath import _TABLE_CELLS, StateEvaluator, state_blocks, to_public
 from .games import (
     GameKind,
     Instance,
@@ -67,15 +91,55 @@ def enumerate_states(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> I
     return itertools.product(range(1, inst.m + 1), repeat=inst.n)
 
 
+# the last state table within _TABLE_CELLS: (instance, evaluator, blocks)
+_kept: Optional[tuple] = None
+
+
+def _whole_table(inst: Instance):
+    """(evaluator, blocks) of ``inst``, each block ``(grid, (vals, cur,
+    social, potential))`` at ``dtype()`` and read-only; blocks is None when
+    the table has more than ``_TABLE_CELLS`` cells.  The last table within
+    that budget is kept, so the passes over one instance build it once."""
+    global _kept
+    if _kept is not None and _kept[0] == inst:
+        return _kept[1:]
+    _kept = None  # free the last table before building the next
+    ev = StateEvaluator(inst)
+    if state_count(inst) * inst.n * inst.m > _TABLE_CELLS:
+        return ev, None
+    blocks = []
+    for grid in state_blocks(inst.n, inst.m):
+        # the states as a view of player-major machine indexes
+        grid = grid.T.astype(np.min_scalar_type(inst.m - 1), order="C").T
+        table = ev.table(grid, potential=True)
+        for array in (grid, *table):
+            array.flags.writeable = False
+        blocks.append((grid, table))
+    _kept = (inst, ev, blocks)
+    return ev, blocks
+
+
 def scan_tables(
     inst: Instance, limits: OracleLimits, factor: int = 1, potential: bool = False
 ):
     """(evaluator, iterator of (block, table)) over all states, lex order;
-    raises :class:`StateSpaceExceeded` first when the state space is too big."""
+    raises :class:`StateSpaceExceeded` first when the state space is too big.
+
+    Each table is ``StateEvaluator.table(block, factor, potential)``: read
+    from the kept table, where ``factor`` needs ``object`` widened to it, or
+    built block by block past the budget."""
     _guard(inst, limits.max_states, "max_states")
-    ev = StateEvaluator(inst)
-    blocks = state_blocks(inst.n, inst.m)
-    return ev, ((grid, ev.table(grid, factor, potential)) for grid in blocks)
+    ev, blocks = _whole_table(inst)
+    if blocks is None:
+        blocks = state_blocks(inst.n, inst.m)
+        return ev, ((grid, ev.table(grid, factor, potential)) for grid in blocks)
+    size = 4 if potential else 3
+    if ev.dtype(factor) is ev.dtype():
+        return ev, ((grid, table[:size]) for grid, table in blocks)
+    # the same exact values, on arrays that hold the caller's products
+    return ev, (
+        (grid, tuple(a.astype(object) for a in table[:size])) for grid, table in blocks
+    )
 
 
 def beats(new, old, lowest: bool) -> bool:
@@ -143,8 +207,12 @@ def pure_nash_set(
 # outcome, and movers are themselves a valid coalition.  So a state is a
 # strong equilibrium iff no alternative state strictly improves all of its
 # movers.  Singleton coalitions make every strong equilibrium a pure one, so
-# only the pure equilibria are tested, each against all states at once.  The
-# coalition definition itself is kept in the tests as the reference.
+# only the pure equilibria are tested, a chunk of them against all states at
+# once.  The coalition definition itself is kept in the tests as the
+# reference.
+
+# upper bound on the (candidate, state) cells of one chunk of the strong scan
+_STRONG_CELLS = 1 << 18
 
 
 def strong_nash_set(
@@ -154,20 +222,41 @@ def strong_nash_set(
     if inst.n > limits.strong_max_players:
         raise StateSpaceExceeded("strong_max_players", inst.n, limits.strong_max_players)
     ev, tables = scan_tables(inst, limits)
-    grids, curs, socials, flags = [], [], [], []
+    machines, curs, socials, flags = [], [], [], []
     for grid, (vals, cur, social) in tables:
-        grids.append(grid)
-        curs.append(cur)
+        machines.append(grid.T)
+        curs.append(cur.T)
         socials.append(social)
         flags.append(pure_ne_flags(ev, vals, cur))
-    grid, cur, social = map(np.concatenate, (grids, curs, socials))
+    # player-major: row i holds player i's machine, and the rank of its value
+    # among its values (lower is better), at every state
+    machine = np.concatenate(machines, axis=1).astype(np.min_scalar_type(inst.m - 1))
+    cur = np.concatenate(curs, axis=1)
+    social = np.concatenate(socials)
+    rank = np.array(
+        [np.unique(row if ev.minimizes else -row, return_inverse=True)[1] for row in cur],
+        dtype=np.min_scalar_type(len(social)),
+    )
+    candidates = np.flatnonzero(np.concatenate(flags))
+    step = max(1, _STRONG_CELLS // len(social))
     out = []
-    for idx in np.flatnonzero(np.concatenate(flags)):
-        moved = grid != grid[idx]
-        better = cur < cur[idx] if ev.minimizes else cur > cur[idx]
-        # a state refutes s when someone moves and every mover is better off
-        if not ((better | ~moved).all(axis=1) & moved.any(axis=1)).any():
-            out.append((to_public(grid[idx].tolist()), ev.as_value(int(social[idx]))))
+    for start in range(0, len(candidates), step):
+        chunk = candidates[start : start + step]
+        # refutes[c, j]: at states[j] every player so far stays or is better
+        # off than at candidate c.  Only the states where that holds for some
+        # candidate of the chunk go on to the next player.
+        states = np.arange(len(social))
+        refutes = np.ones((len(chunk), len(states)), dtype=bool)
+        for here, ranks in zip(machine, rank):
+            ok = here[states] == here[chunk, None]
+            ok |= ranks[states] < ranks[chunk, None]
+            refutes &= ok
+            live = np.flatnonzero(refutes.any(0))
+            states, refutes = states[live], refutes.take(live, axis=1)
+        # the candidate itself is the one state where nobody moves
+        refutes &= states != chunk[:, None]
+        for idx in chunk[~refutes.any(1)]:
+            out.append((to_public(machine[:, idx].tolist()), ev.as_value(int(social[idx]))))
     return out
 
 

@@ -5,6 +5,9 @@ equal ``games.social_value`` on every state.  ``strong_nash_set_by_coalitions``
 tries every nonempty coalition and every joint deviation; it must equal
 ``oracle.strong_nash_set``, which tests only the pure equilibria against all
 states at once.  Both are exponentially slower than what they check.
+``strong_nash_set_by_candidates`` is the strong scan one pure equilibrium at
+a time, on the evaluator's values; ``oracle.strong_nash_set``, which refutes
+a chunk of candidates per array operation, must equal it.
 
 The ``*_by_fractions`` functions recompute the table passes one public state
 at a time through the Fraction API of :mod:`conflictgames.games`, never
@@ -16,7 +19,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from conflictgames.fastpath import StateEvaluator, to_public
+import numpy as np
+
+from conflictgames.fastpath import StateEvaluator, state_blocks, to_public
 from conflictgames.games import (
     Instance,
     MixedProfile,
@@ -25,7 +30,13 @@ from conflictgames.games import (
     potential,
     social_value,
 )
-from conflictgames.oracle import DEFAULT_LIMITS, OracleLimits, StateSpaceExceeded, _guard
+from conflictgames.oracle import (
+    DEFAULT_LIMITS,
+    OracleLimits,
+    StateSpaceExceeded,
+    _guard,
+    pure_ne_flags,
+)
 
 
 def social_value_from_players(inst: Instance, state: State) -> Fraction:
@@ -74,6 +85,33 @@ def strong_nash_set_by_coalitions(
                 break
         if stable:
             out.append((to_public(s), ev.as_value(ev.social(s))))
+    return out
+
+
+def strong_nash_set_by_candidates(
+    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
+) -> list[tuple[State, Fraction]]:
+    """The strong scan one pure equilibrium at a time: each candidate against
+    every state, on a table the evaluator builds afresh."""
+    if inst.n > limits.strong_max_players:
+        raise StateSpaceExceeded("strong_max_players", inst.n, limits.strong_max_players)
+    _guard(inst, limits.max_states, "max_states")
+    ev = StateEvaluator(inst)
+    grids, curs, socials, flags = [], [], [], []
+    for grid in state_blocks(inst.n, inst.m):
+        vals, cur, social = ev.table(grid)
+        grids.append(grid)
+        curs.append(cur)
+        socials.append(social)
+        flags.append(pure_ne_flags(ev, vals, cur))
+    grid, cur, social = map(np.concatenate, (grids, curs, socials))
+    out = []
+    for idx in np.flatnonzero(np.concatenate(flags)):
+        moved = grid != grid[idx]
+        better = cur < cur[idx] if ev.minimizes else cur > cur[idx]
+        # a state refutes s when someone moves and every mover is better off
+        if not ((better | ~moved).all(axis=1) & moved.any(axis=1)).any():
+            out.append((to_public(grid[idx].tolist()), ev.as_value(int(social[idx]))))
     return out
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conflictgames import oracle
 from conflictgames.fastpath import StateEvaluator, to_internal
 from conflictgames.games import (
     GameKind,
@@ -41,8 +42,8 @@ from conflictgames.oracle import (
     worst_social_state,
 )
 
-from reference_oracle import strong_nash_set_by_coalitions
-from conftest import ALL_KINDS, beyond_int64_pool, small_instance
+from reference_oracle import strong_nash_set_by_candidates, strong_nash_set_by_coalitions
+from conftest import ALL_KINDS, BWCF_PRESETS, beyond_int64_pool, small_instance
 
 F = Fraction
 
@@ -194,6 +195,54 @@ class TestStrongNash:
         with pytest.raises(StateSpaceExceeded) as err:
             strong_nash_set(inst)
         assert err.value.limit_name == "strong_max_players"
+
+
+def _strong_pool(kind):
+    """n = 7, m = 3 (the cut game: n = 8, m = 2), sparse and dense, weighted
+    sharing on seed 1; every kind but BwF refutes some pure equilibria."""
+    n, m = (8, 2) if kind is GameKind.MAXCUT else (7, 3)
+    pool = []
+    for seed in range(3):
+        kwargs = {}
+        if kind is GameKind.BWCF:
+            kwargs = dict(zip(("alpha", "beta", "gamma"), BWCF_PRESETS[seed]))
+        for prob in (F(1, 4), F(3, 4)):
+            pool.append(gen_random(
+                n, m, kind, prob, seed=seed, weighted=kind.sharing and seed == 1, **kwargs
+            ))
+    return pool
+
+
+DEFAULT_CELLS = oracle._STRONG_CELLS
+
+
+class TestChunkedStrongScan:
+    """The chunked strong scan against the one-candidate-at-a-time scan of
+    ``reference_oracle``, on chunks of the default size and of one, three
+    and seven candidates."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_matches_candidate_scan(self, monkeypatch, kind):
+        refuted = 0
+        for inst in _strong_pool(kind):
+            expected = strong_nash_set_by_candidates(inst)
+            for cells in (DEFAULT_CELLS, 1, 3 * state_count(inst), 7 * state_count(inst)):
+                monkeypatch.setattr(oracle, "_STRONG_CELLS", cells)
+                assert strong_nash_set(inst) == expected
+            refuted += len(pure_nash_set(inst)) - len(expected)
+        assert (refuted == 0) == (kind is GameKind.BWF)
+
+    def test_more_candidates_than_one_chunk(self):
+        inst = make_instance(GameKind.BWC, 7, 3)  # every balanced state
+        strong = strong_nash_set(inst)
+        assert len(strong) == len(pure_nash_set(inst)) == 630
+        assert 630 > oracle._STRONG_CELLS // state_count(inst)
+        assert strong == strong_nash_set_by_candidates(inst)
+
+    def test_object_values(self):
+        for inst in beyond_int64_pool():
+            assert StateEvaluator(inst).dtype() is object
+            assert strong_nash_set(inst) == strong_nash_set_by_candidates(inst)
 
 
 class TestExpectedValues:

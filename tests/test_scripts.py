@@ -10,18 +10,27 @@ from conflictgames.verdicts import CSV_HEADER
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _run(name, *args):
+def _run(name, *args, code=0):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    assert proc.returncode == code, proc.stderr
+    return proc.stdout.splitlines() if code == 0 else proc.stderr.splitlines()
 
 
 def test_strong_ne_search():
     lines = _run("search_strong_ne_m3.py", "--count", "6", "--max-n", "5")
     assert lines[-1] == "scanned 6 instances (m=3, n up to 5): 0 without a strong equilibrium"
+
+
+def test_strong_ne_search_checks_its_range():
+    # fewer players than machines, and more than strong_max_players
+    for max_n in ("2", "9"):
+        lines = _run("search_strong_ne_m3.py", "--max-n", max_n, "--m", "3", code=2)
+        assert lines[-1].endswith(
+            f"error: need m <= max-n <= 8 (strong_max_players), got m=3, max-n={max_n}"
+        )
 
 
 def test_poa_conjecture_sweep():
@@ -45,3 +54,14 @@ def test_br_step_times():
     assert lines[0] == "us per BR step, n=12, edge probability 1/16, best of 1"
     assert [line.split()[0] for line in lines[1:]] == [kind.value for kind in GameKind]
     assert all("us/step" in line for line in lines[1:])
+
+
+def test_scan_pass_times():
+    lines = _run("scan_pass_times.py", "--repeats", "1")
+    assert lines[0] == "ms per scan pass, one cycle of 12 instances (seed 1), best of 1"
+    assert lines[1].split() == ["pass", "cold", "warm"]
+    names = [line[:14].strip() for line in lines[2:]]
+    assert names == [
+        "optimum", "pure NE", "semi-smooth", "nice", "floors", "sandwich", "strong", "all"
+    ]
+    assert all(len(line.split()) >= 3 for line in lines[2:])

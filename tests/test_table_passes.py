@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conflictgames import dynamics, oracle, smoothness
-from conflictgames.fastpath import StateEvaluator, state_blocks
+from conflictgames.fastpath import _TABLE_CELLS, StateEvaluator, state_blocks
 from conflictgames.games import (
     GameKind,
     canonical_deviation_profile,
@@ -135,7 +135,7 @@ class TestBeyondInt64:
             assert [s for s, _ in oracle.pure_nash_set(inst)] == expected
 
 
-    def test_slack_combination_past_int64_runs_on_object_dtype(self):
+    def test_slack_combination_past_int64_runs_on_object_dtype(self, monkeypatch):
         # values fit int64 (about 2^54), but lam.den * mu.den * t times them
         # would not: the checks must widen the table, not wrap around
         inst = make_instance(
@@ -146,6 +146,10 @@ class TestBeyondInt64:
         assert ev.dtype() is np.int64
         params = make_params(inst.kind, F(1, 10**6), F(3, 10**6 + 3))
         assert ev.dtype(10**6 * (10**6 + 6)) is object
+        monkeypatch.setattr(oracle, "_kept", None)
+        oracle.optimum(inst)  # an int64 pass keeps the table first
+        kept = oracle._kept
+        assert kept[0] is inst and kept[2][0][1][0].dtype == np.int64
         profile = canonical_deviation_profile(inst)
         for check, lhs in (
             (smoothness.check_nice, best_response_lhs_by_fractions(inst)),
@@ -155,6 +159,7 @@ class TestBeyondInt64:
             assert (verdict.holds, verdict.worst_state, verdict.slack) == (
                 slack_verdict_by_fractions(inst, params, lhs)
             )
+        assert oracle._kept is kept  # read, widened, and not replaced
 
 
 def _capped_passes():
@@ -207,3 +212,58 @@ def test_table_passes_use_no_pointwise_evaluation(monkeypatch):
     assert oracle.worst_cce_value(inst).distribution
     lo, hi = smoothness.max_rho_pure_sigma(swc, (1, 2, 1, 2))
     assert lo <= hi
+
+
+class TestKeptTable:
+    """The state table a scan keeps between passes over one instance."""
+
+    def test_holds_one_instance(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_kept", None)
+        first = gen_random(5, 3, GameKind.BWC, F(1, 2), seed=1)
+        second = gen_random(5, 3, GameKind.BWC, F(1, 2), seed=2)
+        oracle.optimum(first)
+        assert oracle._kept[0] is first
+        oracle.pure_nash_set(second)
+        assert oracle._kept[0] is second
+        equal = gen_random(5, 3, GameKind.BWC, F(1, 2), seed=2)
+        assert equal is not second
+        oracle.optimum(equal)
+        assert oracle._kept[0] is second  # an equal instance reads the same table
+
+    def test_arrays_are_read_only(self):
+        inst = gen_random(4, 3, GameKind.SWC, F(1, 2), seed=1)
+        _, tables = oracle.scan_tables(inst, OracleLimits(), potential=True)
+        for grid, table in tables:
+            for array in (grid, *table):
+                with pytest.raises(ValueError):
+                    array[(0,) * array.ndim] = 1
+
+    def test_table_over_budget_is_not_kept(self):
+        kept = gen_random(4, 2, GameKind.BWC, F(1, 2), seed=1)
+        oracle.optimum(kept)
+        inst = make_instance(GameKind.BWC, 10, 3)
+        assert oracle.state_count(inst) * inst.n * inst.m > _TABLE_CELLS
+        assert oracle.optimum(inst) == ((1,) * 4 + (2,) * 3 + (3,) * 3, 34)
+        assert oracle._kept is None
+
+    def test_one_evaluator_for_every_pass(self, monkeypatch):
+        built = []
+        init = StateEvaluator.__init__
+
+        def counted(self, inst):
+            built.append(inst)
+            init(self, inst)
+
+        monkeypatch.setattr(StateEvaluator, "__init__", counted)
+        monkeypatch.setattr(oracle, "_kept", None)
+        inst = gen_random(7, 3, GameKind.BWCF, F(1, 2), seed=3,
+                          alpha=F(1), beta=F(1), gamma=F(2))
+        params, _ = certificate_params(inst.kind, inst.n, inst.m, inst.alpha, inst.beta, inst.gamma)
+        oracle.optimum(inst)
+        oracle.pure_nash_set(inst)
+        smoothness.check_semi_smooth(inst, params)
+        smoothness.check_nice(inst, params)
+        smoothness.check_opt_lower_bounds(inst)
+        dynamics.sandwich_constants(inst)
+        oracle.strong_nash_set(inst)
+        assert built == [inst]
