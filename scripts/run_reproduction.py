@@ -4,7 +4,7 @@
 Usage:
     python scripts/run_reproduction.py [--out-dir out] [--trials 20] [--seed 0]
 
-Exits 1 if any verdict fails.
+Exits 1 if any verdict fails, 2 on an invalid argument (``--trials`` below 1).
 """
 
 import argparse
@@ -24,11 +24,14 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    try:
+        table = reproduce_bound_table(trials=args.trials, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+    named = reproduce_named_examples()
+
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    named = reproduce_named_examples()
-    table = reproduce_bound_table(trials=args.trials, seed=args.seed)
     (out_dir / "named_examples.csv").write_text(render_csv(named))
     (out_dir / "bound_table.csv").write_text(render_csv(table))
 

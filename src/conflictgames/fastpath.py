@@ -26,10 +26,12 @@ are built:
 A player's value is then ``mach[k][occupancy] + base[i]`` plus the signed
 weights of its neighbours on ``k``.
 
-Three ways read these tables.  :meth:`StateEvaluator.analyze` and
-:meth:`StateEvaluator.value` evaluate one state at a time, for single-state
-left-hand sides and the test references.  Best-response runs read a move
-table instead:
+Three ways read these tables, and the exact mixed expectations of
+:mod:`conflictgames.oracle` read them directly.  :meth:`StateEvaluator.analyze`
+and :meth:`StateEvaluator.value` evaluate one state at a time; no pass of the
+package calls them any more, they serve the test references and the call
+counters of ``perfbench/tracing.py``.  Best-response runs read a move table
+instead:
 
 * walk: :meth:`StateEvaluator.walk` returns a :class:`Walk`, which holds the
   state, its loads, ``bt[i, k] = (base[i] + sum_j W[i, j] [s_j = k]) / u`` and

@@ -2,10 +2,15 @@
 exact expectations for product profiles, and the worst coarse-correlated
 equilibrium via an exact-rational LP.
 
-Enumeration passes are array reductions over the evaluator's state table,
-block by block; every reported value is an exact Fraction.  Ties (optimum,
-worst equilibrium) always resolve to the lexicographically smallest state, so
-results are deterministic.
+Enumeration passes, the worst-CCE LP's columns included, are array
+reductions over the evaluator's state table, block by block; every reported
+value is an exact Fraction.  Ties (optimum, worst equilibrium) always resolve
+to the lexicographically smallest state, so results are deterministic.
+
+Expectations under a product profile read the evaluator's machine terms,
+bases and signed edges with no kind branch: the machine term is averaged over
+the exact distribution of the co-located count, and each signed edge is
+weighted by its neighbour's probability.
 
 One table per instance: :func:`scan_tables` keeps the table of the last
 instance it was asked for (one entry, keyed by instance equality, the last
@@ -49,10 +54,9 @@ from .games import (
     Instance,
     MixedProfile,
     State,
+    _check_machine,
+    _check_player,
     validate_profile,
-    weighted_neighbors,
-    conflict_neighbors,
-    friendship_neighbors,
 )
 
 
@@ -264,79 +268,55 @@ def strong_nash_set(
 # exact expectations under product profiles
 
 
+def _expected_value(ev: StateEvaluator, profile: MixedProfile, i: int, k: int) -> Fraction:
+    """E[value of player i | s_i = k] (0-based) with all other players drawn
+    from the product profile: ``(sum_c P(Y_k = c) mach[k][c + 1] + base[i] +
+    sum_j W[i, j] q_jk) / value_scale``, with ``Y_k`` the number of others on
+    ``k`` (a dynamic program over the independent indicator sum) and ``W``
+    the signed weights of ``edges``."""
+    dist = [Fraction(1)]  # dist[c] = P(Y_k = c) over the players so far
+    for j, row in enumerate(profile):
+        q = row[k]
+        if j != i and q != 0:
+            dist = [a * (1 - q) + b * q for a, b in zip(dist + [0], [0] + dist)]
+    machine = sum(p * ev.mach[k][c + 1] for c, p in enumerate(dist))
+    edges = sum(w * profile[a + b - i][k] for a, b, w in ev.edges if i in (a, b))
+    return Fraction(machine + ev.base[i] + edges, ev.value_scale)
+
+
 def expected_player_value(
     inst: Instance, profile: MixedProfile, i: int, k: int
 ) -> Fraction:
     """E[value of player i | s_i = k] with all other players drawn from the
-    product profile.  Balancing kinds reduce to pairwise marginals; sharing
-    kinds need the exact distribution of the co-located count (a dynamic
-    program over the independent indicator sum)."""
+    product profile."""
     validate_profile(inst, profile)
-    if not 1 <= i <= inst.n:
-        raise ValueError(f"player id {i} out of range 1..{inst.n}")
-    if not 1 <= k <= inst.m:
-        raise ValueError(f"machine id {k} out of range 1..{inst.m}")
-    kind = inst.kind
-    if kind.minimizes:
-        load = 1 + sum(profile[j - 1][k - 1] for j in range(1, inst.n + 1) if j != i)
-        conf_here = sum(profile[j - 1][k - 1] for j in conflict_neighbors(inst)[i - 1])
-        friends_away = sum(1 - profile[j - 1][k - 1] for j in friendship_neighbors(inst)[i - 1])
-        return inst.alpha * load + inst.beta * conf_here + inst.gamma * friends_away
-    if kind is GameKind.MAXCUT:
-        return sum(
-            (1 - profile[j - 1][k - 1] for j in conflict_neighbors(inst)[i - 1]), Fraction(0)
-        )
-    # sharing kinds: share term p_k * E[1/(1+Y)], Y = co-located others
-    dist = [Fraction(1)]
-    for j in range(1, inst.n + 1):
-        if j == i:
-            continue
-        q = profile[j - 1][k - 1]
-        if q == 0:
-            continue
-        nxt = [Fraction(0)] * (len(dist) + 1)
-        for cnt, pr in enumerate(dist):
-            nxt[cnt] += pr * (1 - q)
-            nxt[cnt + 1] += pr * q
-        dist = nxt
-    share = inst.machine_values[k - 1] * sum(
-        (pr / (cnt + 1) for cnt, pr in enumerate(dist)), Fraction(0)
-    )
-    if kind is GameKind.SWC:
-        edge = sum(
-            (w * (1 - profile[j - 1][k - 1]) for j, w in weighted_neighbors(inst)[i - 1]),
-            Fraction(0),
-        )
-    else:
-        edge = sum(
-            (w * profile[j - 1][k - 1] for j, w in weighted_neighbors(inst)[i - 1]),
-            Fraction(0),
-        )
-    return share + edge
+    _check_player(inst, i)
+    _check_machine(inst, k)
+    return _expected_value(StateEvaluator(inst), profile, i - 1, k - 1)
+
+
+def _expected_row(ev: StateEvaluator, profile: MixedProfile, i: int) -> tuple[list, Fraction]:
+    """(E[value of player i | s_i = k] for every machine k, E[value of player
+    i]) with everyone drawn from the profile (0-based i)."""
+    row = [_expected_value(ev, profile, i, k) for k in range(ev.m)]
+    return row, sum((q * v for q, v in zip(profile[i], row) if q != 0), Fraction(0))
 
 
 def profile_expected_value(inst: Instance, profile: MixedProfile, i: int) -> Fraction:
     """E[value of player i] with everyone (including i) drawn from the profile."""
-    return sum(
-        (
-            profile[i - 1][k - 1] * expected_player_value(inst, profile, i, k)
-            for k in range(1, inst.m + 1)
-            if profile[i - 1][k - 1] != 0
-        ),
-        Fraction(0),
-    )
+    validate_profile(inst, profile)
+    _check_player(inst, i)
+    return _expected_row(StateEvaluator(inst), profile, i - 1)[1]
 
 
 def verify_mixed_ne(inst: Instance, profile: MixedProfile) -> bool:
     """Exact check: no player can improve in expectation by a pure deviation."""
     validate_profile(inst, profile)
-    minimizes = inst.kind.minimizes
-    for i in range(1, inst.n + 1):
-        current = profile_expected_value(inst, profile, i)
-        for k in range(1, inst.m + 1):
-            dev = expected_player_value(inst, profile, i, k)
-            if dev < current if minimizes else dev > current:
-                return False
+    ev = StateEvaluator(inst)
+    for i in range(inst.n):
+        row, current = _expected_row(ev, profile, i)
+        if (min(row) < current) if ev.minimizes else (max(row) > current):
+            return False
     return True
 
 
@@ -362,10 +342,9 @@ def worst_cce_value(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Cc
     count = state_count(inst)
     if count > limits.lp_max_states:
         raise StateSpaceExceeded("lp_max_states", count, limits.lp_max_states)
-    ev = StateEvaluator(inst)
+    ev, tables = scan_tables(inst, limits)
     grids, socials, columns = [], [], []
-    for grid in state_blocks(inst.n, inst.m):
-        vals, cur, social = ev.table(grid)
+    for grid, (vals, cur, social) in tables:
         # cost: E[dev - cur] >= 0;  payoff: E[cur - dev] >= 0
         diff = vals - cur[..., None] if ev.minimizes else cur[..., None] - vals
         grids.append(grid)

@@ -32,8 +32,6 @@ from .instances import (
 from .oracle import DEFAULT_LIMITS, OracleLimits
 from .verdicts import VerdictReport, make_verdict
 
-RHO_WIDTH = Fraction(1, 10**9)
-
 
 def _multipartite_rows(m: int, limits: OracleLimits) -> list[VerdictReport]:
     inst = gen_bwc_multipartite(m)
@@ -245,10 +243,10 @@ def _maxcut_rows(limits: OracleLimits) -> list[VerdictReport]:
         if smoothness.semi_smooth_lhs(inst, s, profile) != edges
     )
     params, _ = smoothness.certificate_params(inst.kind, inst.n, inst.m)
-    hi_max = Fraction(0)
-    for sigma in itertools.product((1, 2), repeat=inst.n):
-        _, hi = smoothness.max_rho_pure_sigma(inst, sigma, limits, width=RHO_WIDTH)
-        hi_max = max(hi_max, hi)
+    rho_max = max(
+        smoothness.max_rho_pure_sigma(inst, sigma, limits)
+        for sigma in itertools.product((1, 2), repeat=inst.n)
+    )
     cce = oracle.worst_cce_value(inst, limits)
     return [
         make_verdict("maxcut.edge.opt", label, 2, opt_value, "=="),
@@ -257,9 +255,7 @@ def _maxcut_rows(limits: OracleLimits) -> list[VerdictReport]:
             "maxcut.edge.semi_smooth_half", label, 1,
             int(smoothness.check_semi_smooth(inst, params, limits=limits).holds), "==",
         ),
-        make_verdict(
-            "maxcut.edge.pure_sigma_rho", label, Fraction(1, 3) + RHO_WIDTH, hi_max, "<="
-        ),
+        make_verdict("maxcut.edge.pure_sigma_rho", label, Fraction(1, 3), rho_max, "=="),
         make_verdict("maxcut.edge.worst_cce", label, opt_value / 2, cce.value, "=="),
     ]
 
@@ -297,7 +293,7 @@ def _random_pool(kind: GameKind, trials: int, seed: int, max_n: int, max_m: int)
     pool = []
     for t in range(trials):
         s = seed * 10_000 + t
-        m = 2 + (t % max(1, max_m - 1))
+        m = 2 + t % (max_m - 1)
         if kind is GameKind.MAXCUT:
             m = 2
         low = m if kind is GameKind.BWCF else 2
@@ -323,7 +319,12 @@ def reproduce_bound_table(
     """Per kind: certify semi-smoothness with the certificate parameters on a
     seeded random pool, compare worst-CCE ratios against the implied bound on
     instances with at most ``cce_state_cap`` states (the exact LP grows fast),
-    and pin the tight examples."""
+    and pin the tight examples.  Raises ValueError unless ``trials >= 1`` and
+    ``2 <= max_m <= max_n``."""
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    if not 2 <= max_m <= max_n:
+        raise ValueError(f"need 2 <= max_m <= max_n, got max_m={max_m}, max_n={max_n}")
     rows: list[VerdictReport] = []
     for kind in (GameKind.BWC, GameKind.BWF, GameKind.BWCF, GameKind.SWC, GameKind.SWF):
         tag = kind.value.lower()

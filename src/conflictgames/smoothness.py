@@ -2,7 +2,10 @@
 price-of-total-anarchy parameters, and the optimum lower-bound inequalities.
 
 All verdicts are exact: the per-state inequalities are array reductions over
-the evaluator's state table in scaled integers, never floats.
+the evaluator's state table in scaled integers, never floats.  The
+semi-smoothness LHS at one state is the same reduction over a one-row table,
+and the best ratio for a pure deviation state is the exact value of a
+two-row LP over the table's sigma-row sums and social values.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import simplex
 from .fastpath import _INT64_SAFE, StateEvaluator, to_internal, to_public
 from .games import (
     GameKind,
@@ -72,19 +76,14 @@ class SmoothnessVerdict:
 
 def semi_smooth_lhs(inst: Instance, state: State, profile: MixedProfile) -> Fraction:
     """Sum over players of the expected value of redrawing only your own
-    machine from the profile, everyone else pinned at ``state``."""
+    machine from the profile, everyone else pinned at ``state``: the LHS of
+    :func:`check_semi_smooth`, reduced over the one-row table of ``state``."""
     validate_state(inst, state)
     validate_profile(inst, profile)
     ev = StateEvaluator(inst)
-    aux = ev.analyze(to_internal(state))
-    total = Fraction(0)
-    for i in range(inst.n):
-        row = profile[i]
-        for k in range(inst.m):
-            q = row[k]
-            if q != 0:
-                total += q * ev.value(aux, i, k)
-    return total / ev.value_scale
+    t, weights = deviation_weights(profile)
+    vals = ev.table(np.array([to_internal(state)]), factor=t)[0]
+    return Fraction(int((vals[0] * weights).sum()), t * ev.value_scale)
 
 
 def _worst_slack(inst, params, limits, t: int, lhs_of) -> SmoothnessVerdict:
@@ -166,72 +165,37 @@ def check_nice(
 
 
 def max_rho_pure_sigma(
-    inst: Instance,
-    sigma_state: State,
-    limits: OracleLimits = DEFAULT_LIMITS,
-    width: Fraction = Fraction(1, 10**9),
-) -> tuple[Fraction, Fraction]:
-    """Certified interval [lo, hi) around the supremum of lambda/(1+mu) over
-    nonnegative (lambda, mu) that satisfy the semi-smoothness inequality with
-    the given PURE deviation state at every state.
+    inst: Instance, sigma_state: State, limits: OracleLimits = DEFAULT_LIMITS
+) -> Fraction:
+    """The exact supremum of lambda/(1+mu) over nonnegative (lambda, mu) that
+    satisfy the semi-smoothness inequality with the given PURE deviation
+    state at every state.
 
-    Binary search on rho; each candidate reduces to a one-dimensional linear
-    feasibility problem in mu (one constraint per state), solved exactly.
+    With ``t = mu/(1+mu)`` in [0, 1] the inequality at ``s`` reads
+    ``(1-t) L(s) + t u(s) >= rho * opt``, where ``L(s)`` is the sigma-row sum
+    of the table and ``u(s)`` the social value, so ``rho * opt`` is
+    ``max_t min_s ((1-t) L(s) + t u(s))`` (Nadav-Roughgarden, WINE 2010).  Its
+    LP dual has two rows: minimise ``sum_s y_s L(s) + w`` subject to
+    ``sum_s y_s >= 1`` and ``sum_s y_s (L(s) - u(s)) + w >= 0``, ``y, w >= 0``.
     """
     if inst.kind.minimizes:
         raise ValueError("pure-deviation ratio search applies to payoff kinds only")
     validate_state(inst, sigma_state)
     sigma = np.array(to_internal(sigma_state), dtype=np.int64)
-    ev, tables = scan_tables(inst, limits)
-    opt = None
-    rows = []
-    for _, (vals, _, social) in tables:
-        lhs = vals[:, np.arange(inst.n), sigma].sum(1)
-        _, value = block_extreme(social, False)
-        if beats(value, opt, False):
-            opt = value
-        rows.extend(
-            (ev.as_value(u), ev.as_value(l))
-            for u, l in zip(social.tolist(), lhs.tolist())
-        )
-    opt_value = ev.as_value(opt)
-    if opt_value == 0:
+    _, tables = scan_tables(inst, limits)
+    lhs, social = [], []
+    for _, (vals, _, u) in tables:
+        lhs += vals[:, np.arange(inst.n), sigma].sum(1).tolist()
+        social += u.tolist()
+    opt = max(social)
+    if opt == 0:
         raise ValueError("degenerate instance: the optimum value is 0, every ratio works")
-
-    def feasible(rho: Fraction) -> bool:
-        # lambda = rho * (1 + mu); need mu >= 0 with, per state s,
-        #   mu * (rho * opt - u(s)) <= L(s) - rho * opt
-        lower = Fraction(0)
-        upper = None
-        for u_s, l_s in rows:
-            a = rho * opt_value - u_s
-            b = l_s - rho * opt_value
-            if a > 0:
-                if b < 0:
-                    return False
-                bound = b / a
-                if upper is None or bound < upper:
-                    upper = bound
-            elif a == 0:
-                if b < 0:
-                    return False
-            else:
-                bound = b / a
-                if bound > lower:
-                    lower = bound
-        return upper is None or lower <= upper
-
-    lo = Fraction(0)
-    hi = Fraction(1)
-    while feasible(hi):
-        lo, hi = hi, hi * 2
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    sol = simplex.solve(
+        objective=lhs + [1],
+        a_ge=[[1] * len(lhs) + [0], [l - u for l, u in zip(lhs, social)] + [1]],
+        b_ge=[1, 0],
+    )
+    return sol.value / opt
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,14 @@ a chunk of candidates per array operation, must equal it.
 The ``*_by_fractions`` functions recompute the table passes one public state
 at a time through the Fraction API of :mod:`conflictgames.games`, never
 through the scaled-integer evaluator.
+
+``expected_player_value_by_kind`` is the per-kind closed form of a mixed
+expectation, written from the neighbour lists of :mod:`conflictgames.games`;
+``oracle.expected_player_value``, which reads the evaluator's machine terms
+and signed edges with no kind branch, must equal it.
+``max_rho_pure_sigma_by_bisection`` brackets the best pure-deviation ratio
+by bisection on rho; the exact ``smoothness.max_rho_pure_sigma`` must lie in
+its interval.
 """
 
 from __future__ import annotations
@@ -21,21 +29,30 @@ from fractions import Fraction
 
 import numpy as np
 
-from conflictgames.fastpath import StateEvaluator, state_blocks, to_public
+from conflictgames.fastpath import StateEvaluator, state_blocks, to_internal, to_public
 from conflictgames.games import (
+    GameKind,
     Instance,
     MixedProfile,
     State,
+    conflict_neighbors,
+    friendship_neighbors,
     player_values,
     potential,
     social_value,
+    validate_profile,
+    validate_state,
+    weighted_neighbors,
 )
 from conflictgames.oracle import (
     DEFAULT_LIMITS,
     OracleLimits,
     StateSpaceExceeded,
     _guard,
+    beats,
+    block_extreme,
     pure_ne_flags,
+    scan_tables,
 )
 
 
@@ -185,3 +202,123 @@ def sandwich_by_fractions(inst: Instance):
         if value != 0:
             b = phi / value if b is None else max(b, phi / value)
     return a, b, skipped
+
+
+def expected_player_value_by_kind(
+    inst: Instance, profile: MixedProfile, i: int, k: int
+) -> Fraction:
+    """E[value of player i | s_i = k] with all other players drawn from the
+    product profile.  Balancing kinds reduce to pairwise marginals; sharing
+    kinds need the exact distribution of the co-located count (a dynamic
+    program over the independent indicator sum)."""
+    validate_profile(inst, profile)
+    if not 1 <= i <= inst.n:
+        raise ValueError(f"player id {i} out of range 1..{inst.n}")
+    if not 1 <= k <= inst.m:
+        raise ValueError(f"machine id {k} out of range 1..{inst.m}")
+    kind = inst.kind
+    if kind.minimizes:
+        load = 1 + sum(profile[j - 1][k - 1] for j in range(1, inst.n + 1) if j != i)
+        conf_here = sum(profile[j - 1][k - 1] for j in conflict_neighbors(inst)[i - 1])
+        friends_away = sum(1 - profile[j - 1][k - 1] for j in friendship_neighbors(inst)[i - 1])
+        return inst.alpha * load + inst.beta * conf_here + inst.gamma * friends_away
+    if kind is GameKind.MAXCUT:
+        return sum(
+            (1 - profile[j - 1][k - 1] for j in conflict_neighbors(inst)[i - 1]), Fraction(0)
+        )
+    # sharing kinds: share term p_k * E[1/(1+Y)], Y = co-located others
+    dist = [Fraction(1)]
+    for j in range(1, inst.n + 1):
+        if j == i:
+            continue
+        q = profile[j - 1][k - 1]
+        if q == 0:
+            continue
+        nxt = [Fraction(0)] * (len(dist) + 1)
+        for cnt, pr in enumerate(dist):
+            nxt[cnt] += pr * (1 - q)
+            nxt[cnt + 1] += pr * q
+        dist = nxt
+    share = inst.machine_values[k - 1] * sum(
+        (pr / (cnt + 1) for cnt, pr in enumerate(dist)), Fraction(0)
+    )
+    if kind is GameKind.SWC:
+        edge = sum(
+            (w * (1 - profile[j - 1][k - 1]) for j, w in weighted_neighbors(inst)[i - 1]),
+            Fraction(0),
+        )
+    else:
+        edge = sum(
+            (w * profile[j - 1][k - 1] for j, w in weighted_neighbors(inst)[i - 1]),
+            Fraction(0),
+        )
+    return share + edge
+
+
+def max_rho_pure_sigma_by_bisection(
+    inst: Instance,
+    sigma_state: State,
+    limits: OracleLimits = DEFAULT_LIMITS,
+    width: Fraction = Fraction(1, 10**9),
+) -> tuple[Fraction, Fraction]:
+    """Certified interval [lo, hi) around the supremum of lambda/(1+mu) over
+    nonnegative (lambda, mu) that satisfy the semi-smoothness inequality with
+    the given PURE deviation state at every state.
+
+    Binary search on rho; each candidate reduces to a one-dimensional linear
+    feasibility problem in mu (one constraint per state), solved exactly.
+    """
+    if inst.kind.minimizes:
+        raise ValueError("pure-deviation ratio search applies to payoff kinds only")
+    validate_state(inst, sigma_state)
+    sigma = np.array(to_internal(sigma_state), dtype=np.int64)
+    ev, tables = scan_tables(inst, limits)
+    opt = None
+    rows = []
+    for _, (vals, _, social) in tables:
+        lhs = vals[:, np.arange(inst.n), sigma].sum(1)
+        _, value = block_extreme(social, False)
+        if beats(value, opt, False):
+            opt = value
+        rows.extend(
+            (ev.as_value(u), ev.as_value(l))
+            for u, l in zip(social.tolist(), lhs.tolist())
+        )
+    opt_value = ev.as_value(opt)
+    if opt_value == 0:
+        raise ValueError("degenerate instance: the optimum value is 0, every ratio works")
+
+    def feasible(rho: Fraction) -> bool:
+        # lambda = rho * (1 + mu); need mu >= 0 with, per state s,
+        #   mu * (rho * opt - u(s)) <= L(s) - rho * opt
+        lower = Fraction(0)
+        upper = None
+        for u_s, l_s in rows:
+            a = rho * opt_value - u_s
+            b = l_s - rho * opt_value
+            if a > 0:
+                if b < 0:
+                    return False
+                bound = b / a
+                if upper is None or bound < upper:
+                    upper = bound
+            elif a == 0:
+                if b < 0:
+                    return False
+            else:
+                bound = b / a
+                if bound > lower:
+                    lower = bound
+        return upper is None or lower <= upper
+
+    lo = Fraction(0)
+    hi = Fraction(1)
+    while feasible(hi):
+        lo, hi = hi, hi * 2
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -216,7 +216,7 @@ def test_criterion_10_semi_smoothness_suite(pool):
 
 
 def test_criterion_11_maxcut_certificates():
-    with criterion(11, "cut game: LHS=|E| on 50 graphs, pure-sigma rho <= 1/3"):
+    with criterion(11, "cut game: LHS=|E| on 50 graphs, pure-sigma rho = 1/3"):
         params, _ = certificate_params(GameKind.MAXCUT, 2, 2)
         for t in range(50):
             n = 2 + t % 5
@@ -231,12 +231,10 @@ def test_criterion_11_maxcut_certificates():
                 assert lhs_doubled == 2 * edges  # uniform LHS equals |E| exactly
             assert check_semi_smooth(inst, params).holds
         edge = gen_maxcut_edge()
-        width = F(1, 10**9)
-        hi_max = max(
-            max_rho_pure_sigma(edge, sigma, width=width)[1]
-            for sigma in itertools.product((1, 2), repeat=2)
+        rho_max = max(
+            max_rho_pure_sigma(edge, sigma) for sigma in itertools.product((1, 2), repeat=2)
         )
-        assert hi_max <= F(1, 3) + width
+        assert rho_max == F(1, 3)
 
 
 def test_criterion_12_exact_potential_law():

@@ -155,6 +155,31 @@ class TestReproduce:
         assert ",fail," in out
 
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("--max-n", "2"), "need 2 <= max_m <= max_n, got max_m=3, max_n=2"),
+            (("--max-n", "1"), "need 2 <= max_m <= max_n, got max_m=3, max_n=1"),
+            (("--max-m", "1"), "need 2 <= max_m <= max_n, got max_m=1, max_n=6"),
+            (("--trials", "0"), "need trials >= 1, got 0"),
+            (("--trials", "-3"), "need trials >= 1, got -3"),
+        ],
+    )
+    def test_table_argument_checks_exit_two(self, args, message):
+        code, out, err = run_cli("reproduce", "--table", "--format", "csv", *args)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_smallest_valid_table(self):
+        code, out, _ = run_cli(
+            "reproduce", "--table", "--format", "csv", "--max-n", "2", "--max-m", "2",
+            "--trials", "1",
+        )
+        assert code == 0
+        assert out.startswith("claim_id,")
+        assert ",fail," not in out
+
+
 class TestMalformedInstanceFile:
     def test_schema_error_names_field(self, tmp_path):
         path = tmp_path / "bad.game"

@@ -1,0 +1,26 @@
+"""Where the per-kind game formulas live.
+
+The neighbour lists of :mod:`conflictgames.games` are the per-kind form of a
+game; every other module reads the kind-free tables of
+:class:`conflictgames.fastpath.StateEvaluator`, so each formula is written
+once as Fraction arithmetic and once as scaled integers.
+"""
+
+import pathlib
+import re
+
+import conflictgames
+
+PER_KIND_HELPERS = re.compile(
+    r"\b(conflict_neighbors|friendship_neighbors|weighted_neighbors|sharing_weights)\b"
+)
+
+
+def test_only_games_names_the_neighbour_helpers():
+    package = pathlib.Path(conflictgames.__file__).parent
+    naming = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if PER_KIND_HELPERS.search(path.read_text())
+    )
+    assert naming == ["games.py"]

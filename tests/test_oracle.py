@@ -1,6 +1,7 @@
 """Enumeration oracle: optima, Nash sets, mixed verification, worst CCE."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -42,8 +43,12 @@ from conflictgames.oracle import (
     worst_social_state,
 )
 
-from reference_oracle import strong_nash_set_by_candidates, strong_nash_set_by_coalitions
-from conftest import ALL_KINDS, BWCF_PRESETS, beyond_int64_pool, small_instance
+from reference_oracle import (
+    expected_player_value_by_kind,
+    strong_nash_set_by_candidates,
+    strong_nash_set_by_coalitions,
+)
+from conftest import ALL_KINDS, BWCF_PRESETS, beyond_int64_pool, kind_pool, small_instance
 
 F = Fraction
 
@@ -284,6 +289,80 @@ class TestExpectedValues:
         prof = uniform_profile(inst)
         # Y ~ Bin(2, 1/2): E[6/(1+Y)] = 6*(1/4 + 1/2/2 + 1/4/3) = 6*(1/4+1/4+1/12)
         assert expected_player_value(inst, prof, 1, 1) == 6 * (F(1, 4) + F(1, 4) + F(1, 12))
+
+
+def _random_profile(inst, rng):
+    """Rational rows with denominators up to 12 and some zero entries."""
+    rows = []
+    for _ in range(inst.n):
+        weights = [rng.randrange(0, 4) for _ in range(inst.m)]
+        weights[rng.randrange(inst.m)] += 1
+        rows.append(tuple(F(w, sum(weights)) for w in weights))
+    return tuple(rows)
+
+
+def _expectation_pool():
+    pool = [inst for kind in ALL_KINDS for inst in kind_pool(kind, 8)]
+    pool += [gen_random(2, 4, GameKind.SWC, F(1), seed=s, weighted=s % 2 == 0) for s in range(3)]
+    pool += [gen_random(3, 5, GameKind.SWC, F(1, 2), seed=4, weighted=True)]
+    return pool + beyond_int64_pool()
+
+
+class TestKindFreeExpectations:
+    """The expectations read the evaluator's tables with no kind branch; the
+    per-kind closed forms are the reference."""
+
+    def test_equals_per_kind_closed_form(self):
+        rng = random.Random(8)
+        pool = _expectation_pool()
+        assert {inst.kind for inst in pool} == set(ALL_KINDS)
+        assert any(inst.kind is GameKind.SWC and inst.n < inst.m for inst in pool)
+        assert any(inst.kind.sharing and inst.edge_weights for inst in pool)
+        for inst in pool:
+            for profile in (_random_profile(inst, rng), uniform_profile(inst)):
+                for i in range(1, inst.n + 1):
+                    row = [
+                        expected_player_value_by_kind(inst, profile, i, k)
+                        for k in range(1, inst.m + 1)
+                    ]
+                    assert [
+                        expected_player_value(inst, profile, i, k) for k in range(1, inst.m + 1)
+                    ] == row
+                    assert profile_expected_value(inst, profile, i) == sum(
+                        (q * v for q, v in zip(profile[i - 1], row)), F(0)
+                    )
+
+    def test_mixed_ne_verdict_matches_closed_form(self):
+        rng = random.Random(9)
+        verdicts = set()
+        for inst in _expectation_pool():
+            profiles = [_random_profile(inst, rng), uniform_profile(inst)]
+            profiles.append(point_mass_profile(inst, pure_nash_set(inst)[0][0]))
+            for profile in profiles:
+                better = min if inst.kind.minimizes else max
+                expected = True
+                for i in range(1, inst.n + 1):
+                    row = [
+                        expected_player_value_by_kind(inst, profile, i, k)
+                        for k in range(1, inst.m + 1)
+                    ]
+                    current = sum((q * v for q, v in zip(profile[i - 1], row)), F(0))
+                    expected &= better(row + [current]) == current
+                assert verify_mixed_ne(inst, profile) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_argument_checks(self):
+        inst = gen_bwc_multipartite(2)
+        prof = uniform_profile(inst)
+        for i, k in ((0, 1), (5, 1), (1, 0), (1, 3)):
+            with pytest.raises(ValueError, match="out of range"):
+                expected_player_value(inst, prof, i, k)
+        for i in (0, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                profile_expected_value(inst, prof, i)
+        with pytest.raises(ValueError):
+            verify_mixed_ne(inst, prof[:-1])
 
 
 class TestMixedNe:

@@ -49,6 +49,15 @@ def test_run_reproduction_writes_both_reports(tmp_path):
         assert text.splitlines()[0] == CSV_HEADER
 
 
+def test_run_reproduction_checks_trials(tmp_path):
+    for trials in ("0", "-3"):
+        lines = _run(
+            "run_reproduction.py", "--out-dir", str(tmp_path / "out"), "--trials", trials, code=2
+        )
+        assert lines[-1].endswith(f"error: need trials >= 1, got {trials}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_br_step_times():
     lines = _run("br_step_times.py", "--n", "12", "--repeats", "1")
     assert lines[0] == "us per BR step, n=12, edge probability 1/16, best of 1"

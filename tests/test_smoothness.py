@@ -4,9 +4,11 @@ certificate parameters, and the optimum floors."""
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conflictgames.fastpath import StateEvaluator, state_blocks, to_public
+from conflictgames import oracle
+from conflictgames.fastpath import _INT64_SAFE, StateEvaluator, state_blocks, to_public
 from conflictgames.games import (
     GameKind,
     canonical_deviation_profile,
@@ -35,8 +37,8 @@ from conflictgames.smoothness import (
     semi_smooth_lhs,
 )
 
-from conftest import ALL_KINDS, kind_pool, small_instance
-from reference_oracle import slack_verdict_by_fractions
+from conftest import ALL_KINDS, beyond_int64_pool, kind_pool, small_instance
+from reference_oracle import max_rho_pure_sigma_by_bisection, slack_verdict_by_fractions
 
 F = Fraction
 
@@ -73,10 +75,28 @@ class TestLhs:
         assert semi_smooth_lhs(inst, (1, 1), uniform_profile(inst)) == 3
 
     def test_matches_definitional_double_sum(self, mixed_pool):
-        for inst in mixed_pool:
-            if state_count(inst) > 256:
-                continue
-            prof = canonical_deviation_profile(inst)
+        cases = [
+            (inst, canonical_deviation_profile(inst))
+            for inst in mixed_pool + beyond_int64_pool()
+            if state_count(inst) <= 256
+        ]
+        # t = 2^70 + 1 passes the int64-safe bound: weights and table widen
+        tiny = F(1, 2**70 + 1)
+        cases += [
+            (inst, ((tiny, 1 - tiny) + (F(0),) * (inst.m - 2),) * inst.n)
+            for inst, _ in cases[::5]
+            if inst.m >= 2
+        ]
+        assert deviation_weights(cases[-1][1])[0] >= _INT64_SAFE
+        # values near 2^54 fit int64, but t = 2^10 times their sum does not
+        near = make_instance(
+            GameKind.SWF, 3, 2, friendship_edges=[(1, 2)],
+            machine_values=(F(2**52 + 1, 2**52 + 3), F(1)),
+        )
+        assert StateEvaluator(near).dtype() is np.int64
+        assert StateEvaluator(near).dtype(2**10) is object
+        cases.append((near, ((F(1, 2**10), 1 - F(1, 2**10)),) * near.n))
+        for inst, prof in cases:
             for state in itertools.islice(enumerate_states(inst), 7):
                 assert semi_smooth_lhs(inst, state, prof) == _definitional_lhs(
                     inst, state, prof
@@ -242,27 +262,58 @@ class TestCheckNice:
 
 class TestPureSigmaRatio:
     def test_split_deviation_caps_at_one_third(self):
-        inst = gen_maxcut_edge()
-        lo, hi = max_rho_pure_sigma(inst, (1, 2))
-        assert hi - lo <= F(1, 10**9)
-        assert lo <= F(1, 3) <= hi + F(1, 10**9)
+        assert max_rho_pure_sigma(gen_maxcut_edge(), (1, 2)) == F(1, 3)
 
     def test_clustered_deviation_gives_zero(self):
-        inst = gen_maxcut_edge()
-        lo, hi = max_rho_pure_sigma(inst, (1, 1))
-        assert lo == 0 and hi <= F(1, 10**9)
+        assert max_rho_pure_sigma(gen_maxcut_edge(), (1, 1)) == 0
 
     def test_max_over_all_pure_profiles(self):
         inst = gen_maxcut_edge()
-        best_hi = max(
-            max_rho_pure_sigma(inst, sigma)[1]
-            for sigma in itertools.product((1, 2), repeat=2)
+        best = max(
+            max_rho_pure_sigma(inst, sigma) for sigma in itertools.product((1, 2), repeat=2)
         )
-        assert best_hi <= F(1, 3) + F(1, 10**9)
+        assert best == F(1, 3)
 
     def test_cost_kind_rejected(self):
         with pytest.raises(ValueError):
             max_rho_pure_sigma(gen_bwc_multipartite(2), (1, 1, 2, 2))
+
+    def test_supremum_approached_as_mu_grows(self):
+        # min_s u(s) / opt = 7/14 is the limit of mu -> infinity, and no
+        # finite mu reaches it: the bound t = mu/(1+mu) <= 1 is what binds
+        inst = make_instance(
+            GameKind.SWF, 2, 2, friendship_edges=[(1, 2)], machine_values=(1, 6),
+            edge_weights={(1, 2): 4},
+        )
+        rho = max_rho_pure_sigma(inst, (1, 1))
+        assert rho == F(1, 2)
+        lo, hi = max_rho_pure_sigma_by_bisection(inst, (1, 1))
+        assert lo < rho == hi
+
+    def test_zero_optimum_rejected(self):
+        with pytest.raises(ValueError, match="optimum value is 0"):
+            max_rho_pure_sigma(make_instance(GameKind.MAXCUT, 3, 2), (1, 2, 1))
+
+    def test_within_the_bisection_interval(self):
+        # the exact supremum lies in the interval that bisection brackets, on
+        # every payoff kind, weighted sharing included
+        seen = set()
+        for kind in (GameKind.SWC, GameKind.SWF, GameKind.MAXCUT):
+            for inst in kind_pool(kind, 8, n_max=4):
+                if inst.m < 2:
+                    continue
+                states = list(enumerate_states(inst))
+                for sigma in states[:: max(1, len(states) // 4)]:
+                    try:
+                        lo, hi = max_rho_pure_sigma_by_bisection(inst, sigma)
+                    except ValueError:  # zero optimum: no ratio to bracket
+                        assert oracle.optimum(inst)[1] == 0
+                        continue
+                    rho = max_rho_pure_sigma(inst, sigma)
+                    assert type(rho) is F and lo <= rho <= hi, (inst, sigma)
+                    seen.add((kind, bool(inst.edge_weights)))
+        assert {kind for kind, _ in seen} == {GameKind.SWC, GameKind.SWF, GameKind.MAXCUT}
+        assert any(weighted for _, weighted in seen)
 
 
 class TestCertificateParams:

@@ -1,8 +1,8 @@
 """Every enumeration pass as a reduction over the state table.
 
 The passes must give the lex-smallest tie across table blocks, keep their
-state-space guard, read no pointwise evaluation, and stay exact on the
-object dtype.  Expected values come from the Fraction API through
+state-space guard, read no pointwise evaluation (nor do the single-state
+LHS and the mixed expectations), and stay exact on the object dtype.  Expected values come from the Fraction API through
 ``reference_oracle``.
 """
 
@@ -18,7 +18,9 @@ from conflictgames.games import (
     canonical_deviation_profile,
     deviation_gain,
     make_instance,
+    point_mass_profile,
     social_value,
+    uniform_profile,
 )
 from conflictgames.instances import gen_random
 from conflictgames.oracle import OracleLimits, StateSpaceExceeded, enumerate_states
@@ -27,6 +29,7 @@ from conflictgames.smoothness import certificate_params, make_params
 from conftest import beyond_int64_pool
 from reference_oracle import (
     best_response_lhs_by_fractions,
+    expected_player_value_by_kind,
     extreme_state_by_fractions,
     profile_lhs_by_fractions,
     sandwich_by_fractions,
@@ -210,8 +213,14 @@ def test_table_passes_use_no_pointwise_evaluation(monkeypatch):
     assert dynamics.sandwich_constants(inst).a is not None
     assert dynamics.sandwich_constants(inst, states=[(1, 2, 3, 1)]).a is not None
     assert oracle.worst_cce_value(inst).distribution
-    lo, hi = smoothness.max_rho_pure_sigma(swc, (1, 2, 1, 2))
-    assert lo <= hi
+    assert smoothness.max_rho_pure_sigma(swc, (1, 2, 1, 2)) >= 0
+    profile = uniform_profile(inst)
+    assert smoothness.semi_smooth_lhs(inst, (1, 2, 3, 1), profile) > 0
+    assert oracle.expected_player_value(inst, profile, 2, 3) == (
+        expected_player_value_by_kind(inst, profile, 2, 3)
+    )
+    equilibrium = oracle.pure_nash_set(swc)[0][0]
+    assert oracle.verify_mixed_ne(swc, point_mass_profile(swc, equilibrium))
 
 
 class TestKeptTable:
@@ -267,3 +276,10 @@ class TestKeptTable:
         dynamics.sandwich_constants(inst)
         oracle.strong_nash_set(inst)
         assert built == [inst]
+        # the worst-CCE LP reads the same kept table as the scans
+        small = gen_random(3, 3, GameKind.SWC, F(1, 2), seed=3, weighted=True)
+        oracle.worst_cce_value(small)
+        oracle.optimum(small)
+        smoothness.check_semi_smooth(small, certificate_params(small.kind, 3, 3)[0])
+        oracle.worst_cce_value(small)
+        assert built == [inst, small]
