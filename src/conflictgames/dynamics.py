@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import oracle
-from .fastpath import StateEvaluator, to_internal, to_public
+from .fastpath import _INT64_BOUND, StateEvaluator, max_abs, to_internal, to_public
 from .games import GameKind, Instance, State, harmonic, validate_state
 from .oracle import DEFAULT_LIMITS, OracleLimits
 from .smoothness import certificate_params
@@ -148,16 +148,18 @@ def _max_ratio(num, den):
     """Exact maximum of num/den over a block (every den > 0) as a pair of
     Python ints; None for an empty block.  A float ratio only proposes the
     candidate: integer cross-multiplication confirms it, and any entry it
-    finds above the candidate becomes the next candidate."""
+    finds above the candidate becomes the next candidate.  The products stay
+    on int64 when max|num| * max|den| is below 2^63, else on object."""
     if not len(num):
         return None
-    num, den = num.astype(object), den.astype(object)  # exact products
+    if num.dtype == object or max_abs(num) * max_abs(den) >= _INT64_BOUND:
+        num, den = num.astype(object), den.astype(object)
     idx = int(np.argmax(num / den))
     while True:
         p, q = num[idx], den[idx]
         above = np.flatnonzero(num * q > den * p)
         if not above.size:
-            return p, q
+            return int(p), int(q)
         idx = above[0]
 
 

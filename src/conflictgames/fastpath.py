@@ -108,6 +108,9 @@ from .games import GameKind, Instance
 # magnitudes at or above this may overflow an int64 expression; use object
 _INT64_SAFE = 1 << 60
 
+# one int64 product or sum whose exact magnitude is below this cannot overflow
+_INT64_BOUND = 1 << 63
+
 # a move table whose gains reach this (in units of its unit) stays exact
 _FLOAT_SAFE = 1 << 1000
 
@@ -468,6 +471,11 @@ class Walk:
         self._set_terms(s)
         self._set_terms(t)
         return s
+
+
+def max_abs(a: np.ndarray) -> int:
+    """max |a| as a Python int (0 when empty), exact on int64 and object."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 def state_blocks(n: int, m: int) -> Iterator[np.ndarray]:

@@ -351,13 +351,12 @@ def worst_cce_value(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Cc
         socials.append(social)
         columns.append(diff.reshape(len(grid), -1))
     states = np.concatenate(grids).tolist()
-    deviation_rows = np.concatenate(columns).T.tolist()  # Python ints
     try:
         sol = simplex.solve(
             objective=np.concatenate(socials).tolist(),
             a_eq=[[1] * count],
             b_eq=[1],
-            a_ge=deviation_rows,
+            a_ge=np.concatenate(columns).T,
             b_ge=[0] * (inst.n * inst.m),
             maximize=ev.minimizes,
         )

@@ -185,14 +185,15 @@ def max_rho_pure_sigma(
     _, tables = scan_tables(inst, limits)
     lhs, social = [], []
     for _, (vals, _, u) in tables:
-        lhs += vals[:, np.arange(inst.n), sigma].sum(1).tolist()
-        social += u.tolist()
-    opt = max(social)
+        lhs.append(vals[:, np.arange(inst.n), sigma].sum(1))
+        social.append(u)
+    lhs, social = np.concatenate(lhs), np.concatenate(social)
+    opt = int(social.max())
     if opt == 0:
         raise ValueError("degenerate instance: the optimum value is 0, every ratio works")
     sol = simplex.solve(
-        objective=lhs + [1],
-        a_ge=[[1] * len(lhs) + [0], [l - u for l, u in zip(lhs, social)] + [1]],
+        objective=np.append(lhs, 1),
+        a_ge=[np.append(np.ones_like(lhs), 0), np.append(lhs - social, 1)],
         b_ge=[1, 0],
     )
     return sol.value / opt

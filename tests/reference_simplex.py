@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Optional, Sequence
 
 ZERO = Fraction(0)
@@ -31,6 +32,12 @@ class LpUnbounded(Exception):
 class LpSolution:
     value: Fraction
     x: tuple[Fraction, ...]
+
+
+def _exact(v) -> Fraction:
+    """``v`` as a Fraction of Python ints: numpy integers (array entries)
+    would carry their int64 arithmetic, and its overflow, into the Fraction."""
+    return Fraction(int(v)) if isinstance(v, Integral) else Fraction(v)
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
@@ -77,19 +84,19 @@ def solve(
 ) -> LpSolution:
     """Solve the LP; raises LpInfeasible / LpUnbounded accordingly."""
     nvars = len(objective)
-    cost = [Fraction(-c if maximize else c) for c in objective]
+    cost = [-_exact(c) if maximize else _exact(c) for c in objective]
 
     # Normalize rows to (coeffs, rhs >= 0, sense in {"eq", "ge", "le"}).
     rows: list[tuple[list[Fraction], Fraction, str]] = []
     for coeffs, rhs in zip(a_eq, b_eq):
-        line = [Fraction(v) for v in coeffs]
-        r = Fraction(rhs)
+        line = [_exact(v) for v in coeffs]
+        r = _exact(rhs)
         if r < 0:
             line, r = [-v for v in line], -r
         rows.append((line, r, "eq"))
     for coeffs, rhs in zip(a_ge, b_ge):
-        line = [Fraction(v) for v in coeffs]
-        r = Fraction(rhs)
+        line = [_exact(v) for v in coeffs]
+        r = _exact(rhs)
         sense = "ge"
         if r < 0:
             line, r, sense = [-v for v in line], -r, "le"

@@ -4,8 +4,10 @@ convergence verdicts."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from conflictgames import dynamics, oracle
 from conflictgames.dynamics import (
     check_convergence_theorems,
     random_start,
@@ -14,6 +16,7 @@ from conflictgames.dynamics import (
     steps_to_quality,
     trace_csv,
 )
+from conflictgames.fastpath import max_abs
 from conflictgames.games import GameKind, harmonic, make_instance
 from conflictgames.instances import (
     gen_bwc_multipartite,
@@ -22,7 +25,7 @@ from conflictgames.instances import (
 )
 from conflictgames.oracle import optimum, pure_nash_set, state_count
 
-from conftest import small_instance
+from conftest import ALL_KINDS, beyond_int64_pool, small_instance
 
 F = Fraction
 
@@ -146,6 +149,40 @@ class TestSandwich:
         inst = gen_bwc_multipartite(2)
         r = sandwich_constants(inst, states=[(1, 1, 2, 2), (1, 2, 1, 2)])
         assert (r.a, r.b) == (2, F(1, 2))
+
+    def test_max_ratio_on_int64_matches_object(self):
+        # the ratios sandwich_constants takes, on the kept table of every
+        # kind: where the int64 products are provably exact they must give
+        # the all-object maximum, and both the maximum over Fractions
+        on_int64, widened = set(), 0
+        pool = [small_instance(kind, seed) for kind in ALL_KINDS for seed in range(6)]
+        # an int64 table whose 38-bit values have 76-bit products
+        pool.append(make_instance(
+            GameKind.SWF, 4, 3, friendship_edges=[(1, 2), (3, 4), (2, 3)],
+            machine_values=(F(7, 2**30 + 3), F(1), F(2, 3)),
+        ))
+        for inst in pool + beyond_int64_pool():
+            _, tables = oracle.scan_tables(inst, oracle.DEFAULT_LIMITS, potential=True)
+            for _, (_, _, u, phi) in tables:
+                live = phi != 0
+                pairs = [(u[live], phi[live])]
+                live &= u != 0
+                pairs.append((phi[live], u[live]))
+                for num, den in pairs:
+                    got = dynamics._max_ratio(num, den)
+                    wide = dynamics._max_ratio(num.astype(object), den.astype(object))
+                    if not len(num):
+                        assert got is wide is None
+                        continue
+                    assert all(type(v) is int for v in got + wide)
+                    best = max(F(int(a), int(b)) for a, b in zip(num, den))
+                    assert F(*got) == F(*wide) == best
+                    if num.dtype == np.int64 and max_abs(num) * max_abs(den) < 2**63:
+                        on_int64.add(inst.kind)
+                    elif num.dtype == np.int64:
+                        widened += 1
+        assert on_int64 == set(ALL_KINDS)
+        assert widened
 
 
 class TestConvergenceVerdicts:

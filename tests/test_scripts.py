@@ -74,3 +74,20 @@ def test_scan_pass_times():
         "optimum", "pure NE", "semi-smooth", "nice", "floors", "sandwich", "strong", "all"
     ]
     assert all(len(line.split()) >= 3 for line in lines[2:])
+
+
+def test_lp_pivot_times():
+    lines = _run("lp_pivot_times.py", "--repeats", "1", "--bwc", "243")
+    assert lines[0] == "us per pivot, worst-CCE LP, lp cycle of 20 jobs (seed 1), best of 1"
+    assert lines[1].split() == ["LPs", "states", "pivots", "int64", "object", "us/pivot", "total", "s"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == [kind.value for kind in GameKind] + ["BwC"]
+    for row in rows:
+        pivots, on_int64, on_object = map(int, row[-5:-2])
+        assert pivots == on_int64 + on_object > 0
+    assert rows[-1][:6] == ["BwC", "243", "243", "844", "844", "0"]
+
+
+def test_lp_pivot_times_checks_its_sizes():
+    lines = _run("lp_pivot_times.py", "--bwc", "100", code=2)
+    assert lines[-1].endswith("--bwc sizes must be among [243, 256, 729, 1024]")

@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conflictgames.simplex import LpInfeasible, LpUnbounded, solve
+from conflictgames.simplex import LpInfeasible, LpUnbounded, _divide_exact, _integer_lines, solve
 
 F = Fraction
 
@@ -71,3 +72,48 @@ def test_solution_satisfies_constraints():
     for row, b in zip(a_ge, b_ge):
         assert sum(c * x for c, x in zip(row, sol.x)) >= b
     assert all(x >= 0 for x in sol.x)
+
+
+def test_integer_arrays_pass_through_unconverted():
+    small = np.array([3, -1], dtype=np.int64)
+    huge = np.array([2**70, 1], dtype=object)
+    lines, scale = _integer_lines([small, huge, [1, 2]])
+    assert scale == 1
+    assert lines[0] is small and lines[1] is huge
+    # a rational line scales the arrays too, on Python ints
+    lines, scale = _integer_lines([small, huge, [F(1, 2), 1]])
+    assert scale == 2
+    assert lines == [[6, -2], [2**71, 2], [1, 2]]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_array_input_matches_lists(dtype):
+    a_ge = [[2, -1, 1], [-1, -1, -1]]
+    b_ge = [1, -5]
+    expected = solve(objective=[1, 2, 3], a_ge=a_ge, b_ge=b_ge, maximize=True)
+    sol = solve(
+        objective=np.array([1, 2, 3], dtype=dtype),
+        a_ge=np.array(a_ge, dtype=dtype),
+        b_ge=b_ge,
+        maximize=True,
+    )
+    assert sol == expected
+    assert all(type(v.numerator) is int for v in (sol.value, *sol.x))
+
+
+@pytest.mark.parametrize("d, bound", [
+    (3**30, 2**40),  # odd: the products pass 2^64 and wrap
+    (2**45 * 3, 2**17),  # 45 twos leave 19 bits, one of them the sign
+    (7 * 2**10, 2**52),
+    (2**61, 2),
+])
+def test_exact_division_of_wrapped_multiples(d, bound):
+    rng = np.random.default_rng(d % 1000)
+    quotients = rng.integers(-bound, bound, size=200, dtype=np.int64)
+    quotients[:2] = (-bound, bound - 1)
+    # the multiples modulo 2^64, as int64 holds them after wrapping
+    held = np.array(
+        [(int(q) * d + 2**63) % 2**64 - 2**63 for q in quotients], dtype=np.int64
+    )
+    _divide_exact(held, d)
+    assert held.tolist() == quotients.tolist()

@@ -6,12 +6,14 @@ return the same exact solution, or raise the same exception.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_simplex
 from conflictgames import oracle, simplex
 from conflictgames.games import GameKind
+from conflictgames.instances import gen_random
 from conftest import ALL_KINDS, small_instance
 
 F = Fraction
@@ -132,3 +134,123 @@ def test_infeasible_and_unbounded_raise_alike(lp, error):
     assert_equivalent(lp)
     with pytest.raises(getattr(simplex, error)):
         simplex.solve(**lp)
+
+
+# ---------------------------------------------------------------------------
+# the int64 tableau and its one-way switch to object
+
+
+def _solve_tracing(module, lp):
+    """(outcome, pivots, dtypes): one (row, col, negative) per pivot, and the
+    dtype of each tableau the integer solver's pivot returned."""
+    real = module._pivot
+    pivots, dtypes = [], []
+
+    def tracing(tableau, basis, *rest):
+        row, col = rest[-2:]
+        pivots.append((row, col, bool(tableau[row][col] < 0)))
+        out = real(tableau, basis, *rest)
+        if module is simplex:
+            dtypes.append(out[0].dtype)
+        return out
+
+    module._pivot = tracing
+    try:
+        sol = module.solve(**lp)
+        return (sol.value, sol.x), pivots, dtypes
+    except (module.LpInfeasible, module.LpUnbounded) as exc:
+        return type(exc).__name__, pivots, dtypes
+    finally:
+        module._pivot = real
+
+
+def assert_same_pivots(lp) -> list:
+    """Both solvers make the same pivots, in order and sign, and agree on the
+    outcome; returns the dtype of the integer tableau after each pivot, which
+    switches from int64 to object at most once and never back."""
+    expected, ref_pivots, _ = _solve_tracing(reference_simplex, lp)
+    got, pivots, dtypes = _solve_tracing(simplex, lp)
+    assert got == expected
+    assert pivots == ref_pivots
+    switched = [dtype == object for dtype in dtypes]
+    assert switched == sorted(switched)
+    return dtypes
+
+
+def _cce_lp(inst) -> dict:
+    lps = []
+    real = simplex.solve
+
+    def recording(**lp):
+        lps.append(lp)
+        return real(**lp)
+
+    simplex.solve = recording
+    try:
+        oracle.worst_cce_value(inst)
+    finally:
+        simplex.solve = real
+    [lp] = lps
+    return lp
+
+
+def _scaled(lp, factor):
+    """The LP with every constraint row and right-hand side times factor:
+    the same pivots, the same solution, larger tableau entries."""
+    return dict(
+        lp,
+        a_eq=[[factor * v for v in row] for row in lp.get("a_eq", ())],
+        b_eq=[factor * v for v in lp.get("b_eq", ())],
+        a_ge=[[factor * v for v in row] for row in lp.get("a_ge", ())],
+        b_ge=[factor * v for v in lp.get("b_ge", ())],
+    )
+
+
+def test_sharing_cce_lp_switches_to_object_partway():
+    # SwC n=3 m=3: three pivots on int64, then 66 on object
+    inst = small_instance(GameKind.SWC, 1, n_max=3)
+    assert (inst.n, inst.m) == (3, 3)
+    dtypes = assert_same_pivots(_cce_lp(inst))
+    assert dtypes[0] == np.int64 and dtypes[-1] == object
+
+
+def test_complete_bwc_cce_lp_stays_on_int64():
+    # BwC(n=3, m=4, p=1): the benchmark's slowest lp slot
+    inst = gen_random(3, 4, GameKind.BWC, F(1), seed=1)
+    dtypes = assert_same_pivots(_cce_lp(inst))
+    assert len(dtypes) > 100
+    assert all(dtype == np.int64 for dtype in dtypes)
+
+
+def test_sharing_pool_cce_lps_end_on_object():
+    # the value scale d * lcm(1..n) makes the minors outgrow int64 by n = 3
+    ended = []
+    for kind in (GameKind.SWC, GameKind.SWF):
+        for seed in range(12):
+            inst = small_instance(kind, seed, n_max=3)
+            dtypes = assert_same_pivots(_cce_lp(inst))
+            if kind is GameKind.SWC and inst.n == 3:
+                ended.append(dtypes[-1])
+    assert len(ended) == 4 and all(dtype == object for dtype in ended)
+
+
+@SETTINGS
+@given(lps(), st.sampled_from([2**20, 3**19, 2**40, 2**70]))
+def test_scaled_lps_match_the_reference_pivot_for_pivot(lp, factor):
+    assert_same_pivots(_scaled(lp, factor))
+
+
+@pytest.mark.parametrize("factor, first", [(1, np.int64), (2**40, object), (2**70, object)])
+def test_negative_pivot_and_dropped_row_on_either_dtype(factor, first):
+    # the LP of test_negative_pivot_and_dropped_row: int64 throughout, on
+    # object from the first pivot, and on object from the start
+    lp = _scaled(
+        dict(objective=[1, F(1, 2)], a_eq=[[0, -1], [2, 2], [2, 1]], b_eq=[0, 2, 2]), factor
+    )
+    dtypes = assert_same_pivots(lp)
+    assert dtypes[0] == first
+    _, pivots, _ = _solve_tracing(simplex, lp)
+    assert any(negative for _, _, negative in pivots)
+    sol = simplex.solve(**lp)
+    assert sol.x == (F(1), F(0))
+    assert sol.value == 1
