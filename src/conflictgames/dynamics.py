@@ -149,18 +149,23 @@ def _max_ratio(num, den):
     Python ints; None for an empty block.  A float ratio only proposes the
     candidate: integer cross-multiplication confirms it, and any entry it
     finds above the candidate becomes the next candidate.  The products stay
-    on int64 when max|num| * max|den| is below 2^63, else on object."""
+    on int64 when max|num| * max|den| is below 2^63, else on object.
+
+    Each round moves to a strictly larger ratio, so ``len(num)`` rounds
+    suffice; more can only come from an inexact comparison, which raises
+    RuntimeError."""
     if not len(num):
         return None
     if num.dtype == object or max_abs(num) * max_abs(den) >= _INT64_BOUND:
         num, den = num.astype(object), den.astype(object)
     idx = int(np.argmax(num / den))
-    while True:
+    for _ in range(len(num)):
         p, q = num[idx], den[idx]
         above = np.flatnonzero(num * q > den * p)
         if not above.size:
             return int(p), int(q)
         idx = above[0]
+    raise RuntimeError(f"no maximum ratio after {len(num)} rounds: inexact comparison")
 
 
 def _pair_max(x, y):

@@ -15,10 +15,20 @@ are built:
   occupancy ``x`` (``alpha*x`` for the cost kinds, ``p_k/x`` for the sharing
   kinds, 0 for the cut game); ``pot[k][x]`` is the potential's machine term
   (``alpha*x^2``, ``p_k*H_x``, 0);
-* signed edges: ``edges`` holds ``(a, b, w)`` with ``w > 0`` for an edge that
-  counts when its ends share a machine (BwC/BwCF conflicts at beta, SwF
-  friends) and ``w < 0`` for one that counts when they are separated (BwF/BwCF
-  friends at gamma, SwC enemies, cut edges at 1); zero weights are dropped;
+* signed edges: two arrays, ``ends`` (``(2, E)`` int64, the 0-based ends of
+  each edge) and ``w`` (its weight), with ``w > 0`` for an edge that counts
+  when its ends share a machine (BwC/BwCF conflicts at beta, SwF friends) and
+  ``w < 0`` for one that counts when they are separated (BwF/BwCF friends at
+  gamma, SwC enemies, cut edges at 1); zero weights are dropped.  ``w`` is in
+  units of one Python int ``unit``, which divides every scaled weight: 1 for
+  the cost kinds and the cut game, ``lcm(1..n)`` for the sharing kinds.  So
+  ``w`` stays small: int64, and ``object`` only when a weight itself passes
+  int64.  The instance's edge sets are converted once, when the evaluator is
+  built, and every other edge quantity is derived from these arrays with
+  whole-array operations.  ``edges``, the same edges as ``(a, b, w)`` Python
+  triples in value-scale units, is built only on first use: the pointwise
+  evaluation and the mixed expectations read it, the state table and the
+  move table do not;
 * base: ``base[i]`` is the separated-edge weight at player ``i`` (what ``i``
   would collect with every such neighbour elsewhere), and ``w_sep`` is
   ``sum(base) / 2``.
@@ -78,7 +88,7 @@ Every enumeration pass reads the state table:
   ``value(analyze(s), i, k)``), ``cur[s, i]`` (the value at ``s``) and
   ``social = cur.sum(1)``, plus the potential when asked.  It is the same
   formula on arrays: a one-hot of the block, its loads, the neighbour weights
-  ``tab = W @ onehot`` (``W`` the n x n signed adjacency of ``edges``) and
+  ``tab = W @ onehot`` (``W`` the n x n signed adjacency of the edges) and
   ``mach[k][load + (s_i != k)] + base[i] + tab``;
 * dtype: int64 only when a bound computed from the tables shows that no value,
   no sum of values over all players and machines, and no multiple of such a
@@ -96,7 +106,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm, ldexp
 from operator import add
 from typing import Iterator
@@ -134,48 +144,91 @@ class StateEvaluator:
         # every use of the edges sums over them, so their order does not matter
         conf, fr = inst.conflict_edges, inst.friendship_edges
 
-        if inst.kind.minimizes:
-            den = lcm(inst.alpha.denominator, inst.beta.denominator, inst.gamma.denominator)
+        # groups of signed edges: (edge set, weight of each edge in units of
+        # ``unit``)
+        if self.minimizes:
+            combination = inst.alpha, inst.beta, inst.gamma
+            den = lcm(*(f.denominator for f in combination))
             self.value_scale = den
             self.potential_scale = 2 * den
-            a, b, g = int(inst.alpha * den), int(inst.beta * den), int(inst.gamma * den)
+            a, b, g = (f.numerator * (den // f.denominator) for f in combination)
             self.mach = [[a * x for x in range(n + 1)]] * m
             self.pot = [[a * x * x for x in range(n + 1)]] * m
-            signed = [(e, b) for e in conf] + [(e, -g) for e in fr]
+            unit = 1
+            groups = [(conf, b), (fr, -g)]
         elif inst.kind.sharing:
             explicit = inst.edge_weights or ()  # every other edge weighs 1
             dens = [p.denominator for p in inst.machine_values]
             dens += [w.denominator for _, w in explicit]
             d = lcm(*dens) if dens else 1
-            ell = lcm(*range(1, n + 1))
-            self.value_scale = d * ell
-            self.potential_scale = d * ell
+            unit = lcm(*range(1, n + 1))
+            self.value_scale = d * unit
+            self.potential_scale = d * unit
             p_scaled = [p.numerator * (d // p.denominator) for p in inst.machine_values]
             # index 0 is never read as a value and contributes 0 to sums
-            shares = [0] + [ell // x for x in range(1, n + 1)]
+            shares = [0] + [unit // x for x in range(1, n + 1)]
             self.mach = [[pk * q for q in shares] for pk in p_scaled]
             hsum = list(accumulate(shares))
             self.pot = [[pk * h for h in hsum] for pk in p_scaled]
             sign = -1 if inst.kind is GameKind.SWC else 1
             own = conf if inst.kind is GameKind.SWC else fr
-            scaled = dict.fromkeys(own, sign * d * ell)
-            scaled.update((e, sign * w.numerator * (d // w.denominator) * ell) for e, w in explicit)
-            signed = scaled.items()
+            groups = [(own - {e for e, _ in explicit} if explicit else own, sign * d)]
+            groups += [((e,), sign * w.numerator * (d // w.denominator)) for e, w in explicit]
         else:  # cut game
             self.value_scale = 1
             self.potential_scale = 1
             self.mach = [[0] * (n + 1)] * m
             self.pot = self.mach
-            signed = [(e, -1) for e in conf]
+            unit = 1
+            groups = [(conf, -1)]
 
-        self.edges = [(a - 1, b - 1, w) for (a, b), w in signed if w]
-        self.base = [0] * n
-        for a, b, w in self.edges:
-            if w < 0:
-                self.base[a] -= w
-                self.base[b] -= w
-        self.w_sep = sum(self.base) // 2
+        # every branch lists its positive weights before its negative ones;
+        # the first ``split`` edges are the positive ones
+        sets, counts, weights = [], [], []
+        split = top = w_sep = 0
+        for edges, w in groups:
+            if w and edges:
+                sets.append(edges)
+                counts.append(len(edges))
+                weights.append(w)
+                top = max(top, abs(w))
+                if w > 0:
+                    split += len(edges)
+                else:
+                    w_sep -= len(edges) * w
+        count = sum(counts)
+        self.w_sep = unit * w_sep
+        weights = np.array(weights, dtype=np.int64 if top < _INT64_BOUND else object)
+        # both ends of every edge, edge by edge, 0-based: a0, b0, a1, b1, ...
+        ends = np.fromiter(chain.from_iterable(chain(*sets)), np.int64, 2 * count) - 1
+        self.unit = unit
+        self.ends = ends.reshape(count, 2).T  # (2, E)
+        self.w = weights.repeat(counts)  # (E,), in units of ``unit``
+
+        # per player, in units of ``unit``: the separated weight (``_sep``,
+        # the base) and |w| summed over the edges at the player
+        # (``_touching``, which bounds every ``bt[i, k]`` of a move table), on
+        # object where a sum over all players could pass int64
+        w = self.w.astype(object) if top * 2 * count >= _INT64_BOUND else self.w
+        self._sep = np.zeros(n, dtype=w.dtype)
+        if split < count:
+            np.add.at(self._sep, ends[2 * split:], -w[split:].repeat(2))
+        self._touching = self._sep
+        if split:
+            self._touching = self._sep.copy()
+            np.add.at(self._touching, ends[:2 * split], w[:split].repeat(2))
         self._arrays_by_key = {}  # see _arrays and _edge_arrays
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int, int]]:
+        """The signed edges as ``(a, b, w)`` triples of Python ints, ``w`` in
+        value-scale units."""
+        return list(zip(*self.ends.tolist(), _times(self.w, self.unit)))
+
+    @cached_property
+    def base(self) -> list[int]:
+        """The separated weight at each player, in value-scale units."""
+        return _times(self._sep, self.unit)
 
     # -- conversions --------------------------------------------------------
 
@@ -233,17 +286,6 @@ class StateEvaluator:
     # -- the state table -------------------------------------------------------
 
     @cached_property
-    def _touching(self) -> list[int]:
-        """|w| summed over the edges at each player: every ``bt[i, k]`` of a
-        move table lies in ``[0, _touching[i]]``."""
-        touching = list(self.base)  # the negative edges
-        for a, b, w in self.edges:
-            if w > 0:
-                touching[a] += w
-                touching[b] += w
-        return touching
-
-    @cached_property
     def _mach_max(self) -> int:
         """The largest machine term.  Every machine term is >= 0 (alpha > 0,
         p_k >= 0) and monotone in the occupancy (``alpha*x`` rises, ``p_k/x``
@@ -251,20 +293,16 @@ class StateEvaluator:
         return max(max(row[1], row[-1]) for row in self.mach)
 
     @cached_property
-    def _columns(self) -> tuple[tuple, tuple, tuple]:
-        """``edges`` as three columns: first ends, second ends, weights."""
-        return tuple(zip(*self.edges)) or ((), (), ())
-
-    @cached_property
     def _magnitude(self) -> int:
         """Bound on |any table entry summed over all players and machines|
         and on |any potential|."""
-        value = self._mach_max + max(map(add, self.base, self._touching))
+        touching = self._touching.tolist()
+        value = self._mach_max + self.unit * max(map(add, self._sep.tolist(), touching))
         # the edges at all players count every edge twice, w_sep of them
         # negative
         potential = sum(row[-1] for row in self.pot) + (
             self.potential_scale // self.value_scale
-        ) * (self.w_sep + sum(self._touching) // 2)
+        ) * (self.w_sep + self.unit * (sum(touching) // 2))
         return max(self.n * self.m * value, potential)
 
     def dtype(self, factor: int = 1):
@@ -274,26 +312,34 @@ class StateEvaluator:
         return np.int64 if factor * self._magnitude < _INT64_SAFE else object
 
     def _edge_arrays(self, dtype, unit: int = 1):
-        """Edge ends, and as multiples of ``unit`` (which divides every edge
-        weight) the edge weights, the symmetric n x n signed adjacency and the
-        base of each player, in ``dtype``."""
+        """Edge ends, and as multiples of ``unit`` the edge weights, the
+        symmetric n x n signed adjacency and the base of each player, in
+        ``dtype``.  ``unit`` divides every edge weight, and either it divides
+        :attr:`unit` or :attr:`unit` divides it."""
         key = (dtype, unit)
         arrays = self._arrays_by_key.get(key)
         if arrays is None:
-            a, b, w = self._columns
-
-            def scaled(values):
-                if unit == 1:
-                    return np.array(values, dtype=dtype)
-                return (np.array(values, dtype=object) // unit).astype(dtype)
-
-            ends = np.array([a, b], dtype=np.int64).reshape(2, -1)
-            weights = scaled(w)
+            weights = self._rescaled(self.w, dtype, unit)
             adj = np.zeros((self.n, self.n), dtype=dtype)
-            adj[ends[0], ends[1]] = weights  # every pair appears once
-            adj[ends[1], ends[0]] = weights
-            arrays = self._arrays_by_key[key] = (ends, weights, adj, scaled(self.base))
+            ea, eb = self.ends
+            adj[ea, eb] = weights  # every pair appears once
+            adj[eb, ea] = weights
+            arrays = (self.ends, weights, adj, self._rescaled(self._sep, dtype, unit))
+            self._arrays_by_key[key] = arrays
         return arrays
+
+    def _rescaled(self, values, dtype, unit: int):
+        """``values``, in units of :attr:`unit`, in units of ``unit`` and in
+        ``dtype``; exact whenever the results fit ``dtype``."""
+        if unit % self.unit:
+            ratio, op = self.unit // unit, np.multiply
+        else:
+            ratio, op = unit // self.unit, np.floor_divide
+        if ratio != 1:
+            if dtype is object or ratio >= _INT64_BOUND:
+                values = values.astype(object)
+            values = op(values, ratio)
+        return values.astype(dtype, copy=False)
 
     def _arrays(self, dtype):
         """The tables of :meth:`table` as arrays of ``dtype``: mach (with one
@@ -352,8 +398,8 @@ class StateEvaluator:
         in units of ``unit``."""
         if self.dtype() is np.int64:
             return 1, None, np.int64
-        unit = gcd(self.value_scale, *set(self._columns[2]))
-        edges = max(self._touching) // unit
+        unit = self.unit * gcd(self.value_scale // self.unit, *set(self.w.tolist()))
+        edges = self.unit * max(self._touching.tolist()) // unit
         scale = edges + self._mach_max // unit + 1
         if scale >= _FLOAT_SAFE:
             return 1, None, object
@@ -471,6 +517,11 @@ class Walk:
         self._set_terms(s)
         self._set_terms(t)
         return s
+
+
+def _times(a: np.ndarray, factor: int) -> list[int]:
+    """``a`` times ``factor`` as a list of Python ints."""
+    return a.tolist() if factor == 1 else [x * factor for x in a.tolist()]
 
 
 def max_abs(a: np.ndarray) -> int:

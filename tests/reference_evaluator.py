@@ -1,0 +1,106 @@
+"""The evaluator's signed edges, set up edge by edge in Python.
+
+The reference for the array set-up of ``conflictgames.fastpath.StateEvaluator``,
+which converts the instance's edge sets once into an ``ends`` array and a
+small-weight array ``w`` and derives everything else from them;
+``test_evaluator_setup`` requires the same edges, per-player sums, move-table
+mode and edge arrays.  Here every signed edge is a Python triple in
+value-scale units, and each derived quantity is its own loop over them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import gcd, lcm, ldexp
+
+import numpy as np
+
+from conflictgames.fastpath import _FLOAT_SAFE, _INT64_SAFE, StateEvaluator
+from conflictgames.games import GameKind, Instance
+
+
+@dataclass
+class Setup:
+    n: int
+    value_scale: int
+    edges: list  # (a, b, w), 0-based ends, w in value-scale units
+    base: list
+    w_sep: int
+    touching: list
+
+
+def reference_setup(inst: Instance) -> Setup:
+    n = inst.n
+    conf, fr = inst.conflict_edges, inst.friendship_edges
+    if inst.kind.minimizes:
+        den = lcm(inst.alpha.denominator, inst.beta.denominator, inst.gamma.denominator)
+        value_scale = den
+        b, g = int(inst.beta * den), int(inst.gamma * den)
+        signed = [(e, b) for e in conf] + [(e, -g) for e in fr]
+    elif inst.kind.sharing:
+        explicit = inst.edge_weights or ()
+        dens = [p.denominator for p in inst.machine_values]
+        dens += [w.denominator for _, w in explicit]
+        d = lcm(*dens) if dens else 1
+        ell = lcm(*range(1, n + 1))
+        value_scale = d * ell
+        sign = -1 if inst.kind is GameKind.SWC else 1
+        own = conf if inst.kind is GameKind.SWC else fr
+        scaled = dict.fromkeys(own, sign * d * ell)
+        scaled.update((e, sign * w.numerator * (d // w.denominator) * ell) for e, w in explicit)
+        signed = scaled.items()
+    else:
+        value_scale = 1
+        signed = [(e, -1) for e in conf]
+
+    edges = [(a - 1, b - 1, w) for (a, b), w in signed if w]
+    base = [0] * n
+    for a, b, w in edges:
+        if w < 0:
+            base[a] -= w
+            base[b] -= w
+    touching = list(base)
+    for a, b, w in edges:
+        if w > 0:
+            touching[a] += w
+            touching[b] += w
+    return Setup(n, value_scale, edges, base, sum(base) // 2, touching)
+
+
+def magnitude(ref: Setup, ev: StateEvaluator) -> int:
+    """``StateEvaluator._magnitude`` from the reference sums and the
+    evaluator's machine terms."""
+    value = ev._mach_max + max(b + t for b, t in zip(ref.base, ref.touching))
+    potential = sum(row[-1] for row in ev.pot) + (ev.potential_scale // ev.value_scale) * (
+        ref.w_sep + sum(ref.touching) // 2
+    )
+    return max(ref.n * ev.m * value, potential)
+
+
+def move_mode(ref: Setup, ev: StateEvaluator):
+    """``StateEvaluator._move_mode`` from the reference edges."""
+    if magnitude(ref, ev) < _INT64_SAFE:
+        return 1, None, np.int64
+    unit = gcd(ref.value_scale, *{w for _, _, w in ref.edges})
+    edges = max(ref.touching) // unit
+    scale = edges + ev._mach_max // unit + 1
+    if scale >= _FLOAT_SAFE:
+        return 1, None, object
+    dtype = np.int64 if ref.n * edges < _INT64_SAFE else object
+    return unit, ldexp(scale, -49), dtype
+
+
+def edge_arrays(ref: Setup, dtype, unit: int = 1):
+    """``StateEvaluator._edge_arrays(dtype, unit)`` from the reference edges:
+    ends, weights, adjacency and base."""
+    a, b, w = tuple(zip(*ref.edges)) or ((), (), ())
+
+    def scaled(values):
+        return (np.array(values, dtype=object) // unit).astype(dtype)
+
+    ends = np.array([a, b], dtype=np.int64).reshape(2, -1)
+    weights = scaled(w)
+    adj = np.zeros((ref.n, ref.n), dtype=dtype)
+    adj[ends[0], ends[1]] = weights
+    adj[ends[1], ends[0]] = weights
+    return ends, weights, adj, scaled(ref.base)

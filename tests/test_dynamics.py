@@ -184,6 +184,17 @@ class TestSandwich:
         assert on_int64 == set(ALL_KINDS)
         assert widened
 
+    def test_max_ratio_raises_on_an_inexact_comparison(self, monkeypatch):
+        # 40-bit entries whose int64 products wrap around: with the bound
+        # lifted, the wrapped comparisons send the candidate round a cycle
+        num = np.array([163567761245, 1069416690308, 978494491486])
+        den = np.array([904209585762, 527752303419, 255496727124])
+        best = max(F(int(a), int(b)) for a, b in zip(num, den))
+        assert F(*dynamics._max_ratio(num, den)) == best
+        monkeypatch.setattr(dynamics, "_INT64_BOUND", 1 << 200)
+        with pytest.raises(RuntimeError, match="inexact comparison"):
+            dynamics._max_ratio(num, den)
+
 
 class TestConvergenceVerdicts:
     def test_cost_kind_rows_pass(self):

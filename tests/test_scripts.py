@@ -60,9 +60,14 @@ def test_run_reproduction_checks_trials(tmp_path):
 
 def test_br_step_times():
     lines = _run("br_step_times.py", "--n", "12", "--repeats", "1")
-    assert lines[0] == "us per BR step, n=12, edge probability 1/16, best of 1"
+    assert lines[0] == (
+        "us per BR step and us of set-up per run, n=12, edge probability 1/16, best of 1"
+    )
     assert [line.split()[0] for line in lines[1:]] == [kind.value for kind in GameKind]
-    assert all("us/step" in line for line in lines[1:])
+    for line in lines[1:]:
+        per_step, setup = line.split(":")[1].split(",")
+        assert per_step.split()[1] == "us/step" and float(per_step.split()[0]) > 0
+        assert setup.split()[1:] == ["us", "set-up"] and float(setup.split()[0]) > 0
 
 
 def test_scan_pass_times():

@@ -21,12 +21,25 @@ F = Fraction
 SETTINGS = settings(max_examples=100, deadline=None)
 
 
-def _solve_counting(module, lp):
-    """(outcome, pivot signs): outcome is (value, x) or the exception name."""
+class PivotBudgetExceeded(AssertionError):
+    """The integer solver pivots more often than the reference did: its
+    arithmetic is wrong, and Bland's rule on wrong entries may never stop."""
+
+
+def _check_budget(pivots, budget):
+    if budget is not None and len(pivots) >= budget:
+        raise PivotBudgetExceeded(f"more than the reference's {budget} pivots")
+
+
+def _solve_counting(module, lp, budget=None):
+    """(outcome, pivot signs): outcome is (value, x) or the exception name.
+    With a ``budget``, the pivot after that many raises
+    :class:`PivotBudgetExceeded`."""
     real = module._pivot
     signs = []
 
     def counting(tableau, basis, *rest):
+        _check_budget(signs, budget)
         row, col = rest[-2:]
         signs.append(tableau[row][col] < 0)
         return real(tableau, basis, *rest)
@@ -45,7 +58,7 @@ def assert_equivalent(lp) -> list[bool]:
     """Both solvers agree on the outcome and the pivot count; returns the
     integer solver's pivot signs (True for a negative pivot)."""
     expected, ref_signs = _solve_counting(reference_simplex, lp)
-    got, signs = _solve_counting(simplex, lp)
+    got, signs = _solve_counting(simplex, lp, budget=len(ref_signs))
     assert got == expected
     assert len(signs) == len(ref_signs)
     return signs
@@ -57,19 +70,37 @@ def cce_pool():
     return pool
 
 
-def test_worst_cce_lps_match_the_reference(monkeypatch):
+class _Recorded(Exception):
+    pass
+
+
+def _cce_lp(inst) -> dict:
+    """The LP that ``oracle.worst_cce_value(inst)`` solves, taken from its
+    call to ``simplex.solve``, which is never made: every integer solve
+    happens under a pivot budget."""
     lps = []
-    real = simplex.solve
 
     def recording(**lp):
         lps.append(lp)
-        return real(**lp)
+        raise _Recorded
 
-    monkeypatch.setattr(simplex, "solve", recording)
+    real = simplex.solve
+    simplex.solve = recording
+    try:
+        oracle.worst_cce_value(inst)
+    except _Recorded:
+        pass
+    finally:
+        simplex.solve = real
+    [lp] = lps
+    return lp
+
+
+def test_worst_cce_lps_match_the_reference():
+    lps = []
     for inst in cce_pool():
         assert inst.m ** inst.n <= 81
-        oracle.worst_cce_value(inst)
-    monkeypatch.undo()
+        lps.append(_cce_lp(inst))
     assert {len(lp["objective"]) for lp in lps} >= {1, 27, 81}
     for lp in lps:
         assert all(type(v) is int for v in lp["objective"])
@@ -140,13 +171,15 @@ def test_infeasible_and_unbounded_raise_alike(lp, error):
 # the int64 tableau and its one-way switch to object
 
 
-def _solve_tracing(module, lp):
+def _solve_tracing(module, lp, budget=None):
     """(outcome, pivots, dtypes): one (row, col, negative) per pivot, and the
-    dtype of each tableau the integer solver's pivot returned."""
+    dtype of each tableau the integer solver's pivot returned.  With a
+    ``budget``, the pivot after that many raises :class:`PivotBudgetExceeded`."""
     real = module._pivot
     pivots, dtypes = [], []
 
     def tracing(tableau, basis, *rest):
+        _check_budget(pivots, budget)
         row, col = rest[-2:]
         pivots.append((row, col, bool(tableau[row][col] < 0)))
         out = real(tableau, basis, *rest)
@@ -169,29 +202,12 @@ def assert_same_pivots(lp) -> list:
     outcome; returns the dtype of the integer tableau after each pivot, which
     switches from int64 to object at most once and never back."""
     expected, ref_pivots, _ = _solve_tracing(reference_simplex, lp)
-    got, pivots, dtypes = _solve_tracing(simplex, lp)
+    got, pivots, dtypes = _solve_tracing(simplex, lp, budget=len(ref_pivots))
     assert got == expected
     assert pivots == ref_pivots
     switched = [dtype == object for dtype in dtypes]
     assert switched == sorted(switched)
     return dtypes
-
-
-def _cce_lp(inst) -> dict:
-    lps = []
-    real = simplex.solve
-
-    def recording(**lp):
-        lps.append(lp)
-        return real(**lp)
-
-    simplex.solve = recording
-    try:
-        oracle.worst_cce_value(inst)
-    finally:
-        simplex.solve = real
-    [lp] = lps
-    return lp
 
 
 def _scaled(lp, factor):
@@ -249,7 +265,7 @@ def test_negative_pivot_and_dropped_row_on_either_dtype(factor, first):
     )
     dtypes = assert_same_pivots(lp)
     assert dtypes[0] == first
-    _, pivots, _ = _solve_tracing(simplex, lp)
+    _, pivots, _ = _solve_tracing(simplex, lp, budget=len(dtypes))
     assert any(negative for _, _, negative in pivots)
     sol = simplex.solve(**lp)
     assert sol.x == (F(1), F(0))
