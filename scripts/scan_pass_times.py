@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Time each exhaustive scan pass, with the state table built afresh (cold)
-and read from the table the previous pass kept (warm).
+and read from the table the previous pass kept (warm), and the table build on
+its own.
 
 One cycle is one cycle of the benchmark's scan workload, drawn by
 ``perfbench/workloads.py`` from ``--seed``: twelve instances of 1024-2187
 states, all six kinds, with the strong scan on the three m = 3 ones.  Each
 pass is timed cold (the kept table dropped just before the call, so the pass
-builds its own) and then warm (right after, on the table it kept).  The best
-of ``--repeats`` cycles is printed in milliseconds per cycle.
+builds its own) and then warm (right after, on the table it kept).  The last
+line times the build alone: ``oracle._whole_table`` with no table kept, once
+per instance, which is what each cold pass pays on top of its warm time.
+The best of ``--repeats`` cycles is printed in milliseconds per cycle.
 
 Usage:
     python scripts/scan_pass_times.py [--seed 1] [--repeats 3]
@@ -44,9 +47,15 @@ def main() -> int:
 
     jobs = workloads.generate(workloads.WORKLOADS["scan"], args.seed, 1)
     best = {name: [float("inf"), float("inf")] for name, _ in PASSES}
+    build = float("inf")
     for _ in range(args.repeats):
         spent = {name: [0.0, 0.0] for name, _ in PASSES}
+        built = 0.0
         for job in jobs:
+            oracle._kept = None
+            t0 = time.perf_counter()
+            oracle._whole_table(job.inst)
+            built += time.perf_counter() - t0
             for name, run in PASSES:
                 if name == "strong" and not job.strong:
                     continue
@@ -57,6 +66,7 @@ def main() -> int:
                     spent[name][warm] += time.perf_counter() - t0
         for name, pair in spent.items():
             best[name] = [min(b, s) for b, s in zip(best[name], pair)]
+        build = min(build, built)
 
     print(f"ms per scan pass, one cycle of {len(jobs)} instances (seed {args.seed}), "
           f"best of {args.repeats}")
@@ -65,6 +75,7 @@ def main() -> int:
         print(f"  {name:12} {1e3 * cold:8.2f} {1e3 * warm:8.2f}")
     cold, warm = (sum(pair[k] for pair in best.values()) for k in (0, 1))
     print(f"  {'all':12} {1e3 * cold:8.2f} {1e3 * warm:8.2f}")
+    print(f"  {'table build':12} {1e3 * build:8.2f}")
     return 0
 
 

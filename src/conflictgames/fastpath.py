@@ -79,17 +79,26 @@ Every enumeration pass reads the state table:
 
 * blocks: :func:`state_blocks` yields the m^n states in lex order as ``(S, n)``
   int64 arrays, built from the mixed-radix digits of ``arange``; a block holds
-  at most ``_BLOCK_CELLS`` (state, player, machine) cells, so memory stays flat
-  however many states there are.  :func:`conflictgames.oracle.scan_tables`
-  keeps the whole table of one instance between passes when it has at most
-  ``_TABLE_CELLS`` cells, and streams the blocks of a larger one;
+  at most ``_BLOCK_CELLS`` (2^16) (state, player, machine) cells, so memory
+  stays flat however many states there are.
+  :func:`conflictgames.oracle.scan_tables` keeps the whole table of one
+  instance between passes, as one block, when it has at most ``_TABLE_CELLS``
+  cells, and streams the blocks of a larger one;
 * table: :meth:`StateEvaluator.table` turns a block into ``vals[s, i, k]`` (the
   value of player ``i`` on machine ``k`` with everyone else at ``s``, equal to
   ``value(analyze(s), i, k)``), ``cur[s, i]`` (the value at ``s``) and
   ``social = cur.sum(1)``, plus the potential when asked.  It is the same
   formula on arrays: a one-hot of the block, its loads, the neighbour weights
-  ``tab = W @ onehot`` (``W`` the n x n signed adjacency of the edges) and
-  ``mach[k][load + (s_i != k)] + base[i] + tab``;
+  ``tab = onehot @ W`` (``W`` the n x n signed adjacency of the edges) and
+  ``mach[k][load + (s_i != k)] + base[i] + tab``.  On int64 the product runs
+  on float64 (BLAS) when the |w| summed at any one player is below 2^53:
+  every partial sum is then an integer below 2^53, exact in any order, and
+  the result is cast back; otherwise it runs on int64 or ``object``.  The
+  potential needs no pass over the edges: ``social`` is the machine terms
+  ``sum_k load_k * mach[k][load_k]`` plus ``2 * (w_sep + co-located
+  weight)``, so the edge part of the potential is half of what is left
+  (times ``potential_scale / value_scale``), the way :class:`Walk` derives
+  its aggregates;
 * dtype: int64 only when a bound computed from the tables shows that no value,
   no sum of values over all players and machines, and no multiple of such a
   sum by the caller's ``factor`` (its slack combination) can reach
@@ -121,11 +130,15 @@ _INT64_SAFE = 1 << 60
 # one int64 product or sum whose exact magnitude is below this cannot overflow
 _INT64_BOUND = 1 << 63
 
+# integers below this in magnitude, and their sums while below it, are exact
+# on float64
+_FLOAT_EXACT = 1 << 53
+
 # a move table whose gains reach this (in units of its unit) stays exact
 _FLOAT_SAFE = 1 << 1000
 
 # upper bound on the (state, player, machine) cells of one table block
-_BLOCK_CELLS = 1 << 13
+_BLOCK_CELLS = 1 << 16
 
 # upper bound on the cells of a whole state table kept between scan passes;
 # a larger table streams block by block
@@ -344,18 +357,19 @@ class StateEvaluator:
     def _arrays(self, dtype):
         """The tables of :meth:`table` as arrays of ``dtype``: mach (with one
         spare column, so that ``load + 1`` is a valid index even when everyone
-        shares a machine), base, the adjacency, pot, edge ends, edge
-        weights."""
+        shares a machine), base, the adjacency and pot.  On int64 the
+        adjacency is float64 when every neighbour sum is exact there (see
+        :meth:`table`)."""
         arrays = self._arrays_by_key.get(dtype)
         if arrays is None:
-            ends, weights, adj, base = self._edge_arrays(dtype)
+            _, _, adj, base = self._edge_arrays(dtype)
+            if dtype is np.int64 and int(self._touching.max()) * self.unit < _FLOAT_EXACT:
+                adj = adj.astype(np.float64)
             arrays = self._arrays_by_key[dtype] = (
                 np.array([row + [0] for row in self.mach], dtype=dtype),
                 base,
                 adj,
                 np.array(self.pot, dtype=dtype),
-                ends,
-                weights,
             )
         return arrays
 
@@ -366,25 +380,29 @@ class StateEvaluator:
         ``vals`` is indexed ``[s, i, k]`` but laid out machine-major, so the
         reductions over machines are elementwise operations on ``(S, n)``
         slices."""
-        mach, base, adj, pot, (ea, eb), weights = self._arrays(self.dtype(factor))
-        count, m = len(grid), self.m
+        dtype = self.dtype(factor)
+        mach, base, adj, pot = self._arrays(dtype)
+        count, n, m = len(grid), self.n, self.m
         machines = np.arange(m)
         onehot = grid == machines[:, None, None]  # [k, s, i]
         loads = np.bincount((grid + m * np.arange(count)[:, None]).ravel(), minlength=count * m)
         loads = loads.reshape(count, m)
-        here = mach[machines, loads].T[:, :, None]  # i on k already
+        here = mach[machines, loads]  # [s, k]: a player on k already
         there = mach[machines, loads + 1].T[:, :, None]  # i joins k
-        tab = onehot.astype(adj.dtype) @ adj  # [k, s, i]: neighbour weight on k
-        vals = np.where(onehot, here, there) + base + tab
+        # [k, s, i]: neighbour weight on k; on float64 every partial sum is
+        # an integer below 2^53, so the product is exact in any order
+        tab = (onehot.reshape(m * count, n).astype(adj.dtype) @ adj).astype(dtype, copy=False)
+        vals = tab.reshape(m, count, n)  # a new array: add in place
+        vals += base
+        vals += np.where(onehot, here.T[:, :, None], there)
         cur = (vals * onehot).sum(0)
         vals = vals.transpose(1, 2, 0)
         social = cur.sum(1)
         if not potential:
             return vals, cur, social
-        colocated = (grid[:, ea] == grid[:, eb]).astype(weights.dtype) @ weights
-        phi = pot[machines, loads].sum(1) + (self.potential_scale // self.value_scale) * (
-            self.w_sep + colocated
-        )
+        # social is the machine terms plus 2 * (w_sep + co-located weight)
+        edges = (social - (loads * here).sum(1)) // 2
+        phi = pot[machines, loads].sum(1) + self.potential_scale // self.value_scale * edges
         return vals, cur, social, phi
 
     @cached_property

@@ -3,8 +3,9 @@ exact expectations for product profiles, and the worst coarse-correlated
 equilibrium via an exact-rational LP.
 
 Enumeration passes, the worst-CCE LP's columns included, are array
-reductions over the evaluator's state table, block by block; every reported
-value is an exact Fraction.  Ties (optimum, worst equilibrium) always resolve
+reductions over the evaluator's state table: the whole kept table at once,
+or block by block past the budget; every reported value is an exact
+Fraction.  Ties (optimum, worst equilibrium) always resolve
 to the lexicographically smallest state, so results are deterministic.
 
 Expectations under a product profile read the evaluator's machine terms,
@@ -18,9 +19,15 @@ one dropped before the next is built), so the optimum, the Nash and strong
 sets, the smoothness and niceness checks, the floors and the sandwich
 constants over one instance share one evaluator and one table build.
 
-* kept: every block, its states as a player-major small-int array (read
-  through a transposed view) and ``vals``, ``cur``, ``social`` and the
-  potential at the evaluator's ``dtype()``, all read-only;
+* kept: one block over all states, its states as a player-major small-int
+  array (read through a transposed view) and ``vals`` (machine-major, as
+  :meth:`StateEvaluator.table` lays it out), ``cur``, ``social`` and the
+  potential at the evaluator's ``dtype()``, all read-only.  A table of one
+  build block keeps the arrays :meth:`StateEvaluator.table` returned; a
+  larger one is filled block by block into arrays allocated once, so the
+  build never holds more than one block's temporaries.  Every pass over it is
+  one reduction, and the equilibrium lists are built from whole arrays (one
+  ``tolist`` of the states, one Fraction per distinct value);
 * budget: a table of more than ``fastpath._TABLE_CELLS`` (state, player,
   machine) cells is not kept and streams block by block as before, so memory
   stays flat up to ``max_states``;
@@ -47,7 +54,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import simplex
-from .fastpath import _INT64_SAFE  # noqa: F401 -- kept importable from here
 from .fastpath import _TABLE_CELLS, StateEvaluator, state_blocks, to_public
 from .games import (
     GameKind,
@@ -100,25 +106,42 @@ _kept: Optional[tuple] = None
 
 
 def _whole_table(inst: Instance):
-    """(evaluator, blocks) of ``inst``, each block ``(grid, (vals, cur,
-    social, potential))`` at ``dtype()`` and read-only; blocks is None when
-    the table has more than ``_TABLE_CELLS`` cells.  The last table within
-    that budget is kept, so the passes over one instance build it once."""
+    """(evaluator, blocks) of ``inst``: one block ``(grid, (vals, cur,
+    social, potential))`` over all states, at ``dtype()`` and read-only;
+    blocks is None when the table has more than ``_TABLE_CELLS`` cells.  The
+    last table within that budget is kept, so the passes over one instance
+    build it once."""
     global _kept
     if _kept is not None and _kept[0] == inst:
         return _kept[1:]
     _kept = None  # free the last table before building the next
     ev = StateEvaluator(inst)
-    if state_count(inst) * inst.n * inst.m > _TABLE_CELLS:
+    n, m, count = inst.n, inst.m, state_count(inst)
+    if count * n * m > _TABLE_CELLS:
         return ev, None
-    blocks = []
-    for grid in state_blocks(inst.n, inst.m):
-        # the states as a view of player-major machine indexes
-        grid = grid.T.astype(np.min_scalar_type(inst.m - 1), order="C").T
-        table = ev.table(grid, potential=True)
-        for array in (grid, *table):
-            array.flags.writeable = False
-        blocks.append((grid, table))
+    # the states as a view of player-major machine indexes
+    grid = np.empty((n, count), dtype=np.min_scalar_type(m - 1)).T
+    whole = None
+    start = 0
+    for block in state_blocks(n, m):
+        table = ev.table(block, potential=True)
+        if len(block) == count:  # one build block: keep its arrays
+            grid[:] = block
+            whole = table
+            break
+        if whole is None:  # vals machine-major, as table() lays it out
+            dtype = table[0].dtype
+            vals = np.empty((m, count, n), dtype=dtype).transpose(1, 2, 0)
+            whole = (vals, np.empty((count, n), dtype), np.empty(count, dtype),
+                     np.empty(count, dtype))
+        stop = start + len(block)
+        grid[start:stop] = block
+        for array, part in zip(whole, table):
+            array[start:stop] = part
+        start = stop
+    for array in (grid, *whole):
+        array.flags.writeable = False
+    blocks = [(grid, whole)]
     _kept = (inst, ev, blocks)
     return ev, blocks
 
@@ -185,9 +208,12 @@ def worst_social_state(
 
 
 def pure_ne_flags(ev: StateEvaluator, vals, cur):
-    """Per state: no player has a strictly better machine."""
-    best = vals.min(2) if ev.minimizes else vals.max(2)
-    return (cur == best).all(1)
+    """Per state: no player has a strictly better machine.  One machine at a
+    time, so a whole kept table needs only boolean temporaries."""
+    stay = np.ones(cur.shape, dtype=bool)
+    for k in range(vals.shape[2]):
+        stay &= (vals[:, :, k] >= cur) if ev.minimizes else (vals[:, :, k] <= cur)
+    return stay.all(1)
 
 
 def pure_nash_set(
@@ -197,9 +223,19 @@ def pure_nash_set(
     ev, tables = scan_tables(inst, limits)
     out = []
     for grid, (vals, cur, social) in tables:
-        for idx in np.flatnonzero(pure_ne_flags(ev, vals, cur)):
-            out.append((to_public(grid[idx].tolist()), ev.as_value(int(social[idx]))))
+        idx = np.flatnonzero(pure_ne_flags(ev, vals, cur))
+        out += _valued_states(ev, grid[idx], social[idx])
     return out
+
+
+def _valued_states(ev: StateEvaluator, grid, social) -> list[tuple[State, Fraction]]:
+    """``(public state, value)`` pairs of the rows of ``grid``, an ``(S, n)``
+    array of internal states, and their scaled social values."""
+    social = social.tolist()
+    value = {v: ev.as_value(v) for v in set(social)}
+    # on int64: a kept grid of uint8 would wrap at m = 256
+    states = (grid.astype(np.int64) + 1).tolist()
+    return [(tuple(state), value[v]) for state, v in zip(states, social)]
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +279,7 @@ def strong_nash_set(
     )
     candidates = np.flatnonzero(np.concatenate(flags))
     step = max(1, _STRONG_CELLS // len(social))
-    out = []
+    strong = np.zeros(len(social), dtype=bool)
     for start in range(0, len(candidates), step):
         chunk = candidates[start : start + step]
         # refutes[c, j]: at states[j] every player so far stays or is better
@@ -259,9 +295,9 @@ def strong_nash_set(
             states, refutes = states[live], refutes.take(live, axis=1)
         # the candidate itself is the one state where nobody moves
         refutes &= states != chunk[:, None]
-        for idx in chunk[~refutes.any(1)]:
-            out.append((to_public(machine[:, idx].tolist()), ev.as_value(int(social[idx]))))
-    return out
+        strong[chunk[~refutes.any(1)]] = True
+    idx = np.flatnonzero(strong)
+    return _valued_states(ev, machine[:, idx].T, social[idx])
 
 
 # ---------------------------------------------------------------------------

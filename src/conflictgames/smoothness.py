@@ -83,7 +83,7 @@ def semi_smooth_lhs(inst: Instance, state: State, profile: MixedProfile) -> Frac
     ev = StateEvaluator(inst)
     t, weights = deviation_weights(profile)
     vals = ev.table(np.array([to_internal(state)]), factor=t)[0]
-    return Fraction(int((vals[0] * weights).sum()), t * ev.value_scale)
+    return Fraction(int(_weighted_sum(vals, weights)[0]), t * ev.value_scale)
 
 
 def _worst_slack(inst, params, limits, t: int, lhs_of) -> SmoothnessVerdict:
@@ -137,9 +137,17 @@ def check_semi_smooth(
     else:
         validate_profile(inst, profile)
     t, weights = deviation_weights(profile)
-    return _worst_slack(
-        inst, params, limits, t, lambda vals: (vals * weights).sum((1, 2))
-    )
+    return _worst_slack(inst, params, limits, t, lambda vals: _weighted_sum(vals, weights))
+
+
+def _weighted_sum(vals, weights):
+    """``sum_ik weights[i, k] * vals[s, i, k]`` at every state, one machine at
+    a time: each ``vals[:, :, k]`` of a state table is contiguous, so this
+    needs no (state, player, machine) temporary."""
+    lhs = vals[:, :, 0] @ weights[:, 0]
+    for k in range(1, vals.shape[2]):
+        lhs += vals[:, :, k] @ weights[:, k]
+    return lhs
 
 
 def deviation_weights(profile: MixedProfile) -> tuple[int, np.ndarray]:

@@ -1,4 +1,5 @@
-"""The evaluator's signed edges, set up edge by edge in Python.
+"""The evaluator's signed edges, set up edge by edge in Python, and the state
+table from them state by state.
 
 The reference for the array set-up of ``conflictgames.fastpath.StateEvaluator``,
 which converts the instance's edge sets once into an ``ends`` array and a
@@ -6,10 +7,13 @@ small-weight array ``w`` and derives everything else from them;
 ``test_evaluator_setup`` requires the same edges, per-player sums, move-table
 mode and edge arrays.  Here every signed edge is a Python triple in
 value-scale units, and each derived quantity is its own loop over them.
+:func:`reference_table` is the reference for the state table that
+``conflictgames.oracle`` keeps between passes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, ldexp
 
@@ -104,3 +108,36 @@ def edge_arrays(ref: Setup, dtype, unit: int = 1):
     adj[ends[0], ends[1]] = weights
     adj[ends[1], ends[0]] = weights
     return ends, weights, adj, scaled(ref.base)
+
+
+def reference_table(inst: Instance):
+    """``(vals, cur, social, potential)`` of ``StateEvaluator.table`` over all
+    states in lex order, as nested lists of Python ints, one state at a time
+    from the reference edges.  The machine terms ``mach`` and ``pot`` are the
+    evaluator's."""
+    ev = StateEvaluator(inst)
+    ref = reference_setup(inst)
+    n, m = inst.n, inst.m
+    vals, cur, social, potential = [], [], [], []
+    for state in itertools.product(range(m), repeat=n):
+        loads = [state.count(k) for k in range(m)]
+        neighbours = [[0] * m for _ in range(n)]  # signed weight of i's neighbours on k
+        colocated = 0
+        for a, b, w in ref.edges:
+            neighbours[a][state[b]] += w
+            neighbours[b][state[a]] += w
+            if state[a] == state[b]:
+                colocated += w
+        row = [
+            [ev.mach[k][loads[k] + (state[i] != k)] + ref.base[i] + neighbours[i][k]
+             for k in range(m)]
+            for i in range(n)
+        ]
+        vals.append(row)
+        cur.append([row[i][state[i]] for i in range(n)])
+        social.append(sum(cur[-1]))
+        potential.append(
+            sum(ev.pot[k][loads[k]] for k in range(m))
+            + ev.potential_scale // ev.value_scale * (ref.w_sep + colocated)
+        )
+    return vals, cur, social, potential

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from conflictgames import fastpath
 from conflictgames.fastpath import (
-    _BLOCK_CELLS,
     StateEvaluator,
     state_blocks,
     to_internal,
@@ -20,6 +20,7 @@ from conflictgames.fastpath import (
 )
 from conflictgames.games import (
     GameKind,
+    make_instance,
     player_value,
     player_values,
     potential,
@@ -94,13 +95,16 @@ def _assert_table_matches_pointwise(ev):
     return vals.dtype
 
 
-def test_state_blocks_cover_every_state_in_lex_order():
-    for n, m in ((1, 1), (1, 3), (3, 1), (4, 3), (10, 2), (11, 2), (5, 4)):
-        blocks = list(state_blocks(n, m))
-        assert all(b.dtype == np.int64 and b.shape[1] == n for b in blocks)
-        assert all(len(b) * n * m <= _BLOCK_CELLS for b in blocks)
-        states = [tuple(s) for b in blocks for s in b.tolist()]
-        assert states == list(itertools.product(range(m), repeat=n))
+def test_state_blocks_cover_every_state_in_lex_order(monkeypatch):
+    # the default blocks, and blocks small enough that 1024 states need several
+    for cells in (fastpath._BLOCK_CELLS, 1 << 13):
+        monkeypatch.setattr(fastpath, "_BLOCK_CELLS", cells)
+        for n, m in ((1, 1), (1, 3), (3, 1), (4, 3), (10, 2), (11, 2), (5, 4)):
+            blocks = list(state_blocks(n, m))
+            assert all(b.dtype == np.int64 and b.shape[1] == n for b in blocks)
+            assert all(len(b) * n * m <= cells for b in blocks)
+            states = [tuple(s) for b in blocks for s in b.tolist()]
+            assert states == list(itertools.product(range(m), repeat=n))
     assert len(list(state_blocks(10, 2))) > 1
 
 
@@ -126,3 +130,19 @@ def test_table_dtype_covers_the_callers_scaling():
     wide = ev.table(grid, factor=1 << 60)
     assert wide[0].dtype == object
     assert all(a.tolist() == b.tolist() for a, b in zip(ev.table(grid), wide))
+
+
+def test_neighbour_sums_on_float64_only_while_exact():
+    # a weight of 2^53 + 1 rounds on float64, so its sums take the integer
+    # product; with every |w| sum at one player below 2^53 they are exact on
+    # float64 and take the float product
+    for beta, on_float in ((2**53 + 1, False), (2**52 - 1, True)):
+        inst = make_instance(
+            GameKind.BWCF, 3, 2, conflict_edges=[(1, 2), (2, 3)],
+            alpha=F(1), beta=F(beta), gamma=F(0),
+        )
+        ev = StateEvaluator(inst)
+        assert ev.dtype() is np.int64
+        adjacency = ev._arrays(np.int64)[2]
+        assert (adjacency.dtype == np.float64) is on_float
+        assert _assert_table_matches_pointwise(ev) == np.int64

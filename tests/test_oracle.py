@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conflictgames import oracle
-from conflictgames.fastpath import StateEvaluator, to_internal
+from conflictgames.fastpath import _INT64_SAFE, StateEvaluator, to_internal
 from conflictgames.games import (
     GameKind,
     make_instance,
@@ -27,7 +27,6 @@ from conflictgames.instances import (
     gen_swf_nostrong,
 )
 from conflictgames.oracle import (
-    _INT64_SAFE,
     OracleLimits,
     StateSpaceExceeded,
     enumerate_states,

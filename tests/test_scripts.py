@@ -76,9 +76,12 @@ def test_scan_pass_times():
     assert lines[1].split() == ["pass", "cold", "warm"]
     names = [line[:14].strip() for line in lines[2:]]
     assert names == [
-        "optimum", "pure NE", "semi-smooth", "nice", "floors", "sandwich", "strong", "all"
+        "optimum", "pure NE", "semi-smooth", "nice", "floors", "sandwich", "strong", "all",
+        "table build",
     ]
-    assert all(len(line.split()) >= 3 for line in lines[2:])
+    assert all(len(line.split()) >= 3 for line in lines[2:-1])
+    build = lines[-1][14:].split()  # the build alone: one time, no warm column
+    assert len(build) == 1 and float(build[0]) > 0
 
 
 def test_lp_pivot_times():

@@ -3,7 +3,8 @@
 The passes must give the lex-smallest tie across table blocks, keep their
 state-space guard, read no pointwise evaluation (nor do the single-state
 LHS and the mixed expectations), and stay exact on the object dtype.  Expected values come from the Fraction API through
-``reference_oracle``.
+``reference_oracle``.  The kept table must equal the streamed blocks and
+``reference_evaluator.reference_table`` entry for entry.
 """
 
 from fractions import Fraction
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conflictgames import dynamics, oracle, smoothness
+from conflictgames import dynamics, fastpath, oracle, smoothness
 from conflictgames.fastpath import _TABLE_CELLS, StateEvaluator, state_blocks
 from conflictgames.games import (
     GameKind,
@@ -26,7 +27,7 @@ from conflictgames.instances import gen_random
 from conflictgames.oracle import OracleLimits, StateSpaceExceeded, enumerate_states
 from conflictgames.smoothness import certificate_params, make_params
 
-from conftest import beyond_int64_pool
+from conftest import ALL_KINDS, beyond_int64_pool, kind_pool
 from reference_oracle import (
     best_response_lhs_by_fractions,
     expected_player_value_by_kind,
@@ -35,6 +36,7 @@ from reference_oracle import (
     sandwich_by_fractions,
     slack_verdict_by_fractions,
 )
+from reference_evaluator import reference_table
 
 F = Fraction
 
@@ -72,9 +74,10 @@ def _assert_passes_match_fractions(inst):
     assert (sandwich.a, sandwich.b, sandwich.skipped) == sandwich_by_fractions(inst)
 
 
-# more than one table block each: 1024 and 2048 states
+# more than one table block each at 2^13 cells a block: 1024 and 2048 states
 EDGELESS_BWC = make_instance(GameKind.BWC, 10, 2)
 MAXCUT_11 = gen_random(11, 2, GameKind.MAXCUT, F(1, 2), seed=3)
+SMALL_BLOCK_CELLS = 1 << 13
 
 
 def _block_of(inst, state):
@@ -86,7 +89,26 @@ def _block_of(inst, state):
     raise AssertionError(state)
 
 
+def _kept_then_streamed(monkeypatch):
+    """Yields twice: for passes over a kept table built afresh, and for
+    passes that stream the blocks."""
+    monkeypatch.setattr(oracle, "_kept", None)
+    yield
+    assert oracle._kept is not None
+    monkeypatch.setattr(oracle, "_kept", None)
+    monkeypatch.setattr(oracle, "_TABLE_CELLS", 0)
+    yield
+    assert oracle._kept is None
+
+
 class TestBlockBoundaries:
+    """Ties across blocks of 2^13 cells: the kept table is filled from
+    several blocks, and the streamed passes read several."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "_BLOCK_CELLS", SMALL_BLOCK_CELLS)
+
     def test_optimum_ties_spread_over_blocks(self):
         for inst in (EDGELESS_BWC, MAXCUT_11):
             assert len(list(state_blocks(inst.n, inst.m))) > 1
@@ -94,27 +116,29 @@ class TestBlockBoundaries:
             ties = [s for s in enumerate_states(inst) if social_value(inst, s) == best]
             assert len({_block_of(inst, s) for s in ties}) > 1
 
-    def test_edgeless_bwc_pins(self):
+    def test_edgeless_bwc_pins(self, monkeypatch):
         inst = EDGELESS_BWC
-        assert oracle.optimum(inst) == ((1,) * 5 + (2,) * 5, 50)
-        assert oracle.worst_social_state(inst) == ((1,) * 10, 100)
         params, _ = certificate_params(inst.kind, inst.n, inst.m)
-        # the balanced states tie for niceness, and every state ties for the
-        # uniform semi-smoothness LHS (55 everywhere): the first one wins
-        nice = smoothness.check_nice(inst, params)
-        assert (nice.worst_state, nice.slack) == ((1,) * 5 + (2,) * 5, 30)
-        semi = smoothness.check_semi_smooth(inst, params)
-        assert (semi.worst_state, semi.slack) == ((1,) * 10, 25)
+        for _ in _kept_then_streamed(monkeypatch):
+            assert oracle.optimum(inst) == ((1,) * 5 + (2,) * 5, 50)
+            assert oracle.worst_social_state(inst) == ((1,) * 10, 100)
+            # the balanced states tie for niceness, and every state ties for
+            # the uniform semi-smoothness LHS (55 everywhere): the first wins
+            nice = smoothness.check_nice(inst, params)
+            assert (nice.worst_state, nice.slack) == ((1,) * 5 + (2,) * 5, 30)
+            semi = smoothness.check_semi_smooth(inst, params)
+            assert (semi.worst_state, semi.slack) == ((1,) * 10, 25)
         _assert_passes_match_fractions(inst)
 
-    def test_maxcut_state_and_complement_tie_in_different_blocks(self):
+    def test_maxcut_state_and_complement_tie_in_different_blocks(self, monkeypatch):
         inst = MAXCUT_11
-        state, value = oracle.optimum(inst)
-        complement = tuple(3 - k for k in state)
-        assert state[0] == 1 and social_value(inst, complement) == value
-        assert _block_of(inst, state) < _block_of(inst, complement)
-        assert oracle.worst_social_state(inst) == ((1,) * 11, 0)
-        _assert_passes_match_fractions(inst)
+        for _ in _kept_then_streamed(monkeypatch):
+            state, value = oracle.optimum(inst)
+            complement = tuple(3 - k for k in state)
+            assert state[0] == 1 and social_value(inst, complement) == value
+            assert _block_of(inst, state) < _block_of(inst, complement)
+            assert oracle.worst_social_state(inst) == ((1,) * 11, 0)
+            _assert_passes_match_fractions(inst)
 
 
 class TestBeyondInt64:
@@ -246,6 +270,29 @@ class TestKeptTable:
             for array in (grid, *table):
                 with pytest.raises(ValueError):
                     array[(0,) * array.ndim] = 1
+
+    @pytest.mark.parametrize("block_cells", [None, 64])
+    def test_equals_streamed_blocks_and_reference(self, monkeypatch, block_cells):
+        # None: one build block per table; 64 cells: a table filled from
+        # several blocks
+        if block_cells:
+            monkeypatch.setattr(fastpath, "_BLOCK_CELLS", block_cells)
+        pool = [inst for kind in ALL_KINDS for inst in kind_pool(kind, 3, n_max=5)]
+        pool += beyond_int64_pool()
+        assert {StateEvaluator(inst).dtype() for inst in pool} == {np.int64, object}
+        several = 0
+        for inst in pool:
+            monkeypatch.setattr(oracle, "_kept", None)
+            ev, [(grid, kept)] = oracle._whole_table(inst)
+            blocks = list(state_blocks(inst.n, inst.m))
+            several += len(blocks) > 1
+            streamed = [ev.table(block, potential=True) for block in blocks]
+            assert grid.tolist() == np.concatenate(blocks).tolist()
+            for array, parts, expected in zip(kept, zip(*streamed), reference_table(inst)):
+                assert array.dtype == ev.dtype()
+                assert all(part.dtype == ev.dtype() for part in parts)
+                assert array.tolist() == np.concatenate(parts).tolist() == expected
+        assert several if block_cells else not several
 
     def test_table_over_budget_is_not_kept(self):
         kept = gen_random(4, 2, GameKind.BWC, F(1, 2), seed=1)
