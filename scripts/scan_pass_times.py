@@ -1,16 +1,23 @@
 #!/usr/bin/env python3
 """Time each exhaustive scan pass, with the state table built afresh (cold)
-and read from the table the previous pass kept (warm), and the table build on
-its own.
+and read from the table the previous pass kept (warm), the table build on its
+own, and the passes that stream past the kept-table budget.
 
 One cycle is one cycle of the benchmark's scan workload, drawn by
 ``perfbench/workloads.py`` from ``--seed``: twelve instances of 1024-2187
 states, all six kinds, with the strong scan on the three m = 3 ones.  Each
 pass is timed cold (the kept table dropped just before the call, so the pass
 builds its own) and then warm (right after, on the table it kept).  The last
-line times the build alone: ``oracle._whole_table`` with no table kept, once
+line of this block times the build alone: ``oracle._whole_table`` with no table kept, once
 per instance, which is what each cold pass pays on top of its warm time.
 The best of ``--repeats`` cycles is printed in milliseconds per cycle.
+
+A second block times the six passes that stream past the kept-table budget
+(``fastpath._TABLE_CELLS``): on ``gen_random(10, 3, BWC, 1/2, seed=1)``,
+59049 states, no table is kept, so every pass is cold and builds its
+per-state columns block by block.  It prints the best of ``--repeats`` runs
+in milliseconds and, from one more run under ``tracemalloc``, the peak of
+traced memory in MB.
 
 Usage:
     python scripts/scan_pass_times.py [--seed 1] [--repeats 3]
@@ -20,6 +27,9 @@ import argparse
 import pathlib
 import sys
 import time
+import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -27,6 +37,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402 -- the benchmark's seeded instances
 from conflictgames import dynamics, oracle, smoothness  # noqa: E402
+from conflictgames.games import GameKind  # noqa: E402
+from conflictgames.instances import gen_random  # noqa: E402
 
 PASSES = (
     ("optimum", lambda job: oracle.optimum(job.inst)),
@@ -76,6 +88,23 @@ def main() -> int:
     cold, warm = (sum(pair[k] for pair in best.values()) for k in (0, 1))
     print(f"  {'all':12} {1e3 * cold:8.2f} {1e3 * warm:8.2f}")
     print(f"  {'table build':12} {1e3 * build:8.2f}")
+
+    inst = gen_random(10, 3, GameKind.BWC, Fraction(1, 2), seed=1)
+    job = SimpleNamespace(inst=inst, params=smoothness.certificate_params(inst.kind, inst.n, inst.m))
+    print(f"ms and tracemalloc peak MB per streamed pass, BwC n={inst.n} m={inst.m} "
+          f"({oracle.state_count(inst)} states), best of {args.repeats}")
+    print(f"  {'pass':12} {'ms':>8} {'MB':>8}")
+    for name, run in PASSES[:-1]:  # all but the strong scan: n = 10 > strong_max_players
+        spent = float("inf")
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            run(job)
+            spent = min(spent, time.perf_counter() - t0)
+        tracemalloc.start()
+        run(job)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"  {name:12} {1e3 * spent:8.2f} {peak / 2**20:8.2f}")
     return 0
 
 

@@ -145,8 +145,8 @@ class SandwichResult:
 
 
 def _max_ratio(num, den):
-    """Exact maximum of num/den over a block (every den > 0) as a pair of
-    Python ints; None for an empty block.  A float ratio only proposes the
+    """Exact maximum of num/den over all entries (every den > 0) as a pair of
+    Python ints; None when there are none.  A float ratio only proposes the
     candidate: integer cross-multiplication confirms it, and any entry it
     finds above the candidate becomes the next candidate.  The products stay
     on int64 when max|num| * max|den| is below 2^63, else on object.
@@ -168,37 +168,32 @@ def _max_ratio(num, den):
     raise RuntimeError(f"no maximum ratio after {len(num)} rounds: inexact comparison")
 
 
-def _pair_max(x, y):
-    """The larger of two (num, den) ratios (den > 0); None is no ratio."""
-    if x is None or (y is not None and y[0] * x[1] > x[0] * y[1]):
-        return y
-    return x
-
-
 def sandwich_constants(
     inst: Instance,
     states: Optional[Iterable[State]] = None,
     limits: OracleLimits = DEFAULT_LIMITS,
 ) -> SandwichResult:
     if states is None:
-        ev, tables = oracle.scan_tables(inst, limits, potential=True)
+        ev, (u, phi) = oracle.state_columns(
+            inst, limits, lambda vals, cur, social, phi: (social, phi), potential=True
+        )
     else:
-        grid = [to_internal(s) for s in states]
-        if not grid:
+        states = list(states)
+        if not states:
             raise ValueError("sandwich_constants needs at least one state")
-        grid = np.array(grid, dtype=np.int64)
+        for state in states:
+            validate_state(inst, state)
         ev = StateEvaluator(inst)
-        tables = [(grid, ev.table(grid, potential=True))]
+        grid = np.array([to_internal(s) for s in states], dtype=np.int64)
+        _, _, u, phi = ev.table(grid, potential=True)
     vs, ps = ev.value_scale, ev.potential_scale
-    best_a = None  # max social/potential over phi != 0, as a (num, den) pair
-    best_b = None  # max potential/social over phi != 0 and social != 0
-    skipped = 0
-    for grid, (_, _, u, phi) in tables:
-        live = phi != 0
-        skipped += len(grid) - int(live.sum())
-        best_a = _pair_max(best_a, _max_ratio(u[live], phi[live]))
-        live &= u != 0
-        best_b = _pair_max(best_b, _max_ratio(phi[live], u[live]))
+    # max social/potential over phi != 0, and max potential/social over
+    # phi != 0 and social != 0, as (num, den) pairs
+    live = phi != 0
+    skipped = len(u) - int(live.sum())
+    best_a = _max_ratio(u[live], phi[live])
+    live &= u != 0
+    best_b = _max_ratio(phi[live], u[live])
     # value/potential = (u * ps) / (phi * vs)
     return SandwichResult(
         a=Fraction(best_a[0] * ps, best_a[1] * vs) if best_a else None,

@@ -77,13 +77,15 @@ instead:
 
 Every enumeration pass reads the state table:
 
-* blocks: :func:`state_blocks` yields the m^n states in lex order as ``(S, n)``
-  int64 arrays, built from the mixed-radix digits of ``arange``; a block holds
-  at most ``_BLOCK_CELLS`` (2^16) (state, player, machine) cells, so memory
-  stays flat however many states there are.
-  :func:`conflictgames.oracle.scan_tables` keeps the whole table of one
-  instance between passes, as one block, when it has at most ``_TABLE_CELLS``
-  cells, and streams the blocks of a larger one;
+* blocks: a state is its lex index; :func:`lex_states` decodes an array of
+  indexes into ``(S, n)`` int64 states (their mixed-radix digits), and
+  :func:`state_blocks` yields the m^n states in lex order as such arrays of
+  at most ``_BLOCK_CELLS`` (2^16) (state, player, machine) cells, so the
+  memory of a table build stays flat however many states there are.  Only
+  :func:`conflictgames.oracle.state_columns` iterates over the blocks: it
+  keeps the whole table of one instance between passes when it has at most
+  ``_TABLE_CELLS`` cells, and otherwise hands each pass its per-state
+  columns, built block by block;
 * table: :meth:`StateEvaluator.table` turns a block into ``vals[s, i, k]`` (the
   value of player ``i`` on machine ``k`` with everyone else at ``s``, equal to
   ``value(analyze(s), i, k)``), ``cur[s, i]`` (the value at ``s``) and
@@ -547,15 +549,20 @@ def max_abs(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
+def lex_states(n: int, m: int, idx: np.ndarray) -> np.ndarray:
+    """The internal states of lex indexes ``idx`` (an int64 array), as an
+    ``(S, n)`` int64 array: the mixed-radix digits of each index."""
+    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return idx[:, None] // place % m
+
+
 def state_blocks(n: int, m: int) -> Iterator[np.ndarray]:
     """All m^n internal states in lex order, as ``(S, n)`` int64 blocks of at
     most ``_BLOCK_CELLS`` (state, player, machine) cells."""
     count = m**n
     step = max(1, _BLOCK_CELLS // (n * m))
-    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     for start in range(0, count, step):
-        index = np.arange(start, min(start + step, count), dtype=np.int64)
-        yield index[:, None] // place % m
+        yield lex_states(n, m, np.arange(start, min(start + step, count), dtype=np.int64))
 
 
 def to_internal(state: tuple[int, ...]) -> tuple[int, ...]:

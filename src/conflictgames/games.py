@@ -189,7 +189,7 @@ def make_instance(
 
     if edge_weights is not None:
         if not kind.sharing:
-            raise InvalidInstanceError("edge_weights", f"only the sharing kinds take weights")
+            raise InvalidInstanceError("edge_weights", "only the sharing kinds take weights")
         own_edges = conf if kind is GameKind.SWC else fr
         canon: dict[Edge, Fraction] = {}
         for raw_edge, raw_w in dict(edge_weights).items():

@@ -2,37 +2,40 @@
 exact expectations for product profiles, and the worst coarse-correlated
 equilibrium via an exact-rational LP.
 
-Enumeration passes, the worst-CCE LP's columns included, are array
-reductions over the evaluator's state table: the whole kept table at once,
-or block by block past the budget; every reported value is an exact
-Fraction.  Ties (optimum, worst equilibrium) always resolve
-to the lexicographically smallest state, so results are deterministic.
+Enumeration passes, the worst-CCE LP's columns included, are whole-array
+reductions: each pass asks :func:`state_columns` for the per-state arrays it
+needs and reduces each of them once; every reported value is an exact
+Fraction.  Row ``i`` of every such array is the state of lex index ``i``,
+decoded to a tuple only where a pass reports it, so ties (optimum, worst
+equilibrium, tightest slack) resolve to the lexicographically smallest state
+through numpy's first ``argmin``/``argmax``/``flatnonzero``.
 
 Expectations under a product profile read the evaluator's machine terms,
 bases and signed edges with no kind branch: the machine term is averaged over
 the exact distribution of the co-located count, and each signed edge is
 weighted by its neighbour's probability.
 
-One table per instance: :func:`scan_tables` keeps the table of the last
+One table per instance: :func:`state_columns` keeps the table of the last
 instance it was asked for (one entry, keyed by instance equality, the last
 one dropped before the next is built), so the optimum, the Nash and strong
 sets, the smoothness and niceness checks, the floors and the sandwich
-constants over one instance share one evaluator and one table build.
+constants over one instance share one evaluator and one table build.  The
+split into blocks is decided here alone, in :func:`_whole`, which serves
+both cases:
 
-* kept: one block over all states, its states as a player-major small-int
-  array (read through a transposed view) and ``vals`` (machine-major, as
-  :meth:`StateEvaluator.table` lays it out), ``cur``, ``social`` and the
-  potential at the evaluator's ``dtype()``, all read-only.  A table of one
-  build block keeps the arrays :meth:`StateEvaluator.table` returned; a
-  larger one is filled block by block into arrays allocated once, so the
-  build never holds more than one block's temporaries.  Every pass over it is
-  one reduction, and the equilibrium lists are built from whole arrays (one
-  ``tolist`` of the states, one Fraction per distinct value);
+* kept: ``vals`` (machine-major, as :meth:`StateEvaluator.table` lays it
+  out), ``cur``, ``social`` and the potential over all states at the
+  evaluator's ``dtype()``, all read-only; the states themselves are not
+  kept.  A table of one build block keeps the arrays
+  :meth:`StateEvaluator.table` returned, a larger one is filled block by
+  block into arrays allocated once.  A pass maps the whole table to its
+  columns in one call;
 * budget: a table of more than ``fastpath._TABLE_CELLS`` (state, player,
-  machine) cells is not kept and streams block by block as before, so memory
-  stays flat up to ``max_states``;
+  machine) cells is not kept.  The pass's columns are built block by block
+  and filled into whole arrays, so memory is the tables of two blocks plus
+  O(states) in columns, up to ``max_states``;
 * widening: a pass whose ``factor`` needs ``object`` (see
-  :meth:`StateEvaluator.dtype`) reads the kept int64 blocks through
+  :meth:`StateEvaluator.dtype`) reads the kept int64 table through
   ``astype(object)``; the values are the same exact integers.
 
 The strong scan (:func:`strong_nash_set`) tests the pure equilibria in chunks
@@ -54,7 +57,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import simplex
-from .fastpath import _TABLE_CELLS, StateEvaluator, state_blocks, to_public
+from .fastpath import _TABLE_CELLS, StateEvaluator, lex_states, state_blocks
 from .games import (
     GameKind,
     Instance,
@@ -101,97 +104,93 @@ def enumerate_states(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> I
     return itertools.product(range(1, inst.m + 1), repeat=inst.n)
 
 
-# the last state table within _TABLE_CELLS: (instance, evaluator, blocks)
+# the last state table within _TABLE_CELLS: (instance, evaluator, table)
 _kept: Optional[tuple] = None
 
 
+def _whole(ev: StateEvaluator, columns, factor: int = 1, potential: bool = False):
+    """``columns`` of the state table of ``ev`` over all states, lex order,
+    built block by block: the arrays of a single block as they are, those of
+    several filled into arrays allocated once (with each block's layout, so
+    ``vals`` stays machine-major).  Besides those arrays, no more than two
+    blocks' tables are held at a time."""
+    count = state_count(ev.inst)
+    whole, start = None, 0
+    for grid in state_blocks(ev.n, ev.m):
+        # the last block's table is dropped only once this one is built, so
+        # the allocator reuses its pages instead of faulting in fresh ones
+        table = ev.table(grid, factor, potential)
+        part = columns(*table)
+        if len(grid) == count:
+            return part
+        if whole is None:
+            whole = tuple(np.empty_like(a, shape=(count,) + a.shape[1:]) for a in part)
+        stop = start + len(grid)
+        for array, column in zip(whole, part):
+            array[start:stop] = column
+        start = stop
+    return whole
+
+
 def _whole_table(inst: Instance):
-    """(evaluator, blocks) of ``inst``: one block ``(grid, (vals, cur,
-    social, potential))`` over all states, at ``dtype()`` and read-only;
-    blocks is None when the table has more than ``_TABLE_CELLS`` cells.  The
-    last table within that budget is kept, so the passes over one instance
-    build it once."""
+    """(evaluator, table) of ``inst``: ``(vals, cur, social, potential)``
+    over all states at ``dtype()``, read-only; table is None when it has
+    more than ``_TABLE_CELLS`` cells.  The last table within that budget is
+    kept, so the passes over one instance build it once."""
     global _kept
     if _kept is not None and _kept[0] == inst:
         return _kept[1:]
     _kept = None  # free the last table before building the next
     ev = StateEvaluator(inst)
-    n, m, count = inst.n, inst.m, state_count(inst)
-    if count * n * m > _TABLE_CELLS:
+    if state_count(inst) * inst.n * inst.m > _TABLE_CELLS:
         return ev, None
-    # the states as a view of player-major machine indexes
-    grid = np.empty((n, count), dtype=np.min_scalar_type(m - 1)).T
-    whole = None
-    start = 0
-    for block in state_blocks(n, m):
-        table = ev.table(block, potential=True)
-        if len(block) == count:  # one build block: keep its arrays
-            grid[:] = block
-            whole = table
-            break
-        if whole is None:  # vals machine-major, as table() lays it out
-            dtype = table[0].dtype
-            vals = np.empty((m, count, n), dtype=dtype).transpose(1, 2, 0)
-            whole = (vals, np.empty((count, n), dtype), np.empty(count, dtype),
-                     np.empty(count, dtype))
-        stop = start + len(block)
-        grid[start:stop] = block
-        for array, part in zip(whole, table):
-            array[start:stop] = part
-        start = stop
-    for array in (grid, *whole):
+    table = _whole(ev, lambda *table: table, potential=True)
+    for array in table:
         array.flags.writeable = False
-    blocks = [(grid, whole)]
-    _kept = (inst, ev, blocks)
-    return ev, blocks
+    _kept = (inst, ev, table)
+    return ev, table
 
 
-def scan_tables(
-    inst: Instance, limits: OracleLimits, factor: int = 1, potential: bool = False
+def state_columns(
+    inst: Instance, limits: OracleLimits, columns, factor: int = 1, potential: bool = False
 ):
-    """(evaluator, iterator of (block, table)) over all states, lex order;
-    raises :class:`StateSpaceExceeded` first when the state space is too big.
+    """(evaluator, ``columns(vals, cur, social[, potential])``) over all
+    states, lex order; raises :class:`StateSpaceExceeded` first when the
+    state space is too big.
 
-    Each table is ``StateEvaluator.table(block, factor, potential)``: read
-    from the kept table, where ``factor`` needs ``object`` widened to it, or
-    built block by block past the budget."""
+    ``columns`` maps a state table (see :meth:`StateEvaluator.table`, with
+    ``factor`` and ``potential``) to a tuple of arrays with one row per
+    state.  It is called once on the kept table, widened to ``object`` where
+    ``factor`` needs it, or past the budget once per block, the results
+    filled into whole arrays."""
     _guard(inst, limits.max_states, "max_states")
-    ev, blocks = _whole_table(inst)
-    if blocks is None:
-        blocks = state_blocks(inst.n, inst.m)
-        return ev, ((grid, ev.table(grid, factor, potential)) for grid in blocks)
-    size = 4 if potential else 3
-    if ev.dtype(factor) is ev.dtype():
-        return ev, ((grid, table[:size]) for grid, table in blocks)
-    # the same exact values, on arrays that hold the caller's products
-    return ev, (
-        (grid, tuple(a.astype(object) for a in table[:size])) for grid, table in blocks
-    )
+    ev, table = _whole_table(inst)
+    if table is None:
+        return ev, _whole(ev, columns, factor, potential)
+    table = table[: 4 if potential else 3]
+    if ev.dtype(factor) is not ev.dtype():
+        # the same exact values, on arrays that hold the caller's products
+        table = tuple(a.astype(object) for a in table)
+    return ev, columns(*table)
 
 
-def beats(new, old, lowest: bool) -> bool:
-    """True when ``new`` strictly beats ``old`` (None: nothing held yet).
-    Replacing only on a strict win keeps the lex-smallest tie across blocks."""
-    return old is None or (new < old if lowest else new > old)
-
-
-def block_extreme(keys, lowest: bool) -> tuple[int, int]:
-    """(index, value) of the first extremum of a block's keys."""
-    idx = int(keys.argmin() if lowest else keys.argmax())
-    return idx, int(keys[idx])
+def _public(inst: Instance, idx: int) -> State:
+    """The public state of lex index ``idx``."""
+    idx = int(idx)
+    state = []
+    for _ in range(inst.n):
+        idx, k = divmod(idx, inst.m)
+        state.append(k + 1)
+    return tuple(reversed(state))
 
 
 def _extreme_state(
     inst: Instance, limits: OracleLimits, lowest: bool
 ) -> tuple[State, Fraction]:
     """The state of lowest (or highest) social value; lex-smallest tie."""
-    ev, tables = scan_tables(inst, limits)
-    best = best_state = None
-    for grid, (_, _, social) in tables:
-        idx, value = block_extreme(social, lowest)
-        if beats(value, best, lowest):
-            best, best_state = value, grid[idx]
-    return to_public(best_state.tolist()), ev.as_value(best)
+    ev, (social,) = state_columns(inst, limits, lambda vals, cur, social: (social,))
+    idx = int(social.argmin() if lowest else social.argmax())
+    return _public(inst, idx), ev.as_value(int(social[idx]))
 
 
 def optimum(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[State, Fraction]:
@@ -207,12 +206,12 @@ def worst_social_state(
     return _extreme_state(inst, limits, lowest=not inst.kind.minimizes)
 
 
-def pure_ne_flags(ev: StateEvaluator, vals, cur):
+def pure_ne_flags(minimizes: bool, vals, cur):
     """Per state: no player has a strictly better machine.  One machine at a
     time, so a whole kept table needs only boolean temporaries."""
     stay = np.ones(cur.shape, dtype=bool)
     for k in range(vals.shape[2]):
-        stay &= (vals[:, :, k] >= cur) if ev.minimizes else (vals[:, :, k] <= cur)
+        stay &= (vals[:, :, k] >= cur) if minimizes else (vals[:, :, k] <= cur)
     return stay.all(1)
 
 
@@ -220,21 +219,20 @@ def pure_nash_set(
     inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
 ) -> list[tuple[State, Fraction]]:
     """All states with no strictly improving unilateral deviation, lex order."""
-    ev, tables = scan_tables(inst, limits)
-    out = []
-    for grid, (vals, cur, social) in tables:
-        idx = np.flatnonzero(pure_ne_flags(ev, vals, cur))
-        out += _valued_states(ev, grid[idx], social[idx])
-    return out
+    minimizes = inst.kind.minimizes
+    ev, (flags, social) = state_columns(
+        inst, limits, lambda vals, cur, social: (pure_ne_flags(minimizes, vals, cur), social)
+    )
+    idx = np.flatnonzero(flags)
+    return _valued_states(ev, idx, social[idx])
 
 
-def _valued_states(ev: StateEvaluator, grid, social) -> list[tuple[State, Fraction]]:
-    """``(public state, value)`` pairs of the rows of ``grid``, an ``(S, n)``
-    array of internal states, and their scaled social values."""
+def _valued_states(ev: StateEvaluator, idx, social) -> list[tuple[State, Fraction]]:
+    """``(public state, value)`` pairs of the states of lex indexes ``idx``
+    and their scaled social values."""
     social = social.tolist()
     value = {v: ev.as_value(v) for v in set(social)}
-    # on int64: a kept grid of uint8 would wrap at m = 256
-    states = (grid.astype(np.int64) + 1).tolist()
+    states = (lex_states(ev.n, ev.m, idx) + 1).tolist()
     return [(tuple(state), value[v]) for state, v in zip(states, social)]
 
 
@@ -261,23 +259,20 @@ def strong_nash_set(
     """All states no coalition can leave with every member strictly better off."""
     if inst.n > limits.strong_max_players:
         raise StateSpaceExceeded("strong_max_players", inst.n, limits.strong_max_players)
-    ev, tables = scan_tables(inst, limits)
-    machines, curs, socials, flags = [], [], [], []
-    for grid, (vals, cur, social) in tables:
-        machines.append(grid.T)
-        curs.append(cur.T)
-        socials.append(social)
-        flags.append(pure_ne_flags(ev, vals, cur))
+    minimizes = inst.kind.minimizes
+    ev, (cur, social, flags) = state_columns(
+        inst, limits,
+        lambda vals, cur, social: (cur, social, pure_ne_flags(minimizes, vals, cur)),
+    )
     # player-major: row i holds player i's machine, and the rank of its value
     # among its values (lower is better), at every state
-    machine = np.concatenate(machines, axis=1).astype(np.min_scalar_type(inst.m - 1))
-    cur = np.concatenate(curs, axis=1)
-    social = np.concatenate(socials)
+    shape = (inst.m,) * inst.n
+    machine = np.indices(shape, np.min_scalar_type(inst.m - 1)).reshape(inst.n, -1)
     rank = np.array(
-        [np.unique(row if ev.minimizes else -row, return_inverse=True)[1] for row in cur],
+        [np.unique(row if minimizes else -row, return_inverse=True)[1] for row in cur.T],
         dtype=np.min_scalar_type(len(social)),
     )
-    candidates = np.flatnonzero(np.concatenate(flags))
+    candidates = np.flatnonzero(flags)
     step = max(1, _STRONG_CELLS // len(social))
     strong = np.zeros(len(social), dtype=bool)
     for start in range(0, len(candidates), step):
@@ -297,7 +292,7 @@ def strong_nash_set(
         refutes &= states != chunk[:, None]
         strong[chunk[~refutes.any(1)]] = True
     idx = np.flatnonzero(strong)
-    return _valued_states(ev, machine[:, idx].T, social[idx])
+    return _valued_states(ev, idx, social[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -378,29 +373,26 @@ def worst_cce_value(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Cc
     count = state_count(inst)
     if count > limits.lp_max_states:
         raise StateSpaceExceeded("lp_max_states", count, limits.lp_max_states)
-    ev, tables = scan_tables(inst, limits)
-    grids, socials, columns = [], [], []
-    for grid, (vals, cur, social) in tables:
+    minimizes = inst.kind.minimizes
+
+    def columns(vals, cur, social):
         # cost: E[dev - cur] >= 0;  payoff: E[cur - dev] >= 0
-        diff = vals - cur[..., None] if ev.minimizes else cur[..., None] - vals
-        grids.append(grid)
-        socials.append(social)
-        columns.append(diff.reshape(len(grid), -1))
-    states = np.concatenate(grids).tolist()
+        diff = vals - cur[..., None] if minimizes else cur[..., None] - vals
+        return social, diff.reshape(len(social), -1)
+
+    ev, (social, diff) = state_columns(inst, limits, columns)
     try:
         sol = simplex.solve(
-            objective=np.concatenate(socials).tolist(),
+            objective=social.tolist(),
             a_eq=[[1] * count],
             b_eq=[1],
-            a_ge=np.concatenate(columns).T,
+            a_ge=diff.T,
             b_ge=[0] * (inst.n * inst.m),
             maximize=ev.minimizes,
         )
     except simplex.LpInfeasible as exc:  # pure equilibria always exist
         raise RuntimeError("internal error: CCE polytope reported empty") from exc
-    support = tuple(
-        (to_public(states[idx]), q) for idx, q in enumerate(sol.x) if q != 0
-    )
+    support = tuple((_public(inst, idx), q) for idx, q in enumerate(sol.x) if q != 0)
     return CceSolution(distribution=support, value=sol.value / ev.value_scale)
 
 

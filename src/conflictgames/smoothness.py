@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import simplex
-from .fastpath import _INT64_SAFE, StateEvaluator, to_internal, to_public
+from .fastpath import _INT64_SAFE, StateEvaluator, to_internal
 from .games import (
     GameKind,
     Instance,
@@ -28,13 +28,7 @@ from .games import (
     validate_profile,
     validate_state,
 )
-from .oracle import (
-    DEFAULT_LIMITS,
-    OracleLimits,
-    beats,
-    block_extreme,
-    scan_tables,
-)
+from .oracle import DEFAULT_LIMITS, OracleLimits, _public, state_columns
 
 
 @dataclass(frozen=True)
@@ -87,34 +81,29 @@ def semi_smooth_lhs(inst: Instance, state: State, profile: MixedProfile) -> Frac
 
 
 def _worst_slack(inst, params, limits, t: int, lhs_of) -> SmoothnessVerdict:
-    """Scan of ``lhs_of(vals)`` (the LHS at every state of a block, times
+    """Scan of ``lhs_of(vals)`` (the LHS at every state of a table, times
     ``t * value_scale``) against lam * opt +/- mu * value(s).
 
     With the LHS and the social value scaled by ``t * value_scale * lam.den *
     mu.den``, the slack is ``sign * lam.num * mu.den * t * opt + key`` with
     ``key = mu.num * lam.den * t * social - sign * lam.den * mu.den * lhs``
     (sign +1 for cost kinds, -1 for payoff kinds).  The lam * opt term is the
-    same at every state, so one pass finds both the smallest key (lex-smallest
-    tie) and the optimum.
+    same at every state, so the smallest key (lex-smallest tie) and the
+    optimum decide.
     """
     ln, ld = params.lam.numerator, params.lam.denominator
     un, ud = params.mu.numerator, params.mu.denominator
     minimizes = inst.kind.minimizes
     sign = 1 if minimizes else -1
-    ev, tables = scan_tables(inst, limits, factor=t * ld * (abs(un) + ud))
-    opt = worst_key = worst_state = None
-    for grid, (vals, _, social) in tables:
-        _, value = block_extreme(social, minimizes)
-        if beats(value, opt, minimizes):
-            opt = value
-        keys = un * ld * t * social - sign * ld * ud * lhs_of(vals)
-        idx, key = block_extreme(keys, True)
-        if beats(key, worst_key, True):
-            worst_key, worst_state = key, grid[idx]
-    slack = Fraction(sign * ln * ud * t * opt + worst_key, t * ev.value_scale * ld * ud)
-    return SmoothnessVerdict(
-        holds=slack >= 0, worst_state=to_public(worst_state.tolist()), slack=slack
-    )
+
+    def columns(vals, cur, social):
+        return social, un * ld * t * social - sign * ld * ud * lhs_of(vals)
+
+    ev, (social, keys) = state_columns(inst, limits, columns, factor=t * ld * (abs(un) + ud))
+    opt = int(social.min() if minimizes else social.max())
+    idx = int(keys.argmin())
+    slack = Fraction(sign * ln * ud * t * opt + int(keys[idx]), t * ev.value_scale * ld * ud)
+    return SmoothnessVerdict(holds=slack >= 0, worst_state=_public(inst, idx), slack=slack)
 
 
 def check_semi_smooth(
@@ -190,12 +179,10 @@ def max_rho_pure_sigma(
         raise ValueError("pure-deviation ratio search applies to payoff kinds only")
     validate_state(inst, sigma_state)
     sigma = np.array(to_internal(sigma_state), dtype=np.int64)
-    _, tables = scan_tables(inst, limits)
-    lhs, social = [], []
-    for _, (vals, _, u) in tables:
-        lhs.append(vals[:, np.arange(inst.n), sigma].sum(1))
-        social.append(u)
-    lhs, social = np.concatenate(lhs), np.concatenate(social)
+    players = np.arange(inst.n)
+    _, (lhs, social) = state_columns(
+        inst, limits, lambda vals, cur, social: (vals[:, players, sigma].sum(1), social)
+    )
     opt = int(social.max())
     if opt == 0:
         raise ValueError("degenerate instance: the optimum value is 0, every ratio works")
@@ -291,7 +278,7 @@ def check_opt_lower_bounds(
     """
     if not inst.kind.minimizes:
         return LowerBoundVerdict(holds=True, checks=(), witness=None)
-    ev, tables = scan_tables(inst, limits)
+    ev, (social,) = state_columns(inst, limits, lambda vals, cur, social: (social,))
     n, m = inst.n, inst.m
     vs = ev.value_scale
     a_n, b_n, g_n = (int(w * vs) for w in (inst.alpha, inst.beta, inst.gamma))
@@ -323,15 +310,14 @@ def check_opt_lower_bounds(
     below = [-(-floor // mult) for _, mult, floor in checks]
     if ev.dtype() is np.int64:
         below = [min(max(b, -_INT64_SAFE), _INT64_SAFE) for b in below]
-    for grid, (_, _, social) in tables:
-        fails = np.stack([social < b for b in below])  # (check, state)
-        bad = np.flatnonzero(fails.any(0))
-        if bad.size:
-            idx = bad[0]
-            name = names[int(fails[:, idx].argmax())]
-            return LowerBoundVerdict(
-                holds=False,
-                checks=names,
-                witness=(name, to_public(grid[idx].tolist()), ev.as_value(int(social[idx]))),
-            )
-    return LowerBoundVerdict(holds=True, checks=names, witness=None)
+    fails = np.stack([social < b for b in below])  # (check, state)
+    bad = np.flatnonzero(fails.any(0))
+    if not bad.size:
+        return LowerBoundVerdict(holds=True, checks=names, witness=None)
+    idx = int(bad[0])
+    name = names[int(fails[:, idx].argmax())]
+    return LowerBoundVerdict(
+        holds=False,
+        checks=names,
+        witness=(name, _public(inst, idx), ev.as_value(int(social[idx]))),
+    )

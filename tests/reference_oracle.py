@@ -49,10 +49,8 @@ from conflictgames.oracle import (
     OracleLimits,
     StateSpaceExceeded,
     _guard,
-    beats,
-    block_extreme,
     pure_ne_flags,
-    scan_tables,
+    state_columns,
 )
 
 
@@ -120,7 +118,7 @@ def strong_nash_set_by_candidates(
         grids.append(grid)
         curs.append(cur)
         socials.append(social)
-        flags.append(pure_ne_flags(ev, vals, cur))
+        flags.append(pure_ne_flags(ev.minimizes, vals, cur))
     grid, cur, social = map(np.concatenate, (grids, curs, socials))
     out = []
     for idx in np.flatnonzero(np.concatenate(flags)):
@@ -272,19 +270,12 @@ def max_rho_pure_sigma_by_bisection(
         raise ValueError("pure-deviation ratio search applies to payoff kinds only")
     validate_state(inst, sigma_state)
     sigma = np.array(to_internal(sigma_state), dtype=np.int64)
-    ev, tables = scan_tables(inst, limits)
-    opt = None
-    rows = []
-    for _, (vals, _, social) in tables:
-        lhs = vals[:, np.arange(inst.n), sigma].sum(1)
-        _, value = block_extreme(social, False)
-        if beats(value, opt, False):
-            opt = value
-        rows.extend(
-            (ev.as_value(u), ev.as_value(l))
-            for u, l in zip(social.tolist(), lhs.tolist())
-        )
-    opt_value = ev.as_value(opt)
+    ev, (social, lhs) = state_columns(
+        inst, limits,
+        lambda vals, cur, social: (social, vals[:, np.arange(inst.n), sigma].sum(1)),
+    )
+    rows = [(ev.as_value(u), ev.as_value(l)) for u, l in zip(social.tolist(), lhs.tolist())]
+    opt_value = ev.as_value(int(social.max()))
     if opt_value == 0:
         raise ValueError("degenerate instance: the optimum value is 0, every ratio works")
 

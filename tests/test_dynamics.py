@@ -150,6 +150,16 @@ class TestSandwich:
         r = sandwich_constants(inst, states=[(1, 1, 2, 2), (1, 2, 1, 2)])
         assert (r.a, r.b) == (2, F(1, 2))
 
+    def test_explicit_states_are_validated(self):
+        # an out-of-range machine would shift the next state's loads inside
+        # the table build and report a = 44/21 where a cost kind has a = 2
+        inst = gen_random(4, 3, GameKind.BWC, F(1, 2), seed=1)
+        assert sandwich_constants(inst, states=[(3, 1, 1, 1), (2, 2, 2, 2)]).a == 2
+        for bad in ([(4, 1, 1, 1), (2, 2, 2, 2)], [(3, 1, 1)], [(1, 1, 1, 1, 1)],
+                    [(0, 1, 1, 1)], [(1.0, 1, 1, 1)]):
+            with pytest.raises(ValueError):
+                sandwich_constants(inst, states=bad)
+
     def test_max_ratio_on_int64_matches_object(self):
         # the ratios sandwich_constants takes, on the kept table of every
         # kind: where the int64 products are provably exact they must give
@@ -162,25 +172,27 @@ class TestSandwich:
             machine_values=(F(7, 2**30 + 3), F(1), F(2, 3)),
         ))
         for inst in pool + beyond_int64_pool():
-            _, tables = oracle.scan_tables(inst, oracle.DEFAULT_LIMITS, potential=True)
-            for _, (_, _, u, phi) in tables:
-                live = phi != 0
-                pairs = [(u[live], phi[live])]
-                live &= u != 0
-                pairs.append((phi[live], u[live]))
-                for num, den in pairs:
-                    got = dynamics._max_ratio(num, den)
-                    wide = dynamics._max_ratio(num.astype(object), den.astype(object))
-                    if not len(num):
-                        assert got is wide is None
-                        continue
-                    assert all(type(v) is int for v in got + wide)
-                    best = max(F(int(a), int(b)) for a, b in zip(num, den))
-                    assert F(*got) == F(*wide) == best
-                    if num.dtype == np.int64 and max_abs(num) * max_abs(den) < 2**63:
-                        on_int64.add(inst.kind)
-                    elif num.dtype == np.int64:
-                        widened += 1
+            _, (u, phi) = oracle.state_columns(
+                inst, oracle.DEFAULT_LIMITS,
+                lambda vals, cur, social, phi: (social, phi), potential=True,
+            )
+            live = phi != 0
+            pairs = [(u[live], phi[live])]
+            live &= u != 0
+            pairs.append((phi[live], u[live]))
+            for num, den in pairs:
+                got = dynamics._max_ratio(num, den)
+                wide = dynamics._max_ratio(num.astype(object), den.astype(object))
+                if not len(num):
+                    assert got is wide is None
+                    continue
+                assert all(type(v) is int for v in got + wide)
+                best = max(F(int(a), int(b)) for a, b in zip(num, den))
+                assert F(*got) == F(*wide) == best
+                if num.dtype == np.int64 and max_abs(num) * max_abs(den) < 2**63:
+                    on_int64.add(inst.kind)
+                elif num.dtype == np.int64:
+                    widened += 1
         assert on_int64 == set(ALL_KINDS)
         assert widened
 

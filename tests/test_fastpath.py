@@ -14,6 +14,7 @@ import numpy as np
 from conflictgames import fastpath
 from conflictgames.fastpath import (
     StateEvaluator,
+    lex_states,
     state_blocks,
     to_internal,
     to_public,
@@ -27,6 +28,7 @@ from conflictgames.games import (
     social_value,
 )
 from conflictgames.instances import gen_random
+from conflictgames.oracle import _public
 
 from conftest import ALL_KINDS, beyond_int64_pool, kind_pool
 
@@ -96,16 +98,25 @@ def _assert_table_matches_pointwise(ev):
 
 
 def test_state_blocks_cover_every_state_in_lex_order(monkeypatch):
+    shapes = ((1, 1), (1, 3), (3, 1), (4, 3), (10, 2), (11, 2), (5, 4), (1, 12), (3, 10))
     # the default blocks, and blocks small enough that 1024 states need several
     for cells in (fastpath._BLOCK_CELLS, 1 << 13):
         monkeypatch.setattr(fastpath, "_BLOCK_CELLS", cells)
-        for n, m in ((1, 1), (1, 3), (3, 1), (4, 3), (10, 2), (11, 2), (5, 4)):
+        for n, m in shapes:
             blocks = list(state_blocks(n, m))
             assert all(b.dtype == np.int64 and b.shape[1] == n for b in blocks)
             assert all(len(b) * n * m <= cells for b in blocks)
             states = [tuple(s) for b in blocks for s in b.tolist()]
             assert states == list(itertools.product(range(m), repeat=n))
     assert len(list(state_blocks(10, 2))) > 1
+    # a state is its lex index: both decoders give the same states
+    for n, m in shapes:
+        expected = list(itertools.product(range(m), repeat=n))
+        decoded = lex_states(n, m, np.arange(m**n))
+        assert decoded.dtype == np.int64
+        assert [tuple(s) for s in decoded.tolist()] == expected
+        inst = make_instance(GameKind.BWC, n, m)
+        assert [_public(inst, idx) for idx in range(m**n)] == [to_public(s) for s in expected]
 
 
 def test_table_matches_pointwise_evaluator():

@@ -1,9 +1,12 @@
-"""Where the per-kind game formulas live.
+"""Where the per-kind game formulas live, and where the state space is split
+into blocks.
 
 The neighbour lists of :mod:`conflictgames.games` are the per-kind form of a
 game; every other module reads the kind-free tables of
 :class:`conflictgames.fastpath.StateEvaluator`, so each formula is written
-once as Fraction arithmetic and once as scaled integers.
+once as Fraction arithmetic and once as scaled integers.  The passes read
+whole per-state columns from :func:`conflictgames.oracle.state_columns`, the
+one place that iterates over the blocks.
 """
 
 import pathlib
@@ -24,3 +27,15 @@ def test_only_games_names_the_neighbour_helpers():
         if PER_KIND_HELPERS.search(path.read_text())
     )
     assert naming == ["games.py"]
+
+
+def test_only_fastpath_and_oracle_name_the_state_blocks():
+    # the split of the state space into blocks is decided in oracle alone:
+    # every other pass reads whole per-state columns
+    package = pathlib.Path(conflictgames.__file__).parent
+    naming = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if re.search(r"\bstate_blocks\b", path.read_text())
+    )
+    assert naming == ["fastpath.py", "oracle.py"]

@@ -194,6 +194,14 @@ class TestStrongNash:
             strong = set(s for s, _ in strong_nash_set(inst))
             assert strong <= pure
 
+    def test_machines_past_one_byte(self):
+        # every state of one player on 300 machines is strong; machine 300
+        # must not wrap around in a small-int machine dtype
+        inst = make_instance(GameKind.BWC, 1, 300)
+        strong = strong_nash_set(inst)
+        assert [s for s, _ in strong] == [(k,) for k in range(1, 301)]
+        assert strong == pure_nash_set(inst)
+
     def test_player_cap(self):
         inst = make_instance(GameKind.BWC, 9, 2)
         with pytest.raises(StateSpaceExceeded) as err:

@@ -74,14 +74,23 @@ def test_scan_pass_times():
     lines = _run("scan_pass_times.py", "--repeats", "1")
     assert lines[0] == "ms per scan pass, one cycle of 12 instances (seed 1), best of 1"
     assert lines[1].split() == ["pass", "cold", "warm"]
-    names = [line[:14].strip() for line in lines[2:]]
+    names = [line[:14].strip() for line in lines[2:11]]
     assert names == [
         "optimum", "pure NE", "semi-smooth", "nice", "floors", "sandwich", "strong", "all",
         "table build",
     ]
-    assert all(len(line.split()) >= 3 for line in lines[2:-1])
-    build = lines[-1][14:].split()  # the build alone: one time, no warm column
+    assert all(len(line.split()) >= 3 for line in lines[2:10])
+    build = lines[10][14:].split()  # the build alone: one time, no warm column
     assert len(build) == 1 and float(build[0]) > 0
+    # the passes past the kept-table budget: ms and peak MB each
+    assert lines[11] == (
+        "ms and tracemalloc peak MB per streamed pass, BwC n=10 m=3 (59049 states), best of 1"
+    )
+    assert lines[12].split() == ["pass", "ms", "MB"]
+    assert [line[:14].strip() for line in lines[13:]] == names[:6]
+    for line in lines[13:]:
+        ms, mb = map(float, line[14:].split())
+        assert ms > 0 and mb > 0
 
 
 def test_lp_pivot_times():

@@ -141,6 +141,46 @@ class TestBlockBoundaries:
             _assert_passes_match_fractions(inst)
 
 
+def _every_pass(inst):
+    params, _ = certificate_params(inst.kind, inst.n, inst.m, inst.alpha, inst.beta, inst.gamma)
+    results = [
+        oracle.optimum(inst),
+        oracle.worst_social_state(inst),
+        oracle.pure_nash_set(inst),
+        oracle.strong_nash_set(inst),
+        oracle.worst_cce_value(inst),
+        smoothness.check_semi_smooth(inst, params),
+        smoothness.check_nice(inst, params),
+        smoothness.check_opt_lower_bounds(inst),
+        dynamics.sandwich_constants(inst),
+    ]
+    if not inst.kind.minimizes and oracle.optimum(inst)[1] != 0:
+        results.append(smoothness.max_rho_pure_sigma(inst, (1,) * inst.n))
+    return results
+
+
+def test_streamed_columns_equal_the_kept_table(monkeypatch):
+    # every pass gives the same result from the kept table and from its
+    # columns filled from several blocks of 64 cells
+    monkeypatch.setattr(fastpath, "_BLOCK_CELLS", 64)
+    pool = [
+        gen_random(5, 2, kind, F(1, 2), seed=1) if kind is GameKind.MAXCUT
+        else gen_random(4, 3, kind, F(1, 2), seed=1,
+                        **(dict(alpha=F(1), beta=F(1), gamma=F(1, 2)) if kind is GameKind.BWCF else {}))
+        for kind in ALL_KINDS
+    ]
+    for inst in pool + beyond_int64_pool()[2:]:
+        assert len(list(state_blocks(inst.n, inst.m))) > 1
+        monkeypatch.setattr(oracle, "_kept", None)
+        monkeypatch.setattr(oracle, "_TABLE_CELLS", _TABLE_CELLS)
+        kept = _every_pass(inst)
+        assert oracle._kept is not None
+        monkeypatch.setattr(oracle, "_kept", None)
+        monkeypatch.setattr(oracle, "_TABLE_CELLS", 0)
+        assert _every_pass(inst) == kept
+        assert oracle._kept is None
+
+
 class TestBeyondInt64:
     def test_every_pass_matches_fractions_on_object_dtype(self):
         cost = make_instance(  # huge weight denominators on a cost kind
@@ -176,7 +216,7 @@ class TestBeyondInt64:
         monkeypatch.setattr(oracle, "_kept", None)
         oracle.optimum(inst)  # an int64 pass keeps the table first
         kept = oracle._kept
-        assert kept[0] is inst and kept[2][0][1][0].dtype == np.int64
+        assert kept[0] is inst and kept[2][0].dtype == np.int64
         profile = canonical_deviation_profile(inst)
         for check, lhs in (
             (smoothness.check_nice, best_response_lhs_by_fractions(inst)),
@@ -265,11 +305,13 @@ class TestKeptTable:
 
     def test_arrays_are_read_only(self):
         inst = gen_random(4, 3, GameKind.SWC, F(1, 2), seed=1)
-        _, tables = oracle.scan_tables(inst, OracleLimits(), potential=True)
-        for grid, table in tables:
-            for array in (grid, *table):
-                with pytest.raises(ValueError):
-                    array[(0,) * array.ndim] = 1
+        _, table = oracle.state_columns(
+            inst, OracleLimits(), lambda *table: table, potential=True
+        )
+        assert len(table) == 4
+        for array in table:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1
 
     @pytest.mark.parametrize("block_cells", [None, 64])
     def test_equals_streamed_blocks_and_reference(self, monkeypatch, block_cells):
@@ -283,11 +325,12 @@ class TestKeptTable:
         several = 0
         for inst in pool:
             monkeypatch.setattr(oracle, "_kept", None)
-            ev, [(grid, kept)] = oracle._whole_table(inst)
+            ev, kept = oracle._whole_table(inst)
             blocks = list(state_blocks(inst.n, inst.m))
             several += len(blocks) > 1
             streamed = [ev.table(block, potential=True) for block in blocks]
-            assert grid.tolist() == np.concatenate(blocks).tolist()
+            # vals machine-major, as table() lays it out
+            assert kept[0].transpose(2, 0, 1).flags.c_contiguous
             for array, parts, expected in zip(kept, zip(*streamed), reference_table(inst)):
                 assert array.dtype == ev.dtype()
                 assert all(part.dtype == ev.dtype() for part in parts)
