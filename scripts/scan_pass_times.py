@@ -12,12 +12,16 @@ line of this block times the build alone: ``oracle._whole_table`` with no table 
 per instance, which is what each cold pass pays on top of its warm time.
 The best of ``--repeats`` cycles is printed in milliseconds per cycle.
 
-A second block times the six passes that stream past the kept-table budget
-(``fastpath._TABLE_CELLS``): on ``gen_random(10, 3, BWC, 1/2, seed=1)``,
-59049 states, no table is kept, so every pass is cold and builds its
-per-state columns block by block.  It prints the best of ``--repeats`` runs
-in milliseconds and, from one more run under ``tracemalloc``, the peak of
-traced memory in MB.
+A second block times the seven passes that stream past the kept-table
+budget (``fastpath._TABLE_CELLS``): on ``gen_random(10, 3, BWC, 1/2,
+seed=1)``, 59049 states, no table is kept, so every pass is cold and builds
+its per-state columns block by block.  It prints the best of ``--repeats``
+runs in milliseconds and, from one more run under ``tracemalloc``, the peak
+of traced memory in MB.
+
+Each block ends with the size of its strong scans: the pure equilibria the
+scan takes as candidates, and the representatives it tests, one per orbit
+under renaming the machines (``oracle.orbit_representatives``).
 
 Usage:
     python scripts/scan_pass_times.py [--seed 1] [--repeats 3]
@@ -30,6 +34,8 @@ import time
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -49,6 +55,22 @@ PASSES = (
     ("sandwich", lambda job: dynamics.sandwich_constants(job.inst)),
     ("strong", lambda job: oracle.strong_nash_set(job.inst)),
 )
+
+
+def strong_scan_size(inst) -> tuple[int, int]:
+    """(pure equilibria, representatives) the strong scan of ``inst`` tests."""
+    minimizes = inst.kind.minimizes
+    ev, (flags,) = oracle.state_columns(
+        inst, oracle.DEFAULT_LIMITS,
+        lambda vals, cur, social: (oracle.pure_ne_flags(minimizes, vals, cur),),
+    )
+    candidates = np.flatnonzero(flags)
+    return len(candidates), len(np.unique(oracle.orbit_representatives(ev, candidates)))
+
+
+def print_strong_scan_size(insts) -> None:
+    candidates, tested = (sum(pair) for pair in zip(*map(strong_scan_size, insts)))
+    print(f"  strong scan: {candidates} pure NE candidates, {tested} representatives tested")
 
 
 def main() -> int:
@@ -88,13 +110,14 @@ def main() -> int:
     cold, warm = (sum(pair[k] for pair in best.values()) for k in (0, 1))
     print(f"  {'all':12} {1e3 * cold:8.2f} {1e3 * warm:8.2f}")
     print(f"  {'table build':12} {1e3 * build:8.2f}")
+    print_strong_scan_size(job.inst for job in jobs if job.strong)
 
     inst = gen_random(10, 3, GameKind.BWC, Fraction(1, 2), seed=1)
     job = SimpleNamespace(inst=inst, params=smoothness.certificate_params(inst.kind, inst.n, inst.m))
     print(f"ms and tracemalloc peak MB per streamed pass, BwC n={inst.n} m={inst.m} "
           f"({oracle.state_count(inst)} states), best of {args.repeats}")
     print(f"  {'pass':12} {'ms':>8} {'MB':>8}")
-    for name, run in PASSES[:-1]:  # all but the strong scan: n = 10 > strong_max_players
+    for name, run in PASSES:
         spent = float("inf")
         for _ in range(args.repeats):
             t0 = time.perf_counter()
@@ -105,6 +128,7 @@ def main() -> int:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         print(f"  {name:12} {1e3 * spent:8.2f} {peak / 2**20:8.2f}")
+    print_strong_scan_size([inst])
     return 0
 
 

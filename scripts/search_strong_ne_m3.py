@@ -10,7 +10,9 @@ either way: on every pool scanned so far the strong set has been nonempty.
 Usage:
     python scripts/search_strong_ne_m3.py [--count 200] [--max-n 6] [--m 3]
 
-``--max-n`` runs from ``--m`` up to ``strong_max_players``.
+``--max-n`` runs from ``--m`` up to ``strong_max_players`` (10): the
+instances cycle through n = m, ..., max-n.  At n = 10, m = 3 (59049 states)
+one strong scan takes a few tenths of a second.
 """
 
 import argparse

@@ -38,13 +38,17 @@ both cases:
   :meth:`StateEvaluator.dtype`) reads the kept int64 table through
   ``astype(object)``; the values are the same exact integers.
 
-The strong scan (:func:`strong_nash_set`) tests the pure equilibria in chunks
-of at most ``_STRONG_CELLS`` (candidate, state) cells.  Each player's values
-become ranks (``np.unique``, reversed for the payoff kinds, so that lower is
-better and the order is exact also on ``object``).  Per player, one
-elementwise ``stay | better`` over (candidates x states) narrows the states
-that still refute some candidate of the chunk; a candidate survives when no
-state other than itself is left for it.
+The strong scan (:func:`strong_nash_set`) tests one pure equilibrium per
+orbit under renaming the machines (:func:`orbit_representatives`; an orbit
+is one state when the machines' terms differ) and gives each verdict to the
+whole orbit.  It tests the representatives in chunks of at most
+``_STRONG_CELLS`` (candidate, state) cells.  Per player, one elementwise
+``stay | better`` over (candidates x states) narrows the states that still
+refute some candidate of the chunk; ``better`` compares the player's values
+in the table directly, negated for the payoff kinds so that lower is better
+(exact on int64, where the dtype rule keeps every value below 2^60 in
+magnitude, and on ``object``).  A candidate survives when no state other
+than itself is left for it.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ class OracleLimits:
 
     max_states: int = 2_000_000
     lp_max_states: int = 2_000
-    strong_max_players: int = 8
+    strong_max_players: int = 10
 
 
 DEFAULT_LIMITS = OracleLimits()
@@ -248,9 +252,36 @@ def _valued_states(ev: StateEvaluator, idx, social) -> list[tuple[State, Fractio
 # only the pure equilibria are tested, a chunk of them against all states at
 # once.  The coalition definition itself is kept in the tests as the
 # reference.
+#
+# A player's value is the machine term of its machine at its occupancy plus
+# its base and the signed weights of its neighbours on the same machine.
+# When every machine has the same machine term, renaming the machines by a
+# permutation p therefore keeps every player's value at every state.  A
+# deviation s -> t then maps to p(s) -> p(t), with the same movers and the
+# same values on both sides, so s is strong exactly when p(s) is: one pure
+# equilibrium per orbit is tested, and its verdict holds for the whole orbit.
 
 # upper bound on the (candidate, state) cells of one chunk of the strong scan
 _STRONG_CELLS = 1 << 18
+
+
+def orbit_representatives(ev: StateEvaluator, idx: np.ndarray) -> np.ndarray:
+    """The lex index of the representative of each state of lex index
+    ``idx`` (an int64 array) under renaming the machines.  When every machine
+    of ``ev`` has the same machine term, that is the state with its machines
+    renumbered 0, 1, ... in order of first appearance, the lex-smallest state
+    of its orbit; otherwise every state is its own representative."""
+    if any(row != ev.mach[0] for row in ev.mach):
+        return idx
+    machine = lex_states(ev.n, ev.m, idx)
+    label = np.empty_like(machine)
+    seen = np.zeros(len(idx), dtype=np.int64)  # distinct machines before player i
+    for i in range(ev.n):
+        label[:, i] = seen
+        for j in range(i):
+            np.copyto(label[:, i], label[:, j], where=machine[:, j] == machine[:, i])
+        seen += label[:, i] == seen
+    return label @ ev.m ** np.arange(ev.n - 1, -1, -1, dtype=np.int64)
 
 
 def strong_nash_set(
@@ -264,34 +295,32 @@ def strong_nash_set(
         inst, limits,
         lambda vals, cur, social: (cur, social, pure_ne_flags(minimizes, vals, cur)),
     )
-    # player-major: row i holds player i's machine, and the rank of its value
-    # among its values (lower is better), at every state
+    # player-major: row i holds player i's machine, and its value (negated
+    # for the payoff kinds, so that lower is better), at every state
     shape = (inst.m,) * inst.n
     machine = np.indices(shape, np.min_scalar_type(inst.m - 1)).reshape(inst.n, -1)
-    rank = np.array(
-        [np.unique(row if minimizes else -row, return_inverse=True)[1] for row in cur.T],
-        dtype=np.min_scalar_type(len(social)),
-    )
+    value = np.ascontiguousarray((cur if minimizes else -cur).T)
     candidates = np.flatnonzero(flags)
+    reps, orbit = np.unique(orbit_representatives(ev, candidates), return_inverse=True)
     step = max(1, _STRONG_CELLS // len(social))
-    strong = np.zeros(len(social), dtype=bool)
-    for start in range(0, len(candidates), step):
-        chunk = candidates[start : start + step]
+    strong = np.zeros(len(reps), dtype=bool)
+    for start in range(0, len(reps), step):
+        chunk = reps[start : start + step]
         # refutes[c, j]: at states[j] every player so far stays or is better
         # off than at candidate c.  Only the states where that holds for some
         # candidate of the chunk go on to the next player.
         states = np.arange(len(social))
         refutes = np.ones((len(chunk), len(states)), dtype=bool)
-        for here, ranks in zip(machine, rank):
+        for here, values in zip(machine, value):
             ok = here[states] == here[chunk, None]
-            ok |= ranks[states] < ranks[chunk, None]
+            ok |= values[states] < values[chunk, None]
             refutes &= ok
             live = np.flatnonzero(refutes.any(0))
             states, refutes = states[live], refutes.take(live, axis=1)
         # the candidate itself is the one state where nobody moves
         refutes &= states != chunk[:, None]
-        strong[chunk[~refutes.any(1)]] = True
-    idx = np.flatnonzero(strong)
+        strong[start : start + step] = ~refutes.any(1)
+    idx = candidates[strong[orbit]]
     return _valued_states(ev, idx, social[idx])
 
 

@@ -60,6 +60,18 @@ class TestGenAndEnumerate:
         assert out.startswith("item,state,value")
         assert "poa,,3/2" in out
 
+    def test_strong_set_by_default_up_to_the_player_cap(self):
+        # at most 4096 states: strong set listed for n <= strong_max_players
+        # (10), skipped past it
+        for n, listed in (("10", True), ("11", False)):
+            code, out, _ = run_cli(
+                "enumerate", "--generator", "random", "--kind", "BwC", "--n", n,
+                "--m", "2", "--edge-prob", "1/2",
+            )
+            assert code == 0
+            assert ("strong Nash equilibria: skipped" not in out) == listed
+            assert ("strong price of anarchy: undefined" not in out) == listed
+
     def test_cap_violation_names_limit(self):
         code, _, err = run_cli(
             "enumerate", "--generator", "bwc-multipartite", "--m", "3",

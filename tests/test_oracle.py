@@ -1,9 +1,11 @@
 """Enumeration oracle: optima, Nash sets, mixed verification, worst CCE."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conflictgames import oracle
@@ -203,7 +205,7 @@ class TestStrongNash:
         assert strong == pure_nash_set(inst)
 
     def test_player_cap(self):
-        inst = make_instance(GameKind.BWC, 9, 2)
+        inst = make_instance(GameKind.BWC, 11, 2)
         with pytest.raises(StateSpaceExceeded) as err:
             strong_nash_set(inst)
         assert err.value.limit_name == "strong_max_players"
@@ -231,7 +233,7 @@ DEFAULT_CELLS = oracle._STRONG_CELLS
 class TestChunkedStrongScan:
     """The chunked strong scan against the one-candidate-at-a-time scan of
     ``reference_oracle``, on chunks of the default size and of one, three
-    and seven candidates."""
+    and seven representatives; and the orbit reduction behind it."""
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_matches_candidate_scan(self, monkeypatch, kind):
@@ -241,7 +243,11 @@ class TestChunkedStrongScan:
             for cells in (DEFAULT_CELLS, 1, 3 * state_count(inst), 7 * state_count(inst)):
                 monkeypatch.setattr(oracle, "_STRONG_CELLS", cells)
                 assert strong_nash_set(inst) == expected
-            refuted += len(pure_nash_set(inst)) - len(expected)
+            # every machine has the same machine term unless the machine
+            # values differ, which they do in this pool
+            candidates, tested = _representatives(inst)
+            assert (len(np.unique(tested)) < len(candidates)) == (not kind.sharing)
+            refuted += len(candidates) - len(expected)
         assert (refuted == 0) == (kind is GameKind.BWF)
 
     def test_more_candidates_than_one_chunk(self):
@@ -255,6 +261,89 @@ class TestChunkedStrongScan:
         for inst in beyond_int64_pool():
             assert StateEvaluator(inst).dtype() is object
             assert strong_nash_set(inst) == strong_nash_set_by_candidates(inst)
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 3), (3, 4), (5, 2)])
+    def test_orbit_representative_is_the_smallest_relabelling(self, n, m):
+        place = [m ** (n - 1 - i) for i in range(n)]
+        expected = [
+            min(
+                sum(perm[k] * p for k, p in zip(state, place))
+                for perm in itertools.permutations(range(m))
+            )
+            for state in itertools.product(range(m), repeat=n)
+        ]
+        ev = StateEvaluator(make_instance(GameKind.BWC, n, m))
+        got = oracle.orbit_representatives(ev, np.arange(m**n))
+        assert got.tolist() == expected
+
+    def test_sharing_with_equal_machine_values_takes_the_orbits(self):
+        # all three machine values equal: the orbits; two of three: every
+        # candidate is its own representative
+        equal, huge = F(7, 2), F(3, 2**61 - 1)
+        refuted = 0
+        for kind in (GameKind.SWC, GameKind.SWF):
+            for n, prob, seed in ((3, F(1), 0), (4, F(1, 2), 1), (4, F(3, 4), 2), (6, F(1, 2), 3)):
+                base = gen_random(n, 3, kind, prob, seed=seed, weighted=seed % 2 == 1)
+                for values in (
+                    (equal,) * 3, (huge,) * 3, (equal, equal, F(9, 2)), (F(9, 2), equal, equal),
+                ):
+                    inst = _with_machine_values(base, values)
+                    candidates, tested = _representatives(inst)
+                    if len(set(values)) == 1:
+                        assert len(np.unique(tested)) < len(candidates)
+                    else:
+                        assert np.array_equal(tested, candidates)
+                    strong = strong_nash_set(inst)
+                    assert strong == strong_nash_set_by_candidates(inst)
+                    if n <= 4:
+                        assert strong == strong_nash_set_by_coalitions(inst)
+                    refuted += len(candidates) - len(strong)
+        assert refuted > 0
+
+    def test_orbits_of_equilibria_that_leave_machines_empty(self, monkeypatch):
+        # pure equilibria on fewer than m machines; the orbit of one on k
+        # machines has m!/(m-k)! states, fewer than m! when k <= m - 2
+        friends = gen_random(4, 4, GameKind.SWF, F(1, 2), seed=3)
+        pool = [
+            gen_random(2, 3, GameKind.BWC, F(1), seed=0),
+            make_instance(GameKind.BWC, 2, 3),
+            gen_random(5, 4, GameKind.BWF, F(3, 4), seed=2),
+            _with_machine_values(friends, (F(1),) * 4),
+        ]
+        smaller = refuted = 0
+        for inst in pool:
+            assert min(len(set(s)) for s, _ in pure_nash_set(inst)) < inst.m
+            candidates, tested = _representatives(inst)
+            sizes = np.unique(tested, return_counts=True)[1]
+            assert sizes.sum() == len(candidates) > len(sizes)
+            smaller += int(sizes.min() < math.factorial(inst.m))
+            expected = strong_nash_set_by_candidates(inst)
+            for cells in (DEFAULT_CELLS, 1, 3 * state_count(inst), 7 * state_count(inst)):
+                monkeypatch.setattr(oracle, "_STRONG_CELLS", cells)
+                assert strong_nash_set(inst) == expected
+            if inst.n <= 4:
+                assert expected == strong_nash_set_by_coalitions(inst)
+            refuted += len(candidates) - len(expected)
+        assert smaller == 2 and refuted > 0
+
+
+def _representatives(inst):
+    """(lex indexes of the pure equilibria, the representative of each)."""
+    candidates = np.array(
+        [sum((k - 1) * inst.m ** (inst.n - 1 - i) for i, k in enumerate(state))
+         for state, _ in pure_nash_set(inst)],
+        dtype=np.int64,
+    )
+    return candidates, oracle.orbit_representatives(StateEvaluator(inst), candidates)
+
+
+def _with_machine_values(inst, values):
+    """``inst`` (a sharing instance) with its machine values replaced."""
+    return make_instance(
+        inst.kind, inst.n, inst.m,
+        conflict_edges=inst.conflict_edges, friendship_edges=inst.friendship_edges,
+        machine_values=values, edge_weights=dict(inst.edge_weights or {}) or None,
+    )
 
 
 class TestExpectedValues:

@@ -26,10 +26,10 @@ def test_strong_ne_search():
 
 def test_strong_ne_search_checks_its_range():
     # fewer players than machines, and more than strong_max_players
-    for max_n in ("2", "9"):
+    for max_n in ("2", "11"):
         lines = _run("search_strong_ne_m3.py", "--max-n", max_n, "--m", "3", code=2)
         assert lines[-1].endswith(
-            f"error: need m <= max-n <= 8 (strong_max_players), got m=3, max-n={max_n}"
+            f"error: need m <= max-n <= 10 (strong_max_players), got m=3, max-n={max_n}"
         )
 
 
@@ -82,15 +82,30 @@ def test_scan_pass_times():
     assert all(len(line.split()) >= 3 for line in lines[2:10])
     build = lines[10][14:].split()  # the build alone: one time, no warm column
     assert len(build) == 1 and float(build[0]) > 0
-    # the passes past the kept-table budget: ms and peak MB each
-    assert lines[11] == (
+    # the three strong scans of the cycle test fewer representatives than
+    # pure equilibria: every m = 3 slot has one machine term on all machines
+    _check_strong_scan_size(lines[11])
+    # the passes past the kept-table budget, the strong scan included: ms
+    # and peak MB each
+    assert lines[12] == (
         "ms and tracemalloc peak MB per streamed pass, BwC n=10 m=3 (59049 states), best of 1"
     )
-    assert lines[12].split() == ["pass", "ms", "MB"]
-    assert [line[:14].strip() for line in lines[13:]] == names[:6]
-    for line in lines[13:]:
+    assert lines[13].split() == ["pass", "ms", "MB"]
+    assert [line[:14].strip() for line in lines[14:21]] == names[:7]
+    for line in lines[14:21]:
         ms, mb = map(float, line[14:].split())
         assert ms > 0 and mb > 0
+    _check_strong_scan_size(lines[21])
+    assert len(lines) == 22
+
+
+def _check_strong_scan_size(line):
+    words = line.split()
+    assert words[:2] == ["strong", "scan:"]
+    assert words[3:6] == ["pure", "NE", "candidates,"]
+    assert words[7:] == ["representatives", "tested"]
+    candidates, tested = int(words[2]), int(words[6])
+    assert 0 < tested < candidates
 
 
 def test_lp_pivot_times():
