@@ -62,7 +62,7 @@ def strong_scan_size(inst) -> tuple[int, int]:
     minimizes = inst.kind.minimizes
     ev, (flags,) = oracle.state_columns(
         inst, oracle.DEFAULT_LIMITS,
-        lambda vals, cur, social: (oracle.pure_ne_flags(minimizes, vals, cur),),
+        lambda vals, cur, social, phi: (oracle.pure_ne_flags(minimizes, vals, cur),),
     )
     candidates = np.flatnonzero(flags)
     return len(candidates), len(np.unique(oracle.orbit_representatives(ev, candidates)))

@@ -175,7 +175,7 @@ def sandwich_constants(
 ) -> SandwichResult:
     if states is None:
         ev, (u, phi) = oracle.state_columns(
-            inst, limits, lambda vals, cur, social, phi: (social, phi), potential=True
+            inst, limits, lambda vals, cur, social, phi: (social, phi)
         )
     else:
         states = list(states)
@@ -185,7 +185,7 @@ def sandwich_constants(
             validate_state(inst, state)
         ev = StateEvaluator(inst)
         grid = np.array([to_internal(s) for s in states], dtype=np.int64)
-        _, _, u, phi = ev.table(grid, potential=True)
+        _, _, u, phi = ev.table(grid)
     vs, ps = ev.value_scale, ev.potential_scale
     # max social/potential over phi != 0, and max potential/social over
     # phi != 0 and social != 0, as (num, den) pairs

@@ -88,26 +88,29 @@ Every enumeration pass reads the state table:
   columns, built block by block;
 * table: :meth:`StateEvaluator.table` turns a block into ``vals[s, i, k]`` (the
   value of player ``i`` on machine ``k`` with everyone else at ``s``, equal to
-  ``value(analyze(s), i, k)``), ``cur[s, i]`` (the value at ``s``) and
-  ``social = cur.sum(1)``, plus the potential when asked.  It is the same
-  formula on arrays: a one-hot of the block, its loads, the neighbour weights
-  ``tab = onehot @ W`` (``W`` the n x n signed adjacency of the edges) and
-  ``mach[k][load + (s_i != k)] + base[i] + tab``.  On int64 the product runs
-  on float64 (BLAS) when the |w| summed at any one player is below 2^53:
-  every partial sum is then an integer below 2^53, exact in any order, and
-  the result is cast back; otherwise it runs on int64 or ``object``.  The
-  potential needs no pass over the edges: ``social`` is the machine terms
-  ``sum_k load_k * mach[k][load_k]`` plus ``2 * (w_sep + co-located
-  weight)``, so the edge part of the potential is half of what is left
-  (times ``potential_scale / value_scale``), the way :class:`Walk` derives
-  its aggregates;
-* dtype: int64 only when a bound computed from the tables shows that no value,
-  no sum of values over all players and machines, and no multiple of such a
-  sum by the caller's ``factor`` (its slack combination) can reach
+  ``value(analyze(s), i, k)``), ``cur[s, i]`` (the value at ``s``), ``social
+  = cur.sum(1)`` and the potential ``phi``, always these four, always at
+  ``dtype()``.  It is the same formula on arrays: a one-hot of the block, its
+  loads, the neighbour weights ``tab = onehot @ W`` (``W`` the n x n signed
+  adjacency of the edges) and ``mach[k][load + (s_i != k)] + base[i] +
+  tab``.  On int64 the product runs on float64 (BLAS) when the |w| summed at
+  any one player is below 2^53: every partial sum is then an integer below
+  2^53, exact in any order, and the result is cast back; otherwise it runs on
+  int64 or ``object``.  The potential needs no pass over the edges:
+  ``social`` is the machine terms ``sum_k load_k * mach[k][load_k]`` plus ``2
+  * (w_sep + co-located weight)``, so the edge part of the potential is half
+  of what is left (times ``potential_scale / value_scale``), the way
+  :class:`Walk` derives its aggregates;
+* dtype: :meth:`StateEvaluator.dtype` is int64 only when a bound computed
+  from the tables shows that no value, no sum of values over all players and
+  machines, and no multiple of such a sum by ``factor`` can reach
   ``_INT64_SAFE``; otherwise the same code runs on ``dtype=object`` arrays of
-  exact Python ints.  No float ever decides a result.  A table kept at
-  ``dtype()`` is widened with ``astype(object)`` for a pass whose ``factor``
-  needs it: both dtypes hold the same exact values.
+  exact Python ints.  No float ever decides a result.  The table itself is
+  built at ``dtype()``.  A pass whose slack combination multiplies it by a
+  ``factor`` that needs ``object`` reads it through ``astype(object)``:
+  :func:`conflictgames.oracle.state_columns` is the one place that widens a
+  pass's table, and the single-state LHS, which reads no pass's table, widens
+  its one-row table the same way.  Both dtypes hold the same exact values.
 
 Equivalence of all three ways with the public Fraction evaluation in
 :mod:`conflictgames.games` is enforced exhaustively by the test suite.
@@ -232,7 +235,6 @@ class StateEvaluator:
         if split:
             self._touching = self._sep.copy()
             np.add.at(self._touching, ends[:2 * split], w[:split].repeat(2))
-        self._arrays_by_key = {}  # see _arrays and _edge_arrays
 
     @cached_property
     def edges(self) -> list[tuple[int, int, int]]:
@@ -322,8 +324,9 @@ class StateEvaluator:
 
     def dtype(self, factor: int = 1):
         """np.int64 when ``factor`` times :attr:`_magnitude` stays below
-        ``_INT64_SAFE``, else ``object``.  The state table takes this rule,
-        and so does a move table whose gains are all exact (``factor`` 1)."""
+        ``_INT64_SAFE``, else ``object``.  The state table and a move table
+        whose gains are all exact take ``dtype()``; a pass that multiplies
+        the state table by ``factor`` reads it at ``dtype(factor)``."""
         return np.int64 if factor * self._magnitude < _INT64_SAFE else object
 
     def _edge_arrays(self, dtype, unit: int = 1):
@@ -331,17 +334,12 @@ class StateEvaluator:
         symmetric n x n signed adjacency and the base of each player, in
         ``dtype``.  ``unit`` divides every edge weight, and either it divides
         :attr:`unit` or :attr:`unit` divides it."""
-        key = (dtype, unit)
-        arrays = self._arrays_by_key.get(key)
-        if arrays is None:
-            weights = self._rescaled(self.w, dtype, unit)
-            adj = np.zeros((self.n, self.n), dtype=dtype)
-            ea, eb = self.ends
-            adj[ea, eb] = weights  # every pair appears once
-            adj[eb, ea] = weights
-            arrays = (self.ends, weights, adj, self._rescaled(self._sep, dtype, unit))
-            self._arrays_by_key[key] = arrays
-        return arrays
+        weights = self._rescaled(self.w, dtype, unit)
+        adj = np.zeros((self.n, self.n), dtype=dtype)
+        ea, eb = self.ends
+        adj[ea, eb] = weights  # every pair appears once
+        adj[eb, ea] = weights
+        return self.ends, weights, adj, self._rescaled(self._sep, dtype, unit)
 
     def _rescaled(self, values, dtype, unit: int):
         """``values``, in units of :attr:`unit`, in units of ``unit`` and in
@@ -356,34 +354,29 @@ class StateEvaluator:
             values = op(values, ratio)
         return values.astype(dtype, copy=False)
 
-    def _arrays(self, dtype):
-        """The tables of :meth:`table` as arrays of ``dtype``: mach (with one
-        spare column, so that ``load + 1`` is a valid index even when everyone
-        shares a machine), base, the adjacency and pot.  On int64 the
-        adjacency is float64 when every neighbour sum is exact there (see
+    @cached_property
+    def _table_arrays(self):
+        """The tables of :meth:`table` as arrays of ``dtype()``: mach (with
+        one spare column, so that ``load + 1`` is a valid index even when
+        everyone shares a machine), base, the adjacency and pot.  On int64
+        the adjacency is float64 when every neighbour sum is exact there (see
         :meth:`table`)."""
-        arrays = self._arrays_by_key.get(dtype)
-        if arrays is None:
-            _, _, adj, base = self._edge_arrays(dtype)
-            if dtype is np.int64 and int(self._touching.max()) * self.unit < _FLOAT_EXACT:
-                adj = adj.astype(np.float64)
-            arrays = self._arrays_by_key[dtype] = (
-                np.array([row + [0] for row in self.mach], dtype=dtype),
-                base,
-                adj,
-                np.array(self.pot, dtype=dtype),
-            )
-        return arrays
+        dtype = self.dtype()
+        _, _, adj, base = self._edge_arrays(dtype)
+        if dtype is np.int64 and int(self._touching.max()) * self.unit < _FLOAT_EXACT:
+            adj = adj.astype(np.float64)
+        mach = np.array([row + [0] for row in self.mach], dtype=dtype)
+        return mach, base, adj, np.array(self.pot, dtype=dtype)
 
-    def table(self, grid, factor: int = 1, potential: bool = False):
-        """(vals, cur, social[, potential]) at every state of ``grid``, an
-        ``(S, n)`` array of internal states; the dtype is ``dtype(factor)``.
+    def table(self, grid):
+        """(vals, cur, social, phi) at every state of ``grid``, an ``(S, n)``
+        array of internal states, at ``dtype()``; ``phi`` is the potential.
 
         ``vals`` is indexed ``[s, i, k]`` but laid out machine-major, so the
         reductions over machines are elementwise operations on ``(S, n)``
         slices."""
-        dtype = self.dtype(factor)
-        mach, base, adj, pot = self._arrays(dtype)
+        mach, base, adj, pot = self._table_arrays
+        dtype = self.dtype()
         count, n, m = len(grid), self.n, self.m
         machines = np.arange(m)
         onehot = grid == machines[:, None, None]  # [k, s, i]
@@ -400,8 +393,6 @@ class StateEvaluator:
         cur = (vals * onehot).sum(0)
         vals = vals.transpose(1, 2, 0)
         social = cur.sum(1)
-        if not potential:
-            return vals, cur, social
         # social is the machine terms plus 2 * (w_sep + co-located weight)
         edges = (social - (loads * here).sum(1)) // 2
         phi = pot[machines, loads].sum(1) + self.potential_scale // self.value_scale * edges

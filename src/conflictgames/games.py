@@ -69,11 +69,6 @@ def as_fraction(value: Rational, field: str = "value") -> Fraction:
         raise InvalidInstanceError(field, f"not a rational: {value!r}") from exc
 
 
-def improves(kind: GameKind, new: Fraction, old: Fraction) -> bool:
-    """True when ``new`` is strictly better than ``old`` for the kind."""
-    return new < old if kind.minimizes else new > old
-
-
 @dataclass(frozen=True)
 class Instance:
     """One game instance.  Build through :func:`make_instance`.

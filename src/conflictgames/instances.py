@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -178,25 +177,6 @@ def gen_random(
         edge_weights=weights,
         alpha=alpha, beta=beta, gamma=gamma,
     )
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """A generator name plus its parameters; reproducible instance reference."""
-
-    name: str
-    params: tuple[tuple[str, object], ...] = ()
-
-    def label(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.name}({inner})"
-
-    def build(self) -> Instance:
-        kwargs = dict(self.params)
-        builder = _GENERATORS.get(self.name)
-        if builder is None:
-            raise InvalidInstanceError("generator", f"unknown generator {self.name!r}")
-        return builder(**kwargs)
 
 
 _GENERATORS = {

@@ -23,10 +23,10 @@ constants over one instance share one evaluator and one table build.  The
 split into blocks is decided here alone, in :func:`_whole`, which serves
 both cases:
 
-* kept: ``vals`` (machine-major, as :meth:`StateEvaluator.table` lays it
-  out), ``cur``, ``social`` and the potential over all states at the
-  evaluator's ``dtype()``, all read-only; the states themselves are not
-  kept.  A table of one build block keeps the arrays
+* kept: the four arrays of :meth:`StateEvaluator.table` (``vals``
+  machine-major, as it lays them out, ``cur``, ``social`` and the potential
+  ``phi``) over all states at the evaluator's ``dtype()``, all read-only; the
+  states themselves are not kept.  A table of one build block keeps the arrays
   :meth:`StateEvaluator.table` returned, a larger one is filled block by
   block into arrays allocated once.  A pass maps the whole table to its
   columns in one call;
@@ -34,9 +34,10 @@ both cases:
   machine) cells is not kept.  The pass's columns are built block by block
   and filled into whole arrays, so memory is the tables of two blocks plus
   O(states) in columns, up to ``max_states``;
-* widening: a pass whose ``factor`` needs ``object`` (see
-  :meth:`StateEvaluator.dtype`) reads the kept int64 table through
-  ``astype(object)``; the values are the same exact integers.
+* widening: :func:`state_columns` is the one place that widens.  When a
+  pass's ``factor`` needs ``object`` (see :meth:`StateEvaluator.dtype`) and
+  the table is int64, its ``columns`` read the kept table, or each streamed
+  block, through ``astype(object)``; the values are the same exact integers.
 
 The strong scan (:func:`strong_nash_set`) tests one pure equilibrium per
 orbit under renaming the machines (:func:`orbit_representatives`; an orbit
@@ -112,7 +113,7 @@ def enumerate_states(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> I
 _kept: Optional[tuple] = None
 
 
-def _whole(ev: StateEvaluator, columns, factor: int = 1, potential: bool = False):
+def _whole(ev: StateEvaluator, columns):
     """``columns`` of the state table of ``ev`` over all states, lex order,
     built block by block: the arrays of a single block as they are, those of
     several filled into arrays allocated once (with each block's layout, so
@@ -123,7 +124,7 @@ def _whole(ev: StateEvaluator, columns, factor: int = 1, potential: bool = False
     for grid in state_blocks(ev.n, ev.m):
         # the last block's table is dropped only once this one is built, so
         # the allocator reuses its pages instead of faulting in fresh ones
-        table = ev.table(grid, factor, potential)
+        table = ev.table(grid)
         part = columns(*table)
         if len(grid) == count:
             return part
@@ -137,10 +138,10 @@ def _whole(ev: StateEvaluator, columns, factor: int = 1, potential: bool = False
 
 
 def _whole_table(inst: Instance):
-    """(evaluator, table) of ``inst``: ``(vals, cur, social, potential)``
-    over all states at ``dtype()``, read-only; table is None when it has
-    more than ``_TABLE_CELLS`` cells.  The last table within that budget is
-    kept, so the passes over one instance build it once."""
+    """(evaluator, table) of ``inst``: ``(vals, cur, social, phi)`` over all
+    states at ``dtype()``, read-only; table is None when it has more than
+    ``_TABLE_CELLS`` cells.  The last table within that budget is kept, so
+    the passes over one instance build it once."""
     global _kept
     if _kept is not None and _kept[0] == inst:
         return _kept[1:]
@@ -148,51 +149,50 @@ def _whole_table(inst: Instance):
     ev = StateEvaluator(inst)
     if state_count(inst) * inst.n * inst.m > _TABLE_CELLS:
         return ev, None
-    table = _whole(ev, lambda *table: table, potential=True)
+    table = _whole(ev, lambda *table: table)
     for array in table:
         array.flags.writeable = False
     _kept = (inst, ev, table)
     return ev, table
 
 
-def state_columns(
-    inst: Instance, limits: OracleLimits, columns, factor: int = 1, potential: bool = False
-):
-    """(evaluator, ``columns(vals, cur, social[, potential])``) over all
-    states, lex order; raises :class:`StateSpaceExceeded` first when the
-    state space is too big.
+def state_columns(inst: Instance, limits: OracleLimits, columns, factor: int = 1):
+    """(evaluator, ``columns(vals, cur, social, phi)``) over all states, lex
+    order; raises :class:`StateSpaceExceeded` first when the state space is
+    too big.
 
-    ``columns`` maps a state table (see :meth:`StateEvaluator.table`, with
-    ``factor`` and ``potential``) to a tuple of arrays with one row per
-    state.  It is called once on the kept table, widened to ``object`` where
-    ``factor`` needs it, or past the budget once per block, the results
-    filled into whole arrays."""
+    ``columns`` maps a state table (see :meth:`StateEvaluator.table`) to a
+    tuple of arrays with one row per state.  It is called once on the kept
+    table, or past the budget once per block, the results filled into whole
+    arrays.  Either way it reads the table widened to ``object`` when it
+    multiplies the table by ``factor`` and ``dtype(factor)`` needs that."""
     _guard(inst, limits.max_states, "max_states")
     ev, table = _whole_table(inst)
-    if table is None:
-        return ev, _whole(ev, columns, factor, potential)
-    table = table[: 4 if potential else 3]
+    read = columns
     if ev.dtype(factor) is not ev.dtype():
         # the same exact values, on arrays that hold the caller's products
-        table = tuple(a.astype(object) for a in table)
-    return ev, columns(*table)
+        def read(*table):
+            return columns(*(a.astype(object) for a in table))
+    if table is None:
+        return ev, _whole(ev, read)
+    return ev, read(*table)
+
+
+def _public_states(inst: Instance, idx: np.ndarray) -> list[State]:
+    """The public states of lex indexes ``idx``, an int64 array."""
+    return [tuple(state) for state in (lex_states(inst.n, inst.m, idx) + 1).tolist()]
 
 
 def _public(inst: Instance, idx: int) -> State:
     """The public state of lex index ``idx``."""
-    idx = int(idx)
-    state = []
-    for _ in range(inst.n):
-        idx, k = divmod(idx, inst.m)
-        state.append(k + 1)
-    return tuple(reversed(state))
+    return _public_states(inst, np.array([idx], dtype=np.int64))[0]
 
 
 def _extreme_state(
     inst: Instance, limits: OracleLimits, lowest: bool
 ) -> tuple[State, Fraction]:
     """The state of lowest (or highest) social value; lex-smallest tie."""
-    ev, (social,) = state_columns(inst, limits, lambda vals, cur, social: (social,))
+    ev, (social,) = state_columns(inst, limits, lambda vals, cur, social, phi: (social,))
     idx = int(social.argmin() if lowest else social.argmax())
     return _public(inst, idx), ev.as_value(int(social[idx]))
 
@@ -225,7 +225,8 @@ def pure_nash_set(
     """All states with no strictly improving unilateral deviation, lex order."""
     minimizes = inst.kind.minimizes
     ev, (flags, social) = state_columns(
-        inst, limits, lambda vals, cur, social: (pure_ne_flags(minimizes, vals, cur), social)
+        inst, limits,
+        lambda vals, cur, social, phi: (pure_ne_flags(minimizes, vals, cur), social),
     )
     idx = np.flatnonzero(flags)
     return _valued_states(ev, idx, social[idx])
@@ -236,8 +237,7 @@ def _valued_states(ev: StateEvaluator, idx, social) -> list[tuple[State, Fractio
     and their scaled social values."""
     social = social.tolist()
     value = {v: ev.as_value(v) for v in set(social)}
-    states = (lex_states(ev.n, ev.m, idx) + 1).tolist()
-    return [(tuple(state), value[v]) for state, v in zip(states, social)]
+    return [(state, value[v]) for state, v in zip(_public_states(ev.inst, idx), social)]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def strong_nash_set(
     minimizes = inst.kind.minimizes
     ev, (cur, social, flags) = state_columns(
         inst, limits,
-        lambda vals, cur, social: (cur, social, pure_ne_flags(minimizes, vals, cur)),
+        lambda vals, cur, social, phi: (cur, social, pure_ne_flags(minimizes, vals, cur)),
     )
     # player-major: row i holds player i's machine, and its value (negated
     # for the payoff kinds, so that lower is better), at every state
@@ -404,7 +404,7 @@ def worst_cce_value(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Cc
         raise StateSpaceExceeded("lp_max_states", count, limits.lp_max_states)
     minimizes = inst.kind.minimizes
 
-    def columns(vals, cur, social):
+    def columns(vals, cur, social, phi):
         # cost: E[dev - cur] >= 0;  payoff: E[cur - dev] >= 0
         diff = vals - cur[..., None] if minimizes else cur[..., None] - vals
         return social, diff.reshape(len(social), -1)
@@ -421,7 +421,8 @@ def worst_cce_value(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Cc
         )
     except simplex.LpInfeasible as exc:  # pure equilibria always exist
         raise RuntimeError("internal error: CCE polytope reported empty") from exc
-    support = tuple((_public(inst, idx), q) for idx, q in enumerate(sol.x) if q != 0)
+    idx = np.flatnonzero([q != 0 for q in sol.x])
+    support = tuple(zip(_public_states(inst, idx), (sol.x[i] for i in idx.tolist())))
     return CceSolution(distribution=support, value=sol.value / ev.value_scale)
 
 

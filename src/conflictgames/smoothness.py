@@ -42,6 +42,9 @@ class SmoothnessParams:
 
 
 def make_params(kind: GameKind, lam, mu) -> SmoothnessParams:
+    """Cost kinds take lambda >= 0 and mu < 1; payoff kinds lambda > 0 and
+    mu > -1 (Roughgarden, JACM 2015), where rho and the CCE bound 1/rho are
+    positive and finite."""
     lam, mu = Fraction(lam), Fraction(mu)
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
@@ -50,6 +53,8 @@ def make_params(kind: GameKind, lam, mu) -> SmoothnessParams:
             raise ValueError(f"cost-side mu must be < 1 for a meaningful ratio, got {mu}")
         rho = lam / (1 - mu)
     else:
+        if lam == 0 or mu <= -1:
+            raise ValueError(f"payoff-side lambda must be > 0 and mu > -1, got {lam} and {mu}")
         rho = lam / (1 + mu)
     return SmoothnessParams(lam=lam, mu=mu, rho=rho)
 
@@ -76,7 +81,9 @@ def semi_smooth_lhs(inst: Instance, state: State, profile: MixedProfile) -> Frac
     validate_profile(inst, profile)
     ev = StateEvaluator(inst)
     t, weights = deviation_weights(profile)
-    vals = ev.table(np.array([to_internal(state)]), factor=t)[0]
+    vals = ev.table(np.array([to_internal(state)]))[0]
+    if ev.dtype(t) is not ev.dtype():  # as state_columns widens a pass's table
+        vals = vals.astype(object)
     return Fraction(int(_weighted_sum(vals, weights)[0]), t * ev.value_scale)
 
 
@@ -96,7 +103,7 @@ def _worst_slack(inst, params, limits, t: int, lhs_of) -> SmoothnessVerdict:
     minimizes = inst.kind.minimizes
     sign = 1 if minimizes else -1
 
-    def columns(vals, cur, social):
+    def columns(vals, cur, social, phi):
         return social, un * ld * t * social - sign * ld * ud * lhs_of(vals)
 
     ev, (social, keys) = state_columns(inst, limits, columns, factor=t * ld * (abs(un) + ud))
@@ -181,7 +188,7 @@ def max_rho_pure_sigma(
     sigma = np.array(to_internal(sigma_state), dtype=np.int64)
     players = np.arange(inst.n)
     _, (lhs, social) = state_columns(
-        inst, limits, lambda vals, cur, social: (vals[:, players, sigma].sum(1), social)
+        inst, limits, lambda vals, cur, social, phi: (vals[:, players, sigma].sum(1), social)
     )
     opt = int(social.max())
     if opt == 0:
@@ -278,7 +285,7 @@ def check_opt_lower_bounds(
     """
     if not inst.kind.minimizes:
         return LowerBoundVerdict(holds=True, checks=(), witness=None)
-    ev, (social,) = state_columns(inst, limits, lambda vals, cur, social: (social,))
+    ev, (social,) = state_columns(inst, limits, lambda vals, cur, social, phi: (social,))
     n, m = inst.n, inst.m
     vs = ev.value_scale
     a_n, b_n, g_n = (int(w * vs) for w in (inst.alpha, inst.beta, inst.gamma))

@@ -114,7 +114,7 @@ def strong_nash_set_by_candidates(
     ev = StateEvaluator(inst)
     grids, curs, socials, flags = [], [], [], []
     for grid in state_blocks(inst.n, inst.m):
-        vals, cur, social = ev.table(grid)
+        vals, cur, social, _ = ev.table(grid)
         grids.append(grid)
         curs.append(cur)
         socials.append(social)
@@ -272,7 +272,7 @@ def max_rho_pure_sigma_by_bisection(
     sigma = np.array(to_internal(sigma_state), dtype=np.int64)
     ev, (social, lhs) = state_columns(
         inst, limits,
-        lambda vals, cur, social: (social, vals[:, np.arange(inst.n), sigma].sum(1)),
+        lambda vals, cur, social, phi: (social, vals[:, np.arange(inst.n), sigma].sum(1)),
     )
     rows = [(ev.as_value(u), ev.as_value(l)) for u, l in zip(social.tolist(), lhs.tolist())]
     opt_value = ev.as_value(int(social.max()))

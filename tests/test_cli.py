@@ -130,6 +130,18 @@ class TestSmoothnessAndCce:
         assert code == 0
         assert "0 failed" in out
 
+    def test_smoothness_rejects_payoff_params_outside_the_range(self):
+        for lam, mu in (("0", "0"), ("1", "-1"), ("1", "-2")):
+            code, out, err = run_cli(
+                "smoothness", "--generator", "maxcut-edge", "--lam", lam, "--mu", mu
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error: payoff-side lambda must be > 0 and mu > -1")
+        code, out, _ = run_cli(
+            "smoothness", "--generator", "maxcut-edge", "--lam", "1/2", "--mu", "0"
+        )
+        assert code == 0 and "cce_bound=2/1" in out
+
     def test_cce_value(self):
         code, out, _ = run_cli(
             "cce", "--generator", "bwc-multipartite", "--m", "2", "--format", "csv"

@@ -174,7 +174,7 @@ class TestSandwich:
         for inst in pool + beyond_int64_pool():
             _, (u, phi) = oracle.state_columns(
                 inst, oracle.DEFAULT_LIMITS,
-                lambda vals, cur, social, phi: (social, phi), potential=True,
+                lambda vals, cur, social, phi: (social, phi),
             )
             live = phi != 0
             pairs = [(u[live], phi[live])]

@@ -113,7 +113,8 @@ def assert_same_setup(inst):
     assert ev._magnitude == magnitude(ref, ev)
     mode = ev._move_mode
     assert mode == move_mode(ref, ev)
-    # the tables at dtype() and widened to object, and the walk's move table
+    # the state table's arrays at dtype(), the same on object, and the walk's
+    # move table
     unit, _, dtype = mode
     for key in {(ev.dtype(), 1), (object, 1), (dtype, unit)}:
         got, want = ev._edge_arrays(*key), edge_arrays(ref, *key)

@@ -84,7 +84,7 @@ def _table_pool():
 def _assert_table_matches_pointwise(ev):
     inst = ev.inst
     for grid in state_blocks(inst.n, inst.m):
-        vals, cur, social, phi = ev.table(grid, potential=True)
+        vals, cur, social, phi = ev.table(grid)
         assert vals.shape == (len(grid), inst.n, inst.m)
         for s, state in enumerate(grid.tolist()):
             aux = ev.analyze(state)
@@ -132,17 +132,6 @@ def test_table_beyond_int64_is_exact_on_object_dtype():
         assert _assert_table_matches_pointwise(StateEvaluator(inst)) == object
 
 
-def test_table_dtype_covers_the_callers_scaling():
-    # a factor that would push a scaled sum past the int64-safe bound switches
-    # the same table to exact Python ints
-    ev = StateEvaluator(gen_random(4, 3, GameKind.BWC, F(1, 2), seed=1))
-    grid = next(state_blocks(4, 3))
-    assert ev.table(grid)[0].dtype == np.int64
-    wide = ev.table(grid, factor=1 << 60)
-    assert wide[0].dtype == object
-    assert all(a.tolist() == b.tolist() for a, b in zip(ev.table(grid), wide))
-
-
 def test_neighbour_sums_on_float64_only_while_exact():
     # a weight of 2^53 + 1 rounds on float64, so its sums take the integer
     # product; with every |w| sum at one player below 2^53 they are exact on
@@ -154,6 +143,6 @@ def test_neighbour_sums_on_float64_only_while_exact():
         )
         ev = StateEvaluator(inst)
         assert ev.dtype() is np.int64
-        adjacency = ev._arrays(np.int64)[2]
+        adjacency = ev._table_arrays[2]
         assert (adjacency.dtype == np.float64) is on_float
         assert _assert_table_matches_pointwise(ev) == np.int64

@@ -139,31 +139,6 @@ class TestRandomGenerator:
         assert len(outputs) == 1
 
 
-class TestInstanceSpec:
-    def test_builds_named_generator(self):
-        from conflictgames.instances import InstanceSpec
-
-        spec = InstanceSpec("swc-pos", (("m", 3), ("eps", F(1, 10))))
-        assert spec.build() == gen_swc_pos(3, F(1, 10))
-        assert spec.label() == "swc-pos(m=3,eps=1/10)"
-
-    def test_builds_seeded_random(self):
-        from conflictgames.instances import InstanceSpec
-
-        spec = InstanceSpec(
-            "random",
-            (("n", 4), ("m", 2), ("kind", GameKind.BWC), ("edge_prob", F(1, 2)), ("seed", 3)),
-        )
-        assert spec.build() == gen_random(4, 2, GameKind.BWC, F(1, 2), seed=3)
-
-    def test_unknown_generator(self):
-        from conflictgames.games import InvalidInstanceError
-        from conflictgames.instances import InstanceSpec
-
-        with pytest.raises(InvalidInstanceError):
-            InstanceSpec("nope").build()
-
-
 class TestDocumentFormat:
     def test_round_trip_named(self):
         for inst in (

@@ -357,6 +357,24 @@ class TestCertificateParams:
         assert pota_payoff == (1 + params.mu) / params.lam
 
 
+class TestMakeParams:
+    def test_payoff_kinds_need_positive_lambda_and_mu_above_minus_one(self):
+        for kind in (GameKind.SWC, GameKind.SWF, GameKind.MAXCUT):
+            for lam, mu in ((0, 0), (1, -1), (1, -2), (-1, 0), (0, F(1, 2))):
+                with pytest.raises(ValueError):
+                    make_params(kind, lam, mu)
+            assert make_params(kind, F(1, 2), F(-1, 2)).rho == 1
+            assert make_params(kind, 1, 3).rho == F(1, 4)
+
+    def test_cost_kinds_take_zero_lambda_and_negative_mu(self):
+        for kind in (GameKind.BWC, GameKind.BWF, GameKind.BWCF):
+            assert make_params(kind, 0, 0).rho == 0
+            assert make_params(kind, 1, -2).rho == F(1, 3)
+            for lam, mu in ((-1, 0), (1, 1)):
+                with pytest.raises(ValueError):
+                    make_params(kind, lam, mu)
+
+
 class TestOptLowerBounds:
     def test_k22_floors(self):
         verdict = check_opt_lower_bounds(gen_bwc_multipartite(2))

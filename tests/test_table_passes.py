@@ -204,7 +204,8 @@ class TestBeyondInt64:
 
     def test_slack_combination_past_int64_runs_on_object_dtype(self, monkeypatch):
         # values fit int64 (about 2^54), but lam.den * mu.den * t times them
-        # would not: the checks must widen the table, not wrap around
+        # would not: the checks must widen the kept table, and past the budget
+        # every streamed block, not wrap around
         inst = make_instance(
             GameKind.SWF, 3, 2, friendship_edges=[(1, 2)],
             machine_values=(F(2**52 + 1, 2**52 + 3), F(1)),
@@ -213,20 +214,26 @@ class TestBeyondInt64:
         assert ev.dtype() is np.int64
         params = make_params(inst.kind, F(1, 10**6), F(3, 10**6 + 3))
         assert ev.dtype(10**6 * (10**6 + 6)) is object
-        monkeypatch.setattr(oracle, "_kept", None)
-        oracle.optimum(inst)  # an int64 pass keeps the table first
-        kept = oracle._kept
-        assert kept[0] is inst and kept[2][0].dtype == np.int64
         profile = canonical_deviation_profile(inst)
-        for check, lhs in (
+        checks = (
             (smoothness.check_nice, best_response_lhs_by_fractions(inst)),
             (smoothness.check_semi_smooth, profile_lhs_by_fractions(inst, profile)),
-        ):
-            verdict = check(inst, params)
-            assert (verdict.holds, verdict.worst_state, verdict.slack) == (
-                slack_verdict_by_fractions(inst, params, lhs)
-            )
-        assert oracle._kept is kept  # read, widened, and not replaced
+        )
+        for cells in (_TABLE_CELLS, 0):  # the kept table, then streamed blocks
+            monkeypatch.setattr(oracle, "_TABLE_CELLS", cells)
+            monkeypatch.setattr(oracle, "_kept", None)
+            oracle.optimum(inst)  # an int64 pass first, which keeps the table
+            kept = oracle._kept
+            if cells:
+                assert kept[0] is inst and kept[2][0].dtype == np.int64
+            else:
+                assert kept is None
+            for check, lhs in checks:
+                verdict = check(inst, params)
+                assert (verdict.holds, verdict.worst_state, verdict.slack) == (
+                    slack_verdict_by_fractions(inst, params, lhs)
+                )
+            assert oracle._kept is kept  # read, widened, and not replaced
 
 
 def _capped_passes():
@@ -305,9 +312,7 @@ class TestKeptTable:
 
     def test_arrays_are_read_only(self):
         inst = gen_random(4, 3, GameKind.SWC, F(1, 2), seed=1)
-        _, table = oracle.state_columns(
-            inst, OracleLimits(), lambda *table: table, potential=True
-        )
+        _, table = oracle.state_columns(inst, OracleLimits(), lambda *table: table)
         assert len(table) == 4
         for array in table:
             with pytest.raises(ValueError):
@@ -328,7 +333,7 @@ class TestKeptTable:
             ev, kept = oracle._whole_table(inst)
             blocks = list(state_blocks(inst.n, inst.m))
             several += len(blocks) > 1
-            streamed = [ev.table(block, potential=True) for block in blocks]
+            streamed = [ev.table(block) for block in blocks]
             # vals machine-major, as table() lays it out
             assert kept[0].transpose(2, 0, 1).flags.c_contiguous
             for array, parts, expected in zip(kept, zip(*streamed), reference_table(inst)):
