@@ -273,10 +273,14 @@ def _cmd_smoothness(args) -> int:
     rows.append(verdicts.make_verdict("nice.slack", label, 0, nice.slack, ">="))
     lb = smoothness.check_opt_lower_bounds(inst, limits)
     rows.append(verdicts.make_verdict("opt_lower_bounds", label, 1, int(lb.holds), "=="))
-    header = (
-        f"lambda={frac_str(params.lam)} mu={frac_str(params.mu)} "
-        f"rho={frac_str(params.rho)} cce_bound={frac_str(pota)}\n"
+    # the CCE bound follows from semi-smoothness, so it is quoted only when
+    # that check holds
+    bound = (
+        f"rho={frac_str(params.rho)} cce_bound={frac_str(pota)}"
+        if v.holds
+        else "rho and cce_bound not certified: semi-smoothness fails"
     )
+    header = f"lambda={frac_str(params.lam)} mu={frac_str(params.mu)} {bound}\n"
     body = verdicts.render_csv(rows) if args.format == "csv" else verdicts.render_text(rows)
     _emit(args, body if args.format == "csv" else header + body)
     return 0

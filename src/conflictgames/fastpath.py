@@ -78,29 +78,34 @@ instead:
 Every enumeration pass reads the state table:
 
 * blocks: a state is its lex index; :func:`lex_states` decodes an array of
-  indexes into ``(S, n)`` int64 states (their mixed-radix digits), and
-  :func:`state_blocks` yields the m^n states in lex order as such arrays of
-  at most ``_BLOCK_CELLS`` (2^16) (state, player, machine) cells, so the
-  memory of a table build stays flat however many states there are.  Only
+  indexes into ``(S, n)`` int64 states (their mixed-radix digits, stored
+  player-major, so the transpose is contiguous), and :func:`state_blocks`
+  yields the m^n states in lex order as such arrays of at most
+  ``_BLOCK_CELLS`` (2^16) (state, player, machine) cells, so the memory of a
+  table build stays flat however many states there are; when all states fit
+  one block, its digits come from ``np.indices`` with no division.  Only
   :func:`conflictgames.oracle.state_columns` iterates over the blocks: it
   keeps the whole table of one instance between passes when it has at most
   ``_TABLE_CELLS`` cells, and otherwise hands each pass its per-state
   columns, built block by block;
-* table: :meth:`StateEvaluator.table` turns a block into ``vals[s, i, k]`` (the
-  value of player ``i`` on machine ``k`` with everyone else at ``s``, equal to
-  ``value(analyze(s), i, k)``), ``cur[s, i]`` (the value at ``s``), ``social
-  = cur.sum(1)`` and the potential ``phi``, always these four, always at
-  ``dtype()``.  It is the same formula on arrays: a one-hot of the block, its
-  loads, the neighbour weights ``tab = onehot @ W`` (``W`` the n x n signed
-  adjacency of the edges) and ``mach[k][load + (s_i != k)] + base[i] +
-  tab``.  On int64 the product runs on float64 (BLAS) when the |w| summed at
-  any one player is below 2^53: every partial sum is then an integer below
-  2^53, exact in any order, and the result is cast back; otherwise it runs on
-  int64 or ``object``.  The potential needs no pass over the edges:
-  ``social`` is the machine terms ``sum_k load_k * mach[k][load_k]`` plus ``2
-  * (w_sep + co-located weight)``, so the edge part of the potential is half
-  of what is left (times ``potential_scale / value_scale``), the way
-  :class:`Walk` derives its aggregates;
+* table: :meth:`StateEvaluator.table` turns a block into ``vals[k, i, s]``
+  (the value of player ``i`` on machine ``k`` with everyone else at state
+  ``s``, equal to ``value(analyze(s), i, k)``), ``cur[i, s]`` (the value at
+  ``s``), ``social[s] = sum_i cur[i, s]`` and the potential ``phi[s]``,
+  always these four, always at ``dtype()``, with the states innermost: every
+  reduction over machines or players runs along contiguous rows of states.
+  It is the same formula on arrays: the one-hot ``onehot[k, i, s]`` of the
+  player-major digits, the loads as its sum over players, the neighbour
+  weights ``adj @ onehot`` (``adj`` the n x n signed adjacency of the edges)
+  and ``mach[k][load + (s_i != k)] + base[i]``, the machine and potential
+  terms read with flat ``take``s.  On int64 the product runs on float64
+  (BLAS) when the |w| summed at any one player is below 2^53: every partial
+  sum is then an integer below 2^53, exact in any order, and the result is
+  cast back; otherwise it runs on int64 or ``object``.  The potential needs
+  no pass over the edges: ``social`` is the machine terms ``sum_k load_k *
+  mach[k][load_k]`` plus ``2 * (w_sep + co-located weight)``, so the edge
+  part of the potential is half of what is left (times ``potential_scale /
+  value_scale``), the way :class:`Walk` derives its aggregates;
 * dtype: :meth:`StateEvaluator.dtype` is int64 only when a bound computed
   from the tables shows that no value, no sum of values over all players and
   machines, and no multiple of such a sum by ``factor`` can reach
@@ -358,44 +363,46 @@ class StateEvaluator:
     def _table_arrays(self):
         """The tables of :meth:`table` as arrays of ``dtype()``: mach (with
         one spare column, so that ``load + 1`` is a valid index even when
-        everyone shares a machine), base, the adjacency and pot.  On int64
-        the adjacency is float64 when every neighbour sum is exact there (see
+        everyone shares a machine), base, the adjacency and pot (padded to
+        the shape of mach, so that one flat index reads both).  On int64 the
+        adjacency is float64 when every neighbour sum is exact there (see
         :meth:`table`)."""
         dtype = self.dtype()
         _, _, adj, base = self._edge_arrays(dtype)
         if dtype is np.int64 and int(self._touching.max()) * self.unit < _FLOAT_EXACT:
             adj = adj.astype(np.float64)
         mach = np.array([row + [0] for row in self.mach], dtype=dtype)
-        return mach, base, adj, np.array(self.pot, dtype=dtype)
+        pot = np.array([row + [0] for row in self.pot], dtype=dtype)
+        return mach, base, adj, pot
 
     def table(self, grid):
         """(vals, cur, social, phi) at every state of ``grid``, an ``(S, n)``
         array of internal states, at ``dtype()``; ``phi`` is the potential.
 
-        ``vals`` is indexed ``[s, i, k]`` but laid out machine-major, so the
-        reductions over machines are elementwise operations on ``(S, n)``
-        slices."""
+        The states are the last, contiguous axis of every array:
+        ``vals[k, i, s]``, ``cur[i, s]``, ``social[s]`` and ``phi[s]``, so
+        each reduction over machines or players runs along rows of states."""
         mach, base, adj, pot = self._table_arrays
-        dtype = self.dtype()
-        count, n, m = len(grid), self.n, self.m
-        machines = np.arange(m)
-        onehot = grid == machines[:, None, None]  # [k, s, i]
-        loads = np.bincount((grid + m * np.arange(count)[:, None]).ravel(), minlength=count * m)
-        loads = loads.reshape(count, m)
-        here = mach[machines, loads]  # [s, k]: a player on k already
-        there = mach[machines, loads + 1].T[:, :, None]  # i joins k
-        # [k, s, i]: neighbour weight on k; on float64 every partial sum is
-        # an integer below 2^53, so the product is exact in any order
-        tab = (onehot.reshape(m * count, n).astype(adj.dtype) @ adj).astype(dtype, copy=False)
-        vals = tab.reshape(m, count, n)  # a new array: add in place
-        vals += base
-        vals += np.where(onehot, here.T[:, :, None], there)
-        cur = (vals * onehot).sum(0)
-        vals = vals.transpose(1, 2, 0)
-        social = cur.sum(1)
+        n, m = self.n, self.m
+        digits = grid.T  # [i, s]: contiguous for the blocks of state_blocks
+        onehot = digits == np.arange(m)[:, None, None]  # [k, i, s]
+        # [k, s]; uint8, the fastest sum, holds every load below 256
+        loads = onehot.sum(1, dtype=np.uint8 if n < 256 else np.int64)
+        at = loads + (np.arange(m) * (n + 2))[:, None]  # flat index of mach[k][load_k]
+        here = mach.take(at)
+        # neighbour weight of i on k; on float64 every partial sum is an
+        # integer below 2^53, so the product is exact in any order
+        vals = (adj @ onehot.astype(adj.dtype)).astype(self.dtype(), copy=False)
+        vals += base[:, None]
+        # mach[k][load_k] where i is on k, mach[k][load_k + 1] where i joins k
+        vals += np.where(onehot, here[:, None], mach.take(at + 1)[:, None])
+        cur = vals[0].copy()
+        for k in range(1, m):
+            np.copyto(cur, vals[k], where=onehot[k])
+        social = cur.sum(0)
         # social is the machine terms plus 2 * (w_sep + co-located weight)
-        edges = (social - (loads * here).sum(1)) // 2
-        phi = pot[machines, loads].sum(1) + self.potential_scale // self.value_scale * edges
+        edges = (social - (loads * here).sum(0)) // 2
+        phi = pot.take(at).sum(0) + self.potential_scale // self.value_scale * edges
         return vals, cur, social, phi
 
     @cached_property
@@ -542,16 +549,21 @@ def max_abs(a: np.ndarray) -> int:
 
 def lex_states(n: int, m: int, idx: np.ndarray) -> np.ndarray:
     """The internal states of lex indexes ``idx`` (an int64 array), as an
-    ``(S, n)`` int64 array: the mixed-radix digits of each index."""
+    ``(S, n)`` int64 array: the mixed-radix digits of each index, stored
+    player-major (its transpose is contiguous)."""
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return idx[:, None] // place % m
+    return (idx // place[:, None] % m).T
 
 
 def state_blocks(n: int, m: int) -> Iterator[np.ndarray]:
     """All m^n internal states in lex order, as ``(S, n)`` int64 blocks of at
-    most ``_BLOCK_CELLS`` (state, player, machine) cells."""
+    most ``_BLOCK_CELLS`` (state, player, machine) cells, stored player-major
+    like those of :func:`lex_states`."""
     count = m**n
     step = max(1, _BLOCK_CELLS // (n * m))
+    if step >= count:  # a single block: its digits need no division
+        yield np.indices((m,) * n, dtype=np.int64).reshape(n, count).T
+        return
     for start in range(0, count, step):
         yield lex_states(n, m, np.arange(start, min(start + step, count), dtype=np.int64))
 

@@ -5,10 +5,10 @@ equilibrium via an exact-rational LP.
 Enumeration passes, the worst-CCE LP's columns included, are whole-array
 reductions: each pass asks :func:`state_columns` for the per-state arrays it
 needs and reduces each of them once; every reported value is an exact
-Fraction.  Row ``i`` of every such array is the state of lex index ``i``,
-decoded to a tuple only where a pass reports it, so ties (optimum, worst
-equilibrium, tightest slack) resolve to the lexicographically smallest state
-through numpy's first ``argmin``/``argmax``/``flatnonzero``.
+Fraction.  Entry ``i`` along the last axis of every such array is the state
+of lex index ``i``, decoded to a tuple only where a pass reports it, so ties
+(optimum, worst equilibrium, tightest slack) resolve to the lexicographically
+smallest state through numpy's first ``argmin``/``argmax``/``flatnonzero``.
 
 Expectations under a product profile read the evaluator's machine terms,
 bases and signed edges with no kind branch: the machine term is averaged over
@@ -23,13 +23,14 @@ constants over one instance share one evaluator and one table build.  The
 split into blocks is decided here alone, in :func:`_whole`, which serves
 both cases:
 
-* kept: the four arrays of :meth:`StateEvaluator.table` (``vals``
-  machine-major, as it lays them out, ``cur``, ``social`` and the potential
-  ``phi``) over all states at the evaluator's ``dtype()``, all read-only; the
-  states themselves are not kept.  A table of one build block keeps the arrays
-  :meth:`StateEvaluator.table` returned, a larger one is filled block by
-  block into arrays allocated once.  A pass maps the whole table to its
-  columns in one call;
+* kept: the four arrays of :meth:`StateEvaluator.table` (``vals[k, i, s]``,
+  ``cur[i, s]``, ``social[s]`` and the potential ``phi[s]``, the states
+  innermost, as it lays them out) over all states at the evaluator's
+  ``dtype()``, all read-only; the states themselves are not kept.  A table of
+  one build block keeps the arrays :meth:`StateEvaluator.table` returned, a
+  larger one is filled block by block, along the state axis, into arrays
+  allocated once.  A pass maps the whole table to its columns in one call,
+  each column with the states last, and reduces over the leading axes;
 * budget: a table of more than ``fastpath._TABLE_CELLS`` (state, player,
   machine) cells is not kept.  The pass's columns are built block by block
   and filled into whole arrays, so memory is the tables of two blocks plus
@@ -45,11 +46,10 @@ is one state when the machines' terms differ) and gives each verdict to the
 whole orbit.  It tests the representatives in chunks of at most
 ``_STRONG_CELLS`` (candidate, state) cells.  Per player, one elementwise
 ``stay | better`` over (candidates x states) narrows the states that still
-refute some candidate of the chunk; ``better`` compares the player's values
-in the table directly, negated for the payoff kinds so that lower is better
-(exact on int64, where the dtype rule keeps every value below 2^60 in
-magnitude, and on ``object``).  A candidate survives when no state other
-than itself is left for it.
+refute some candidate of the chunk; ``better`` compares the player's row of
+``cur`` in place, ``<`` for the cost kinds and ``>`` for the payoff kinds
+(exact on int64 and on ``object``).  A candidate survives when no state
+other than itself is left for it.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ _kept: Optional[tuple] = None
 def _whole(ev: StateEvaluator, columns):
     """``columns`` of the state table of ``ev`` over all states, lex order,
     built block by block: the arrays of a single block as they are, those of
-    several filled into arrays allocated once (with each block's layout, so
-    ``vals`` stays machine-major).  Besides those arrays, no more than two
-    blocks' tables are held at a time."""
+    several filled along their last (state) axis into arrays allocated once.
+    Besides those arrays, no more than two blocks' tables are held at a
+    time."""
     count = state_count(ev.inst)
     whole, start = None, 0
     for grid in state_blocks(ev.n, ev.m):
@@ -129,10 +129,10 @@ def _whole(ev: StateEvaluator, columns):
         if len(grid) == count:
             return part
         if whole is None:
-            whole = tuple(np.empty_like(a, shape=(count,) + a.shape[1:]) for a in part)
+            whole = tuple(np.empty_like(a, shape=a.shape[:-1] + (count,)) for a in part)
         stop = start + len(grid)
         for array, column in zip(whole, part):
-            array[start:stop] = column
+            array[..., start:stop] = column
         start = stop
     return whole
 
@@ -162,9 +162,9 @@ def state_columns(inst: Instance, limits: OracleLimits, columns, factor: int = 1
     too big.
 
     ``columns`` maps a state table (see :meth:`StateEvaluator.table`) to a
-    tuple of arrays with one row per state.  It is called once on the kept
-    table, or past the budget once per block, the results filled into whole
-    arrays.  Either way it reads the table widened to ``object`` when it
+    tuple of arrays whose last axis is the states.  It is called once on the
+    kept table, or past the budget once per block, the results filled into
+    whole arrays along that axis.  Either way it reads the table widened to ``object`` when it
     multiplies the table by ``factor`` and ``dtype(factor)`` needs that."""
     _guard(inst, limits.max_states, "max_states")
     ev, table = _whole_table(inst)
@@ -214,9 +214,9 @@ def pure_ne_flags(minimizes: bool, vals, cur):
     """Per state: no player has a strictly better machine.  One machine at a
     time, so a whole kept table needs only boolean temporaries."""
     stay = np.ones(cur.shape, dtype=bool)
-    for k in range(vals.shape[2]):
-        stay &= (vals[:, :, k] >= cur) if minimizes else (vals[:, :, k] <= cur)
-    return stay.all(1)
+    for row in vals:  # [i, s] of one machine
+        stay &= (row >= cur) if minimizes else (row <= cur)
+    return stay.all(0)
 
 
 def pure_nash_set(
@@ -295,11 +295,10 @@ def strong_nash_set(
         inst, limits,
         lambda vals, cur, social, phi: (cur, social, pure_ne_flags(minimizes, vals, cur)),
     )
-    # player-major: row i holds player i's machine, and its value (negated
-    # for the payoff kinds, so that lower is better), at every state
+    # row i of machine, like row i of cur, is player i's at every state
     shape = (inst.m,) * inst.n
     machine = np.indices(shape, np.min_scalar_type(inst.m - 1)).reshape(inst.n, -1)
-    value = np.ascontiguousarray((cur if minimizes else -cur).T)
+    better = np.less if minimizes else np.greater
     candidates = np.flatnonzero(flags)
     reps, orbit = np.unique(orbit_representatives(ev, candidates), return_inverse=True)
     step = max(1, _STRONG_CELLS // len(social))
@@ -311,9 +310,9 @@ def strong_nash_set(
         # candidate of the chunk go on to the next player.
         states = np.arange(len(social))
         refutes = np.ones((len(chunk), len(states)), dtype=bool)
-        for here, values in zip(machine, value):
+        for here, values in zip(machine, cur):
             ok = here[states] == here[chunk, None]
-            ok |= values[states] < values[chunk, None]
+            ok |= better(values[states], values[chunk, None])
             refutes &= ok
             live = np.flatnonzero(refutes.any(0))
             states, refutes = states[live], refutes.take(live, axis=1)
@@ -405,9 +404,10 @@ def worst_cce_value(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Cc
     minimizes = inst.kind.minimizes
 
     def columns(vals, cur, social, phi):
-        # cost: E[dev - cur] >= 0;  payoff: E[cur - dev] >= 0
-        diff = vals - cur[..., None] if minimizes else cur[..., None] - vals
-        return social, diff.reshape(len(social), -1)
+        # cost: E[dev - cur] >= 0;  payoff: E[cur - dev] >= 0; one row per
+        # (player, machine), in that order
+        diff = vals - cur if minimizes else cur - vals
+        return social, diff.transpose(1, 0, 2).reshape(-1, len(social))
 
     ev, (social, diff) = state_columns(inst, limits, columns)
     try:
@@ -415,7 +415,7 @@ def worst_cce_value(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Cc
             objective=social.tolist(),
             a_eq=[[1] * count],
             b_eq=[1],
-            a_ge=diff.T,
+            a_ge=diff,
             b_ge=[0] * (inst.n * inst.m),
             maximize=ev.minimizes,
         )

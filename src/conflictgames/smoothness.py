@@ -137,18 +137,14 @@ def check_semi_smooth(
 
 
 def _weighted_sum(vals, weights):
-    """``sum_ik weights[i, k] * vals[s, i, k]`` at every state, one machine at
-    a time: each ``vals[:, :, k]`` of a state table is contiguous, so this
-    needs no (state, player, machine) temporary."""
-    lhs = vals[:, :, 0] @ weights[:, 0]
-    for k in range(1, vals.shape[2]):
-        lhs += vals[:, :, k] @ weights[:, k]
-    return lhs
+    """``sum_ik weights[i, k] * vals[k, i, s]`` at every state ``s``, with no
+    temporary the size of the table."""
+    return np.einsum("ik,kis->s", weights, vals)
 
 
 def deviation_weights(profile: MixedProfile) -> tuple[int, np.ndarray]:
     """(t, W) with t the lcm of the profile's denominators and W[i, k] the
-    integer t * q_ik, so that t * value_scale * LHS = sum_ik W[i, k] * vals[s, i, k]."""
+    integer t * q_ik, so that t * value_scale * LHS = sum_ik W[i, k] * vals[k, i, s]."""
     t = lcm(*(q.denominator for row in profile for q in row))
     dtype = np.int64 if t < _INT64_SAFE else object  # a caller's profile may need big ints
     return t, np.array([[int(q * t) for q in row] for row in profile], dtype=dtype)
@@ -160,8 +156,17 @@ def check_nice(
     """Niceness check with the deviation target at the joint best responses:
     for every state, sum_i value_i(best response, s_-i) against
     lam * extremal +/- mu * value(s)."""
-    pick = np.min if inst.kind.minimizes else np.max
-    return _worst_slack(inst, params, limits, 1, lambda vals: pick(vals, 2).sum(1))
+    pick = np.minimum if inst.kind.minimizes else np.maximum
+
+    def best_response_sum(vals):
+        # one player at a time, so the temporaries are one value per state
+        lhs = pick.reduce(vals[:, 0])
+        best = np.empty_like(lhs)
+        for i in range(1, vals.shape[1]):
+            lhs += pick.reduce(vals[:, i], out=best)
+        return lhs
+
+    return _worst_slack(inst, params, limits, 1, best_response_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +193,7 @@ def max_rho_pure_sigma(
     sigma = np.array(to_internal(sigma_state), dtype=np.int64)
     players = np.arange(inst.n)
     _, (lhs, social) = state_columns(
-        inst, limits, lambda vals, cur, social, phi: (vals[:, players, sigma].sum(1), social)
+        inst, limits, lambda vals, cur, social, phi: (vals[sigma, players].sum(0), social)
     )
     opt = int(social.max())
     if opt == 0:

@@ -112,13 +112,16 @@ def edge_arrays(ref: Setup, dtype, unit: int = 1):
 
 def reference_table(inst: Instance):
     """``(vals, cur, social, potential)`` of ``StateEvaluator.table`` over all
-    states in lex order, as nested lists of Python ints, one state at a time
+    states in lex order, as nested lists of Python ints in the table's index
+    order (``vals[k][i][s]``, ``cur[i][s]``), computed one state at a time
     from the reference edges.  The machine terms ``mach`` and ``pot`` are the
     evaluator's."""
     ev = StateEvaluator(inst)
     ref = reference_setup(inst)
     n, m = inst.n, inst.m
-    vals, cur, social, potential = [], [], [], []
+    vals = [[[] for _ in range(n)] for _ in range(m)]
+    cur = [[] for _ in range(n)]
+    social, potential = [], []
     for state in itertools.product(range(m), repeat=n):
         loads = [state.count(k) for k in range(m)]
         neighbours = [[0] * m for _ in range(n)]  # signed weight of i's neighbours on k
@@ -128,14 +131,12 @@ def reference_table(inst: Instance):
             neighbours[b][state[a]] += w
             if state[a] == state[b]:
                 colocated += w
-        row = [
-            [ev.mach[k][loads[k] + (state[i] != k)] + ref.base[i] + neighbours[i][k]
-             for k in range(m)]
-            for i in range(n)
-        ]
-        vals.append(row)
-        cur.append([row[i][state[i]] for i in range(n)])
-        social.append(sum(cur[-1]))
+        for i in range(n):
+            for k in range(m):
+                value = ev.mach[k][loads[k] + (state[i] != k)] + ref.base[i] + neighbours[i][k]
+                vals[k][i].append(value)
+            cur[i].append(vals[state[i]][i][-1])
+        social.append(sum(row[-1] for row in cur))
         potential.append(
             sum(ev.pot[k][loads[k]] for k in range(m))
             + ev.potential_scale // ev.value_scale * (ref.w_sep + colocated)

@@ -119,7 +119,8 @@ def strong_nash_set_by_candidates(
         curs.append(cur)
         socials.append(social)
         flags.append(pure_ne_flags(ev.minimizes, vals, cur))
-    grid, cur, social = map(np.concatenate, (grids, curs, socials))
+    grid, social = map(np.concatenate, (grids, socials))
+    cur = np.concatenate(curs, axis=1).T  # [s, i]
     out = []
     for idx in np.flatnonzero(np.concatenate(flags)):
         moved = grid != grid[idx]
@@ -272,7 +273,7 @@ def max_rho_pure_sigma_by_bisection(
     sigma = np.array(to_internal(sigma_state), dtype=np.int64)
     ev, (social, lhs) = state_columns(
         inst, limits,
-        lambda vals, cur, social, phi: (social, vals[:, np.arange(inst.n), sigma].sum(1)),
+        lambda vals, cur, social, phi: (social, vals[sigma, np.arange(inst.n)].sum(0)),
     )
     rows = [(ev.as_value(u), ev.as_value(l)) for u, l in zip(social.tolist(), lhs.tolist())]
     opt_value = ev.as_value(int(social.max()))

@@ -142,6 +142,14 @@ class TestSmoothnessAndCce:
         )
         assert code == 0 and "cce_bound=2/1" in out
 
+    def test_smoothness_quotes_no_bound_when_semi_smoothness_fails(self):
+        code, out, _ = run_cli("smoothness", "--generator", "path4", "--lam", "0", "--mu", "0")
+        assert code == 0 and "cce_bound=" not in out
+        assert out.splitlines()[0] == (
+            "lambda=0/1 mu=0/1 rho and cce_bound not certified: semi-smoothness fails"
+        )
+        assert "-13/1" in out and "2 failed" in out
+
     def test_cce_value(self):
         code, out, _ = run_cli(
             "cce", "--generator", "bwc-multipartite", "--m", "2", "--format", "csv"

@@ -85,13 +85,13 @@ def _assert_table_matches_pointwise(ev):
     inst = ev.inst
     for grid in state_blocks(inst.n, inst.m):
         vals, cur, social, phi = ev.table(grid)
-        assert vals.shape == (len(grid), inst.n, inst.m)
+        assert vals.shape == (inst.m, inst.n, len(grid))
         for s, state in enumerate(grid.tolist()):
             aux = ev.analyze(state)
-            assert vals[s].tolist() == [
-                [ev.value(aux, i, k) for k in range(inst.m)] for i in range(inst.n)
+            assert vals[:, :, s].tolist() == [
+                [ev.value(aux, i, k) for i in range(inst.n)] for k in range(inst.m)
             ]
-            assert cur[s].tolist() == ev.values(aux)
+            assert cur[:, s].tolist() == ev.values(aux)
             assert social[s] == ev.social(state)
             assert phi[s] == ev.potential(state)
     return vals.dtype

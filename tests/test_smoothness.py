@@ -153,7 +153,7 @@ class TestClosedFormLhs:
                 assert t == inst.n
                 narrow += 1
             for grid in state_blocks(inst.n, inst.m):
-                lhs = (ev.table(grid)[0] * weights).sum((1, 2))
+                lhs = (ev.table(grid)[0] * weights.T[:, :, None]).sum((0, 1))
                 for state, got in zip(grid.tolist(), lhs.tolist()):
                     expected = t * ev.value_scale * _definitional_lhs(inst, to_public(state), prof)
                     assert got == expected

@@ -160,25 +160,33 @@ def _every_pass(inst):
 
 
 def test_streamed_columns_equal_the_kept_table(monkeypatch):
-    # every pass gives the same result from the kept table and from its
-    # columns filled from several blocks of 64 cells
-    monkeypatch.setattr(fastpath, "_BLOCK_CELLS", 64)
+    # every pass gives the same result from the kept table of one build
+    # block, from the kept table filled from blocks of 64 cells, and from
+    # the columns streamed block by block past the budget
+    layouts = ((fastpath._BLOCK_CELLS, _TABLE_CELLS), (64, _TABLE_CELLS), (64, 0))
     pool = [
         gen_random(5, 2, kind, F(1, 2), seed=1) if kind is GameKind.MAXCUT
         else gen_random(4, 3, kind, F(1, 2), seed=1,
                         **(dict(alpha=F(1), beta=F(1), gamma=F(1, 2)) if kind is GameKind.BWCF else {}))
         for kind in ALL_KINDS
     ]
-    for inst in pool + beyond_int64_pool()[2:]:
-        assert len(list(state_blocks(inst.n, inst.m))) > 1
-        monkeypatch.setattr(oracle, "_kept", None)
-        monkeypatch.setattr(oracle, "_TABLE_CELLS", _TABLE_CELLS)
-        kept = _every_pass(inst)
-        assert oracle._kept is not None
-        monkeypatch.setattr(oracle, "_kept", None)
-        monkeypatch.setattr(oracle, "_TABLE_CELLS", 0)
-        assert _every_pass(inst) == kept
-        assert oracle._kept is None
+    pool += [
+        inst for kind in ALL_KINDS
+        for inst in kind_pool(kind, 3, n_max=4, allow_small_n=False)
+    ]
+    pool += beyond_int64_pool()[1:]  # the first one's object LP takes seconds
+    several = 0
+    for inst in pool:
+        results = []
+        for block_cells, table_cells in layouts:
+            monkeypatch.setattr(fastpath, "_BLOCK_CELLS", block_cells)
+            monkeypatch.setattr(oracle, "_TABLE_CELLS", table_cells)
+            monkeypatch.setattr(oracle, "_kept", None)
+            results.append(_every_pass(inst))
+            assert (oracle._kept is None) == (table_cells == 0)
+        several += len(list(state_blocks(inst.n, inst.m))) > 1
+        assert results[0] == results[1] == results[2]
+    assert several > len(pool) // 2
 
 
 class TestBeyondInt64:
@@ -334,12 +342,14 @@ class TestKeptTable:
             blocks = list(state_blocks(inst.n, inst.m))
             several += len(blocks) > 1
             streamed = [ev.table(block) for block in blocks]
-            # vals machine-major, as table() lays it out
-            assert kept[0].transpose(2, 0, 1).flags.c_contiguous
+            # the states innermost, as table() lays them out
+            count = oracle.state_count(inst)
+            assert kept[0].shape == (inst.m, inst.n, count) and kept[0].flags.c_contiguous
+            assert kept[1].shape == (inst.n, count) and kept[1].flags.c_contiguous
             for array, parts, expected in zip(kept, zip(*streamed), reference_table(inst)):
                 assert array.dtype == ev.dtype()
                 assert all(part.dtype == ev.dtype() for part in parts)
-                assert array.tolist() == np.concatenate(parts).tolist() == expected
+                assert array.tolist() == np.concatenate(parts, axis=-1).tolist() == expected
         assert several if block_cells else not several
 
     def test_table_over_budget_is_not_kept(self):
