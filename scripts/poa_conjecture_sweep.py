@@ -4,7 +4,10 @@
 The certified pure bound is 2 - m/n; the suspicion is that for n > m^2 the
 true worst case is the smaller 2 - 1/m.  This sweep reports the largest pure
 PoA observed over seeded random instances per (n, m) -- measurements only, no
-assertion.
+assertion.  It runs n = m^2 + 1 .. m^2 + 6 and stops before the first n whose
+orbits under renaming the machines (the restricted growth strings the scans
+read) pass ``max_states``: at m = 3 that is n = 15, after n = 14 (4782969
+states, 797162 strings).
 
 Usage:
     python scripts/poa_conjecture_sweep.py [--m 2] [--count 40]
@@ -17,9 +20,10 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from conflictgames.fastpath import orbit_count
 from conflictgames.games import GameKind
 from conflictgames.instances import gen_random
-from conflictgames.oracle import equilibrium_report
+from conflictgames.oracle import DEFAULT_LIMITS, equilibrium_report
 
 
 def main() -> int:
@@ -33,6 +37,10 @@ def main() -> int:
     probs = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     print(f"m={m}: certified pure bound 2-m/n, conjectured 2-1/m = {2 - Fraction(1, m)}")
     for n in range(m * m + 1, m * m + 7):
+        if orbit_count(n, m) > DEFAULT_LIMITS.max_states:
+            print(f"  n={n}: stopped, {orbit_count(n, m)} strings pass max_states "
+                  f"{DEFAULT_LIMITS.max_states}")
+            break
         worst = Fraction(0)
         for t in range(args.count):
             inst = gen_random(n, m, GameKind.BWC, probs[t % 3], seed=args.seed + t)

@@ -1,27 +1,32 @@
 #!/usr/bin/env python3
 """Time each exhaustive scan pass, with the state table built afresh (cold)
-and read from the table the previous pass kept (warm), the table build on its
-own, and the passes that stream past the kept-table budget.
+and read from the table the previous pass kept (warm), the table build and
+the orbit strings on their own, and the passes that stream past the
+kept-table budget.
 
 One cycle is one cycle of the benchmark's scan workload, drawn by
 ``perfbench/workloads.py`` from ``--seed``: twelve instances of 1024-2187
 states, all six kinds, with the strong scan on the three m = 3 ones.  Each
 pass is timed cold (the kept table dropped just before the call, so the pass
-builds its own) and then warm (right after, on the table it kept).  The last
-line of this block times the build alone: ``oracle._whole_table`` with no table kept, once
-per instance, which is what each cold pass pays on top of its warm time.
-The best of ``--repeats`` cycles is printed in milliseconds per cycle.
+builds its own) and then warm (right after, on the table it kept).  Two lines
+time builds alone, once per instance: "table build" is
+``oracle._whole_table`` over the columns the scan passes read, with no table
+kept and the strings cached, which is what each cold pass pays on top of its
+warm time; "string build" is the uncached enumeration of the restricted
+growth strings (``fastpath.orbit_strings``) of every instance whose machines
+all have the same machine term.  The best of ``--repeats`` cycles is printed
+in milliseconds per cycle.  The block ends with the columns the scan passes
+read per cycle, one per orbit under renaming the machines where the machines
+are symmetric and one per state elsewhere, against the states of the cycle,
+and with the size of its strong scans: the pure equilibria the scan finds and
+the strings among them it tests, one per orbit.
 
-A second block times the seven passes that stream past the kept-table
-budget (``fastpath._TABLE_CELLS``): on ``gen_random(10, 3, BWC, 1/2,
-seed=1)``, 59049 states, no table is kept, so every pass is cold and builds
-its per-state columns block by block.  It prints the best of ``--repeats``
-runs in milliseconds and, from one more run under ``tracemalloc``, the peak
-of traced memory in MB.
-
-Each block ends with the size of its strong scans: the pure equilibria the
-scan takes as candidates, and the representatives it tests, one per orbit
-under renaming the machines (``oracle.orbit_representatives``).
+A second block times the six passes that read one column per orbit on
+``gen_random(12, 3, BWC, 1/2, seed=1)``: 531441 states in 88574 orbits, more
+than the kept-table budget (``fastpath._TABLE_CELLS``) even so, so every pass
+is cold and builds its per-string columns block by block.  It prints the best
+of ``--repeats`` runs in milliseconds and, from one more run under
+``tracemalloc``, the peak of traced memory in MB.
 
 Usage:
     python scripts/scan_pass_times.py [--seed 1] [--repeats 3]
@@ -35,14 +40,12 @@ import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
-import numpy as np
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402 -- the benchmark's seeded instances
-from conflictgames import dynamics, oracle, smoothness  # noqa: E402
+from conflictgames import dynamics, fastpath, oracle, smoothness  # noqa: E402
 from conflictgames.games import GameKind  # noqa: E402
 from conflictgames.instances import gen_random  # noqa: E402
 
@@ -57,20 +60,20 @@ PASSES = (
 )
 
 
+def orbit_table(inst):
+    """(evaluator, orbits, table) the scan passes over ``inst`` read."""
+    return oracle._whole_table(inst, orbits=True)
+
+
 def strong_scan_size(inst) -> tuple[int, int]:
-    """(pure equilibria, representatives) the strong scan of ``inst`` tests."""
+    """(pure equilibria, strings) the strong scan of ``inst`` tests."""
     minimizes = inst.kind.minimizes
-    ev, (flags,) = oracle.state_columns(
+    _, orbits, (flags,) = oracle.state_columns(
         inst, oracle.DEFAULT_LIMITS,
         lambda vals, cur, social, phi: (oracle.pure_ne_flags(minimizes, vals, cur),),
+        orbits=True,
     )
-    candidates = np.flatnonzero(flags)
-    return len(candidates), len(np.unique(oracle.orbit_representatives(ev, candidates)))
-
-
-def print_strong_scan_size(insts) -> None:
-    candidates, tested = (sum(pair) for pair in zip(*map(strong_scan_size, insts)))
-    print(f"  strong scan: {candidates} pure NE candidates, {tested} representatives tested")
+    return int(orbits.sizes()[flags].sum()), int(flags.sum())
 
 
 def main() -> int:
@@ -81,15 +84,19 @@ def main() -> int:
 
     jobs = workloads.generate(workloads.WORKLOADS["scan"], args.seed, 1)
     best = {name: [float("inf"), float("inf")] for name, _ in PASSES}
-    build = float("inf")
+    build = strings = float("inf")
     for _ in range(args.repeats):
         spent = {name: [0.0, 0.0] for name, _ in PASSES}
-        built = 0.0
+        built = enumerated = 0.0
         for job in jobs:
             oracle._kept = None
             t0 = time.perf_counter()
-            oracle._whole_table(job.inst)
+            _, orbits, _ = orbit_table(job.inst)
             built += time.perf_counter() - t0
+            if orbits.strings:
+                t0 = time.perf_counter()
+                fastpath._expand_strings(job.inst.n, job.inst.m)
+                enumerated += time.perf_counter() - t0
             for name, run in PASSES:
                 if name == "strong" and not job.strong:
                     continue
@@ -100,7 +107,7 @@ def main() -> int:
                     spent[name][warm] += time.perf_counter() - t0
         for name, pair in spent.items():
             best[name] = [min(b, s) for b, s in zip(best[name], pair)]
-        build = min(build, built)
+        build, strings = min(build, built), min(strings, enumerated)
 
     print(f"ms per scan pass, one cycle of {len(jobs)} instances (seed {args.seed}), "
           f"best of {args.repeats}")
@@ -110,14 +117,24 @@ def main() -> int:
     cold, warm = (sum(pair[k] for pair in best.values()) for k in (0, 1))
     print(f"  {'all':12} {1e3 * cold:8.2f} {1e3 * warm:8.2f}")
     print(f"  {'table build':12} {1e3 * build:8.2f}")
-    print_strong_scan_size(job.inst for job in jobs if job.strong)
+    print(f"  {'string build':12} {1e3 * strings:8.2f}")
+    domains = [orbit_table(job.inst)[1] for job in jobs]
+    print(f"  columns read: {sum(d.count for d in domains)} of "
+          f"{sum(job.states for job in jobs)} states "
+          f"({sum(d.strings for d in domains)} of {len(jobs)} instances on strings)")
+    candidates, tested = (
+        sum(pair) for pair in zip(*(strong_scan_size(job.inst) for job in jobs if job.strong))
+    )
+    print(f"  strong scan: {candidates} pure NE candidates, {tested} strings tested")
 
-    inst = gen_random(10, 3, GameKind.BWC, Fraction(1, 2), seed=1)
-    job = SimpleNamespace(inst=inst, params=smoothness.certificate_params(inst.kind, inst.n, inst.m))
+    inst = gen_random(12, 3, GameKind.BWC, Fraction(1, 2), seed=1)
+    params = smoothness.certificate_params(inst.kind, inst.n, inst.m)
+    job = SimpleNamespace(inst=inst, params=params)
     print(f"ms and tracemalloc peak MB per streamed pass, BwC n={inst.n} m={inst.m} "
-          f"({oracle.state_count(inst)} states), best of {args.repeats}")
+          f"({oracle.state_count(inst)} states, "
+          f"{fastpath.orbit_count(inst.n, inst.m)} strings), best of {args.repeats}")
     print(f"  {'pass':12} {'ms':>8} {'MB':>8}")
-    for name, run in PASSES:
+    for name, run in PASSES[:-1]:
         spent = float("inf")
         for _ in range(args.repeats):
             t0 = time.perf_counter()
@@ -128,7 +145,6 @@ def main() -> int:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         print(f"  {name:12} {1e3 * spent:8.2f} {peak / 2**20:8.2f}")
-    print_strong_scan_size([inst])
     return 0
 
 

@@ -58,7 +58,8 @@ def _add_common(p: argparse.ArgumentParser, with_seed: bool = True) -> None:
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--max-states", type=int, default=None,
-                   help="cap on enumerated states (also applied to the CCE LP)")
+                   help="cap on the states, or orbits of states, one pass reads "
+                        "(also applied to the CCE LP)")
     if with_seed:
         p.add_argument("--seed", type=int, default=0)
 

@@ -174,9 +174,10 @@ def sandwich_constants(
     limits: OracleLimits = DEFAULT_LIMITS,
 ) -> SandwichResult:
     if states is None:
-        ev, (u, phi) = oracle.state_columns(
-            inst, limits, lambda vals, cur, social, phi: (social, phi)
+        ev, orbits, (u, phi) = oracle.state_columns(
+            inst, limits, lambda vals, cur, social, phi: (social, phi), orbits=True
         )
+        sizes = orbits.sizes()
     else:
         states = list(states)
         if not states:
@@ -186,11 +187,12 @@ def sandwich_constants(
         ev = StateEvaluator(inst)
         grid = np.array([to_internal(s) for s in states], dtype=np.int64)
         _, _, u, phi = ev.table(grid)
+        sizes = np.ones(len(u), dtype=np.int64)
     vs, ps = ev.value_scale, ev.potential_scale
     # max social/potential over phi != 0, and max potential/social over
     # phi != 0 and social != 0, as (num, den) pairs
     live = phi != 0
-    skipped = len(u) - int(live.sum())
+    skipped = int(sizes[~live].sum())
     best_a = _max_ratio(u[live], phi[live])
     live &= u != 0
     best_b = _max_ratio(phi[live], u[live])

@@ -83,12 +83,21 @@ Every enumeration pass reads the state table:
   yields the m^n states in lex order as such arrays of at most
   ``_BLOCK_CELLS`` (2^16) (state, player, machine) cells, so the memory of a
   table build stays flat however many states there are; when all states fit
-  one block, its digits come from ``np.indices`` with no division.  Only
-  :func:`conflictgames.oracle.state_columns` iterates over the blocks: it
-  keeps the whole table of one instance between passes when it has at most
-  ``_TABLE_CELLS`` cells, and otherwise hands each pass its per-state
-  columns, built block by block;
-* table: :meth:`StateEvaluator.table` turns a block into ``vals[k, i, s]``
+  one block, its digits come from ``np.indices`` with no division;
+* strings: :func:`orbit_strings` enumerates one state per orbit under
+  renaming the machines, the restricted growth strings (each entry at most
+  one above the largest before it), in lex order, each the lex-smallest state
+  of its orbit, with the number of states of each orbit; about m^n/m! of
+  them, ``sum_{j <= m} S(n, j)`` (:func:`orbit_count`).  It expands them one
+  position at a time with whole-array operations, stores them player-major on
+  the smallest unsigned dtype, and caches those of the last four shapes whose
+  table fits ``_TABLE_CELLS``; :func:`string_blocks` cuts them into blocks
+  like :func:`state_blocks`.  Only :func:`conflictgames.oracle.state_columns`
+  iterates over either kind of block: it keeps the whole table of one
+  instance between passes when it has at most ``_TABLE_CELLS`` cells, and
+  otherwise hands each pass its columns, built block by block;
+* table: :meth:`StateEvaluator.table` turns a block (of states or of
+  strings, the same to it) into ``vals[k, i, s]``
   (the value of player ``i`` on machine ``k`` with everyone else at state
   ``s``, equal to ``value(analyze(s), i, k)``), ``cur[i, s]`` (the value at
   ``s``), ``social[s] = sum_i cur[i, s]`` and the potential ``phi[s]``,
@@ -124,9 +133,9 @@ Equivalence of all three ways with the public Fraction evaluation in
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain
-from math import gcd, lcm, ldexp
+from math import gcd, lcm, ldexp, perm
 from operator import add
 from typing import Iterator
 
@@ -385,7 +394,8 @@ class StateEvaluator:
         mach, base, adj, pot = self._table_arrays
         n, m = self.n, self.m
         digits = grid.T  # [i, s]: contiguous for the blocks of state_blocks
-        onehot = digits == np.arange(m)[:, None, None]  # [k, i, s]
+        # [k, i, s]; on the grid's own dtype, as the strings' uint8 compares fastest
+        onehot = digits == np.arange(m, dtype=grid.dtype)[:, None, None]
         # [k, s]; uint8, the fastest sum, holds every load below 256
         loads = onehot.sum(1, dtype=np.uint8 if n < 256 else np.int64)
         at = loads + (np.arange(m) * (n + 2))[:, None]  # flat index of mach[k][load_k]
@@ -566,6 +576,76 @@ def state_blocks(n: int, m: int) -> Iterator[np.ndarray]:
         return
     for start in range(0, count, step):
         yield lex_states(n, m, np.arange(start, min(start + step, count), dtype=np.int64))
+
+
+@lru_cache(maxsize=64)
+def orbit_count(n: int, m: int) -> int:
+    """The number of restricted growth strings of length ``n`` on at most
+    ``m`` machines, ``sum_{j <= m} S(n, j)`` (Stirling numbers of the second
+    kind): the orbits of the m^n states under renaming the machines."""
+    row = [1]  # row[j] = S(players so far, j), j <= m
+    for _ in range(n):
+        row.append(0)
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, min(len(row) - 1, m) + 1)]
+    return sum(row)
+
+
+def _expand_strings(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """See :func:`orbit_strings`.  One position at a time, every string
+    with ``j`` machines so far extends by machines ``0 .. min(j, m - 1)``, in
+    that order, so the strings stay in lex order; the digits are read back
+    along the parent links at the end."""
+    used = np.ones(1, dtype=np.int64)  # the one string of length 1
+    links = []  # per position after the first: (digit, parent)
+    for _ in range(1, n):
+        count = np.minimum(used + 1, m)
+        parent = np.repeat(np.arange(len(used)), count)
+        digit = np.arange(len(parent)) - (np.cumsum(count) - count)[parent]
+        used = np.maximum(used[parent], digit + 1)
+        links.append((digit, parent))
+    digits = np.zeros((n, len(used)), dtype=np.min_scalar_type(m - 1))
+    at = np.arange(len(used))
+    for i in range(n - 1, 0, -1):
+        digit, parent = links[i - 1]
+        digits[i] = digit[at]
+        at = parent[at]
+    # a string on j machines stands for its m!/(m - j)! renamings
+    perms = [perm(m, j) for j in range(min(n, m) + 1)]
+    sizes = np.array(perms, dtype=np.int64 if m**n < _INT64_BOUND else object)[used]
+    for array in (digits, sizes):
+        array.flags.writeable = False
+    return digits, sizes
+
+
+_cached_strings = lru_cache(maxsize=4)(_expand_strings)
+
+
+def orbit_strings(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(digits, sizes)``, read-only: the restricted growth strings of
+    length ``n`` on at most ``m`` machines in lex order, one per orbit of the
+    states under renaming the machines, each the lex-smallest state of its
+    orbit (every entry is at most one above the largest before it).
+    ``digits[i, c]`` is player ``i``'s machine in string ``c``, stored
+    player-major like the blocks of :func:`state_blocks` (its transpose is a
+    grid for :meth:`StateEvaluator.table`), on the smallest unsigned dtype
+    that holds ``m - 1``; ``sizes[c]`` is the number of states in string
+    ``c``'s orbit, ``m!/(m - j)!`` for a string on ``j`` machines, on
+    ``object`` where m^n passes int64.  The strings of the last four shapes
+    whose state table over the strings fits ``_TABLE_CELLS`` are cached: at
+    most 2^20 / m digits each."""
+    if orbit_count(n, m) * n * m <= _TABLE_CELLS:
+        return _cached_strings(n, m)
+    return _expand_strings(n, m)
+
+
+def string_blocks(digits: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """The strings of ``digits`` (as from :func:`orbit_strings`) in order, as
+    ``(S, n)`` grids of at most ``_BLOCK_CELLS`` (string, player, machine)
+    cells, stored player-major."""
+    n, count = digits.shape
+    step = max(1, _BLOCK_CELLS // (n * m))
+    for start in range(0, count, step):
+        yield digits[:, start : start + step].T
 
 
 def to_internal(state: tuple[int, ...]) -> tuple[int, ...]:

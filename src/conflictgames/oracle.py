@@ -3,12 +3,39 @@ exact expectations for product profiles, and the worst coarse-correlated
 equilibrium via an exact-rational LP.
 
 Enumeration passes, the worst-CCE LP's columns included, are whole-array
-reductions: each pass asks :func:`state_columns` for the per-state arrays it
-needs and reduces each of them once; every reported value is an exact
-Fraction.  Entry ``i`` along the last axis of every such array is the state
-of lex index ``i``, decoded to a tuple only where a pass reports it, so ties
-(optimum, worst equilibrium, tightest slack) resolve to the lexicographically
-smallest state through numpy's first ``argmin``/``argmax``/``flatnonzero``.
+reductions: each pass asks :func:`state_columns` for the arrays it needs, one
+entry per column of the state table, and reduces each of them once; every
+reported value is an exact Fraction.  The columns, in order, are those of an
+:class:`Orbits`:
+
+* one per orbit under renaming the machines, for the passes that read only
+  what is constant on an orbit (the social value, the potential, the pure-NE
+  flag, the niceness best-response sum, the semi-smoothness LHS under a
+  profile whose rows are uniform over all m machines) when every machine has
+  the same machine term.  That holds for every conflict, friendship and cut
+  instance and for the sharing kinds with equal machine values, and is read
+  from the evaluator's terms, never from the kind: renaming the machines then
+  keeps every player's value at every state.  A column is the orbit's
+  restricted growth string (:func:`orbit_strings`), in lex order, about m^n/m!
+  of them;
+* one per state, column ``i`` the state of lex index ``i``, otherwise: for
+  the strong scan's deviations, the worst-CCE LP, the pure-deviation ratio
+  (its sigma-row sum depends on the machine labels) and semi-smoothness with
+  a non-uniform profile, and on every instance whose machines differ.
+
+A string is the lex-smallest state of its orbit, so either way a column is
+decoded to a state only where a pass reports it, and ties (optimum, worst
+equilibrium, tightest slack, first failing floor) resolve to the
+lexicographically smallest state through numpy's first
+``argmin``/``argmax``/``flatnonzero`` over the columns.  A count weights each
+column by its orbit's size (``m!/(m - j)!`` for a string on ``j`` machines);
+the pure equilibria are listed by renaming their strings into every state
+of their orbits, sorted.
+
+``max_states`` bounds what a pass reads and lists: the columns of its table
+(the strings of an orbit pass, all m^n states otherwise) and the
+equilibria :func:`pure_nash_set` lists.  :func:`strong_nash_set` reads
+every state, and keeps guarding m^n.
 
 Expectations under a product profile read the evaluator's machine terms,
 bases and signed edges with no kind branch: the machine term is averaged over
@@ -16,40 +43,45 @@ the exact distribution of the co-located count, and each signed edge is
 weighted by its neighbour's probability.
 
 One table per instance: :func:`state_columns` keeps the table of the last
-instance it was asked for (one entry, keyed by instance equality, the last
-one dropped before the next is built), so the optimum, the Nash and strong
-sets, the smoothness and niceness checks, the floors and the sandwich
-constants over one instance share one evaluator and one table build.  The
-split into blocks is decided here alone, in :func:`_whole`, which serves
-both cases:
+instance it was asked for (one entry, keyed by instance equality and by its
+columns, the last one dropped before the next is built), so the optimum, the
+Nash and strong sets, the smoothness and niceness checks, the floors and the
+sandwich constants over one instance share one evaluator and one table
+build, over the strings when the machines are symmetric.  A pass over the
+other columns of the kept instance builds its table anew with the same
+evaluator.  The split into blocks is decided here alone, in :func:`_whole`,
+which serves both cases:
 
-* kept: the four arrays of :meth:`StateEvaluator.table` (``vals[k, i, s]``,
-  ``cur[i, s]``, ``social[s]`` and the potential ``phi[s]``, the states
-  innermost, as it lays them out) over all states at the evaluator's
+* kept: the four arrays of :meth:`StateEvaluator.table` (``vals[k, i, c]``,
+  ``cur[i, c]``, ``social[c]`` and the potential ``phi[c]``, the columns
+  innermost, as it lays them out) over all columns at the evaluator's
   ``dtype()``, all read-only; the states themselves are not kept.  A table of
   one build block keeps the arrays :meth:`StateEvaluator.table` returned, a
-  larger one is filled block by block, along the state axis, into arrays
+  larger one is filled block by block, along the column axis, into arrays
   allocated once.  A pass maps the whole table to its columns in one call,
-  each column with the states last, and reduces over the leading axes;
-* budget: a table of more than ``fastpath._TABLE_CELLS`` (state, player,
+  each with the columns last, and reduces over the leading axes;
+* budget: a table of more than ``fastpath._TABLE_CELLS`` (column, player,
   machine) cells is not kept.  The pass's columns are built block by block
-  and filled into whole arrays, so memory is the tables of two blocks plus
-  O(states) in columns, up to ``max_states``;
+  (blocks of states from :func:`state_blocks`, or of strings from
+  :func:`string_blocks`) and filled into whole arrays, so memory is the
+  tables of two blocks plus O(columns), up to ``max_states``, and the
+  strings' digits, one byte per player and string;
 * widening: :func:`state_columns` is the one place that widens.  When a
   pass's ``factor`` needs ``object`` (see :meth:`StateEvaluator.dtype`) and
   the table is int64, its ``columns`` read the kept table, or each streamed
   block, through ``astype(object)``; the values are the same exact integers.
 
-The strong scan (:func:`strong_nash_set`) tests one pure equilibrium per
-orbit under renaming the machines (:func:`orbit_representatives`; an orbit
-is one state when the machines' terms differ) and gives each verdict to the
-whole orbit.  It tests the representatives in chunks of at most
-``_STRONG_CELLS`` (candidate, state) cells.  Per player, one elementwise
-``stay | better`` over (candidates x states) narrows the states that still
-refute some candidate of the chunk; ``better`` compares the player's row of
-``cur`` in place, ``<`` for the cost kinds and ``>`` for the payoff kinds
-(exact on int64 and on ``object``).  A candidate survives when no state
-other than itself is left for it.
+The strong scan (:func:`strong_nash_set`) reads the orbit table: its pure
+equilibria among the strings are the candidates, one per orbit, and each
+verdict holds for the whole orbit.  A deviation may go to any state, so it
+spreads ``cur`` over every state through the state-to-orbit map
+(:meth:`Orbits.orbit_map`); no second, full table is built.  It tests the
+candidates in chunks of at most ``_STRONG_CELLS`` (candidate, state) cells.
+Per player, one elementwise ``stay | better`` over (candidates x states)
+narrows the states that still refute some candidate of the chunk; ``better``
+compares the player's row of ``cur`` in place, ``<`` for the cost kinds and
+``>`` for the payoff kinds (exact on int64 and on ``object``).  A candidate
+survives when no state other than itself is left for it.
 """
 
 from __future__ import annotations
@@ -57,12 +89,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import simplex
-from .fastpath import _TABLE_CELLS, StateEvaluator, lex_states, state_blocks
+from .fastpath import (
+    _INT64_BOUND,
+    _TABLE_CELLS,
+    StateEvaluator,
+    lex_states,
+    orbit_count,
+    orbit_strings,
+    state_blocks,
+    string_blocks,
+)
 from .games import (
     GameKind,
     Instance,
@@ -76,7 +118,11 @@ from .games import (
 
 @dataclass(frozen=True)
 class OracleLimits:
-    """State-space caps; exceeding one raises :class:`StateSpaceExceeded`."""
+    """State-space caps; exceeding one raises :class:`StateSpaceExceeded`.
+    ``max_states`` bounds the columns a pass reads (one per orbit under
+    renaming the machines where the pass allows it and the machines are
+    symmetric, one per state otherwise) and the equilibria
+    :func:`pure_nash_set` lists."""
 
     max_states: int = 2_000_000
     lp_max_states: int = 2_000
@@ -109,19 +155,121 @@ def enumerate_states(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> I
     return itertools.product(range(1, inst.m + 1), repeat=inst.n)
 
 
-# the last state table within _TABLE_CELLS: (instance, evaluator, table)
+def _symmetric(ev: StateEvaluator) -> bool:
+    """Every machine of ``ev`` has the same machine term, so renaming the
+    machines keeps every player's value at every state."""
+    return all(row == ev.mach[0] for row in ev.mach)
+
+
+class Orbits:
+    """What the columns of a state table stand for.  With ``strings``, one
+    orbit of the states under renaming the machines per column, in the lex
+    order of their restricted growth strings (:func:`orbit_strings`), each
+    string the lex-smallest state of its orbit.  Without, every state is its
+    own orbit and column ``c`` is the state of lex index ``c``.  The strings
+    are built on first use."""
+
+    def __init__(self, n: int, m: int, strings: bool):
+        self.n, self.m, self.strings = n, m, strings
+        self.count = orbit_count(n, m) if strings else m**n
+        self._renamed: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def _strings(self) -> tuple[np.ndarray, np.ndarray]:
+        return orbit_strings(self.n, self.m)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The columns' states in order, as grids for :meth:`StateEvaluator.table`."""
+        if self.strings:
+            return string_blocks(self._strings[0], self.m)
+        return state_blocks(self.n, self.m)
+
+    def sizes(self) -> np.ndarray:
+        """The number of states in each column's orbit."""
+        return self._strings[1] if self.strings else np.broadcast_to(np.int64(1), self.count)
+
+    def state(self, col: int) -> State:
+        """The public state of column ``col``, the lex-smallest of its orbit."""
+        if self.strings:
+            digits = self._strings[0][:, col].tolist()
+        else:
+            digits = lex_states(self.n, self.m, np.array([col], dtype=np.int64))[0].tolist()
+        return tuple(k + 1 for k in digits)
+
+    def expand(self, cols: np.ndarray) -> tuple[list[State], np.ndarray]:
+        """(every state in the orbits of columns ``cols`` as a public state,
+        in lex order; the column of each)."""
+        if self.strings:
+            grid, cols = self._members(cols)
+            order = (grid @ self._place).argsort()  # by lex index
+            grid, cols = grid[order].astype(np.int64), cols[order]
+        else:
+            grid = lex_states(self.n, self.m, cols)
+        return [tuple(state) for state in (grid + 1).tolist()], cols
+
+    def lex(self, cols: np.ndarray) -> np.ndarray:
+        """The lex indexes of the states of columns ``cols``."""
+        if not self.strings:
+            return cols
+        return self._place @ self._strings[0].take(cols, axis=1)
+
+    def orbit_map(self) -> np.ndarray:
+        """The column of every state's orbit, the states in lex order."""
+        if not self.strings:
+            return np.arange(self.count)
+        grid, cols = self._members(np.arange(self.count))
+        of = np.empty(self.m**self.n, dtype=np.int64)
+        of[grid @ self._place] = cols
+        return of
+
+    @cached_property
+    def _place(self) -> np.ndarray:
+        """The lex place value of each player, on ``object`` where a lex
+        index can pass int64."""
+        dtype = np.int64 if self.m**self.n <= _INT64_BOUND else object
+        return np.array([self.m**i for i in range(self.n - 1, -1, -1)], dtype=dtype)
+
+    def _members(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(every state in the orbits of the string columns ``cols``, as an
+        ``(S, n)`` grid of the strings' dtype in no particular order; the
+        column of each)."""
+        strings = self._strings[0].take(cols, axis=1)
+        used = strings.max(0).astype(np.int64) + 1  # the machines of each string
+        grids, of = [np.empty((0, self.n), dtype=strings.dtype)], [cols[:0]]
+        for j in range(1, min(self.n, self.m) + 1):
+            picked = np.flatnonzero(used == j)
+            if picked.size:
+                # renamed[p, c, i]: string c's player i under renaming p
+                renamed = self._renamings(j)[:, strings[:, picked].T]
+                grids.append(renamed.reshape(-1, self.n))
+                col = np.empty(renamed.shape[:2], dtype=cols.dtype)
+                col[:] = cols[picked]
+                of.append(col.ravel())
+        return np.concatenate(grids), np.concatenate(of)
+
+    def _renamings(self, j: int) -> np.ndarray:
+        """Every injective renaming of machines 0..j-1 into the m machines, one
+        per row: the orbit of a string on j machines."""
+        if j not in self._renamed:
+            self._renamed[j] = np.array(
+                list(itertools.permutations(range(self.m), j)), dtype=self._strings[0].dtype
+            )
+        return self._renamed[j]
+
+
+# the last state table within _TABLE_CELLS: (instance, evaluator, table, orbits)
 _kept: Optional[tuple] = None
 
 
-def _whole(ev: StateEvaluator, columns):
-    """``columns`` of the state table of ``ev`` over all states, lex order,
-    built block by block: the arrays of a single block as they are, those of
-    several filled along their last (state) axis into arrays allocated once.
-    Besides those arrays, no more than two blocks' tables are held at a
-    time."""
-    count = state_count(ev.inst)
+def _whole(ev: StateEvaluator, orbits: Orbits, columns):
+    """``columns`` of the state table of ``ev`` over the columns of
+    ``orbits``, in order, built block by block: the arrays of a single block
+    as they are, those of several filled along their last (column) axis into
+    arrays allocated once.  Besides those arrays, no more than two blocks'
+    tables are held at a time."""
+    count = orbits.count
     whole, start = None, 0
-    for grid in state_blocks(ev.n, ev.m):
+    for grid in orbits.blocks():
         # the last block's table is dropped only once this one is built, so
         # the allocator reuses its pages instead of faulting in fresh ones
         table = ev.table(grid)
@@ -137,45 +285,63 @@ def _whole(ev: StateEvaluator, columns):
     return whole
 
 
-def _whole_table(inst: Instance):
-    """(evaluator, table) of ``inst``: ``(vals, cur, social, phi)`` over all
-    states at ``dtype()``, read-only; table is None when it has more than
-    ``_TABLE_CELLS`` cells.  The last table within that budget is kept, so
-    the passes over one instance build it once."""
+def _whole_table(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS, orbits: bool = False):
+    """(evaluator, :class:`Orbits`, table) of ``inst``: ``(vals, cur, social,
+    phi)`` at ``dtype()``, read-only, over one column per orbit when
+    ``orbits`` asks for them and the machines are symmetric, else over all
+    states; table is None when it has more than ``_TABLE_CELLS`` cells.
+    Raises :class:`StateSpaceExceeded` first when the columns pass
+    ``max_states``.  The last table within the budget is kept, so the passes
+    over one instance build it once, and a pass over the other columns of
+    the kept instance reuses its evaluator."""
     global _kept
     if _kept is not None and _kept[0] == inst:
-        return _kept[1:]
+        _, ev, table, domain = _kept
+        if domain.strings != (orbits and _symmetric(ev)):
+            domain = table = None
+    else:
+        ev, domain, table = StateEvaluator(inst), None, None
+    if domain is None:
+        domain = Orbits(ev.n, ev.m, orbits and _symmetric(ev))
+    if domain.count > limits.max_states:
+        raise StateSpaceExceeded("max_states", domain.count, limits.max_states)
+    if table is not None:
+        return ev, domain, table
     _kept = None  # free the last table before building the next
-    ev = StateEvaluator(inst)
-    if state_count(inst) * inst.n * inst.m > _TABLE_CELLS:
-        return ev, None
-    table = _whole(ev, lambda *table: table)
+    if domain.count * ev.n * ev.m > _TABLE_CELLS:
+        return ev, domain, None
+    table = _whole(ev, domain, lambda *table: table)
     for array in table:
         array.flags.writeable = False
-    _kept = (inst, ev, table)
-    return ev, table
+    _kept = (inst, ev, table, domain)
+    return ev, domain, table
 
 
-def state_columns(inst: Instance, limits: OracleLimits, columns, factor: int = 1):
-    """(evaluator, ``columns(vals, cur, social, phi)``) over all states, lex
-    order; raises :class:`StateSpaceExceeded` first when the state space is
-    too big.
+def state_columns(
+    inst: Instance, limits: OracleLimits, columns, factor: int = 1, orbits: bool = False
+):
+    """(evaluator, :class:`Orbits`, ``columns(vals, cur, social, phi)``) over
+    the columns of the table, in order: one per orbit under renaming the
+    machines when ``orbits`` (the pass reads only what is constant on an
+    orbit) and every machine has the same machine term, else one per state;
+    raises :class:`StateSpaceExceeded` first when there are more columns than
+    ``max_states``.
 
     ``columns`` maps a state table (see :meth:`StateEvaluator.table`) to a
-    tuple of arrays whose last axis is the states.  It is called once on the
+    tuple of arrays whose last axis is the columns.  It is called once on the
     kept table, or past the budget once per block, the results filled into
-    whole arrays along that axis.  Either way it reads the table widened to ``object`` when it
-    multiplies the table by ``factor`` and ``dtype(factor)`` needs that."""
-    _guard(inst, limits.max_states, "max_states")
-    ev, table = _whole_table(inst)
+    whole arrays along that axis.  Either way it reads the table widened to
+    ``object`` when it multiplies the table by ``factor`` and
+    ``dtype(factor)`` needs that."""
+    ev, domain, table = _whole_table(inst, limits, orbits)
     read = columns
     if ev.dtype(factor) is not ev.dtype():
         # the same exact values, on arrays that hold the caller's products
         def read(*table):
             return columns(*(a.astype(object) for a in table))
     if table is None:
-        return ev, _whole(ev, read)
-    return ev, read(*table)
+        return ev, domain, _whole(ev, domain, read)
+    return ev, domain, read(*table)
 
 
 def _public_states(inst: Instance, idx: np.ndarray) -> list[State]:
@@ -183,18 +349,15 @@ def _public_states(inst: Instance, idx: np.ndarray) -> list[State]:
     return [tuple(state) for state in (lex_states(inst.n, inst.m, idx) + 1).tolist()]
 
 
-def _public(inst: Instance, idx: int) -> State:
-    """The public state of lex index ``idx``."""
-    return _public_states(inst, np.array([idx], dtype=np.int64))[0]
-
-
 def _extreme_state(
     inst: Instance, limits: OracleLimits, lowest: bool
 ) -> tuple[State, Fraction]:
     """The state of lowest (or highest) social value; lex-smallest tie."""
-    ev, (social,) = state_columns(inst, limits, lambda vals, cur, social, phi: (social,))
+    ev, orbits, (social,) = state_columns(
+        inst, limits, lambda vals, cur, social, phi: (social,), orbits=True
+    )
     idx = int(social.argmin() if lowest else social.argmax())
-    return _public(inst, idx), ev.as_value(int(social[idx]))
+    return orbits.state(idx), ev.as_value(int(social[idx]))
 
 
 def optimum(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> tuple[State, Fraction]:
@@ -222,22 +385,29 @@ def pure_ne_flags(minimizes: bool, vals, cur):
 def pure_nash_set(
     inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
 ) -> list[tuple[State, Fraction]]:
-    """All states with no strictly improving unilateral deviation, lex order."""
+    """All states with no strictly improving unilateral deviation, lex order.
+    Raises :class:`StateSpaceExceeded` when there are more than
+    ``max_states`` of them."""
     minimizes = inst.kind.minimizes
-    ev, (flags, social) = state_columns(
+    ev, orbits, (flags, social) = state_columns(
         inst, limits,
         lambda vals, cur, social, phi: (pure_ne_flags(minimizes, vals, cur), social),
+        orbits=True,
     )
-    idx = np.flatnonzero(flags)
-    return _valued_states(ev, idx, social[idx])
+    cols = np.flatnonzero(flags)
+    count = int(orbits.sizes()[cols].sum())
+    if count > limits.max_states:
+        raise StateSpaceExceeded("max_states", count, limits.max_states)
+    states, cols = orbits.expand(cols)
+    return _valued_states(ev, states, social[cols])
 
 
-def _valued_states(ev: StateEvaluator, idx, social) -> list[tuple[State, Fraction]]:
-    """``(public state, value)`` pairs of the states of lex indexes ``idx``
-    and their scaled social values."""
+def _valued_states(ev: StateEvaluator, states, social) -> list[tuple[State, Fraction]]:
+    """``(public state, value)`` pairs of ``states`` and their scaled social
+    values."""
     social = social.tolist()
     value = {v: ev.as_value(v) for v in set(social)}
-    return [(state, value[v]) for state, v in zip(_public_states(ev.inst, idx), social)]
+    return [(state, value[v]) for state, v in zip(states, social)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,30 +428,12 @@ def _valued_states(ev: StateEvaluator, idx, social) -> list[tuple[State, Fractio
 # When every machine has the same machine term, renaming the machines by a
 # permutation p therefore keeps every player's value at every state.  A
 # deviation s -> t then maps to p(s) -> p(t), with the same movers and the
-# same values on both sides, so s is strong exactly when p(s) is: one pure
-# equilibrium per orbit is tested, and its verdict holds for the whole orbit.
+# same values on both sides, so s is strong exactly when p(s) is: only the
+# pure equilibria among the orbit table's strings are tested, and each
+# verdict holds for the whole orbit.
 
 # upper bound on the (candidate, state) cells of one chunk of the strong scan
 _STRONG_CELLS = 1 << 18
-
-
-def orbit_representatives(ev: StateEvaluator, idx: np.ndarray) -> np.ndarray:
-    """The lex index of the representative of each state of lex index
-    ``idx`` (an int64 array) under renaming the machines.  When every machine
-    of ``ev`` has the same machine term, that is the state with its machines
-    renumbered 0, 1, ... in order of first appearance, the lex-smallest state
-    of its orbit; otherwise every state is its own representative."""
-    if any(row != ev.mach[0] for row in ev.mach):
-        return idx
-    machine = lex_states(ev.n, ev.m, idx)
-    label = np.empty_like(machine)
-    seen = np.zeros(len(idx), dtype=np.int64)  # distinct machines before player i
-    for i in range(ev.n):
-        label[:, i] = seen
-        for j in range(i):
-            np.copyto(label[:, i], label[:, j], where=machine[:, j] == machine[:, i])
-        seen += label[:, i] == seen
-    return label @ ev.m ** np.arange(ev.n - 1, -1, -1, dtype=np.int64)
 
 
 def strong_nash_set(
@@ -290,25 +442,30 @@ def strong_nash_set(
     """All states no coalition can leave with every member strictly better off."""
     if inst.n > limits.strong_max_players:
         raise StateSpaceExceeded("strong_max_players", inst.n, limits.strong_max_players)
+    _guard(inst, limits.max_states, "max_states")
     minimizes = inst.kind.minimizes
-    ev, (cur, social, flags) = state_columns(
+    ev, orbits, (cur, social, flags) = state_columns(
         inst, limits,
         lambda vals, cur, social, phi: (cur, social, pure_ne_flags(minimizes, vals, cur)),
+        orbits=True,
     )
     # row i of machine, like row i of cur, is player i's at every state
-    shape = (inst.m,) * inst.n
-    machine = np.indices(shape, np.min_scalar_type(inst.m - 1)).reshape(inst.n, -1)
+    count = state_count(inst)
+    machine = np.indices((inst.m,) * inst.n, np.min_scalar_type(inst.m - 1)).reshape(inst.n, -1)
+    of = orbits.orbit_map()
+    if orbits.strings:  # every state takes its orbit's values, each row contiguous
+        cur = cur.take(of, axis=1)
     better = np.less if minimizes else np.greater
-    candidates = np.flatnonzero(flags)
-    reps, orbit = np.unique(orbit_representatives(ev, candidates), return_inverse=True)
-    step = max(1, _STRONG_CELLS // len(social))
+    candidates = np.flatnonzero(flags)  # columns: one pure equilibrium per orbit
+    reps = orbits.lex(candidates)
+    step = max(1, _STRONG_CELLS // count)
     strong = np.zeros(len(reps), dtype=bool)
     for start in range(0, len(reps), step):
         chunk = reps[start : start + step]
         # refutes[c, j]: at states[j] every player so far stays or is better
         # off than at candidate c.  Only the states where that holds for some
         # candidate of the chunk go on to the next player.
-        states = np.arange(len(social))
+        states = np.arange(count)
         refutes = np.ones((len(chunk), len(states)), dtype=bool)
         for here, values in zip(machine, cur):
             ok = here[states] == here[chunk, None]
@@ -319,8 +476,10 @@ def strong_nash_set(
         # the candidate itself is the one state where nobody moves
         refutes &= states != chunk[:, None]
         strong[start : start + step] = ~refutes.any(1)
-    idx = candidates[strong[orbit]]
-    return _valued_states(ev, idx, social[idx])
+    strong_orbit = np.zeros(orbits.count, dtype=bool)
+    strong_orbit[candidates[strong]] = True
+    idx = np.flatnonzero(strong_orbit[of])
+    return _valued_states(ev, _public_states(inst, idx), social[of[idx]])
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +568,7 @@ def worst_cce_value(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Cc
         diff = vals - cur if minimizes else cur - vals
         return social, diff.transpose(1, 0, 2).reshape(-1, len(social))
 
-    ev, (social, diff) = state_columns(inst, limits, columns)
+    ev, _, (social, diff) = state_columns(inst, limits, columns)
     try:
         sol = simplex.solve(
             objective=social.tolist(),

@@ -28,7 +28,7 @@ from .games import (
     validate_profile,
     validate_state,
 )
-from .oracle import DEFAULT_LIMITS, OracleLimits, _public, state_columns
+from .oracle import DEFAULT_LIMITS, OracleLimits, state_columns
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,11 @@ def semi_smooth_lhs(inst: Instance, state: State, profile: MixedProfile) -> Frac
     return Fraction(int(_weighted_sum(vals, weights)[0]), t * ev.value_scale)
 
 
-def _worst_slack(inst, params, limits, t: int, lhs_of) -> SmoothnessVerdict:
+def _worst_slack(inst, params, limits, t: int, lhs_of, orbits: bool) -> SmoothnessVerdict:
     """Scan of ``lhs_of(vals)`` (the LHS at every state of a table, times
-    ``t * value_scale``) against lam * opt +/- mu * value(s).
+    ``t * value_scale``) against lam * opt +/- mu * value(s), over one state
+    per orbit under renaming the machines when ``orbits`` (the LHS is
+    constant on an orbit) and the machines are symmetric.
 
     With the LHS and the social value scaled by ``t * value_scale * lam.den *
     mu.den``, the slack is ``sign * lam.num * mu.den * t * opt + key`` with
@@ -106,11 +108,13 @@ def _worst_slack(inst, params, limits, t: int, lhs_of) -> SmoothnessVerdict:
     def columns(vals, cur, social, phi):
         return social, un * ld * t * social - sign * ld * ud * lhs_of(vals)
 
-    ev, (social, keys) = state_columns(inst, limits, columns, factor=t * ld * (abs(un) + ud))
+    ev, domain, (social, keys) = state_columns(
+        inst, limits, columns, factor=t * ld * (abs(un) + ud), orbits=orbits
+    )
     opt = int(social.min() if minimizes else social.max())
     idx = int(keys.argmin())
     slack = Fraction(sign * ln * ud * t * opt + int(keys[idx]), t * ev.value_scale * ld * ud)
-    return SmoothnessVerdict(holds=slack >= 0, worst_state=_public(inst, idx), slack=slack)
+    return SmoothnessVerdict(holds=slack >= 0, worst_state=domain.state(idx), slack=slack)
 
 
 def check_semi_smooth(
@@ -127,13 +131,18 @@ def check_semi_smooth(
     ``profile`` defaults to the canonical deviation profile.  With ``t`` the
     lcm of the profile's denominators, ``t * value_scale * LHS`` is the table
     weighted by the integers ``t * q_ik`` (0/1 for the canonical profile).
+    When every row of the profile is uniform over all m machines, the LHS is
+    a sum over all machines and is constant on an orbit under renaming them.
     """
     if profile is None:
         profile = canonical_deviation_profile(inst)
     else:
         validate_profile(inst, profile)
     t, weights = deviation_weights(profile)
-    return _worst_slack(inst, params, limits, t, lambda vals: _weighted_sum(vals, weights))
+    uniform = bool((weights == weights[0, 0]).all())
+    return _worst_slack(
+        inst, params, limits, t, lambda vals: _weighted_sum(vals, weights), orbits=uniform
+    )
 
 
 def _weighted_sum(vals, weights):
@@ -147,7 +156,8 @@ def deviation_weights(profile: MixedProfile) -> tuple[int, np.ndarray]:
     integer t * q_ik, so that t * value_scale * LHS = sum_ik W[i, k] * vals[k, i, s]."""
     t = lcm(*(q.denominator for row in profile for q in row))
     dtype = np.int64 if t < _INT64_SAFE else object  # a caller's profile may need big ints
-    return t, np.array([[int(q * t) for q in row] for row in profile], dtype=dtype)
+    weights = [[q.numerator * (t // q.denominator) for q in row] for row in profile]
+    return t, np.array(weights, dtype=dtype)
 
 
 def check_nice(
@@ -166,7 +176,7 @@ def check_nice(
             lhs += pick.reduce(vals[:, i], out=best)
         return lhs
 
-    return _worst_slack(inst, params, limits, 1, best_response_sum)
+    return _worst_slack(inst, params, limits, 1, best_response_sum, orbits=True)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +202,7 @@ def max_rho_pure_sigma(
     validate_state(inst, sigma_state)
     sigma = np.array(to_internal(sigma_state), dtype=np.int64)
     players = np.arange(inst.n)
-    _, (lhs, social) = state_columns(
+    _, _, (lhs, social) = state_columns(
         inst, limits, lambda vals, cur, social, phi: (vals[sigma, players].sum(0), social)
     )
     opt = int(social.max())
@@ -290,7 +300,9 @@ def check_opt_lower_bounds(
     """
     if not inst.kind.minimizes:
         return LowerBoundVerdict(holds=True, checks=(), witness=None)
-    ev, (social,) = state_columns(inst, limits, lambda vals, cur, social, phi: (social,))
+    ev, orbits, (social,) = state_columns(
+        inst, limits, lambda vals, cur, social, phi: (social,), orbits=True
+    )
     n, m = inst.n, inst.m
     vs = ev.value_scale
     a_n, b_n, g_n = (int(w * vs) for w in (inst.alpha, inst.beta, inst.gamma))
@@ -331,5 +343,5 @@ def check_opt_lower_bounds(
     return LowerBoundVerdict(
         holds=False,
         checks=names,
-        witness=(name, _public(inst, idx), ev.as_value(int(social[idx]))),
+        witness=(name, orbits.state(idx), ev.as_value(int(social[idx]))),
     )

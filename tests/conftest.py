@@ -82,6 +82,15 @@ def beyond_int64_pool():
     ]
 
 
+def with_machine_values(inst, values):
+    """``inst`` (a sharing instance) with its machine values replaced."""
+    return make_instance(
+        inst.kind, inst.n, inst.m,
+        conflict_edges=inst.conflict_edges, friendship_edges=inst.friendship_edges,
+        machine_values=values, edge_weights=dict(inst.edge_weights or {}) or None,
+    )
+
+
 @pytest.fixture(scope="session")
 def mixed_pool():
     """A few instances of every kind, varied sizes, deterministic."""

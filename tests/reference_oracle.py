@@ -271,7 +271,7 @@ def max_rho_pure_sigma_by_bisection(
         raise ValueError("pure-deviation ratio search applies to payoff kinds only")
     validate_state(inst, sigma_state)
     sigma = np.array(to_internal(sigma_state), dtype=np.int64)
-    ev, (social, lhs) = state_columns(
+    ev, _, (social, lhs) = state_columns(
         inst, limits,
         lambda vals, cur, social, phi: (social, vals[sigma, np.arange(inst.n)].sum(0)),
     )

@@ -172,7 +172,7 @@ class TestSandwich:
             machine_values=(F(7, 2**30 + 3), F(1), F(2, 3)),
         ))
         for inst in pool + beyond_int64_pool():
-            _, (u, phi) = oracle.state_columns(
+            _, _, (u, phi) = oracle.state_columns(
                 inst, oracle.DEFAULT_LIMITS,
                 lambda vals, cur, social, phi: (social, phi),
             )

@@ -7,6 +7,7 @@ and every entry of the state table is compared with the pointwise evaluator.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,10 @@ from conflictgames import fastpath
 from conflictgames.fastpath import (
     StateEvaluator,
     lex_states,
+    orbit_count,
+    orbit_strings,
     state_blocks,
+    string_blocks,
     to_internal,
     to_public,
 )
@@ -28,7 +32,7 @@ from conflictgames.games import (
     social_value,
 )
 from conflictgames.instances import gen_random
-from conflictgames.oracle import _public
+from conflictgames.oracle import Orbits
 
 from conftest import ALL_KINDS, beyond_int64_pool, kind_pool
 
@@ -115,8 +119,60 @@ def test_state_blocks_cover_every_state_in_lex_order(monkeypatch):
         decoded = lex_states(n, m, np.arange(m**n))
         assert decoded.dtype == np.int64
         assert [tuple(s) for s in decoded.tolist()] == expected
-        inst = make_instance(GameKind.BWC, n, m)
-        assert [_public(inst, idx) for idx in range(m**n)] == [to_public(s) for s in expected]
+        every = Orbits(n, m, strings=False)
+        assert [every.state(idx) for idx in range(m**n)] == [to_public(s) for s in expected]
+
+
+def _stirling(n, j):
+    """S(n, j) by inclusion-exclusion."""
+    terms = ((-1) ** i * math.comb(j, i) * (j - i) ** n for i in range(j + 1))
+    return sum(terms) // math.factorial(j)
+
+
+def test_orbit_strings_count_order_and_sizes(monkeypatch):
+    shapes = ((1, 1), (1, 3), (3, 1), (4, 3), (5, 2), (3, 4), (6, 4), (7, 3), (4, 6), (10, 2))
+    # the default blocks, and blocks small enough that the strings need several
+    for cells in (fastpath._BLOCK_CELLS, 1 << 6):
+        monkeypatch.setattr(fastpath, "_BLOCK_CELLS", cells)
+        for n, m in shapes:
+            digits, sizes = orbit_strings(n, m)
+            strings = [tuple(s) for s in digits.T.tolist()]
+            assert len(strings) == orbit_count(n, m) == sum(
+                _stirling(n, j) for j in range(1, m + 1)
+            )
+            # lex order, and each entry at most one above the largest before it
+            assert strings == sorted(set(strings))
+            assert all(
+                s[0] == 0 and all(k <= max(s[:i]) + 1 for i, k in enumerate(s) if i)
+                for s in strings
+            )
+            # orbit sizes: m!/(m - j)! for a string on j machines, m^n in all
+            assert sizes.tolist() == [math.perm(m, len(set(s))) for s in strings]
+            assert sizes.dtype == np.int64 and int(sizes.sum()) == m**n
+            assert digits.dtype == np.min_scalar_type(m - 1)
+            assert not digits.flags.writeable and not sizes.flags.writeable
+            # blocks: the strings in order, none past the cell budget
+            blocks = list(string_blocks(digits, m))
+            assert [tuple(s) for b in blocks for s in b.tolist()] == strings
+            assert all(b.shape[1] == n and len(b) * n * m <= max(cells, n * m) for b in blocks)
+        several = len(list(string_blocks(orbit_strings(7, 3)[0], 3))) > 1
+        assert several == (cells == 1 << 6)
+
+
+def test_orbit_strings_cache_is_bounded():
+    fastpath._cached_strings.cache_clear()
+    assert fastpath._cached_strings.cache_info().maxsize == 4
+    # the strings of a table within the budget are kept, the same arrays
+    assert orbit_strings(7, 3)[0] is orbit_strings(7, 3)[0]
+    # past the budget (88574 strings of 12 players on 3 machines) they are not
+    assert orbit_count(12, 3) * 12 * 3 > fastpath._TABLE_CELLS
+    assert orbit_strings(12, 3)[0] is not orbit_strings(12, 3)[0]
+    for n in range(2, 9):
+        orbit_strings(n, 2)
+    assert fastpath._cached_strings.cache_info().currsize == 4
+    # an orbit size past int64 stays exact
+    _, sizes = orbit_strings(3, 2**21)
+    assert sizes.dtype == object and sizes.tolist()[-1] == 2**21 * (2**21 - 1) * (2**21 - 2)
 
 
 def test_table_matches_pointwise_evaluator():

@@ -30,12 +30,12 @@ def test_only_games_names_the_neighbour_helpers():
 
 
 def test_only_fastpath_and_oracle_name_the_state_blocks():
-    # the split of the state space into blocks is decided in oracle alone:
-    # every other pass reads whole per-state columns
+    # the split of the states, or of the orbit strings, into blocks is
+    # decided in oracle alone: every other pass reads whole columns
     package = pathlib.Path(conflictgames.__file__).parent
     naming = sorted(
         path.name
         for path in package.glob("*.py")
-        if re.search(r"\bstate_blocks\b", path.read_text())
+        if re.search(r"\b(state_blocks|string_blocks)\b", path.read_text())
     )
     assert naming == ["fastpath.py", "oracle.py"]

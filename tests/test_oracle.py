@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conflictgames import oracle
-from conflictgames.fastpath import _INT64_SAFE, StateEvaluator, to_internal
+from conflictgames.fastpath import _INT64_SAFE, StateEvaluator, orbit_strings, to_internal
 from conflictgames.games import (
     GameKind,
     make_instance,
@@ -49,7 +49,14 @@ from reference_oracle import (
     strong_nash_set_by_candidates,
     strong_nash_set_by_coalitions,
 )
-from conftest import ALL_KINDS, BWCF_PRESETS, beyond_int64_pool, kind_pool, small_instance
+from conftest import (
+    ALL_KINDS,
+    BWCF_PRESETS,
+    beyond_int64_pool,
+    kind_pool,
+    small_instance,
+    with_machine_values,
+)
 
 F = Fraction
 
@@ -264,17 +271,42 @@ class TestChunkedStrongScan:
 
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 3), (3, 4), (5, 2)])
     def test_orbit_representative_is_the_smallest_relabelling(self, n, m):
+        # the strings are the smallest relabelling of each state, one per
+        # orbit, in lex order; and the column of each state's orbit is the
+        # one of its smallest relabelling
         place = [m ** (n - 1 - i) for i in range(n)]
-        expected = [
+        smallest = [
             min(
                 sum(perm[k] * p for k, p in zip(state, place))
                 for perm in itertools.permutations(range(m))
             )
             for state in itertools.product(range(m), repeat=n)
         ]
-        ev = StateEvaluator(make_instance(GameKind.BWC, n, m))
-        got = oracle.orbit_representatives(ev, np.arange(m**n))
-        assert got.tolist() == expected
+        digits, sizes = orbit_strings(n, m)
+        strings = [sum(k * p for k, p in zip(string, place)) for string in digits.T.tolist()]
+        assert strings == sorted(set(smallest))
+        assert sizes.tolist() == [smallest.count(string) for string in strings]
+        orbits = oracle.Orbits(n, m, strings=True)
+        assert orbits.lex(orbits.orbit_map()).tolist() == smallest
+
+    def test_orbit_expansion_past_int64_lex_indexes(self):
+        # 256^8 = 2^64 states: lex indexes pass int64, so the expansion
+        # orders the states of several orbits as exact ints
+        n, m = 8, 256
+        orbits = oracle.Orbits(n, m, strings=True)
+        digits, sizes = orbit_strings(n, m)
+        assert orbits.count == len(sizes) == 4140 and sizes.dtype == object
+        cols = np.array([0, 1, 2], dtype=np.int64)  # all on machine 1, then two on 2 machines
+        strings = [tuple(digits[:, c].tolist()) for c in cols]
+        assert strings == [(0,) * 8, (0,) * 7 + (1,), (0,) * 6 + (1, 0)]
+        expected = sorted(
+            (tuple(perm[k] + 1 for k in string), col)
+            for col, string in zip(cols.tolist(), strings)
+            for perm in itertools.permutations(range(m), len(set(string)))
+        )
+        states, got = orbits.expand(cols)
+        assert len(states) == sum(sizes[cols]) == m + 2 * m * (m - 1)
+        assert list(zip(states, got.tolist())) == expected
 
     def test_sharing_with_equal_machine_values_takes_the_orbits(self):
         # all three machine values equal: the orbits; two of three: every
@@ -287,7 +319,7 @@ class TestChunkedStrongScan:
                 for values in (
                     (equal,) * 3, (huge,) * 3, (equal, equal, F(9, 2)), (F(9, 2), equal, equal),
                 ):
-                    inst = _with_machine_values(base, values)
+                    inst = with_machine_values(base, values)
                     candidates, tested = _representatives(inst)
                     if len(set(values)) == 1:
                         assert len(np.unique(tested)) < len(candidates)
@@ -308,7 +340,7 @@ class TestChunkedStrongScan:
             gen_random(2, 3, GameKind.BWC, F(1), seed=0),
             make_instance(GameKind.BWC, 2, 3),
             gen_random(5, 4, GameKind.BWF, F(3, 4), seed=2),
-            _with_machine_values(friends, (F(1),) * 4),
+            with_machine_values(friends, (F(1),) * 4),
         ]
         smaller = refuted = 0
         for inst in pool:
@@ -328,22 +360,16 @@ class TestChunkedStrongScan:
 
 
 def _representatives(inst):
-    """(lex indexes of the pure equilibria, the representative of each)."""
+    """(lex indexes of the pure equilibria, the lex index of the string of
+    each one's orbit; every state is its own orbit unless every machine has
+    the same machine term)."""
     candidates = np.array(
         [sum((k - 1) * inst.m ** (inst.n - 1 - i) for i, k in enumerate(state))
          for state, _ in pure_nash_set(inst)],
         dtype=np.int64,
     )
-    return candidates, oracle.orbit_representatives(StateEvaluator(inst), candidates)
-
-
-def _with_machine_values(inst, values):
-    """``inst`` (a sharing instance) with its machine values replaced."""
-    return make_instance(
-        inst.kind, inst.n, inst.m,
-        conflict_edges=inst.conflict_edges, friendship_edges=inst.friendship_edges,
-        machine_values=values, edge_weights=dict(inst.edge_weights or {}) or None,
-    )
+    orbits = oracle.Orbits(inst.n, inst.m, oracle._symmetric(StateEvaluator(inst)))
+    return candidates, orbits.lex(orbits.orbit_map())[candidates]
 
 
 class TestExpectedValues:

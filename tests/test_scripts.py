@@ -74,28 +74,35 @@ def test_scan_pass_times():
     lines = _run("scan_pass_times.py", "--repeats", "1")
     assert lines[0] == "ms per scan pass, one cycle of 12 instances (seed 1), best of 1"
     assert lines[1].split() == ["pass", "cold", "warm"]
-    names = [line[:14].strip() for line in lines[2:11]]
+    names = [line[:14].strip() for line in lines[2:12]]
     assert names == [
         "optimum", "pure NE", "semi-smooth", "nice", "floors", "sandwich", "strong", "all",
-        "table build",
+        "table build", "string build",
     ]
     assert all(len(line.split()) >= 3 for line in lines[2:10])
-    build = lines[10][14:].split()  # the build alone: one time, no warm column
-    assert len(build) == 1 and float(build[0]) > 0
-    # the three strong scans of the cycle test fewer representatives than
-    # pure equilibria: every m = 3 slot has one machine term on all machines
-    _check_strong_scan_size(lines[11])
-    # the passes past the kept-table budget, the strong scan included: ms
-    # and peak MB each
-    assert lines[12] == (
-        "ms and tracemalloc peak MB per streamed pass, BwC n=10 m=3 (59049 states), best of 1"
+    for line in lines[10:12]:  # the builds alone: one time, no warm column
+        build = line[14:].split()
+        assert len(build) == 1 and float(build[0]) > 0
+    # the eight slots whose machines all have one machine term read one
+    # column per orbit, the four sharing slots (random machine values) one
+    # per state
+    words = lines[12].split()
+    assert words[:2] == ["columns", "read:"] and words[3:6] == ["of", "17825", "states"]
+    assert words[6:] == ["(8", "of", "12", "instances", "on", "strings)"]
+    assert 4 * 1024 < int(words[2]) < 17825
+    # the three strong scans of the cycle test fewer strings than pure
+    # equilibria: every m = 3 slot has one machine term on all machines
+    _check_strong_scan_size(lines[13])
+    # the orbit passes past the kept-table budget: ms and peak MB each
+    assert lines[14] == (
+        "ms and tracemalloc peak MB per streamed pass, BwC n=12 m=3 "
+        "(531441 states, 88574 strings), best of 1"
     )
-    assert lines[13].split() == ["pass", "ms", "MB"]
-    assert [line[:14].strip() for line in lines[14:21]] == names[:7]
-    for line in lines[14:21]:
+    assert lines[15].split() == ["pass", "ms", "MB"]
+    assert [line[:14].strip() for line in lines[16:22]] == names[:6]
+    for line in lines[16:22]:
         ms, mb = map(float, line[14:].split())
         assert ms > 0 and mb > 0
-    _check_strong_scan_size(lines[21])
     assert len(lines) == 22
 
 
@@ -103,7 +110,7 @@ def _check_strong_scan_size(line):
     words = line.split()
     assert words[:2] == ["strong", "scan:"]
     assert words[3:6] == ["pure", "NE", "candidates,"]
-    assert words[7:] == ["representatives", "tested"]
+    assert words[7:] == ["strings", "tested"]
     candidates, tested = int(words[2]), int(words[6])
     assert 0 < tested < candidates
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conflictgames import dynamics, fastpath, oracle, smoothness
-from conflictgames.fastpath import _TABLE_CELLS, StateEvaluator, state_blocks
+from conflictgames.fastpath import _TABLE_CELLS, StateEvaluator, orbit_count, state_blocks
 from conflictgames.games import (
     GameKind,
     canonical_deviation_profile,
@@ -27,7 +27,7 @@ from conflictgames.instances import gen_random
 from conflictgames.oracle import OracleLimits, StateSpaceExceeded, enumerate_states
 from conflictgames.smoothness import certificate_params, make_params
 
-from conftest import ALL_KINDS, beyond_int64_pool, kind_pool
+from conftest import ALL_KINDS, beyond_int64_pool, kind_pool, with_machine_values
 from reference_oracle import (
     best_response_lhs_by_fractions,
     expected_player_value_by_kind,
@@ -189,6 +189,127 @@ def test_streamed_columns_equal_the_kept_table(monkeypatch):
     assert several > len(pool) // 2
 
 
+def _skewed_profile(inst):
+    """Player i puts weight proportional to 1 + (k + i) mod m on machine k:
+    no row is uniform once m >= 2."""
+    total = inst.m * (inst.m + 1) // 2
+    return tuple(
+        tuple(F(1 + (k + i) % inst.m, total) for k in range(inst.m)) for i in range(inst.n)
+    )
+
+
+def _orbit_passes(inst):
+    """(the results of every pass that reads one column per orbit, and of
+    semi-smoothness with a non-uniform profile, which reads every state;
+    whether the table kept after the orbit passes is over the strings)."""
+    params = _param_sets(inst)
+    results = [
+        oracle.optimum(inst),
+        oracle.worst_social_state(inst),
+        oracle.pure_nash_set(inst),
+        oracle.strong_nash_set(inst),
+        smoothness.check_opt_lower_bounds(inst),
+        dynamics.sandwich_constants(inst),
+    ]
+    for p in params:
+        results += [smoothness.check_semi_smooth(inst, p), smoothness.check_nice(inst, p)]
+    strings = oracle._kept is not None and oracle._kept[3].strings
+    results += [smoothness.check_semi_smooth(inst, p, _skewed_profile(inst)) for p in params]
+    return results, strings
+
+
+def _orbit_pool():
+    pool = [inst for kind in ALL_KINDS for inst in kind_pool(kind, 5)]
+    # symmetric instances with pure equilibria that are not strong
+    pool += [
+        gen_random(5, 3, GameKind.BWC, F(1, 2), seed=2),
+        gen_random(5, 3, GameKind.BWCF, F(1, 2), seed=2, alpha=F(1), beta=F(1), gamma=F(1, 2)),
+        gen_random(6, 2, GameKind.MAXCUT, F(1, 2), seed=5),
+    ]
+    for kind in (GameKind.SWC, GameKind.SWF):
+        for seed, values in ((1, (F(7, 2),) * 3), (2, (F(3, 2**61 - 1),) * 3)):
+            base = gen_random(4, 3, kind, F(1, 2), seed=seed, weighted=seed == 2)
+            pool.append(with_machine_values(base, values))
+    return pool + beyond_int64_pool()
+
+
+@pytest.mark.parametrize("table_cells", [_TABLE_CELLS, 0], ids=["kept", "streamed"])
+def test_orbit_table_equals_the_full_table(monkeypatch, table_cells):
+    # every pass gives the same result over one column per orbit as over
+    # every state, the full table forced by declaring no instance symmetric
+    monkeypatch.setattr(oracle, "_TABLE_CELLS", table_cells)
+    pool = _orbit_pool()
+    on_strings = set()
+    refuted = 0
+    for inst in pool:
+        ev = StateEvaluator(inst)
+        monkeypatch.setattr(oracle, "_kept", None)
+        on_orbits, strings = _orbit_passes(inst)
+        if table_cells:
+            assert strings == oracle._symmetric(ev)
+        else:
+            assert oracle._kept is None
+        with monkeypatch.context() as full:
+            full.setattr(oracle, "_symmetric", lambda ev: False)
+            full.setattr(oracle, "_kept", None)
+            on_states, strings = _orbit_passes(inst)
+            assert not strings
+        assert on_orbits == on_states
+        if oracle._symmetric(ev) and inst.m > 1:
+            on_strings.add((inst.kind, ev.dtype()))
+            refuted += len(on_orbits[2]) - len(on_orbits[3])  # pure, strong
+    # every kind, and the object dtype, on the strings; the sharing kinds
+    # through equal machine values
+    assert {kind for kind, _ in on_strings} == set(ALL_KINDS)
+    assert (GameKind.SWC, object) in on_strings
+    assert refuted > 0
+
+
+def test_state_cap_bounds_the_strings_a_pass_reads():
+    # 1024 states in 512 orbits: a cap of 600 admits the passes over one
+    # column per orbit and stops those over every state
+    cost = make_instance(GameKind.BWC, 10, 2)
+    payoff = gen_random(10, 2, GameKind.MAXCUT, F(1, 2), seed=1)
+    params, _ = certificate_params(cost.kind, cost.n, cost.m)
+    cap, states = OracleLimits(max_states=600), OracleLimits(max_states=1024)
+    assert oracle.optimum(cost, cap) == oracle.optimum(cost)
+    assert oracle.worst_social_state(cost, cap) == oracle.worst_social_state(cost)
+    assert len(oracle.pure_nash_set(cost, cap)) == 252  # the balanced states
+    assert smoothness.check_semi_smooth(cost, params, limits=cap).holds
+    assert smoothness.check_nice(cost, params, cap).holds
+    assert smoothness.check_opt_lower_bounds(cost, cap).holds
+    assert dynamics.sandwich_constants(cost, None, cap).skipped == 0
+    full_table = {
+        "strong_nash_set": lambda lim: oracle.strong_nash_set(cost, lim),
+        "skewed semi-smoothness": lambda lim: smoothness.check_semi_smooth(
+            cost, params, _skewed_profile(cost), lim
+        ),
+        "max_rho_pure_sigma": lambda lim: smoothness.max_rho_pure_sigma(
+            payoff, (1,) * payoff.n, lim
+        ),
+    }
+    for name, run in full_table.items():
+        with pytest.raises(StateSpaceExceeded) as err:
+            run(cap)
+        assert (err.value.limit_name, str(err.value)) == (
+            "max_states", "state space needs 1024 but the configured max_states allows 600"
+        ), name
+        run(states)  # at the cap it runs
+    # fewer strings than the cap, but more equilibria: every state of the
+    # edgeless cut game is one, and the list would pass the cap
+    edgeless = make_instance(GameKind.MAXCUT, 10, 2)
+    with pytest.raises(StateSpaceExceeded) as err:
+        oracle.pure_nash_set(edgeless, cap)
+    assert str(err.value) == "state space needs 1024 but the configured max_states allows 600"
+    assert len(oracle.pure_nash_set(edgeless, states)) == 1024
+    # more strings than the cap: raised before any table is built
+    oracle._kept = None
+    with pytest.raises(StateSpaceExceeded) as err:
+        oracle.optimum(cost, OracleLimits(max_states=511))
+    assert str(err.value) == "state space needs 512 but the configured max_states allows 511"
+    assert oracle._kept is None
+
+
 class TestBeyondInt64:
     def test_every_pass_matches_fractions_on_object_dtype(self):
         cost = make_instance(  # huge weight denominators on a cost kind
@@ -320,7 +441,7 @@ class TestKeptTable:
 
     def test_arrays_are_read_only(self):
         inst = gen_random(4, 3, GameKind.SWC, F(1, 2), seed=1)
-        _, table = oracle.state_columns(inst, OracleLimits(), lambda *table: table)
+        _, _, table = oracle.state_columns(inst, OracleLimits(), lambda *table: table)
         assert len(table) == 4
         for array in table:
             with pytest.raises(ValueError):
@@ -338,7 +459,7 @@ class TestKeptTable:
         several = 0
         for inst in pool:
             monkeypatch.setattr(oracle, "_kept", None)
-            ev, kept = oracle._whole_table(inst)
+            ev, _, kept = oracle._whole_table(inst)
             blocks = list(state_blocks(inst.n, inst.m))
             several += len(blocks) > 1
             streamed = [ev.table(block) for block in blocks]
@@ -355,9 +476,16 @@ class TestKeptTable:
     def test_table_over_budget_is_not_kept(self):
         kept = gen_random(4, 2, GameKind.BWC, F(1, 2), seed=1)
         oracle.optimum(kept)
+        # 59049 states, but the optimum reads the 9842 orbits, within the budget
         inst = make_instance(GameKind.BWC, 10, 3)
         assert oracle.state_count(inst) * inst.n * inst.m > _TABLE_CELLS
+        assert orbit_count(inst.n, inst.m) * inst.n * inst.m <= _TABLE_CELLS
         assert oracle.optimum(inst) == ((1,) * 4 + (2,) * 3 + (3,) * 3, 34)
+        assert oracle._kept[0] is inst and oracle._kept[3].count == 9842
+        # 131072 states in 65536 orbits, more than the budget even so
+        inst = make_instance(GameKind.BWC, 17, 2)
+        assert orbit_count(inst.n, inst.m) * inst.n * inst.m > _TABLE_CELLS
+        assert oracle.optimum(inst) == ((1,) * 9 + (2,) * 8, 145)
         assert oracle._kept is None
 
     def test_one_evaluator_for_every_pass(self, monkeypatch):
