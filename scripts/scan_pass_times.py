@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time each exhaustive scan pass, with the state table built afresh (cold)
 and read from the table the previous pass kept (warm), the table build and
-the orbit strings on their own, and the passes that stream past the
+the column build on their own, and the passes that stream past the
 kept-table budget.
 
 One cycle is one cycle of the benchmark's scan workload, drawn by
@@ -11,22 +11,26 @@ pass is timed cold (the kept table dropped just before the call, so the pass
 builds its own) and then warm (right after, on the table it kept).  Two lines
 time builds alone, once per instance: "table build" is
 ``oracle._whole_table`` over the columns the scan passes read, with no table
-kept and the strings cached, which is what each cold pass pays on top of its
-warm time; "string build" is the uncached enumeration of the restricted
-growth strings (``fastpath.orbit_strings``) of every instance whose machines
-all have the same machine term.  The best of ``--repeats`` cycles is printed
+kept and the columns cached, which is what each cold pass pays on top of its
+warm time; "column build" is the uncached build of the columns those passes
+read (``fastpath.orbit_columns``) of every instance: the restricted growth
+strings where the machines all have the same machine term, all the states
+elsewhere.  The best of ``--repeats`` cycles is printed
 in milliseconds per cycle.  The block ends with the columns the scan passes
 read per cycle, one per orbit under renaming the machines where the machines
 are symmetric and one per state elsewhere, against the states of the cycle,
 and with the size of its strong scans: the pure equilibria the scan finds and
 the strings among them it tests, one per orbit.
 
-A second block times the six passes that read one column per orbit on
-``gen_random(12, 3, BWC, 1/2, seed=1)``: 531441 states in 88574 orbits, more
-than the kept-table budget (``fastpath._TABLE_CELLS``) even so, so every pass
-is cold and builds its per-string columns block by block.  It prints the best
-of ``--repeats`` runs in milliseconds and, from one more run under
-``tracemalloc``, the peak of traced memory in MB.
+Two more blocks time the six passes that read one column per orbit on 531441
+states, past the kept-table budget (``fastpath._TABLE_CELLS``), so every pass
+is cold and builds its columns block by block: ``gen_random(12, 3, BWC, 1/2,
+seed=1)``, whose 88574 orbit strings are past the budget even so, and
+``gen_random(12, 3, SWC, 1/2, seed=1)``, whose machine values differ, so it
+reads every state (its floors hold without a scan, as on every payoff
+kind, and are left out).  Each prints the best of ``--repeats`` runs in
+milliseconds and, from one more run under ``tracemalloc``, the peak of
+traced memory in MB.
 
 Usage:
     python scripts/scan_pass_times.py [--seed 1] [--repeats 3]
@@ -76,6 +80,31 @@ def strong_scan_size(inst) -> tuple[int, int]:
     return int(orbits.sizes()[flags].sum()), int(flags.sum())
 
 
+def streamed_passes(inst, repeats: int) -> None:
+    """Print ms (best of ``repeats``) and tracemalloc peak MB of the six
+    orbit passes over ``inst``, the floors only on a cost kind."""
+    params = smoothness.certificate_params(inst.kind, inst.n, inst.m)
+    job = SimpleNamespace(inst=inst, params=params)
+    _, orbits, _ = orbit_table(inst)
+    print(f"ms and tracemalloc peak MB per streamed pass, {inst.kind.value} n={inst.n} "
+          f"m={inst.m} ({oracle.state_count(inst)} states, {orbits.count} columns), "
+          f"best of {repeats}")
+    print(f"  {'pass':12} {'ms':>8} {'MB':>8}")
+    for name, run in PASSES[:-1]:
+        if name == "floors" and not inst.kind.minimizes:
+            continue
+        spent = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            run(job)
+            spent = min(spent, time.perf_counter() - t0)
+        tracemalloc.start()
+        run(job)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"  {name:12} {1e3 * spent:8.2f} {peak / 2**20:8.2f}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=1)
@@ -84,7 +113,7 @@ def main() -> int:
 
     jobs = workloads.generate(workloads.WORKLOADS["scan"], args.seed, 1)
     best = {name: [float("inf"), float("inf")] for name, _ in PASSES}
-    build = strings = float("inf")
+    build = columns = float("inf")
     for _ in range(args.repeats):
         spent = {name: [0.0, 0.0] for name, _ in PASSES}
         built = enumerated = 0.0
@@ -93,10 +122,9 @@ def main() -> int:
             t0 = time.perf_counter()
             _, orbits, _ = orbit_table(job.inst)
             built += time.perf_counter() - t0
-            if orbits.strings:
-                t0 = time.perf_counter()
-                fastpath._expand_strings(job.inst.n, job.inst.m)
-                enumerated += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            fastpath._build_columns(job.inst.n, job.inst.m, orbits.symmetric)
+            enumerated += time.perf_counter() - t0
             for name, run in PASSES:
                 if name == "strong" and not job.strong:
                     continue
@@ -107,7 +135,7 @@ def main() -> int:
                     spent[name][warm] += time.perf_counter() - t0
         for name, pair in spent.items():
             best[name] = [min(b, s) for b, s in zip(best[name], pair)]
-        build, strings = min(build, built), min(strings, enumerated)
+        build, columns = min(build, built), min(columns, enumerated)
 
     print(f"ms per scan pass, one cycle of {len(jobs)} instances (seed {args.seed}), "
           f"best of {args.repeats}")
@@ -117,34 +145,18 @@ def main() -> int:
     cold, warm = (sum(pair[k] for pair in best.values()) for k in (0, 1))
     print(f"  {'all':12} {1e3 * cold:8.2f} {1e3 * warm:8.2f}")
     print(f"  {'table build':12} {1e3 * build:8.2f}")
-    print(f"  {'string build':12} {1e3 * strings:8.2f}")
+    print(f"  {'column build':12} {1e3 * columns:8.2f}")
     domains = [orbit_table(job.inst)[1] for job in jobs]
     print(f"  columns read: {sum(d.count for d in domains)} of "
           f"{sum(job.states for job in jobs)} states "
-          f"({sum(d.strings for d in domains)} of {len(jobs)} instances on strings)")
+          f"({sum(d.symmetric for d in domains)} of {len(jobs)} instances on strings)")
     candidates, tested = (
         sum(pair) for pair in zip(*(strong_scan_size(job.inst) for job in jobs if job.strong))
     )
     print(f"  strong scan: {candidates} pure NE candidates, {tested} strings tested")
 
-    inst = gen_random(12, 3, GameKind.BWC, Fraction(1, 2), seed=1)
-    params = smoothness.certificate_params(inst.kind, inst.n, inst.m)
-    job = SimpleNamespace(inst=inst, params=params)
-    print(f"ms and tracemalloc peak MB per streamed pass, BwC n={inst.n} m={inst.m} "
-          f"({oracle.state_count(inst)} states, "
-          f"{fastpath.orbit_count(inst.n, inst.m)} strings), best of {args.repeats}")
-    print(f"  {'pass':12} {'ms':>8} {'MB':>8}")
-    for name, run in PASSES[:-1]:
-        spent = float("inf")
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            run(job)
-            spent = min(spent, time.perf_counter() - t0)
-        tracemalloc.start()
-        run(job)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        print(f"  {name:12} {1e3 * spent:8.2f} {peak / 2**20:8.2f}")
+    for kind in (GameKind.BWC, GameKind.SWC):
+        streamed_passes(gen_random(12, 3, kind, Fraction(1, 2), seed=1), args.repeats)
     return 0
 
 

@@ -232,10 +232,18 @@ def check_convergence_theorems(
     reached, and once the potential passes rho*(1-eps)/2 * OPT the value
     stays above rho*(1-eps)/(2*H_n) * OPT (H_n replaced by 1 for the cut
     game, whose potential is exactly half the value).
+
+    Raises ValueError unless ``eps > 0`` and at least one start runs:
+    ``trials >= 0``, and ``trials >= 1`` without the worst start.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
+    if trials < 0 or trials == 0 and not include_worst_start:
+        # with no trace every row would pass or fail on nothing measured
+        raise ValueError(
+            f"need at least one start: trials={trials}, include_worst_start={include_worst_start}"
+        )
     inst_label = label or f"{inst.kind.value}(n={inst.n},m={inst.m})"
     _, opt_value = oracle.optimum(inst, limits)
     rng = random.Random(seed)

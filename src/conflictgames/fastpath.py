@@ -77,32 +77,30 @@ instead:
 
 Every enumeration pass reads the state table:
 
-* blocks: a state is its lex index; :func:`lex_states` decodes an array of
-  indexes into ``(S, n)`` int64 states (their mixed-radix digits, stored
-  player-major, so the transpose is contiguous), and :func:`state_blocks`
-  yields the m^n states in lex order as such arrays of at most
-  ``_BLOCK_CELLS`` (2^16) (state, player, machine) cells, so the memory of a
-  table build stays flat however many states there are; when all states fit
-  one block, its digits come from ``np.indices`` with no division;
-* strings: :func:`orbit_strings` enumerates one state per orbit under
-  renaming the machines, the restricted growth strings (each entry at most
-  one above the largest before it), in lex order, each the lex-smallest state
-  of its orbit, with the number of states of each orbit; about m^n/m! of
-  them, ``sum_{j <= m} S(n, j)`` (:func:`orbit_count`).  It expands them one
-  position at a time with whole-array operations, stores them player-major on
-  the smallest unsigned dtype, and caches those of the last four shapes whose
-  table fits ``_TABLE_CELLS``; :func:`string_blocks` cuts them into blocks
-  like :func:`state_blocks`.  Only :func:`conflictgames.oracle.state_columns`
-  iterates over either kind of block: it keeps the whole table of one
-  instance between passes when it has at most ``_TABLE_CELLS`` cells, and
-  otherwise hands each pass its columns, built block by block;
-* table: :meth:`StateEvaluator.table` turns a block (of states or of
-  strings, the same to it) into ``vals[k, i, s]``
-  (the value of player ``i`` on machine ``k`` with everyone else at state
-  ``s``, equal to ``value(analyze(s), i, k)``), ``cur[i, s]`` (the value at
-  ``s``), ``social[s] = sum_i cur[i, s]`` and the potential ``phi[s]``,
-  always these four, always at ``dtype()``, with the states innermost: every
-  reduction over machines or players runs along contiguous rows of states.
+* columns: :func:`orbit_columns` gives the columns of a state table, one per
+  orbit of the m^n states, in one form whichever group acts: the digits of
+  one state per orbit, player-major on the smallest unsigned dtype, with the
+  number of states in each orbit.  Under renaming the machines the columns
+  are the restricted growth strings (each entry at most one above the
+  largest before it), about m^n/m! of them, ``sum_{j <= m} S(n, j)``
+  (:func:`column_count`), expanded one position at a time with whole-array
+  operations; otherwise they are all m^n states, each of size 1, their
+  digits from ``np.indices``.  Either way they are in lex order and each is
+  the lex-smallest state of its orbit.  Those of the last eight shapes whose
+  table fits ``_TABLE_CELLS`` are cached, and :func:`column_blocks` cuts them
+  into blocks of at most ``_BLOCK_CELLS`` (2^16) (column, player, machine)
+  cells, so the memory of a table build stays flat however many columns
+  there are.  Only :func:`conflictgames.oracle.state_columns` iterates over
+  the blocks: it keeps the whole table of one instance between passes when
+  it has at most ``_TABLE_CELLS`` cells, and otherwise hands each pass its
+  columns, built block by block;
+* table: :meth:`StateEvaluator.table` turns a block of columns into
+  ``vals[k, i, s]`` (the value of player ``i`` on machine ``k`` with everyone
+  else at state ``s``, equal to ``value(analyze(s), i, k)``), ``cur[i, s]``
+  (the value at ``s``), ``social[s] = sum_i cur[i, s]`` and the potential
+  ``phi[s]``, always these four, always at ``dtype()``, with the states
+  innermost: every reduction over machines or players runs along contiguous
+  rows of states.
   It is the same formula on arrays: the one-hot ``onehot[k, i, s]`` of the
   player-major digits, the loads as its sum over players, the neighbour
   weights ``adj @ onehot`` (``adj`` the n x n signed adjacency of the edges)
@@ -393,8 +391,8 @@ class StateEvaluator:
         each reduction over machines or players runs along rows of states."""
         mach, base, adj, pot = self._table_arrays
         n, m = self.n, self.m
-        digits = grid.T  # [i, s]: contiguous for the blocks of state_blocks
-        # [k, i, s]; on the grid's own dtype, as the strings' uint8 compares fastest
+        digits = grid.T  # [i, s]: rows of the player-major column digits
+        # [k, i, s]; on the grid's own dtype, as the columns' uint8 compares fastest
         onehot = digits == np.arange(m, dtype=grid.dtype)[:, None, None]
         # [k, s]; uint8, the fastest sum, holds every load below 256
         loads = onehot.sum(1, dtype=np.uint8 if n < 256 else np.int64)
@@ -557,27 +555,6 @@ def max_abs(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def lex_states(n: int, m: int, idx: np.ndarray) -> np.ndarray:
-    """The internal states of lex indexes ``idx`` (an int64 array), as an
-    ``(S, n)`` int64 array: the mixed-radix digits of each index, stored
-    player-major (its transpose is contiguous)."""
-    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (idx // place[:, None] % m).T
-
-
-def state_blocks(n: int, m: int) -> Iterator[np.ndarray]:
-    """All m^n internal states in lex order, as ``(S, n)`` int64 blocks of at
-    most ``_BLOCK_CELLS`` (state, player, machine) cells, stored player-major
-    like those of :func:`lex_states`."""
-    count = m**n
-    step = max(1, _BLOCK_CELLS // (n * m))
-    if step >= count:  # a single block: its digits need no division
-        yield np.indices((m,) * n, dtype=np.int64).reshape(n, count).T
-        return
-    for start in range(0, count, step):
-        yield lex_states(n, m, np.arange(start, min(start + step, count), dtype=np.int64))
-
-
 @lru_cache(maxsize=64)
 def orbit_count(n: int, m: int) -> int:
     """The number of restricted growth strings of length ``n`` on at most
@@ -590,11 +567,21 @@ def orbit_count(n: int, m: int) -> int:
     return sum(row)
 
 
-def _expand_strings(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """See :func:`orbit_strings`.  One position at a time, every string
-    with ``j`` machines so far extends by machines ``0 .. min(j, m - 1)``, in
-    that order, so the strings stay in lex order; the digits are read back
-    along the parent links at the end."""
+def column_count(n: int, m: int, symmetric: bool) -> int:
+    """The number of columns of :func:`orbit_columns`."""
+    return orbit_count(n, m) if symmetric else m**n
+
+
+def _build_columns(n: int, m: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """See :func:`orbit_columns`.  The strings grow one position at a time:
+    every string with ``j`` machines so far extends by machines ``0 ..
+    min(j, m - 1)``, in that order, so the strings stay in lex order; the
+    digits are read back along the parent links at the end."""
+    dtype = np.min_scalar_type(m - 1)
+    if not symmetric:
+        digits = np.indices((m,) * n, dtype=dtype).reshape(n, -1)
+        digits.flags.writeable = False
+        return digits, np.broadcast_to(np.int64(1), digits.shape[1])
     used = np.ones(1, dtype=np.int64)  # the one string of length 1
     links = []  # per position after the first: (digit, parent)
     for _ in range(1, n):
@@ -603,7 +590,7 @@ def _expand_strings(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         digit = np.arange(len(parent)) - (np.cumsum(count) - count)[parent]
         used = np.maximum(used[parent], digit + 1)
         links.append((digit, parent))
-    digits = np.zeros((n, len(used)), dtype=np.min_scalar_type(m - 1))
+    digits = np.zeros((n, len(used)), dtype=dtype)
     at = np.arange(len(used))
     for i in range(n - 1, 0, -1):
         digit, parent = links[i - 1]
@@ -617,30 +604,34 @@ def _expand_strings(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return digits, sizes
 
 
-_cached_strings = lru_cache(maxsize=4)(_expand_strings)
+# one seed-1 scan cycle reads 4 string shapes, 3 state shapes and the strong
+# scan's (7, 3) states
+_cached_columns = lru_cache(maxsize=8)(_build_columns)
 
 
-def orbit_strings(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(digits, sizes)``, read-only: the restricted growth strings of
-    length ``n`` on at most ``m`` machines in lex order, one per orbit of the
-    states under renaming the machines, each the lex-smallest state of its
-    orbit (every entry is at most one above the largest before it).
-    ``digits[i, c]`` is player ``i``'s machine in string ``c``, stored
-    player-major like the blocks of :func:`state_blocks` (its transpose is a
-    grid for :meth:`StateEvaluator.table`), on the smallest unsigned dtype
-    that holds ``m - 1``; ``sizes[c]`` is the number of states in string
-    ``c``'s orbit, ``m!/(m - j)!`` for a string on ``j`` machines, on
-    ``object`` where m^n passes int64.  The strings of the last four shapes
-    whose state table over the strings fits ``_TABLE_CELLS`` are cached: at
-    most 2^20 / m digits each."""
-    if orbit_count(n, m) * n * m <= _TABLE_CELLS:
-        return _cached_strings(n, m)
-    return _expand_strings(n, m)
+def orbit_columns(n: int, m: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(digits, sizes)``, read-only: one column per orbit of the m^n states
+    of ``n`` players on ``m`` machines, in lex order, each the lex-smallest
+    state of its orbit.  With ``symmetric`` the orbits are those under
+    renaming the machines and the columns their restricted growth strings
+    (every entry at most one above the largest before it); without, every
+    state is its own orbit.  ``digits[i, c]`` is player ``i``'s machine in
+    column ``c``, player-major (its transpose is a grid for
+    :meth:`StateEvaluator.table`) on the smallest unsigned dtype that holds
+    ``m - 1``; ``sizes[c]`` is the number of states in column ``c``'s orbit,
+    ``m!/(m - j)!`` for a string on ``j`` machines (on ``object`` where m^n
+    passes int64), and a broadcast 1 for a state.  The columns of the last
+    eight ``(n, m, symmetric)`` whose state table fits ``_TABLE_CELLS`` are
+    cached: at most 2^20 / m digits each, and on two or more machines at most
+    768 KiB with the sizes (the 32768 strings of 16 players on 2 machines)."""
+    if column_count(n, m, symmetric) * n * m <= _TABLE_CELLS:
+        return _cached_columns(n, m, symmetric)
+    return _build_columns(n, m, symmetric)
 
 
-def string_blocks(digits: np.ndarray, m: int) -> Iterator[np.ndarray]:
-    """The strings of ``digits`` (as from :func:`orbit_strings`) in order, as
-    ``(S, n)`` grids of at most ``_BLOCK_CELLS`` (string, player, machine)
+def column_blocks(digits: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """The columns of ``digits`` (as from :func:`orbit_columns`) in order, as
+    ``(S, n)`` grids of at most ``_BLOCK_CELLS`` (column, player, machine)
     cells, stored player-major."""
     n, count = digits.shape
     step = max(1, _BLOCK_CELLS // (n * m))

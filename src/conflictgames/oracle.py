@@ -16,21 +16,23 @@ reported value is an exact Fraction.  The columns, in order, are those of an
   instance and for the sharing kinds with equal machine values, and is read
   from the evaluator's terms, never from the kind: renaming the machines then
   keeps every player's value at every state.  A column is the orbit's
-  restricted growth string (:func:`orbit_strings`), in lex order, about m^n/m!
-  of them;
+  restricted growth string, in lex order, about m^n/m! of them;
 * one per state, column ``i`` the state of lex index ``i``, otherwise: for
   the strong scan's deviations, the worst-CCE LP, the pure-deviation ratio
   (its sigma-row sum depends on the machine labels) and semi-smoothness with
   a non-uniform profile, and on every instance whose machines differ.
 
-A string is the lex-smallest state of its orbit, so either way a column is
-decoded to a state only where a pass reports it, and ties (optimum, worst
-equilibrium, tightest slack, first failing floor) resolve to the
-lexicographically smallest state through numpy's first
-``argmin``/``argmax``/``flatnonzero`` over the columns.  A count weights each
-column by its orbit's size (``m!/(m - j)!`` for a string on ``j`` machines);
-the pure equilibria are listed by renaming their strings into every state
-of their orbits, sorted.
+Both are one form, the digits of the columns and each one's orbit size from
+:func:`orbit_columns`, and one code path reads them; only
+:meth:`Orbits._renamings` knows which group acts.  A column is the
+lex-smallest state of its orbit, so it is decoded to a state only where a
+pass reports it, and ties (optimum, worst equilibrium, tightest slack, first
+failing floor) resolve to the lexicographically smallest state through
+numpy's first ``argmin``/``argmax``/``flatnonzero`` over the columns.  A
+count weights each column by its orbit's size (``m!/(m - j)!`` for a string
+on ``j`` machines, 1 for a state); the pure and the strong equilibria are
+listed by renaming their columns into every state of their orbits, sorted
+(:meth:`Orbits.expand`).
 
 ``max_states`` bounds what a pass reads and lists: the columns of its table
 (the strings of an orbit pass, all m^n states otherwise) and the
@@ -62,26 +64,27 @@ which serves both cases:
   each with the columns last, and reduces over the leading axes;
 * budget: a table of more than ``fastpath._TABLE_CELLS`` (column, player,
   machine) cells is not kept.  The pass's columns are built block by block
-  (blocks of states from :func:`state_blocks`, or of strings from
-  :func:`string_blocks`) and filled into whole arrays, so memory is the
-  tables of two blocks plus O(columns), up to ``max_states``, and the
-  strings' digits, one byte per player and string;
+  (:func:`column_blocks` of the digits) and filled into whole arrays, so
+  memory is the tables of two blocks plus O(columns), up to ``max_states``,
+  and the columns' digits, one byte per player and column;
 * widening: :func:`state_columns` is the one place that widens.  When a
   pass's ``factor`` needs ``object`` (see :meth:`StateEvaluator.dtype`) and
   the table is int64, its ``columns`` read the kept table, or each streamed
   block, through ``astype(object)``; the values are the same exact integers.
 
 The strong scan (:func:`strong_nash_set`) reads the orbit table: its pure
-equilibria among the strings are the candidates, one per orbit, and each
-verdict holds for the whole orbit.  A deviation may go to any state, so it
-spreads ``cur`` over every state through the state-to-orbit map
-(:meth:`Orbits.orbit_map`); no second, full table is built.  It tests the
-candidates in chunks of at most ``_STRONG_CELLS`` (candidate, state) cells.
-Per player, one elementwise ``stay | better`` over (candidates x states)
-narrows the states that still refute some candidate of the chunk; ``better``
-compares the player's row of ``cur`` in place, ``<`` for the cost kinds and
-``>`` for the payoff kinds (exact on int64 and on ``object``).  A candidate
-survives when no state other than itself is left for it.
+equilibria among the columns are the candidates, one per orbit, and each
+verdict holds for the whole orbit.  A deviation may go to any state, so on
+the strings it spreads ``cur`` over every state through the state-to-orbit
+map (:meth:`Orbits.orbit_map`); no second, full table is built, and each
+player's machine at every state is a row of the digits of the states.  It
+tests the candidates in chunks of at most ``_STRONG_CELLS`` (candidate,
+state) cells.  Per player, one elementwise ``stay | better`` over
+(candidates x states) narrows the states that still refute some candidate
+of the chunk; ``better`` compares the player's row of ``cur`` in place,
+``<`` for the cost kinds and ``>`` for the payoff kinds (exact on int64 and
+on ``object``).  A candidate survives when no state other than itself is
+left for it, and the surviving columns are expanded into their orbits.
 """
 
 from __future__ import annotations
@@ -99,11 +102,9 @@ from .fastpath import (
     _INT64_BOUND,
     _TABLE_CELLS,
     StateEvaluator,
-    lex_states,
-    orbit_count,
-    orbit_strings,
-    state_blocks,
-    string_blocks,
+    column_blocks,
+    column_count,
+    orbit_columns,
 )
 from .games import (
     GameKind,
@@ -162,61 +163,54 @@ def _symmetric(ev: StateEvaluator) -> bool:
 
 
 class Orbits:
-    """What the columns of a state table stand for.  With ``strings``, one
-    orbit of the states under renaming the machines per column, in the lex
-    order of their restricted growth strings (:func:`orbit_strings`), each
-    string the lex-smallest state of its orbit.  Without, every state is its
-    own orbit and column ``c`` is the state of lex index ``c``.  The strings
-    are built on first use."""
+    """What the columns of a state table stand for: one orbit of the states
+    per column, in lex order, each column the lex-smallest state of its orbit
+    (:func:`orbit_columns`).  With ``symmetric`` the orbits are those under
+    renaming the machines, the columns their restricted growth strings;
+    without, every state is its own orbit and column ``c`` is the state of
+    lex index ``c``.  Past the columns themselves, only :meth:`_renamings`
+    depends on which group acts.  The columns are built on first use."""
 
-    def __init__(self, n: int, m: int, strings: bool):
-        self.n, self.m, self.strings = n, m, strings
-        self.count = orbit_count(n, m) if strings else m**n
+    def __init__(self, n: int, m: int, symmetric: bool):
+        self.n, self.m, self.symmetric = n, m, symmetric
+        self.count = column_count(n, m, symmetric)
         self._renamed: dict[int, np.ndarray] = {}
 
     @cached_property
-    def _strings(self) -> tuple[np.ndarray, np.ndarray]:
-        return orbit_strings(self.n, self.m)
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        return orbit_columns(self.n, self.m, self.symmetric)
+
+    @property
+    def digits(self) -> np.ndarray:
+        """``digits[i, c]``: player ``i``'s machine in column ``c``."""
+        return self._columns[0]
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The columns' states in order, as grids for :meth:`StateEvaluator.table`."""
-        if self.strings:
-            return string_blocks(self._strings[0], self.m)
-        return state_blocks(self.n, self.m)
+        return column_blocks(self.digits, self.m)
 
     def sizes(self) -> np.ndarray:
         """The number of states in each column's orbit."""
-        return self._strings[1] if self.strings else np.broadcast_to(np.int64(1), self.count)
+        return self._columns[1]
 
     def state(self, col: int) -> State:
         """The public state of column ``col``, the lex-smallest of its orbit."""
-        if self.strings:
-            digits = self._strings[0][:, col].tolist()
-        else:
-            digits = lex_states(self.n, self.m, np.array([col], dtype=np.int64))[0].tolist()
-        return tuple(k + 1 for k in digits)
+        return tuple(k + 1 for k in self.digits[:, col].tolist())
 
     def expand(self, cols: np.ndarray) -> tuple[list[State], np.ndarray]:
         """(every state in the orbits of columns ``cols`` as a public state,
         in lex order; the column of each)."""
-        if self.strings:
-            grid, cols = self._members(cols)
-            order = (grid @ self._place).argsort()  # by lex index
-            grid, cols = grid[order].astype(np.int64), cols[order]
-        else:
-            grid = lex_states(self.n, self.m, cols)
-        return [tuple(state) for state in (grid + 1).tolist()], cols
+        grid, cols = self._members(cols)
+        order = (grid @ self._place).argsort()  # by lex index
+        states = np.add(grid[order], 1, dtype=np.int64).tolist()
+        return list(map(tuple, states)), cols[order]
 
     def lex(self, cols: np.ndarray) -> np.ndarray:
         """The lex indexes of the states of columns ``cols``."""
-        if not self.strings:
-            return cols
-        return self._place @ self._strings[0].take(cols, axis=1)
+        return self._place @ self.digits.take(cols, axis=1)
 
     def orbit_map(self) -> np.ndarray:
         """The column of every state's orbit, the states in lex order."""
-        if not self.strings:
-            return np.arange(self.count)
         grid, cols = self._members(np.arange(self.count))
         of = np.empty(self.m**self.n, dtype=np.int64)
         of[grid @ self._place] = cols
@@ -230,30 +224,28 @@ class Orbits:
         return np.array([self.m**i for i in range(self.n - 1, -1, -1)], dtype=dtype)
 
     def _members(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(every state in the orbits of the string columns ``cols``, as an
-        ``(S, n)`` grid of the strings' dtype in no particular order; the
-        column of each)."""
-        strings = self._strings[0].take(cols, axis=1)
-        used = strings.max(0).astype(np.int64) + 1  # the machines of each string
-        grids, of = [np.empty((0, self.n), dtype=strings.dtype)], [cols[:0]]
-        for j in range(1, min(self.n, self.m) + 1):
-            picked = np.flatnonzero(used == j)
-            if picked.size:
-                # renamed[p, c, i]: string c's player i under renaming p
-                renamed = self._renamings(j)[:, strings[:, picked].T]
-                grids.append(renamed.reshape(-1, self.n))
-                col = np.empty(renamed.shape[:2], dtype=cols.dtype)
-                col[:] = cols[picked]
-                of.append(col.ravel())
+        """(every state in the orbits of columns ``cols``, as an ``(S, n)``
+        grid of the digits' dtype in no particular order; the column of
+        each)."""
+        grid = self.digits.take(cols, axis=1).T  # [c, i]
+        top = grid.max(1, initial=0)  # the largest machine of each column
+        grids, of = [grid[:0]], [cols[:0]]
+        for j in set(top.tolist()):
+            picked = top == j
+            # renamed[p, c, i]: column c's player i under renaming p
+            renamed = self._renamings(j + 1)[:, grid[picked]]
+            grids.append(renamed.reshape(-1, self.n))
+            of.append(np.repeat(cols[picked][None], len(renamed), axis=0).ravel())
         return np.concatenate(grids), np.concatenate(of)
 
     def _renamings(self, j: int) -> np.ndarray:
-        """Every injective renaming of machines 0..j-1 into the m machines, one
-        per row: the orbit of a string on j machines."""
+        """The renamings of machines 0..j-1 that map a column on them to
+        every state of its orbit, one per row: every injective one into the
+        m machines when the machines are symmetric, the identity alone
+        otherwise."""
         if j not in self._renamed:
-            self._renamed[j] = np.array(
-                list(itertools.permutations(range(self.m), j)), dtype=self._strings[0].dtype
-            )
+            renamings = itertools.permutations(range(self.m), j) if self.symmetric else [range(j)]
+            self._renamed[j] = np.array(list(renamings), dtype=self.digits.dtype)
         return self._renamed[j]
 
 
@@ -297,7 +289,7 @@ def _whole_table(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS, orbits: 
     global _kept
     if _kept is not None and _kept[0] == inst:
         _, ev, table, domain = _kept
-        if domain.strings != (orbits and _symmetric(ev)):
+        if domain.symmetric != (orbits and _symmetric(ev)):
             domain = table = None
     else:
         ev, domain, table = StateEvaluator(inst), None, None
@@ -342,11 +334,6 @@ def state_columns(
     if table is None:
         return ev, domain, _whole(ev, domain, read)
     return ev, domain, read(*table)
-
-
-def _public_states(inst: Instance, idx: np.ndarray) -> list[State]:
-    """The public states of lex indexes ``idx``, an int64 array."""
-    return [tuple(state) for state in (lex_states(inst.n, inst.m, idx) + 1).tolist()]
 
 
 def _extreme_state(
@@ -451,10 +438,9 @@ def strong_nash_set(
     )
     # row i of machine, like row i of cur, is player i's at every state
     count = state_count(inst)
-    machine = np.indices((inst.m,) * inst.n, np.min_scalar_type(inst.m - 1)).reshape(inst.n, -1)
-    of = orbits.orbit_map()
-    if orbits.strings:  # every state takes its orbit's values, each row contiguous
-        cur = cur.take(of, axis=1)
+    machine = Orbits(inst.n, inst.m, symmetric=False).digits
+    if orbits.symmetric:  # every state takes its orbit's values, each row contiguous
+        cur = cur.take(orbits.orbit_map(), axis=1)
     better = np.less if minimizes else np.greater
     candidates = np.flatnonzero(flags)  # columns: one pure equilibrium per orbit
     reps = orbits.lex(candidates)
@@ -476,10 +462,8 @@ def strong_nash_set(
         # the candidate itself is the one state where nobody moves
         refutes &= states != chunk[:, None]
         strong[start : start + step] = ~refutes.any(1)
-    strong_orbit = np.zeros(orbits.count, dtype=bool)
-    strong_orbit[candidates[strong]] = True
-    idx = np.flatnonzero(strong_orbit[of])
-    return _valued_states(ev, _public_states(inst, idx), social[of[idx]])
+    states, cols = orbits.expand(candidates[strong])
+    return _valued_states(ev, states, social[cols])
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +552,7 @@ def worst_cce_value(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Cc
         diff = vals - cur if minimizes else cur - vals
         return social, diff.transpose(1, 0, 2).reshape(-1, len(social))
 
-    ev, _, (social, diff) = state_columns(inst, limits, columns)
+    ev, orbits, (social, diff) = state_columns(inst, limits, columns)
     try:
         sol = simplex.solve(
             objective=social.tolist(),
@@ -580,8 +564,7 @@ def worst_cce_value(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Cc
         )
     except simplex.LpInfeasible as exc:  # pure equilibria always exist
         raise RuntimeError("internal error: CCE polytope reported empty") from exc
-    idx = np.flatnonzero([q != 0 for q in sol.x])
-    support = tuple(zip(_public_states(inst, idx), (sol.x[i] for i in idx.tolist())))
+    support = tuple((orbits.state(i), q) for i, q in enumerate(sol.x) if q != 0)
     return CceSolution(distribution=support, value=sol.value / ev.value_scale)
 
 

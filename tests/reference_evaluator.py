@@ -8,7 +8,9 @@ small-weight array ``w`` and derives everything else from them;
 mode and edge arrays.  Here every signed edge is a Python triple in
 value-scale units, and each derived quantity is its own loop over them.
 :func:`reference_table` is the reference for the state table that
-``conflictgames.oracle`` keeps between passes.
+``conflictgames.oracle`` keeps between passes, and :func:`state_blocks`
+decodes every state from its lex index by division, independently of the
+digits of ``conflictgames.fastpath.orbit_columns``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, ldexp
+from typing import Iterator
 
 import numpy as np
 
+from conflictgames import fastpath
 from conflictgames.fastpath import _FLOAT_SAFE, _INT64_SAFE, StateEvaluator
 from conflictgames.games import GameKind, Instance
 
@@ -142,3 +146,22 @@ def reference_table(inst: Instance):
             + ev.potential_scale // ev.value_scale * (ref.w_sep + colocated)
         )
     return vals, cur, social, potential
+
+
+def lex_states(n: int, m: int, idx: np.ndarray) -> np.ndarray:
+    """The internal states of lex indexes ``idx`` (an int64 array), as an
+    ``(S, n)`` int64 array: the mixed-radix digits of each index, stored
+    player-major (its transpose is contiguous)."""
+    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return (idx // place[:, None] % m).T
+
+
+def state_blocks(n: int, m: int) -> Iterator[np.ndarray]:
+    """All m^n internal states in lex order, as ``(S, n)`` int64 grids for
+    ``StateEvaluator.table``, cut where ``fastpath.column_blocks`` cuts the
+    states: at most ``fastpath._BLOCK_CELLS`` (state, player, machine) cells
+    each."""
+    count = m**n
+    step = max(1, fastpath._BLOCK_CELLS // (n * m))
+    for start in range(0, count, step):
+        yield lex_states(n, m, np.arange(start, min(start + step, count), dtype=np.int64))

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conflictgames.fastpath import StateEvaluator, state_blocks, to_internal, to_public
+from conflictgames.fastpath import StateEvaluator, to_internal, to_public
 from conflictgames.games import (
     GameKind,
     Instance,
@@ -52,6 +52,8 @@ from conflictgames.oracle import (
     pure_ne_flags,
     state_columns,
 )
+
+from reference_evaluator import state_blocks
 
 
 def social_value_from_players(inst: Instance, state: State) -> Fraction:

@@ -232,3 +232,16 @@ class TestConvergenceVerdicts:
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError):
             check_convergence_theorems(gen_bwc_multipartite(2), F(0), 1, 0)
+
+    def test_no_start_rejected(self):
+        # no trace to measure: every theorem row would read 0 or None
+        for kind in (GameKind.BWC, GameKind.SWF):
+            inst = gen_random(4, 2, kind, F(1, 2), seed=1)
+            for trials, worst in ((0, False), (-3, True), (-3, False)):
+                with pytest.raises(ValueError, match="need at least one start"):
+                    check_convergence_theorems(
+                        inst, F(1, 10), trials, 0, include_worst_start=worst
+                    )
+            # the worst start alone is one trace
+            rows = check_convergence_theorems(inst, F(1, 10), 0, 0)
+            assert all(r.passed for r in rows)

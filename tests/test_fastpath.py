@@ -15,11 +15,9 @@ import numpy as np
 from conflictgames import fastpath
 from conflictgames.fastpath import (
     StateEvaluator,
-    lex_states,
+    column_blocks,
+    orbit_columns,
     orbit_count,
-    orbit_strings,
-    state_blocks,
-    string_blocks,
     to_internal,
     to_public,
 )
@@ -35,6 +33,7 @@ from conflictgames.instances import gen_random
 from conflictgames.oracle import Orbits
 
 from conftest import ALL_KINDS, beyond_int64_pool, kind_pool
+from reference_evaluator import lex_states, state_blocks
 
 F = Fraction
 
@@ -107,19 +106,27 @@ def test_state_blocks_cover_every_state_in_lex_order(monkeypatch):
     for cells in (fastpath._BLOCK_CELLS, 1 << 13):
         monkeypatch.setattr(fastpath, "_BLOCK_CELLS", cells)
         for n, m in shapes:
-            blocks = list(state_blocks(n, m))
-            assert all(b.dtype == np.int64 and b.shape[1] == n for b in blocks)
+            digits, sizes = orbit_columns(n, m, False)
+            assert digits.shape == (n, m**n) and digits.dtype == np.min_scalar_type(m - 1)
+            assert not digits.flags.writeable and not sizes.flags.writeable
+            assert sizes.shape == (m**n,) and sizes.strides == (0,) and int(sizes.sum()) == m**n
+            blocks = list(column_blocks(digits, m))
+            assert all(b.dtype == digits.dtype and b.shape[1] == n for b in blocks)
             assert all(len(b) * n * m <= cells for b in blocks)
             states = [tuple(s) for b in blocks for s in b.tolist()]
             assert states == list(itertools.product(range(m), repeat=n))
-    assert len(list(state_blocks(10, 2))) > 1
-    # a state is its lex index: both decoders give the same states
+            # the reference cuts the states where the columns are cut
+            reference = list(state_blocks(n, m))
+            assert [len(b) for b in reference] == [len(b) for b in blocks]
+    assert len(list(column_blocks(orbit_columns(10, 2, False)[0], 2))) > 1
+    # a state is its lex index: the digits, the division and the decoding of
+    # a column all give the same states
     for n, m in shapes:
         expected = list(itertools.product(range(m), repeat=n))
         decoded = lex_states(n, m, np.arange(m**n))
         assert decoded.dtype == np.int64
         assert [tuple(s) for s in decoded.tolist()] == expected
-        every = Orbits(n, m, strings=False)
+        every = Orbits(n, m, symmetric=False)
         assert [every.state(idx) for idx in range(m**n)] == [to_public(s) for s in expected]
 
 
@@ -135,7 +142,7 @@ def test_orbit_strings_count_order_and_sizes(monkeypatch):
     for cells in (fastpath._BLOCK_CELLS, 1 << 6):
         monkeypatch.setattr(fastpath, "_BLOCK_CELLS", cells)
         for n, m in shapes:
-            digits, sizes = orbit_strings(n, m)
+            digits, sizes = orbit_columns(n, m, True)
             strings = [tuple(s) for s in digits.T.tolist()]
             assert len(strings) == orbit_count(n, m) == sum(
                 _stirling(n, j) for j in range(1, m + 1)
@@ -152,26 +159,34 @@ def test_orbit_strings_count_order_and_sizes(monkeypatch):
             assert digits.dtype == np.min_scalar_type(m - 1)
             assert not digits.flags.writeable and not sizes.flags.writeable
             # blocks: the strings in order, none past the cell budget
-            blocks = list(string_blocks(digits, m))
+            blocks = list(column_blocks(digits, m))
             assert [tuple(s) for b in blocks for s in b.tolist()] == strings
             assert all(b.shape[1] == n and len(b) * n * m <= max(cells, n * m) for b in blocks)
-        several = len(list(string_blocks(orbit_strings(7, 3)[0], 3))) > 1
+        several = len(list(column_blocks(orbit_columns(7, 3, True)[0], 3))) > 1
         assert several == (cells == 1 << 6)
 
 
 def test_orbit_strings_cache_is_bounded():
-    fastpath._cached_strings.cache_clear()
-    assert fastpath._cached_strings.cache_info().maxsize == 4
-    # the strings of a table within the budget are kept, the same arrays
-    assert orbit_strings(7, 3)[0] is orbit_strings(7, 3)[0]
-    # past the budget (88574 strings of 12 players on 3 machines) they are not
+    # one cache for both column domains, keyed by (n, m, symmetric)
+    fastpath._cached_columns.cache_clear()
+    assert fastpath._cached_columns.cache_info().maxsize == 8
+    # the columns of a table within the budget are kept, the same arrays
+    for symmetric in (True, False):
+        assert orbit_columns(7, 3, symmetric)[0] is orbit_columns(7, 3, symmetric)[0]
+        assert orbit_columns(7, 3, symmetric)[1] is orbit_columns(7, 3, symmetric)[1]
+    assert fastpath._cached_columns.cache_info().currsize == 2
+    # past the budget (88574 strings, 531441 states of 12 players on 3
+    # machines) they are not
     assert orbit_count(12, 3) * 12 * 3 > fastpath._TABLE_CELLS
-    assert orbit_strings(12, 3)[0] is not orbit_strings(12, 3)[0]
+    for symmetric in (True, False):
+        assert orbit_columns(12, 3, symmetric)[0] is not orbit_columns(12, 3, symmetric)[0]
+    assert fastpath._cached_columns.cache_info().currsize == 2
     for n in range(2, 9):
-        orbit_strings(n, 2)
-    assert fastpath._cached_strings.cache_info().currsize == 4
+        for symmetric in (True, False):
+            orbit_columns(n, 2, symmetric)
+    assert fastpath._cached_columns.cache_info().currsize == 8
     # an orbit size past int64 stays exact
-    _, sizes = orbit_strings(3, 2**21)
+    _, sizes = orbit_columns(3, 2**21, True)
     assert sizes.dtype == object and sizes.tolist()[-1] == 2**21 * (2**21 - 1) * (2**21 - 2)
 
 

@@ -1,12 +1,15 @@
-"""Where the per-kind game formulas live, and where the state space is split
-into blocks.
+"""Where the per-kind game formulas live, where the states are enumerated
+and decoded, and where the state space is split into blocks.
 
 The neighbour lists of :mod:`conflictgames.games` are the per-kind form of a
 game; every other module reads the kind-free tables of
 :class:`conflictgames.fastpath.StateEvaluator`, so each formula is written
 once as Fraction arithmetic and once as scaled integers.  The passes read
 whole per-state columns from :func:`conflictgames.oracle.state_columns`, the
-one place that iterates over the blocks.
+one place that iterates over the blocks.  The digits of every column, a state
+or the restricted growth string of an orbit, come from
+:func:`conflictgames.fastpath.orbit_columns`, the one place that enumerates
+the states.
 """
 
 import pathlib
@@ -19,23 +22,24 @@ PER_KIND_HELPERS = re.compile(
 )
 
 
-def test_only_games_names_the_neighbour_helpers():
+def _naming(pattern: str) -> list[str]:
     package = pathlib.Path(conflictgames.__file__).parent
-    naming = sorted(
-        path.name
-        for path in package.glob("*.py")
-        if PER_KIND_HELPERS.search(path.read_text())
+    return sorted(
+        path.name for path in package.glob("*.py") if re.search(pattern, path.read_text())
     )
-    assert naming == ["games.py"]
+
+
+def test_only_games_names_the_neighbour_helpers():
+    assert _naming(PER_KIND_HELPERS.pattern) == ["games.py"]
 
 
 def test_only_fastpath_and_oracle_name_the_state_blocks():
-    # the split of the states, or of the orbit strings, into blocks is
+    # the split of the columns, states or orbit strings, into blocks is
     # decided in oracle alone: every other pass reads whole columns
-    package = pathlib.Path(conflictgames.__file__).parent
-    naming = sorted(
-        path.name
-        for path in package.glob("*.py")
-        if re.search(r"\b(state_blocks|string_blocks)\b", path.read_text())
-    )
-    assert naming == ["fastpath.py", "oracle.py"]
+    assert _naming(r"\bcolumn_blocks\b") == ["fastpath.py", "oracle.py"]
+
+
+def test_only_fastpath_enumerates_or_decodes_states():
+    # every column, a state or an orbit string, is decoded from the digits
+    # of fastpath.orbit_columns: a second decoder fails here
+    assert _naming(r"\bnp\.indices\b|\blex_states\b") == ["fastpath.py"]

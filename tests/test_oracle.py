@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conflictgames import oracle
-from conflictgames.fastpath import _INT64_SAFE, StateEvaluator, orbit_strings, to_internal
+from conflictgames.fastpath import _INT64_SAFE, StateEvaluator, orbit_columns, to_internal
 from conflictgames.games import (
     GameKind,
     make_instance,
@@ -282,19 +282,19 @@ class TestChunkedStrongScan:
             )
             for state in itertools.product(range(m), repeat=n)
         ]
-        digits, sizes = orbit_strings(n, m)
+        digits, sizes = orbit_columns(n, m, True)
         strings = [sum(k * p for k, p in zip(string, place)) for string in digits.T.tolist()]
         assert strings == sorted(set(smallest))
         assert sizes.tolist() == [smallest.count(string) for string in strings]
-        orbits = oracle.Orbits(n, m, strings=True)
+        orbits = oracle.Orbits(n, m, symmetric=True)
         assert orbits.lex(orbits.orbit_map()).tolist() == smallest
 
     def test_orbit_expansion_past_int64_lex_indexes(self):
         # 256^8 = 2^64 states: lex indexes pass int64, so the expansion
         # orders the states of several orbits as exact ints
         n, m = 8, 256
-        orbits = oracle.Orbits(n, m, strings=True)
-        digits, sizes = orbit_strings(n, m)
+        orbits = oracle.Orbits(n, m, symmetric=True)
+        digits, sizes = orbit_columns(n, m, True)
         assert orbits.count == len(sizes) == 4140 and sizes.dtype == object
         cols = np.array([0, 1, 2], dtype=np.int64)  # all on machine 1, then two on 2 machines
         strings = [tuple(digits[:, c].tolist()) for c in cols]
@@ -357,6 +357,41 @@ class TestChunkedStrongScan:
                 assert expected == strong_nash_set_by_coalitions(inst)
             refuted += len(candidates) - len(expected)
         assert smaller == 2 and refuted > 0
+
+
+class TestOrbits:
+    """Both column domains against brute force over every state: the orbits
+    under renaming the machines, and every state its own orbit."""
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (3, 1), (2, 3), (4, 3), (3, 4), (5, 2)])
+    def test_columns_match_brute_force(self, n, m, symmetric):
+        states = list(itertools.product(range(m), repeat=n))
+        renamings = list(itertools.permutations(range(m))) if symmetric else [range(m)]
+        # each state's orbit, sorted, and the lex-smallest states of all orbits
+        orbit_of = [sorted({tuple(p[k] for k in s) for p in renamings}) for s in states]
+        smallest = sorted({orbit[0] for orbit in orbit_of})
+        column = {state: c for c, state in enumerate(smallest)}
+
+        orbits = oracle.Orbits(n, m, symmetric)
+        assert orbits.count == len(smallest)
+        sizes = orbits.sizes()
+        assert int(sizes.sum()) == m**n
+        assert sizes.tolist() == [len(orbit_of[states.index(s)]) for s in smallest]
+        assert [orbits.state(c) for c in range(orbits.count)] == [
+            tuple(k + 1 for k in s) for s in smallest
+        ]
+        every = np.arange(orbits.count)
+        assert orbits.lex(every).tolist() == [states.index(s) for s in smallest]
+        assert orbits.orbit_map().tolist() == [column[orbit[0]] for orbit in orbit_of]
+        for cols in ([], [0], every[::2].tolist(), every[::-3].tolist(), every.tolist()):
+            got, of = orbits.expand(np.array(cols, dtype=np.int64))
+            expected = [
+                (tuple(k + 1 for k in state), column[orbit[0]])
+                for state, orbit in zip(states, orbit_of)
+                if column[orbit[0]] in cols
+            ]
+            assert list(zip(got, of.tolist())) == expected
 
 
 def _representatives(inst):

@@ -77,7 +77,7 @@ def test_scan_pass_times():
     names = [line[:14].strip() for line in lines[2:12]]
     assert names == [
         "optimum", "pure NE", "semi-smooth", "nice", "floors", "sandwich", "strong", "all",
-        "table build", "string build",
+        "table build", "column build",
     ]
     assert all(len(line.split()) >= 3 for line in lines[2:10])
     for line in lines[10:12]:  # the builds alone: one time, no warm column
@@ -93,17 +93,24 @@ def test_scan_pass_times():
     # the three strong scans of the cycle test fewer strings than pure
     # equilibria: every m = 3 slot has one machine term on all machines
     _check_strong_scan_size(lines[13])
-    # the orbit passes past the kept-table budget: ms and peak MB each
-    assert lines[14] == (
-        "ms and tracemalloc peak MB per streamed pass, BwC n=12 m=3 "
-        "(531441 states, 88574 strings), best of 1"
-    )
-    assert lines[15].split() == ["pass", "ms", "MB"]
-    assert [line[:14].strip() for line in lines[16:22]] == names[:6]
-    for line in lines[16:22]:
-        ms, mb = map(float, line[14:].split())
-        assert ms > 0 and mb > 0
-    assert len(lines) == 22
+    # the orbit passes past the kept-table budget: ms and peak MB each, on
+    # the strings of a symmetric instance and on every state of one whose
+    # machine values differ (a payoff kind: no floors to scan)
+    start = 14
+    for kind, columns in (("BwC", 88574), ("SwC", 531441)):
+        passes = [name for name in names[:6] if kind == "BwC" or name != "floors"]
+        assert lines[start] == (
+            f"ms and tracemalloc peak MB per streamed pass, {kind} n=12 m=3 "
+            f"(531441 states, {columns} columns), best of 1"
+        )
+        assert lines[start + 1].split() == ["pass", "ms", "MB"]
+        rows = lines[start + 2 : start + 2 + len(passes)]
+        assert [line[:14].strip() for line in rows] == passes
+        for line in rows:
+            ms, mb = map(float, line[14:].split())
+            assert ms > 0 and mb > 0
+        start += 2 + len(passes)
+    assert len(lines) == start == 29
 
 
 def _check_strong_scan_size(line):

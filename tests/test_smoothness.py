@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conflictgames import oracle
-from conflictgames.fastpath import _INT64_SAFE, StateEvaluator, state_blocks, to_public
+from conflictgames.fastpath import _INT64_SAFE, StateEvaluator, to_public
 from conflictgames.games import (
     GameKind,
     canonical_deviation_profile,
@@ -38,6 +38,7 @@ from conflictgames.smoothness import (
 )
 
 from conftest import ALL_KINDS, beyond_int64_pool, kind_pool, small_instance
+from reference_evaluator import state_blocks
 from reference_oracle import max_rho_pure_sigma_by_bisection, slack_verdict_by_fractions
 
 F = Fraction

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conflictgames import dynamics, fastpath, oracle, smoothness
-from conflictgames.fastpath import _TABLE_CELLS, StateEvaluator, orbit_count, state_blocks
+from conflictgames.fastpath import _TABLE_CELLS, StateEvaluator, orbit_count
 from conflictgames.games import (
     GameKind,
     canonical_deviation_profile,
@@ -36,7 +36,7 @@ from reference_oracle import (
     sandwich_by_fractions,
     slack_verdict_by_fractions,
 )
-from reference_evaluator import reference_table
+from reference_evaluator import reference_table, state_blocks
 
 F = Fraction
 
@@ -213,7 +213,7 @@ def _orbit_passes(inst):
     ]
     for p in params:
         results += [smoothness.check_semi_smooth(inst, p), smoothness.check_nice(inst, p)]
-    strings = oracle._kept is not None and oracle._kept[3].strings
+    strings = oracle._kept is not None and oracle._kept[3].symmetric
     results += [smoothness.check_semi_smooth(inst, p, _skewed_profile(inst)) for p in params]
     return results, strings
 
