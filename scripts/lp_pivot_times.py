@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the exact worst-CCE LP per simplex pivot, and count the pivots that
-ran on each tableau dtype.
+"""Time the exact worst-CCE LP per simplex pivot, count the pivots that ran
+on each tableau dtype, and count the LPs the certified optimum settled.
 
 One line per game kind sums the jobs of that kind in one cycle of the
 benchmark's lp workload, drawn by ``perfbench/workloads.py`` from ``--seed``
@@ -8,9 +8,11 @@ benchmark's lp workload, drawn by ``perfbench/workloads.py`` from ``--seed``
 ``gen_random(n, m, BWC, 1/2, seed=1)`` at that many states (243 is n=5 m=3,
 256 n=4 m=4, 729 n=6 m=3, 1024 n=10 m=2).  Each line prints the whole
 ``worst_cce_value`` time, best of ``--repeats``, divided by the pivot
-count, and how many pivots returned an int64 and an object tableau.  The
-counts come from one extra run with ``simplex._pivot`` wrapped, so the
-timed runs execute the package untouched.
+count, how many pivots returned an int64 and an object tableau, and how
+many LPs the certificate (``simplex._certified_optimum``, tried where an LP
+would first pivot on object) settled and refused.  The counts come from one
+extra run with ``simplex._pivot`` and ``simplex._certified_optimum``
+wrapped, so the timed runs execute the package untouched.
 
 Usage:
     python scripts/lp_pivot_times.py [--seed 1] [--repeats 3] [--bwc 243,256,729]
@@ -36,21 +38,27 @@ BWC_SHAPES = {243: (5, 3), 256: (4, 4), 729: (6, 3), 1024: (10, 2)}
 LIMITS = oracle.OracleLimits(lp_max_states=max(BWC_SHAPES))
 
 
-def pivot_dtypes(instances) -> Counter:
-    """Pivots per dtype of the tableau each pivot returned."""
-    real, counts = simplex._pivot, Counter()
+def pivot_counts(instances) -> Counter:
+    """Pivots per dtype of the tableau each pivot returned, and the
+    certificate's tries by outcome ("settled" or "refused")."""
+    pivot, certified, counts = simplex._pivot, simplex._certified_optimum, Counter()
 
     def counting(*args):
-        out = real(*args)
+        out = pivot(*args)
         counts["object" if out[0].dtype == object else "int64"] += 1
         return out
 
-    simplex._pivot = counting
+    def trying(*args):
+        out = certified(*args)
+        counts["refused" if out is None else "settled"] += 1
+        return out
+
+    simplex._pivot, simplex._certified_optimum = counting, trying
     try:
         for inst in instances:
             oracle.worst_cce_value(inst, LIMITS)
     finally:
-        simplex._pivot = real
+        simplex._pivot, simplex._certified_optimum = pivot, certified
     return counts
 
 
@@ -86,15 +94,16 @@ def main() -> int:
     print(f"us per pivot, worst-CCE LP, lp cycle of {len(jobs)} jobs (seed {args.seed}), "
           f"best of {args.repeats}")
     print(f"  {'LPs':10} {'states':>7} {'pivots':>7} {'int64':>7} {'object':>7} "
-          f"{'us/pivot':>9} {'total s':>8}")
+          f"{'settled':>7} {'refused':>7} {'us/pivot':>9} {'total s':>8}")
     for label, instances in groups:
         if not instances:
             continue
-        counts = pivot_dtypes(instances)
-        pivots = sum(counts.values())
+        counts = pivot_counts(instances)
+        pivots = counts["int64"] + counts["object"]
         spent = best_time(instances, args.repeats)
         states = sum(inst.m ** inst.n for inst in instances)
         print(f"  {label:10} {states:7} {pivots:7} {counts['int64']:7} {counts['object']:7} "
+              f"{counts['settled']:7} {counts['refused']:7} "
               f"{1e6 * spent / max(pivots, 1):9.1f} {spent:8.3f}")
     return 0
 

@@ -31,6 +31,26 @@ same exact values, and Bland's rule reads only signs and ratio comparisons,
 which the ratio test cross-multiplies on Python ints, so the pivot sequence
 is that of the rational tableau on either dtype.  Artificial columns are
 never read once phase 1 starts, so they are not stored.
+
+Certified optimum: where the solve would first run on ``object`` (that
+pivot, the phase-2 objective row, or a tableau that starts there), it first
+tries :func:`_certified_optimum`, the inexact-basis, exact-verification
+scheme of Applegate, Cook, Dash and Espinoza (*Exact solutions to linear
+programming problems*, Oper. Res. Lett. 2007).  A float64 simplex proposes
+a final basis ``B`` from the current tableau; it decides nothing.  Exact
+integer arithmetic on the scaled standard form then checks that ``B`` is
+nonsingular, that ``x_B = B^-1 b >= 0``, and that every nonbasic reduced
+cost ``c_j - c_B B^-1 A_j`` is strictly positive.  Then every feasible
+``x`` costs ``c.x_B`` plus a positive multiple of each nonbasic ``x_j``, so
+an optimum has every nonbasic ``x_j = 0`` and is ``x_B`` itself: the
+optimum is unique (Mangasarian, *Uniqueness of solution in linear
+programming*, Linear Algebra Appl. 1979).  Bland's rule ends at an optimum
+too, so its answer is this one, bit for bit, and the solve returns it
+without the pivots.  When any check fails, or the floats do not reach such
+a basis (a zero reduced cost, often: the optimum need not be unique), the
+solve goes on from where it stopped, exactly as without the try.  An LP
+that stays on int64 never tries; one that leaves it tries once.  No exact
+pivot ever reads a float.
 """
 
 from __future__ import annotations
@@ -38,11 +58,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .fastpath import _INT64_BOUND, max_abs
+
+# float64 proposals: entries and reduced costs within this of 0 count as 0,
+# and a proposal that takes more pivots than this many per column is refused
+_TOL = 1e-9
+_FLOAT_PIVOTS_PER_COLUMN = 4
 
 
 class LpInfeasible(Exception):
@@ -57,6 +82,31 @@ class LpUnbounded(Exception):
 class LpSolution:
     value: Fraction
     x: tuple[Fraction, ...]
+
+
+@dataclass(frozen=True)
+class _Standard:
+    """The scaled LP  min cost.x  s.t.  rows[:, :-1] x = rows[:, -1] >= 0,
+    x >= 0.  ``rows`` holds the structural columns, then one surplus (or
+    slack) column per ``>=`` row, then the right-hand side; ``cost`` covers
+    the structural columns (surplus columns cost 0) and is negated when the
+    LP maximizes.  Nothing writes to ``rows`` once it is built."""
+
+    rows: np.ndarray
+    cost: list[int]
+    cost_scale: int
+    maximize: bool
+
+    @property
+    def nvars(self) -> int:
+        return len(self.cost)
+
+
+class _Certified(Exception):
+    """Carries a certified optimum out of the exact solve that tried it."""
+
+    def __init__(self, solution: LpSolution):
+        self.solution = solution
 
 
 def _divide_exact(a: np.ndarray, d: int) -> None:
@@ -74,15 +124,17 @@ def _divide_exact(a: np.ndarray, d: int) -> None:
         a >>= twos
 
 
-def _int64_holds(tableau: np.ndarray, p: int, column, prow, d: int) -> bool:
-    """Whether every numerator ``p*v - f*w`` of this pivot on the int64
-    tableau stays below ``d * 2^(63 - k)`` in magnitude, so that
+def _int64_holds(tableau: np.ndarray, d: int, row: int, col: int) -> bool:
+    """Whether every numerator ``p*v - f*w`` of the pivot at (row, col) on
+    the int64 tableau stays below ``d * 2^(63 - k)`` in magnitude, so that
     :func:`_divide_exact` recovers every quotient.
 
     The bound ``B`` of the module docstring decides first.  Where it fails,
     the numerators computed in float64 decide: each is off by less than
     ``4.1 * 2^-53 * B`` (two conversions and a product per term, then the
     difference), far inside the ``2^-47 * B`` margin taken."""
+    prow, column = tableau[row], tableau[:, col]
+    p = int(prow[col])
     limit = d << (63 - ((d & -d).bit_length() - 1))
     big = max_abs(tableau)
     if (abs(p) + big) * big < limit:  # needs no pass but the one for big
@@ -96,15 +148,11 @@ def _int64_holds(tableau: np.ndarray, p: int, column, prow, d: int) -> bool:
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], d: int, row: int, col: int):
-    """Pivot on (row, col); returns the new tableau and common denominator.
-
-    The tableau switches to ``dtype=object`` here, for good, once int64 is
-    not proven to hold this pivot's quotients."""
+    """Pivot on (row, col) on the tableau's own dtype; returns the new
+    tableau and common denominator.  An int64 tableau must hold the pivot
+    (:func:`_step` checks)."""
     prow, column = tableau[row], tableau[:, col]
     p = int(prow[col])
-    if tableau.dtype != object and not _int64_holds(tableau, p, column, prow, d):
-        tableau = tableau.astype(object)
-        prow, column = tableau[row], tableau[:, col]
     out = p * tableau
     out -= column[:, None] * prow
     if out.dtype == object:
@@ -119,7 +167,16 @@ def _pivot(tableau: np.ndarray, basis: list[int], d: int, row: int, col: int):
     return out, p
 
 
-def _run_simplex(tableau: np.ndarray, basis: list[int], d: int, ncols: int):
+def _step(tableau: np.ndarray, basis: list[int], d: int, row: int, col: int, to_object):
+    """:func:`_pivot` on (row, col), on int64 while :func:`_int64_holds`
+    proves it safe.  The first pivot it does not turns the tableau into
+    ``dtype=object`` for good, through ``to_object(tableau, d)``."""
+    if tableau.dtype != object and not _int64_holds(tableau, d, row, col):
+        tableau = to_object(tableau, d)
+    return _pivot(tableau, basis, d, row, col)
+
+
+def _run_simplex(tableau: np.ndarray, basis: list[int], d: int, ncols: int, to_object):
     """Minimize; the objective row is tableau[-1] with reduced costs in front
     and the (negated) objective value in the last column.  Returns the final
     tableau and ``d``."""
@@ -143,7 +200,157 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], d: int, ncols: int):
                     row, best_rhs, best_a = r, last[r], a
         if row is None:
             raise LpUnbounded(f"column {col} can increase without bound")
-        tableau, d = _pivot(tableau, basis, d, row, col)
+        tableau, d = _step(tableau, basis, d, row, col, to_object)
+
+
+# ---------------------------------------------------------------------------
+# the certificate: a float64 proposal, decided on exact integers
+
+
+def _float_pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """Pivot the float tableau ``t`` on (row, col) in place."""
+    prow = t[row] / t[row, col]
+    t -= t[:, col, None] * prow
+    t[row] = prow
+    basis[row] = col
+
+
+def _float_simplex(t: np.ndarray, basis: list[int], ncols: int) -> bool:
+    """Dantzig's rule on the float tableau ``t`` (objective row last), in
+    place; whether it reached an optimum within the pivot cap."""
+    obj, rhs = t[-1, :ncols], t[:-1, -1]
+    ratios = np.empty(len(rhs))
+    for _ in range(_FLOAT_PIVOTS_PER_COLUMN * ncols):
+        col = int(obj.argmin())
+        if obj[col] >= -_TOL:
+            return True
+        column = t[:-1, col]
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=column > _TOL)
+        row = int(ratios.argmin())
+        if ratios[row] == np.inf:
+            return False
+        _float_pivot(t, basis, row, col)
+    return False
+
+
+def _propose(lp: _Standard, rows: np.ndarray, basis: list[int], d: int) -> Optional[list[int]]:
+    """A basis of ``lp`` without artificials at which float64 finds every
+    nonbasic reduced cost positive, reached by the float simplex from the
+    exact tableau ``rows / d`` at ``basis`` (objective row left out), or
+    None.  Runs phase 1 first while an artificial is basic, then drives out
+    the artificials left basic at zero and prices phase 2 on the real
+    cost, as the exact solve does."""
+    nrows, width = lp.rows.shape
+    ncols = width - 1
+    if not 0 < len(basis) == nrows:  # no rows, or a redundant one dropped
+        return None
+    t, cost = np.empty((nrows + 1, width)), np.zeros(width)
+    try:
+        t[:-1] = rows
+        cost[: lp.nvars] = lp.cost
+    except OverflowError:  # an entry beyond float64
+        return None
+    t[:-1] /= d
+    top = t[:-1, -1].max(initial=0)
+    if top > 0:  # every variable times one positive constant: same bases
+        t[:-1, -1] /= top
+    basis = list(basis)
+    artificial = [r for r, b in enumerate(basis) if b >= ncols]
+    if artificial:
+        t[-1] = -t[artificial].sum(0)
+        if not _float_simplex(t, basis, ncols) or t[-1, -1] < -_TOL:
+            return None
+        for r, b in enumerate(basis):
+            if b >= ncols:
+                col = int(np.argmax(np.abs(t[r, :ncols])))
+                if abs(t[r, col]) <= _TOL:
+                    return None
+                _float_pivot(t, basis, r, col)
+    cost /= np.abs(cost).max() or 1
+    t[-1] = cost - cost[basis] @ t[:-1]
+    if not _float_simplex(t, basis, ncols):
+        return None
+    reduced = t[-1, :ncols].copy()
+    reduced[basis] = np.inf
+    return basis if reduced.min() > _TOL else None
+
+
+def _fraction_free_solve(rows: list[list[int]]) -> Optional[tuple[list[int], int]]:
+    """``(D·C^-1 v, D)`` for the k rows of ``[C | v]``, Python ints, with
+    ``D = |det C|``; None when ``C`` is singular.  Gauss-Jordan with the
+    fraction-free step of :func:`_pivot`, each step on the columns not yet
+    eliminated only, and the previous pivot's sign kept until the end."""
+    d = 1
+    for step in range(len(rows)):
+        pick = next((r for r in range(step, len(rows)) if rows[r][0]), None)
+        if pick is None:
+            return None
+        rows[step], rows[pick] = rows[pick], rows[step]
+        p, tail = rows[step][0], rows[step][1:]
+        rows = [
+            tail if r == step else [(p * v - line[0] * w) // d for v, w in zip(line[1:], tail)]
+            for r, line in enumerate(rows)
+        ]
+        d = p
+    v = [line[0] for line in rows]
+    return (v, d) if d > 0 else ([-x for x in v], -d)
+
+
+def _certify(lp: _Standard, basis: list[int]) -> Optional[tuple[list[int], list[int], int]]:
+    """Exact check of a basis without artificials: ``(structural, v, D)``
+    with ``v / D`` the values of the basic structural columns, when ``B`` is
+    nonsingular, ``x_B >= 0`` and every nonbasic reduced cost is positive;
+    else None.
+
+    A basic surplus column ``s·e_i`` (``s = ±1``) settles its row ``i``: the
+    dual ``y`` is 0 there and ``x = s·(b_i - A_i x_S)``.  So only the ``k``
+    basic structural columns ``S`` on the ``k`` rows ``F`` no basic surplus
+    covers are solved for: ``C = A[F, S]``, ``det B = ±det C``,
+    ``C x_S = b_F`` and ``C^T y_F = c_S``."""
+    form, nvars = lp.rows.tolist(), lp.nvars
+    ncols = len(form[0]) - 1
+    neq = len(form) - (ncols - nvars)
+    covered = {neq + b - nvars: b for b in basis if b >= nvars}  # row -> surplus
+    structural = [b for b in basis if b < nvars]
+    free = [form[r] for r in range(len(form)) if r not in covered]
+    if len(free) != len(structural):  # a surplus column twice
+        return None
+    c = [[line[j] for j in structural] for line in free]
+    solved = _fraction_free_solve([row + [line[-1]] for row, line in zip(c, free)])
+    if solved is None:
+        return None
+    xs, big_d = solved  # D·x_S
+    if any(v < 0 for v in xs):
+        return None
+    for r, s in covered.items():
+        line = form[r]
+        if line[s] * (big_d * line[-1] - sum(line[j] * v for j, v in zip(structural, xs))) < 0:
+            return None
+    y, _ = _fraction_free_solve([[*col, lp.cost[j]] for col, j in zip(zip(*c), structural)])
+    reduced = [big_d * cost for cost in lp.cost] + [0] * (ncols - nvars)
+    for yi, line in zip(y, free):  # D·(c - y_F A_F)
+        reduced = [red - yi * a for red, a in zip(reduced, line)]
+    basic = set(basis)
+    if any(red <= 0 for j, red in enumerate(reduced) if j not in basic):
+        return None
+    return structural, xs, big_d
+
+
+def _certified_optimum(
+    lp: _Standard, rows: np.ndarray, basis: list[int], d: int
+) -> Optional[LpSolution]:
+    """The LP's optimum when a float64 proposal from the exact tableau
+    ``rows / d`` at ``basis`` passes the exact certificate of the module
+    docstring (then it is the LP's unique optimum, Bland's answer); None
+    otherwise.  Reads ``rows`` and ``basis`` and changes neither."""
+    proposed = _propose(lp, rows, basis, d)
+    certified = None if proposed is None else _certify(lp, proposed)
+    return None if certified is None else _solution(lp, *certified)
+
+
+# ---------------------------------------------------------------------------
+# the LP in standard form, and the exact solve
 
 
 def _integral(line) -> bool:
@@ -181,16 +388,19 @@ def _array(rows: list, width: int) -> np.ndarray:
     return out.reshape(len(rows), width)
 
 
-def solve(
-    objective: Sequence[Fraction],
-    a_eq: Sequence[Sequence[Fraction]] = (),
-    b_eq: Sequence[Fraction] = (),
-    a_ge: Sequence[Sequence[Fraction]] = (),
-    b_ge: Sequence[Fraction] = (),
-    maximize: bool = False,
-) -> LpSolution:
-    """Solve the LP; raises LpInfeasible / LpUnbounded accordingly."""
+def _standard_form(objective, a_eq, b_eq, a_ge, b_ge, maximize: bool) -> _Standard:
+    """The LP scaled to integers, right-hand sides made >= 0 (a ``>=`` row
+    with a negative one becomes ``<=``), one surplus or slack column per
+    inequality row.  Raises ValueError when the lengths do not match."""
     nvars = len(objective)
+    for name, a, b in (("eq", a_eq, b_eq), ("ge", a_ge, b_ge)):
+        if len(b) != len(a):
+            raise ValueError(f"len(b_{name}) = {len(b)} != len(a_{name}) = {len(a)}")
+        for r, row in enumerate(a):
+            if len(row) != nvars:
+                raise ValueError(
+                    f"a_{name}[{r}] has {len(row)} entries, not len(objective) = {nvars}"
+                )
     [cost], cost_scale = _integer_lines([objective])
     cost = [-int(c) if maximize else int(c) for c in cost]
 
@@ -204,54 +414,93 @@ def solve(
     if lines.dtype != object and (nrows + 1) * max_abs(lines) >= _INT64_BOUND:
         lines = lines.astype(object)
 
-    # Normalize to rhs >= 0: a ">=" row with a negative rhs becomes "<=".
     flip = lines[:, -1] < 0
     lines[flip] = -lines[flip]
 
-    # Columns: structural | slack/surplus (one per non-eq row) | rhs.  The
-    # artificial of row r has the index art_start + r in `basis` only.
-    art_start = nvars + nrows - neq
-    tableau = np.zeros((nrows + 1, art_start + 1), dtype=lines.dtype)
-    tableau[:nrows, :nvars] = lines[:, :-1]
-    tableau[:nrows, -1] = lines[:, -1]
-    tableau[range(neq, nrows), range(nvars, art_start)] = np.where(flip[neq:], 1, -1)
-    basis = [art_start + r for r in range(nrows)]
+    # Columns: structural | slack/surplus (one per non-eq row) | rhs.
+    ncols = nvars + nrows - neq
+    form = np.zeros((nrows, ncols + 1), dtype=lines.dtype)
+    form[:, :nvars] = lines[:, :-1]
+    form[:, -1] = lines[:, -1]
+    form[range(neq, nrows), range(nvars, ncols)] = np.where(flip[neq:], 1, -1)
+    return _Standard(form, cost, cost_scale, maximize)
+
+
+def _solution(lp: _Standard, basis: list[int], values, d: int) -> LpSolution:
+    """The LP's solution at a basis whose basic variables are ``values / d``."""
+    x = [Fraction(0)] * lp.nvars
+    total = 0
+    for b, v in zip(basis, values):
+        if b < lp.nvars:
+            x[b] = Fraction(int(v), d)
+            total += lp.cost[b] * int(v)
+    value = Fraction(total, d * lp.cost_scale)
+    return LpSolution(value=-value if lp.maximize else value, x=tuple(x))
+
+
+def _bland(lp: _Standard) -> LpSolution:
+    """Bland's two-phase simplex on the integer tableau, from the basis of
+    artificials; the artificial of row r has the index ncols + r in
+    ``basis`` only.  Raises :class:`_Certified` where the certificate
+    settles the LP."""
+    nrows, ncols = lp.rows.shape[0], lp.rows.shape[1] - 1
+    basis = [ncols + r for r in range(nrows)]
+
+    def to_object(tableau, d):
+        # the first point that needs object: the certificate's one try
+        solution = _certified_optimum(lp, tableau[: len(basis)], basis, d)
+        if solution is not None:
+            raise _Certified(solution)
+        return tableau.astype(object, copy=False)
 
     # Phase 1: minimize the sum of artificials.
-    tableau[-1] = -tableau[:-1].sum(0)
-    tableau, d = _run_simplex(tableau, basis, 1, art_start)  # artificials never re-enter
+    tableau = np.vstack((lp.rows, -lp.rows.sum(0)))
+    if tableau.dtype == object:
+        tableau = to_object(tableau, 1)
+    tableau, d = _run_simplex(tableau, basis, 1, ncols, to_object)  # artificials never re-enter
     if tableau[-1, -1] != 0:
         raise LpInfeasible("artificial variables cannot be driven to zero")
     tableau = tableau[:-1]
 
     # Drive any basic artificial out of the basis (or drop a redundant row).
     for r in range(len(basis) - 1, -1, -1):
-        if basis[r] >= art_start:
-            nonzero = np.flatnonzero(tableau[r, :art_start])
+        if basis[r] >= ncols:
+            nonzero = np.flatnonzero(tableau[r, :ncols])
             if not nonzero.size:
                 tableau = np.delete(tableau, r, 0)
                 basis.pop(r)
             else:
-                tableau, d = _pivot(tableau, basis, d, r, int(nonzero[0]))
+                tableau, d = _step(tableau, basis, d, r, int(nonzero[0]), to_object)
 
     # Phase 2 on the real objective, with basic columns priced out:
     # d * (c - c_B B^-1 A), an integer row, computed on Python ints.
-    obj = np.array([d * c for c in cost] + [0] * (art_start - nvars + 1), dtype=object)
-    priced = [(r, cost[b]) for r, b in enumerate(basis) if b < nvars and cost[b] != 0]
+    obj = np.array([d * c for c in lp.cost] + [0] * (ncols - lp.nvars + 1), dtype=object)
+    priced = [(r, lp.cost[b]) for r, b in enumerate(basis) if b < lp.nvars and lp.cost[b] != 0]
     if priced:
         rows, factors = zip(*priced)
         obj -= np.array(factors, dtype=object) @ tableau[list(rows)].astype(object)
-    if tableau.dtype != object and max_abs(obj) < _INT64_BOUND:
-        obj = obj.astype(np.int64)
-    else:
-        tableau = tableau.astype(object)
-    tableau, d = _run_simplex(np.vstack((tableau, obj)), basis, d, art_start)
+    if tableau.dtype != object:
+        if max_abs(obj) < _INT64_BOUND:
+            obj = obj.astype(np.int64)
+        else:
+            tableau = to_object(tableau, d)
+    tableau, d = _run_simplex(np.vstack((tableau, obj)), basis, d, ncols, to_object)
+    return _solution(lp, basis, tableau[:-1, -1], d)
 
-    x = [Fraction(0)] * nvars
-    for r, b in enumerate(basis):
-        if b < nvars:
-            x[b] = Fraction(int(tableau[r, -1]), d)
-    value = Fraction(-int(tableau[-1, -1]), d * cost_scale)
-    if maximize:
-        value = -value
-    return LpSolution(value=value, x=tuple(x))
+
+def solve(
+    objective: Sequence[Fraction],
+    a_eq: Sequence[Sequence[Fraction]] = (),
+    b_eq: Sequence[Fraction] = (),
+    a_ge: Sequence[Sequence[Fraction]] = (),
+    b_ge: Sequence[Fraction] = (),
+    maximize: bool = False,
+) -> LpSolution:
+    """Solve the LP; raises LpInfeasible / LpUnbounded accordingly, and
+    ValueError when a right-hand side's length is not its rows' count or a
+    row's length is not the objective's."""
+    lp = _standard_form(objective, a_eq, b_eq, a_ge, b_ge, maximize)
+    try:
+        return _bland(lp)
+    except _Certified as certified:
+        return certified.solution

@@ -125,13 +125,18 @@ def _check_strong_scan_size(line):
 def test_lp_pivot_times():
     lines = _run("lp_pivot_times.py", "--repeats", "1", "--bwc", "243")
     assert lines[0] == "us per pivot, worst-CCE LP, lp cycle of 20 jobs (seed 1), best of 1"
-    assert lines[1].split() == ["LPs", "states", "pivots", "int64", "object", "us/pivot", "total", "s"]
+    assert lines[1].split() == [
+        "LPs", "states", "pivots", "int64", "object", "settled", "refused", "us/pivot", "total", "s"
+    ]
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == [kind.value for kind in GameKind] + ["BwC"]
     for row in rows:
-        pivots, on_int64, on_object = map(int, row[-5:-2])
+        pivots, on_int64, on_object, settled, refused = map(int, row[-7:-2])
         assert pivots == on_int64 + on_object > 0
-    assert rows[-1][:6] == ["BwC", "243", "243", "844", "844", "0"]
+        # an LP pivots on object only after the certificate refused it
+        assert on_object == 0 or refused > 0
+    assert sum(int(row[-4]) for row in rows if row[0] in ("SwC", "SwF")) > 0
+    assert rows[-1][:8] == ["BwC", "243", "243", "844", "844", "0", "0", "0"]
 
 
 def test_lp_pivot_times_checks_its_sizes():

@@ -54,6 +54,33 @@ def test_unbounded():
         solve(objective=[1], a_ge=[[1]], b_ge=[0], maximize=True)
 
 
+def test_right_hand_sides_must_match_their_rows():
+    # the b_ge entry 3 used to be paired with the a_eq row
+    with pytest.raises(ValueError, match=r"len\(b_eq\) = 0 != len\(a_eq\) = 1"):
+        solve(objective=[1], a_eq=[[1]], b_eq=[], a_ge=[[1]], b_ge=[3, 2])
+
+
+def test_right_hand_sides_must_match_their_ge_rows():
+    with pytest.raises(ValueError, match=r"len\(b_ge\) = 1 != len\(a_ge\) = 2"):
+        solve(objective=[1, 1], a_ge=[[1, 0], [0, 1]], b_ge=[1])
+
+
+@pytest.mark.parametrize(
+    "rows", [dict(a_eq=[[1, 2, 3]], b_eq=[1]), dict(a_ge=[[1, 1], [1]], b_ge=[1, 1])]
+)
+def test_rows_must_have_one_entry_per_variable(rows):
+    with pytest.raises(ValueError, match="entries, not len\\(objective\\) = 2"):
+        solve(objective=[1, 1], **rows)
+
+
+def test_entries_past_float64_stay_exact():
+    # the tableau starts on object, and the certificate's float64 proposal
+    # cannot hold the cost: it refuses, and Bland's pivots decide
+    sol = solve(objective=[2**1100, 1], a_eq=[[2**70, 2**70]], b_eq=[2**70])
+    assert sol.value == 1
+    assert sol.x == (F(0), F(1))
+
+
 def test_fractional_data_stays_exact():
     sol = solve(
         objective=[F(1, 3), F(1, 7)],

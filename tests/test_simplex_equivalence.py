@@ -1,9 +1,13 @@
 """The integer-tableau simplex against the Fraction reference.
 
 Both run Bland's rule on the same LP, so they must make the same pivots and
-return the same exact solution, or raise the same exception.
+return the same exact solution, or raise the same exception.  The
+pivot-for-pivot tests turn the certificate (``simplex._certified_optimum``)
+off, so that the integer solver pivots all the way; with it on, the solver
+must return the reference's outcome after a prefix of the reference's pivots.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -31,10 +35,23 @@ def _check_budget(pivots, budget):
         raise PivotBudgetExceeded(f"more than the reference's {budget} pivots")
 
 
+@contextmanager
+def _certificate(on: bool):
+    """The integer solver with its certificate on, or off: then it never
+    settles an LP early and makes every pivot of Bland's rule."""
+    real = simplex._certified_optimum
+    if not on:
+        simplex._certified_optimum = lambda *args: None
+    try:
+        yield
+    finally:
+        simplex._certified_optimum = real
+
+
 def _solve_counting(module, lp, budget=None):
     """(outcome, pivot signs): outcome is (value, x) or the exception name.
     With a ``budget``, the pivot after that many raises
-    :class:`PivotBudgetExceeded`."""
+    :class:`PivotBudgetExceeded`.  The certificate is off."""
     real = module._pivot
     signs = []
 
@@ -46,7 +63,8 @@ def _solve_counting(module, lp, budget=None):
 
     module._pivot = counting
     try:
-        sol = module.solve(**lp)
+        with _certificate(False):
+            sol = module.solve(**lp)
         return (sol.value, sol.x), signs
     except (module.LpInfeasible, module.LpUnbounded) as exc:
         return type(exc).__name__, signs
@@ -171,10 +189,11 @@ def test_infeasible_and_unbounded_raise_alike(lp, error):
 # the int64 tableau and its one-way switch to object
 
 
-def _solve_tracing(module, lp, budget=None):
+def _solve_tracing(module, lp, budget=None, certify=False):
     """(outcome, pivots, dtypes): one (row, col, negative) per pivot, and the
     dtype of each tableau the integer solver's pivot returned.  With a
-    ``budget``, the pivot after that many raises :class:`PivotBudgetExceeded`."""
+    ``budget``, the pivot after that many raises :class:`PivotBudgetExceeded`.
+    The certificate is on only with ``certify``."""
     real = module._pivot
     pivots, dtypes = [], []
 
@@ -189,7 +208,8 @@ def _solve_tracing(module, lp, budget=None):
 
     module._pivot = tracing
     try:
-        sol = module.solve(**lp)
+        with _certificate(certify):
+            sol = module.solve(**lp)
         return (sol.value, sol.x), pivots, dtypes
     except (module.LpInfeasible, module.LpUnbounded) as exc:
         return type(exc).__name__, pivots, dtypes
@@ -256,10 +276,14 @@ def test_scaled_lps_match_the_reference_pivot_for_pivot(lp, factor):
     assert_same_pivots(_scaled(lp, factor))
 
 
-@pytest.mark.parametrize("factor, first", [(1, np.int64), (2**40, object), (2**70, object)])
+@pytest.mark.parametrize(
+    "factor, first",
+    [(1, np.int64), (2**40, object), (2**70, object), pytest.param(2**1100, object, id="2**1100")],
+)
 def test_negative_pivot_and_dropped_row_on_either_dtype(factor, first):
     # the LP of test_negative_pivot_and_dropped_row: int64 throughout, on
-    # object from the first pivot, and on object from the start
+    # object from the first pivot, and on object from the start, the last
+    # past float64's range (the certificate's floats refuse it)
     lp = _scaled(
         dict(objective=[1, F(1, 2)], a_eq=[[0, -1], [2, 2], [2, 1]], b_eq=[0, 2, 2]), factor
     )
@@ -270,3 +294,124 @@ def test_negative_pivot_and_dropped_row_on_either_dtype(factor, first):
     sol = simplex.solve(**lp)
     assert sol.x == (F(1), F(0))
     assert sol.value == 1
+
+
+# ---------------------------------------------------------------------------
+# the certificate: settled early, or refused and Bland's rule goes on
+
+
+def assert_settles_alike(lp) -> tuple[int, int]:
+    """With the certificate on, the integer solver returns the reference's
+    outcome after a prefix of the reference's pivots; returns how many
+    pivots each made."""
+    expected, ref_pivots, _ = _solve_tracing(reference_simplex, lp)
+    got, pivots, _ = _solve_tracing(simplex, lp, budget=len(ref_pivots), certify=True)
+    assert got == expected
+    assert pivots == ref_pivots[: len(pivots)]
+    return len(pivots), len(ref_pivots)
+
+
+def test_worst_cce_lps_settle_as_the_reference():
+    counts = [assert_settles_alike(_cce_lp(inst)) for inst in cce_pool()]
+    assert any(made < by_reference for made, by_reference in counts)
+
+
+@SETTINGS
+@given(st.one_of(lps(), lps(redundant=True)))
+def test_small_fraction_lps_settle_as_the_reference(lp):
+    assert_settles_alike(lp)
+
+
+@SETTINGS
+@given(lps(), st.sampled_from([2**20, 3**19, 2**40, 2**70]))
+def test_scaled_lps_settle_as_the_reference(lp, factor):
+    assert_settles_alike(_scaled(lp, factor))
+
+
+def _tries(lp):
+    """The integer solver with the certificate on: its pivots, the dtype of
+    each tableau they returned, and what each try of the certificate
+    returned."""
+    real, tries = simplex._certified_optimum, []
+
+    def recording(*args):
+        tries.append(real(*args))
+        return tries[-1]
+
+    simplex._certified_optimum = recording
+    try:
+        _, pivots, dtypes = _solve_tracing(simplex, lp, certify=True)
+    finally:
+        simplex._certified_optimum = real
+    return pivots, dtypes, tries
+
+
+def test_certificate_settles_a_sharing_cce_lp_on_int64():
+    # the LP of test_sharing_cce_lp_switches_to_object_partway: its one try
+    # comes before the first object pivot and settles it
+    lp = _cce_lp(small_instance(GameKind.SWC, 1, n_max=3))
+    made, by_reference = assert_settles_alike(lp)
+    pivots, dtypes, tries = _tries(lp)
+    assert len(tries) == 1 and tries[0] is not None
+    assert 0 < len(pivots) == made < by_reference
+    assert all(dtype == np.int64 for dtype in dtypes)
+
+
+def test_certificate_refusal_leaves_bland_pivot_for_pivot():
+    # SwC n=2 m=3: the optimum is not unique, so the one try is refused and
+    # Bland's rule goes on from where it stopped, onto object
+    inst = small_instance(GameKind.SWC, 10, n_max=3)
+    assert (inst.n, inst.m) == (2, 3)
+    lp = _cce_lp(inst)
+    expected, ref_pivots, _ = _solve_tracing(reference_simplex, lp)
+    pivots, dtypes, tries = _tries(lp)
+    assert tries == [None]
+    assert pivots == ref_pivots
+    assert dtypes[0] == np.int64 and dtypes[-1] == object
+    assert _solve_tracing(simplex, lp, certify=True)[0] == expected
+
+
+def _fraction_tableau(lp: simplex._Standard, basis):
+    """The rational tableau of the standard form at ``basis``, objective
+    row last, pivoted there by the reference's Fraction pivots; and the
+    basic column of each row."""
+    nrows, width = lp.rows.shape
+    tableau = [[F(int(v)) for v in line] for line in lp.rows]
+    tableau.append([F(c) for c in lp.cost] + [F(0)] * (width - lp.nvars))
+    at = [None] * nrows
+    for col in basis:
+        row = next(r for r in range(nrows) if at[r] is None and tableau[r][col] != 0)
+        reference_simplex._pivot(tableau, at, row, col)
+    return tableau, at
+
+
+@SETTINGS
+@given(st.one_of(lps(), lps(redundant=True)), st.sampled_from([1, 2**70]))
+def test_certified_optimum_is_unique_and_the_references(lp, factor):
+    lp = _scaled(lp, factor)
+    form = simplex._standard_form(**lp)
+    nrows, width = form.rows.shape
+    real, proposals = simplex._propose, []
+
+    def recording(*args):
+        proposals.append(real(*args))
+        return proposals[-1]
+
+    simplex._propose = recording
+    try:
+        sol = simplex._certified_optimum(form, form.rows, [width - 1 + r for r in range(nrows)], 1)
+    finally:
+        simplex._propose = real
+    if sol is None:
+        return
+    [basis] = proposals
+    tableau, at = _fraction_tableau(form, basis)
+    assert all(line[-1] >= 0 for line in tableau[:-1])
+    assert all(tableau[-1][j] > 0 for j in range(width - 1) if j not in basis)
+    x = [F(0)] * form.nvars
+    for row, col in enumerate(at):
+        if col < form.nvars:
+            x[col] = tableau[row][-1]
+    expected = reference_simplex.solve(**lp)
+    assert sol.x == tuple(x) == expected.x
+    assert sol.value == expected.value
