@@ -14,6 +14,7 @@ machine ids, 1-based; players are 1-based throughout the public API.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -115,19 +116,39 @@ _FIXED_WEIGHTS = {
 }
 
 
+def _player_ids(raw, field: str) -> Edge:
+    """Both endpoints of one edge as ints.  An id is an int or a numpy
+    integer; a bool, a float or a string is none, even when integral."""
+    try:
+        a, b = raw
+        if isinstance(a, bool) or isinstance(b, bool):
+            raise TypeError("a bool is not a player id")
+        return operator.index(a), operator.index(b)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInstanceError(field, f"not a pair of player ids: {raw!r}") from exc
+
+
 def _normalize_edges(edges: Iterable, n: int, field: str) -> frozenset[Edge]:
     out = set()
+    add = out.add
     for raw in edges:
         try:
             a, b = raw
-            a, b = int(a), int(b)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInstanceError(field, f"not a pair of player ids: {raw!r}") from exc
-        if a == b:
+        except (TypeError, ValueError):
+            a = b = None
+        # plain int pairs, all that gen_random hands over, skip the coercion
+        if type(a) is not int or type(b) is not int:
+            a, b = _player_ids(raw, field)
+        if a < b:
+            if a < 1 or b > n:
+                raise InvalidInstanceError(field, f"endpoint out of range 1..{n}: ({a}, {b})")
+            add((a, b))
+        elif a > b:
+            if b < 1 or a > n:
+                raise InvalidInstanceError(field, f"endpoint out of range 1..{n}: ({a}, {b})")
+            add((b, a))
+        else:
             raise InvalidInstanceError(field, f"self-loop at player {a}")
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise InvalidInstanceError(field, f"endpoint out of range 1..{n}: ({a}, {b})")
-        out.add((min(a, b), max(a, b)))
     return frozenset(out)
 
 
@@ -146,9 +167,9 @@ def make_instance(
     """Validate and canonicalize an :class:`Instance`."""
     if not isinstance(kind, GameKind):
         raise InvalidInstanceError("kind", f"unknown game kind: {kind!r}")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidInstanceError("n", f"player count must be an integer >= 1, got {n!r}")
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise InvalidInstanceError("m", f"machine count must be an integer >= 1, got {m!r}")
     if kind is GameKind.MAXCUT and m != 2:
         raise InvalidInstanceError("m", "the cut game is played on exactly 2 partitions")
@@ -188,8 +209,8 @@ def make_instance(
         own_edges = conf if kind is GameKind.SWC else fr
         canon: dict[Edge, Fraction] = {}
         for raw_edge, raw_w in dict(edge_weights).items():
-            a, b = raw_edge
-            e = (min(int(a), int(b)), max(int(a), int(b)))
+            a, b = _player_ids(raw_edge, "edge_weights")
+            e = (min(a, b), max(a, b))
             if e not in own_edges:
                 raise InvalidInstanceError("edge_weights", f"weight for non-edge {e}")
             w = as_fraction(raw_w, f"edge_weights[{e}]")

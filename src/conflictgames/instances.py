@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .games import (
@@ -110,10 +111,6 @@ _ALPHA_CHOICES = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Frac
 _BETA_GAMMA_CHOICES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
 
 
-def _bernoulli(rng: random.Random, prob: Fraction) -> bool:
-    return rng.randrange(prob.denominator) < prob.numerator
-
-
 def gen_random(
     n: int,
     m: int,
@@ -131,25 +128,57 @@ def gen_random(
     Sharing kinds draw machine values, and optionally edge weights, from the
     hundredths grid in (0, 10].  When the BwCF weights are not given they are
     drawn from small grids as well.
+
+    Stream contract: everything is read from ``random.Random(seed)`` in this
+    order, and the instances depend on nothing else.
+
+    1. One Bernoulli trial per vertex pair, pairs in ``itertools.combinations``
+       order ((1, 2), (1, 3), ..., (n - 1, n)); BwCF draws a second trial, for
+       a friendship, on each pair whose first trial gave no conflict.  With
+       ``edge_prob = num/den`` in lowest terms, a trial succeeds when
+       ``randrange(den) < num``, and it reads the words that ``randrange``
+       reads: ``getrandbits(den.bit_length())``, drawn again until it is
+       below ``den``.
+    2. The m machine values of a sharing kind, each
+       ``Fraction(randrange(1, 1001), 100)``.
+    3. With ``weighted``, one such weight per edge of the sharing kind's own
+       set, in pair order.
+    4. BwCF's alpha, beta and gamma, those not given, by ``choice`` in that
+       order.
     """
     prob = as_fraction(edge_prob, "edge_prob")
     if not (0 <= prob <= 1):
         raise InvalidInstanceError("edge_prob", f"must be in [0, 1], got {prob}")
     rng = random.Random(seed)
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    # randrange(den) without its argument checks: the same words, one bound
+    # method call per word
+    bits = rng.getrandbits
+    num, den = prob.numerator, prob.denominator
+    k = den.bit_length()
 
     conflict: list[tuple[int, int]] = []
     friendship: list[tuple[int, int]] = []
     if kind is GameKind.BWCF:
-        for e in pairs:
-            if _bernoulli(rng, prob):
+        for e in combinations(range(1, n + 1), 2):
+            r = bits(k)
+            while r >= den:
+                r = bits(k)
+            if r < num:
                 conflict.append(e)
-            elif _bernoulli(rng, prob):
+                continue
+            r = bits(k)
+            while r >= den:
+                r = bits(k)
+            if r < num:
                 friendship.append(e)
-    elif kind in (GameKind.BWF, GameKind.SWF):
-        friendship = [e for e in pairs if _bernoulli(rng, prob)]
     else:
-        conflict = [e for e in pairs if _bernoulli(rng, prob)]
+        drawn = friendship if kind in (GameKind.BWF, GameKind.SWF) else conflict
+        for e in combinations(range(1, n + 1), 2):
+            r = bits(k)
+            while r >= den:
+                r = bits(k)
+            if r < num:
+                drawn.append(e)
 
     values = None
     weights = None

@@ -4,6 +4,7 @@ import dataclasses
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conflictgames import games
@@ -237,6 +238,66 @@ class TestValidation:
     def test_self_loop_rejected(self):
         with pytest.raises(InvalidInstanceError):
             make_instance(GameKind.BWC, 2, 2, conflict_edges=[(1, 1)])
+
+    @pytest.mark.parametrize("kind, kwargs, field, message", [
+        (GameKind.BWCF, dict(conflict_edges=[(2, 2)]), "conflict_edges", "self-loop at player 2"),
+        (GameKind.BWCF, dict(conflict_edges=[(1, 5)]), "conflict_edges",
+         "endpoint out of range 1..3: (1, 5)"),
+        (GameKind.BWCF, dict(friendship_edges=[(4, 2)]), "friendship_edges",
+         "endpoint out of range 1..3: (4, 2)"),
+        (GameKind.BWCF, dict(conflict_edges=[(0, 1)]), "conflict_edges",
+         "endpoint out of range 1..3: (0, 1)"),
+        (GameKind.BWCF, dict(friendship_edges=[(1, 2, 3)]), "friendship_edges",
+         "not a pair of player ids: (1, 2, 3)"),
+        (GameKind.BWCF, dict(conflict_edges=[7]), "conflict_edges", "not a pair of player ids: 7"),
+        # the first offender in the caller's order is the one named
+        (GameKind.BWCF, dict(conflict_edges=[(1, 2), (3, 3), (1, 9)]), "conflict_edges",
+         "self-loop at player 3"),
+        (GameKind.BWCF, dict(conflict_edges=[(1, 2), (2, 3)], friendship_edges=[(3, 2), (2, 1)]),
+         "friendship_edges", "edges appear in both sets: [(1, 2), (2, 3)]"),
+        (GameKind.BWC, dict(friendship_edges=[(1, 2)]), "friendship_edges",
+         "BwC uses conflict edges only"),
+        (GameKind.MAXCUT, dict(friendship_edges=[(1, 2)]), "friendship_edges",
+         "MaxCut uses conflict edges only"),
+        (GameKind.BWF, dict(conflict_edges=[(1, 2)]), "conflict_edges",
+         "BwF uses friendship edges only"),
+        (GameKind.SWC, dict(conflict_edges=[(1, 2)], machine_values=[1, 1],
+                            edge_weights={(3, 1): 1}), "edge_weights", "weight for non-edge (1, 3)"),
+        (GameKind.BWC, dict(conflict_edges=[(1, 2)], edge_weights={(1, 2): 2}), "edge_weights",
+         "only the sharing kinds take weights"),
+    ])
+    def test_edge_errors_name_field_and_first_offender(self, kind, kwargs, field, message):
+        with pytest.raises(InvalidInstanceError) as err:
+            make_instance(kind, 3, 2, **kwargs)
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: {message}"
+
+    @pytest.mark.parametrize("edge", [(1.7, 2), (2.0, 3), (True, 2), (1, False), ("1", "3"),
+                                      (F(1), 2), (np.True_, 2)])
+    def test_endpoints_must_be_integers(self, edge):
+        with pytest.raises(InvalidInstanceError) as err:
+            make_instance(GameKind.BWC, 3, 2, conflict_edges=[edge])
+        assert str(err.value) == f"conflict_edges: not a pair of player ids: {edge!r}"
+        with pytest.raises(InvalidInstanceError) as err:
+            make_instance(GameKind.SWC, 3, 2, conflict_edges=[(1, 2), (2, 3)],
+                          machine_values=[1, 1], edge_weights={edge: 1})
+        assert str(err.value) == f"edge_weights: not a pair of player ids: {edge!r}"
+
+    def test_numpy_integer_endpoints_become_ints(self):
+        a, b, c = np.int64(1), np.int32(2), np.uint8(3)
+        inst = make_instance(GameKind.SWF, 3, 2, friendship_edges=[(b, a), [c, b]],
+                             machine_values=[1, 1], edge_weights={(c, b): 5})
+        assert inst.friendship_edges == frozenset({(1, 2), (2, 3)})
+        assert inst.edge_weights == (((2, 3), F(5)),)
+        ids = [x for e in inst.friendship_edges for x in e] + list(inst.edge_weights[0][0])
+        assert all(type(x) is int for x in ids)
+
+    @pytest.mark.parametrize("field, n, m", [("n", True, 2), ("m", 2, True), ("n", 2.0, 2),
+                                             ("m", 2, 0)])
+    def test_counts_must_be_integers(self, field, n, m):
+        with pytest.raises(InvalidInstanceError) as err:
+            make_instance(GameKind.BWC, n, m)
+        assert err.value.field == field
 
     def test_sharing_needs_machine_values(self):
         with pytest.raises(InvalidInstanceError) as err:

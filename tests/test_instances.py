@@ -1,5 +1,6 @@
 """Generators and the instance document format."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,8 +26,35 @@ from conflictgames.instances import (
 )
 
 from conftest import ALL_KINDS, kind_pool
+from reference_instances import gen_random_reference
 
 F = Fraction
+
+# edge probabilities of the stream grid: both ends, powers of two (where
+# randrange rejects up to half its words), and dens that are not
+STREAM_PROBS = (F(0), F(1), F(1, 2), F(1, 3), F(3, 4), F(1, 16), F(7, 10), F(99, 100), F(1, 1000))
+
+# sha256 over write_instance of every _stream_grid instance, in grid order, as
+# the one-randrange-per-trial generator wrote them
+STREAM_DIGEST = "0b24281a7cd32424621eb3befbf27c9fec2bd53301a7657450c0ea4eb426c030"
+
+
+def _stream_grid():
+    """(args, kwargs) of gen_random: every kind, n up to 30, m 2-5, the
+    STREAM_PROBS, weighted sharing, BwCF with drawn and with given weights,
+    seeds 0 and 1; 3150 instances."""
+    for kind in ALL_KINDS:
+        variants = [{}]
+        if kind.sharing:
+            variants.append({"weighted": True})
+        if kind is GameKind.BWCF:
+            variants.append(dict(alpha=1, beta=1, gamma=F(1, 2)))
+        for n in (1, 2, 3, 5, 8, 13, 30):
+            for m in (2,) if kind is GameKind.MAXCUT else (2, 3, 5):
+                for prob in STREAM_PROBS:
+                    for kwargs in variants:
+                        for seed in (0, 1):
+                            yield (n, m, kind, prob, seed), kwargs
 
 
 class TestNamedGenerators:
@@ -122,6 +150,20 @@ class TestRandomGenerator:
 
         with pytest.raises(InvalidInstanceError):
             gen_random(3, 2, GameKind.BWC, F(3, 2), seed=0)
+
+    def test_documents_are_pinned(self):
+        h = hashlib.sha256()
+        for args, kwargs in _stream_grid():
+            h.update(write_instance(gen_random(*args, **kwargs)).encode())
+        assert h.hexdigest() == STREAM_DIGEST
+
+    def test_equals_the_randrange_reference(self):
+        # machine values, weights and BwCF's drawn weights read the stream
+        # after the edges, so they check where the edges left it
+        for args, kwargs in _stream_grid():
+            assert gen_random(*args, **kwargs) == gen_random_reference(*args, **kwargs), (
+                args, kwargs,
+            )
 
     def test_test_pools_ignore_the_hash_seed(self):
         code = ("from conftest import ALL_KINDS, kind_pool\n"

@@ -142,3 +142,26 @@ def test_lp_pivot_times():
 def test_lp_pivot_times_checks_its_sizes():
     lines = _run("lp_pivot_times.py", "--bwc", "100", code=2)
     assert lines[-1].endswith("--bwc sizes must be among [243, 256, 729, 1024]")
+
+
+def test_gen_times():
+    lines = _run("gen_times.py", "--repeats", "1", "--seeds", "2")
+    assert lines[0] == "us per gen_random call, best of 1 over seeds 0-1"
+    assert lines[1].split() == ["workload", "n", "slots", "pairs", "us/call"]
+    rows = [line.split() for line in lines[2:]]
+    assert [(row[0], int(row[1])) for row in rows] == [
+        ("scan", 5), ("scan", 7), ("scan", 10), ("scan", 11),
+        ("lp", 3), ("lp", 4), ("lp", 5), ("lp", 7),
+        ("br", 40), ("br", 60), ("br", 90), ("br", 120),
+    ]
+    # every scan and br slot, and every lp slot but the named instance
+    assert [sum(int(row[2]) for row in rows if row[0] == name)
+            for name in ("scan", "lp", "br")] == [12, 19, 24]
+    for row in rows:
+        n = int(row[1])
+        assert int(row[3]) == n * (n - 1) // 2 and float(row[4]) > 0
+
+
+def test_gen_times_checks_its_counts():
+    lines = _run("gen_times.py", "--seeds", "0", code=2)
+    assert lines[-1].endswith("error: need repeats, seeds >= 1, got 5, 0")
