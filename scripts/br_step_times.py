@@ -1,12 +1,21 @@
 #!/usr/bin/env python3
-"""Time max-gain best-response dynamics per step, one line per game kind.
+"""Time max-gain best-response dynamics per step, one line per game kind,
+split into set-up, walk and trace recording.
 
 Each kind runs ``run_br`` on ``gen_random(n, m, kind, 1/16, seed=1)`` (m = 8
-machines, 2 for the cut game) from one seeded random start; the whole run,
-evaluator set-up included, is divided by its step count, and the best of
-``--repeats`` runs is printed in microseconds per step.  Beside it stands the
-set-up of one run alone, a fresh ``StateEvaluator`` and its move table (the
-``Walk`` at the start), best of ``--repeats``, in microseconds.
+machines, 2 for the cut game) from one seeded random start.  Three parts are
+timed apart, each the best of ``--repeats`` runs:
+
+* set-up: a fresh ``StateEvaluator`` and its move table (the ``Walk`` at the
+  start);
+* walk: the ``Walk`` driven alone, ``best`` then ``move`` until no player
+  improves, its set-up excluded;
+* trace: the whole ``run_br`` minus the other two, which is what recording
+  the trace costs (the ``TraceStep`` records and their exact ``Fraction``s),
+  plus the state's validation.
+
+Set-up is printed in microseconds per run; walk, trace and the whole
+``run_br`` in microseconds per step, and the trace's share of ``run_br``.
 
 Usage:
     python scripts/br_step_times.py [--n 120] [--repeats 3]
@@ -27,6 +36,16 @@ from conflictgames.games import GameKind
 from conflictgames.instances import gen_random
 
 
+def _walk(inst, start) -> float:
+    """Seconds to drive a fresh ``Walk`` from ``start`` to its end, set-up
+    excluded."""
+    walk = StateEvaluator(inst).walk(to_internal(start))
+    t0 = time.perf_counter()
+    while (best := walk.best()) is not None:
+        walk.move(best[1], best[2])
+    return time.perf_counter() - t0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=120)
@@ -34,25 +53,30 @@ def main() -> int:
     args = parser.parse_args()
 
     print(
-        f"us per BR step and us of set-up per run, n={args.n}, edge probability 1/16,"
+        f"us of set-up per run and us per BR step, n={args.n}, edge probability 1/16,"
         f" best of {args.repeats}"
     )
+    print(f"{'kind':6} {'m':>2} {'steps':>5} {'set-up':>8} {'walk':>7} {'trace':>7}"
+          f" {'run_br':>7} {'trace%':>6}")
     for kind in GameKind:
         m = 2 if kind is GameKind.MAXCUT else 8
         inst = gen_random(args.n, m, kind, Fraction(1, 16), seed=1)
         start = random_start(inst, random.Random(1))
-        best = setup = float("inf")
+        total = setup = walk = float("inf")
         for _ in range(args.repeats):
             t0 = time.perf_counter()
             trace = run_br(inst, start)
             t1 = time.perf_counter()
             StateEvaluator(inst).walk(to_internal(start))
             setup = min(setup, time.perf_counter() - t1)
-            best = min(best, t1 - t0)
-        steps = len(trace.steps)
+            total = min(total, t1 - t0)
+            walk = min(walk, _walk(inst, start))
+        steps = max(len(trace.steps), 1)
+        record = total - setup - walk
         print(
-            f"  {kind.value:6} m={m}: {1e6 * best / max(steps, 1):7.1f} us/step ({steps} steps),"
-            f" {1e6 * setup:7.1f} us set-up"
+            f"{kind.value:6} {m:2} {len(trace.steps):5} {1e6 * setup:8.1f}"
+            f" {1e6 * walk / steps:7.1f} {1e6 * record / steps:7.1f}"
+            f" {1e6 * total / steps:7.1f} {100 * record / total:5.0f}%"
         )
     return 0
 

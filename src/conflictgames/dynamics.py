@@ -14,6 +14,18 @@ the start's included.  Where exact gains fit int64 one argmax picks the move;
 where they do not (the sharing kinds at large n), float gains propose
 candidates and exact integers decide among them, so no float ever picks a
 move.  No state is ever evaluated pointwise.
+
+Each step records a :class:`TraceStep`, a named tuple of the move and three
+exact ``Fraction``s, built when the step is taken: the gain, and the
+potential and the social value after the move.  Each ``Fraction`` divides a
+scaled integer by its scale and normalises by a gcd, 1-2 us, the more the
+larger the scale (the sharing kinds' pass 170 bits at n = 120); at n = 120
+recording takes a tenth to a quarter of :func:`run_br`
+(``scripts/br_step_times.py`` prints its share per kind).  On the cost
+kinds and the cut game max-gain moves repeat their gains, about one step in
+three bringing a new one, so one run keeps each gain's ``Fraction`` and
+builds it once; the sharing kinds' gains, and every potential and social
+value, are new nearly every step and are built every step.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,8 +46,7 @@ from .smoothness import certificate_params
 from .verdicts import VerdictReport, frac_str, make_verdict
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     index: int  # the state after this move is state number ``index``
     mover: int
     source: int
@@ -72,6 +83,8 @@ def run_br(inst: Instance, start: State, max_steps: Optional[int] = None) -> Tra
     ev = StateEvaluator(inst)
     walk = ev.walk(to_internal(start))
     start_social, start_potential = walk.social, walk.potential
+    vs, ps = ev.value_scale, ev.potential_scale
+    gains: dict[int, Fraction] = {}  # scaled gain -> its Fraction
     steps: list[TraceStep] = []
     exhausted = False
     while (best := walk.best()) is not None:
@@ -80,15 +93,13 @@ def run_br(inst: Instance, start: State, max_steps: Optional[int] = None) -> Tra
             break
         gain, player, target = best
         source = walk.move(player, target)
+        value = gains.get(gain)
+        if value is None:
+            value = gains[gain] = Fraction(gain, vs)
         steps.append(
             TraceStep(
-                index=len(steps) + 1,
-                mover=player + 1,
-                source=source + 1,
-                target=target + 1,
-                gain=ev.as_value(gain),
-                potential=ev.as_potential(walk.potential),
-                social=ev.as_value(walk.social),
+                len(steps) + 1, player + 1, source + 1, target + 1, value,
+                Fraction(walk.potential, ps), Fraction(walk.social, vs),
             )
         )
     return Trace(

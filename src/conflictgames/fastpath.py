@@ -448,6 +448,11 @@ class Walk:
     so :meth:`move` costs O(n) and :meth:`best` one pass over the n x m
     gains.
 
+    ``_own[i]`` is ``i * m + s_i``, the flat index of player ``i``'s own cell
+    in any n x m array; :meth:`move` keeps it current, and :meth:`best` reads
+    the own cells of ``bt`` through it with one ``take`` and masks the own
+    cells of the gains with one ``put``.
+
     With ``tol`` None every gain is exact (``unit`` 1, ``bt`` of the
     evaluator's ``dtype()``) and one argmax decides.  Otherwise ``bt`` holds
     small exact ints, the machine terms are floats, and :meth:`best` lets the
@@ -458,24 +463,26 @@ class Walk:
         self.ev = ev
         self.unit, self.tol, dtype = ev._move_mode
         (ea, eb), weights, self._adj, base = ev._edge_arrays(dtype, self.unit)
-        self._players = np.arange(ev.n)
+        self._m = m = ev.m
+        self._pot_per_value = ev.potential_scale // ev.value_scale
         self.cur = cur = np.array(state, dtype=np.int64)
-        self.loads = np.bincount(cur, minlength=ev.m).tolist()
-        self.bt = np.repeat(base[:, None], ev.m, axis=1)
+        self._own = np.arange(ev.n) * m + cur
+        self.loads = np.bincount(cur, minlength=m).tolist()
+        self.bt = np.repeat(base[:, None], m, axis=1)
         np.add.at(self.bt, (ea, cur[eb]), weights)
         np.add.at(self.bt, (eb, cur[ea]), weights)
         terms = dtype if self.tol is None else np.float64
-        self._here = np.zeros(ev.m, dtype=terms)  # mach[k][load] / unit
-        self._there = np.zeros(ev.m, dtype=terms)  # mach[k][load + 1] / unit
-        for k in range(ev.m):
+        self._here = np.zeros(m, dtype=terms)  # mach[k][load] / unit
+        self._there = np.zeros(m, dtype=terms)  # mach[k][load + 1] / unit
+        for k in range(m):
             self._set_terms(k)
         # sum_i bt[i, s_i] counts every separated edge and every co-located
         # signed weight twice: it is 2 * (w_sep + co-located weight)
-        edges = self.unit * int(self.bt[self._players, cur].sum())
+        edges = self.unit * int(self.bt.take(self._own).sum())
         loads = self.loads
         self.social = sum(x * row[x] for row, x in zip(ev.mach, loads)) + edges
         self.potential = sum(row[x] for row, x in zip(ev.pot, loads)) + (
-            ev.potential_scale // ev.value_scale * edges // 2
+            self._pot_per_value * edges // 2
         )
 
     def _set_terms(self, k: int) -> None:
@@ -488,32 +495,32 @@ class Walk:
     def gain(self, i: int, k: int) -> int:
         """Exact scaled gain of player ``i`` moving to machine ``k != s_i``."""
         ev, loads, bt = self.ev, self.loads, self.bt
-        s = int(self.cur[i])
+        s = self.cur.item(i)
         delta = ev.mach[k][loads[k] + 1] - ev.mach[s][loads[s]]
-        delta += self.unit * int(bt[i, k] - bt[i, s])
+        delta += self.unit * (bt.item(i, k) - bt.item(i, s))
         return -delta if ev.minimizes else delta
 
     def best(self):
         """``(gain, player, machine)`` of the max-gain move, or None at a pure
         NE.  Ties go to the first maximum in (player, machine) order."""
-        players, cur = self._players, self.cur
+        own = self._own
         bt = self.bt if self.tol is None else self.bt.astype(np.float64)
-        here = self._here[cur] + bt[players, cur]
+        here = self._here[self.cur] + bt.take(own)
         there = bt + self._there
         gain = here[:, None] - there if self.ev.minimizes else there - here[:, None]
         if self.tol is None:
-            gain[players, cur] = 0
-            flat = int(gain.argmax())
-            top = int(gain.flat[flat])
-            return (top,) + divmod(flat, self.ev.m) if top > 0 else None
+            gain.put(own, 0)
+            flat = gain.argmax().item()
+            top = gain.item(flat)
+            return (top,) + divmod(flat, self._m) if top > 0 else None
         # every float gain is within tol of its exact value, so the exact
         # maxima all lie within 2 * tol of the float maximum
-        gain[players, cur] = -np.inf
+        gain.put(own, -np.inf)
         top = gain.max()
         best = (0,)
         if top > -np.inf:  # else one machine: no move at all
             for flat in np.flatnonzero(gain >= top - 2 * self.tol).tolist():
-                move = divmod(flat, self.ev.m)
+                move = divmod(flat, self._m)
                 exact = self.gain(*move)
                 if exact > best[0]:
                     best = (exact,) + move
@@ -522,17 +529,16 @@ class Walk:
     def move(self, p: int, t: int) -> int:
         """Move player ``p`` to machine ``t``; returns its source machine."""
         ev, loads, bt = self.ev, self.loads, self.bt
-        s = int(self.cur[p])
+        s = self.cur.item(p)
         xs, xt = loads[s], loads[t]
         # change of the co-located edge weight
-        edges = self.unit * int(bt[p, t] - bt[p, s])
+        edges = self.unit * (bt.item(p, t) - bt.item(p, s))
         ms, mt, ps, pt = ev.mach[s], ev.mach[t], ev.pot[s], ev.pot[t]
         self.social += (
             (xs - 1) * ms[xs - 1] - xs * ms[xs] + (xt + 1) * mt[xt + 1] - xt * mt[xt] + 2 * edges
         )
         self.potential += (
-            ps[xs - 1] - ps[xs] + pt[xt + 1] - pt[xt]
-            + ev.potential_scale // ev.value_scale * edges
+            ps[xs - 1] - ps[xs] + pt[xt + 1] - pt[xt] + self._pot_per_value * edges
         )
         loads[s] -= 1
         loads[t] += 1
@@ -540,6 +546,7 @@ class Walk:
         bt[:, s] -= column
         bt[:, t] += column
         self.cur[p] = t
+        self._own[p] = p * self._m + t
         self._set_terms(s)
         self._set_terms(t)
         return s

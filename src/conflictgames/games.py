@@ -213,6 +213,8 @@ def make_instance(
             e = (min(a, b), max(a, b))
             if e not in own_edges:
                 raise InvalidInstanceError("edge_weights", f"weight for non-edge {e}")
+            if e in canon:
+                raise InvalidInstanceError("edge_weights", f"two weights for edge {e}")
             w = as_fraction(raw_w, f"edge_weights[{e}]")
             if w <= 0:
                 raise InvalidInstanceError(f"edge_weights[{e}]", f"must be > 0, got {w}")

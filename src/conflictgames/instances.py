@@ -149,6 +149,10 @@ def gen_random(
     prob = as_fraction(edge_prob, "edge_prob")
     if not (0 <= prob <= 1):
         raise InvalidInstanceError("edge_prob", f"must be in [0, 1], got {prob}")
+    if weighted and not kind.sharing:
+        raise InvalidInstanceError(
+            "weighted", f"only the sharing kinds take weights, not {kind.value}"
+        )
     rng = random.Random(seed)
     # randrange(den) without its argument checks: the same words, one bound
     # method call per word
@@ -331,6 +335,10 @@ def parse_instance(text: str) -> Instance:
             a, b, w = trip
             if not all(isinstance(x, int) and not isinstance(x, bool) for x in (a, b)):
                 raise InstanceFormatError(f"edge_weights[{idx}]", "endpoints must be integers")
+            if (a, b) in edge_weights:
+                raise InstanceFormatError(
+                    f"edge_weights[{idx}]", f"two weights for edge ({a}, {b})"
+                )
             edge_weights[(a, b)] = _parse_rational(w, f"edge_weights[{idx}]")
 
     def weight_field(key: str) -> Optional[Fraction]:

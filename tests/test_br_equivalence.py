@@ -223,3 +223,34 @@ def test_run_br_evaluates_no_state_pointwise(monkeypatch):
         assert trace.steps
         # the start's aggregates come from the move table too
         assert calls == {"social": 0, "potential": 0}
+
+
+def test_own_cell_index_follows_every_move():
+    # seeded runs on all six kinds at n = 40 (int64 tables, floats proposing
+    # on the sharing kinds), the beyond-int64 pool (object tables, floats
+    # proposing) and gains past any float (object tables, exact argmax)
+    pool = [gen_random(40, 2 if kind is GameKind.MAXCUT else 4, kind, F(1, 8), seed=4)
+            for kind in ALL_KINDS]
+    pool += beyond_int64_pool()
+    pool.append(make_instance(GameKind.SWC, 6, 3, conflict_edges=[(1, 2), (2, 3), (4, 6)],
+                              machine_values=(F(2**1100), F(3, 7), F(2**1100 + 1))))
+    modes = set()
+    for seed, inst in enumerate(pool):
+        for start in _starts(inst, 2, seed):
+            want = run_br_reference(inst, start).steps
+            walk = StateEvaluator(inst).walk(to_internal(start))
+            modes.add((walk.tol is not None, walk.bt.dtype.name))
+            players = np.arange(inst.n)
+            assert np.array_equal(walk._own, players * inst.m + walk.cur)
+            # one move past the reference's, so a wrong index ends the loop
+            for step in want + (None,):
+                best = walk.best()
+                assert (best is None) == (step is None)
+                if best is None:
+                    break
+                _, player, target = best
+                assert (player + 1, target + 1) == (step.mover, step.target)
+                assert walk.move(player, target) + 1 == step.source
+                assert walk._own.dtype == np.int64
+                assert np.array_equal(walk._own, players * inst.m + walk.cur)
+    assert modes == {(False, "int64"), (True, "int64"), (True, "object"), (False, "object")}

@@ -1,6 +1,7 @@
 """Best-response traces, quality measurement, sandwich constants, and the
 convergence verdicts."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 from conflictgames import dynamics, oracle
 from conflictgames.dynamics import (
+    TraceStep,
     check_convergence_theorems,
     random_start,
     run_br,
@@ -100,6 +102,30 @@ class TestRunBr:
         assert trace.steps[0].mover == 1  # lowest player index wins the tie
 
 
+class TestTraceStep:
+    def test_fields_in_order(self):
+        assert TraceStep._fields == (
+            "index", "mover", "source", "target", "gain", "potential", "social"
+        )
+
+    def test_keyword_construction(self):
+        fields = dict(index=1, mover=2, source=1, target=3, gain=F(1, 2),
+                      potential=F(3), social=F(5, 2))
+        step = TraceStep(**fields)
+        assert step == TraceStep(*fields.values())
+        assert step._asdict() == fields
+        assert repr(step) == (
+            "TraceStep(index=1, mover=2, source=1, target=3, gain=Fraction(1, 2), "
+            "potential=Fraction(3, 1), social=Fraction(5, 2))"
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        step = run_br(gen_bwc_multipartite(2), (1, 1, 1, 1)).steps[0]
+        for name in TraceStep._fields:
+            with pytest.raises(AttributeError):
+                setattr(step, name, 0)
+
+
 class TestTraceCsv:
     def test_format(self):
         inst = gen_bwc_multipartite(2)
@@ -107,6 +133,19 @@ class TestTraceCsv:
         lines = text.strip().split("\n")
         assert lines[0] == "step,mover,from,to,gain,potential,social"
         assert lines[1] == "1,1,1,2,5/1,7/1,14/1"
+
+    def test_bytes_pinned(self):
+        # sha256 over the CSV of one seeded run per kind, n = 40, as the
+        # dataclass-recorded traces wrote them
+        h = hashlib.sha256()
+        steps = 0
+        for kind in ALL_KINDS:
+            inst = gen_random(40, 2 if kind is GameKind.MAXCUT else 4, kind, F(1, 8), seed=2)
+            trace = run_br(inst, random_start(inst, random.Random(2)))
+            steps += len(trace.steps)
+            h.update(trace_csv(trace).encode())
+        assert steps == 96
+        assert h.hexdigest() == "87cd0596ec5b5514aeb154fcae09eec5b9bc714ab0f19c0a12bc0397c1a2821b"
 
 
 class TestStepsToQuality:

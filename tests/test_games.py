@@ -263,6 +263,9 @@ class TestValidation:
          "BwF uses friendship edges only"),
         (GameKind.SWC, dict(conflict_edges=[(1, 2)], machine_values=[1, 1],
                             edge_weights={(3, 1): 1}), "edge_weights", "weight for non-edge (1, 3)"),
+        (GameKind.SWC, dict(conflict_edges=[(1, 2)], machine_values=[1, 1],
+                            edge_weights={(1, 2): 1, (2, 1): 5}), "edge_weights",
+         "two weights for edge (1, 2)"),
         (GameKind.BWC, dict(conflict_edges=[(1, 2)], edge_weights={(1, 2): 2}), "edge_weights",
          "only the sharing kinds take weights"),
     ])

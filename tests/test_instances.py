@@ -1,6 +1,7 @@
 """Generators and the instance document format."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -145,6 +146,22 @@ class TestRandomGenerator:
         assert inst.edge_weights
         assert all(w > 0 for _, w in inst.edge_weights)
 
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if not k.sharing],
+                             ids=lambda k: k.value)
+    def test_weights_only_on_sharing_kinds(self, kind, monkeypatch):
+        from conflictgames import instances
+        from conflictgames.games import InvalidInstanceError
+
+        def _no_stream(seed):
+            raise AssertionError("drew from the stream")
+
+        monkeypatch.setattr(instances.random, "Random", _no_stream)
+        m = 2 if kind is GameKind.MAXCUT else 3
+        with pytest.raises(InvalidInstanceError) as err:
+            gen_random(6, m, kind, 1, seed=1, weighted=True)
+        assert err.value.field == "weighted"
+        assert str(err.value) == f"weighted: only the sharing kinds take weights, not {kind.value}"
+
     def test_invalid_probability(self):
         from conflictgames.games import InvalidInstanceError
 
@@ -221,6 +238,19 @@ class TestDocumentFormat:
         with pytest.raises(InstanceFormatError) as err:
             parse_instance(text)
         assert err.value.field == "extra"
+
+    def test_one_weight_per_edge(self):
+        doc = json.loads(write_instance(gen_random(4, 2, GameKind.SWC, 1, seed=3, weighted=True)))
+        (a, b, w), rest = doc["edge_weights"][0], doc["edge_weights"][1:]
+        for second, field, message in (
+            ([b, a, "5/1"], "edge_weights", f"two weights for edge ({a}, {b})"),
+            ([a, b, "5/1"], "edge_weights[1]", f"two weights for edge ({a}, {b})"),
+        ):
+            doc["edge_weights"] = [[a, b, w], second] + rest
+            with pytest.raises(InstanceFormatError) as err:
+                parse_instance(json.dumps(doc))
+            assert err.value.field == field
+            assert str(err.value).endswith(f"{field}: {message}")
 
     def test_not_json(self):
         with pytest.raises(InstanceFormatError):

@@ -61,13 +61,21 @@ def test_run_reproduction_checks_trials(tmp_path):
 def test_br_step_times():
     lines = _run("br_step_times.py", "--n", "12", "--repeats", "1")
     assert lines[0] == (
-        "us per BR step and us of set-up per run, n=12, edge probability 1/16, best of 1"
+        "us of set-up per run and us per BR step, n=12, edge probability 1/16, best of 1"
     )
-    assert [line.split()[0] for line in lines[1:]] == [kind.value for kind in GameKind]
-    for line in lines[1:]:
-        per_step, setup = line.split(":")[1].split(",")
-        assert per_step.split()[1] == "us/step" and float(per_step.split()[0]) > 0
-        assert setup.split()[1:] == ["us", "set-up"] and float(setup.split()[0]) > 0
+    assert lines[1].split() == [
+        "kind", "m", "steps", "set-up", "walk", "trace", "run_br", "trace%"
+    ]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == [kind.value for kind in GameKind]
+    for row in rows:
+        m, steps = int(row[1]), int(row[2])
+        setup, walk, trace, total = map(float, row[3:7])
+        assert m == (2 if row[0] == "MaxCut" else 8) and steps > 0
+        assert setup > 0 and walk > 0 and total > 0
+        # the trace is run_br minus the other two, to rounding
+        assert abs(setup / steps + walk + trace - total) < 0.2
+        assert row[7].endswith("%") and abs(float(row[7][:-1]) - 100 * trace / total) < 1.5
 
 
 def test_scan_pass_times():
