@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
 """Time max-gain best-response dynamics per step, one line per game kind,
-split into set-up, walk and trace recording.
+split into set-up, walk and trace recording, and what reading the trace's
+steps costs afterwards.
 
 Each kind runs ``run_br`` on ``gen_random(n, m, kind, 1/16, seed=1)`` (m = 8
-machines, 2 for the cut game) from one seeded random start.  Three parts are
-timed apart, each the best of ``--repeats`` runs:
+machines, 2 for the cut game) from one seeded random start.  Three parts of
+``run_br`` are timed apart, and the read after it, each the best of
+``--repeats`` runs:
 
 * set-up: a fresh ``StateEvaluator`` and its move table (the ``Walk`` at the
   start);
 * walk: the ``Walk`` driven alone, ``best`` then ``move`` until no player
   improves, its set-up excluded;
 * trace: the whole ``run_br`` minus the other two, which is what recording
-  the trace costs (the ``TraceStep`` records and their exact ``Fraction``s),
-  plus the state's validation.
+  the trace costs (one tuple of scaled ints per step, and the potential
+  check), plus the state's validation;
+* views: ``tuple(trace.steps)`` on the finished trace, which builds every
+  ``TraceStep`` and its exact ``Fraction``s, the cost a reader of the steps
+  pays; it is not part of ``run_br``.
 
-Set-up is printed in microseconds per run; walk, trace and the whole
+Set-up is printed in microseconds per run; walk, trace, views and the whole
 ``run_br`` in microseconds per step, and the trace's share of ``run_br``.
 
 Usage:
@@ -57,12 +62,12 @@ def main() -> int:
         f" best of {args.repeats}"
     )
     print(f"{'kind':6} {'m':>2} {'steps':>5} {'set-up':>8} {'walk':>7} {'trace':>7}"
-          f" {'run_br':>7} {'trace%':>6}")
+          f" {'views':>7} {'run_br':>7} {'trace%':>6}")
     for kind in GameKind:
         m = 2 if kind is GameKind.MAXCUT else 8
         inst = gen_random(args.n, m, kind, Fraction(1, 16), seed=1)
         start = random_start(inst, random.Random(1))
-        total = setup = walk = float("inf")
+        total = setup = walk = views = float("inf")
         for _ in range(args.repeats):
             t0 = time.perf_counter()
             trace = run_br(inst, start)
@@ -71,12 +76,16 @@ def main() -> int:
             setup = min(setup, time.perf_counter() - t1)
             total = min(total, t1 - t0)
             walk = min(walk, _walk(inst, start))
+            t0 = time.perf_counter()
+            tuple(trace.steps)
+            views = min(views, time.perf_counter() - t0)
         steps = max(len(trace.steps), 1)
         record = total - setup - walk
         print(
             f"{kind.value:6} {m:2} {len(trace.steps):5} {1e6 * setup:8.1f}"
             f" {1e6 * walk / steps:7.1f} {1e6 * record / steps:7.1f}"
-            f" {1e6 * total / steps:7.1f} {100 * record / total:5.0f}%"
+            f" {1e6 * views / steps:7.1f} {1e6 * total / steps:7.1f}"
+            f" {100 * record / total:5.0f}%"
         )
     return 0
 

@@ -13,28 +13,33 @@ keeps the social value and the potential current as exact scaled integers,
 the start's included.  Where exact gains fit int64 one argmax picks the move;
 where they do not (the sharing kinds at large n), float gains propose
 candidates and exact integers decide among them, so no float ever picks a
-move.  No state is ever evaluated pointwise.
+move.  No state is ever evaluated pointwise.  After every move :func:`run_br`
+checks that the scaled potential moved by exactly the gain (times
+``potential_scale // value_scale``) in the improving direction, so a move
+table gone wrong raises instead of looping.
 
-Each step records a :class:`TraceStep`, a named tuple of the move and three
-exact ``Fraction``s, built when the step is taken: the gain, and the
-potential and the social value after the move.  Each ``Fraction`` divides a
-scaled integer by its scale and normalises by a gcd, 1-2 us, the more the
-larger the scale (the sharing kinds' pass 170 bits at n = 120); at n = 120
-recording takes a tenth to a quarter of :func:`run_br`
-(``scripts/br_step_times.py`` prints its share per kind).  On the cost
-kinds and the cut game max-gain moves repeat their gains, about one step in
-three bringing a new one, so one run keeps each gain's ``Fraction`` and
-builds it once; the sharing kinds' gains, and every potential and social
-value, are new nearly every step and are built every step.
+Each step is recorded as a tuple of Python ints: mover, source and target
+(1-based), and the scaled gain, potential and social value after the move.
+The :class:`Trace` keeps these records and the two scales, and builds no
+``Fraction`` while the dynamic runs.  ``Fraction``s are built where a reader
+asks: :attr:`Trace.steps` is a read-only view whose indexing, slicing and
+iteration build :class:`TraceStep` named tuples with exact ``Fraction``s
+(its ``len`` builds nothing), and :meth:`Trace.socials`,
+:meth:`Trace.potentials` and :func:`trace_csv` read those views.  The
+verdicts (:func:`steps_to_quality`, :func:`check_convergence_theorems`)
+compare the scaled ints against thresholds put on the same scale, and build
+only the few ``Fraction``s they report.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from operator import index
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,60 +61,149 @@ class TraceStep(NamedTuple):
     social: Fraction
 
 
+# (mover, source, target, gain, potential, social): 1-based player and
+# machines, the gain and the social value on the value scale, the potential
+# on the potential scale, the last two after the move
+StepRecord = tuple[int, int, int, int, int, int]
+
+
+class TraceSteps(Sequence):
+    """Read-only view of a trace's steps as :class:`TraceStep`s.
+
+    ``len`` reads the records alone; indexing (negative too), slicing and
+    iteration build the named tuples and their exact ``Fraction``s when
+    read.  A slice is a tuple.  The view equals a tuple, or another view,
+    with equal steps."""
+
+    __slots__ = ("_records", "_value_scale", "_potential_scale")
+
+    def __init__(self, records: tuple[StepRecord, ...], value_scale: int, potential_scale: int):
+        self._records = records
+        self._value_scale = value_scale
+        self._potential_scale = potential_scale
+
+    def _step(self, i: int, record: StepRecord) -> TraceStep:
+        mover, source, target, gain, potential, social = record
+        vs = self._value_scale
+        return TraceStep(
+            i + 1, mover, source, target,
+            Fraction(gain, vs), Fraction(potential, self._potential_scale), Fraction(social, vs),
+        )
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, i):
+        records = self._records
+        if isinstance(i, slice):
+            return tuple(self._step(j, records[j]) for j in range(*i.indices(len(records))))
+        i = index(i)
+        record = records[i]  # IndexError past either end
+        return self._step(i % len(records), record)
+
+    def __iter__(self) -> Iterator[TraceStep]:
+        for i, record in enumerate(self._records):
+            yield self._step(i, record)
+
+    def __eq__(self, other):
+        if not isinstance(other, (TraceSteps, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"TraceSteps({tuple(self)!r})"
+
+
+def _on_scale(x: Fraction, scale: int) -> int:
+    """``x * scale`` for a ``Fraction`` read from that scale (its reduced
+    denominator divides ``scale``)."""
+    return x.numerator * (scale // x.denominator)
+
+
 @dataclass(frozen=True)
 class Trace:
+    """A best-response run: one :data:`StepRecord` of scaled ints per step,
+    on the scales ``value_scale`` and ``potential_scale``, read as
+    :class:`TraceStep` named tuples through :attr:`steps`."""
+
     start: State
     end: State
-    steps: tuple[TraceStep, ...]
+    records: tuple[StepRecord, ...]
     start_social: Fraction
     start_potential: Fraction
     maximizes: bool
     exhausted: bool  # step budget ran out while an improving move remained
+    value_scale: int
+    potential_scale: int
+
+    @property
+    def steps(self) -> TraceSteps:
+        return TraceSteps(self.records, self.value_scale, self.potential_scale)
+
+    def scaled_socials(self) -> list[int]:
+        """Social value per state along the trace, index 0 = start, times
+        ``value_scale``."""
+        return [_on_scale(self.start_social, self.value_scale)] + [r[5] for r in self.records]
+
+    def scaled_potentials(self) -> list[int]:
+        """Potential per state along the trace, times ``potential_scale``."""
+        return [_on_scale(self.start_potential, self.potential_scale)] + [
+            r[4] for r in self.records
+        ]
 
     def socials(self) -> list[Fraction]:
         """Social value per state along the trace, index 0 = start."""
-        return [self.start_social] + [s.social for s in self.steps]
+        return [Fraction(v, self.value_scale) for v in self.scaled_socials()]
 
     def potentials(self) -> list[Fraction]:
-        return [self.start_potential] + [s.potential for s in self.steps]
+        return [Fraction(p, self.potential_scale) for p in self.scaled_potentials()]
 
 
 def run_br(inst: Instance, start: State, max_steps: Optional[int] = None) -> Trace:
     """Iterate max-gain best responses until no player improves (or the step
-    budget runs out, which is flagged, not an error)."""
+    budget runs out, which is flagged, not an error).
+
+    Raises RuntimeError when a move does not change the potential by exactly
+    its gain in the improving direction: the move table has gone wrong."""
     validate_state(inst, start)
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     ev = StateEvaluator(inst)
     walk = ev.walk(to_internal(start))
     start_social, start_potential = walk.social, walk.potential
-    vs, ps = ev.value_scale, ev.potential_scale
-    gains: dict[int, Fraction] = {}  # scaled gain -> its Fraction
-    steps: list[TraceStep] = []
+    # the potential changes by the gain, on the potential scale
+    rise = ev.potential_scale // ev.value_scale
+    if ev.minimizes:
+        rise = -rise
+    records: list[StepRecord] = []
     exhausted = False
     while (best := walk.best()) is not None:
-        if max_steps is not None and len(steps) >= max_steps:
+        if max_steps is not None and len(records) >= max_steps:
             exhausted = True
             break
         gain, player, target = best
+        before = walk.potential
         source = walk.move(player, target)
-        value = gains.get(gain)
-        if value is None:
-            value = gains[gain] = Fraction(gain, vs)
-        steps.append(
-            TraceStep(
-                len(steps) + 1, player + 1, source + 1, target + 1, value,
-                Fraction(walk.potential, ps), Fraction(walk.social, vs),
+        potential = walk.potential
+        if gain <= 0 or potential - before != rise * gain:
+            raise RuntimeError(
+                f"step {len(records) + 1}: the potential moved by {potential - before}"
+                f" on a move of gain {gain}, not by {rise * gain}"
             )
-        )
+        records.append((player + 1, source + 1, target + 1, gain, potential, walk.social))
     return Trace(
         start=tuple(start),
         end=to_public(walk.cur.tolist()),
-        steps=tuple(steps),
+        records=tuple(records),
         start_social=ev.as_value(start_social),
         start_potential=ev.as_potential(start_potential),
         maximizes=not ev.minimizes,
         exhausted=exhausted,
+        value_scale=ev.value_scale,
+        potential_scale=ev.potential_scale,
     )
 
 
@@ -126,6 +220,14 @@ def trace_csv(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bound_on_scale(threshold: Fraction, scale: int, at_least: bool) -> int:
+    """The int ``b`` with ``v / scale >= threshold`` iff ``v >= b`` (``at_least``),
+    or ``v / scale <= threshold`` iff ``v <= b``, for every int ``v``: the
+    threshold put on the scale once, rounded up or down."""
+    num = threshold.numerator * scale
+    return -(-num // threshold.denominator) if at_least else num // threshold.denominator
+
+
 def steps_to_quality(
     trace: Trace, target_ratio: Fraction, opt_value: Fraction
 ) -> tuple[Optional[int], bool]:
@@ -133,11 +235,12 @@ def steps_to_quality(
     ``target_ratio`` times the optimum, and whether that quality persists to
     the end of the trace.  (None, False) when the trace never gets there."""
     threshold = Fraction(target_ratio) * Fraction(opt_value)
-    values = trace.socials()
+    bound = _bound_on_scale(threshold, trace.value_scale, trace.maximizes)
+    values = trace.scaled_socials()
     if trace.maximizes:
-        met = [v >= threshold for v in values]
+        met = [v >= bound for v in values]
     else:
-        met = [v <= threshold for v in values]
+        met = [v <= bound for v in values]
     first = next((t for t, ok in enumerate(met) if ok), None)
     if first is None:
         return None, False
@@ -263,12 +366,14 @@ def check_convergence_theorems(
         starts.append(oracle.worst_social_state(inst, limits)[0])
     traces = [run_br(inst, s) for s in starts]
 
+    # every comparison below is one of scaled ints against a threshold put
+    # on the same scale; only the ratios reported are Fractions
     rows: list[VerdictReport] = []
     bad_end = sum(1 for t in traces if t.exhausted)
     rows.append(make_verdict("dyn.terminates", inst_label, 0, bad_end, "=="))
     mono_bad = 0
     for t in traces:
-        pots = t.potentials()
+        pots = t.scaled_potentials()
         ok = all(
             (b > a) if t.maximizes else (b < a) for a, b in zip(pots, pots[1:])
         )
@@ -291,12 +396,13 @@ def check_convergence_theorems(
         steps_needed = 0
         for t in traces:
             first, _ = steps_to_quality(t, tau, opt_value)
-            values = t.socials()
-            reach_ratio = max(reach_ratio, min(values) / opt_value)
+            values = t.scaled_socials()
+            vs = t.value_scale
+            reach_ratio = max(reach_ratio, Fraction(min(values), vs) / opt_value)
             if first is None:
-                persist_ratio = max(persist_ratio, max(values) / opt_value)
+                persist_ratio = max(persist_ratio, Fraction(max(values), vs) / opt_value)
             else:
-                persist_ratio = max(persist_ratio, max(values[first:]) / opt_value)
+                persist_ratio = max(persist_ratio, Fraction(max(values[first:]), vs) / opt_value)
                 steps_needed = max(steps_needed, first)
         rows.append(make_verdict("dyn.quality.reach", inst_label, tau, reach_ratio, "<="))
         rows.append(make_verdict("dyn.quality.persist", inst_label, tau, persist_ratio, "<="))
@@ -325,19 +431,21 @@ def check_convergence_theorems(
     steps2 = 0
     phi_missed = 0
     for t in traces:
-        values = t.socials()
-        best = max(values)
-        reach1 = best / opt_value if reach1 is None else min(reach1, best / opt_value)
-        met1 = next((i for i, v in enumerate(values) if v >= tau1 * opt_value), None)
+        values = t.scaled_socials()
+        vs = t.value_scale
+        best = Fraction(max(values), vs) / opt_value
+        reach1 = best if reach1 is None else min(reach1, best)
+        reach_bound = _bound_on_scale(tau1 * opt_value, vs, True)
+        met1 = next((i for i, v in enumerate(values) if v >= reach_bound), None)
         if met1 is not None:
             steps1 = max(steps1, met1)
-        pots = t.potentials()
-        t0 = next((i for i, p in enumerate(pots) if p >= phi_threshold), None)
+        phi_bound = _bound_on_scale(phi_threshold, t.potential_scale, True)
+        t0 = next((i for i, p in enumerate(t.scaled_potentials()) if p >= phi_bound), None)
         if t0 is None:
             phi_missed += 1
             continue
         steps2 = max(steps2, t0)
-        tail = min(values[t0:]) / opt_value
+        tail = Fraction(min(values[t0:]), vs) / opt_value
         persist2 = tail if persist2 is None else min(persist2, tail)
     rows.append(make_verdict("dyn.reach1", inst_label, tau1, reach1, ">="))
     rows.append(make_verdict("dyn.potential_threshold", inst_label, 0, phi_missed, "=="))

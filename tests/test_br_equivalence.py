@@ -5,7 +5,8 @@ max-gain move with one argmax, or, where exact gains would not fit int64, lets
 float gains propose and exact ints decide; ``reference_dynamics.run_br_reference``
 is the loop it replaced, which re-evaluates the whole state every step.  The
 two must return equal ``Trace`` objects, down to the types of their fields, on
-every kind, in every mode of the move table, and under every step budget.
+every kind, in every mode of the move table, and under every step budget, and
+their steps must read as equal ``TraceStep``s and ``Fraction``s.
 """
 
 import random
@@ -15,8 +16,8 @@ from math import lcm
 import numpy as np
 import pytest
 
-from conflictgames.dynamics import random_start, run_br
-from conflictgames.fastpath import StateEvaluator, to_internal
+from conflictgames.dynamics import Trace, random_start, run_br
+from conflictgames.fastpath import StateEvaluator, Walk, to_internal
 from conflictgames.games import GameKind, make_instance
 from conflictgames.instances import gen_random
 from conflictgames.oracle import pure_nash_set
@@ -33,6 +34,11 @@ def _assert_same_traces(inst, starts, max_steps=None):
         want = run_br_reference(inst, start, max_steps)
         assert got == want, (inst, start, max_steps)
         assert repr(got) == repr(want)  # same field types, not only equal values
+        got_steps, want_steps = tuple(got.steps), tuple(want.steps)
+        assert got_steps == want_steps and repr(got_steps) == repr(want_steps)
+        for read in (Trace.socials, Trace.potentials):
+            values = read(got)
+            assert values == read(want) and all(type(v) is Fraction for v in values)
 
 
 def _starts(inst, count, seed):
@@ -237,7 +243,7 @@ def test_own_cell_index_follows_every_move():
     modes = set()
     for seed, inst in enumerate(pool):
         for start in _starts(inst, 2, seed):
-            want = run_br_reference(inst, start).steps
+            want = tuple(run_br_reference(inst, start).steps)
             walk = StateEvaluator(inst).walk(to_internal(start))
             modes.add((walk.tol is not None, walk.bt.dtype.name))
             players = np.arange(inst.n)
@@ -254,3 +260,47 @@ def test_own_cell_index_follows_every_move():
                 assert walk._own.dtype == np.int64
                 assert np.array_equal(walk._own, players * inst.m + walk.cur)
     assert modes == {(False, "int64"), (True, "int64"), (True, "object"), (False, "object")}
+
+
+def test_a_stale_own_cell_index_raises_within_a_few_steps(monkeypatch):
+    # a move table that goes wrong without raising: ``move`` leaves the
+    # mover's own-cell index where it was, so later gains are misread;
+    # run_br must notice the potential not moving by the recorded gain
+    move = Walk.move
+
+    def stale_move(self, p, t):
+        own = self._own.item(p)
+        source = move(self, p, t)
+        self._own[p] = own
+        return source
+
+    monkeypatch.setattr(Walk, "move", stale_move)
+    for kind in ALL_KINDS:
+        inst = gen_random(30, 2 if kind is GameKind.MAXCUT else 4, kind, F(1, 8), seed=1)
+        start = random_start(inst, random.Random(1))
+        # the cap only keeps a missed check from hanging the test
+        with pytest.raises(RuntimeError, match=r"^step ([2-9]|10):") as err:
+            run_br(inst, start, max_steps=10_000)
+        assert "the potential moved by" in str(err.value)
+
+
+def test_a_non_improving_move_raises(monkeypatch):
+    # past the pure NE the table offers player 1's exact gain on another
+    # machine, which is <= 0: the potential moves by exactly that gain, but
+    # not in the improving direction
+    best = Walk.best
+
+    def never_done(self):
+        found = best(self)
+        if found is not None:
+            return found
+        target = (self.cur.item(0) + 1) % self._m
+        return self.gain(0, target), 0, target
+
+    monkeypatch.setattr(Walk, "best", never_done)
+    for kind in ALL_KINDS:
+        inst = gen_random(12, 2 if kind is GameKind.MAXCUT else 3, kind, F(1, 4), seed=2)
+        start = random_start(inst, random.Random(2))
+        steps = len(run_br_reference(inst, start).steps)
+        with pytest.raises(RuntimeError, match=rf"^step {steps + 1}:"):
+            run_br(inst, start, max_steps=steps + 5)

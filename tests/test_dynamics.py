@@ -10,7 +10,9 @@ import pytest
 
 from conflictgames import dynamics, oracle
 from conflictgames.dynamics import (
+    Trace,
     TraceStep,
+    TraceSteps,
     check_convergence_theorems,
     random_start,
     run_br,
@@ -124,6 +126,90 @@ class TestTraceStep:
         for name in TraceStep._fields:
             with pytest.raises(AttributeError):
                 setattr(step, name, 0)
+
+
+class TestTraceSteps:
+    @staticmethod
+    def _trace():
+        inst = gen_random(30, 4, GameKind.SWF, F(1, 8), seed=3)
+        return run_br(inst, random_start(inst, random.Random(3)))
+
+    def test_len_builds_nothing(self, monkeypatch):
+        trace = self._trace()
+        built = []
+
+        def counted(cls):
+            class Counted(cls):
+                def __new__(klass, *args, **kwargs):
+                    built.append(cls.__name__)
+                    return super().__new__(klass, *args, **kwargs)
+
+            return Counted
+
+        monkeypatch.setattr(dynamics, "TraceStep", counted(TraceStep))
+        monkeypatch.setattr(dynamics, "Fraction", counted(Fraction))
+        assert len(trace.steps) == len(trace.records) > 3
+        assert built == []
+        # the counting patch sees what a read builds
+        trace.steps[0]
+        assert sorted(set(built)) == ["Fraction", "TraceStep"]
+
+    def test_indexing_slicing_iteration(self):
+        trace = self._trace()
+        steps = tuple(trace.steps)
+        n = len(steps)
+        assert [s.index for s in steps] == list(range(1, n + 1))
+        assert list(trace.steps) == list(steps)
+        for i in range(-n, n):
+            assert trace.steps[i] == steps[i]
+        for cut in (slice(None), slice(1, 3), slice(-2, None), slice(None, None, -2),
+                    slice(5, 1), slice(-100, 100, 3)):
+            got = trace.steps[cut]
+            assert type(got) is tuple and got == steps[cut]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                trace.steps[bad]
+        with pytest.raises(TypeError):
+            trace.steps["1"]
+        assert trace.steps[np.int64(1)] == steps[1]
+        assert steps[-1] in trace.steps and trace.steps.index(steps[2]) == 2
+        assert list(reversed(trace.steps)) == list(steps[::-1])
+        assert trace.steps == steps and trace.steps == trace.steps
+        assert trace.steps != steps[:-1] and trace.steps != list(steps)
+        assert hash(trace.steps) == hash(steps)
+        assert isinstance(trace.steps, TraceSteps)
+        assert repr(trace.steps) == f"TraceSteps({steps!r})"
+
+    def test_steps_carry_the_scaled_records(self):
+        trace = self._trace()
+        vs, ps = trace.value_scale, trace.potential_scale
+        for step, record in zip(trace.steps, trace.records):
+            assert all(type(v) is int for v in record)
+            assert (step.mover, step.source, step.target) == record[:3]
+            assert (step.gain, step.potential, step.social) == (
+                F(record[3], vs), F(record[4], ps), F(record[5], vs)
+            )
+        assert trace.scaled_socials() == [v * vs for v in trace.socials()]
+        assert trace.scaled_potentials() == [p * ps for p in trace.potentials()]
+
+    def test_zero_step_trace(self):
+        trace = run_br(gen_swc_pos(3, F(1, 10)), (1, 1, 1))
+        assert trace.steps == () and len(trace.steps) == 0 and not trace.steps
+        assert list(trace.steps) == [] and trace.steps[:] == ()
+        for i in (0, -1):
+            with pytest.raises(IndexError):
+                trace.steps[i]
+        assert trace.socials() == [trace.start_social]
+        assert trace.scaled_potentials() == [trace.start_potential * trace.potential_scale]
+
+    def test_trace_frozen_and_hashable(self):
+        trace = self._trace()
+        assert hash(trace) == hash(self._trace()) and trace == self._trace()
+        assert {trace: 1}[self._trace()] == 1
+        for name in ("records", "steps", "value_scale", "start_social"):
+            with pytest.raises(AttributeError):
+                setattr(trace, name, None)
+        assert trace != Trace(**{**trace.__dict__, "exhausted": True})
 
 
 class TestTraceCsv:

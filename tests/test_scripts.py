@@ -64,18 +64,18 @@ def test_br_step_times():
         "us of set-up per run and us per BR step, n=12, edge probability 1/16, best of 1"
     )
     assert lines[1].split() == [
-        "kind", "m", "steps", "set-up", "walk", "trace", "run_br", "trace%"
+        "kind", "m", "steps", "set-up", "walk", "trace", "views", "run_br", "trace%"
     ]
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == [kind.value for kind in GameKind]
     for row in rows:
         m, steps = int(row[1]), int(row[2])
-        setup, walk, trace, total = map(float, row[3:7])
+        setup, walk, trace, views, total = map(float, row[3:8])
         assert m == (2 if row[0] == "MaxCut" else 8) and steps > 0
-        assert setup > 0 and walk > 0 and total > 0
+        assert setup > 0 and walk > 0 and views > 0 and total > 0
         # the trace is run_br minus the other two, to rounding
         assert abs(setup / steps + walk + trace - total) < 0.2
-        assert row[7].endswith("%") and abs(float(row[7][:-1]) - 100 * trace / total) < 1.5
+        assert row[8].endswith("%") and abs(float(row[8][:-1]) - 100 * trace / total) < 1.5
 
 
 def test_scan_pass_times():
