@@ -4,9 +4,10 @@ split into set-up, walk and trace recording, and what reading the trace's
 steps costs afterwards.
 
 Each kind runs ``run_br`` on ``gen_random(n, m, kind, 1/16, seed=1)`` (m = 8
-machines, 2 for the cut game) from one seeded random start.  Three parts of
-``run_br`` are timed apart, and the read after it, each the best of
-``--repeats`` runs:
+machines, 2 for the cut game) from one seeded random start.  Each of
+``--repeats`` repeats times the whole ``run_br``, two of its parts apart,
+and the read after it; every column comes from the repeat with the fastest
+``run_br``, so the parts add up to one run:
 
 * set-up: a fresh ``StateEvaluator`` and its move table (the ``Walk`` at the
   start);
@@ -56,6 +57,8 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=120)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
+    if args.n < 1 or args.repeats < 1:
+        parser.error(f"need n, repeats >= 1, got {args.n}, {args.repeats}")
 
     print(
         f"us of set-up per run and us per BR step, n={args.n}, edge probability 1/16,"
@@ -67,18 +70,18 @@ def main() -> int:
         m = 2 if kind is GameKind.MAXCUT else 8
         inst = gen_random(args.n, m, kind, Fraction(1, 16), seed=1)
         start = random_start(inst, random.Random(1))
-        total = setup = walk = views = float("inf")
+        runs = []
         for _ in range(args.repeats):
             t0 = time.perf_counter()
             trace = run_br(inst, start)
             t1 = time.perf_counter()
             StateEvaluator(inst).walk(to_internal(start))
-            setup = min(setup, time.perf_counter() - t1)
-            total = min(total, t1 - t0)
-            walk = min(walk, _walk(inst, start))
-            t0 = time.perf_counter()
+            t2 = time.perf_counter()
+            walk = _walk(inst, start)
+            t3 = time.perf_counter()
             tuple(trace.steps)
-            views = min(views, time.perf_counter() - t0)
+            runs.append((t1 - t0, t2 - t1, walk, time.perf_counter() - t3))
+        total, setup, walk, views = min(runs)
         steps = max(len(trace.steps), 1)
         record = total - setup - walk
         print(

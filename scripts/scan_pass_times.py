@@ -110,6 +110,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error(f"need repeats >= 1, got {args.repeats}")
 
     jobs = workloads.generate(workloads.WORKLOADS["scan"], args.seed, 1)
     best = {name: [float("inf"), float("inf")] for name, _ in PASSES}

@@ -39,7 +39,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -175,9 +175,7 @@ def run_br(inst: Instance, start: State, max_steps: Optional[int] = None) -> Tra
     walk = ev.walk(to_internal(start))
     start_social, start_potential = walk.social, walk.potential
     # the potential changes by the gain, on the potential scale
-    rise = ev.potential_scale // ev.value_scale
-    if ev.minimizes:
-        rise = -rise
+    rise = -ev.pot_per_value if ev.minimizes else ev.pot_per_value
     records: list[StepRecord] = []
     exhausted = False
     while (best := walk.best()) is not None:
@@ -250,8 +248,9 @@ def steps_to_quality(
 @dataclass(frozen=True)
 class SandwichResult:
     """Tightest constants with value <= a * potential and potential <= b * value
-    over the scanned states; states with zero potential (possible only for
-    zero-value sharing/cut states, where the value is zero too) are skipped."""
+    over every state but the ``skipped`` ones, whose potential is zero
+    (possible only for zero-value sharing/cut states, where the value is zero
+    too)."""
 
     a: Optional[Fraction]
     b: Optional[Fraction]
@@ -282,31 +281,17 @@ def _max_ratio(num, den):
     raise RuntimeError(f"no maximum ratio after {len(num)} rounds: inexact comparison")
 
 
-def sandwich_constants(
-    inst: Instance,
-    states: Optional[Iterable[State]] = None,
-    limits: OracleLimits = DEFAULT_LIMITS,
-) -> SandwichResult:
-    if states is None:
-        ev, orbits, (u, phi) = oracle.state_columns(
-            inst, limits, lambda vals, cur, social, phi: (social, phi), orbits=True
-        )
-        sizes = orbits.sizes()
-    else:
-        states = list(states)
-        if not states:
-            raise ValueError("sandwich_constants needs at least one state")
-        for state in states:
-            validate_state(inst, state)
-        ev = StateEvaluator(inst)
-        grid = np.array([to_internal(s) for s in states], dtype=np.int64)
-        _, _, u, phi = ev.table(grid)
-        sizes = np.ones(len(u), dtype=np.int64)
+def sandwich_constants(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> SandwichResult:
+    """The :class:`SandwichResult` of ``inst``, over the social value and
+    potential columns of its state table, one column per orbit."""
+    ev, orbits, (u, phi) = oracle.state_columns(
+        inst, limits, lambda vals, cur, social, phi: (social, phi), orbits=True
+    )
     vs, ps = ev.value_scale, ev.potential_scale
     # max social/potential over phi != 0, and max potential/social over
     # phi != 0 and social != 0, as (num, den) pairs
     live = phi != 0
-    skipped = int(sizes[~live].sum())
+    skipped = int(orbits.sizes()[~live].sum())
     best_a = _max_ratio(u[live], phi[live])
     live &= u != 0
     best_b = _max_ratio(phi[live], u[live])

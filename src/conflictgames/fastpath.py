@@ -121,8 +121,8 @@ Every enumeration pass reads the state table:
   built at ``dtype()``.  A pass whose slack combination multiplies it by a
   ``factor`` that needs ``object`` reads it through ``astype(object)``:
   :func:`conflictgames.oracle.state_columns` is the one place that widens a
-  pass's table, and the single-state LHS, which reads no pass's table, widens
-  its one-row table the same way.  Both dtypes hold the same exact values.
+  table, and the only source of tables in the package.  Both dtypes hold the
+  same exact values.
 
 Equivalence of all three ways with the public Fraction evaluation in
 :mod:`conflictgames.games` is enforced exhaustively by the test suite.
@@ -211,6 +211,8 @@ class StateEvaluator:
             self.pot = self.mach
             unit = 1
             groups = [(conf, -1)]
+        # 2 for the cost kinds, 1 for the others
+        self.pot_per_value = self.potential_scale // self.value_scale
 
         # every branch lists its positive weights before its negative ones;
         # the first ``split`` edges are the positive ones
@@ -286,7 +288,7 @@ class StateEvaluator:
 
     def potential(self, state) -> int:
         machines = sum(row[x] for row, x in zip(self.pot, self.loads(state)))
-        return machines + self.potential_scale // self.value_scale * self._edge_term(state)
+        return machines + self.pot_per_value * self._edge_term(state)
 
     # -- per-state deviation tables ------------------------------------------
 
@@ -329,9 +331,9 @@ class StateEvaluator:
         value = self._mach_max + self.unit * max(map(add, self._sep.tolist(), touching))
         # the edges at all players count every edge twice, w_sep of them
         # negative
-        potential = sum(row[-1] for row in self.pot) + (
-            self.potential_scale // self.value_scale
-        ) * (self.w_sep + self.unit * (sum(touching) // 2))
+        potential = sum(row[-1] for row in self.pot) + self.pot_per_value * (
+            self.w_sep + self.unit * (sum(touching) // 2)
+        )
         return max(self.n * self.m * value, potential)
 
     def dtype(self, factor: int = 1):
@@ -410,7 +412,7 @@ class StateEvaluator:
         social = cur.sum(0)
         # social is the machine terms plus 2 * (w_sep + co-located weight)
         edges = (social - (loads * here).sum(0)) // 2
-        phi = pot.take(at).sum(0) + self.potential_scale // self.value_scale * edges
+        phi = pot.take(at).sum(0) + self.pot_per_value * edges
         return vals, cur, social, phi
 
     @cached_property
@@ -464,7 +466,6 @@ class Walk:
         self.unit, self.tol, dtype = ev._move_mode
         (ea, eb), weights, self._adj, base = ev._edge_arrays(dtype, self.unit)
         self._m = m = ev.m
-        self._pot_per_value = ev.potential_scale // ev.value_scale
         self.cur = cur = np.array(state, dtype=np.int64)
         self._own = np.arange(ev.n) * m + cur
         self.loads = np.bincount(cur, minlength=m).tolist()
@@ -482,7 +483,7 @@ class Walk:
         loads = self.loads
         self.social = sum(x * row[x] for row, x in zip(ev.mach, loads)) + edges
         self.potential = sum(row[x] for row, x in zip(ev.pot, loads)) + (
-            self._pot_per_value * edges // 2
+            ev.pot_per_value * edges // 2
         )
 
     def _set_terms(self, k: int) -> None:
@@ -537,9 +538,7 @@ class Walk:
         self.social += (
             (xs - 1) * ms[xs - 1] - xs * ms[xs] + (xt + 1) * mt[xt + 1] - xt * mt[xt] + 2 * edges
         )
-        self.potential += (
-            ps[xs - 1] - ps[xs] + pt[xt + 1] - pt[xt] + self._pot_per_value * edges
-        )
+        self.potential += ps[xs - 1] - ps[xs] + pt[xt + 1] - pt[xt] + ev.pot_per_value * edges
         loads[s] -= 1
         loads[t] += 1
         column = self._adj[:, p]

@@ -305,21 +305,26 @@ def harmonic(j: int) -> Fraction:
 # state checks
 
 
+def _is_id(k, top: int) -> bool:
+    """Whether ``k`` is an int in 1..top; a bool is none."""
+    return isinstance(k, int) and not isinstance(k, bool) and 1 <= k <= top
+
+
 def validate_state(inst: Instance, state: State) -> None:
     if len(state) != inst.n:
         raise ValueError(f"state length {len(state)} != n = {inst.n}")
     for i, k in enumerate(state, start=1):
-        if not (isinstance(k, int) and 1 <= k <= inst.m):
+        if not _is_id(k, inst.m):
             raise ValueError(f"state[{i}] = {k!r} not a machine id in 1..{inst.m}")
 
 
 def _check_player(inst: Instance, i: int) -> None:
-    if not (isinstance(i, int) and 1 <= i <= inst.n):
+    if not _is_id(i, inst.n):
         raise ValueError(f"player id {i!r} out of range 1..{inst.n}")
 
 
 def _check_machine(inst: Instance, k: int) -> None:
-    if not (isinstance(k, int) and 1 <= k <= inst.m):
+    if not _is_id(k, inst.m):
         raise ValueError(f"machine id {k!r} out of range 1..{inst.m}")
 
 

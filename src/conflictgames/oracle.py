@@ -42,7 +42,9 @@ every state, and keeps guarding m^n.
 Expectations under a product profile read the evaluator's machine terms,
 bases and signed edges with no kind branch: the machine term is averaged over
 the exact distribution of the co-located count, and each signed edge is
-weighted by its neighbour's probability.
+weighted by its neighbour's probability.  The semi-smoothness LHS at one
+state reads the same terms under the point mass of that state, so every
+state table of the package is built in :func:`_whole`.
 
 One table per instance: :func:`state_columns` keeps the table of the last
 instance it was asked for (one entry, keyed by instance equality and by its

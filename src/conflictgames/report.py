@@ -308,19 +308,21 @@ def _random_pool(kind: GameKind, trials: int, seed: int, max_n: int, max_m: int)
     return pool
 
 
+_CCE_STATE_CAP = 32
+
+
 def reproduce_bound_table(
     max_n: int = 6,
     max_m: int = 3,
     trials: int = 20,
     seed: int = 0,
     limits: OracleLimits = DEFAULT_LIMITS,
-    cce_state_cap: int = 32,
 ) -> list[VerdictReport]:
     """Per kind: certify semi-smoothness with the certificate parameters on a
     seeded random pool, compare worst-CCE ratios against the implied bound on
-    instances with at most ``cce_state_cap`` states (the exact LP grows fast),
-    and pin the tight examples.  Raises ValueError unless ``trials >= 1`` and
-    ``2 <= max_m <= max_n``."""
+    instances with at most ``_CCE_STATE_CAP`` states (the exact LP grows
+    fast), and pin the tight examples.  Raises ValueError unless
+    ``trials >= 1`` and ``2 <= max_m <= max_n``."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if not 2 <= max_m <= max_n:
@@ -340,7 +342,7 @@ def reproduce_bound_table(
                 ss_failures += 1
             if not smoothness.check_opt_lower_bounds(inst, limits).holds:
                 lb_failures += 1
-            if oracle.state_count(inst) <= cce_state_cap:
+            if oracle.state_count(inst) <= _CCE_STATE_CAP:
                 cce = oracle.worst_cce_value(inst, limits)
                 _, opt_value = oracle.optimum(inst, limits)
                 if kind.minimizes:

@@ -3,9 +3,9 @@ price-of-total-anarchy parameters, and the optimum lower-bound inequalities.
 
 All verdicts are exact: the per-state inequalities are array reductions over
 the evaluator's state table in scaled integers, never floats.  The
-semi-smoothness LHS at one state is the same reduction over a one-row table,
-and the best ratio for a pure deviation state is the exact value of a
-two-row LP over the table's sigma-row sums and social values.
+semi-smoothness LHS at one state sums the exact expectation terms of the
+mixed profiles instead, and the best ratio for a pure deviation state is the
+exact value of a two-row LP over the table's sigma-row sums and social values.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from .games import (
     MixedProfile,
     State,
     canonical_deviation_profile,
+    point_mass_profile,
     validate_profile,
     validate_state,
 )
-from .oracle import DEFAULT_LIMITS, OracleLimits, state_columns
+from .oracle import DEFAULT_LIMITS, OracleLimits, _expected_value, state_columns
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,18 @@ class SmoothnessVerdict:
 def semi_smooth_lhs(inst: Instance, state: State, profile: MixedProfile) -> Fraction:
     """Sum over players of the expected value of redrawing only your own
     machine from the profile, everyone else pinned at ``state``: the LHS of
-    :func:`check_semi_smooth`, reduced over the one-row table of ``state``."""
-    validate_state(inst, state)
+    :func:`check_semi_smooth`, from the exact expectation terms under the
+    point mass of ``state`` (player ``i``'s terms ignore row ``i``)."""
+    pinned = point_mass_profile(inst, state)
     validate_profile(inst, profile)
     ev = StateEvaluator(inst)
-    t, weights = deviation_weights(profile)
-    vals = ev.table(np.array([to_internal(state)]))[0]
-    if ev.dtype(t) is not ev.dtype():  # as state_columns widens a pass's table
-        vals = vals.astype(object)
-    return Fraction(int(_weighted_sum(vals, weights)[0]), t * ev.value_scale)
+    # every row of the profile sums to 1, so the sum has a Fraction term
+    return sum(
+        q * _expected_value(ev, pinned, i, k)
+        for i, row in enumerate(profile)
+        for k, q in enumerate(row)
+        if q != 0
+    )
 
 
 def _worst_slack(inst, params, limits, t: int, lhs_of, orbits: bool) -> SmoothnessVerdict:

@@ -270,21 +270,6 @@ class TestSandwich:
         r = sandwich_constants(inst)
         assert r.a is None and r.skipped == 4
 
-    def test_explicit_state_list(self):
-        inst = gen_bwc_multipartite(2)
-        r = sandwich_constants(inst, states=[(1, 1, 2, 2), (1, 2, 1, 2)])
-        assert (r.a, r.b) == (2, F(1, 2))
-
-    def test_explicit_states_are_validated(self):
-        # an out-of-range machine would shift the next state's loads inside
-        # the table build and report a = 44/21 where a cost kind has a = 2
-        inst = gen_random(4, 3, GameKind.BWC, F(1, 2), seed=1)
-        assert sandwich_constants(inst, states=[(3, 1, 1, 1), (2, 2, 2, 2)]).a == 2
-        for bad in ([(4, 1, 1, 1), (2, 2, 2, 2)], [(3, 1, 1)], [(1, 1, 1, 1, 1)],
-                    [(0, 1, 1, 1)], [(1.0, 1, 1, 1)]):
-            with pytest.raises(ValueError):
-                sandwich_constants(inst, states=bad)
-
     def test_max_ratio_on_int64_matches_object(self):
         # the ratios sandwich_constants takes, on the kept table of every
         # kind: where the int64 products are provably exact they must give

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conflictgames import games
+from conflictgames.dynamics import run_br
 from conflictgames.games import (
     GameKind,
     InvalidInstanceError,
@@ -204,6 +205,28 @@ class TestEntryPointChecks:
             # ids are checked before the state
             (lambda: deviation_gain(inst, (1,), 1, 3), "machine id 3 out of range 1..2"),
             (lambda: best_response(inst, (1,), 4), "player id 4 out of range 1..3"),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind", list(GameKind), ids=lambda k: k.value)
+    def test_bools_are_not_ids(self, kind):
+        # True == 1 and False == 0, yet neither names a player or a machine
+        inst = make_instance(kind, 3, 2, machine_values=(1, 2) if kind.sharing else None)
+        state = (1, 2, 1)
+        for call, message in (
+            (lambda: player_value(inst, state, True), "player id True out of range 1..3"),
+            (lambda: player_value(inst, (True, 2, 1), 1),
+             "state[1] = True not a machine id in 1..2"),
+            (lambda: deviation_gain(inst, state, True, 2), "player id True out of range 1..3"),
+            (lambda: deviation_gain(inst, state, 1, True), "machine id True out of range 1..2"),
+            (lambda: deviation_gain(inst, (1, 2, False), 1, 2),
+             "state[3] = False not a machine id in 1..2"),
+            (lambda: best_response(inst, state, True), "player id True out of range 1..3"),
+            (lambda: best_response(inst, (1, True, 1), 1),
+             "state[2] = True not a machine id in 1..2"),
+            (lambda: run_br(inst, (True, True, True)), "state[1] = True not a machine id in 1..2"),
         ):
             with pytest.raises(ValueError) as err:
                 call()

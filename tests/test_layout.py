@@ -6,10 +6,10 @@ game; every other module reads the kind-free tables of
 :class:`conflictgames.fastpath.StateEvaluator`, so each formula is written
 once as Fraction arithmetic and once as scaled integers.  The passes read
 whole per-state columns from :func:`conflictgames.oracle.state_columns`, the
-one place that iterates over the blocks.  The digits of every column, a state
-or the restricted growth string of an orbit, come from
-:func:`conflictgames.fastpath.orbit_columns`, the one place that enumerates
-the states.
+one place that iterates over the blocks and the only source of state tables.
+The digits of every column, a state or the restricted growth string of an
+orbit, come from :func:`conflictgames.fastpath.orbit_columns`, the one place
+that enumerates the states.
 """
 
 import pathlib
@@ -43,3 +43,10 @@ def test_only_fastpath_enumerates_or_decodes_states():
     # every column, a state or an orbit string, is decoded from the digits
     # of fastpath.orbit_columns: a second decoder fails here
     assert _naming(r"\bnp\.indices\b|\blex_states\b") == ["fastpath.py"]
+
+
+def test_only_oracle_builds_state_tables():
+    # every table comes from oracle._whole, behind state_columns, which also
+    # widens a pass's table to object when the pass's factor needs that
+    assert _naming(r"\.table\(") == ["oracle.py"]
+    assert "smoothness.py" not in _naming(r"astype\(object\)")

@@ -78,6 +78,12 @@ def test_br_step_times():
         assert row[8].endswith("%") and abs(float(row[8][:-1]) - 100 * trace / total) < 1.5
 
 
+def test_br_step_times_checks_its_counts():
+    for args, got in ((("--repeats", "0"), "120, 0"), (("--n", "0"), "0, 3")):
+        lines = _run("br_step_times.py", *args, code=2)
+        assert lines[-1].endswith(f"error: need n, repeats >= 1, got {got}")
+
+
 def test_scan_pass_times():
     lines = _run("scan_pass_times.py", "--repeats", "1")
     assert lines[0] == "ms per scan pass, one cycle of 12 instances (seed 1), best of 1"
@@ -168,6 +174,11 @@ def test_gen_times():
     for row in rows:
         n = int(row[1])
         assert int(row[3]) == n * (n - 1) // 2 and float(row[4]) > 0
+
+
+def test_scan_pass_times_checks_its_counts():
+    lines = _run("scan_pass_times.py", "--repeats", "0", code=2)
+    assert lines[-1].endswith("error: need repeats >= 1, got 0")
 
 
 def test_gen_times_checks_its_counts():

@@ -278,7 +278,7 @@ def test_state_cap_bounds_the_strings_a_pass_reads():
     assert smoothness.check_semi_smooth(cost, params, limits=cap).holds
     assert smoothness.check_nice(cost, params, cap).holds
     assert smoothness.check_opt_lower_bounds(cost, cap).holds
-    assert dynamics.sandwich_constants(cost, None, cap).skipped == 0
+    assert dynamics.sandwich_constants(cost, cap).skipped == 0
     full_table = {
         "strong_nash_set": lambda lim: oracle.strong_nash_set(cost, lim),
         "skewed semi-smoothness": lambda lim: smoothness.check_semi_smooth(
@@ -375,7 +375,7 @@ def _capped_passes():
         "check_semi_smooth": lambda lim: smoothness.check_semi_smooth(cost, params, limits=lim),
         "check_nice": lambda lim: smoothness.check_nice(cost, params, lim),
         "check_opt_lower_bounds": lambda lim: smoothness.check_opt_lower_bounds(cost, lim),
-        "sandwich_constants": lambda lim: dynamics.sandwich_constants(cost, None, lim),
+        "sandwich_constants": lambda lim: dynamics.sandwich_constants(cost, lim),
         "max_rho_pure_sigma": lambda lim: smoothness.max_rho_pure_sigma(
             payoff, (1,) * payoff.n, lim
         ),
@@ -411,7 +411,6 @@ def test_table_passes_use_no_pointwise_evaluation(monkeypatch):
     assert smoothness.check_nice(inst, params).holds
     assert smoothness.check_opt_lower_bounds(inst).holds
     assert dynamics.sandwich_constants(inst).a is not None
-    assert dynamics.sandwich_constants(inst, states=[(1, 2, 3, 1)]).a is not None
     assert oracle.worst_cce_value(inst).distribution
     assert smoothness.max_rho_pure_sigma(swc, (1, 2, 1, 2)) >= 0
     profile = uniform_profile(inst)
