@@ -4,10 +4,11 @@ split into set-up, walk and trace recording, and what reading the trace's
 steps costs afterwards.
 
 Each kind runs ``run_br`` on ``gen_random(n, m, kind, 1/16, seed=1)`` (m = 8
-machines, 2 for the cut game) from one seeded random start.  Each of
-``--repeats`` repeats times the whole ``run_br``, two of its parts apart,
-and the read after it; every column comes from the repeat with the fastest
-``run_br``, so the parts add up to one run:
+machines, 2 for the cut game) from one seeded random start.  One untimed
+``run_br`` per kind warms up first, so first-call costs fall in no column
+even at ``--repeats 1``.  Each of ``--repeats`` repeats then times the whole
+``run_br``, two of its parts apart, and the read after it; every column comes
+from the repeat with the fastest ``run_br``, so the parts add up to one run:
 
 * set-up: a fresh ``StateEvaluator`` and its move table (the ``Walk`` at the
   start);
@@ -70,6 +71,7 @@ def main() -> int:
         m = 2 if kind is GameKind.MAXCUT else 8
         inst = gen_random(args.n, m, kind, Fraction(1, 16), seed=1)
         start = random_start(inst, random.Random(1))
+        run_br(inst, start)  # untimed warm-up: first-call costs are no repeat's
         runs = []
         for _ in range(args.repeats):
             t0 = time.perf_counter()

@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: gen, eval, enumerate, dynamics, smoothness, cce, reproduce.
-Every subcommand reads an instance from --instance or builds one from
---generator flags (exactly one of the two).  Output goes to --out or stdout
-and is byte-identical for identical (argv, instance file, seed).
+gen writes the instance --generator builds; the others but reproduce read
+one from --instance or build one (exactly one of the two).  Generators are
+called through ``instances.GENERATORS``, each parameter from the flag of the
+same name; a parameter flag the generator does not take, or one given with
+--instance, is a usage error.  Output goes to --out or stdout and is
+byte-identical for identical (argv, instance file, seed).
 
 Exit codes: 0 success, 1 failed verdicts in reproduce mode, 2 usage or
 input/cap errors.
@@ -12,6 +15,7 @@ input/cap errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -25,20 +29,7 @@ from .games import (
     potential,
     social_value,
 )
-from .instances import (
-    GENERATOR_NAMES,
-    InstanceFormatError,
-    gen_bwc_multipartite,
-    gen_bwcf_lower,
-    gen_bwf_cliques,
-    gen_maxcut_edge,
-    gen_path4,
-    gen_random,
-    gen_swc_pos,
-    gen_swf_nostrong,
-    load_instance,
-    write_instance,
-)
+from .instances import GENERATORS, InstanceFormatError, load_instance, write_instance
 from .oracle import OracleLimits, StateSpaceExceeded
 from .verdicts import frac_str
 
@@ -54,70 +45,65 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser, with_seed: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, formats: bool = True, limits: bool = True) -> None:
     p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--max-states", type=int, default=None,
-                   help="cap on the states, or orbits of states, one pass reads "
-                        "(also applied to the CCE LP)")
-    if with_seed:
-        p.add_argument("--seed", type=int, default=0)
+    if formats:
+        p.add_argument("--format", choices=("text", "csv"), default="text")
+    if limits:
+        p.add_argument("--max-states", type=int, default=None,
+                       help="cap on the states, or orbits of states, one pass reads "
+                            "(also applied to the CCE LP)")
+    p.add_argument("--seed", type=int, default=0)
 
 
-def _add_instance_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--instance", help="instance document path")
-    p.add_argument("--generator", choices=GENERATOR_NAMES, help="build instead of reading")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--kind", choices=[k.value for k in GameKind])
-    p.add_argument("--alpha", type=_fraction)
-    p.add_argument("--beta", type=_fraction)
-    p.add_argument("--gamma", type=_fraction)
-    p.add_argument("--eps", type=_fraction)
-    p.add_argument("--edge-prob", type=_fraction)
-    p.add_argument("--weighted", action="store_true")
+def _add_instance_source(p: argparse.ArgumentParser, from_file: bool = True) -> None:
+    if from_file:
+        p.add_argument("--instance", help="instance document path")
+    p.add_argument("--generator", choices=sorted(GENERATORS), help="build instead of reading")
+    g = p.add_argument_group(
+        "generator parameters", "a generator reads only its own; any other given is an error"
+    )
+    g.add_argument("--n", type=int)
+    g.add_argument("--m", type=int)
+    g.add_argument("--kind", choices=[k.value for k in GameKind])
+    g.add_argument("--alpha", type=_fraction)
+    g.add_argument("--beta", type=_fraction)
+    g.add_argument("--gamma", type=_fraction)
+    g.add_argument("--eps", type=_fraction)
+    g.add_argument("--edge-prob", type=_fraction)
+    g.add_argument("--weighted", action="store_true", default=None)
+    p.set_defaults(generator_flags={a.dest: a.option_strings[0] for a in g._group_actions})
+
+
+def _given_flags(args) -> dict[str, str]:
+    """The generator parameter flags given on the command line, by dest."""
+    return {
+        dest: flag for dest, flag in args.generator_flags.items()
+        if getattr(args, dest) is not None
+    }
 
 
 def _build_generated(args) -> Instance:
     name = args.generator
-
-    def need(flag, value):
-        if value is None:
-            raise UsageError(f"generator {name!r} needs {flag}")
-        return value
-
-    if name == "bwc-multipartite":
-        return gen_bwc_multipartite(need("--m", args.m))
-    if name == "bwf-cliques":
-        return gen_bwf_cliques(need("--m", args.m))
-    if name == "bwcf-lower":
-        return gen_bwcf_lower(
-            need("--m", args.m), need("--alpha", args.alpha),
-            need("--beta", args.beta), need("--gamma", args.gamma),
-        )
-    if name == "path4":
-        return gen_path4()
-    if name == "swc-pos":
-        return gen_swc_pos(need("--m", args.m), need("--eps", args.eps))
-    if name == "swf-nostrong":
-        return gen_swf_nostrong(need("--eps", args.eps))
-    if name == "maxcut-edge":
-        return gen_maxcut_edge()
-    if name == "random":
-        kind = GameKind(need("--kind", args.kind))
-        return gen_random(
-            need("--n", args.n), need("--m", args.m), kind,
-            need("--edge-prob", args.edge_prob), getattr(args, "seed", 0) or 0,
-            alpha=args.alpha, beta=args.beta, gamma=args.gamma,
-            weighted=args.weighted,
-        )
-    raise UsageError(f"unknown generator {name!r}")
+    params = inspect.signature(GENERATORS[name]).parameters
+    stray = [flag for dest, flag in _given_flags(args).items() if dest not in params]
+    if stray:
+        raise UsageError(f"generator {name!r} takes no {', '.join(stray)}")
+    given = {dest: getattr(args, dest) for dest in params if getattr(args, dest) is not None}
+    for dest, param in params.items():
+        if dest not in given and param.default is param.empty:
+            raise UsageError(f"generator {name!r} needs {args.generator_flags[dest]}")
+    if "kind" in given:
+        given["kind"] = GameKind(given["kind"])
+    return GENERATORS[name](**given)
 
 
 def _resolve_instance(args) -> Instance:
     if args.instance and args.generator:
         raise UsageError("give either --instance or --generator, not both")
     if args.instance:
+        if given := _given_flags(args):
+            raise UsageError(f"--instance takes no {', '.join(given.values())}")
         return load_instance(args.instance)
     if args.generator:
         return _build_generated(args)
@@ -327,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("gen", help="write an instance document")
-    _add_instance_source(p)
-    _add_common(p)
+    _add_instance_source(p, from_file=False)
+    _add_common(p, formats=False, limits=False)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("eval", help="player values, social value, potential of one state")
     _add_instance_source(p)
     p.add_argument("--state", required=True, help="comma-separated machine ids")
-    _add_common(p)
+    _add_common(p, limits=False)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("enumerate", help="optimum, Nash sets, and quality ratios")

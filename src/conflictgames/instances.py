@@ -212,7 +212,10 @@ def gen_random(
     )
 
 
-_GENERATORS = {
+# The command line's ``--generator`` names.  The command line calls each
+# function through this registry, and each parameter is set by the flag of the
+# same name (``edge_prob`` by ``--edge-prob``).
+GENERATORS = {
     "bwc-multipartite": gen_bwc_multipartite,
     "bwf-cliques": gen_bwf_cliques,
     "bwcf-lower": gen_bwcf_lower,
@@ -222,8 +225,6 @@ _GENERATORS = {
     "maxcut-edge": gen_maxcut_edge,
     "random": gen_random,
 }
-
-GENERATOR_NAMES = tuple(sorted(_GENERATORS))
 
 
 # ---------------------------------------------------------------------------

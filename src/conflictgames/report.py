@@ -161,7 +161,11 @@ def _all_graph_instances(n: int):
         yield make_instance(GameKind.BWC, n, 2, conflict_edges=edges)
 
 
-def _strong_sweep_rows(limits: OracleLimits, per_n: int = 3) -> list[VerdictReport]:
+# random instances per n in the two-machine strong-equilibrium sweep
+_STRONG_SWEEP_PER_N = 3
+
+
+def _strong_sweep_rows(limits: OracleLimits) -> list[VerdictReport]:
     rows = []
     # n <= 3: the worst strong equilibrium is optimal, over every conflict graph
     for n in (2, 3):
@@ -179,14 +183,14 @@ def _strong_sweep_rows(limits: OracleLimits, per_n: int = 3) -> list[VerdictRepo
         bound = Fraction(4, 3) + Fraction(2, 3 * n)
         worst_ratio = Fraction(0)
         opt_missing = 0
-        for seed in range(per_n):
+        for seed in range(_STRONG_SWEEP_PER_N):
             inst = gen_random(n, 2, GameKind.BWC, Fraction(1, 2), seed=100 * n + seed)
             rep = oracle.equilibrium_report(inst, limits)
             if rep.optimum not in rep.strong_ne:
                 opt_missing += 1
             if rep.strong_poa is not None:
                 worst_ratio = max(worst_ratio, rep.strong_poa)
-        label = f"random BwC m=2 n={n} x{per_n}"
+        label = f"random BwC m=2 n={n} x{_STRONG_SWEEP_PER_N}"
         rows.append(make_verdict(f"bwc.strong.n{n}.opt_is_strong", label, 0, opt_missing, "=="))
         rows.append(make_verdict(f"bwc.strong.n{n}.poa_bound", label, bound, worst_ratio, "<="))
     return rows
@@ -310,6 +314,13 @@ def _random_pool(kind: GameKind, trials: int, seed: int, max_n: int, max_m: int)
 
 _CCE_STATE_CAP = 32
 
+# named-battery rows that pin a table row's bound, and their ids in the table
+_TIGHT = {
+    "bwc.multipartite.m2.cce_ratio": "table.bwc.tight",
+    "bwf.cliques.m2.pure_poa": "table.bwf.tight",
+    "bwcf.lower.m2.mixed_ratio_tight": "table.bwcf.lower.m2.mixed_ratio_tight",
+}
+
 
 def reproduce_bound_table(
     max_n: int = 6,
@@ -345,10 +356,7 @@ def reproduce_bound_table(
             if oracle.state_count(inst) <= _CCE_STATE_CAP:
                 cce = oracle.worst_cce_value(inst, limits)
                 _, opt_value = oracle.optimum(inst, limits)
-                if kind.minimizes:
-                    ratio = cce.value / opt_value
-                else:
-                    ratio = opt_value / cce.value if cce.value else None
+                ratio = oracle._ratio(kind, opt_value, cce.value)
                 slack = None if ratio is None else pota - ratio
                 if slack is not None and (cce_slack_min is None or slack < cce_slack_min):
                     cce_slack_min = slack
@@ -359,25 +367,8 @@ def reproduce_bound_table(
         if cce_slack_min is not None:
             rows.append(make_verdict(f"table.{tag}.cce_within_bound", label, 0, cce_slack_min, ">="))
 
-    # tight witnesses per table row
-    k22 = gen_bwc_multipartite(2)
-    _, pota = smoothness.certificate_params(GameKind.BWC, k22.n, k22.m)
-    cce = oracle.worst_cce_value(k22, limits)
-    _, opt_value = oracle.optimum(k22, limits)
-    rows.append(
-        make_verdict(
-            "table.bwc.tight", "bwc-multipartite(m=2)", pota, cce.value / opt_value, "=="
-        )
-    )
-    cliques = gen_bwf_cliques(2)
-    rep = oracle.equilibrium_report(cliques, limits, with_strong=False)
-    rows.append(
-        make_verdict("table.bwf.tight", "bwf-cliques(m=2)", 2 - Fraction(1, 2), rep.poa, "==")
-    )
-    rows += [
-        replace(r, claim_id=f"table.{r.claim_id}")
-        for r in _bwcf_rows(limits)
-        if r.claim_id == "bwcf.lower.m2.mixed_ratio_tight"
-    ]
+    # the tight witnesses: rows of the named battery, under the table's ids
+    named = _multipartite_rows(2, limits) + _bwf_rows(limits) + _bwcf_rows(limits)
+    rows += [replace(r, claim_id=_TIGHT[r.claim_id]) for r in named if r.claim_id in _TIGHT]
     rows += [replace(r, claim_id=f"table.{r.claim_id}") for r in _swc_pos_rows(limits)]
     return rows

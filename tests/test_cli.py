@@ -1,11 +1,15 @@
 """End-to-end CLI behaviour: exit codes, formats, and determinism."""
 
+import inspect
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from conflictgames.cli import main
+from conflictgames.cli import build_parser, main
+from conflictgames.games import GameKind
+from conflictgames.instances import GENERATORS, write_instance
 
 
 def run_cli(*argv):
@@ -22,15 +26,31 @@ class TestUsage:
         assert "usage" in err.lower()
 
     def test_unknown_flag_exits_two(self):
-        with pytest.raises(SystemExit) as err:
-            run_cli("enumerate", "--bogus")
-        assert err.value.code == 2
+        for argv in (
+            ("enumerate", "--bogus"),
+            # gen builds an instance and writes it: it reads no file, no
+            # format and no cap; eval reads no cap
+            ("gen", "--instance", "x.game", "--generator", "path4"),
+            ("gen", "--generator", "path4", "--format", "csv"),
+            ("gen", "--generator", "path4", "--max-states", "9"),
+            ("eval", "--generator", "path4", "--state", "1,2,1,2", "--max-states", "9"),
+        ):
+            with pytest.raises(SystemExit) as err:
+                run_cli(*argv)
+            assert err.value.code == 2
 
     def test_instance_and_generator_conflict(self):
         code, _, err = run_cli(
             "enumerate", "--instance", "x.game", "--generator", "path4"
         )
         assert code == 2 and "either" in err
+        # a generator parameter given with --instance would be read by nothing
+        for argv, flags in (
+            (("enumerate", "--m", "3"), "--m"),
+            (("eval", "--state", "1,2,1,2", "--weighted", "--eps", "1"), "--eps, --weighted"),
+        ):
+            code, out, err = run_cli(argv[0], "--instance", "x.game", *argv[1:])
+            assert (code, out, err) == (2, "", f"error: --instance takes no {flags}\n")
 
     def test_missing_instance(self):
         code, _, err = run_cli("enumerate")
@@ -39,6 +59,91 @@ class TestUsage:
     def test_unreadable_file(self):
         code, _, err = run_cli("enumerate", "--instance", "/nonexistent/x.game")
         assert code == 2
+
+
+# a value for every generator parameter: the flag's text (None for a switch)
+# and what the generator function gets
+PARAM_VALUES = {
+    "n": ("5", 5),
+    "m": ("2", 2),
+    "kind": ("BwCF", GameKind.BWCF),
+    "alpha": ("3/2", Fraction(3, 2)),
+    "beta": ("2", Fraction(2)),
+    "gamma": ("1/2", Fraction(1, 2)),
+    "eps": ("1/10", Fraction(1, 10)),
+    "edge_prob": ("1/2", Fraction(1, 2)),
+    "seed": ("3", 3),
+    "weighted": (None, True),
+}
+GENERATOR_FLAGS = build_parser().parse_args(["gen"]).generator_flags
+
+
+def _params(name):
+    return inspect.signature(GENERATORS[name]).parameters
+
+
+# every generator with all of its parameters, save that random takes alpha,
+# beta and gamma only on BwCF and the weights only on the sharing kinds
+FULL = {name: {p: PARAM_VALUES[p] for p in _params(name)} for name in sorted(GENERATORS)}
+del FULL["random"]["weighted"]
+RANDOM_WEIGHTED = {
+    p: PARAM_VALUES[p] for p in _params("random") if p not in ("alpha", "beta", "gamma")
+}
+RANDOM_WEIGHTED["kind"] = ("SwC", GameKind.SWC)
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _argv(values):
+    argv = []
+    for name, (text, _) in values.items():
+        argv += [_flag(name)] if text is None else [_flag(name), text]
+    return argv
+
+
+class TestRegistryBuilder:
+    def test_flags_are_the_generator_parameters(self):
+        params = {p for name in GENERATORS for p in _params(name)}
+        assert set(GENERATOR_FLAGS) == params - {"seed"}
+        assert set(PARAM_VALUES) == params
+        assert all(flag == _flag(dest) for dest, flag in GENERATOR_FLAGS.items())
+
+    @pytest.mark.parametrize(
+        "name,values", [*FULL.items(), ("random", RANDOM_WEIGHTED)], ids=[*FULL, "random-SwC"]
+    )
+    def test_gen_writes_the_generator_document(self, name, values):
+        code, out, err = run_cli("gen", "--generator", name, *_argv(values))
+        direct = GENERATORS[name](**{p: value for p, (_, value) in values.items()})
+        assert (code, out, err) == (0, write_instance(direct), "")
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_flags_the_generator_does_not_take_exit_two(self, name):
+        stray = [dest for dest in GENERATOR_FLAGS if dest not in _params(name)]
+        assert stray or name == "random"
+        for dest in stray:
+            values = {**FULL[name], dest: PARAM_VALUES[dest]}
+            code, out, err = run_cli("gen", "--generator", name, *_argv(values))
+            assert (code, out) == (2, "")
+            assert err == f"error: generator {name!r} takes no {_flag(dest)}\n"
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_missing_parameter_exits_two(self, name):
+        for dest, param in _params(name).items():
+            if dest == "seed" or param.default is not param.empty:
+                continue
+            values = {p: v for p, v in FULL[name].items() if p != dest}
+            code, out, err = run_cli("gen", "--generator", name, *_argv(values))
+            assert (code, out) == (2, "")
+            assert err == f"error: generator {name!r} needs {_flag(dest)}\n"
+
+    def test_every_stray_flag_is_named(self):
+        code, out, err = run_cli(
+            "enumerate", "--generator", "path4", "--m", "7", "--kind", "SwC", "--weighted"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: generator 'path4' takes no --m, --kind, --weighted\n"
 
 
 class TestGenAndEnumerate:

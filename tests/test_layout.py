@@ -9,13 +9,15 @@ whole per-state columns from :func:`conflictgames.oracle.state_columns`, the
 one place that iterates over the blocks and the only source of state tables.
 The digits of every column, a state or the restricted growth string of an
 orbit, come from :func:`conflictgames.fastpath.orbit_columns`, the one place
-that enumerates the states.
+that enumerates the states.  The command line builds instances through
+:data:`conflictgames.instances.GENERATORS` alone.
 """
 
 import pathlib
 import re
 
 import conflictgames
+from conflictgames.instances import GENERATORS
 
 PER_KIND_HELPERS = re.compile(
     r"\b(conflict_neighbors|friendship_neighbors|weighted_neighbors|sharing_weights)\b"
@@ -50,3 +52,10 @@ def test_only_oracle_builds_state_tables():
     # widens a pass's table to object when the pass's factor needs that
     assert _naming(r"\.table\(") == ["oracle.py"]
     assert "smoothness.py" not in _naming(r"astype\(object\)")
+
+
+def test_only_the_registry_dispatches_to_generators():
+    # cli calls every generator through instances.GENERATORS: a per-generator
+    # branch names a gen_ function and fails here
+    assert all(fn.__name__.startswith("gen_") for fn in GENERATORS.values())
+    assert "cli.py" not in _naming(r"\bgen_\w+")

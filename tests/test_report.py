@@ -1,5 +1,6 @@
 """The reproduction batteries and verdict rendering."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,26 @@ class TestBoundTable:
         for kind in ("bwc", "bwf", "bwcf", "swc", "swf"):
             assert f"table.{kind}.semi_smooth" in ids
         assert "table.bwc.tight" in ids
+
+    def test_tight_rows_are_the_named_rows(self, named_rows):
+        # the table pins each bound with the named battery's row, under a
+        # table id, and ends with them
+        by_id = {r.claim_id: r for r in named_rows}
+        expected = [
+            replace(by_id["bwc.multipartite.m2.cce_ratio"], claim_id="table.bwc.tight"),
+            replace(by_id["bwf.cliques.m2.pure_poa"], claim_id="table.bwf.tight"),
+            replace(
+                by_id["bwcf.lower.m2.mixed_ratio_tight"],
+                claim_id="table.bwcf.lower.m2.mixed_ratio_tight",
+            ),
+        ] + [
+            replace(r, claim_id=f"table.{r.claim_id}")
+            for r in named_rows
+            if r.claim_id.startswith("swc.pos.")
+        ]
+        rows = reproduce_bound_table(max_n=2, max_m=2, trials=1)
+        assert len(expected) == 3 + 10
+        assert rows[-len(expected):] == expected
 
 
 class TestRendering:
