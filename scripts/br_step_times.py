@@ -6,23 +6,28 @@ steps costs afterwards.
 Each kind runs ``run_br`` on ``gen_random(n, m, kind, 1/16, seed=1)`` (m = 8
 machines, 2 for the cut game) from one seeded random start.  One untimed
 ``run_br`` per kind warms up first, so first-call costs fall in no column
-even at ``--repeats 1``.  Each of ``--repeats`` repeats then times the whole
-``run_br``, two of its parts apart, and the read after it; every column comes
-from the repeat with the fastest ``run_br``, so the parts add up to one run:
+even at ``--repeats 1``.  Each of ``--repeats`` repeats times one
+``run_br`` with clocks inside it, and then the read after it; every column
+comes from the repeat with the fastest ``run_br``.  The parts are disjoint
+spans of that one run, so they add up to it and none is negative:
 
-* set-up: a fresh ``StateEvaluator`` and its move table (the ``Walk`` at the
-  start);
-* walk: the ``Walk`` driven alone, ``best`` then ``move`` until no player
-  improves, its set-up excluded;
-* trace: the whole ``run_br`` minus the other two, which is what recording
-  the trace costs (one tuple of scaled ints per step, and the potential
-  check), plus the state's validation;
+* set-up: the fresh ``StateEvaluator`` and its move table (the ``Walk`` at
+  the start), from the evaluator's construction to the walk's return;
+* walk: the time inside the walk's ``best`` and ``move`` calls, until no
+  player improves;
+* trace: the rest of the run, which is what recording the trace costs (one
+  tuple of scaled ints per step, and the potential check), plus the state's
+  validation and the loop itself;
 * views: ``tuple(trace.steps)`` on the finished trace, which builds every
   ``TraceStep`` and its exact ``Fraction``s, the cost a reader of the steps
   pays; it is not part of ``run_br``.
 
-Set-up is printed in microseconds per run; walk, trace, views and the whole
-``run_br`` in microseconds per step, and the trace's share of ``run_br``.
+The clocks wrap the walk's two calls per step in Python functions, which
+makes the timed ``run_br`` slower than an untimed one by about 0.9 us per
+step (0.45 us per wrapped call on a 2-vCPU VM, Python 3.11), shared between
+walk and trace.  Set-up is printed in microseconds per run; walk, trace,
+views and the whole timed ``run_br`` in microseconds per step, and the
+trace's share of ``run_br``.
 
 Usage:
     python scripts/br_step_times.py [--n 120] [--repeats 3]
@@ -37,20 +42,50 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from conflictgames import dynamics
 from conflictgames.dynamics import random_start, run_br
-from conflictgames.fastpath import StateEvaluator, to_internal
+from conflictgames.fastpath import StateEvaluator
 from conflictgames.games import GameKind
 from conflictgames.instances import gen_random
 
+clock = time.perf_counter
 
-def _walk(inst, start) -> float:
-    """Seconds to drive a fresh ``Walk`` from ``start`` to its end, set-up
-    excluded."""
-    walk = StateEvaluator(inst).walk(to_internal(start))
-    t0 = time.perf_counter()
-    while (best := walk.best()) is not None:
-        walk.move(best[1], best[2])
-    return time.perf_counter() - t0
+
+def timed_run(inst, start) -> tuple:
+    """(trace, run_br s, set-up s, walk s) of one ``run_br`` from ``start``,
+    the set-up and the walk timed from inside it."""
+    spent = {"setup": 0.0, "walk": 0.0}
+
+    def timed(call):
+        def run(*args):
+            t0 = clock()
+            result = call(*args)
+            spent["walk"] += clock() - t0
+            return result
+        return run
+
+    def evaluator(inst):
+        t0 = clock()
+        ev = StateEvaluator(inst)
+        build = ev.walk
+
+        def walk(state):
+            w = build(state)
+            w.best, w.move = timed(w.best), timed(w.move)
+            spent["setup"] += clock() - t0
+            return w
+
+        ev.walk = walk
+        return ev
+
+    dynamics.StateEvaluator = evaluator
+    try:
+        t0 = clock()
+        trace = run_br(inst, start)
+        total = clock() - t0
+    finally:
+        dynamics.StateEvaluator = StateEvaluator
+    return trace, total, spent["setup"], spent["walk"]
 
 
 def main() -> int:
@@ -74,15 +109,10 @@ def main() -> int:
         run_br(inst, start)  # untimed warm-up: first-call costs are no repeat's
         runs = []
         for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            trace = run_br(inst, start)
-            t1 = time.perf_counter()
-            StateEvaluator(inst).walk(to_internal(start))
-            t2 = time.perf_counter()
-            walk = _walk(inst, start)
-            t3 = time.perf_counter()
+            trace, total, setup, walk = timed_run(inst, start)
+            t0 = clock()
             tuple(trace.steps)
-            runs.append((t1 - t0, t2 - t1, walk, time.perf_counter() - t3))
+            runs.append((total, setup, walk, clock() - t0))
         total, setup, walk, views = min(runs)
         steps = max(len(trace.steps), 1)
         record = total - setup - walk

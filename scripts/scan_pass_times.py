@@ -8,17 +8,21 @@ One cycle is one cycle of the benchmark's scan workload, drawn by
 ``perfbench/workloads.py`` from ``--seed``: twelve instances of 1024-2187
 states, all six kinds, with the strong scan on the three m = 3 ones.  Each
 pass is timed cold (the kept table dropped just before the call, so the pass
-builds its own) and then warm (right after, on the table it kept).  Two lines
-time builds alone, once per instance: "table build" is
+builds its own) and then warm (right after, on the table it kept).  Three
+lines time builds alone, once per instance: "table build" is
 ``oracle._whole_table`` over the columns the scan passes read, with no table
 kept and the columns cached, which is what each cold pass pays on top of its
 warm time; "column build" is the uncached build of the columns those passes
 read (``fastpath.orbit_columns``) of every instance: the restricted growth
 strings where the machines all have the same machine term, all the states
-elsewhere.  The best of ``--repeats`` cycles is printed
-in milliseconds per cycle.  The block ends with the columns the scan passes
-read per cycle, one per orbit under renaming the machines where the machines
-are symmetric and one per state elsewhere, against the states of the cycle,
+elsewhere; "orbit index build" is a fresh build of the same shape's orbit
+index (an ``oracle.Orbits`` beside the one ``oracle.orbits_of`` keeps, its
+state-to-column map and the states' digits, the columns cached), which a
+scan pays once per shape and a listing of equilibria reads from then on.
+The best of ``--repeats`` cycles is printed in milliseconds per cycle.  The
+block ends with the columns the scan passes read per cycle, one per orbit
+under renaming the machines where the machines are symmetric and one per
+state elsewhere, against the states of the cycle,
 and with the size of its strong scans: the pure equilibria the scan finds and
 the strings among them it tests, one per orbit.
 
@@ -69,6 +73,15 @@ def orbit_table(inst):
     return oracle._whole_table(inst, orbits=True)
 
 
+def index_build(n: int, m: int, symmetric: bool) -> float:
+    """Seconds to build the orbit index of one shape afresh, beside the one
+    ``oracle.orbits_of`` keeps, which the passes go on reading."""
+    t0 = time.perf_counter()
+    orbits = oracle.Orbits(n, m, symmetric)
+    orbits.orbit_map(), orbits.state_digits
+    return time.perf_counter() - t0
+
+
 def strong_scan_size(inst) -> tuple[int, int]:
     """(pure equilibria, strings) the strong scan of ``inst`` tests."""
     minimizes = inst.kind.minimizes
@@ -115,10 +128,10 @@ def main() -> int:
 
     jobs = workloads.generate(workloads.WORKLOADS["scan"], args.seed, 1)
     best = {name: [float("inf"), float("inf")] for name, _ in PASSES}
-    build = columns = float("inf")
+    build = columns = index = float("inf")
     for _ in range(args.repeats):
         spent = {name: [0.0, 0.0] for name, _ in PASSES}
-        built = enumerated = 0.0
+        built = enumerated = indexed = 0.0
         for job in jobs:
             oracle._kept = None
             t0 = time.perf_counter()
@@ -127,6 +140,7 @@ def main() -> int:
             t0 = time.perf_counter()
             fastpath._build_columns(job.inst.n, job.inst.m, orbits.symmetric)
             enumerated += time.perf_counter() - t0
+            indexed += index_build(job.inst.n, job.inst.m, orbits.symmetric)
             for name, run in PASSES:
                 if name == "strong" and not job.strong:
                     continue
@@ -137,17 +151,18 @@ def main() -> int:
                     spent[name][warm] += time.perf_counter() - t0
         for name, pair in spent.items():
             best[name] = [min(b, s) for b, s in zip(best[name], pair)]
-        build, columns = min(build, built), min(columns, enumerated)
+        build, columns, index = min(build, built), min(columns, enumerated), min(index, indexed)
 
     print(f"ms per scan pass, one cycle of {len(jobs)} instances (seed {args.seed}), "
           f"best of {args.repeats}")
-    print(f"  {'pass':12} {'cold':>8} {'warm':>8}")
+    print(f"  {'pass':17} {'cold':>8} {'warm':>8}")
     for name, (cold, warm) in best.items():
-        print(f"  {name:12} {1e3 * cold:8.2f} {1e3 * warm:8.2f}")
+        print(f"  {name:17} {1e3 * cold:8.2f} {1e3 * warm:8.2f}")
     cold, warm = (sum(pair[k] for pair in best.values()) for k in (0, 1))
-    print(f"  {'all':12} {1e3 * cold:8.2f} {1e3 * warm:8.2f}")
-    print(f"  {'table build':12} {1e3 * build:8.2f}")
-    print(f"  {'column build':12} {1e3 * columns:8.2f}")
+    print(f"  {'all':17} {1e3 * cold:8.2f} {1e3 * warm:8.2f}")
+    print(f"  {'table build':17} {1e3 * build:8.2f}")
+    print(f"  {'column build':17} {1e3 * columns:8.2f}")
+    print(f"  {'orbit index build':17} {1e3 * index:8.2f}")
     domains = [orbit_table(job.inst)[1] for job in jobs]
     print(f"  columns read: {sum(d.count for d in domains)} of "
           f"{sum(job.states for job in jobs)} states "

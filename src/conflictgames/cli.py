@@ -5,8 +5,11 @@ gen writes the instance --generator builds; the others but reproduce read
 one from --instance or build one (exactly one of the two).  Generators are
 called through ``instances.GENERATORS``, each parameter from the flag of the
 same name; a parameter flag the generator does not take, or one given with
---instance, is a usage error.  Output goes to --out or stdout and is
-byte-identical for identical (argv, instance file, seed).
+--instance, is a usage error.  --seed is such a flag, read by the random
+generator, save that dynamics also reads it for its random start (no --start
+or --worst-start); reproduce takes its own --seed for the bound table.
+Output goes to --out or stdout and is byte-identical for identical (argv,
+instance file, seed).
 
 Exit codes: 0 success, 1 failed verdicts in reproduce mode, 2 usage or
 input/cap errors.
@@ -34,6 +37,11 @@ from .oracle import OracleLimits, StateSpaceExceeded
 from .verdicts import frac_str
 
 
+# the seed of the random generator and of dynamics's random start when no
+# --seed is given
+SEED = 0
+
+
 class UsageError(Exception):
     pass
 
@@ -53,7 +61,6 @@ def _add_common(p: argparse.ArgumentParser, formats: bool = True, limits: bool =
         p.add_argument("--max-states", type=int, default=None,
                        help="cap on the states, or orbits of states, one pass reads "
                             "(also applied to the CCE LP)")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_instance_source(p: argparse.ArgumentParser, from_file: bool = True) -> None:
@@ -72,24 +79,33 @@ def _add_instance_source(p: argparse.ArgumentParser, from_file: bool = True) -> 
     g.add_argument("--eps", type=_fraction)
     g.add_argument("--edge-prob", type=_fraction)
     g.add_argument("--weighted", action="store_true", default=None)
+    g.add_argument("--seed", type=int,
+                   help=f"seed of random, and of dynamics's random start (default {SEED})")
     p.set_defaults(generator_flags={a.dest: a.option_strings[0] for a in g._group_actions})
 
 
-def _given_flags(args) -> dict[str, str]:
-    """The generator parameter flags given on the command line, by dest."""
+def _given_flags(args, reads_seed: bool) -> dict[str, str]:
+    """The generator parameter flags given on the command line, by dest,
+    but --seed where the subcommand reads it itself (``reads_seed``)."""
     return {
         dest: flag for dest, flag in args.generator_flags.items()
-        if getattr(args, dest) is not None
+        if getattr(args, dest) is not None and not (reads_seed and dest == "seed")
     }
 
 
-def _build_generated(args) -> Instance:
+def _seed(args) -> int:
+    return SEED if args.seed is None else args.seed
+
+
+def _build_generated(args, reads_seed: bool = False) -> Instance:
     name = args.generator
     params = inspect.signature(GENERATORS[name]).parameters
-    stray = [flag for dest, flag in _given_flags(args).items() if dest not in params]
+    stray = [flag for dest, flag in _given_flags(args, reads_seed).items() if dest not in params]
     if stray:
         raise UsageError(f"generator {name!r} takes no {', '.join(stray)}")
     given = {dest: getattr(args, dest) for dest in params if getattr(args, dest) is not None}
+    if "seed" in params:
+        given["seed"] = _seed(args)
     for dest, param in params.items():
         if dest not in given and param.default is param.empty:
             raise UsageError(f"generator {name!r} needs {args.generator_flags[dest]}")
@@ -98,15 +114,17 @@ def _build_generated(args) -> Instance:
     return GENERATORS[name](**given)
 
 
-def _resolve_instance(args) -> Instance:
+def _resolve_instance(args, reads_seed: bool = False) -> Instance:
+    """The instance of --instance or --generator; ``reads_seed`` when the
+    subcommand itself reads --seed, so it is no generator flag here."""
     if args.instance and args.generator:
         raise UsageError("give either --instance or --generator, not both")
     if args.instance:
-        if given := _given_flags(args):
+        if given := _given_flags(args, reads_seed):
             raise UsageError(f"--instance takes no {', '.join(given.values())}")
         return load_instance(args.instance)
     if args.generator:
-        return _build_generated(args)
+        return _build_generated(args, reads_seed)
     raise UsageError("an instance is required: --instance PATH or --generator NAME")
 
 
@@ -216,7 +234,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
-    inst = _resolve_instance(args)
+    # without --start or --worst-start the start is drawn from --seed
+    inst = _resolve_instance(args, reads_seed=not (args.start or args.worst_start))
     limits = _limits(args)
     if args.start:
         start = _parse_state(args.start, inst)
@@ -225,7 +244,7 @@ def _cmd_dynamics(args) -> int:
     else:
         import random as _random
 
-        start = dynamics.random_start(inst, _random.Random(args.seed))
+        start = dynamics.random_start(inst, _random.Random(_seed(args)))
     trace = dynamics.run_br(inst, start, max_steps=args.max_steps)
     csv = dynamics.trace_csv(trace)
     if args.format == "csv":
@@ -356,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--max-m", type=int, default=3)
+    p.add_argument("--seed", type=int, default=SEED, help="seed of the bound table's trials")
     _add_common(p)
     p.set_defaults(func=_cmd_reproduce)
 

@@ -30,9 +30,19 @@ pass reports it, and ties (optimum, worst equilibrium, tightest slack, first
 failing floor) resolve to the lexicographically smallest state through
 numpy's first ``argmin``/``argmax``/``flatnonzero`` over the columns.  A
 count weights each column by its orbit's size (``m!/(m - j)!`` for a string
-on ``j`` machines, 1 for a state); the pure and the strong equilibria are
-listed by renaming their columns into every state of their orbits, sorted
-(:meth:`Orbits.expand`).
+on ``j`` machines, 1 for a state).
+
+One orbit index per shape: every :class:`Orbits` comes from
+:func:`orbits_of`, which keeps those of the last eight ``(n, m,
+symmetric)`` of at most ``_INDEX_STATES`` (2^16) states.  Each kept one
+builds its state-to-column map once, by renaming every column into its
+orbit, and keeps it read-only with the digits of the states: at most 8 + n
+bytes per state, 1.5 MiB at 2^16 states.  The pure and the strong
+equilibria are listed by lookup (:meth:`Orbits.expand`): their distinct
+columns are marked, the mark is read through the map, and the states so
+selected, already in lex order, are decoded from the states' digits; on the
+states domain the map is the identity.  A larger shape keeps nothing, and
+lists by renaming its columns into every state of their orbits, sorted.
 
 ``max_states`` bounds what a pass reads and lists: the columns of its table
 (the strings of an orbit pass, all m^n states otherwise) and the
@@ -78,9 +88,10 @@ The strong scan (:func:`strong_nash_set`) reads the orbit table: its pure
 equilibria among the columns are the candidates, one per orbit, and each
 verdict holds for the whole orbit.  A deviation may go to any state, so on
 the strings it spreads ``cur`` over every state through the state-to-orbit
-map (:meth:`Orbits.orbit_map`); no second, full table is built, and each
-player's machine at every state is a row of the digits of the states.  It
-tests the candidates in chunks of at most ``_STRONG_CELLS`` (candidate,
+map (:meth:`Orbits.orbit_map`, the kept one of the shape where there is
+one); no second, full table is built, and each player's machine at every
+state is a row of the digits of the states (:attr:`Orbits.state_digits`).
+It tests the candidates in chunks of at most ``_STRONG_CELLS`` (candidate,
 state) cells.  Per player, one elementwise ``stay | better`` over
 (candidates x states) narrows the states that still refute some candidate
 of the chunk; ``better`` compares the player's row of ``cur`` in place,
@@ -94,7 +105,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -164,6 +175,10 @@ def _symmetric(ev: StateEvaluator) -> bool:
     return all(row == ev.mach[0] for row in ev.mach)
 
 
+# the most states of a shape whose orbit index is kept (see :func:`orbits_of`)
+_INDEX_STATES = 1 << 16
+
+
 class Orbits:
     """What the columns of a state table stand for: one orbit of the states
     per column, in lex order, each column the lex-smallest state of its orbit
@@ -171,11 +186,19 @@ class Orbits:
     renaming the machines, the columns their restricted growth strings;
     without, every state is its own orbit and column ``c`` is the state of
     lex index ``c``.  Past the columns themselves, only :meth:`_renamings`
-    depends on which group acts.  The columns are built on first use."""
+    depends on which group acts.  The columns are built on first use.
+
+    Build one through :func:`orbits_of`, which keeps one per shape.  A shape
+    of at most ``_INDEX_STATES`` states is indexed: its state-to-column map
+    (:meth:`orbit_map`) is built once, by renaming every column into its
+    orbit, and kept read-only, and :meth:`expand` lists the states of some
+    columns by one lookup through it.  A larger shape keeps no map, and each
+    call renames its columns again."""
 
     def __init__(self, n: int, m: int, symmetric: bool):
         self.n, self.m, self.symmetric = n, m, symmetric
         self.count = column_count(n, m, symmetric)
+        self.indexed = m**n <= _INDEX_STATES
         self._renamed: dict[int, np.ndarray] = {}
 
     @cached_property
@@ -186,6 +209,12 @@ class Orbits:
     def digits(self) -> np.ndarray:
         """``digits[i, c]``: player ``i``'s machine in column ``c``."""
         return self._columns[0]
+
+    @cached_property
+    def state_digits(self) -> np.ndarray:
+        """``state_digits[i, s]``: player ``i``'s machine in the state of lex
+        index ``s``; the digits themselves when every state is a column."""
+        return orbit_columns(self.n, self.m, False)[0] if self.symmetric else self.digits
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The columns' states in order, as grids for :meth:`StateEvaluator.table`."""
@@ -200,19 +229,39 @@ class Orbits:
         return tuple(k + 1 for k in self.digits[:, col].tolist())
 
     def expand(self, cols: np.ndarray) -> tuple[list[State], np.ndarray]:
-        """(every state in the orbits of columns ``cols`` as a public state,
-        in lex order; the column of each)."""
-        grid, cols = self._members(cols)
-        order = (grid @ self._place).argsort()  # by lex index
-        states = np.add(grid[order], 1, dtype=np.int64).tolist()
-        return list(map(tuple, states)), cols[order]
+        """(every state in the orbits of columns ``cols``, distinct column
+        indexes, as a public state, in lex order; the column of each)."""
+        if self.indexed:
+            mark = np.zeros(self.count, dtype=bool)
+            mark[cols] = True
+            lex = np.flatnonzero(mark[self._index])  # already in lex order
+            grid, cols = self.state_digits.take(lex, axis=1).T, self._index[lex]
+        else:
+            grid, cols = self._members(cols)
+            order = (grid @ self._place).argsort()  # by lex index
+            grid, cols = grid[order], cols[order]
+        states = np.add(grid, 1, dtype=np.int64).tolist()
+        return list(map(tuple, states)), cols
 
     def lex(self, cols: np.ndarray) -> np.ndarray:
         """The lex indexes of the states of columns ``cols``."""
         return self._place @ self.digits.take(cols, axis=1)
 
     def orbit_map(self) -> np.ndarray:
-        """The column of every state's orbit, the states in lex order."""
+        """The column of every state's orbit, the states in lex order;
+        read-only, and the same array on every call where indexed."""
+        return self._index if self.indexed else self._map()
+
+    @cached_property
+    def _index(self) -> np.ndarray:
+        """The kept, read-only state-to-column map of an indexed shape."""
+        of = self._map()
+        of.flags.writeable = False
+        self._renamed.clear()  # only the map read them
+        return of
+
+    def _map(self) -> np.ndarray:
+        """The state-to-column map, built by renaming every column."""
         grid, cols = self._members(np.arange(self.count))
         of = np.empty(self.m**self.n, dtype=np.int64)
         of[grid @ self._place] = cols
@@ -249,6 +298,24 @@ class Orbits:
             renamings = itertools.permutations(range(self.m), j) if self.symmetric else [range(j)]
             self._renamed[j] = np.array(list(renamings), dtype=self.digits.dtype)
         return self._renamed[j]
+
+
+# one scan cycle of the benchmark reads 4 string shapes and 3 state shapes
+_kept_orbits = lru_cache(maxsize=8)(Orbits)
+
+
+def orbits_of(n: int, m: int, symmetric: bool) -> Orbits:
+    """The :class:`Orbits` of ``n`` players on ``m`` machines, the one way
+    the package builds them.  Those of the last eight ``(n, m, symmetric)``
+    of at most ``_INDEX_STATES`` (2^16) states are kept and shared, each
+    with its read-only index: a map of 8 bytes per state and the states'
+    digits, one byte per player and state (two past 256 machines), so at
+    most 1.5 MiB at 2^16 states of 16 players on 2 machines, besides the
+    columns it holds.  A larger shape gets a fresh :class:`Orbits` with no
+    index on every call."""
+    if m**n <= _INDEX_STATES:
+        return _kept_orbits(n, m, symmetric)
+    return Orbits(n, m, symmetric)
 
 
 # the last state table within _TABLE_CELLS: (instance, evaluator, table, orbits)
@@ -296,7 +363,7 @@ def _whole_table(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS, orbits: 
     else:
         ev, domain, table = StateEvaluator(inst), None, None
     if domain is None:
-        domain = Orbits(ev.n, ev.m, orbits and _symmetric(ev))
+        domain = orbits_of(ev.n, ev.m, orbits and _symmetric(ev))
     if domain.count > limits.max_states:
         raise StateSpaceExceeded("max_states", domain.count, limits.max_states)
     if table is not None:
@@ -440,7 +507,7 @@ def strong_nash_set(
     )
     # row i of machine, like row i of cur, is player i's at every state
     count = state_count(inst)
-    machine = Orbits(inst.n, inst.m, symmetric=False).digits
+    machine = orbits.state_digits
     if orbits.symmetric:  # every state takes its orbit's values, each row contiguous
         cur = cur.take(orbits.orbit_map(), axis=1)
     better = np.less if minimizes else np.greater

@@ -106,7 +106,7 @@ def _argv(values):
 class TestRegistryBuilder:
     def test_flags_are_the_generator_parameters(self):
         params = {p for name in GENERATORS for p in _params(name)}
-        assert set(GENERATOR_FLAGS) == params - {"seed"}
+        assert set(GENERATOR_FLAGS) == params
         assert set(PARAM_VALUES) == params
         assert all(flag == _flag(dest) for dest, flag in GENERATOR_FLAGS.items())
 
@@ -144,6 +144,42 @@ class TestRegistryBuilder:
         )
         assert (code, out) == (2, "")
         assert err == "error: generator 'path4' takes no --m, --kind, --weighted\n"
+
+
+class TestSeed:
+    """--seed is a generator flag: read by random alone, and by dynamics's
+    random start; given where nothing reads it, it exits 2 naming it."""
+
+    @pytest.mark.parametrize("command", ["gen", "eval", "enumerate", "smoothness", "cce"])
+    def test_unread_seed_exits_two(self, tmp_path, command):
+        state = ("--state", "1,2,1,2") if command == "eval" else ()
+        code, out, err = run_cli(command, "--generator", "path4", "--seed", "5", *state)
+        assert (code, out, err) == (2, "", "error: generator 'path4' takes no --seed\n")
+        if command == "gen":
+            return
+        path = tmp_path / "path4.game"
+        path.write_text(write_instance(GENERATORS["path4"]()))
+        code, out, err = run_cli(command, "--instance", str(path), "--seed", "5", *state)
+        assert (code, out, err) == (2, "", "error: --instance takes no --seed\n")
+
+    def test_random_reads_seed_zero_by_default(self):
+        args = ("gen", "--generator", "random", "--n", "5", "--m", "2", "--kind", "BwC",
+                "--edge-prob", "1/2")
+        assert run_cli(*args) == run_cli(*args, "--seed", "0") != run_cli(*args, "--seed", "1")
+
+    def test_dynamics_reads_seed_for_its_random_start(self, tmp_path):
+        path = tmp_path / "path4.game"
+        path.write_text(write_instance(GENERATORS["path4"]()))
+        for source in (("--generator", "path4"), ("--instance", str(path))):
+            code, out, err = run_cli("dynamics", *source, "--seed", "5")
+            assert code == 0 and err == ""
+            assert (code, out, err) == run_cli("dynamics", *source, "--seed", "5")
+        # a given start reads no seed
+        for start in (("--start", "1,1,1,1"), ("--worst-start",)):
+            code, out, err = run_cli("dynamics", "--generator", "path4", *start, "--seed", "5")
+            assert (code, out, err) == (2, "", "error: generator 'path4' takes no --seed\n")
+            code, out, err = run_cli("dynamics", "--instance", str(path), *start, "--seed", "5")
+            assert (code, out, err) == (2, "", "error: --instance takes no --seed\n")
 
 
 class TestGenAndEnumerate:

@@ -9,10 +9,13 @@ whole per-state columns from :func:`conflictgames.oracle.state_columns`, the
 one place that iterates over the blocks and the only source of state tables.
 The digits of every column, a state or the restricted growth string of an
 orbit, come from :func:`conflictgames.fastpath.orbit_columns`, the one place
-that enumerates the states.  The command line builds instances through
+that enumerates the states, and every :class:`conflictgames.oracle.Orbits`
+from :func:`conflictgames.oracle.orbits_of`, which keeps one per shape.  The
+command line builds instances through
 :data:`conflictgames.instances.GENERATORS` alone.
 """
 
+import ast
 import pathlib
 import re
 
@@ -52,6 +55,29 @@ def test_only_oracle_builds_state_tables():
     # widens a pass's table to object when the pass's factor needs that
     assert _naming(r"\.table\(") == ["oracle.py"]
     assert "smoothness.py" not in _naming(r"astype\(object\)")
+
+
+def test_only_the_accessor_builds_orbits():
+    # every Orbits comes from oracle.orbits_of, which keeps one per shape
+    # with its index: a second constructor call would build an unshared one
+    package = pathlib.Path(conflictgames.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    calls = {name: len(_orbits_calls(tree)) for name, tree in trees.items()}
+    assert {name: count for name, count in calls.items() if count} == {"oracle.py": 1}
+    accessor = [
+        node for node in ast.walk(trees["oracle.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "orbits_of"
+    ]
+    assert len(accessor) == 1 and len(_orbits_calls(accessor[0])) == 1
+
+
+def _orbits_calls(tree) -> list:
+    """The calls of ``Orbits`` (by name or as an attribute) under ``tree``."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Orbits"
+    ]
 
 
 def test_only_the_registry_dispatches_to_generators():

@@ -270,7 +270,7 @@ class TestChunkedStrongScan:
             assert strong_nash_set(inst) == strong_nash_set_by_candidates(inst)
 
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 3), (3, 4), (5, 2)])
-    def test_orbit_representative_is_the_smallest_relabelling(self, n, m):
+    def test_orbit_representative_is_the_smallest_relabelling(self, monkeypatch, n, m):
         # the strings are the smallest relabelling of each state, one per
         # orbit, in lex order; and the column of each state's orbit is the
         # one of its smallest relabelling
@@ -286,14 +286,18 @@ class TestChunkedStrongScan:
         strings = [sum(k * p for k, p in zip(string, place)) for string in digits.T.tolist()]
         assert strings == sorted(set(smallest))
         assert sizes.tolist() == [smallest.count(string) for string in strings]
-        orbits = oracle.Orbits(n, m, symmetric=True)
-        assert orbits.lex(orbits.orbit_map()).tolist() == smallest
+        for cap in (oracle._INDEX_STATES, 0):  # indexed, and renamed on every call
+            monkeypatch.setattr(oracle, "_INDEX_STATES", cap)
+            orbits = oracle.orbits_of(n, m, symmetric=True)
+            assert orbits.indexed == (cap > 0)
+            assert orbits.lex(orbits.orbit_map()).tolist() == smallest
 
     def test_orbit_expansion_past_int64_lex_indexes(self):
         # 256^8 = 2^64 states: lex indexes pass int64, so the expansion
         # orders the states of several orbits as exact ints
         n, m = 8, 256
-        orbits = oracle.Orbits(n, m, symmetric=True)
+        orbits = oracle.orbits_of(n, m, symmetric=True)
+        assert not orbits.indexed and orbits is not oracle.orbits_of(n, m, symmetric=True)
         digits, sizes = orbit_columns(n, m, True)
         assert orbits.count == len(sizes) == 4140 and sizes.dtype == object
         cols = np.array([0, 1, 2], dtype=np.int64)  # all on machine 1, then two on 2 machines
@@ -361,11 +365,13 @@ class TestChunkedStrongScan:
 
 class TestOrbits:
     """Both column domains against brute force over every state: the orbits
-    under renaming the machines, and every state its own orbit."""
+    under renaming the machines, and every state its own orbit; each on both
+    sides of the index cap, so both the kept index and the renaming on every
+    call are checked."""
 
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (3, 1), (2, 3), (4, 3), (3, 4), (5, 2)])
-    def test_columns_match_brute_force(self, n, m, symmetric):
+    def test_columns_match_brute_force(self, monkeypatch, n, m, symmetric):
         states = list(itertools.product(range(m), repeat=n))
         renamings = list(itertools.permutations(range(m))) if symmetric else [range(m)]
         # each state's orbit, sorted, and the lex-smallest states of all orbits
@@ -373,25 +379,58 @@ class TestOrbits:
         smallest = sorted({orbit[0] for orbit in orbit_of})
         column = {state: c for c, state in enumerate(smallest)}
 
-        orbits = oracle.Orbits(n, m, symmetric)
-        assert orbits.count == len(smallest)
-        sizes = orbits.sizes()
-        assert int(sizes.sum()) == m**n
-        assert sizes.tolist() == [len(orbit_of[states.index(s)]) for s in smallest]
-        assert [orbits.state(c) for c in range(orbits.count)] == [
-            tuple(k + 1 for k in s) for s in smallest
-        ]
-        every = np.arange(orbits.count)
-        assert orbits.lex(every).tolist() == [states.index(s) for s in smallest]
-        assert orbits.orbit_map().tolist() == [column[orbit[0]] for orbit in orbit_of]
-        for cols in ([], [0], every[::2].tolist(), every[::-3].tolist(), every.tolist()):
-            got, of = orbits.expand(np.array(cols, dtype=np.int64))
-            expected = [
-                (tuple(k + 1 for k in state), column[orbit[0]])
-                for state, orbit in zip(states, orbit_of)
-                if column[orbit[0]] in cols
+        for cap in (oracle._INDEX_STATES, m**n - 1):
+            monkeypatch.setattr(oracle, "_INDEX_STATES", cap)
+            orbits = oracle.orbits_of(n, m, symmetric)
+            assert orbits.indexed == (cap >= m**n)
+            assert orbits.count == len(smallest)
+            sizes = orbits.sizes()
+            assert int(sizes.sum()) == m**n
+            assert sizes.tolist() == [len(orbit_of[states.index(s)]) for s in smallest]
+            assert [orbits.state(c) for c in range(orbits.count)] == [
+                tuple(k + 1 for k in s) for s in smallest
             ]
-            assert list(zip(got, of.tolist())) == expected
+            assert [tuple(s) for s in orbits.state_digits.T.tolist()] == states
+            every = np.arange(orbits.count)
+            assert orbits.lex(every).tolist() == [states.index(s) for s in smallest]
+            assert orbits.orbit_map().tolist() == [column[orbit[0]] for orbit in orbit_of]
+            for cols in ([], [0], every[::2].tolist(), every[::-3].tolist(), every.tolist()):
+                got, of = orbits.expand(np.array(cols, dtype=np.int64))
+                expected = [
+                    (tuple(k + 1 for k in state), column[orbit[0]])
+                    for state, orbit in zip(states, orbit_of)
+                    if column[orbit[0]] in cols
+                ]
+                assert list(zip(got, of.tolist())) == expected
+
+    def test_one_read_only_index_per_shape(self):
+        # two instances of one shape share the kept Orbits and its index
+        first = gen_random(7, 3, GameKind.BWC, F(1, 2), seed=1)
+        second = gen_random(7, 3, GameKind.BWF, F(1, 2), seed=2)
+        (_, one, _), (_, other, _) = (oracle._whole_table(i, orbits=True) for i in (first, second))
+        assert one is other and one.indexed and one.symmetric
+        index = one.orbit_map()
+        assert index is other.orbit_map() and not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 1
+        # the states domain's index is the identity
+        states = oracle.orbits_of(7, 3, False)
+        assert states is not one and np.array_equal(states.orbit_map(), np.arange(3**7))
+        # a kept shape is one of the last eight; past the cap none is kept
+        assert oracle._kept_orbits.cache_info().maxsize == 8
+        assert oracle.orbits_of(16, 2, True) is oracle.orbits_of(16, 2, True)
+        assert oracle.orbits_of(17, 2, True) is not oracle.orbits_of(17, 2, True)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_equilibria_on_both_sides_of_the_index_cap(self, monkeypatch, kind):
+        # listed by lookup in the index, and by renaming the columns
+        for inst in kind_pool(kind, 4):
+            listed = []
+            for cap in (oracle._INDEX_STATES, 0):
+                monkeypatch.setattr(oracle, "_INDEX_STATES", cap)
+                monkeypatch.setattr(oracle, "_kept", None)
+                listed.append((pure_nash_set(inst), strong_nash_set(inst)))
+            assert listed[0] == listed[1]
 
 
 def _representatives(inst):
@@ -403,7 +442,7 @@ def _representatives(inst):
          for state, _ in pure_nash_set(inst)],
         dtype=np.int64,
     )
-    orbits = oracle.Orbits(inst.n, inst.m, oracle._symmetric(StateEvaluator(inst)))
+    orbits = oracle.orbits_of(inst.n, inst.m, oracle._symmetric(StateEvaluator(inst)))
     return candidates, orbits.lex(orbits.orbit_map())[candidates]
 
 

@@ -73,6 +73,9 @@ def test_br_step_times():
         setup, walk, trace, views, total = map(float, row[3:8])
         assert m == (2 if row[0] == "MaxCut" else 8) and steps > 0
         assert setup > 0 and walk > 0 and views > 0 and total > 0
+        # every part is a span of the one timed run: none is negative, even
+        # at one repeat
+        assert trace >= 0 and not row[5].startswith("-") and not row[8].startswith("-")
         # the trace is run_br minus the other two, to rounding
         assert abs(setup / steps + walk + trace - total) < 0.2
         assert row[8].endswith("%") and abs(float(row[8][:-1]) - 100 * trace / total) < 1.5
@@ -88,29 +91,29 @@ def test_scan_pass_times():
     lines = _run("scan_pass_times.py", "--repeats", "1")
     assert lines[0] == "ms per scan pass, one cycle of 12 instances (seed 1), best of 1"
     assert lines[1].split() == ["pass", "cold", "warm"]
-    names = [line[:14].strip() for line in lines[2:12]]
+    names = [line[:19].strip() for line in lines[2:13]]
     assert names == [
         "optimum", "pure NE", "semi-smooth", "nice", "floors", "sandwich", "strong", "all",
-        "table build", "column build",
+        "table build", "column build", "orbit index build",
     ]
-    assert all(len(line.split()) >= 3 for line in lines[2:10])
-    for line in lines[10:12]:  # the builds alone: one time, no warm column
-        build = line[14:].split()
+    assert all(len(line[19:].split()) == 2 for line in lines[2:10])
+    for line in lines[10:13]:  # the builds alone: one time, no warm column
+        build = line[19:].split()
         assert len(build) == 1 and float(build[0]) > 0
     # the eight slots whose machines all have one machine term read one
     # column per orbit, the four sharing slots (random machine values) one
     # per state
-    words = lines[12].split()
+    words = lines[13].split()
     assert words[:2] == ["columns", "read:"] and words[3:6] == ["of", "17825", "states"]
     assert words[6:] == ["(8", "of", "12", "instances", "on", "strings)"]
     assert 4 * 1024 < int(words[2]) < 17825
     # the three strong scans of the cycle test fewer strings than pure
     # equilibria: every m = 3 slot has one machine term on all machines
-    _check_strong_scan_size(lines[13])
+    _check_strong_scan_size(lines[14])
     # the orbit passes past the kept-table budget: ms and peak MB each, on
     # the strings of a symmetric instance and on every state of one whose
     # machine values differ (a payoff kind: no floors to scan)
-    start = 14
+    start = 15
     for kind, columns in (("BwC", 88574), ("SwC", 531441)):
         passes = [name for name in names[:6] if kind == "BwC" or name != "floors"]
         assert lines[start] == (
@@ -124,7 +127,7 @@ def test_scan_pass_times():
             ms, mb = map(float, line[14:].split())
             assert ms > 0 and mb > 0
         start += 2 + len(passes)
-    assert len(lines) == start == 29
+    assert len(lines) == start == 30
 
 
 def _check_strong_scan_size(line):
