@@ -20,10 +20,9 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from conflictgames.fastpath import orbit_count
 from conflictgames.games import GameKind
 from conflictgames.instances import gen_random
-from conflictgames.oracle import DEFAULT_LIMITS, equilibrium_report
+from conflictgames.oracle import DEFAULT_LIMITS, equilibrium_report, orbit_count
 
 
 def main() -> int:

@@ -13,12 +13,13 @@ lines time builds alone, once per instance: "table build" is
 ``oracle._whole_table`` over the columns the scan passes read, with no table
 kept and the columns cached, which is what each cold pass pays on top of its
 warm time; "column build" is the uncached build of the columns those passes
-read (``fastpath.orbit_columns``) of every instance: the restricted growth
+read (``oracle._build_columns``) of every instance: the restricted growth
 strings where the machines all have the same machine term, all the states
-elsewhere; "orbit index build" is a fresh build of the same shape's orbit
-index (an ``oracle.Orbits`` beside the one ``oracle.orbits_of`` keeps, its
-state-to-column map and the states' digits, the columns cached), which a
-scan pays once per shape and a listing of equilibria reads from then on.
+elsewhere; "orbit index build" is a fresh build of the same shape's
+state-to-column map (``Orbits._map`` of the ``oracle.Orbits`` that
+``oracle.orbits_of`` keeps, by renaming every column; the columns and the
+states' digits kept), which a scan pays once per shape and a listing of
+equilibria reads from then on.
 The best of ``--repeats`` cycles is printed in milliseconds per cycle.  The
 block ends with the columns the scan passes read per cycle, one per orbit
 under renaming the machines where the machines are symmetric and one per
@@ -27,7 +28,7 @@ and with the size of its strong scans: the pure equilibria the scan finds and
 the strings among them it tests, one per orbit.
 
 Two more blocks time the six passes that read one column per orbit on 531441
-states, past the kept-table budget (``fastpath._TABLE_CELLS``), so every pass
+states, past the kept-table budget (``oracle._TABLE_CELLS``), so every pass
 is cold and builds its columns block by block: ``gen_random(12, 3, BWC, 1/2,
 seed=1)``, whose 88574 orbit strings are past the budget even so, and
 ``gen_random(12, 3, SWC, 1/2, seed=1)``, whose machine values differ, so it
@@ -53,7 +54,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402 -- the benchmark's seeded instances
-from conflictgames import dynamics, fastpath, oracle, smoothness  # noqa: E402
+from conflictgames import dynamics, oracle, smoothness  # noqa: E402
 from conflictgames.games import GameKind  # noqa: E402
 from conflictgames.instances import gen_random  # noqa: E402
 
@@ -73,12 +74,11 @@ def orbit_table(inst):
     return oracle._whole_table(inst, orbits=True)
 
 
-def index_build(n: int, m: int, symmetric: bool) -> float:
-    """Seconds to build the orbit index of one shape afresh, beside the one
-    ``oracle.orbits_of`` keeps, which the passes go on reading."""
+def index_build(orbits) -> float:
+    """Seconds to build the state-to-column map of a kept shape afresh,
+    beside the one it keeps, which the passes go on reading."""
     t0 = time.perf_counter()
-    orbits = oracle.Orbits(n, m, symmetric)
-    orbits.orbit_map(), orbits.state_digits
+    orbits._map()
     return time.perf_counter() - t0
 
 
@@ -138,9 +138,9 @@ def main() -> int:
             _, orbits, _ = orbit_table(job.inst)
             built += time.perf_counter() - t0
             t0 = time.perf_counter()
-            fastpath._build_columns(job.inst.n, job.inst.m, orbits.symmetric)
+            oracle._build_columns(job.inst.n, job.inst.m, orbits.symmetric)
             enumerated += time.perf_counter() - t0
-            indexed += index_build(job.inst.n, job.inst.m, orbits.symmetric)
+            indexed += index_build(orbits)
             for name, run in PASSES:
                 if name == "strong" and not job.strong:
                     continue

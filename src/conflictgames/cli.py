@@ -7,7 +7,8 @@ called through ``instances.GENERATORS``, each parameter from the flag of the
 same name; a parameter flag the generator does not take, or one given with
 --instance, is a usage error.  --seed is such a flag, read by the random
 generator, save that dynamics also reads it for its random start (no --start
-or --worst-start); reproduce takes its own --seed for the bound table.
+or --worst-start); reproduce takes its own --seed, like its --trials,
+--max-n and --max-m read only with --table.
 Output goes to --out or stdout and is byte-identical for identical (argv,
 instance file, seed).
 
@@ -309,15 +310,18 @@ def _cmd_cce(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    given = {dest: getattr(args, dest) for dest in args.table_flags}
+    given = {dest: value for dest, value in given.items() if value is not None}
+    if given and not args.table:  # nothing would read them
+        flags = ", ".join(args.table_flags[dest] for dest in given)
+        raise UsageError(f"reproduce without --table takes no {flags}")
     limits = _limits(args)
     rows = []
     if not args.table or args.named:
         rows += report.reproduce_named_examples(limits)
     if args.table:
-        rows += report.reproduce_bound_table(
-            max_n=args.max_n, max_m=args.max_m, trials=args.trials, seed=args.seed,
-            limits=limits,
-        )
+        # a flag not given takes the bound table's default, and the seed SEED
+        rows += report.reproduce_bound_table(**{"seed": SEED, **given}, limits=limits)
     text = verdicts.render_csv(rows) if args.format == "csv" else verdicts.render_text(rows)
     _emit(args, text)
     return 0 if all(r.passed for r in rows) else 1
@@ -372,10 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the verification batteries")
     p.add_argument("--named", action="store_true", help="named worked examples (default)")
     p.add_argument("--table", action="store_true", help="per-kind bound table")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--max-m", type=int, default=3)
-    p.add_argument("--seed", type=int, default=SEED, help="seed of the bound table's trials")
+    g = p.add_argument_group("bound table parameters", "read only with --table")
+    g.add_argument("--trials", type=int)
+    g.add_argument("--max-n", type=int)
+    g.add_argument("--max-m", type=int)
+    g.add_argument("--seed", type=int, help="seed of the bound table's trials")
+    p.set_defaults(table_flags={a.dest: a.option_strings[0] for a in g._group_actions})
     _add_common(p)
     p.set_defaults(func=_cmd_reproduce)
 

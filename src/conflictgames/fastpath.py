@@ -75,28 +75,14 @@ instead:
   rounding that threshold.  Where ``S`` reaches ``_FLOAT_SAFE`` floats cannot
   hold the gains, and the exact argmax runs on ``dtype=object``.
 
-Every enumeration pass reads the state table:
+Every enumeration pass reads the state table over a grid of states it is
+handed: which states are the columns of a table, and how they are cut into
+blocks, is decided in :class:`conflictgames.oracle.Orbits`.  Nothing here is
+kept between evaluators:
 
-* columns: :func:`orbit_columns` gives the columns of a state table, one per
-  orbit of the m^n states, in one form whichever group acts: the digits of
-  one state per orbit, player-major on the smallest unsigned dtype, with the
-  number of states in each orbit.  Under renaming the machines the columns
-  are the restricted growth strings (each entry at most one above the
-  largest before it), about m^n/m! of them, ``sum_{j <= m} S(n, j)``
-  (:func:`column_count`), expanded one position at a time with whole-array
-  operations; otherwise they are all m^n states, each of size 1, their
-  digits from ``np.indices``.  Either way they are in lex order and each is
-  the lex-smallest state of its orbit.  Those of the last eight shapes whose
-  table fits ``_TABLE_CELLS`` are cached, and :func:`column_blocks` cuts them
-  into blocks of at most ``_BLOCK_CELLS`` (2^16) (column, player, machine)
-  cells, so the memory of a table build stays flat however many columns
-  there are.  Only :func:`conflictgames.oracle.state_columns` iterates over
-  the blocks: it keeps the whole table of one instance between passes when
-  it has at most ``_TABLE_CELLS`` cells, and otherwise hands each pass its
-  columns, built block by block;
-* table: :meth:`StateEvaluator.table` turns a block of columns into
-  ``vals[k, i, s]`` (the value of player ``i`` on machine ``k`` with everyone
-  else at state ``s``, equal to ``value(analyze(s), i, k)``), ``cur[i, s]``
+* table: :meth:`StateEvaluator.table` turns a grid, one block of columns,
+  into ``vals[k, i, s]`` (the value of player ``i`` on machine ``k`` with
+  everyone else at state ``s``, equal to ``value(analyze(s), i, k)``), ``cur[i, s]``
   (the value at ``s``), ``social[s] = sum_i cur[i, s]`` and the potential
   ``phi[s]``, always these four, always at ``dtype()``, with the states
   innermost: every reduction over machines or players runs along contiguous
@@ -131,11 +117,10 @@ Equivalence of all three ways with the public Fraction evaluation in
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, chain
-from math import gcd, lcm, ldexp, perm
+from math import gcd, lcm, ldexp
 from operator import add
-from typing import Iterator
 
 import numpy as np
 
@@ -153,13 +138,6 @@ _FLOAT_EXACT = 1 << 53
 
 # a move table whose gains reach this (in units of its unit) stays exact
 _FLOAT_SAFE = 1 << 1000
-
-# upper bound on the (state, player, machine) cells of one table block
-_BLOCK_CELLS = 1 << 16
-
-# upper bound on the cells of a whole state table kept between scan passes;
-# a larger table streams block by block
-_TABLE_CELLS = 1 << 20
 
 
 class StateEvaluator:
@@ -559,90 +537,6 @@ def _times(a: np.ndarray, factor: int) -> list[int]:
 def max_abs(a: np.ndarray) -> int:
     """max |a| as a Python int (0 when empty), exact on int64 and object."""
     return max(int(a.max()), -int(a.min())) if a.size else 0
-
-
-@lru_cache(maxsize=64)
-def orbit_count(n: int, m: int) -> int:
-    """The number of restricted growth strings of length ``n`` on at most
-    ``m`` machines, ``sum_{j <= m} S(n, j)`` (Stirling numbers of the second
-    kind): the orbits of the m^n states under renaming the machines."""
-    row = [1]  # row[j] = S(players so far, j), j <= m
-    for _ in range(n):
-        row.append(0)
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, min(len(row) - 1, m) + 1)]
-    return sum(row)
-
-
-def column_count(n: int, m: int, symmetric: bool) -> int:
-    """The number of columns of :func:`orbit_columns`."""
-    return orbit_count(n, m) if symmetric else m**n
-
-
-def _build_columns(n: int, m: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """See :func:`orbit_columns`.  The strings grow one position at a time:
-    every string with ``j`` machines so far extends by machines ``0 ..
-    min(j, m - 1)``, in that order, so the strings stay in lex order; the
-    digits are read back along the parent links at the end."""
-    dtype = np.min_scalar_type(m - 1)
-    if not symmetric:
-        digits = np.indices((m,) * n, dtype=dtype).reshape(n, -1)
-        digits.flags.writeable = False
-        return digits, np.broadcast_to(np.int64(1), digits.shape[1])
-    used = np.ones(1, dtype=np.int64)  # the one string of length 1
-    links = []  # per position after the first: (digit, parent)
-    for _ in range(1, n):
-        count = np.minimum(used + 1, m)
-        parent = np.repeat(np.arange(len(used)), count)
-        digit = np.arange(len(parent)) - (np.cumsum(count) - count)[parent]
-        used = np.maximum(used[parent], digit + 1)
-        links.append((digit, parent))
-    digits = np.zeros((n, len(used)), dtype=dtype)
-    at = np.arange(len(used))
-    for i in range(n - 1, 0, -1):
-        digit, parent = links[i - 1]
-        digits[i] = digit[at]
-        at = parent[at]
-    # a string on j machines stands for its m!/(m - j)! renamings
-    perms = [perm(m, j) for j in range(min(n, m) + 1)]
-    sizes = np.array(perms, dtype=np.int64 if m**n < _INT64_BOUND else object)[used]
-    for array in (digits, sizes):
-        array.flags.writeable = False
-    return digits, sizes
-
-
-# one seed-1 scan cycle reads 4 string shapes, 3 state shapes and the strong
-# scan's (7, 3) states
-_cached_columns = lru_cache(maxsize=8)(_build_columns)
-
-
-def orbit_columns(n: int, m: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``(digits, sizes)``, read-only: one column per orbit of the m^n states
-    of ``n`` players on ``m`` machines, in lex order, each the lex-smallest
-    state of its orbit.  With ``symmetric`` the orbits are those under
-    renaming the machines and the columns their restricted growth strings
-    (every entry at most one above the largest before it); without, every
-    state is its own orbit.  ``digits[i, c]`` is player ``i``'s machine in
-    column ``c``, player-major (its transpose is a grid for
-    :meth:`StateEvaluator.table`) on the smallest unsigned dtype that holds
-    ``m - 1``; ``sizes[c]`` is the number of states in column ``c``'s orbit,
-    ``m!/(m - j)!`` for a string on ``j`` machines (on ``object`` where m^n
-    passes int64), and a broadcast 1 for a state.  The columns of the last
-    eight ``(n, m, symmetric)`` whose state table fits ``_TABLE_CELLS`` are
-    cached: at most 2^20 / m digits each, and on two or more machines at most
-    768 KiB with the sizes (the 32768 strings of 16 players on 2 machines)."""
-    if column_count(n, m, symmetric) * n * m <= _TABLE_CELLS:
-        return _cached_columns(n, m, symmetric)
-    return _build_columns(n, m, symmetric)
-
-
-def column_blocks(digits: np.ndarray, m: int) -> Iterator[np.ndarray]:
-    """The columns of ``digits`` (as from :func:`orbit_columns`) in order, as
-    ``(S, n)`` grids of at most ``_BLOCK_CELLS`` (column, player, machine)
-    cells, stored player-major."""
-    n, count = digits.shape
-    step = max(1, _BLOCK_CELLS // (n * m))
-    for start in range(0, count, step):
-        yield digits[:, start : start + step].T
 
 
 def to_internal(state: tuple[int, ...]) -> tuple[int, ...]:

@@ -22,27 +22,38 @@ reported value is an exact Fraction.  The columns, in order, are those of an
   (its sigma-row sum depends on the machine labels) and semi-smoothness with
   a non-uniform profile, and on every instance whose machines differ.
 
-Both are one form, the digits of the columns and each one's orbit size from
-:func:`orbit_columns`, and one code path reads them; only
-:meth:`Orbits._renamings` knows which group acts.  A column is the
-lex-smallest state of its orbit, so it is decoded to a state only where a
-pass reports it, and ties (optimum, worst equilibrium, tightest slack, first
-failing floor) resolve to the lexicographically smallest state through
-numpy's first ``argmin``/``argmax``/``flatnonzero`` over the columns.  A
-count weights each column by its orbit's size (``m!/(m - j)!`` for a string
-on ``j`` machines, 1 for a state).
+Both are one form, read by one code path, and this module alone builds it
+(:class:`Orbits`, behind :func:`orbits_of`): the digits of the columns,
+player-major on the smallest unsigned dtype, in lex order, and each one's
+orbit size; only :meth:`Orbits._renamings` knows which group acts.  The
+strings, ``sum_{j <= m} S(n, j)`` of them (:func:`column_count`), are grown
+one position at a time with whole-array operations, each extended by every
+machine up to one above its largest so far; the states' digits come from
+``np.indices``.  A column is the lex-smallest state of its orbit, so it is
+decoded to a state only where a pass reports it, and ties (optimum, worst
+equilibrium, tightest slack, first failing floor) resolve to the
+lexicographically smallest state through numpy's first
+``argmin``/``argmax``/``flatnonzero`` over the columns.  A count weights each
+column by its orbit's size (``m!/(m - j)!`` for a string on ``j`` machines,
+1 for a state).  A table is built over blocks of the columns of at most
+``_BLOCK_CELLS`` (2^16) (column, player, machine) cells each
+(:func:`column_blocks`), so the memory of a build stays flat however many
+columns there are.
 
-One orbit index per shape: every :class:`Orbits` comes from
-:func:`orbits_of`, which keeps those of the last eight ``(n, m,
-symmetric)`` of at most ``_INDEX_STATES`` (2^16) states.  Each kept one
-builds its state-to-column map once, by renaming every column into its
-orbit, and keeps it read-only with the digits of the states: at most 8 + n
-bytes per state, 1.5 MiB at 2^16 states.  The pure and the strong
-equilibria are listed by lookup (:meth:`Orbits.expand`): their distinct
-columns are marked, the mark is read through the map, and the states so
-selected, already in lex order, are decoded from the states' digits; on the
-states domain the map is the identity.  A larger shape keeps nothing, and
-lists by renaming its columns into every state of their orbits, sorted.
+One cache per shape: every :class:`Orbits` comes from :func:`orbits_of`,
+which keeps those of the last eight ``(n, m, symmetric)`` whose table fits
+``_TABLE_CELLS`` (2^20) cells, the same budget as the kept table below.  A
+kept one builds its columns once; one of at most ``_INDEX_STATES`` (2^16)
+states is also indexed: it builds its state-to-column map once, by renaming
+every column into its orbit, and keeps it read-only.  A string shape reads
+the digits of the states from the kept states domain of its shape, so they
+are decoded once.  The pure and the strong equilibria of an indexed shape
+are listed by lookup (:meth:`Orbits.expand`): their distinct columns are
+marked, the mark is read through the map, and the states so selected,
+already in lex order, are decoded from the states' digits; on the states
+domain the map is the identity.  Any other shape lists by renaming its
+columns into every state of their orbits, sorted, and a shape past the
+budget keeps nothing.
 
 ``max_states`` bounds what a pass reads and lists: the columns of its table
 (the strings of an orbit pass, all m^n states otherwise) and the
@@ -74,8 +85,8 @@ which serves both cases:
   larger one is filled block by block, along the column axis, into arrays
   allocated once.  A pass maps the whole table to its columns in one call,
   each with the columns last, and reduces over the leading axes;
-* budget: a table of more than ``fastpath._TABLE_CELLS`` (column, player,
-  machine) cells is not kept.  The pass's columns are built block by block
+* budget: a table of more than ``_TABLE_CELLS`` (column, player, machine)
+  cells is not kept.  The pass's columns are built block by block
   (:func:`column_blocks` of the digits) and filled into whole arrays, so
   memory is the tables of two blocks plus O(columns), up to ``max_states``,
   and the columns' digits, one byte per player and column;
@@ -106,19 +117,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import perm
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import simplex
-from .fastpath import (
-    _INT64_BOUND,
-    _TABLE_CELLS,
-    StateEvaluator,
-    column_blocks,
-    column_count,
-    orbit_columns,
-)
+from .fastpath import _INT64_BOUND, StateEvaluator
 from .games import (
     GameKind,
     Instance,
@@ -175,53 +180,133 @@ def _symmetric(ev: StateEvaluator) -> bool:
     return all(row == ev.mach[0] for row in ev.mach)
 
 
-# the most states of a shape whose orbit index is kept (see :func:`orbits_of`)
+# ---------------------------------------------------------------------------
+# the column domain
+
+# upper bound on the (column, player, machine) cells of one table block
+_BLOCK_CELLS = 1 << 16
+
+# upper bound on the cells of a state table kept between passes, and of the
+# table of a shape whose Orbits is kept; a larger table streams block by block
+_TABLE_CELLS = 1 << 20
+
+# the most states of a kept shape whose orbit index is built
 _INDEX_STATES = 1 << 16
 
 
+def orbit_count(n: int, m: int) -> int:
+    """The number of restricted growth strings of length ``n`` on at most
+    ``m`` machines, ``sum_{j <= m} S(n, j)`` (Stirling numbers of the second
+    kind): the orbits of the m^n states under renaming the machines."""
+    row = [1]  # row[j] = S(players so far, j), j <= m
+    for _ in range(n):
+        row.append(0)
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, min(len(row) - 1, m) + 1)]
+    return sum(row)
+
+
+def column_count(n: int, m: int, symmetric: bool) -> int:
+    """The number of columns of :class:`Orbits`."""
+    return orbit_count(n, m) if symmetric else m**n
+
+
+def _build_columns(n: int, m: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(digits, sizes)`` of :class:`Orbits`, read-only, built afresh.  The
+    strings grow one position at a time: every string with ``j`` machines so
+    far extends by machines ``0 .. min(j, m - 1)``, in that order, so the
+    strings stay in lex order; the digits are read back along the parent
+    links at the end."""
+    dtype = np.min_scalar_type(m - 1)
+    if not symmetric:
+        digits = np.indices((m,) * n, dtype=dtype).reshape(n, -1)
+        digits.flags.writeable = False
+        return digits, np.broadcast_to(np.int64(1), digits.shape[1])
+    used = np.ones(1, dtype=np.int64)  # the one string of length 1
+    links = []  # per position after the first: (digit, parent)
+    for _ in range(1, n):
+        count = np.minimum(used + 1, m)
+        parent = np.repeat(np.arange(len(used)), count)
+        digit = np.arange(len(parent)) - (np.cumsum(count) - count)[parent]
+        used = np.maximum(used[parent], digit + 1)
+        links.append((digit, parent))
+    digits = np.zeros((n, len(used)), dtype=dtype)
+    at = np.arange(len(used))
+    for i in range(n - 1, 0, -1):
+        digit, parent = links[i - 1]
+        digits[i] = digit[at]
+        at = parent[at]
+    # a string on j machines stands for its m!/(m - j)! renamings
+    perms = [perm(m, j) for j in range(min(n, m) + 1)]
+    sizes = np.array(perms, dtype=np.int64 if m**n < _INT64_BOUND else object)[used]
+    for array in (digits, sizes):
+        array.flags.writeable = False
+    return digits, sizes
+
+
+def column_blocks(digits: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """The columns of ``digits`` (``digits[i, c]``, as :attr:`Orbits.digits`)
+    in order, as ``(S, n)`` grids of at most ``_BLOCK_CELLS`` (column, player,
+    machine) cells, stored player-major."""
+    n, count = digits.shape
+    step = max(1, _BLOCK_CELLS // (n * m))
+    for start in range(0, count, step):
+        yield digits[:, start : start + step].T
+
+
 class Orbits:
-    """What the columns of a state table stand for: one orbit of the states
-    per column, in lex order, each column the lex-smallest state of its orbit
-    (:func:`orbit_columns`).  With ``symmetric`` the orbits are those under
-    renaming the machines, the columns their restricted growth strings;
-    without, every state is its own orbit and column ``c`` is the state of
-    lex index ``c``.  Past the columns themselves, only :meth:`_renamings`
-    depends on which group acts.  The columns are built on first use.
+    """The columns of a state table and what they stand for: one orbit of
+    the m^n states of ``n`` players on ``m`` machines per column, in lex
+    order, each column the lex-smallest state of its orbit.  With
+    ``symmetric`` the orbits are those under renaming the machines, the
+    columns their restricted growth strings (every entry at most one above
+    the largest before it); without, every state is its own orbit and column
+    ``c`` is the state of lex index ``c``.  Past the columns themselves, only
+    :meth:`_renamings` depends on which group acts.  The columns are built on
+    first use.
 
-    Build one through :func:`orbits_of`, which keeps one per shape.  A shape
-    of at most ``_INDEX_STATES`` states is indexed: its state-to-column map
-    (:meth:`orbit_map`) is built once, by renaming every column into its
-    orbit, and kept read-only, and :meth:`expand` lists the states of some
-    columns by one lookup through it.  A larger shape keeps no map, and each
-    call renames its columns again."""
+    Build one through :func:`orbits_of`, which keeps it (``kept``) when its
+    table fits ``_TABLE_CELLS``.  A kept shape of at most ``_INDEX_STATES``
+    states is indexed: :meth:`orbit_map` is built once and kept, and
+    :meth:`expand` lists states by one lookup through it.  Any other shape
+    renames its columns on every call."""
 
-    def __init__(self, n: int, m: int, symmetric: bool):
-        self.n, self.m, self.symmetric = n, m, symmetric
+    def __init__(self, n: int, m: int, symmetric: bool, kept: bool):
+        self.n, self.m, self.symmetric, self.kept = n, m, symmetric, kept
         self.count = column_count(n, m, symmetric)
-        self.indexed = m**n <= _INDEX_STATES
-        self._renamed: dict[int, np.ndarray] = {}
+
+    @property
+    def indexed(self) -> bool:
+        """Whether :meth:`orbit_map` is the kept map; ``_INDEX_STATES`` is
+        read on every call."""
+        return self.kept and self.m**self.n <= _INDEX_STATES
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        return orbit_columns(self.n, self.m, self.symmetric)
+        return _build_columns(self.n, self.m, self.symmetric)
 
     @property
     def digits(self) -> np.ndarray:
-        """``digits[i, c]``: player ``i``'s machine in column ``c``."""
+        """``digits[i, c]``: player ``i``'s machine in column ``c``,
+        read-only, on the smallest unsigned dtype that holds ``m - 1``; its
+        transpose is a grid for :meth:`StateEvaluator.table`."""
         return self._columns[0]
 
     @cached_property
     def state_digits(self) -> np.ndarray:
         """``state_digits[i, s]``: player ``i``'s machine in the state of lex
-        index ``s``; the digits themselves when every state is a column."""
-        return orbit_columns(self.n, self.m, False)[0] if self.symmetric else self.digits
+        index ``s``: the digits of the states domain of the same shape, which
+        :func:`orbits_of` keeps where its table fits, so the states are
+        decoded once per shape."""
+        return orbits_of(self.n, self.m, False).digits if self.symmetric else self.digits
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The columns' states in order, as grids for :meth:`StateEvaluator.table`."""
         return column_blocks(self.digits, self.m)
 
     def sizes(self) -> np.ndarray:
-        """The number of states in each column's orbit."""
+        """The number of states in each column's orbit, read-only:
+        ``m!/(m - j)!`` for a string on ``j`` machines (on ``object`` where
+        m^n passes int64), and a broadcast 1 for a state."""
         return self._columns[1]
 
     def state(self, col: int) -> State:
@@ -257,7 +342,6 @@ class Orbits:
         """The kept, read-only state-to-column map of an indexed shape."""
         of = self._map()
         of.flags.writeable = False
-        self._renamed.clear()  # only the map read them
         return of
 
     def _map(self) -> np.ndarray:
@@ -294,28 +378,29 @@ class Orbits:
         every state of its orbit, one per row: every injective one into the
         m machines when the machines are symmetric, the identity alone
         otherwise."""
-        if j not in self._renamed:
-            renamings = itertools.permutations(range(self.m), j) if self.symmetric else [range(j)]
-            self._renamed[j] = np.array(list(renamings), dtype=self.digits.dtype)
-        return self._renamed[j]
+        renamings = itertools.permutations(range(self.m), j) if self.symmetric else [range(j)]
+        return np.array(list(renamings), dtype=self.digits.dtype)
 
 
-# one scan cycle of the benchmark reads 4 string shapes and 3 state shapes
+# one seed-1 scan cycle of the benchmark reads 4 string shapes, 3 state
+# shapes and the strong scan's (7, 3) states
 _kept_orbits = lru_cache(maxsize=8)(Orbits)
 
 
 def orbits_of(n: int, m: int, symmetric: bool) -> Orbits:
     """The :class:`Orbits` of ``n`` players on ``m`` machines, the one way
-    the package builds them.  Those of the last eight ``(n, m, symmetric)``
-    of at most ``_INDEX_STATES`` (2^16) states are kept and shared, each
-    with its read-only index: a map of 8 bytes per state and the states'
-    digits, one byte per player and state (two past 256 machines), so at
-    most 1.5 MiB at 2^16 states of 16 players on 2 machines, besides the
-    columns it holds.  A larger shape gets a fresh :class:`Orbits` with no
-    index on every call."""
-    if m**n <= _INDEX_STATES:
-        return _kept_orbits(n, m, symmetric)
-    return Orbits(n, m, symmetric)
+    the package builds them, and its one per-shape cache.  Those of the last
+    eight ``(n, m, symmetric)`` whose table fits ``_TABLE_CELLS`` (2^20)
+    cells are kept and shared: their columns, at most 2^20 / m digits, with
+    the sizes at most 768 KiB on two or more machines (the 32768 strings of
+    16 players on 2 machines), and where indexed a map of 8 bytes per state.
+    A string shape keeps the states' digits once it has read them, one byte
+    per player and state (two past 256 machines), those of its kept states
+    domain where there is one.  A larger shape gets a fresh :class:`Orbits`
+    on every call."""
+    if column_count(n, m, symmetric) * n * m <= _TABLE_CELLS:
+        return _kept_orbits(n, m, symmetric, True)
+    return Orbits(n, m, symmetric, False)
 
 
 # the last state table within _TABLE_CELLS: (instance, evaluator, table, orbits)
@@ -350,7 +435,8 @@ def _whole_table(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS, orbits: 
     """(evaluator, :class:`Orbits`, table) of ``inst``: ``(vals, cur, social,
     phi)`` at ``dtype()``, read-only, over one column per orbit when
     ``orbits`` asks for them and the machines are symmetric, else over all
-    states; table is None when it has more than ``_TABLE_CELLS`` cells.
+    states; table is None when :func:`orbits_of` keeps no :class:`Orbits`
+    for its shape, as its table has more than ``_TABLE_CELLS`` cells.
     Raises :class:`StateSpaceExceeded` first when the columns pass
     ``max_states``.  The last table within the budget is kept, so the passes
     over one instance build it once, and a pass over the other columns of
@@ -369,7 +455,7 @@ def _whole_table(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS, orbits: 
     if table is not None:
         return ev, domain, table
     _kept = None  # free the last table before building the next
-    if domain.count * ev.n * ev.m > _TABLE_CELLS:
+    if not domain.kept:
         return ev, domain, None
     table = _whole(ev, domain, lambda *table: table)
     for array in table:

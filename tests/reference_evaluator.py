@@ -10,7 +10,7 @@ value-scale units, and each derived quantity is its own loop over them.
 :func:`reference_table` is the reference for the state table that
 ``conflictgames.oracle`` keeps between passes, and :func:`state_blocks`
 decodes every state from its lex index by division, independently of the
-digits of ``conflictgames.fastpath.orbit_columns``.
+digits of ``conflictgames.oracle.Orbits``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from conflictgames import fastpath
+from conflictgames import oracle
 from conflictgames.fastpath import _FLOAT_SAFE, _INT64_SAFE, StateEvaluator
 from conflictgames.games import GameKind, Instance
 
@@ -158,10 +158,10 @@ def lex_states(n: int, m: int, idx: np.ndarray) -> np.ndarray:
 
 def state_blocks(n: int, m: int) -> Iterator[np.ndarray]:
     """All m^n internal states in lex order, as ``(S, n)`` int64 grids for
-    ``StateEvaluator.table``, cut where ``fastpath.column_blocks`` cuts the
-    states: at most ``fastpath._BLOCK_CELLS`` (state, player, machine) cells
+    ``StateEvaluator.table``, cut where ``oracle.column_blocks`` cuts the
+    states: at most ``oracle._BLOCK_CELLS`` (state, player, machine) cells
     each."""
     count = m**n
-    step = max(1, fastpath._BLOCK_CELLS // (n * m))
+    step = max(1, oracle._BLOCK_CELLS // (n * m))
     for start in range(0, count, step):
         yield lex_states(n, m, np.arange(start, min(start + step, count), dtype=np.int64))

@@ -343,6 +343,21 @@ class TestReproduce:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "args,flags",
+        [
+            (("--seed", "5"), "--seed"),
+            (("--named", "--seed", "5"), "--seed"),
+            (("--named", "--seed", "5", "--trials", "3", "--max-n", "4"),
+             "--trials, --max-n, --seed"),
+            (("--max-m", "2", "--format", "csv"), "--max-m"),
+        ],
+    )
+    def test_table_flags_without_table_exit_two(self, args, flags):
+        # the bound table's flags are read by nothing without --table
+        code, out, err = run_cli("reproduce", *args)
+        assert (code, out, err) == (2, "", f"error: reproduce without --table takes no {flags}\n")
+
     def test_smallest_valid_table(self):
         code, out, _ = run_cli(
             "reproduce", "--table", "--format", "csv", "--max-n", "2", "--max-m", "2",

@@ -7,10 +7,12 @@ game; every other module reads the kind-free tables of
 once as Fraction arithmetic and once as scaled integers.  The passes read
 whole per-state columns from :func:`conflictgames.oracle.state_columns`, the
 one place that iterates over the blocks and the only source of state tables.
-The digits of every column, a state or the restricted growth string of an
-orbit, come from :func:`conflictgames.fastpath.orbit_columns`, the one place
-that enumerates the states, and every :class:`conflictgames.oracle.Orbits`
-from :func:`conflictgames.oracle.orbits_of`, which keeps one per shape.  The
+The column domain is :mod:`conflictgames.oracle`'s alone: the digits of
+every column, a state or the restricted growth string of an orbit, and the
+blocks they are cut into come from :class:`conflictgames.oracle.Orbits`,
+and every one of those from :func:`conflictgames.oracle.orbits_of`, the one
+cache that keeps them per shape; :mod:`conflictgames.fastpath` only
+evaluates the grids it is handed, and keeps no cache of its own.  The
 command line builds instances through
 :data:`conflictgames.instances.GENERATORS` alone.
 """
@@ -38,16 +40,22 @@ def test_only_games_names_the_neighbour_helpers():
     assert _naming(PER_KIND_HELPERS.pattern) == ["games.py"]
 
 
-def test_only_fastpath_and_oracle_name_the_state_blocks():
+def test_only_oracle_names_the_state_blocks():
     # the split of the columns, states or orbit strings, into blocks is
     # decided in oracle alone: every other pass reads whole columns
-    assert _naming(r"\bcolumn_blocks\b") == ["fastpath.py", "oracle.py"]
+    assert _naming(r"\bcolumn_blocks\b") == ["oracle.py"]
 
 
-def test_only_fastpath_enumerates_or_decodes_states():
+def test_only_oracle_enumerates_or_decodes_states():
     # every column, a state or an orbit string, is decoded from the digits
-    # of fastpath.orbit_columns: a second decoder fails here
-    assert _naming(r"\bnp\.indices\b|\blex_states\b") == ["fastpath.py"]
+    # of oracle.Orbits: a second decoder fails here
+    assert _naming(r"\bnp\.indices\b|\blex_states\b") == ["oracle.py"]
+
+
+def test_fastpath_keeps_no_cache_across_evaluators():
+    # the one per-shape cache is oracle.orbits_of: fastpath evaluates the
+    # grids it is handed and keeps nothing between evaluators
+    assert "fastpath.py" not in _naming(r"\blru_cache\b")
 
 
 def test_only_oracle_builds_state_tables():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conflictgames import oracle
-from conflictgames.fastpath import _INT64_SAFE, StateEvaluator, orbit_columns, to_internal
+from conflictgames.fastpath import _INT64_SAFE, StateEvaluator, to_internal, to_public
 from conflictgames.games import (
     GameKind,
     make_instance,
@@ -57,6 +57,7 @@ from conftest import (
     small_instance,
     with_machine_values,
 )
+from reference_evaluator import lex_states, state_blocks
 
 F = Fraction
 
@@ -282,7 +283,8 @@ class TestChunkedStrongScan:
             )
             for state in itertools.product(range(m), repeat=n)
         ]
-        digits, sizes = orbit_columns(n, m, True)
+        columns = oracle.orbits_of(n, m, symmetric=True)
+        digits, sizes = columns.digits, columns.sizes()
         strings = [sum(k * p for k, p in zip(string, place)) for string in digits.T.tolist()]
         assert strings == sorted(set(smallest))
         assert sizes.tolist() == [smallest.count(string) for string in strings]
@@ -298,7 +300,7 @@ class TestChunkedStrongScan:
         n, m = 8, 256
         orbits = oracle.orbits_of(n, m, symmetric=True)
         assert not orbits.indexed and orbits is not oracle.orbits_of(n, m, symmetric=True)
-        digits, sizes = orbit_columns(n, m, True)
+        digits, sizes = orbits.digits, orbits.sizes()
         assert orbits.count == len(sizes) == 4140 and sizes.dtype == object
         cols = np.array([0, 1, 2], dtype=np.int64)  # all on machine 1, then two on 2 machines
         strings = [tuple(digits[:, c].tolist()) for c in cols]
@@ -416,10 +418,18 @@ class TestOrbits:
         # the states domain's index is the identity
         states = oracle.orbits_of(7, 3, False)
         assert states is not one and np.array_equal(states.orbit_map(), np.arange(3**7))
-        # a kept shape is one of the last eight; past the cap none is kept
+        # a kept shape is one of the last eight; past the table budget (65536
+        # strings of 17 players on 2 machines) none is kept
         assert oracle._kept_orbits.cache_info().maxsize == 8
         assert oracle.orbits_of(16, 2, True) is oracle.orbits_of(16, 2, True)
         assert oracle.orbits_of(17, 2, True) is not oracle.orbits_of(17, 2, True)
+        # the index goes with the kept shape: 2^16 states past the budget keep
+        # none, the 29525 strings of 3^11 states are kept with no index
+        assert oracle.orbits_of(16, 2, True).indexed
+        assert not oracle.orbits_of(16, 2, False).kept
+        assert not oracle.orbits_of(16, 2, False).indexed
+        eleven = oracle.orbits_of(11, 3, True)
+        assert eleven is oracle.orbits_of(11, 3, True) and not eleven.indexed
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_equilibria_on_both_sides_of_the_index_cap(self, monkeypatch, kind):
@@ -444,6 +454,103 @@ def _representatives(inst):
     )
     orbits = oracle.orbits_of(inst.n, inst.m, oracle._symmetric(StateEvaluator(inst)))
     return candidates, orbits.lex(orbits.orbit_map())[candidates]
+
+
+def test_state_blocks_cover_every_state_in_lex_order(monkeypatch):
+    shapes = ((1, 1), (1, 3), (3, 1), (4, 3), (10, 2), (11, 2), (5, 4), (1, 12), (3, 10))
+    # the default blocks, and blocks small enough that 1024 states need several
+    for cells in (oracle._BLOCK_CELLS, 1 << 13):
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+        for n, m in shapes:
+            orbits = oracle.orbits_of(n, m, False)
+            digits, sizes = orbits.digits, orbits.sizes()
+            assert digits.shape == (n, m**n) and digits.dtype == np.min_scalar_type(m - 1)
+            assert not digits.flags.writeable and not sizes.flags.writeable
+            assert sizes.shape == (m**n,) and sizes.strides == (0,) and int(sizes.sum()) == m**n
+            blocks = list(orbits.blocks())
+            assert all(b.dtype == digits.dtype and b.shape[1] == n for b in blocks)
+            assert all(len(b) * n * m <= cells for b in blocks)
+            states = [tuple(s) for b in blocks for s in b.tolist()]
+            assert states == list(itertools.product(range(m), repeat=n))
+            # the reference cuts the states where the columns are cut
+            reference = list(state_blocks(n, m))
+            assert [len(b) for b in reference] == [len(b) for b in blocks]
+    assert len(list(oracle.orbits_of(10, 2, False).blocks())) > 1
+    # a state is its lex index: the digits, the division and the decoding of
+    # a column all give the same states
+    for n, m in shapes:
+        expected = list(itertools.product(range(m), repeat=n))
+        decoded = lex_states(n, m, np.arange(m**n))
+        assert decoded.dtype == np.int64
+        assert [tuple(s) for s in decoded.tolist()] == expected
+        every = oracle.orbits_of(n, m, symmetric=False)
+        assert [every.state(idx) for idx in range(m**n)] == [to_public(s) for s in expected]
+
+
+def _stirling(n, j):
+    """S(n, j) by inclusion-exclusion."""
+    terms = ((-1) ** i * math.comb(j, i) * (j - i) ** n for i in range(j + 1))
+    return sum(terms) // math.factorial(j)
+
+
+def test_orbit_strings_count_order_and_sizes(monkeypatch):
+    shapes = ((1, 1), (1, 3), (3, 1), (4, 3), (5, 2), (3, 4), (6, 4), (7, 3), (4, 6), (10, 2))
+    # the default blocks, and blocks small enough that the strings need several
+    for cells in (oracle._BLOCK_CELLS, 1 << 6):
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+        for n, m in shapes:
+            orbits = oracle.orbits_of(n, m, True)
+            digits, sizes = orbits.digits, orbits.sizes()
+            strings = [tuple(s) for s in digits.T.tolist()]
+            assert len(strings) == oracle.orbit_count(n, m) == sum(
+                _stirling(n, j) for j in range(1, m + 1)
+            )
+            # lex order, and each entry at most one above the largest before it
+            assert strings == sorted(set(strings))
+            assert all(
+                s[0] == 0 and all(k <= max(s[:i]) + 1 for i, k in enumerate(s) if i)
+                for s in strings
+            )
+            # orbit sizes: m!/(m - j)! for a string on j machines, m^n in all
+            assert sizes.tolist() == [math.perm(m, len(set(s))) for s in strings]
+            assert sizes.dtype == np.int64 and int(sizes.sum()) == m**n
+            assert digits.dtype == np.min_scalar_type(m - 1)
+            assert not digits.flags.writeable and not sizes.flags.writeable
+            # blocks: the strings in order, none past the cell budget
+            blocks = list(orbits.blocks())
+            assert [tuple(s) for b in blocks for s in b.tolist()] == strings
+            assert all(b.shape[1] == n and len(b) * n * m <= max(cells, n * m) for b in blocks)
+        several = len(list(oracle.orbits_of(7, 3, True).blocks())) > 1
+        assert several == (cells == 1 << 6)
+
+
+def test_orbit_strings_cache_is_bounded():
+    # one cache for both column domains, keyed by (n, m, symmetric)
+    oracle._kept_orbits.cache_clear()
+    assert oracle._kept_orbits.cache_info().maxsize == 8
+    # a shape whose table fits the budget is kept: the same Orbits and the
+    # same column arrays on every call
+    for symmetric in (True, False):
+        orbits = oracle.orbits_of(7, 3, symmetric)
+        assert orbits.kept and orbits is oracle.orbits_of(7, 3, symmetric)
+        assert orbits.digits is oracle.orbits_of(7, 3, symmetric).digits
+        assert orbits.sizes() is oracle.orbits_of(7, 3, symmetric).sizes()
+    assert oracle._kept_orbits.cache_info().currsize == 2
+    # past the budget (88574 strings, 531441 states of 12 players on 3
+    # machines) a shape is fresh on every call
+    assert oracle.orbit_count(12, 3) * 12 * 3 > oracle._TABLE_CELLS
+    for symmetric in (True, False):
+        first, second = (oracle.orbits_of(12, 3, symmetric) for _ in range(2))
+        assert not first.kept and first is not second
+        assert first.digits is not second.digits
+    assert oracle._kept_orbits.cache_info().currsize == 2
+    for n in range(2, 9):
+        for symmetric in (True, False):
+            oracle.orbits_of(n, 2, symmetric)
+    assert oracle._kept_orbits.cache_info().currsize == 8
+    # an orbit size past int64 stays exact
+    sizes = oracle.orbits_of(3, 2**21, True).sizes()
+    assert sizes.dtype == object and sizes.tolist()[-1] == 2**21 * (2**21 - 1) * (2**21 - 2)
 
 
 class TestExpectedValues:

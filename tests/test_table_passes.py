@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conflictgames import dynamics, fastpath, oracle, smoothness
-from conflictgames.fastpath import _TABLE_CELLS, StateEvaluator, orbit_count
+from conflictgames import dynamics, oracle, smoothness
+from conflictgames.fastpath import StateEvaluator
 from conflictgames.games import (
     GameKind,
     canonical_deviation_profile,
@@ -24,7 +24,13 @@ from conflictgames.games import (
     uniform_profile,
 )
 from conflictgames.instances import gen_random
-from conflictgames.oracle import OracleLimits, StateSpaceExceeded, enumerate_states
+from conflictgames.oracle import (
+    _TABLE_CELLS,
+    OracleLimits,
+    StateSpaceExceeded,
+    enumerate_states,
+    orbit_count,
+)
 from conflictgames.smoothness import certificate_params, make_params
 
 from conftest import ALL_KINDS, beyond_int64_pool, kind_pool, with_machine_values
@@ -107,7 +113,7 @@ class TestBlockBoundaries:
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "_BLOCK_CELLS", SMALL_BLOCK_CELLS)
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", SMALL_BLOCK_CELLS)
 
     def test_optimum_ties_spread_over_blocks(self):
         for inst in (EDGELESS_BWC, MAXCUT_11):
@@ -163,7 +169,7 @@ def test_streamed_columns_equal_the_kept_table(monkeypatch):
     # every pass gives the same result from the kept table of one build
     # block, from the kept table filled from blocks of 64 cells, and from
     # the columns streamed block by block past the budget
-    layouts = ((fastpath._BLOCK_CELLS, _TABLE_CELLS), (64, _TABLE_CELLS), (64, 0))
+    layouts = ((oracle._BLOCK_CELLS, _TABLE_CELLS), (64, _TABLE_CELLS), (64, 0))
     pool = [
         gen_random(5, 2, kind, F(1, 2), seed=1) if kind is GameKind.MAXCUT
         else gen_random(4, 3, kind, F(1, 2), seed=1,
@@ -179,7 +185,7 @@ def test_streamed_columns_equal_the_kept_table(monkeypatch):
     for inst in pool:
         results = []
         for block_cells, table_cells in layouts:
-            monkeypatch.setattr(fastpath, "_BLOCK_CELLS", block_cells)
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_cells)
             monkeypatch.setattr(oracle, "_TABLE_CELLS", table_cells)
             monkeypatch.setattr(oracle, "_kept", None)
             results.append(_every_pass(inst))
@@ -451,7 +457,7 @@ class TestKeptTable:
         # None: one build block per table; 64 cells: a table filled from
         # several blocks
         if block_cells:
-            monkeypatch.setattr(fastpath, "_BLOCK_CELLS", block_cells)
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_cells)
         pool = [inst for kind in ALL_KINDS for inst in kind_pool(kind, 3, n_max=5)]
         pool += beyond_int64_pool()
         assert {StateEvaluator(inst).dtype() for inst in pool} == {np.int64, object}
