@@ -23,6 +23,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from conflictgames.games import GameKind
 from conflictgames.instances import gen_random
 from conflictgames.oracle import DEFAULT_LIMITS, equilibrium_report, orbit_count
+from conflictgames.smoothness import pure_poa_bound
 
 
 def main() -> int:
@@ -45,7 +46,7 @@ def main() -> int:
             inst = gen_random(n, m, GameKind.BWC, probs[t % 3], seed=args.seed + t)
             rep = equilibrium_report(inst, with_strong=False)
             worst = max(worst, rep.poa)
-        certified = 2 - Fraction(m, n)
+        certified = pure_poa_bound(GameKind.BWC, n, m)
         print(
             f"  n={n}: max observed PoA = {worst} ({float(worst):.4f}); "
             f"certified {certified} ({float(certified):.4f})"

@@ -17,8 +17,8 @@ read (``oracle._build_columns``) of every instance: the restricted growth
 strings where the machines all have the same machine term, all the states
 elsewhere; "orbit index build" is a fresh build of the same shape's
 state-to-column map (``Orbits._map`` of the ``oracle.Orbits`` that
-``oracle.orbits_of`` keeps, by renaming every column; the columns and the
-states' digits kept), which a scan pays once per shape and a listing of
+``oracle.orbits_of`` keeps, by renaming every string, ``np.arange`` on
+the states domain; the columns and the states' digits kept), which a scan pays once per shape and a listing of
 equilibria reads from then on.
 The best of ``--repeats`` cycles is printed in milliseconds per cycle.  The
 block ends with the columns the scan passes read per cycle, one per orbit

@@ -60,8 +60,11 @@ def _add_common(p: argparse.ArgumentParser, formats: bool = True, limits: bool =
         p.add_argument("--format", choices=("text", "csv"), default="text")
     if limits:
         p.add_argument("--max-states", type=int, default=None,
-                       help="cap on the states, or orbits of states, one pass reads "
-                            "(also applied to the CCE LP)")
+                       help="cap on the states, or orbits of states, one pass reads; "
+                            "the CCE LP takes the smaller of this and its own "
+                            f"{OracleLimits().lp_max_states}-state cap, so it can lower "
+                            "that cap, never raise it "
+                            "(a 1024-state BwC LP takes about two minutes)")
 
 
 def _add_instance_source(p: argparse.ArgumentParser, from_file: bool = True) -> None:
@@ -267,7 +270,7 @@ def _cmd_smoothness(args) -> int:
         if args.lam is None or args.mu is None:
             raise UsageError("--lam and --mu go together")
         params = smoothness.make_params(inst.kind, args.lam, args.mu)
-        pota = params.rho if inst.kind.minimizes else 1 / params.rho
+        pota = smoothness.cce_bound(inst.kind, params)
     else:
         params, pota = smoothness.certificate_params(
             inst.kind, inst.n, inst.m, inst.alpha, inst.beta, inst.gamma

@@ -47,7 +47,7 @@ from . import oracle
 from .fastpath import _INT64_BOUND, StateEvaluator, max_abs, to_internal, to_public
 from .games import GameKind, Instance, State, harmonic, validate_state
 from .oracle import DEFAULT_LIMITS, OracleLimits
-from .smoothness import certificate_params
+from .smoothness import certificate_params, pure_poa_bound
 from .verdicts import VerdictReport, frac_str, make_verdict
 
 
@@ -218,12 +218,20 @@ def trace_csv(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bound_on_scale(threshold: Fraction, scale: int, at_least: bool) -> int:
-    """The int ``b`` with ``v / scale >= threshold`` iff ``v >= b`` (``at_least``),
-    or ``v / scale <= threshold`` iff ``v <= b``, for every int ``v``: the
-    threshold put on the scale once, rounded up or down."""
-    num = threshold.numerator * scale
-    return -(-num // threshold.denominator) if at_least else num // threshold.denominator
+def _first_past(
+    values: list[int], threshold: Fraction, scale: int, at_least: bool
+) -> tuple[Optional[int], bool]:
+    """First position ``t`` whose ``values[t] / scale`` is at or past
+    ``threshold`` (``>=`` when ``at_least``, else ``<=``), and whether every
+    later one is too; (None, False) when none is.  The threshold is put on
+    the scale once, rounded up or down, so each comparison is of ints."""
+    num, den = threshold.numerator * scale, threshold.denominator
+    bound = -(-num // den) if at_least else num // den
+    met = [v >= bound if at_least else v <= bound for v in values]
+    first = next((t for t, ok in enumerate(met) if ok), None)
+    if first is None:
+        return None, False
+    return first, all(met[first:])
 
 
 def steps_to_quality(
@@ -233,16 +241,7 @@ def steps_to_quality(
     ``target_ratio`` times the optimum, and whether that quality persists to
     the end of the trace.  (None, False) when the trace never gets there."""
     threshold = Fraction(target_ratio) * Fraction(opt_value)
-    bound = _bound_on_scale(threshold, trace.value_scale, trace.maximizes)
-    values = trace.scaled_socials()
-    if trace.maximizes:
-        met = [v >= bound for v in values]
-    else:
-        met = [v <= bound for v in values]
-    first = next((t for t, ok in enumerate(met) if ok), None)
-    if first is None:
-        return None, False
-    return first, all(met[first:])
+    return _first_past(trace.scaled_socials(), threshold, trace.value_scale, trace.maximizes)
 
 
 @dataclass(frozen=True)
@@ -365,17 +364,11 @@ def check_convergence_theorems(
         mono_bad += 0 if ok else 1
     rows.append(make_verdict("dyn.potential_monotone", inst_label, 0, mono_bad, "=="))
 
-    params, _ = certificate_params(
-        inst.kind, inst.n, inst.m, inst.alpha, inst.beta, inst.gamma
-    )
     n, m = inst.n, inst.m
+    weights = (inst.alpha, inst.beta, inst.gamma)
 
     if inst.kind.minimizes:
-        if inst.kind is GameKind.BWC and n >= m:
-            coef = 2 - Fraction(m, n)  # the niceness constant, tighter than lambda
-        else:
-            coef = params.lam
-        tau = coef * (1 + eps)
+        tau = pure_poa_bound(inst.kind, n, m, *weights) * (1 + eps)
         reach_ratio = Fraction(0)
         persist_ratio = Fraction(0)
         steps_needed = 0
@@ -398,6 +391,7 @@ def check_convergence_theorems(
         return rows
 
     # payoff kinds
+    params, _ = certificate_params(inst.kind, n, m, *weights)
     rho = params.rho
     b_const = Fraction(1) if inst.kind is GameKind.MAXCUT else harmonic(n)
     mu = params.mu
@@ -420,12 +414,10 @@ def check_convergence_theorems(
         vs = t.value_scale
         best = Fraction(max(values), vs) / opt_value
         reach1 = best if reach1 is None else min(reach1, best)
-        reach_bound = _bound_on_scale(tau1 * opt_value, vs, True)
-        met1 = next((i for i, v in enumerate(values) if v >= reach_bound), None)
+        met1, _ = steps_to_quality(t, tau1, opt_value)
         if met1 is not None:
             steps1 = max(steps1, met1)
-        phi_bound = _bound_on_scale(phi_threshold, t.potential_scale, True)
-        t0 = next((i for i, p in enumerate(t.scaled_potentials()) if p >= phi_bound), None)
+        t0, _ = _first_past(t.scaled_potentials(), phi_threshold, t.potential_scale, True)
         if t0 is None:
             phi_missed += 1
             continue

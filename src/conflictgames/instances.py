@@ -29,36 +29,36 @@ from .games import (
 # named generators
 
 
+def _part_pairs(m: int, name: str) -> tuple[int, list, list]:
+    """``(n, within, across)`` for m parts of m players, ``n = m * m``,
+    players ``1 .. m`` in the first part: the player pairs in lex order,
+    split into those within a part and those across parts."""
+    if m < 2:
+        raise InvalidInstanceError("m", f"{name} generator needs m >= 2, got {m}")
+    n = m * m
+    within, across = [], []
+    for a, b in combinations(range(1, n + 1), 2):
+        (within if (a - 1) // m == (b - 1) // m else across).append((a, b))
+    return n, within, across
+
+
 def gen_bwc_multipartite(m: int) -> Instance:
     """Complete m-partite conflict graph, m parts of m nodes, m machines."""
-    if m < 2:
-        raise InvalidInstanceError("m", f"multipartite generator needs m >= 2, got {m}")
-    n = m * m
-    part = lambda p: (p - 1) // m
-    edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if part(a) != part(b)]
-    return make_instance(GameKind.BWC, n, m, conflict_edges=edges)
+    n, _, across = _part_pairs(m, "multipartite")
+    return make_instance(GameKind.BWC, n, m, conflict_edges=across)
 
 
 def gen_bwf_cliques(m: int) -> Instance:
     """m disjoint friendship cliques of size m, m machines."""
-    if m < 2:
-        raise InvalidInstanceError("m", f"clique generator needs m >= 2, got {m}")
-    n = m * m
-    part = lambda p: (p - 1) // m
-    edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if part(a) == part(b)]
-    return make_instance(GameKind.BWF, n, m, friendship_edges=edges)
+    n, within, _ = _part_pairs(m, "clique")
+    return make_instance(GameKind.BWF, n, m, friendship_edges=within)
 
 
 def gen_bwcf_lower(m: int, alpha: Rational, beta: Rational, gamma: Rational) -> Instance:
     """Friendship cliques within parts, conflicts across parts (m parts of m)."""
-    if m < 2:
-        raise InvalidInstanceError("m", f"lower-bound generator needs m >= 2, got {m}")
-    n = m * m
-    part = lambda p: (p - 1) // m
-    fr = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if part(a) == part(b)]
-    conf = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if part(a) != part(b)]
+    n, within, across = _part_pairs(m, "lower-bound")
     return make_instance(
-        GameKind.BWCF, n, m, conflict_edges=conf, friendship_edges=fr,
+        GameKind.BWCF, n, m, conflict_edges=across, friendship_edges=within,
         alpha=alpha, beta=beta, gamma=gamma,
     )
 

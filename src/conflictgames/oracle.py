@@ -45,13 +45,13 @@ which keeps those of the last eight ``(n, m, symmetric)`` whose table fits
 ``_TABLE_CELLS`` (2^20) cells, the same budget as the kept table below.  A
 kept one builds its columns once; one of at most ``_INDEX_STATES`` (2^16)
 states is also indexed: it builds its state-to-column map once, by renaming
-every column into its orbit, and keeps it read-only.  A string shape reads
-the digits of the states from the kept states domain of its shape, so they
-are decoded once.  The pure and the strong equilibria of an indexed shape
-are listed by lookup (:meth:`Orbits.expand`): their distinct columns are
-marked, the mark is read through the map, and the states so selected,
-already in lex order, are decoded from the states' digits; on the states
-domain the map is the identity.  Any other shape lists by renaming its
+every string into its orbit (on the states domain the map is the identity,
+``np.arange``), and keeps it read-only.  A string shape reads the digits of
+the states from the kept states domain of its shape, so they are decoded
+once.  The pure and the strong equilibria of an indexed shape are listed by
+lookup (:meth:`Orbits.expand`): their distinct columns are marked, the mark
+is read through the map, and the states so selected, already in lex order,
+are decoded from the states' digits.  Any other shape lists by renaming its
 columns into every state of their orbits, sorted, and a shape past the
 budget keeps nothing.
 
@@ -345,7 +345,10 @@ class Orbits:
         return of
 
     def _map(self) -> np.ndarray:
-        """The state-to-column map, built by renaming every column."""
+        """The state-to-column map, built by renaming every string; the
+        identity on the states domain."""
+        if not self.symmetric:
+            return np.arange(self.count, dtype=np.int64)
         grid, cols = self._members(np.arange(self.count))
         of = np.empty(self.m**self.n, dtype=np.int64)
         of[grid @ self._place] = cols

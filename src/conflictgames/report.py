@@ -33,53 +33,58 @@ from .oracle import DEFAULT_LIMITS, OracleLimits
 from .verdicts import VerdictReport, make_verdict
 
 
-def _multipartite_rows(m: int, limits: OracleLimits) -> list[VerdictReport]:
-    inst = gen_bwc_multipartite(m)
-    label = f"bwc-multipartite(m={m})"
-    rep = oracle.equilibrium_report(inst, limits, with_strong=(m == 2))
-    worst_ne = max(v for _, v in rep.pure_ne)
-    rows = [
-        make_verdict(f"bwc.multipartite.m{m}.opt", label, Fraction(m**3), rep.optimum[1], "=="),
+def _holds(claim_id: str, label: str, flag: bool) -> VerdictReport:
+    """A 0/1 row: ``flag`` holds."""
+    return make_verdict(claim_id, label, 1, int(flag), "==")
+
+
+def _pure_poa_rows(
+    prefix: str, label: str, inst, opt: Fraction, worst_ne: Fraction, limits: OracleLimits
+) -> list[VerdictReport]:
+    """The optimum and the worst pure equilibrium of a tight family against
+    their closed forms, and its pure PoA against the certified bound."""
+    rep = oracle.equilibrium_report(inst, limits, with_strong=False)
+    bound = smoothness.pure_poa_bound(inst.kind, inst.n, inst.m, inst.alpha, inst.beta, inst.gamma)
+    return [
+        make_verdict(f"{prefix}.opt", label, opt, rep.optimum[1], "=="),
         make_verdict(
-            f"bwc.multipartite.m{m}.worst_pure_ne", label, Fraction(2 * m**3 - m * m),
-            worst_ne, "==",
+            f"{prefix}.worst_pure_ne", label, worst_ne, max(v for _, v in rep.pure_ne), "=="
         ),
-        make_verdict(
-            f"bwc.multipartite.m{m}.pure_poa", label, 2 - Fraction(m, inst.n), rep.poa, "==",
-        ),
+        make_verdict(f"{prefix}.pure_poa", label, bound, rep.poa, "=="),
     ]
+
+
+def _uniform_rows(prefix: str, count_id: str, label: str, inst, expected) -> list[VerdictReport]:
+    """The uniform profile of a tight family: the (player, machine) pairs
+    whose expected value under it differs from ``expected`` (row
+    ``count_id``, none expected), and whether it is a mixed equilibrium."""
     profile = uniform_profile(inst)
-    expected = Fraction(2 * inst.n - 1, m)
     mismatches = sum(
         1
         for i in range(1, inst.n + 1)
-        for k in range(1, m + 1)
+        for k in range(1, inst.m + 1)
         if oracle.expected_player_value(inst, profile, i, k) != expected
     )
-    rows.append(
-        make_verdict(f"bwc.multipartite.m{m}.uniform_value", label, 0, mismatches, "==")
-    )
-    rows.append(
-        make_verdict(
-            f"bwc.multipartite.m{m}.uniform_is_mixed_ne", label, 1,
-            int(oracle.verify_mixed_ne(inst, profile)), "==",
-        )
-    )
+    return [
+        make_verdict(f"{prefix}.{count_id}", label, 0, mismatches, "=="),
+        _holds(f"{prefix}.uniform_is_mixed_ne", label, oracle.verify_mixed_ne(inst, profile)),
+    ]
+
+
+def _multipartite_rows(m: int, limits: OracleLimits) -> list[VerdictReport]:
+    inst = gen_bwc_multipartite(m)
+    label = f"bwc-multipartite(m={m})"
+    prefix = f"bwc.multipartite.m{m}"
     params, pota = smoothness.certificate_params(inst.kind, inst.n, inst.m)
-    rows.append(
-        make_verdict(
-            f"bwc.multipartite.m{m}.semi_smooth", label, 1,
-            int(smoothness.check_semi_smooth(inst, params, limits=limits).holds), "==",
-        )
-    )
+    rows = _pure_poa_rows(prefix, label, inst, Fraction(m**3), Fraction(2 * m**3 - m * m), limits)
+    rows += _uniform_rows(prefix, "uniform_value", label, inst, Fraction(2 * inst.n - 1, m))
+    semi_smooth = smoothness.check_semi_smooth(inst, params, limits=limits).holds
+    rows.append(_holds(f"{prefix}.semi_smooth", label, semi_smooth))
     if m == 2:
         cce = oracle.worst_cce_value(inst, limits)
-        rows.append(make_verdict("bwc.multipartite.m2.worst_cce", label, 14, cce.value, "=="))
-        rows.append(
-            make_verdict(
-                "bwc.multipartite.m2.cce_ratio", label, pota, cce.value / rep.optimum[1], "==",
-            )
-        )
+        _, opt_value = oracle.optimum(inst, limits)
+        rows.append(make_verdict(f"{prefix}.worst_cce", label, 14, cce.value, "=="))
+        rows.append(make_verdict(f"{prefix}.cce_ratio", label, pota, cce.value / opt_value, "=="))
     return rows
 
 
@@ -88,51 +93,36 @@ def _path4_rows(limits: OracleLimits) -> list[VerdictReport]:
     label = "path4"
     rep = oracle.equilibrium_report(inst, limits)
     strong_values = [v for _, v in rep.strong_ne]
-    rows = [
+    bound = smoothness.strong_poa_bound(inst.kind, inst.n, inst.m)
+    return [
         make_verdict("path4.opt", label, 8, rep.optimum[1], "=="),
-        make_verdict("path4.strong_has_opt", label, 1, int(rep.optimum in rep.strong_ne), "=="),
+        _holds("path4.strong_has_opt", label, rep.optimum in rep.strong_ne),
         make_verdict("path4.worst_strong_value", label, 10, max(strong_values), "=="),
         make_verdict("path4.strong_poa", label, Fraction(5, 4), rep.strong_poa, "=="),
-        make_verdict(
-            "path4.strong_poa_bound", label,
-            Fraction(4, 3) + Fraction(2, 3 * inst.n), rep.strong_poa, "<=",
-        ),
+        make_verdict("path4.strong_poa_bound", label, bound, rep.strong_poa, "<="),
     ]
-    return rows
 
 
 def _bwf_rows(limits: OracleLimits) -> list[VerdictReport]:
     inst = gen_bwf_cliques(2)
-    label = "bwf-cliques(m=2)"
-    rep = oracle.equilibrium_report(inst, limits, with_strong=False)
-    worst_ne = max(v for _, v in rep.pure_ne)
-    return [
-        make_verdict("bwf.cliques.m2.opt", label, 8, rep.optimum[1], "=="),
-        make_verdict("bwf.cliques.m2.worst_pure_ne", label, 12, worst_ne, "=="),
-        make_verdict("bwf.cliques.m2.pure_poa", label, 2 - Fraction(1, 2), rep.poa, "=="),
-    ]
+    return _pure_poa_rows(
+        "bwf.cliques.m2", "bwf-cliques(m=2)", inst, Fraction(8), Fraction(12), limits
+    )
 
 
 def _bwcf_rows(limits: OracleLimits) -> list[VerdictReport]:
     inst = gen_bwcf_lower(2, 1, 1, 1)
     label = "bwcf-lower(m=2,a=1,b=1,g=1)"
     n, m = inst.n, inst.m
-    opt_state, opt_value = oracle.optimum(inst, limits)
+    _, opt_value = oracle.optimum(inst, limits)
     profile = uniform_profile(inst)
     expected = (
         inst.alpha * (1 + Fraction(n - 1, m))
         + inst.beta * Fraction(n - m, m)
         + inst.gamma * Fraction((m - 1) ** 2, m)
     )
-    mismatches = sum(
-        1
-        for i in range(1, n + 1)
-        for k in range(1, m + 1)
-        if oracle.expected_player_value(inst, profile, i, k) != expected
-    )
-    params, pota = smoothness.certificate_params(
-        inst.kind, n, m, inst.alpha, inst.beta, inst.gamma
-    )
+    params, pota = smoothness.certificate_params(inst.kind, n, m, inst.alpha, inst.beta, inst.gamma)
+    semi_smooth = smoothness.check_semi_smooth(inst, params, limits=limits).holds
     mixed_value = sum(
         (oracle.profile_expected_value(inst, profile, i) for i in range(1, n + 1)),
         Fraction(0),
@@ -140,16 +130,9 @@ def _bwcf_rows(limits: OracleLimits) -> list[VerdictReport]:
     return [
         make_verdict("bwcf.lower.m2.opt", label, inst.alpha * Fraction(n * n, m), opt_value, "=="),
         make_verdict("bwcf.lower.m2.uniform_value", label, expected, Fraction(4), "=="),
-        make_verdict("bwcf.lower.m2.uniform_value_mismatches", label, 0, mismatches, "=="),
-        make_verdict(
-            "bwcf.lower.m2.uniform_is_mixed_ne", label, 1,
-            int(oracle.verify_mixed_ne(inst, profile)), "==",
-        ),
+        *_uniform_rows("bwcf.lower.m2", "uniform_value_mismatches", label, inst, expected),
         make_verdict("bwcf.lower.m2.mixed_ratio_tight", label, pota, mixed_value / opt_value, "=="),
-        make_verdict(
-            "bwcf.lower.m2.semi_smooth", label, 1,
-            int(smoothness.check_semi_smooth(inst, params, limits=limits).holds), "==",
-        ),
+        _holds("bwcf.lower.m2.semi_smooth", label, semi_smooth),
     ]
 
 
@@ -180,7 +163,7 @@ def _strong_sweep_rows(limits: OracleLimits) -> list[VerdictReport]:
             )
         )
     for n in range(2, 9):
-        bound = Fraction(4, 3) + Fraction(2, 3 * n)
+        bound = smoothness.strong_poa_bound(GameKind.BWC, n, 2)
         worst_ratio = Fraction(0)
         opt_missing = 0
         for seed in range(_STRONG_SWEEP_PER_N):
@@ -205,23 +188,13 @@ def _swc_pos_rows(limits: OracleLimits) -> list[VerdictReport]:
         label = f"swc-pos(m=3,eps={eps})"
         rep = oracle.equilibrium_report(inst, limits, with_strong=False)
         expected_pos = Fraction(2 * m * m - 2 * m + eps) / Fraction(m * m - m + eps)
-        rows.append(
-            make_verdict(f"swc.pos.eps{eps.denominator}.unique_ne", label, 1, len(rep.pure_ne), "==")
-        )
-        rows.append(
-            make_verdict(
-                f"swc.pos.eps{eps.denominator}.ne_state", label, 1,
-                int(rep.pure_ne[0][0] == (1,) * m), "==",
-            )
-        )
-        rows.append(
-            make_verdict(f"swc.pos.eps{eps.denominator}.pos", label, expected_pos, rep.pos, "==")
-        )
+        tag = f"swc.pos.eps{eps.denominator}"
+        rows.append(make_verdict(f"{tag}.unique_ne", label, 1, len(rep.pure_ne), "=="))
+        rows.append(_holds(f"{tag}.ne_state", label, rep.pure_ne[0][0] == (1,) * m))
+        rows.append(make_verdict(f"{tag}.pos", label, expected_pos, rep.pos, "=="))
         ratios.append(rep.pos)
     increasing = all(a < b for a, b in zip(ratios, ratios[1:])) and all(r < 2 for r in ratios)
-    rows.append(
-        make_verdict("swc.pos.monotone_to_2", "swc-pos(m=3) eps sweep", 1, int(increasing), "==")
-    )
+    rows.append(_holds("swc.pos.monotone_to_2", "swc-pos(m=3) eps sweep", increasing))
     return rows
 
 
@@ -231,7 +204,7 @@ def _swf_rows(limits: OracleLimits) -> list[VerdictReport]:
     rep = oracle.equilibrium_report(inst, limits)
     return [
         make_verdict("swf.nostrong.strong_ne_count", label, 0, len(rep.strong_ne), "=="),
-        make_verdict("swf.nostrong.has_pure_ne", label, 1, int(len(rep.pure_ne) >= 1), "=="),
+        _holds("swf.nostrong.has_pure_ne", label, len(rep.pure_ne) >= 1),
     ]
 
 
@@ -247,6 +220,7 @@ def _maxcut_rows(limits: OracleLimits) -> list[VerdictReport]:
         if smoothness.semi_smooth_lhs(inst, s, profile) != edges
     )
     params, _ = smoothness.certificate_params(inst.kind, inst.n, inst.m)
+    semi_smooth = smoothness.check_semi_smooth(inst, params, limits=limits).holds
     rho_max = max(
         smoothness.max_rho_pure_sigma(inst, sigma, limits)
         for sigma in itertools.product((1, 2), repeat=inst.n)
@@ -255,10 +229,7 @@ def _maxcut_rows(limits: OracleLimits) -> list[VerdictReport]:
     return [
         make_verdict("maxcut.edge.opt", label, 2, opt_value, "=="),
         make_verdict("maxcut.edge.lhs_is_edge_count", label, 0, lhs_bad, "=="),
-        make_verdict(
-            "maxcut.edge.semi_smooth_half", label, 1,
-            int(smoothness.check_semi_smooth(inst, params, limits=limits).holds), "==",
-        ),
+        _holds("maxcut.edge.semi_smooth_half", label, semi_smooth),
         make_verdict("maxcut.edge.pure_sigma_rho", label, Fraction(1, 3), rho_max, "=="),
         make_verdict("maxcut.edge.worst_cce", label, opt_value / 2, cce.value, "=="),
     ]

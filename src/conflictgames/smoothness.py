@@ -1,5 +1,7 @@
 """Numeric certification of semi-smoothness, niceness, the known
-price-of-total-anarchy parameters, and the optimum lower-bound inequalities.
+price-of-total-anarchy parameters, and the optimum lower-bound inequalities;
+and the one copy of the paper's bound formulas: the certified (lambda, mu),
+the CCE bound they imply, the pure-PoA coefficient and the strong-PoA bound.
 
 All verdicts are exact: the per-state inequalities are array reductions over
 the evaluator's state table in scaled integers, never floats.  The
@@ -233,14 +235,13 @@ def certificate_params(
     gamma: Optional[Fraction] = None,
 ) -> tuple[SmoothnessParams, Fraction]:
     """The certified (lambda, mu) for the kind and the implied bound on the
-    worst-CCE-to-optimum ratio.  Degenerate m = 1 games are trivially (1, 0)
-    with ratio 1."""
+    worst-CCE-to-optimum ratio (:func:`cce_bound`).  Degenerate m = 1 games
+    are trivially (1, 0) with ratio 1."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     if m == 1:
         params = make_params(kind, 1, 0)
-        return params, Fraction(1)
-    if kind is GameKind.BWC:
+    elif kind is GameKind.BWC:
         lam = (
             2 - Fraction(1, m) + Fraction(m - 1, n)
             if n >= m
@@ -275,8 +276,31 @@ def certificate_params(
         params = make_params(kind, Fraction(1, m), 0)
     else:  # cut game
         params = make_params(kind, Fraction(1, 2), 0)
-    pota = params.rho if kind.minimizes else 1 / params.rho
-    return params, pota
+    return params, cce_bound(kind, params)
+
+
+def cce_bound(kind: GameKind, params: SmoothnessParams) -> Fraction:
+    """The bound (lambda, mu) implies on the worst-CCE-to-optimum ratio:
+    rho for cost kinds, 1/rho for payoff kinds (Roughgarden, JACM 2015)."""
+    return params.rho if kind.minimizes else 1 / params.rho
+
+
+def pure_poa_bound(kind: GameKind, n: int, m: int, alpha=None, beta=None, gamma=None) -> Fraction:
+    """The certified bound on a cost kind's pure price of anarchy: for
+    BwC with n >= m the niceness constant 2 - m/n, tighter than lambda, and
+    the certified lambda otherwise."""
+    if not kind.minimizes:
+        raise ValueError("the pure price-of-anarchy coefficient applies to cost kinds only")
+    params, _ = certificate_params(kind, n, m, alpha, beta, gamma)
+    return 2 - Fraction(m, n) if kind is GameKind.BWC and n >= m else params.lam
+
+
+def strong_poa_bound(kind: GameKind, n: int, m: int) -> Fraction:
+    """The bound 4/3 + 2/(3n) on the strong price of anarchy of BwC on two
+    machines."""
+    if kind is not GameKind.BWC or m != 2:
+        raise ValueError(f"the bound is for BwC on 2 machines, not {kind.value} on {m}")
+    return Fraction(4, 3) + Fraction(2, 3 * n)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ cache that keeps them per shape; :mod:`conflictgames.fastpath` only
 evaluates the grids it is handed, and keeps no cache of its own.  The
 command line builds instances through
 :data:`conflictgames.instances.GENERATORS` alone.
+
+The paper's bound formulas are written once, in
+:mod:`conflictgames.smoothness`: the CCE bound that (lambda, mu) implies,
+the certified pure-PoA coefficient of the cost kinds and the two-machine
+strong-PoA bound.  The tight families split the players of their m parts
+into pairs within and across parts once, in :mod:`conflictgames.instances`.
 """
 
 import ast
@@ -93,3 +99,24 @@ def test_only_the_registry_dispatches_to_generators():
     # branch names a gen_ function and fails here
     assert all(fn.__name__.startswith("gen_") for fn in GENERATORS.values())
     assert "cli.py" not in _naming(r"\bgen_\w+")
+
+
+def test_only_smoothness_writes_the_bound_formulas():
+    # the CCE bound 1/rho, the pure-PoA coefficient 2 - m/n and the strong
+    # bound 4/3 + 2/(3n): a second copy of any of them fails here
+    assert _naming(r"1 / params\.rho\b") == ["smoothness.py"]
+    assert _naming(r"\b2 - Fraction\(") == ["smoothness.py"]
+    scripts = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+    assert not [p.name for p in scripts.glob("*.py") if "Fraction(m, n)" in p.read_text()]
+    assert _naming(r"Fraction\(4, 3\)|Fraction\(2, 3 \* \w+\)") == ["smoothness.py"]
+
+
+def test_one_part_split():
+    # the m-part families read one split of their pairs: a player's part,
+    # ``(p - 1) // m``, is computed on one line of the package
+    package = pathlib.Path(conflictgames.__file__).parent
+    found = {
+        path.name: len(re.findall(r"^.*\(\w+ - 1\) // m\b", path.read_text(), re.M))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: count for name, count in found.items() if count} == {"instances.py": 1}

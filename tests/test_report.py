@@ -17,6 +17,74 @@ from conflictgames.verdicts import (
 F = Fraction
 
 
+# every row of the named battery, in order: (claim id, instance, relation,
+# bound).  A closed form that moves and changes a bound, or a row dropped,
+# added or reordered, fails here.
+NAMED_ROWS = (
+    ("bwc.multipartite.m2.opt", "bwc-multipartite(m=2)", "==", "8/1"),
+    ("bwc.multipartite.m2.worst_pure_ne", "bwc-multipartite(m=2)", "==", "12/1"),
+    ("bwc.multipartite.m2.pure_poa", "bwc-multipartite(m=2)", "==", "3/2"),
+    ("bwc.multipartite.m2.uniform_value", "bwc-multipartite(m=2)", "==", "0/1"),
+    ("bwc.multipartite.m2.uniform_is_mixed_ne", "bwc-multipartite(m=2)", "==", "1/1"),
+    ("bwc.multipartite.m2.semi_smooth", "bwc-multipartite(m=2)", "==", "1/1"),
+    ("bwc.multipartite.m2.worst_cce", "bwc-multipartite(m=2)", "==", "14/1"),
+    ("bwc.multipartite.m2.cce_ratio", "bwc-multipartite(m=2)", "==", "7/4"),
+    ("bwc.multipartite.m3.opt", "bwc-multipartite(m=3)", "==", "27/1"),
+    ("bwc.multipartite.m3.worst_pure_ne", "bwc-multipartite(m=3)", "==", "45/1"),
+    ("bwc.multipartite.m3.pure_poa", "bwc-multipartite(m=3)", "==", "5/3"),
+    ("bwc.multipartite.m3.uniform_value", "bwc-multipartite(m=3)", "==", "0/1"),
+    ("bwc.multipartite.m3.uniform_is_mixed_ne", "bwc-multipartite(m=3)", "==", "1/1"),
+    ("bwc.multipartite.m3.semi_smooth", "bwc-multipartite(m=3)", "==", "1/1"),
+    ("bwf.cliques.m2.opt", "bwf-cliques(m=2)", "==", "8/1"),
+    ("bwf.cliques.m2.worst_pure_ne", "bwf-cliques(m=2)", "==", "12/1"),
+    ("bwf.cliques.m2.pure_poa", "bwf-cliques(m=2)", "==", "3/2"),
+    ("bwcf.lower.m2.opt", "bwcf-lower(m=2,a=1,b=1,g=1)", "==", "8/1"),
+    ("bwcf.lower.m2.uniform_value", "bwcf-lower(m=2,a=1,b=1,g=1)", "==", "4/1"),
+    ("bwcf.lower.m2.uniform_value_mismatches", "bwcf-lower(m=2,a=1,b=1,g=1)", "==", "0/1"),
+    ("bwcf.lower.m2.uniform_is_mixed_ne", "bwcf-lower(m=2,a=1,b=1,g=1)", "==", "1/1"),
+    ("bwcf.lower.m2.mixed_ratio_tight", "bwcf-lower(m=2,a=1,b=1,g=1)", "==", "2/1"),
+    ("bwcf.lower.m2.semi_smooth", "bwcf-lower(m=2,a=1,b=1,g=1)", "==", "1/1"),
+    ("path4.opt", "path4", "==", "8/1"),
+    ("path4.strong_has_opt", "path4", "==", "1/1"),
+    ("path4.worst_strong_value", "path4", "==", "10/1"),
+    ("path4.strong_poa", "path4", "==", "5/4"),
+    ("path4.strong_poa_bound", "path4", "<=", "3/2"),
+    ("bwc.strong.n2.poa_is_one", "all conflict graphs, n=2, m=2", "==", "0/1"),
+    ("bwc.strong.n3.poa_is_one", "all conflict graphs, n=3, m=2", "==", "0/1"),
+    ("bwc.strong.n2.opt_is_strong", "random BwC m=2 n=2 x3", "==", "0/1"),
+    ("bwc.strong.n2.poa_bound", "random BwC m=2 n=2 x3", "<=", "5/3"),
+    ("bwc.strong.n3.opt_is_strong", "random BwC m=2 n=3 x3", "==", "0/1"),
+    ("bwc.strong.n3.poa_bound", "random BwC m=2 n=3 x3", "<=", "14/9"),
+    ("bwc.strong.n4.opt_is_strong", "random BwC m=2 n=4 x3", "==", "0/1"),
+    ("bwc.strong.n4.poa_bound", "random BwC m=2 n=4 x3", "<=", "3/2"),
+    ("bwc.strong.n5.opt_is_strong", "random BwC m=2 n=5 x3", "==", "0/1"),
+    ("bwc.strong.n5.poa_bound", "random BwC m=2 n=5 x3", "<=", "22/15"),
+    ("bwc.strong.n6.opt_is_strong", "random BwC m=2 n=6 x3", "==", "0/1"),
+    ("bwc.strong.n6.poa_bound", "random BwC m=2 n=6 x3", "<=", "13/9"),
+    ("bwc.strong.n7.opt_is_strong", "random BwC m=2 n=7 x3", "==", "0/1"),
+    ("bwc.strong.n7.poa_bound", "random BwC m=2 n=7 x3", "<=", "10/7"),
+    ("bwc.strong.n8.opt_is_strong", "random BwC m=2 n=8 x3", "==", "0/1"),
+    ("bwc.strong.n8.poa_bound", "random BwC m=2 n=8 x3", "<=", "17/12"),
+    ("swc.pos.eps2.unique_ne", "swc-pos(m=3,eps=1/2)", "==", "1/1"),
+    ("swc.pos.eps2.ne_state", "swc-pos(m=3,eps=1/2)", "==", "1/1"),
+    ("swc.pos.eps2.pos", "swc-pos(m=3,eps=1/2)", "==", "25/13"),
+    ("swc.pos.eps10.unique_ne", "swc-pos(m=3,eps=1/10)", "==", "1/1"),
+    ("swc.pos.eps10.ne_state", "swc-pos(m=3,eps=1/10)", "==", "1/1"),
+    ("swc.pos.eps10.pos", "swc-pos(m=3,eps=1/10)", "==", "121/61"),
+    ("swc.pos.eps100.unique_ne", "swc-pos(m=3,eps=1/100)", "==", "1/1"),
+    ("swc.pos.eps100.ne_state", "swc-pos(m=3,eps=1/100)", "==", "1/1"),
+    ("swc.pos.eps100.pos", "swc-pos(m=3,eps=1/100)", "==", "1201/601"),
+    ("swc.pos.monotone_to_2", "swc-pos(m=3) eps sweep", "==", "1/1"),
+    ("swf.nostrong.strong_ne_count", "swf-nostrong(eps=1/10)", "==", "0/1"),
+    ("swf.nostrong.has_pure_ne", "swf-nostrong(eps=1/10)", "==", "1/1"),
+    ("maxcut.edge.opt", "maxcut-edge", "==", "2/1"),
+    ("maxcut.edge.lhs_is_edge_count", "maxcut-edge", "==", "0/1"),
+    ("maxcut.edge.semi_smooth_half", "maxcut-edge", "==", "1/1"),
+    ("maxcut.edge.pure_sigma_rho", "maxcut-edge", "==", "1/3"),
+    ("maxcut.edge.worst_cce", "maxcut-edge", "==", "1/1"),
+)
+
+
 @pytest.fixture(scope="module")
 def named_rows():
     return reproduce_named_examples()
@@ -50,6 +118,13 @@ class TestNamedBattery:
 
     def test_reproducible(self, named_rows):
         assert reproduce_named_examples() == named_rows
+
+    def test_rows_pinned(self, named_rows):
+        listed = tuple(
+            (r.claim_id, r.instance, r.relation, frac_str(r.bound)) for r in named_rows
+        )
+        assert len(NAMED_ROWS) == 61
+        assert listed == NAMED_ROWS
 
 
 class TestBoundTable:

@@ -27,6 +27,7 @@ from conflictgames.instances import (
 )
 from conflictgames.oracle import enumerate_states, state_count
 from conflictgames.smoothness import (
+    cce_bound,
     certificate_params,
     check_nice,
     check_opt_lower_bounds,
@@ -34,7 +35,9 @@ from conflictgames.smoothness import (
     deviation_weights,
     make_params,
     max_rho_pure_sigma,
+    pure_poa_bound,
     semi_smooth_lhs,
+    strong_poa_bound,
 )
 
 from conftest import ALL_KINDS, beyond_int64_pool, kind_pool, small_instance
@@ -356,6 +359,36 @@ class TestCertificateParams:
         assert pota_cost == F(3, 2)  # lambda / (1 - mu)
         params, pota_payoff = certificate_params(GameKind.SWC, 4, 2)
         assert pota_payoff == (1 + params.mu) / params.lam
+
+    def test_cce_bound_is_the_certified_ratio(self):
+        for kind in ALL_KINDS:
+            for n, m in ((1, 1), (3, 1), (2, 3), (4, 2), (9, 3)):
+                params, pota = certificate_params(kind, n, m, F(1), F(1), F(1, 2))
+                assert cce_bound(kind, params) == pota
+        assert cce_bound(GameKind.BWC, make_params(GameKind.BWC, 2, F(1, 2))) == 4
+        assert cce_bound(GameKind.SWC, make_params(GameKind.SWC, 2, F(1, 2))) == F(3, 4)
+
+    def test_pure_poa_bound(self):
+        # BwC with n >= m: the niceness constant 2 - m/n, below lambda
+        assert pure_poa_bound(GameKind.BWC, 4, 2) == F(3, 2)
+        assert pure_poa_bound(GameKind.BWC, 9, 3) == F(5, 3)
+        assert pure_poa_bound(GameKind.BWC, 4, 2) < certificate_params(GameKind.BWC, 4, 2)[0].lam
+        # otherwise the certified lambda
+        assert pure_poa_bound(GameKind.BWC, 2, 5) == 1 + F(2, 5)
+        assert pure_poa_bound(GameKind.BWF, 4, 2) == F(3, 2)
+        lam = certificate_params(GameKind.BWCF, 6, 3, F(1), F(1), F(1, 2))[0].lam
+        assert pure_poa_bound(GameKind.BWCF, 6, 3, F(1), F(1), F(1, 2)) == lam
+        for kind in (GameKind.SWC, GameKind.SWF, GameKind.MAXCUT):
+            with pytest.raises(ValueError):
+                pure_poa_bound(kind, 4, 2)
+
+    def test_strong_poa_bound(self):
+        assert [strong_poa_bound(GameKind.BWC, n, 2) for n in (2, 4, 8)] == [
+            F(5, 3), F(3, 2), F(17, 12)
+        ]
+        for kind, m in ((GameKind.BWF, 2), (GameKind.BWC, 3)):
+            with pytest.raises(ValueError):
+                strong_poa_bound(kind, 4, m)
 
 
 class TestMakeParams:
