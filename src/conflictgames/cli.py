@@ -33,7 +33,7 @@ from .games import (
     potential,
     social_value,
 )
-from .instances import GENERATORS, InstanceFormatError, load_instance, write_instance
+from .instances import GENERATORS, load_instance, write_instance
 from .oracle import OracleLimits, StateSpaceExceeded
 from .verdicts import frac_str
 
@@ -402,7 +402,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidInstanceError, InstanceFormatError) as exc:
+    except InvalidInstanceError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return 2
     except StateSpaceExceeded as exc:

@@ -1,11 +1,11 @@
 """Core model: assignment games with pairwise conflicts and friendships.
 
-Players 1..n each pick one machine 1..m.  The three cost-minimizing kinds
-charge machine load plus edge penalties (same-machine conflicts, separated
-friends, or an (alpha, beta, gamma)-weighted mix of both); the two sharing
-kinds split a machine value among its occupants and add edge utility for
-separated enemies or co-located friends; the two-partition cut kind rewards
-separated neighbours only.
+Players 1..n each pick one machine 1..m.  The kinds form two families.  The
+three cost kinds charge machine load plus edge penalties (same-machine
+conflicts, separated friends, or an (alpha, beta, gamma)-weighted mix of
+both).  The payoff kinds give a job its share of its machine's value plus the
+weight of its neighbours apart (SwC) or together (SwF); the two-partition cut
+game is conflict sharing with no machine values.
 
 All arithmetic is exact (`fractions.Fraction`).  A state is a plain tuple of
 machine ids, 1-based; players are 1-based throughout the public API.
@@ -56,6 +56,7 @@ class InvalidInstanceError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
 
 
 def as_fraction(value: Rational, field: str = "value") -> Fraction:
@@ -250,29 +251,30 @@ def make_instance(
 _CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def conflict_neighbors(inst: Instance) -> tuple[tuple[int, ...], ...]:
-    """Adjacency over conflict edges; entry i-1 lists i's neighbours."""
-    adj: list[list[int]] = [[] for _ in range(inst.n)]
-    for a, b in sorted(inst.conflict_edges):
+def _adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Adjacency over ``edges``; entry i-1 lists i's neighbours."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in sorted(edges):
         adj[a - 1].append(b)
         adj[b - 1].append(a)
     return tuple(tuple(row) for row in adj)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def conflict_neighbors(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    return _adjacency(inst.n, inst.conflict_edges)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def friendship_neighbors(inst: Instance) -> tuple[tuple[int, ...], ...]:
-    adj: list[list[int]] = [[] for _ in range(inst.n)]
-    for a, b in sorted(inst.friendship_edges):
-        adj[a - 1].append(b)
-        adj[b - 1].append(a)
-    return tuple(tuple(row) for row in adj)
+    return _adjacency(inst.n, inst.friendship_edges)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def sharing_weights(inst: Instance) -> dict[Edge, Fraction]:
-    """Edge -> weight map for the sharing kinds (default weight 1)."""
-    own = inst.conflict_edges if inst.kind is GameKind.SWC else inst.friendship_edges
+    """Edge -> weight map over a payoff kind's own edges: the friendships of
+    SwF, the conflicts of SwC and of the cut game (default weight 1)."""
+    own = inst.friendship_edges if inst.kind is GameKind.SWF else inst.conflict_edges
     weights = dict.fromkeys(own, Fraction(1))
     if inst.edge_weights:
         weights.update(dict(inst.edge_weights))
@@ -281,7 +283,7 @@ def sharing_weights(inst: Instance) -> dict[Edge, Fraction]:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def weighted_neighbors(inst: Instance) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-    """Weighted adjacency over the sharing kind's own edge set."""
+    """Weighted adjacency over the payoff kind's own edge set."""
     adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(inst.n)]
     for (a, b), w in sorted(sharing_weights(inst).items()):
         adj[a - 1].append((b, w))
@@ -342,24 +344,21 @@ def machine_loads(inst: Instance, state: State) -> tuple[int, ...]:
 
 def _player_value_unchecked(inst: Instance, state: State, i: int) -> Fraction:
     k = state[i - 1]
-    kind = inst.kind
-    if kind.minimizes:
+    if inst.kind.minimizes:
         load = sum(1 for x in state if x == k)
         conf_here = sum(1 for j in conflict_neighbors(inst)[i - 1] if state[j - 1] == k)
         friends_away = sum(1 for j in friendship_neighbors(inst)[i - 1] if state[j - 1] != k)
         return inst.alpha * load + inst.beta * conf_here + inst.gamma * friends_away
-    if kind is GameKind.SWC:
-        load = sum(1 for x in state if x == k)
-        share = inst.machine_values[k - 1] / load
-        away = sum(w for j, w in weighted_neighbors(inst)[i - 1] if state[j - 1] != k)
-        return share + away
-    if kind is GameKind.SWF:
-        load = sum(1 for x in state if x == k)
-        share = inst.machine_values[k - 1] / load
-        here = sum(w for j, w in weighted_neighbors(inst)[i - 1] if state[j - 1] == k)
-        return share + here
-    # cut game
-    return Fraction(sum(1 for j in conflict_neighbors(inst)[i - 1] if state[j - 1] != k))
+    # payoff kinds: the machine's share (none in the cut game) plus the
+    # weight of the neighbours apart (SwC, cut game) or together (SwF)
+    together = inst.kind is GameKind.SWF
+    value = sum(
+        (w for j, w in weighted_neighbors(inst)[i - 1] if (state[j - 1] == k) == together),
+        Fraction(0),
+    )
+    if inst.machine_values is not None:
+        value += inst.machine_values[k - 1] / sum(1 for x in state if x == k)
+    return value
 
 
 def player_value(inst: Instance, state: State, i: int) -> Fraction:
@@ -380,55 +379,40 @@ def social_value(inst: Instance, state: State) -> Fraction:
     return _social_value_unchecked(inst, state)
 
 
+def _paying_weight(inst: Instance, state: State) -> Fraction:
+    """Weight of a payoff kind's edges that pay at ``state``: those whose
+    ends are apart (SwC, cut game) or together (SwF)."""
+    together = inst.kind is GameKind.SWF
+    return sum(
+        (w for (a, b), w in sharing_weights(inst).items()
+         if (state[a - 1] == state[b - 1]) == together),
+        Fraction(0),
+    )
+
+
 def _social_value_unchecked(inst: Instance, state: State) -> Fraction:
-    kind = inst.kind
     loads = machine_loads(inst, state)
-    if kind.minimizes:
+    if inst.kind.minimizes:
         squares = sum(x * x for x in loads)
         conf_same = sum(1 for a, b in inst.conflict_edges if state[a - 1] == state[b - 1])
         friends_cross = sum(1 for a, b in inst.friendship_edges if state[a - 1] != state[b - 1])
         return inst.alpha * squares + 2 * inst.beta * conf_same + 2 * inst.gamma * friends_cross
-    if kind is GameKind.SWC:
-        base = sum((p for p, x in zip(inst.machine_values, loads) if x), Fraction(0))
-        cut = sum(
-            (w for (a, b), w in sharing_weights(inst).items() if state[a - 1] != state[b - 1]),
-            Fraction(0),
-        )
-        return base + 2 * cut
-    if kind is GameKind.SWF:
-        base = sum((p for p, x in zip(inst.machine_values, loads) if x), Fraction(0))
-        together = sum(
-            (w for (a, b), w in sharing_weights(inst).items() if state[a - 1] == state[b - 1]),
-            Fraction(0),
-        )
-        return base + 2 * together
-    cut = sum(1 for a, b in inst.conflict_edges if state[a - 1] != state[b - 1])
-    return Fraction(2 * cut)
+    # each occupied machine's value is shared out in full, and each paying
+    # edge pays both its ends
+    values = inst.machine_values or ()
+    base = sum((p for p, x in zip(values, loads) if x), Fraction(0))
+    return base + 2 * _paying_weight(inst, state)
 
 
 def potential(inst: Instance, state: State) -> Fraction:
     """Exact potential: any unilateral move changes it by the mover's value change."""
     validate_state(inst, state)
-    kind = inst.kind
-    if kind.minimizes:
+    if inst.kind.minimizes:
         return _social_value_unchecked(inst, state) / 2
+    values = inst.machine_values or ()
     loads = machine_loads(inst, state)
-    if kind is GameKind.SWC:
-        shares = sum((p * harmonic(x) for p, x in zip(inst.machine_values, loads)), Fraction(0))
-        cut = sum(
-            (w for (a, b), w in sharing_weights(inst).items() if state[a - 1] != state[b - 1]),
-            Fraction(0),
-        )
-        return shares + cut
-    if kind is GameKind.SWF:
-        shares = sum((p * harmonic(x) for p, x in zip(inst.machine_values, loads)), Fraction(0))
-        together = sum(
-            (w for (a, b), w in sharing_weights(inst).items() if state[a - 1] == state[b - 1]),
-            Fraction(0),
-        )
-        return shares + together
-    cut = sum(1 for a, b in inst.conflict_edges if state[a - 1] != state[b - 1])
-    return Fraction(cut)
+    shares = sum((p * harmonic(x) for p, x in zip(values, loads)), Fraction(0))
+    return shares + _paying_weight(inst, state)
 
 
 def deviation_gain(inst: Instance, state: State, i: int, k: int) -> Fraction:

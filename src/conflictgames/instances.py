@@ -4,7 +4,8 @@ format.
 The file format is a single UTF-8 JSON document with fixed field names
 (kind, n, m, alpha, beta, gamma, conflict_edges, friendship_edges,
 machine_values, edge_weights).  Rationals are written as "num/den" strings so
-that exact values survive a round trip; floats are rejected on parse.
+that exact values survive a round trip.  Parsing checks only the document's
+shape; every value is checked by ``make_instance``, which rejects floats.
 """
 
 from __future__ import annotations
@@ -231,12 +232,9 @@ GENERATORS = {
 # file format
 
 
-class InstanceFormatError(ValueError):
-    """Parse/schema failure; ``field`` names the offending field."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
+class InstanceFormatError(InvalidInstanceError):
+    """A document that does not parse to an instance; ``field`` names the
+    offending field."""
 
 
 def _frac_str(x: Fraction) -> str:
@@ -262,102 +260,61 @@ def write_instance(inst: Instance) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _parse_rational(raw, field: str) -> Fraction:
-    if isinstance(raw, float):
-        raise InstanceFormatError(field, f"floats are not exact; write '{raw}' as num/den")
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise InstanceFormatError(field, f"expected a rational string, got {raw!r}")
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceFormatError(field, f"not a rational: {raw!r}") from exc
+# the document's fields, named as make_instance's parameters: those that hold
+# one value, and those that hold a list, with what the list holds
+_SCALAR_FIELDS = {"kind", "n", "m", "alpha", "beta", "gamma"}
+_LIST_FIELDS = {
+    "conflict_edges": "[i, j] pairs",
+    "friendship_edges": "[i, j] pairs",
+    "machine_values": "rationals",
+    "edge_weights": "[i, j, w] triples",
+}
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse the JSON document; errors carry the offending field path."""
+    """Parse the JSON document; errors carry the offending field path.
+
+    Only the document's shape is checked here; every value goes to
+    :func:`make_instance` as written, which checks it.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError("document", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("document", "top level must be an object")
-
-    known = {
-        "kind", "n", "m", "alpha", "beta", "gamma",
-        "conflict_edges", "friendship_edges", "machine_values", "edge_weights",
-    }
-    for key in doc:
-        if key not in known:
+    for key, value in doc.items():
+        if key not in _SCALAR_FIELDS and key not in _LIST_FIELDS:
             raise InstanceFormatError(key, "unknown field")
+        if key in _LIST_FIELDS and not isinstance(value, list):
+            raise InstanceFormatError(key, f"must be a list of {_LIST_FIELDS[key]}")
+        if value is None:
+            raise InstanceFormatError(key, "must not be null")
     for key in ("kind", "n", "m"):
         if key not in doc:
             raise InstanceFormatError(key, "missing required field")
 
+    tag = doc.pop("kind")
     try:
-        kind = GameKind(doc["kind"])
+        kind = GameKind(tag)
     except ValueError:
-        raise InstanceFormatError("kind", f"unknown kind {doc['kind']!r}") from None
-    n, m = doc["n"], doc["m"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InstanceFormatError("n", f"must be an integer, got {n!r}")
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise InstanceFormatError("m", f"must be an integer, got {m!r}")
-
-    def edge_list(key: str) -> list[tuple[int, int]]:
-        raw = doc.get(key, [])
-        if not isinstance(raw, list):
-            raise InstanceFormatError(key, "must be a list of [i, j] pairs")
-        out = []
-        for idx, pair in enumerate(raw):
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
-                raise InstanceFormatError(f"{key}[{idx}]", f"not an [i, j] pair: {pair!r}")
-            out.append((pair[0], pair[1]))
-        return out
-
-    machine_values = None
-    if "machine_values" in doc:
-        raw = doc["machine_values"]
-        if not isinstance(raw, list):
-            raise InstanceFormatError("machine_values", "must be a list of rationals")
-        machine_values = [
-            _parse_rational(v, f"machine_values[{i}]") for i, v in enumerate(raw)
-        ]
-
-    edge_weights = None
+        raise InstanceFormatError("kind", f"unknown kind {tag!r}") from None
     if "edge_weights" in doc:
-        raw = doc["edge_weights"]
-        if not isinstance(raw, list):
-            raise InstanceFormatError("edge_weights", "must be a list of [i, j, w] triples")
-        edge_weights = {}
-        for idx, trip in enumerate(raw):
-            if not (isinstance(trip, list) and len(trip) == 3):
-                raise InstanceFormatError(f"edge_weights[{idx}]", f"not an [i, j, w] triple")
-            a, b, w = trip
-            if not all(isinstance(x, int) and not isinstance(x, bool) for x in (a, b)):
-                raise InstanceFormatError(f"edge_weights[{idx}]", "endpoints must be integers")
-            if (a, b) in edge_weights:
-                raise InstanceFormatError(
-                    f"edge_weights[{idx}]", f"two weights for edge ({a}, {b})"
-                )
-            edge_weights[(a, b)] = _parse_rational(w, f"edge_weights[{idx}]")
-
-    def weight_field(key: str) -> Optional[Fraction]:
-        return _parse_rational(doc[key], key) if key in doc else None
-
+        weights = {}
+        for idx, triple in enumerate(doc["edge_weights"]):
+            field = f"edge_weights[{idx}]"
+            if not (isinstance(triple, list) and len(triple) == 3 and all(
+                    isinstance(x, int) and not isinstance(x, bool) for x in triple[:2])):
+                raise InstanceFormatError(field, f"not an [i, j, w] triple: {triple!r}")
+            a, b, w = triple
+            if (a, b) in weights:
+                raise InstanceFormatError(field, f"two weights for edge ({a}, {b})")
+            weights[a, b] = w
+        doc["edge_weights"] = weights
     try:
-        return make_instance(
-            kind, n, m,
-            conflict_edges=edge_list("conflict_edges"),
-            friendship_edges=edge_list("friendship_edges"),
-            machine_values=machine_values,
-            edge_weights=edge_weights,
-            alpha=weight_field("alpha"),
-            beta=weight_field("beta"),
-            gamma=weight_field("gamma"),
-        )
+        return make_instance(kind, **doc)
     except InvalidInstanceError as exc:
-        raise InstanceFormatError(exc.field, str(exc)) from exc
+        raise InstanceFormatError(exc.field, exc.message) from exc
 
 
 def load_instance(path) -> Instance:

@@ -7,7 +7,6 @@ named battery takes no randomness beyond fixed seeds baked in here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
@@ -123,13 +122,11 @@ def _bwcf_rows(limits: OracleLimits) -> list[VerdictReport]:
     )
     params, pota = smoothness.certificate_params(inst.kind, n, m, inst.alpha, inst.beta, inst.gamma)
     semi_smooth = smoothness.check_semi_smooth(inst, params, limits=limits).holds
-    mixed_value = sum(
-        (oracle.profile_expected_value(inst, profile, i) for i in range(1, n + 1)),
-        Fraction(0),
-    )
+    values = [oracle.profile_expected_value(inst, profile, i) for i in range(1, n + 1)]
+    mixed_value = sum(values, Fraction(0))
     return [
         make_verdict("bwcf.lower.m2.opt", label, inst.alpha * Fraction(n * n, m), opt_value, "=="),
-        make_verdict("bwcf.lower.m2.uniform_value", label, expected, Fraction(4), "=="),
+        make_verdict("bwcf.lower.m2.uniform_value", label, expected, values[0], "=="),
         *_uniform_rows("bwcf.lower.m2", "uniform_value_mismatches", label, inst, expected),
         make_verdict("bwcf.lower.m2.mixed_ratio_tight", label, pota, mixed_value / opt_value, "=="),
         _holds("bwcf.lower.m2.semi_smooth", label, semi_smooth),
@@ -223,7 +220,7 @@ def _maxcut_rows(limits: OracleLimits) -> list[VerdictReport]:
     semi_smooth = smoothness.check_semi_smooth(inst, params, limits=limits).holds
     rho_max = max(
         smoothness.max_rho_pure_sigma(inst, sigma, limits)
-        for sigma in itertools.product((1, 2), repeat=inst.n)
+        for sigma in oracle.enumerate_states(inst, limits)
     )
     cce = oracle.worst_cce_value(inst, limits)
     return [

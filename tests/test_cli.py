@@ -382,3 +382,10 @@ class TestMalformedInstanceFile:
         )
         code, _, err = run_cli("enumerate", "--instance", str(path))
         assert code == 2 and "machine_values" in err
+
+    def test_value_error_names_its_field_once(self, tmp_path):
+        path = tmp_path / "bad.game"
+        path.write_text(write_instance(GENERATORS["path4"]()).replace('"n": 4', '"n": 0'))
+        code, out, err = run_cli("eval", "--instance", str(path), "--state", "1")
+        assert (code, out) == (2, "")
+        assert err == "invalid instance: n: player count must be an integer >= 1, got 0\n"

@@ -252,6 +252,33 @@ class TestDocumentFormat:
             assert err.value.field == field
             assert str(err.value).endswith(f"{field}: {message}")
 
+    @pytest.mark.parametrize("field, edit", [
+        ("n", lambda doc: doc.update(n=0)),
+        ("n", lambda doc: doc.update(n="3")),
+        ("n", lambda doc: doc.update(n=True)),
+        ("machine_values[1]", lambda doc: doc["machine_values"].__setitem__(1, 1.5)),
+        ("alpha", lambda doc: doc.update(alpha=0.5)),
+        ("alpha", lambda doc: doc.update(alpha=None)),
+        ("machine_values", lambda doc: doc.update(machine_values=None)),
+        ("conflict_edges", lambda doc: doc["conflict_edges"].__setitem__(0, ["1", 2])),
+        ("conflict_edges", lambda doc: doc.update(conflict_edges=5)),
+        ("edge_weights[0]", lambda doc: doc["edge_weights"][0].pop()),
+        ("edge_weights[6]", lambda doc: doc["edge_weights"].append(doc["edge_weights"][0])),
+        ("kind", lambda doc: doc.update(kind="SwX")),
+    ], ids=[
+        "n-zero", "n-string", "n-bool", "float-value", "float-alpha", "null-alpha",
+        "null-values", "string-endpoint", "edges-not-a-list", "two-entry-triple",
+        "edge-weighted-twice", "unknown-kind",
+    ])
+    def test_malformed_document_names_its_field_once(self, field, edit):
+        doc = json.loads(write_instance(gen_random(4, 2, GameKind.SWC, 1, seed=3, weighted=True)))
+        assert len(doc["edge_weights"]) == 6  # K_4, every edge weighted
+        edit(doc)
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(json.dumps(doc))
+        assert err.value.field == field
+        assert str(err.value).count(f"{field}: ") == 1
+
     def test_not_json(self):
         with pytest.raises(InstanceFormatError):
             parse_instance("kind: BwC")

@@ -21,6 +21,14 @@ The paper's bound formulas are written once, in
 the certified pure-PoA coefficient of the cost kinds and the two-machine
 strong-PoA bound.  The tight families split the players of their m parts
 into pairs within and across parts once, in :mod:`conflictgames.instances`.
+
+The Fraction formulas of :mod:`conflictgames.games` are the paper's two
+families: the cost kinds' (alpha, beta, gamma) formula and one payoff
+formula, whose only per-kind fact is that SwF's edges pay together.  An
+instance document's values are checked once, by
+:func:`conflictgames.games.make_instance`:
+:func:`conflictgames.instances.parse_instance` checks only the document's
+shape.
 """
 
 import ast
@@ -120,3 +128,40 @@ def test_one_part_split():
         for path in sorted(package.glob("*.py"))
     }
     assert {name: count for name, count in found.items() if count} == {"instances.py": 1}
+
+
+def _functions(module: str) -> dict[str, ast.FunctionDef]:
+    """The module-level functions of one package module, by name."""
+    package = pathlib.Path(conflictgames.__file__).parent
+    tree = ast.parse((package / module).read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _callee(call: ast.Call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def test_the_formulas_are_two_families():
+    # a branch per payoff kind names its GameKind member and fails here
+    games = _functions("games.py")
+    for name in ("_player_value_unchecked", "_social_value_unchecked", "potential"):
+        members = {
+            node.attr for node in ast.walk(games[name])
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "GameKind"
+        }
+        assert members <= {"SWF"}, (name, members)
+
+
+def test_parse_instance_checks_no_value():
+    # the rationals are coerced and checked in make_instance alone: neither
+    # parse_instance nor a helper of its module that it calls reads one
+    defs = _functions("instances.py")
+    called, todo = set(), ["parse_instance"]
+    while todo:
+        name = todo.pop()
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Call) and _callee(node) not in called:
+                called.add(_callee(node))
+                if _callee(node) in defs:
+                    todo.append(_callee(node))
+    assert not called & {"Fraction", "as_fraction"}

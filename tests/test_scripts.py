@@ -5,7 +5,6 @@ import subprocess
 import sys
 
 from conflictgames.games import GameKind
-from conflictgames.verdicts import CSV_HEADER
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -39,23 +38,6 @@ def test_poa_conjecture_sweep():
     assert [line.split(":")[0].strip() for line in lines[1:]] == [
         f"n={n}" for n in range(5, 11)
     ]
-
-
-def test_run_reproduction_writes_both_reports(tmp_path):
-    lines = _run("run_reproduction.py", "--out-dir", str(tmp_path), "--trials", "2")
-    assert lines[-1] == f"reports written to {tmp_path}/"
-    for name in ("named_examples.csv", "bound_table.csv"):
-        text = (tmp_path / name).read_text()
-        assert text.splitlines()[0] == CSV_HEADER
-
-
-def test_run_reproduction_checks_trials(tmp_path):
-    for trials in ("0", "-3"):
-        lines = _run(
-            "run_reproduction.py", "--out-dir", str(tmp_path / "out"), "--trials", trials, code=2
-        )
-        assert lines[-1].endswith(f"error: need trials >= 1, got {trials}")
-    assert not (tmp_path / "out").exists()
 
 
 def test_br_step_times():
