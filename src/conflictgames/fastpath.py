@@ -26,9 +26,10 @@ are built:
   int64.  The instance's edge sets are converted once, when the evaluator is
   built, and every other edge quantity is derived from these arrays with
   whole-array operations.  ``edges``, the same edges as ``(a, b, w)`` Python
-  triples in value-scale units, is built only on first use: the pointwise
-  evaluation and the mixed expectations read it, the state table and the
-  move table do not;
+  triples in value-scale units, is built only on first use: the mixed
+  expectations and the test suite's pointwise reference evaluator
+  (``tests/reference_evaluator.py``) read it, the state table and the move
+  table do not;
 * base: ``base[i]`` is the separated-edge weight at player ``i`` (what ``i``
   would collect with every such neighbour elsewhere), and ``w_sep`` is
   ``sum(base) / 2``.
@@ -36,12 +37,15 @@ are built:
 A player's value is then ``mach[k][occupancy] + base[i]`` plus the signed
 weights of its neighbours on ``k``.
 
-Three ways read these tables, and the exact mixed expectations of
-:mod:`conflictgames.oracle` read them directly.  :meth:`StateEvaluator.analyze`
-and :meth:`StateEvaluator.value` evaluate one state at a time; no pass of the
-package calls them any more, they serve the test references and the call
-counters of ``perfbench/tracing.py``.  Best-response runs read a move table
-instead:
+Two ways read these tables, the move table and the state table, and the
+exact mixed expectations of :mod:`conflictgames.oracle` read them directly.
+One state is evaluated only by the move table:
+:meth:`StateEvaluator.analyze`, :meth:`StateEvaluator.social` and
+:meth:`StateEvaluator.potential` are one-line reads of it, kept for the call
+counters of ``perfbench/tracing.py``.  The same formulas one state at a
+time, as loops over ``edges``, are the test suite's reference
+(``tests/reference_evaluator.py``), not the package's.  Best-response runs
+keep a move table current move by move:
 
 * walk: :meth:`StateEvaluator.walk` returns a :class:`Walk`, which holds the
   state, its loads, ``bt[i, k] = (base[i] + sum_j W[i, j] [s_j = k]) / u`` and
@@ -82,7 +86,8 @@ kept between evaluators:
 
 * table: :meth:`StateEvaluator.table` turns a grid, one block of columns,
   into ``vals[k, i, s]`` (the value of player ``i`` on machine ``k`` with
-  everyone else at state ``s``, equal to ``value(analyze(s), i, k)``), ``cur[i, s]``
+  everyone else at state ``s``, equal to the reference's ``value(ev,
+  analyze(ev, s), i, k)``), ``cur[i, s]``
   (the value at ``s``), ``social[s] = sum_i cur[i, s]`` and the potential
   ``phi[s]``, always these four, always at ``dtype()``, with the states
   innermost: every reduction over machines or players runs along contiguous
@@ -110,8 +115,10 @@ kept between evaluators:
   table, and the only source of tables in the package.  Both dtypes hold the
   same exact values.
 
-Equivalence of all three ways with the public Fraction evaluation in
-:mod:`conflictgames.games` is enforced exhaustively by the test suite.
+Equivalence of both ways, through the pointwise reference, with the public
+Fraction evaluation in :mod:`conflictgames.games` is enforced exhaustively by
+the test suite: every entry of the state table, and the aggregates and every
+gain of the move table at every state of small instances.
 """
 
 from __future__ import annotations
@@ -141,8 +148,8 @@ _FLOAT_SAFE = 1 << 1000
 
 
 class StateEvaluator:
-    """Per-instance tables, O(n*m + |E|) evaluation of one state, the state
-    table over a block of states, and the move table of a best-response run."""
+    """Per-instance tables, the state table over a block of states, and the
+    move table of a best-response run, which also evaluates one state."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -247,50 +254,18 @@ class StateEvaluator:
     def as_potential(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.potential_scale)
 
-    # -- whole-state aggregates (no deviation tables) ------------------------
+    # -- one state, read off the move table ----------------------------------
+    # no pass calls these three; they stay only because ``perfbench/tracing.py``
+    # counts their calls by name
 
-    def loads(self, state) -> list[int]:
-        loads = [0] * self.m
-        for k in state:
-            loads[k] += 1
-        return loads
-
-    def _edge_term(self, state) -> int:
-        """Separated-edge weight at ``state``: w_sep plus the signed weight of
-        every co-located edge."""
-        return self.w_sep + sum(w for a, b, w in self.edges if state[a] == state[b])
+    def analyze(self, state) -> "Walk":
+        return self.walk(state)
 
     def social(self, state) -> int:
-        machines = sum(x * row[x] for row, x in zip(self.mach, self.loads(state)))
-        return machines + 2 * self._edge_term(state)
+        return self.walk(state).social
 
     def potential(self, state) -> int:
-        machines = sum(row[x] for row, x in zip(self.pot, self.loads(state)))
-        return machines + self.pot_per_value * self._edge_term(state)
-
-    # -- per-state deviation tables ------------------------------------------
-
-    def analyze(self, state):
-        """Aux bundle for :meth:`value`: (state, loads, table).  The table is
-        a flat n*m list; entry i*m+k is the signed weight of i's neighbours
-        on machine k."""
-        m = self.m
-        tab = [0] * (self.n * m)
-        for a, b, w in self.edges:
-            tab[a * m + state[b]] += w
-            tab[b * m + state[a]] += w
-        return (tuple(state), self.loads(state), tab)
-
-    def value(self, aux, i: int, k: int) -> int:
-        """Scaled value of player ``i`` if assigned to ``k``, all others fixed
-        at the analyzed state.  Exact both for k == s_i and for deviations."""
-        state, loads, tab = aux
-        occ = loads[k] if state[i] == k else loads[k] + 1
-        return self.mach[k][occ] + self.base[i] + tab[i * self.m + k]
-
-    def values(self, aux) -> list[int]:
-        state = aux[0]
-        return [self.value(aux, i, state[i]) for i in range(self.n)]
+        return self.walk(state).potential
 
     # -- the state table -------------------------------------------------------
 

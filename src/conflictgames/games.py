@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
 Edge = tuple[int, int]
@@ -81,6 +81,9 @@ class Instance:
     sharing kinds.  ``alpha``/``beta``/``gamma`` are the load/conflict/
     friendship weights; they are fixed at (1,1,0) for BwC and (1,0,1) for BwF
     so the weighted cost formula covers all three balancing kinds.
+
+    The neighbour lists and edge weights that the Fraction formulas read are
+    built on first use and kept on the instance.
     """
 
     kind: GameKind
@@ -94,18 +97,41 @@ class Instance:
     beta: Fraction
     gamma: Fraction
 
-    def __hash__(self) -> int:
-        # every per-instance cache hashes the instance on every lookup, and
-        # hashing its Fractions anew each time cost a third of a player_value
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+    @cached_property
+    def conflict_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        return _adjacency(self.n, self.conflict_edges)
 
-    def __getstate__(self):
-        # str and enum hashes differ between processes: never pickle the memo
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    @cached_property
+    def friendship_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        return _adjacency(self.n, self.friendship_edges)
+
+    @cached_property
+    def sharing_weights(self) -> dict[Edge, Fraction]:
+        """Edge -> weight map over a payoff kind's own edges: the friendships
+        of SwF, the conflicts of SwC and of the cut game (default weight 1)."""
+        own = self.friendship_edges if self.kind is GameKind.SWF else self.conflict_edges
+        weights = dict.fromkeys(own, Fraction(1))
+        if self.edge_weights:
+            weights.update(dict(self.edge_weights))
+        return weights
+
+    @cached_property
+    def weighted_neighbors(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Weighted adjacency over the payoff kind's own edge set."""
+        adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.n)]
+        for (a, b), w in sorted(self.sharing_weights.items()):
+            adj[a - 1].append((b, w))
+            adj[b - 1].append((a, w))
+        return tuple(tuple(row) for row in adj)
+
+
+def _adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Adjacency over ``edges``; entry i-1 lists i's neighbours."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in sorted(edges):
+        adj[a - 1].append(b)
+        adj[b - 1].append(a)
+    return tuple(tuple(row) for row in adj)
 
 
 _FIXED_WEIGHTS = {
@@ -243,54 +269,6 @@ def make_instance(
     return Instance(kind, n, m, conf, fr, values, weights, a, b, g)
 
 
-# ---------------------------------------------------------------------------
-# cached per-instance structure
-
-# entries kept per helper: enough for the instances one pass works on, while
-# a long battery of fresh instances cannot grow the caches without bound
-_CACHE_SIZE = 256
-
-
-def _adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
-    """Adjacency over ``edges``; entry i-1 lists i's neighbours."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in sorted(edges):
-        adj[a - 1].append(b)
-        adj[b - 1].append(a)
-    return tuple(tuple(row) for row in adj)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def conflict_neighbors(inst: Instance) -> tuple[tuple[int, ...], ...]:
-    return _adjacency(inst.n, inst.conflict_edges)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def friendship_neighbors(inst: Instance) -> tuple[tuple[int, ...], ...]:
-    return _adjacency(inst.n, inst.friendship_edges)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def sharing_weights(inst: Instance) -> dict[Edge, Fraction]:
-    """Edge -> weight map over a payoff kind's own edges: the friendships of
-    SwF, the conflicts of SwC and of the cut game (default weight 1)."""
-    own = inst.friendship_edges if inst.kind is GameKind.SWF else inst.conflict_edges
-    weights = dict.fromkeys(own, Fraction(1))
-    if inst.edge_weights:
-        weights.update(dict(inst.edge_weights))
-    return weights
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def weighted_neighbors(inst: Instance) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-    """Weighted adjacency over the payoff kind's own edge set."""
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(inst.n)]
-    for (a, b), w in sorted(sharing_weights(inst).items()):
-        adj[a - 1].append((b, w))
-        adj[b - 1].append((a, w))
-    return tuple(tuple(row) for row in adj)
-
-
 _HARMONIC = [Fraction(0)]
 
 
@@ -346,14 +324,14 @@ def _player_value_unchecked(inst: Instance, state: State, i: int) -> Fraction:
     k = state[i - 1]
     if inst.kind.minimizes:
         load = sum(1 for x in state if x == k)
-        conf_here = sum(1 for j in conflict_neighbors(inst)[i - 1] if state[j - 1] == k)
-        friends_away = sum(1 for j in friendship_neighbors(inst)[i - 1] if state[j - 1] != k)
+        conf_here = sum(1 for j in inst.conflict_neighbors[i - 1] if state[j - 1] == k)
+        friends_away = sum(1 for j in inst.friendship_neighbors[i - 1] if state[j - 1] != k)
         return inst.alpha * load + inst.beta * conf_here + inst.gamma * friends_away
     # payoff kinds: the machine's share (none in the cut game) plus the
     # weight of the neighbours apart (SwC, cut game) or together (SwF)
     together = inst.kind is GameKind.SWF
     value = sum(
-        (w for j, w in weighted_neighbors(inst)[i - 1] if (state[j - 1] == k) == together),
+        (w for j, w in inst.weighted_neighbors[i - 1] if (state[j - 1] == k) == together),
         Fraction(0),
     )
     if inst.machine_values is not None:
@@ -384,7 +362,7 @@ def _paying_weight(inst: Instance, state: State) -> Fraction:
     ends are apart (SwC, cut game) or together (SwF)."""
     together = inst.kind is GameKind.SWF
     return sum(
-        (w for (a, b), w in sharing_weights(inst).items()
+        (w for (a, b), w in inst.sharing_weights.items()
          if (state[a - 1] == state[b - 1]) == together),
         Fraction(0),
     )

@@ -271,6 +271,17 @@ _LIST_FIELDS = {
 }
 
 
+def _unique_keys(pairs) -> dict:
+    """One JSON object's members; a key given twice is an error, where
+    ``json`` would keep the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InstanceFormatError(key, "given twice")
+        doc[key] = value
+    return doc
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the JSON document; errors carry the offending field path.
 
@@ -278,7 +289,7 @@ def parse_instance(text: str) -> Instance:
     :func:`make_instance` as written, which checks it.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError("document", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -29,6 +29,8 @@ from conflictgames.oracle import DEFAULT_LIMITS, OracleLimits
 from conflictgames.smoothness import certificate_params
 from conflictgames.verdicts import VerdictReport, make_verdict
 
+import reference_evaluator as pointwise
+
 
 def run_br_reference(inst: Instance, start: State, max_steps: Optional[int] = None) -> Trace:
     """Iterate max-gain best responses until no player improves (or the step
@@ -41,16 +43,16 @@ def run_br_reference(inst: Instance, start: State, max_steps: Optional[int] = No
     records = []
     exhausted = False
     while True:
-        aux = ev.analyze(cur)
+        aux = pointwise.analyze(ev, cur)
         best_gain = 0
         best_player = -1
         best_machine = -1
         for i in range(n):
-            here = ev.value(aux, i, cur[i])
+            here = pointwise.value(ev, aux, i, cur[i])
             for k in range(m):
                 if k == cur[i]:
                     continue
-                dev = ev.value(aux, i, k)
+                dev = pointwise.value(ev, aux, i, k)
                 gain = here - dev if minimizes else dev - here
                 if gain > best_gain:
                     best_gain, best_player, best_machine = gain, i, k
@@ -62,14 +64,14 @@ def run_br_reference(inst: Instance, start: State, max_steps: Optional[int] = No
         source = cur[best_player]
         cur[best_player] = best_machine
         records.append((best_player + 1, source + 1, best_machine + 1,
-                        best_gain, ev.potential(cur), ev.social(cur)))
+                        best_gain, pointwise.potential(ev, cur), pointwise.social(ev, cur)))
     start0 = to_internal(start)
     return Trace(
         start=tuple(start),
         end=to_public(cur),
         records=tuple(records),
-        start_social=ev.as_value(ev.social(start0)),
-        start_potential=ev.as_potential(ev.potential(start0)),
+        start_social=ev.as_value(pointwise.social(ev, start0)),
+        start_potential=ev.as_potential(pointwise.potential(ev, start0)),
         maximizes=not minimizes,
         exhausted=exhausted,
         value_scale=ev.value_scale,

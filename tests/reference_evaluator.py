@@ -11,6 +11,13 @@ value-scale units, and each derived quantity is its own loop over them.
 ``conflictgames.oracle`` keeps between passes, and :func:`state_blocks`
 decodes every state from its lex index by division, independently of the
 digits of ``conflictgames.oracle.Orbits``.
+
+:func:`analyze`, :func:`value`, :func:`values`, :func:`social` and
+:func:`potential` evaluate one state of an evaluator at a time, each a loop
+over its ``(a, b, w)`` edge triples: the references for every entry of the
+state table, and for the gains of the move table
+``conflictgames.fastpath.Walk`` and the aggregates that
+``StateEvaluator.social`` and ``potential`` read off it.
 """
 
 from __future__ import annotations
@@ -146,6 +153,54 @@ def reference_table(inst: Instance):
             + ev.potential_scale // ev.value_scale * (ref.w_sep + colocated)
         )
     return vals, cur, social, potential
+
+
+def loads(ev: StateEvaluator, state) -> list[int]:
+    loads = [0] * ev.m
+    for k in state:
+        loads[k] += 1
+    return loads
+
+
+def edge_term(ev: StateEvaluator, state) -> int:
+    """Separated-edge weight at ``state``: w_sep plus the signed weight of
+    every co-located edge."""
+    return ev.w_sep + sum(w for a, b, w in ev.edges if state[a] == state[b])
+
+
+def social(ev: StateEvaluator, state) -> int:
+    machines = sum(x * row[x] for row, x in zip(ev.mach, loads(ev, state)))
+    return machines + 2 * edge_term(ev, state)
+
+
+def potential(ev: StateEvaluator, state) -> int:
+    machines = sum(row[x] for row, x in zip(ev.pot, loads(ev, state)))
+    return machines + ev.pot_per_value * edge_term(ev, state)
+
+
+def analyze(ev: StateEvaluator, state):
+    """Aux bundle for :func:`value`: (state, loads, table).  The table is
+    a flat n*m list; entry i*m+k is the signed weight of i's neighbours
+    on machine k."""
+    m = ev.m
+    tab = [0] * (ev.n * m)
+    for a, b, w in ev.edges:
+        tab[a * m + state[b]] += w
+        tab[b * m + state[a]] += w
+    return (tuple(state), loads(ev, state), tab)
+
+
+def value(ev: StateEvaluator, aux, i: int, k: int) -> int:
+    """Scaled value of player ``i`` if assigned to ``k``, all others fixed
+    at the analyzed state.  Exact both for k == s_i and for deviations."""
+    state, loads, tab = aux
+    occ = loads[k] if state[i] == k else loads[k] + 1
+    return ev.mach[k][occ] + ev.base[i] + tab[i * ev.m + k]
+
+
+def values(ev: StateEvaluator, aux) -> list[int]:
+    state = aux[0]
+    return [value(ev, aux, i, state[i]) for i in range(ev.n)]
 
 
 def lex_states(n: int, m: int, idx: np.ndarray) -> np.ndarray:

@@ -35,14 +35,11 @@ from conflictgames.games import (
     Instance,
     MixedProfile,
     State,
-    conflict_neighbors,
-    friendship_neighbors,
     player_values,
     potential,
     social_value,
     validate_profile,
     validate_state,
-    weighted_neighbors,
 )
 from conflictgames.oracle import (
     DEFAULT_LIMITS,
@@ -53,6 +50,7 @@ from conflictgames.oracle import (
     state_columns,
 )
 
+import reference_evaluator as pointwise
 from reference_evaluator import state_blocks
 
 
@@ -76,8 +74,8 @@ def strong_nash_set_by_coalitions(
     players = range(n)
     out = []
     for s in itertools.product(range(m), repeat=n):
-        aux = ev.analyze(s)
-        vs = ev.values(aux)
+        aux = pointwise.analyze(ev, s)
+        vs = pointwise.values(ev, aux)
         stable = True
         for size in range(1, n + 1):
             for coalition in itertools.combinations(players, size):
@@ -87,11 +85,11 @@ def strong_nash_set_by_coalitions(
                         t[i] = k
                     if tuple(t) == s:
                         continue
-                    taux = ev.analyze(t)
+                    taux = pointwise.analyze(ev, t)
                     if all(
-                        (ev.value(taux, i, t[i]) < vs[i])
+                        (pointwise.value(ev, taux, i, t[i]) < vs[i])
                         if ev.minimizes
-                        else (ev.value(taux, i, t[i]) > vs[i])
+                        else (pointwise.value(ev, taux, i, t[i]) > vs[i])
                         for i in coalition
                     ):
                         stable = False
@@ -101,7 +99,7 @@ def strong_nash_set_by_coalitions(
             if not stable:
                 break
         if stable:
-            out.append((to_public(s), ev.as_value(ev.social(s))))
+            out.append((to_public(s), ev.as_value(pointwise.social(ev, s))))
     return out
 
 
@@ -220,12 +218,12 @@ def expected_player_value_by_kind(
     kind = inst.kind
     if kind.minimizes:
         load = 1 + sum(profile[j - 1][k - 1] for j in range(1, inst.n + 1) if j != i)
-        conf_here = sum(profile[j - 1][k - 1] for j in conflict_neighbors(inst)[i - 1])
-        friends_away = sum(1 - profile[j - 1][k - 1] for j in friendship_neighbors(inst)[i - 1])
+        conf_here = sum(profile[j - 1][k - 1] for j in inst.conflict_neighbors[i - 1])
+        friends_away = sum(1 - profile[j - 1][k - 1] for j in inst.friendship_neighbors[i - 1])
         return inst.alpha * load + inst.beta * conf_here + inst.gamma * friends_away
     if kind is GameKind.MAXCUT:
         return sum(
-            (1 - profile[j - 1][k - 1] for j in conflict_neighbors(inst)[i - 1]), Fraction(0)
+            (1 - profile[j - 1][k - 1] for j in inst.conflict_neighbors[i - 1]), Fraction(0)
         )
     # sharing kinds: share term p_k * E[1/(1+Y)], Y = co-located others
     dist = [Fraction(1)]
@@ -245,12 +243,12 @@ def expected_player_value_by_kind(
     )
     if kind is GameKind.SWC:
         edge = sum(
-            (w * (1 - profile[j - 1][k - 1]) for j, w in weighted_neighbors(inst)[i - 1]),
+            (w * (1 - profile[j - 1][k - 1]) for j, w in inst.weighted_neighbors[i - 1]),
             Fraction(0),
         )
     else:
         edge = sum(
-            (w * profile[j - 1][k - 1] for j, w in weighted_neighbors(inst)[i - 1]),
+            (w * profile[j - 1][k - 1] for j, w in inst.weighted_neighbors[i - 1]),
             Fraction(0),
         )
     return share + edge

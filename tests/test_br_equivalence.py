@@ -219,7 +219,6 @@ def test_run_br_evaluates_no_state_pointwise(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(StateEvaluator, "analyze", _raise)
-    monkeypatch.setattr(StateEvaluator, "value", _raise)
     for name in calls:
         monkeypatch.setattr(StateEvaluator, name, _counted(name))
     for kind in ALL_KINDS:

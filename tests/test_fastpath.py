@@ -1,12 +1,16 @@
 """The scaled-integer evaluator must agree with the Fraction API everywhere.
 
-This is the chain of trust for every enumeration pass: values, socials,
-potentials, and deviation values are compared exhaustively on small instances
-of every kind, including weighted sharing and rational combination weights,
-and every entry of the state table is compared with the pointwise evaluator.
+This is the chain of trust for every enumeration pass and every
+best-response run.  The pointwise reference evaluator of
+``reference_evaluator`` is compared exhaustively with the Fraction API on
+small instances of every kind, including weighted sharing and rational
+combination weights: values, socials, potentials and deviation values.  Every
+entry of the state table, and the aggregates and gains of the move table at
+every state, are then compared with that reference.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +26,7 @@ from conflictgames.games import (
 )
 from conflictgames.instances import gen_random
 
+import reference_evaluator as pointwise
 from conftest import ALL_KINDS, beyond_int64_pool, kind_pool
 from reference_evaluator import state_blocks
 
@@ -42,11 +47,11 @@ def test_values_social_potential_match_fraction_api():
             ev = StateEvaluator(inst)
             for state in _all_states(inst):
                 s0 = to_internal(state)
-                aux = ev.analyze(s0)
-                got = [ev.as_value(v) for v in ev.values(aux)]
+                aux = pointwise.analyze(ev, s0)
+                got = [ev.as_value(v) for v in pointwise.values(ev, aux)]
                 assert tuple(got) == player_values(inst, state)
-                assert ev.as_value(ev.social(s0)) == social_value(inst, state)
-                assert ev.as_potential(ev.potential(s0)) == potential(inst, state)
+                assert ev.as_value(pointwise.social(ev, s0)) == social_value(inst, state)
+                assert ev.as_potential(pointwise.potential(ev, s0)) == potential(inst, state)
 
 
 def test_deviation_values_match_mutated_states():
@@ -55,12 +60,50 @@ def test_deviation_values_match_mutated_states():
             ev = StateEvaluator(inst)
             for state in _all_states(inst):
                 s0 = to_internal(state)
-                aux = ev.analyze(s0)
+                aux = pointwise.analyze(ev, s0)
                 for i in range(inst.n):
                     for k in range(inst.m):
                         moved = state[:i] + (k + 1,) + state[i + 1:]
                         expected = player_value(inst, moved, i + 1)
-                        assert ev.as_value(ev.value(aux, i, k)) == expected
+                        assert ev.as_value(pointwise.value(ev, aux, i, k)) == expected
+
+
+def _assert_walk_matches_pointwise(inst, states):
+    """At every state: the evaluator's social value and potential, read off
+    the move table, against the reference and the Fraction API, and every
+    gain of the move table against the reference values.  Returns the last
+    walk."""
+    ev = StateEvaluator(inst)
+    for state in states:
+        s0 = to_internal(state)
+        social, phi = ev.social(s0), ev.potential(s0)
+        assert social == pointwise.social(ev, s0)
+        assert ev.as_value(social) == social_value(inst, state)
+        assert phi == pointwise.potential(ev, s0)
+        assert ev.as_potential(phi) == potential(inst, state)
+        walk, aux = ev.walk(s0), pointwise.analyze(ev, s0)
+        for i in range(inst.n):
+            here = pointwise.value(ev, aux, i, s0[i])
+            for k in range(inst.m):
+                if k != s0[i]:
+                    delta = pointwise.value(ev, aux, i, k) - here
+                    assert walk.gain(i, k) == (-delta if ev.minimizes else delta), (state, i, k)
+    return walk
+
+
+def test_walk_matches_pointwise_at_every_state():
+    pool = [inst for kind in ALL_KINDS for inst in kind_pool(kind, 4, n_max=4)]
+    for inst in pool + beyond_int64_pool():
+        _assert_walk_matches_pointwise(inst, _all_states(inst))
+
+
+def test_walk_matches_pointwise_while_floats_propose():
+    # the sharing kinds at n = 40 pass int64: floats propose, exact ints decide
+    for kind in (GameKind.SWC, GameKind.SWF):
+        inst = gen_random(40, 3, kind, F(1, 4), seed=1)
+        rng = random.Random(40)
+        states = [tuple(rng.randint(1, 3) for _ in range(40)) for _ in range(50)]
+        assert _assert_walk_matches_pointwise(inst, states).tol is not None
 
 
 def _table_pool():
@@ -80,13 +123,13 @@ def _assert_table_matches_pointwise(ev):
         vals, cur, social, phi = ev.table(grid)
         assert vals.shape == (inst.m, inst.n, len(grid))
         for s, state in enumerate(grid.tolist()):
-            aux = ev.analyze(state)
+            aux = pointwise.analyze(ev, state)
             assert vals[:, :, s].tolist() == [
-                [ev.value(aux, i, k) for i in range(inst.n)] for k in range(inst.m)
+                [pointwise.value(ev, aux, i, k) for i in range(inst.n)] for k in range(inst.m)
             ]
-            assert cur[:, s].tolist() == ev.values(aux)
-            assert social[s] == ev.social(state)
-            assert phi[s] == ev.potential(state)
+            assert cur[:, s].tolist() == pointwise.values(ev, aux)
+            assert social[s] == pointwise.social(ev, state)
+            assert phi[s] == pointwise.potential(ev, state)
     return vals.dtype
 
 

@@ -262,20 +262,24 @@ class TestDocumentFormat:
         ("machine_values", lambda doc: doc.update(machine_values=None)),
         ("conflict_edges", lambda doc: doc["conflict_edges"].__setitem__(0, ["1", 2])),
         ("conflict_edges", lambda doc: doc.update(conflict_edges=5)),
-        ("edge_weights[0]", lambda doc: doc["edge_weights"][0].pop()),
+        ("edge_weights[0]", lambda doc: doc["edge_weights"][0].__delitem__(2)),
         ("edge_weights[6]", lambda doc: doc["edge_weights"].append(doc["edge_weights"][0])),
         ("kind", lambda doc: doc.update(kind="SwX")),
+        ("n", lambda doc: '{"kind": "BwC", "n": 2, "m": 2, "n": 3}'),
+        ("conflict_edges", lambda doc: json.dumps(doc)[:-1] + ', "conflict_edges": []}'),
     ], ids=[
         "n-zero", "n-string", "n-bool", "float-value", "float-alpha", "null-alpha",
         "null-values", "string-endpoint", "edges-not-a-list", "two-entry-triple",
-        "edge-weighted-twice", "unknown-kind",
+        "edge-weighted-twice", "unknown-kind", "key-given-twice", "edges-given-twice",
     ])
     def test_malformed_document_names_its_field_once(self, field, edit):
+        # an edit changes the document in place, or returns the text to parse
+        # where only text can say it: a key given twice
         doc = json.loads(write_instance(gen_random(4, 2, GameKind.SWC, 1, seed=3, weighted=True)))
         assert len(doc["edge_weights"]) == 6  # K_4, every edge weighted
-        edit(doc)
+        text = edit(doc)
         with pytest.raises(InstanceFormatError) as err:
-            parse_instance(json.dumps(doc))
+            parse_instance(json.dumps(doc) if text is None else text)
         assert err.value.field == field
         assert str(err.value).count(f"{field}: ") == 1
 

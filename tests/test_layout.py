@@ -29,6 +29,13 @@ instance document's values are checked once, by
 :func:`conflictgames.games.make_instance`:
 :func:`conflictgames.instances.parse_instance` checks only the document's
 shape.
+
+One state is evaluated in one place: :class:`conflictgames.fastpath.Walk`,
+the move table.  ``StateEvaluator.analyze``, ``social`` and ``potential``
+only read a walk, and the pointwise formulas are the test suite's own
+reference, in ``reference_evaluator``.  The per-instance
+structure of the Fraction API lives on the instance, so no process-wide
+cache keeps it.
 """
 
 import ast
@@ -165,3 +172,32 @@ def test_parse_instance_checks_no_value():
                 if _callee(node) in defs:
                     todo.append(_callee(node))
     assert not called & {"Fraction", "as_fraction"}
+
+
+def _methods(module: str, cls: str) -> dict[str, ast.FunctionDef]:
+    """The methods of one class of one package module, by name."""
+    package = pathlib.Path(conflictgames.__file__).parent
+    tree = ast.parse((package / module).read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
+    return {n.name: n for n in node.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_one_state_is_evaluated_by_the_move_table():
+    # a second pointwise evaluator in the package fails here: the three
+    # per-state methods left are one-line reads of self.walk
+    methods = _methods("fastpath.py", "StateEvaluator")
+    assert not {"loads", "_edge_term", "value", "values"} & methods.keys()
+    for name in ("analyze", "social", "potential"):
+        body = methods[name].body
+        assert len(body) == 1 and isinstance(body[0], ast.Return), name
+        calls = [node for node in ast.walk(body[0]) if isinstance(node, ast.Call)]
+        assert [(_callee(c), getattr(c.func.value, "id", None)) for c in calls] == [
+            ("walk", "self")
+        ], name
+
+
+def test_instances_keep_their_own_structure():
+    # the neighbour lists are cached on each instance: no process-wide cache,
+    # and no memoized hash for one to look up
+    assert "games.py" not in _naming(r"\blru_cache\b")
+    assert "__hash__" not in _methods("games.py", "Instance")

@@ -57,6 +57,7 @@ from conftest import (
     small_instance,
     with_machine_values,
 )
+import reference_evaluator as pointwise
 from reference_evaluator import lex_states, state_blocks
 
 F = Fraction
@@ -191,7 +192,7 @@ class TestStrongNash:
             top = max(
                 abs(v)
                 for s in enumerate_states(inst)
-                for v in ev.values(ev.analyze(to_internal(s)))
+                for v in pointwise.values(ev, pointwise.analyze(ev, to_internal(s)))
             )
             assert top >= _INT64_SAFE
             assert strong_nash_set(inst) == strong_nash_set_by_coalitions(inst)

@@ -406,7 +406,7 @@ def test_table_passes_use_no_pointwise_evaluation(monkeypatch):
                       alpha=F(1), beta=F(1), gamma=F(1, 2))
     swc = gen_random(4, 2, GameKind.SWC, F(1, 2), seed=2)
     params, _ = certificate_params(inst.kind, inst.n, inst.m, inst.alpha, inst.beta, inst.gamma)
-    for attr in ("analyze", "value", "values", "social", "potential"):
+    for attr in ("analyze", "social", "potential", "walk"):
         monkeypatch.setattr(StateEvaluator, attr, _raise)
     assert oracle.optimum(inst)
     assert oracle.worst_social_state(inst)
