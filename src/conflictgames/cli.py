@@ -64,7 +64,8 @@ def _add_common(p: argparse.ArgumentParser, formats: bool = True, limits: bool =
                             "the CCE LP takes the smaller of this and its own "
                             f"{OracleLimits().lp_max_states}-state cap, so it can lower "
                             "that cap, never raise it "
-                            "(a 1024-state BwC LP takes about two minutes)")
+                            "(the cap keeps an LP to seconds: past it, a random "
+                            "256-state SwF LP took half a minute)")
 
 
 def _add_instance_source(p: argparse.ArgumentParser, from_file: bool = True) -> None:

@@ -25,14 +25,12 @@ are built:
   ``w`` stays small: int64, and ``object`` only when a weight itself passes
   int64.  The instance's edge sets are converted once, when the evaluator is
   built, and every other edge quantity is derived from these arrays with
-  whole-array operations.  ``edges``, the same edges as ``(a, b, w)`` Python
-  triples in value-scale units, is built only on first use: the mixed
-  expectations and the test suite's pointwise reference evaluator
-  (``tests/reference_evaluator.py``) read it, the state table and the move
-  table do not;
-* base: ``base[i]`` is the separated-edge weight at player ``i`` (what ``i``
-  would collect with every such neighbour elsewhere), and ``w_sep`` is
-  ``sum(base) / 2``.
+  whole-array operations.  They are the edges' one form: every reader takes
+  them, the state table and the move table through ``_edge_arrays`` and the
+  mixed expectations directly, each weight times ``unit``;
+* base: ``base[i] = unit * _sep[i]`` is the separated-edge weight at player
+  ``i`` (what ``i`` would collect with every such neighbour elsewhere), and
+  ``w_sep`` is ``sum(base) / 2``.
 
 A player's value is then ``mach[k][occupancy] + base[i]`` plus the signed
 weights of its neighbours on ``k``.
@@ -43,7 +41,7 @@ One state is evaluated only by the move table:
 :meth:`StateEvaluator.analyze`, :meth:`StateEvaluator.social` and
 :meth:`StateEvaluator.potential` are one-line reads of it, kept for the call
 counters of ``perfbench/tracing.py``.  The same formulas one state at a
-time, as loops over ``edges``, are the test suite's reference
+time, as loops over Python edge triples, are the test suite's reference
 (``tests/reference_evaluator.py``), not the package's.  Best-response runs
 keep a move table current move by move:
 
@@ -202,7 +200,7 @@ class StateEvaluator:
         # every branch lists its positive weights before its negative ones;
         # the first ``split`` edges are the positive ones
         sets, counts, weights = [], [], []
-        split = top = w_sep = 0
+        split = top = 0
         for edges, w in groups:
             if w and edges:
                 sets.append(edges)
@@ -211,10 +209,7 @@ class StateEvaluator:
                 top = max(top, abs(w))
                 if w > 0:
                     split += len(edges)
-                else:
-                    w_sep -= len(edges) * w
         count = sum(counts)
-        self.w_sep = unit * w_sep
         weights = np.array(weights, dtype=np.int64 if top < _INT64_BOUND else object)
         # both ends of every edge, edge by edge, 0-based: a0, b0, a1, b1, ...
         ends = np.fromiter(chain.from_iterable(chain(*sets)), np.int64, 2 * count) - 1
@@ -234,17 +229,6 @@ class StateEvaluator:
         if split:
             self._touching = self._sep.copy()
             np.add.at(self._touching, ends[:2 * split], w[:split].repeat(2))
-
-    @cached_property
-    def edges(self) -> list[tuple[int, int, int]]:
-        """The signed edges as ``(a, b, w)`` triples of Python ints, ``w`` in
-        value-scale units."""
-        return list(zip(*self.ends.tolist(), _times(self.w, self.unit)))
-
-    @cached_property
-    def base(self) -> list[int]:
-        """The separated weight at each player, in value-scale units."""
-        return _times(self._sep, self.unit)
 
     # -- conversions --------------------------------------------------------
 
@@ -280,12 +264,12 @@ class StateEvaluator:
     def _magnitude(self) -> int:
         """Bound on |any table entry summed over all players and machines|
         and on |any potential|."""
-        touching = self._touching.tolist()
-        value = self._mach_max + self.unit * max(map(add, self._sep.tolist(), touching))
-        # the edges at all players count every edge twice, w_sep of them
-        # negative
+        sep, touching = self._sep.tolist(), self._touching.tolist()
+        value = self._mach_max + self.unit * max(map(add, sep, touching))
+        # the edges at all players count every edge twice, the separated
+        # weight ``sum(sep) // 2`` of them negative
         potential = sum(row[-1] for row in self.pot) + self.pot_per_value * (
-            self.w_sep + self.unit * (sum(touching) // 2)
+            self.unit * (sum(sep) + sum(touching)) // 2
         )
         return max(self.n * self.m * value, potential)
 
@@ -502,11 +486,6 @@ class Walk:
         self._set_terms(s)
         self._set_terms(t)
         return s
-
-
-def _times(a: np.ndarray, factor: int) -> list[int]:
-    """``a`` times ``factor`` as a list of Python ints."""
-    return a.tolist() if factor == 1 else [x * factor for x in a.tolist()]
 
 
 def max_abs(a: np.ndarray) -> int:

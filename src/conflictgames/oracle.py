@@ -60,12 +60,14 @@ budget keeps nothing.
 equilibria :func:`pure_nash_set` lists.  :func:`strong_nash_set` reads
 every state, and keeps guarding m^n.
 
-Expectations under a product profile read the evaluator's machine terms,
-bases and signed edges with no kind branch: the machine term is averaged over
-the exact distribution of the co-located count, and each signed edge is
-weighted by its neighbour's probability.  The semi-smoothness LHS at one
-state reads the same terms under the point mass of that state, so every
-state table of the package is built in :func:`_whole`.
+Expectations under a product profile read the evaluator's machine terms and
+the arrays the state table reads, the signed edges ``ends`` and ``w`` and the
+separated weights ``_sep``, each weight times ``unit``, with no kind branch:
+the machine term is averaged over the exact distribution of the co-located
+count, and each signed edge is weighted by its neighbour's probability.  The
+semi-smoothness LHS at one state reads the same terms under the point mass
+of that state, so every state table of the package is built in
+:func:`_whole`.
 
 One table per instance: :func:`state_columns` keeps the table of the last
 instance it was asked for (one entry, keyed by instance equality and by its
@@ -144,7 +146,10 @@ class OracleLimits:
     :func:`pure_nash_set` lists."""
 
     max_states: int = 2_000_000
-    lp_max_states: int = 2_000
+    # every kind's random LP of 128-196 states took at most 2.2 s, one of 216
+    # states (SwC, n = 3, m = 6) 5-7 s (edge probability 1/2, seeds 0-4,
+    # 2-vCPU VM)
+    lp_max_states: int = 196
     strong_max_players: int = 10
 
 
@@ -630,18 +635,21 @@ def strong_nash_set(
 
 def _expected_value(ev: StateEvaluator, profile: MixedProfile, i: int, k: int) -> Fraction:
     """E[value of player i | s_i = k] (0-based) with all other players drawn
-    from the product profile: ``(sum_c P(Y_k = c) mach[k][c + 1] + base[i] +
-    sum_j W[i, j] q_jk) / value_scale``, with ``Y_k`` the number of others on
-    ``k`` (a dynamic program over the independent indicator sum) and ``W``
-    the signed weights of ``edges``."""
+    from the product profile: ``(sum_c P(Y_k = c) mach[k][c + 1] + unit *
+    (_sep[i] + sum_j W[i, j] q_jk)) / value_scale``, with ``Y_k`` the number
+    of others on ``k`` (a dynamic program over the independent indicator sum)
+    and ``W`` the signed weights ``w`` of the edges ``ends``."""
     dist = [Fraction(1)]  # dist[c] = P(Y_k = c) over the players so far
     for j, row in enumerate(profile):
         q = row[k]
         if j != i and q != 0:
             dist = [a * (1 - q) + b * q for a, b in zip(dist + [0], [0] + dist)]
     machine = sum(p * ev.mach[k][c + 1] for c, p in enumerate(dist))
-    edges = sum(w * profile[a + b - i][k] for a, b, w in ev.edges if i in (a, b))
-    return Fraction(machine + ev.base[i] + edges, ev.value_scale)
+    ea, eb = ev.ends
+    at = np.flatnonzero((ea == i) | (eb == i))  # i's edges
+    others = (ea[at] + eb[at] - i).tolist()
+    edges = sum(w * profile[j][k] for j, w in zip(others, ev.w[at].tolist()))
+    return Fraction(machine + ev.unit * (int(ev._sep[i]) + edges), ev.value_scale)
 
 
 def expected_player_value(

@@ -14,10 +14,11 @@ digits of ``conflictgames.oracle.Orbits``.
 
 :func:`analyze`, :func:`value`, :func:`values`, :func:`social` and
 :func:`potential` evaluate one state of an evaluator at a time, each a loop
-over its ``(a, b, w)`` edge triples: the references for every entry of the
-state table, and for the gains of the move table
-``conflictgames.fastpath.Walk`` and the aggregates that
-``StateEvaluator.social`` and ``potential`` read off it.
+over the ``(a, b, w)`` edge triples of the reference set-up of its instance
+(:func:`setup_of`, built once per evaluator), never over the evaluator's own
+edge arrays: the references for every entry of the state table, and for the
+gains of the move table ``conflictgames.fastpath.Walk`` and the aggregates
+that ``StateEvaluator.social`` and ``potential`` read off it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, ldexp
 from typing import Iterator
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -162,10 +164,22 @@ def loads(ev: StateEvaluator, state) -> list[int]:
     return loads
 
 
+_SETUPS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def setup_of(ev: StateEvaluator) -> Setup:
+    """The reference set-up of ``ev``'s instance, built once per evaluator."""
+    ref = _SETUPS.get(ev)
+    if ref is None:
+        ref = _SETUPS[ev] = reference_setup(ev.inst)
+    return ref
+
+
 def edge_term(ev: StateEvaluator, state) -> int:
     """Separated-edge weight at ``state``: w_sep plus the signed weight of
     every co-located edge."""
-    return ev.w_sep + sum(w for a, b, w in ev.edges if state[a] == state[b])
+    ref = setup_of(ev)
+    return ref.w_sep + sum(w for a, b, w in ref.edges if state[a] == state[b])
 
 
 def social(ev: StateEvaluator, state) -> int:
@@ -184,7 +198,7 @@ def analyze(ev: StateEvaluator, state):
     on machine k."""
     m = ev.m
     tab = [0] * (ev.n * m)
-    for a, b, w in ev.edges:
+    for a, b, w in setup_of(ev).edges:
         tab[a * m + state[b]] += w
         tab[b * m + state[a]] += w
     return (tuple(state), loads(ev, state), tab)
@@ -195,7 +209,7 @@ def value(ev: StateEvaluator, aux, i: int, k: int) -> int:
     at the analyzed state.  Exact both for k == s_i and for deviations."""
     state, loads, tab = aux
     occ = loads[k] if state[i] == k else loads[k] + 1
-    return ev.mach[k][occ] + ev.base[i] + tab[i * ev.m + k]
+    return ev.mach[k][occ] + setup_of(ev).base[i] + tab[i * ev.m + k]
 
 
 def values(ev: StateEvaluator, aux) -> list[int]:

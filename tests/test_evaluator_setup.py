@@ -4,7 +4,8 @@ The evaluator converts the instance's edge sets once, into ``ends`` (0-based,
 ``(2, E)`` int64) and ``w`` (small weights in units of ``unit``, int64 unless
 a weight itself passes int64), and derives the base, the separated weight,
 the per-player |w| sums, the move-table mode and every edge array from them;
-``reference_evaluator`` builds the same quantities edge by edge in Python.
+``reference_evaluator`` builds the same quantities edge by edge in Python,
+in value-scale units, and the arrays times ``unit`` are compared with them.
 The two must agree on every kind, with weighted sharing, with weights and
 sums beyond int64, with zero weights dropped, without edges and at n = 1.
 """
@@ -105,11 +106,14 @@ def assert_same_setup(inst):
     assert ev.unit == (lcm(*range(1, inst.n + 1)) if inst.kind.sharing else 1)
     small = all(abs(w) < _INT64_BOUND * ev.unit for _, _, w in ref.edges)
     assert ev.w.dtype == (np.int64 if small else object)
-    assert Counter(ev.edges) == Counter(ref.edges)
-    assert all(type(v) is int for edge in ev.edges for v in edge)
-    assert ev.base == ref.base and all(type(v) is int for v in ev.base)
+    # the arrays, times ``unit``, are the reference's edges, bases and
+    # separated weight
+    weights, sep = ev.w.tolist(), ev._sep.tolist()
+    assert all(type(v) is int for v in weights + sep)
+    assert _triples(ev.ends, ev.w.astype(object) * ev.unit) == Counter(ref.edges)
+    assert [ev.unit * b for b in sep] == ref.base
     assert [ev.unit * t for t in ev._touching.tolist()] == ref.touching
-    assert type(ev.w_sep) is int and ev.w_sep == ref.w_sep
+    assert ev.unit * -sum(w for w in weights if w < 0) == ref.w_sep
     assert ev._magnitude == magnitude(ref, ev)
     mode = ev._move_mode
     assert mode == move_mode(ref, ev)
@@ -144,7 +148,7 @@ def test_zero_combination_weights_drop_their_edges():
             inst.friendship_edges if inst.gamma else set()
         )
         assert len(kept) < len(inst.conflict_edges) + len(inst.friendship_edges)
-        assert {(a + 1, b + 1) for a, b, _ in StateEvaluator(inst).edges} == kept
+        assert {(a + 1, b + 1) for a, b in StateEvaluator(inst).ends.T.tolist()} == kept
 
 
 def test_int64_weights_past_int64_once_summed_or_scaled():

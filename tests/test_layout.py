@@ -36,6 +36,11 @@ only read a walk, and the pointwise formulas are the test suite's own
 reference, in ``reference_evaluator``.  The per-instance
 structure of the Fraction API lives on the instance, so no process-wide
 cache keeps it.
+
+The evaluator's signed edges have one form, the arrays ``ends`` and ``w``
+and the per-player ``_sep``, in units of ``unit``: the state table, the move
+table and the product-profile expectations all read them, and no second
+form (``edges`` triples, a ``base`` list, a ``w_sep`` int) is kept.
 """
 
 import ast
@@ -201,3 +206,18 @@ def test_instances_keep_their_own_structure():
     # and no memoized hash for one to look up
     assert "games.py" not in _naming(r"\blru_cache\b")
     assert "__hash__" not in _methods("games.py", "Instance")
+
+
+def test_the_signed_edges_have_one_form():
+    # a second form of the edges on the evaluator, or a reader of one in any
+    # module, fails here
+    forms = {"edges", "base", "w_sep"}
+    assert not forms & _methods("fastpath.py", "StateEvaluator").keys()
+    package = pathlib.Path(conflictgames.__file__).parent
+    readers = [
+        (path.name, node.attr)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in forms
+    ]
+    assert readers == []
