@@ -45,7 +45,7 @@ import numpy as np
 
 from . import oracle
 from .fastpath import _INT64_BOUND, StateEvaluator, max_abs, to_internal, to_public
-from .games import GameKind, Instance, State, harmonic, validate_state
+from .games import Instance, State, harmonic, validate_state
 from .oracle import DEFAULT_LIMITS, OracleLimits
 from .smoothness import certificate_params, pure_poa_bound
 from .verdicts import VerdictReport, frac_str, make_verdict
@@ -393,7 +393,7 @@ def check_convergence_theorems(
     # payoff kinds
     params, _ = certificate_params(inst.kind, n, m, *weights)
     rho = params.rho
-    b_const = Fraction(1) if inst.kind is GameKind.MAXCUT else harmonic(n)
+    b_const = harmonic(n) if inst.machine_values else Fraction(1)
     mu = params.mu
     tau1 = rho / (1 + eps)
     tau2 = rho * (1 - eps) / (2 * b_const)

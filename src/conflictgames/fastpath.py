@@ -8,13 +8,15 @@ Comparisons between like-scaled integers are therefore exact, and the
 Fraction API is recovered by dividing out the scale (``as_value`` /
 ``as_potential``).
 
-The six kinds share one shape, and the kind is decided once, when the tables
-are built:
+The tables are built for the paper's two families: the cost kinds, and the
+payoff kinds, whose own edges pay together (friendships) or apart
+(conflicts) as the kind's ``friends`` fact says, the cut game being conflict
+sharing without machine values:
 
 * machine term: ``mach[k][x]`` is a player's value on machine ``k`` at
-  occupancy ``x`` (``alpha*x`` for the cost kinds, ``p_k/x`` for the sharing
-  kinds, 0 for the cut game); ``pot[k][x]`` is the potential's machine term
-  (``alpha*x^2``, ``p_k*H_x``, 0);
+  occupancy ``x`` (``alpha*x`` for the cost kinds, ``p_k/x`` for the payoff
+  kinds, with every ``p_k`` 0 in the cut game); ``pot[k][x]`` is the
+  potential's machine term (``alpha*x^2``, ``p_k*H_x``);
 * signed edges: two arrays, ``ends`` (``(2, E)`` int64, the 0-based ends of
   each edge) and ``w`` (its weight), with ``w > 0`` for an edge that counts
   when its ends share a machine (BwC/BwCF conflicts at beta, SwF friends) and
@@ -28,12 +30,12 @@ are built:
   whole-array operations.  They are the edges' one form: every reader takes
   them, the state table and the move table through ``_edge_arrays`` and the
   mixed expectations directly, each weight times ``unit``;
-* base: ``base[i] = unit * _sep[i]`` is the separated-edge weight at player
-  ``i`` (what ``i`` would collect with every such neighbour elsewhere), and
-  ``w_sep`` is ``sum(base) / 2``.
+* separated weight: ``unit * _sep[i]`` is the separated-edge weight at
+  player ``i`` (what ``i`` would collect with every such neighbour
+  elsewhere), and ``unit * sum(_sep) / 2`` is the instance's.
 
-A player's value is then ``mach[k][occupancy] + base[i]`` plus the signed
-weights of its neighbours on ``k``.
+A player's value is then ``mach[k][occupancy] + unit * _sep[i]`` plus the
+signed weights of its neighbours on ``k``.
 
 Two ways read these tables, the move table and the state table, and the
 exact mixed expectations of :mod:`conflictgames.oracle` read them directly.
@@ -46,15 +48,16 @@ time, as loops over Python edge triples, are the test suite's reference
 keep a move table current move by move:
 
 * walk: :meth:`StateEvaluator.walk` returns a :class:`Walk`, which holds the
-  state, its loads, ``bt[i, k] = (base[i] + sum_j W[i, j] [s_j = k]) / u`` and
-  the social value and potential as exact ints.  The start's aggregates come
-  from the table too: ``sum_i bt[i, s_i] * u`` is twice ``w_sep`` plus twice
-  the co-located signed weight.  :meth:`Walk.best` forms every player's gain
-  on every machine, ``sg * (mach[t][x_t + 1] - mach[s][x_s]) / u + sg *
-  (bt[i, t] - bt[i, s])`` (``sg`` -1 for the cost kinds), and returns the
-  first maximum in (player, machine) order; :meth:`Walk.move` updates the two
-  loads, the two columns of ``bt`` and both aggregates, which change only on
-  the mover's two machines and the mover's edges.
+  state, its loads, ``bt[i, k] = (unit * _sep[i] + sum_j W[i, j] [s_j = k]) /
+  u`` and the social value and potential as exact ints.  The start's
+  aggregates come from the table too: ``sum_i bt[i, s_i] * u`` is ``unit *
+  sum(_sep)`` plus twice the co-located signed weight.  :meth:`Walk.best`
+  forms every player's gain on every machine, ``sg * (mach[t][x_t + 1] -
+  mach[s][x_s]) / u + sg * (bt[i, t] - bt[i, s])`` (``sg`` -1 for the cost
+  kinds), and returns the first maximum in (player, machine) order;
+  :meth:`Walk.move` updates the two loads, the two columns of ``bt`` and
+  both aggregates, which change only on the mover's two machines and the
+  mover's edges.
 * unit and mode: when :meth:`StateEvaluator.dtype` allows int64, ``u`` is 1,
   every gain is an exact int64 and one argmax decides.  Otherwise (the
   sharing kinds from about n = 40 on: their value scale is ``d * lcm(1..n)``)
@@ -93,15 +96,16 @@ kept between evaluators:
   It is the same formula on arrays: the one-hot ``onehot[k, i, s]`` of the
   player-major digits, the loads as its sum over players, the neighbour
   weights ``adj @ onehot`` (``adj`` the n x n signed adjacency of the edges)
-  and ``mach[k][load + (s_i != k)] + base[i]``, the machine and potential
-  terms read with flat ``take``s.  On int64 the product runs on float64
-  (BLAS) when the |w| summed at any one player is below 2^53: every partial
-  sum is then an integer below 2^53, exact in any order, and the result is
-  cast back; otherwise it runs on int64 or ``object``.  The potential needs
-  no pass over the edges: ``social`` is the machine terms ``sum_k load_k *
-  mach[k][load_k]`` plus ``2 * (w_sep + co-located weight)``, so the edge
-  part of the potential is half of what is left (times ``potential_scale /
-  value_scale``), the way :class:`Walk` derives its aggregates;
+  and ``mach[k][load + (s_i != k)] + unit * _sep[i]``, the machine and
+  potential terms read with flat ``take``s.  On int64 the product runs on
+  float64 (BLAS) when the |w| summed at any one player is below 2^53: every
+  partial sum is then an integer below 2^53, exact in any order, and the
+  result is cast back; otherwise it runs on int64 or ``object``.  The
+  potential needs no pass over the edges: ``social`` is the machine terms
+  ``sum_k load_k * mach[k][load_k]`` plus ``unit * sum(_sep)`` and twice the
+  co-located weight, so the edge part of the potential is half of what is
+  left (times ``potential_scale / value_scale``), the way :class:`Walk`
+  derives its aggregates;
 * dtype: :meth:`StateEvaluator.dtype` is int64 only when a bound computed
   from the tables shows that no value, no sum of values over all players and
   machines, and no multiple of such a sum by ``factor`` can reach
@@ -129,7 +133,7 @@ from operator import add
 
 import numpy as np
 
-from .games import GameKind, Instance
+from .games import Instance
 
 # magnitudes at or above this may overflow an int64 expression; use object
 _INT64_SAFE = 1 << 60
@@ -169,31 +173,22 @@ class StateEvaluator:
             self.pot = [[a * x * x for x in range(n + 1)]] * m
             unit = 1
             groups = [(conf, b), (fr, -g)]
-        elif inst.kind.sharing:
+        else:  # the payoff kinds; the cut game has no machine values
+            values = inst.machine_values or (0,) * m
             explicit = inst.edge_weights or ()  # every other edge weighs 1
-            dens = [p.denominator for p in inst.machine_values]
-            dens += [w.denominator for _, w in explicit]
-            d = lcm(*dens) if dens else 1
-            unit = lcm(*range(1, n + 1))
+            d = lcm(*(p.denominator for p in values), *(w.denominator for _, w in explicit))
+            unit = lcm(*range(1, n + 1)) if inst.machine_values else 1
             self.value_scale = d * unit
             self.potential_scale = d * unit
-            p_scaled = [p.numerator * (d // p.denominator) for p in inst.machine_values]
+            p_scaled = [p.numerator * (d // p.denominator) for p in values]
             # index 0 is never read as a value and contributes 0 to sums
             shares = [0] + [unit // x for x in range(1, n + 1)]
             self.mach = [[pk * q for q in shares] for pk in p_scaled]
             hsum = list(accumulate(shares))
             self.pot = [[pk * h for h in hsum] for pk in p_scaled]
-            sign = -1 if inst.kind is GameKind.SWC else 1
-            own = conf if inst.kind is GameKind.SWC else fr
+            own, sign = (fr, 1) if inst.kind.friends else (conf, -1)
             groups = [(own - {e for e, _ in explicit} if explicit else own, sign * d)]
             groups += [((e,), sign * w.numerator * (d // w.denominator)) for e, w in explicit]
-        else:  # cut game
-            self.value_scale = 1
-            self.potential_scale = 1
-            self.mach = [[0] * (n + 1)] * m
-            self.pot = self.mach
-            unit = 1
-            groups = [(conf, -1)]
         # 2 for the cost kinds, 1 for the others
         self.pot_per_value = self.potential_scale // self.value_scale
 
@@ -282,7 +277,7 @@ class StateEvaluator:
 
     def _edge_arrays(self, dtype, unit: int = 1):
         """Edge ends, and as multiples of ``unit`` the edge weights, the
-        symmetric n x n signed adjacency and the base of each player, in
+        symmetric n x n signed adjacency and ``_sep``, in
         ``dtype``.  ``unit`` divides every edge weight, and either it divides
         :attr:`unit` or :attr:`unit` divides it."""
         weights = self._rescaled(self.w, dtype, unit)
@@ -347,7 +342,8 @@ class StateEvaluator:
         for k in range(1, m):
             np.copyto(cur, vals[k], where=onehot[k])
         social = cur.sum(0)
-        # social is the machine terms plus 2 * (w_sep + co-located weight)
+        # social is the machine terms plus unit * sum(_sep) plus twice the
+        # co-located weight
         edges = (social - (loads * here).sum(0)) // 2
         phi = pot.take(at).sum(0) + self.pot_per_value * edges
         return vals, cur, social, phi
@@ -380,12 +376,12 @@ class Walk:
     """The state of a best-response run, kept current move by move.
 
     ``cur`` and ``loads`` are the state and its machine loads; ``bt[i, k]``
-    times ``unit`` is ``base[i]`` plus the signed weight of ``i``'s neighbours
-    on ``k``, so a player's value on ``k`` is ``mach[k][occupancy] + unit *
-    bt[i, k]``; ``social`` and ``potential`` are the scaled aggregates as
-    exact Python ints.  One move touches two columns of ``bt`` and two loads,
-    so :meth:`move` costs O(n) and :meth:`best` one pass over the n x m
-    gains.
+    times ``unit`` is the evaluator's ``unit * _sep[i]`` plus the signed
+    weight of ``i``'s neighbours on ``k``, so a player's value on ``k`` is
+    ``mach[k][occupancy] + unit * bt[i, k]``; ``social`` and ``potential``
+    are the scaled aggregates as exact Python ints.  One move touches two
+    columns of ``bt`` and two loads, so :meth:`move` costs O(n) and
+    :meth:`best` one pass over the n x m gains.
 
     ``_own[i]`` is ``i * m + s_i``, the flat index of player ``i``'s own cell
     in any n x m array; :meth:`move` keeps it current, and :meth:`best` reads
@@ -415,7 +411,8 @@ class Walk:
         for k in range(m):
             self._set_terms(k)
         # sum_i bt[i, s_i] counts every separated edge and every co-located
-        # signed weight twice: it is 2 * (w_sep + co-located weight)
+        # signed weight twice: times u it is the evaluator's unit * sum(_sep)
+        # plus twice the co-located weight
         edges = self.unit * int(self.bt.take(self._own).sum())
         loads = self.loads
         self.social = sum(x * row[x] for row, x in zip(ev.mach, loads)) + edges

@@ -49,6 +49,12 @@ class GameKind(enum.Enum):
     def sharing(self) -> bool:
         return self in (GameKind.SWC, GameKind.SWF)
 
+    @property
+    def friends(self) -> bool:
+        """Plays on friendships alone (BwF, SwF; BwCF plays on both sets, the
+        others on conflicts); a payoff kind's edges pay together exactly then."""
+        return self in (GameKind.BWF, GameKind.SWF)
+
 
 class InvalidInstanceError(ValueError):
     """Validation failure; ``field`` names the offending field (dotted path)."""
@@ -109,7 +115,7 @@ class Instance:
     def sharing_weights(self) -> dict[Edge, Fraction]:
         """Edge -> weight map over a payoff kind's own edges: the friendships
         of SwF, the conflicts of SwC and of the cut game (default weight 1)."""
-        own = self.friendship_edges if self.kind is GameKind.SWF else self.conflict_edges
+        own = self.friendship_edges if self.kind.friends else self.conflict_edges
         weights = dict.fromkeys(own, Fraction(1))
         if self.edge_weights:
             weights.update(dict(self.edge_weights))
@@ -207,10 +213,10 @@ def make_instance(
         raise InvalidInstanceError(
             "friendship_edges", f"edges appear in both sets: {sorted(conf & fr)}"
         )
-    if kind in (GameKind.BWC, GameKind.SWC, GameKind.MAXCUT) and fr:
-        raise InvalidInstanceError("friendship_edges", f"{kind.value} uses conflict edges only")
-    if kind in (GameKind.BWF, GameKind.SWF) and conf:
+    if kind.friends and conf:
         raise InvalidInstanceError("conflict_edges", f"{kind.value} uses friendship edges only")
+    if not kind.friends and fr and kind is not GameKind.BWCF:
+        raise InvalidInstanceError("friendship_edges", f"{kind.value} uses conflict edges only")
 
     if kind.sharing:
         if machine_values is None:
@@ -233,7 +239,7 @@ def make_instance(
     if edge_weights is not None:
         if not kind.sharing:
             raise InvalidInstanceError("edge_weights", "only the sharing kinds take weights")
-        own_edges = conf if kind is GameKind.SWC else fr
+        own_edges = fr if kind.friends else conf
         canon: dict[Edge, Fraction] = {}
         for raw_edge, raw_w in dict(edge_weights).items():
             a, b = _player_ids(raw_edge, "edge_weights")
@@ -329,7 +335,7 @@ def _player_value_unchecked(inst: Instance, state: State, i: int) -> Fraction:
         return inst.alpha * load + inst.beta * conf_here + inst.gamma * friends_away
     # payoff kinds: the machine's share (none in the cut game) plus the
     # weight of the neighbours apart (SwC, cut game) or together (SwF)
-    together = inst.kind is GameKind.SWF
+    together = inst.kind.friends
     value = sum(
         (w for j, w in inst.weighted_neighbors[i - 1] if (state[j - 1] == k) == together),
         Fraction(0),
@@ -360,7 +366,7 @@ def social_value(inst: Instance, state: State) -> Fraction:
 def _paying_weight(inst: Instance, state: State) -> Fraction:
     """Weight of a payoff kind's edges that pay at ``state``: those whose
     ends are apart (SwC, cut game) or together (SwF)."""
-    together = inst.kind is GameKind.SWF
+    together = inst.kind.friends
     return sum(
         (w for (a, b), w in inst.sharing_weights.items()
          if (state[a - 1] == state[b - 1]) == together),

@@ -24,6 +24,7 @@ from .games import (
     as_fraction,
     make_instance,
 )
+from .verdicts import frac_str
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,7 @@ def gen_random(
             if r < num:
                 friendship.append(e)
     else:
-        drawn = friendship if kind in (GameKind.BWF, GameKind.SWF) else conflict
+        drawn = friendship if kind.friends else conflict
         for e in combinations(range(1, n + 1), 2):
             r = bits(k)
             while r >= den:
@@ -190,9 +191,8 @@ def gen_random(
     if kind.sharing:
         values = [Fraction(rng.randrange(1, _GRID_MAX + 1), _GRID_DEN) for _ in range(m)]
         if weighted:
-            own = conflict if kind is GameKind.SWC else friendship
             weights = {
-                e: Fraction(rng.randrange(1, _GRID_MAX + 1), _GRID_DEN) for e in own
+                e: Fraction(rng.randrange(1, _GRID_MAX + 1), _GRID_DEN) for e in drawn
             }
 
     if kind is GameKind.BWCF:
@@ -237,26 +237,22 @@ class InstanceFormatError(InvalidInstanceError):
     offending field."""
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def write_instance(inst: Instance) -> str:
     """Serialize to the canonical JSON document (deterministic bytes)."""
     doc: dict = {
         "kind": inst.kind.value,
         "n": inst.n,
         "m": inst.m,
-        "alpha": _frac_str(inst.alpha),
-        "beta": _frac_str(inst.beta),
-        "gamma": _frac_str(inst.gamma),
+        "alpha": frac_str(inst.alpha),
+        "beta": frac_str(inst.beta),
+        "gamma": frac_str(inst.gamma),
         "conflict_edges": [list(e) for e in sorted(inst.conflict_edges)],
         "friendship_edges": [list(e) for e in sorted(inst.friendship_edges)],
     }
     if inst.machine_values is not None:
-        doc["machine_values"] = [_frac_str(p) for p in inst.machine_values]
+        doc["machine_values"] = [frac_str(p) for p in inst.machine_values]
     if inst.edge_weights is not None:
-        doc["edge_weights"] = [[a, b, _frac_str(w)] for (a, b), w in inst.edge_weights]
+        doc["edge_weights"] = [[a, b, frac_str(w)] for (a, b), w in inst.edge_weights]
     return json.dumps(doc, indent=2) + "\n"
 
 

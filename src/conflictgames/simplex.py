@@ -147,10 +147,10 @@ def _int64_holds(tableau: np.ndarray, d: int, row: int, col: int) -> bool:
     return int(np.abs(floats).max()) + (bound >> 47) < limit
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], d: int, row: int, col: int):
-    """Pivot on (row, col) on the tableau's own dtype; returns the new
-    tableau and common denominator.  An int64 tableau must hold the pivot
-    (:func:`_step` checks)."""
+def _bareiss(tableau: np.ndarray, d: int, row: int, col: int):
+    """The fraction-free Gauss-Jordan step on (row, col), on the tableau's
+    own dtype; returns the new tableau and common denominator, made
+    positive.  An int64 tableau must hold the step."""
     prow, column = tableau[row], tableau[:, col]
     p = int(prow[col])
     out = p * tableau
@@ -160,11 +160,17 @@ def _pivot(tableau: np.ndarray, basis: list[int], d: int, row: int, col: int):
     elif d != 1:
         _divide_exact(out, d)
     out[row] = prow
-    basis[row] = col
-    if p < 0:  # only when an artificial is driven out after phase 1
+    if p < 0:  # in the LP only when an artificial is driven out after phase 1
         np.negative(out, out=out)
         p = -p
     return out, p
+
+
+def _pivot(tableau: np.ndarray, basis: list[int], d: int, row: int, col: int):
+    """One LP pivot, :func:`_bareiss` with ``col`` entering the basis at
+    ``row``; an int64 tableau must hold it (:func:`_step` checks)."""
+    basis[row] = col
+    return _bareiss(tableau, d, row, col)
 
 
 def _step(tableau: np.ndarray, basis: list[int], d: int, row: int, col: int, to_object):
@@ -278,23 +284,18 @@ def _propose(lp: _Standard, rows: np.ndarray, basis: list[int], d: int) -> Optio
 
 def _fraction_free_solve(rows: list[list[int]]) -> Optional[tuple[list[int], int]]:
     """``(D·C^-1 v, D)`` for the k rows of ``[C | v]``, Python ints, with
-    ``D = |det C|``; None when ``C`` is singular.  Gauss-Jordan with the
-    fraction-free step of :func:`_pivot`, each step on the columns not yet
-    eliminated only, and the previous pivot's sign kept until the end."""
-    d = 1
-    for step in range(len(rows)):
-        pick = next((r for r in range(step, len(rows)) if rows[r][0]), None)
-        if pick is None:
+    ``D = |det C|``; None when ``C`` is singular.  Gauss-Jordan by
+    :func:`_bareiss` on a ``dtype=object`` array, column by column, each on
+    a row not yet pivoted."""
+    k = len(rows)
+    tableau, basis, d = np.array(rows, dtype=object).reshape(k, k + 1), [-1] * k, 1
+    for col in range(k):
+        row = next((r for r in range(k) if basis[r] < 0 and tableau[r, col]), None)
+        if row is None:
             return None
-        rows[step], rows[pick] = rows[pick], rows[step]
-        p, tail = rows[step][0], rows[step][1:]
-        rows = [
-            tail if r == step else [(p * v - line[0] * w) // d for v, w in zip(line[1:], tail)]
-            for r, line in enumerate(rows)
-        ]
-        d = p
-    v = [line[0] for line in rows]
-    return (v, d) if d > 0 else ([-x for x in v], -d)
+        tableau, d = _bareiss(tableau, d, row, col)
+        basis[row] = col
+    return tableau[np.argsort(basis), -1].tolist(), d
 
 
 def _certify(lp: _Standard, basis: list[int]) -> Optional[tuple[list[int], list[int], int]]:

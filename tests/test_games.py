@@ -9,6 +9,7 @@ import pytest
 
 from conflictgames import games
 from conflictgames.dynamics import run_br
+from conflictgames.fastpath import StateEvaluator
 from conflictgames.games import (
     GameKind,
     InvalidInstanceError,
@@ -365,6 +366,40 @@ class TestValidation:
             make_instance(GameKind.BWCF, 2, 2, alpha=0)
         with pytest.raises(InvalidInstanceError):
             make_instance(GameKind.BWCF, 2, 2, beta=-1)
+
+
+class TestEdgeSets:
+    """``GameKind.friends`` is the one fact on which edge set a kind plays
+    and which way a payoff kind's edges pay."""
+
+    def test_the_friendship_kinds(self):
+        assert {kind for kind in GameKind if kind.friends} == {GameKind.BWF, GameKind.SWF}
+
+    @pytest.mark.parametrize("kind", list(GameKind), ids=lambda k: k.value)
+    def test_make_instance_rejects_exactly_the_other_edge_set(self, kind):
+        values = {"machine_values": [0, 0]} if kind.sharing else {}
+        both = kind is GameKind.BWCF
+        for field, plays in (("conflict_edges", both or not kind.friends),
+                             ("friendship_edges", both or kind.friends)):
+            if plays:
+                make_instance(kind, 2, 2, **{field: [(1, 2)]}, **values)
+                continue
+            with pytest.raises(InvalidInstanceError) as err:
+                make_instance(kind, 2, 2, **{field: [(1, 2)]}, **values)
+            assert err.value.field == field, kind
+
+    @pytest.mark.parametrize("kind", [k for k in GameKind if not k.minimizes],
+                             ids=lambda k: k.value)
+    def test_payoff_edges_pay_together_iff_friends(self, kind):
+        # one edge and no machine value: a player's value is the edge's pay
+        field = "friendship_edges" if kind.friends else "conflict_edges"
+        values = {"machine_values": [0, 0]} if kind.sharing else {}
+        inst = make_instance(kind, 2, 2, **{field: [(1, 2)]}, **values)
+        paid = [1, 0] if kind.friends else [0, 1]  # together, apart
+        assert [player_value(inst, s, 1) for s in ((1, 1), (1, 2))] == paid
+        ev = StateEvaluator(inst)
+        _, cur, _, _ = ev.table(np.array([[0, 0], [0, 1]], dtype=np.uint8))
+        assert [ev.as_value(v) for v in cur[0].tolist()] == paid
 
 
 class TestProfiles:

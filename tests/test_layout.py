@@ -22,9 +22,14 @@ the certified pure-PoA coefficient of the cost kinds and the two-machine
 strong-PoA bound.  The tight families split the players of their m parts
 into pairs within and across parts once, in :mod:`conflictgames.instances`.
 
-The Fraction formulas of :mod:`conflictgames.games` are the paper's two
-families: the cost kinds' (alpha, beta, gamma) formula and one payoff
-formula, whose only per-kind fact is that SwF's edges pay together.  An
+The Fraction formulas of :mod:`conflictgames.games` and the evaluator's
+set-up in :mod:`conflictgames.fastpath` are the paper's two families: the
+cost kinds' (alpha, beta, gamma) formula and one payoff formula, the cut
+game being conflict sharing without machine values.  Which edge set a kind
+plays on, and so which way a payoff kind's edges pay, is one fact,
+``GameKind.friends``: the payoff formulas name no member of the kind, and
+neither :mod:`conflictgames.fastpath` nor :mod:`conflictgames.dynamics`
+names the kind at all.  An
 instance document's values are checked once, by
 :func:`conflictgames.games.make_instance`:
 :func:`conflictgames.instances.parse_instance` checks only the document's
@@ -156,12 +161,20 @@ def _callee(call: ast.Call):
 def test_the_formulas_are_two_families():
     # a branch per payoff kind names its GameKind member and fails here
     games = _functions("games.py")
-    for name in ("_player_value_unchecked", "_social_value_unchecked", "potential"):
+    for name in ("_player_value_unchecked", "_social_value_unchecked", "potential",
+                 "_paying_weight"):
         members = {
             node.attr for node in ast.walk(games[name])
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "GameKind"
         }
-        assert members <= {"SWF"}, (name, members)
+        assert not members, (name, members)
+
+
+def test_the_evaluator_and_the_dynamics_name_no_kind():
+    # which edge set a kind plays on, and which way its edges pay, is
+    # GameKind.friends, which the evaluator's set-up reads; the dynamics'
+    # sandwich constant reads whether the instance has machine values
+    assert not {"fastpath.py", "dynamics.py"} & set(_naming(r"\bGameKind\b"))
 
 
 def test_parse_instance_checks_no_value():
