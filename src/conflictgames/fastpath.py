@@ -183,9 +183,11 @@ class StateEvaluator:
             p_scaled = [p.numerator * (d // p.denominator) for p in values]
             # index 0 is never read as a value and contributes 0 to sums
             shares = [0] + [unit // x for x in range(1, n + 1)]
-            self.mach = [[pk * q for q in shares] for pk in p_scaled]
             hsum = list(accumulate(shares))
-            self.pot = [[pk * h for h in hsum] for pk in p_scaled]
+            # one row pair per distinct value, shared by its machines
+            rows = {pk: ([pk * q for q in shares], [pk * h for h in hsum]) for pk in set(p_scaled)}
+            self.mach = [rows[pk][0] for pk in p_scaled]
+            self.pot = [rows[pk][1] for pk in p_scaled]
             own, sign = (fr, 1) if inst.kind.friends else (conf, -1)
             groups = [(own - {e for e, _ in explicit} if explicit else own, sign * d)]
             groups += [((e,), sign * w.numerator * (d // w.denominator)) for e, w in explicit]

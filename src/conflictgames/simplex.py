@@ -37,10 +37,13 @@ pivot, the phase-2 objective row, or a tableau that starts there), it first
 tries :func:`_certified_optimum`, the inexact-basis, exact-verification
 scheme of Applegate, Cook, Dash and Espinoza (*Exact solutions to linear
 programming problems*, Oper. Res. Lett. 2007).  A float64 simplex proposes
-a final basis ``B`` from the current tableau; it decides nothing.  Exact
-integer arithmetic on the scaled standard form then checks that ``B`` is
-nonsingular, that ``x_B = B^-1 b >= 0``, and that every nonbasic reduced
-cost ``c_j - c_B B^-1 A_j`` is strictly positive.  Then every feasible
+a final basis ``B`` from the current tableau; it decides nothing.  The
+same fraction-free step, :func:`_bareiss`, then pivots the scaled standard
+form to ``B`` (:func:`_certify`), and the exact tableau it reaches shows
+whether ``B`` is nonsingular, whether ``x_B = B^-1 b >= 0`` (its
+right-hand side), and whether every nonbasic reduced cost
+``c_j - c_B B^-1 A_j`` is strictly positive (its phase-2 objective row,
+priced by :func:`_priced` as the solve's own).  Then every feasible
 ``x`` costs ``c.x_B`` plus a positive multiple of each nonbasic ``x_j``, so
 an optimum has every nonbasic ``x_j = 0`` and is ``x_B`` itself: the
 optimum is unique (Mangasarian, *Uniqueness of solution in linear
@@ -160,7 +163,7 @@ def _bareiss(tableau: np.ndarray, d: int, row: int, col: int):
     elif d != 1:
         _divide_exact(out, d)
     out[row] = prow
-    if p < 0:  # in the LP only when an artificial is driven out after phase 1
+    if p < 0:  # in the solve only when an artificial is driven out after phase 1
         np.negative(out, out=out)
         p = -p
     return out, p
@@ -282,60 +285,31 @@ def _propose(lp: _Standard, rows: np.ndarray, basis: list[int], d: int) -> Optio
     return basis if reduced.min() > _TOL else None
 
 
-def _fraction_free_solve(rows: list[list[int]]) -> Optional[tuple[list[int], int]]:
-    """``(D·C^-1 v, D)`` for the k rows of ``[C | v]``, Python ints, with
-    ``D = |det C|``; None when ``C`` is singular.  Gauss-Jordan by
-    :func:`_bareiss` on a ``dtype=object`` array, column by column, each on
-    a row not yet pivoted."""
-    k = len(rows)
-    tableau, basis, d = np.array(rows, dtype=object).reshape(k, k + 1), [-1] * k, 1
-    for col in range(k):
-        row = next((r for r in range(k) if basis[r] < 0 and tableau[r, col]), None)
+def _certify(lp: _Standard, basis: list[int]) -> Optional[tuple[list[int], np.ndarray, int]]:
+    """Exact check of a basis without artificials: ``(at, rhs, d)``, the
+    basic column of each row and the values ``rhs / d`` of the basic
+    variables, when ``B`` is nonsingular, ``x_B >= 0`` and every nonbasic
+    reduced cost is positive; else None.
+
+    Pivots ``lp.rows`` to ``B`` by :func:`_bareiss`, each column on a row
+    not yet pivoted (none left with a nonzero entry: ``B`` is singular), on
+    int64 while :func:`_int64_holds` allows it.  The surplus columns, the
+    highest indices, go first: each is ``±e_i``, so its step leaves
+    ``d = 1``.  Then ``x_B`` is the right-hand side and :func:`_priced` the
+    reduced costs."""
+    tableau, d, at = lp.rows, 1, [-1] * len(lp.rows)
+    for col in sorted(basis, reverse=True):
+        row = next((int(r) for r in np.flatnonzero(tableau[:, col]) if at[r] < 0), None)
         if row is None:
             return None
+        if tableau.dtype != object and not _int64_holds(tableau, d, row, col):
+            tableau = tableau.astype(object)
         tableau, d = _bareiss(tableau, d, row, col)
-        basis[row] = col
-    return tableau[np.argsort(basis), -1].tolist(), d
-
-
-def _certify(lp: _Standard, basis: list[int]) -> Optional[tuple[list[int], list[int], int]]:
-    """Exact check of a basis without artificials: ``(structural, v, D)``
-    with ``v / D`` the values of the basic structural columns, when ``B`` is
-    nonsingular, ``x_B >= 0`` and every nonbasic reduced cost is positive;
-    else None.
-
-    A basic surplus column ``s·e_i`` (``s = ±1``) settles its row ``i``: the
-    dual ``y`` is 0 there and ``x = s·(b_i - A_i x_S)``.  So only the ``k``
-    basic structural columns ``S`` on the ``k`` rows ``F`` no basic surplus
-    covers are solved for: ``C = A[F, S]``, ``det B = ±det C``,
-    ``C x_S = b_F`` and ``C^T y_F = c_S``."""
-    form, nvars = lp.rows.tolist(), lp.nvars
-    ncols = len(form[0]) - 1
-    neq = len(form) - (ncols - nvars)
-    covered = {neq + b - nvars: b for b in basis if b >= nvars}  # row -> surplus
-    structural = [b for b in basis if b < nvars]
-    free = [form[r] for r in range(len(form)) if r not in covered]
-    if len(free) != len(structural):  # a surplus column twice
+        at[row] = col
+    rhs = tableau[:, -1]
+    if (rhs < 0).any() or (np.delete(_priced(lp, tableau, at, d)[:-1], basis) <= 0).any():
         return None
-    c = [[line[j] for j in structural] for line in free]
-    solved = _fraction_free_solve([row + [line[-1]] for row, line in zip(c, free)])
-    if solved is None:
-        return None
-    xs, big_d = solved  # D·x_S
-    if any(v < 0 for v in xs):
-        return None
-    for r, s in covered.items():
-        line = form[r]
-        if line[s] * (big_d * line[-1] - sum(line[j] * v for j, v in zip(structural, xs))) < 0:
-            return None
-    y, _ = _fraction_free_solve([[*col, lp.cost[j]] for col, j in zip(zip(*c), structural)])
-    reduced = [big_d * cost for cost in lp.cost] + [0] * (ncols - nvars)
-    for yi, line in zip(y, free):  # D·(c - y_F A_F)
-        reduced = [red - yi * a for red, a in zip(reduced, line)]
-    basic = set(basis)
-    if any(red <= 0 for j, red in enumerate(reduced) if j not in basic):
-        return None
-    return structural, xs, big_d
+    return at, rhs, d
 
 
 def _certified_optimum(
@@ -439,6 +413,19 @@ def _solution(lp: _Standard, basis: list[int], values, d: int) -> LpSolution:
     return LpSolution(value=-value if lp.maximize else value, x=tuple(x))
 
 
+def _priced(lp: _Standard, tableau: np.ndarray, basis: list[int], d: int) -> np.ndarray:
+    """The phase-2 objective row at ``basis`` of the tableau ``tableau / d``
+    (constraint rows only): ``d * (c - c_B B^-1 A)``, reduced costs in front
+    and minus ``d`` times the objective value last, on Python ints."""
+    ncols = lp.rows.shape[1] - 1
+    obj = np.array([d * c for c in lp.cost] + [0] * (ncols - lp.nvars + 1), dtype=object)
+    priced = [(r, lp.cost[b]) for r, b in enumerate(basis) if b < lp.nvars and lp.cost[b] != 0]
+    if priced:
+        rows, factors = zip(*priced)
+        obj -= np.array(factors, dtype=object) @ tableau[list(rows)].astype(object)
+    return obj
+
+
 def _bland(lp: _Standard) -> LpSolution:
     """Bland's two-phase simplex on the integer tableau, from the basis of
     artificials; the artificial of row r has the index ncols + r in
@@ -473,13 +460,8 @@ def _bland(lp: _Standard) -> LpSolution:
             else:
                 tableau, d = _step(tableau, basis, d, r, int(nonzero[0]), to_object)
 
-    # Phase 2 on the real objective, with basic columns priced out:
-    # d * (c - c_B B^-1 A), an integer row, computed on Python ints.
-    obj = np.array([d * c for c in lp.cost] + [0] * (ncols - lp.nvars + 1), dtype=object)
-    priced = [(r, lp.cost[b]) for r, b in enumerate(basis) if b < lp.nvars and lp.cost[b] != 0]
-    if priced:
-        rows, factors = zip(*priced)
-        obj -= np.array(factors, dtype=object) @ tableau[list(rows)].astype(object)
+    # Phase 2 on the real objective, with basic columns priced out.
+    obj = _priced(lp, tableau, basis, d)
     if tableau.dtype != object:
         if max_abs(obj) < _INT64_BOUND:
             obj = obj.astype(np.int64)

@@ -42,6 +42,10 @@ reference, in ``reference_evaluator``.  The per-instance
 structure of the Fraction API lives on the instance, so no process-wide
 cache keeps it.
 
+The exact LP has one tableau: the certificate of
+:mod:`conflictgames.simplex` checks its basis on the Bareiss tableau of the
+LP's own rows and prices it with the solver's phase-2 helper.
+
 The evaluator's signed edges have one form, the arrays ``ends`` and ``w``
 and the per-player ``_sep``, in units of ``unit``: the state table, the move
 table and the product-profile expectations all read them, and no second
@@ -234,3 +238,17 @@ def test_the_signed_edges_have_one_form():
         if isinstance(node, ast.Attribute) and node.attr in forms
     ]
     assert readers == []
+
+
+def test_the_lp_has_one_tableau():
+    # the certificate pivots the LP's own rows with the solver's
+    # fraction-free step and prices them with the solver's phase-2 helper:
+    # a second exact solve in simplex fails here
+    functions = _functions("simplex.py")
+    assert "_fraction_free_solve" not in functions
+
+    def callees(name):
+        return {_callee(node) for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
+
+    assert {"_bareiss", "_priced"} <= callees("_certify")
+    assert "_priced" in callees("_bland")

@@ -374,15 +374,26 @@ def test_certificate_refusal_leaves_bland_pivot_for_pivot():
 def _fraction_tableau(lp: simplex._Standard, basis):
     """The rational tableau of the standard form at ``basis``, objective
     row last, pivoted there by the reference's Fraction pivots; and the
-    basic column of each row."""
+    basic column of each row.  None when the basis is singular."""
     nrows, width = lp.rows.shape
     tableau = [[F(int(v)) for v in line] for line in lp.rows]
     tableau.append([F(c) for c in lp.cost] + [F(0)] * (width - lp.nvars))
     at = [None] * nrows
     for col in basis:
-        row = next(r for r in range(nrows) if at[r] is None and tableau[r][col] != 0)
+        row = next((r for r in range(nrows) if at[r] is None and tableau[r][col] != 0), None)
+        if row is None:
+            return None
         reference_simplex._pivot(tableau, at, row, col)
     return tableau, at
+
+
+def _basic_x(lp: simplex._Standard, tableau, at) -> tuple:
+    """The structural x of the rational tableau at the basis ``at``."""
+    x = [F(0)] * lp.nvars
+    for row, col in enumerate(at):
+        if col < lp.nvars:
+            x[col] = tableau[row][-1]
+    return tuple(x)
 
 
 @SETTINGS
@@ -408,10 +419,37 @@ def test_certified_optimum_is_unique_and_the_references(lp, factor):
     tableau, at = _fraction_tableau(form, basis)
     assert all(line[-1] >= 0 for line in tableau[:-1])
     assert all(tableau[-1][j] > 0 for j in range(width - 1) if j not in basis)
-    x = [F(0)] * form.nvars
-    for row, col in enumerate(at):
-        if col < form.nvars:
-            x[col] = tableau[row][-1]
     expected = reference_simplex.solve(**lp)
-    assert sol.x == tuple(x) == expected.x
+    assert sol.x == _basic_x(form, tableau, at) == expected.x
     assert sol.value == expected.value
+
+
+@SETTINGS
+@given(st.one_of(lps(), lps(redundant=True)), st.sampled_from([1, 2**40, 2**70]), st.data())
+def test_certify_decides_any_basis_as_the_fraction_tableau(lp, factor, data):
+    # any nrows columns, not only the float proposals, which the exact check
+    # almost never refuses on the benchmark's LPs: it accepts exactly the
+    # nonsingular bases whose rational tableau has rhs >= 0 and every
+    # nonbasic reduced cost > 0, on int64, switching to object, and on object
+    lp = _scaled(lp, factor)
+    form = simplex._standard_form(**lp)
+    nrows, width = form.rows.shape
+    ncols = width - 1
+    # without repeats where there are enough columns, so that most are bases
+    basis = data.draw(st.lists(
+        st.integers(0, ncols - 1), min_size=nrows, max_size=nrows, unique=ncols >= nrows
+    ))
+    certified = simplex._certify(form, basis)
+    reference = _fraction_tableau(form, basis)
+    if reference is None:
+        assert certified is None
+        return
+    tableau, at = reference
+    optimal = all(line[-1] >= 0 for line in tableau[:-1]) and all(
+        tableau[-1][j] > 0 for j in range(ncols) if j not in basis
+    )
+    assert (certified is not None) == optimal
+    if optimal:
+        sol = simplex._solution(form, *certified)
+        assert sol.x == _basic_x(form, tableau, at)
+        assert sol.value == sum(F(c) * v for c, v in zip(lp["objective"], sol.x))
