@@ -27,19 +27,22 @@ sharing without machine values:
   ``w`` stays small: int64, and ``object`` only when a weight itself passes
   int64.  The instance's edge sets are converted once, when the evaluator is
   built, and every other edge quantity is derived from these arrays with
-  whole-array operations.  They are the edges' one form: every reader takes
-  them, the state table and the move table through ``_edge_arrays`` and the
-  mixed expectations directly, each weight times ``unit``;
+  whole-array operations.  They are the edges' one form: the state table and
+  the move table take them through ``_edge_arrays``, and
+  :meth:`StateEvaluator.expected` reads them directly, each weight times
+  ``unit``;
 * separated weight: ``unit * _sep[i]`` is the separated-edge weight at
   player ``i`` (what ``i`` would collect with every such neighbour
-  elsewhere), and ``unit * sum(_sep) / 2`` is the instance's.
+  elsewhere), and ``unit * sum(_sep) / 2`` is the instance's, summed by
+  each edge's sign whatever the order of the edges.
 
 A player's value is then ``mach[k][occupancy] + unit * _sep[i]`` plus the
 signed weights of its neighbours on ``k``.
 
-Two ways read these tables, the move table and the state table, and the
-exact mixed expectations of :mod:`conflictgames.oracle` read them directly.
-One state is evaluated only by the move table:
+Only this module reads these tables, in four places: the move table, the
+state table, the product-profile expectation :meth:`StateEvaluator.expected`
+and the machine symmetry :attr:`StateEvaluator.symmetric`.  One state is
+evaluated only by the move table:
 :meth:`StateEvaluator.analyze`, :meth:`StateEvaluator.social` and
 :meth:`StateEvaluator.potential` are one-line reads of it, kept for the call
 counters of ``perfbench/tracing.py``.  The same formulas one state at a
@@ -133,7 +136,7 @@ from operator import add
 
 import numpy as np
 
-from .games import Instance
+from .games import Instance, MixedProfile
 
 # magnitudes at or above this may overflow an int64 expression; use object
 _INT64_SAFE = 1 << 60
@@ -194,38 +197,27 @@ class StateEvaluator:
         # 2 for the cost kinds, 1 for the others
         self.pot_per_value = self.potential_scale // self.value_scale
 
-        # every branch lists its positive weights before its negative ones;
-        # the first ``split`` edges are the positive ones
-        sets, counts, weights = [], [], []
-        split = top = 0
-        for edges, w in groups:
-            if w and edges:
-                sets.append(edges)
-                counts.append(len(edges))
-                weights.append(w)
-                top = max(top, abs(w))
-                if w > 0:
-                    split += len(edges)
-        count = sum(counts)
-        weights = np.array(weights, dtype=np.int64 if top < _INT64_BOUND else object)
+        groups = [(edges, w) for edges, w in groups if w and edges]
+        sets = [edges for edges, _ in groups]
+        counts = list(map(len, sets))
+        count, top = sum(counts), max((abs(w) for _, w in groups), default=0)
+        weights = np.array([w for _, w in groups], np.int64 if top < _INT64_BOUND else object)
         # both ends of every edge, edge by edge, 0-based: a0, b0, a1, b1, ...
         ends = np.fromiter(chain.from_iterable(chain(*sets)), np.int64, 2 * count) - 1
         self.unit = unit
         self.ends = ends.reshape(count, 2).T  # (2, E)
         self.w = weights.repeat(counts)  # (E,), in units of ``unit``
 
-        # per player, in units of ``unit``: the separated weight (``_sep``,
-        # the base) and |w| summed over the edges at the player
+        # per player, in units of ``unit``: |w| summed over the negative
+        # edges at the player (``_sep``, the base) and over all of them
         # (``_touching``, which bounds every ``bt[i, k]`` of a move table), on
-        # object where a sum over all players could pass int64
+        # object where a sum over all players could pass int64; one value per
+        # end, as ``ufunc.at`` would broadcast fewer values over the index
         w = self.w.astype(object) if top * 2 * count >= _INT64_BOUND else self.w
         self._sep = np.zeros(n, dtype=w.dtype)
-        if split < count:
-            np.add.at(self._sep, ends[2 * split:], -w[split:].repeat(2))
-        self._touching = self._sep
-        if split:
-            self._touching = self._sep.copy()
-            np.add.at(self._touching, ends[:2 * split], w[:split].repeat(2))
+        np.add.at(self._sep, ends, np.maximum(-w, 0).repeat(2))
+        self._touching = np.zeros(n, dtype=w.dtype)
+        np.add.at(self._touching, ends, abs(w).repeat(2))
 
     # -- conversions --------------------------------------------------------
 
@@ -234,6 +226,33 @@ class StateEvaluator:
 
     def as_potential(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.potential_scale)
+
+    # -- machine symmetry and product profiles -------------------------------
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Every machine has the same machine term, so renaming the machines
+        keeps every player's value at every state."""
+        return all(row == self.mach[0] for row in self.mach)
+
+    def expected(self, profile: MixedProfile, i: int, k: int) -> Fraction:
+        """E[value of player i | s_i = k] (0-based) with all other players
+        drawn from the product profile: ``(sum_c P(Y_k = c) mach[k][c + 1] +
+        unit * (_sep[i] + sum_j W[i, j] q_jk)) / value_scale``, with ``Y_k``
+        the number of others on ``k`` (a dynamic program over the independent
+        indicator sum) and ``W`` the signed weights ``w`` of the edges
+        ``ends``."""
+        dist = [Fraction(1)]  # dist[c] = P(Y_k = c) over the players so far
+        for j, row in enumerate(profile):
+            q = row[k]
+            if j != i and q != 0:
+                dist = [a * (1 - q) + b * q for a, b in zip(dist + [0], [0] + dist)]
+        machine = sum(p * self.mach[k][c + 1] for c, p in enumerate(dist))
+        ea, eb = self.ends
+        at = np.flatnonzero((ea == i) | (eb == i))  # i's edges
+        others = (ea[at] + eb[at] - i).tolist()
+        edges = sum(w * profile[j][k] for j, w in zip(others, self.w[at].tolist()))
+        return Fraction(machine + self.unit * (int(self._sep[i]) + edges), self.value_scale)
 
     # -- one state, read off the move table ----------------------------------
     # no pass calls these three; they stay only because ``perfbench/tracing.py``

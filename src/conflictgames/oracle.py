@@ -14,9 +14,9 @@ reported value is an exact Fraction.  The columns, in order, are those of an
   profile whose rows are uniform over all m machines) when every machine has
   the same machine term.  That holds for every conflict, friendship and cut
   instance and for the sharing kinds with equal machine values, and is read
-  from the evaluator's terms, never from the kind: renaming the machines then
-  keeps every player's value at every state.  A column is the orbit's
-  restricted growth string, in lex order, about m^n/m! of them;
+  from the evaluator's ``symmetric``, never from the kind: renaming the
+  machines then keeps every player's value at every state.  A column is the
+  orbit's restricted growth string, in lex order, about m^n/m! of them;
 * one per state, column ``i`` the state of lex index ``i``, otherwise: for
   the strong scan's deviations, the worst-CCE LP, the pure-deviation ratio
   (its sigma-row sum depends on the machine labels) and semi-smoothness with
@@ -60,14 +60,13 @@ budget keeps nothing.
 equilibria :func:`pure_nash_set` lists.  :func:`strong_nash_set` reads
 every state, and keeps guarding m^n.
 
-Expectations under a product profile read the evaluator's machine terms and
-the arrays the state table reads, the signed edges ``ends`` and ``w`` and the
-separated weights ``_sep``, each weight times ``unit``, with no kind branch:
-the machine term is averaged over the exact distribution of the co-located
-count, and each signed edge is weighted by its neighbour's probability.  The
-semi-smoothness LHS at one state reads the same terms under the point mass
-of that state, so every state table of the package is built in
-:func:`_whole`.
+Expectations under a product profile sum :meth:`StateEvaluator.expected`,
+which averages the machine term over the exact distribution of the
+co-located count and weights each signed edge by its neighbour's
+probability, with no kind branch; this module reads none of the evaluator's
+arrays.  The semi-smoothness LHS at one state sums the same expectations
+under the point mass of that state, so every state table of the package is
+built in :func:`_whole`.
 
 One table per instance: :func:`state_columns` keeps the table of the last
 instance it was asked for (one entry, keyed by instance equality and by its
@@ -177,12 +176,6 @@ def enumerate_states(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> I
     """All m^n states exactly once, lexicographic order, 1-based entries."""
     _guard(inst, limits.max_states, "max_states")
     return itertools.product(range(1, inst.m + 1), repeat=inst.n)
-
-
-def _symmetric(ev: StateEvaluator) -> bool:
-    """Every machine of ``ev`` has the same machine term, so renaming the
-    machines keeps every player's value at every state."""
-    return all(row == ev.mach[0] for row in ev.mach)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +445,12 @@ def _whole_table(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS, orbits: 
     global _kept
     if _kept is not None and _kept[0] == inst:
         _, ev, table, domain = _kept
-        if domain.symmetric != (orbits and _symmetric(ev)):
+        if domain.symmetric != (orbits and ev.symmetric):
             domain = table = None
     else:
         ev, domain, table = StateEvaluator(inst), None, None
     if domain is None:
-        domain = orbits_of(ev.n, ev.m, orbits and _symmetric(ev))
+        domain = orbits_of(ev.n, ev.m, orbits and ev.symmetric)
     if domain.count > limits.max_states:
         raise StateSpaceExceeded("max_states", domain.count, limits.max_states)
     if table is not None:
@@ -633,25 +626,6 @@ def strong_nash_set(
 # exact expectations under product profiles
 
 
-def _expected_value(ev: StateEvaluator, profile: MixedProfile, i: int, k: int) -> Fraction:
-    """E[value of player i | s_i = k] (0-based) with all other players drawn
-    from the product profile: ``(sum_c P(Y_k = c) mach[k][c + 1] + unit *
-    (_sep[i] + sum_j W[i, j] q_jk)) / value_scale``, with ``Y_k`` the number
-    of others on ``k`` (a dynamic program over the independent indicator sum)
-    and ``W`` the signed weights ``w`` of the edges ``ends``."""
-    dist = [Fraction(1)]  # dist[c] = P(Y_k = c) over the players so far
-    for j, row in enumerate(profile):
-        q = row[k]
-        if j != i and q != 0:
-            dist = [a * (1 - q) + b * q for a, b in zip(dist + [0], [0] + dist)]
-    machine = sum(p * ev.mach[k][c + 1] for c, p in enumerate(dist))
-    ea, eb = ev.ends
-    at = np.flatnonzero((ea == i) | (eb == i))  # i's edges
-    others = (ea[at] + eb[at] - i).tolist()
-    edges = sum(w * profile[j][k] for j, w in zip(others, ev.w[at].tolist()))
-    return Fraction(machine + ev.unit * (int(ev._sep[i]) + edges), ev.value_scale)
-
-
 def expected_player_value(
     inst: Instance, profile: MixedProfile, i: int, k: int
 ) -> Fraction:
@@ -660,13 +634,13 @@ def expected_player_value(
     validate_profile(inst, profile)
     _check_player(inst, i)
     _check_machine(inst, k)
-    return _expected_value(StateEvaluator(inst), profile, i - 1, k - 1)
+    return StateEvaluator(inst).expected(profile, i - 1, k - 1)
 
 
 def _expected_row(ev: StateEvaluator, profile: MixedProfile, i: int) -> tuple[list, Fraction]:
     """(E[value of player i | s_i = k] for every machine k, E[value of player
     i]) with everyone drawn from the profile (0-based i)."""
-    row = [_expected_value(ev, profile, i, k) for k in range(ev.m)]
+    row = [ev.expected(profile, i, k) for k in range(ev.m)]
     return row, sum((q * v for q, v in zip(profile[i], row) if q != 0), Fraction(0))
 
 

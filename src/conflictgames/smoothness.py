@@ -31,7 +31,7 @@ from .games import (
     validate_profile,
     validate_state,
 )
-from .oracle import DEFAULT_LIMITS, OracleLimits, _expected_value, state_columns
+from .oracle import DEFAULT_LIMITS, OracleLimits, state_columns
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def semi_smooth_lhs(inst: Instance, state: State, profile: MixedProfile) -> Frac
     ev = StateEvaluator(inst)
     # every row of the profile sums to 1, so the sum has a Fraction term
     return sum(
-        q * _expected_value(ev, pinned, i, k)
+        q * ev.expected(pinned, i, k)
         for i, row in enumerate(profile)
         for k, q in enumerate(row)
         if q != 0
@@ -146,15 +146,11 @@ def check_semi_smooth(
         validate_profile(inst, profile)
     t, weights = deviation_weights(profile)
     uniform = bool((weights == weights[0, 0]).all())
+    # sum_ik weights[i, k] * vals[k, i, s] at every state s, with no
+    # temporary the size of the table
     return _worst_slack(
-        inst, params, limits, t, lambda vals: _weighted_sum(vals, weights), orbits=uniform
+        inst, params, limits, t, lambda vals: np.einsum("ik,kis->s", weights, vals), orbits=uniform
     )
-
-
-def _weighted_sum(vals, weights):
-    """``sum_ik weights[i, k] * vals[k, i, s]`` at every state ``s``, with no
-    temporary the size of the table."""
-    return np.einsum("ik,kis->s", weights, vals)
 
 
 def deviation_weights(profile: MixedProfile) -> tuple[int, np.ndarray]:

@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from conflictgames.cli import build_parser, main
-from conflictgames.games import GameKind
+from conflictgames.dynamics import run_br, trace_csv
+from conflictgames.games import GameKind, player_values, potential, social_value
 from conflictgames.instances import GENERATORS, write_instance
+from conflictgames.oracle import worst_cce_value, worst_social_state
 
 
 def run_cli(*argv):
@@ -183,6 +185,10 @@ class TestSeed:
 
 
 class TestGenAndEnumerate:
+    def test_gen_without_generator_exits_two(self):
+        code, out, err = run_cli("gen")
+        assert (code, out, err) == (2, "", "error: gen needs --generator NAME\n")
+
     def test_path4_round_trip(self, tmp_path):
         path = tmp_path / "path4.game"
         code, _, _ = run_cli("gen", "--generator", "path4", "--out", str(path))
@@ -240,6 +246,24 @@ class TestEval:
         code, _, err = run_cli("eval", "--generator", "path4", "--state", "1,2")
         assert code == 2
 
+    def test_csv_format(self):
+        code, out, err = run_cli(
+            "eval", "--generator", "path4", "--state", "1,2,2,1", "--format", "csv"
+        )
+        inst, state = GENERATORS["path4"](), (1, 2, 2, 1)
+        lines = ["player,value"]
+        lines += [f"{i},{v.numerator}/{v.denominator}"
+                  for i, v in enumerate(player_values(inst, state), start=1)]
+        for name, v in (("social", social_value(inst, state)),
+                        ("potential", potential(inst, state))):
+            lines.append(f"{name},{v.numerator}/{v.denominator}")
+        assert (code, out, err) == (0, "\n".join(lines) + "\n", "")
+
+    def test_malformed_state_exits_two(self):
+        code, out, err = run_cli("eval", "--generator", "path4", "--state", "1,x,1,2")
+        assert (code, out) == (2, "")
+        assert err == "error: --state must be comma-separated machine ids: '1,x,1,2'\n"
+
 
 class TestDynamics:
     def test_trace_csv(self):
@@ -250,6 +274,20 @@ class TestDynamics:
         assert code == 0
         assert out.splitlines()[0] == "step,mover,from,to,gain,potential,social"
         assert out.splitlines()[1] == "1,1,1,2,5/1,7/1,14/1"
+
+    def test_worst_start(self):
+        # the summary line, then the trace of the run from the worst state
+        code, out, err = run_cli(
+            "dynamics", "--generator", "bwc-multipartite", "--m", "2", "--worst-start"
+        )
+        inst = GENERATORS["bwc-multipartite"](m=2)
+        trace = run_br(inst, worst_social_state(inst)[0])
+        assert trace.steps
+        summary = (
+            f"start {''.join(map(str, trace.start))} -> end {''.join(map(str, trace.end))} "
+            f"in {len(trace.steps)} steps\n"
+        )
+        assert (code, out, err) == (0, summary + trace_csv(trace), "")
 
     def test_seeded_start_deterministic(self):
         args = ("dynamics", "--generator", "bwc-multipartite", "--m", "2",
@@ -290,6 +328,20 @@ class TestSmoothnessAndCce:
             "lambda=0/1 mu=0/1 rho and cce_bound not certified: semi-smoothness fails"
         )
         assert "-13/1" in out and "2 failed" in out
+
+    def test_lam_without_mu_exits_two(self):
+        for flag in ("--lam", "--mu"):
+            code, out, err = run_cli("smoothness", "--generator", "path4", flag, "1")
+            assert (code, out, err) == (2, "", "error: --lam and --mu go together\n")
+
+    def test_cce_text_format(self):
+        code, out, err = run_cli("cce", "--generator", "bwc-multipartite", "--m", "2")
+        sol = worst_cce_value(GENERATORS["bwc-multipartite"](m=2))
+        lines = [f"worst coarse-correlated equilibrium value: {sol.value.numerator}/1"]
+        lines += [f"  {''.join(map(str, s))}  {q.numerator}/{q.denominator}"
+                  for s, q in sol.distribution]
+        assert sol.value == 14 and sol.distribution
+        assert (code, out, err) == (0, "\n".join(lines) + "\n", "")
 
     def test_cce_value(self):
         code, out, _ = run_cli(

@@ -48,8 +48,14 @@ LP's own rows and prices it with the solver's phase-2 helper.
 
 The evaluator's signed edges have one form, the arrays ``ends`` and ``w``
 and the per-player ``_sep``, in units of ``unit``: the state table, the move
-table and the product-profile expectations all read them, and no second
-form (``edges`` triples, a ``base`` list, a ``w_sep`` int) is kept.
+table and the product-profile expectation ``StateEvaluator.expected`` all
+read them, and no second form (``edges`` triples, a ``base`` list, a
+``w_sep`` int) is kept.  Only :mod:`conflictgames.fastpath` reads the
+evaluator's representation (``mach``, ``pot``, ``ends``, ``w``, ``unit``,
+``_sep``, ``_touching``): every other module reads the scales, the tables,
+the walks, ``StateEvaluator.expected`` and ``StateEvaluator.symmetric``.
+The set-up sums ``_sep`` and ``_touching`` by each edge's sign, with no
+counter of where the positive edge groups end.
 """
 
 import ast
@@ -230,14 +236,18 @@ def test_the_signed_edges_have_one_form():
     # module, fails here
     forms = {"edges", "base", "w_sep"}
     assert not forms & _methods("fastpath.py", "StateEvaluator").keys()
+    assert _reading(forms) == set()
+
+
+def _reading(attributes: set[str]) -> set[str]:
+    """The package modules that read an attribute named in ``attributes``."""
     package = pathlib.Path(conflictgames.__file__).parent
-    readers = [
-        (path.name, node.attr)
-        for path in sorted(package.glob("*.py"))
+    return {
+        path.name
+        for path in package.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr in forms
-    ]
-    assert readers == []
+        if isinstance(node, ast.Attribute) and node.attr in attributes
+    }
 
 
 def test_the_lp_has_one_tableau():
@@ -252,3 +262,14 @@ def test_the_lp_has_one_tableau():
 
     assert {"_bareiss", "_priced"} <= callees("_certify")
     assert "_priced" in callees("_bland")
+
+
+def test_only_fastpath_reads_the_evaluator_arrays():
+    # the machine terms, the signed edges and their per-player sums are read
+    # in fastpath alone: every other module reads the scales, the tables,
+    # the walks, StateEvaluator.expected and StateEvaluator.symmetric
+    arrays = {"mach", "pot", "ends", "w", "unit", "_sep", "_touching"}
+    assert _reading(arrays) == {"fastpath.py"}
+    # the set-up reads each edge's sign, not where its group ends
+    init = _methods("fastpath.py", "StateEvaluator")["__init__"]
+    assert "split" not in {node.id for node in ast.walk(init) if isinstance(node, ast.Name)}

@@ -453,7 +453,7 @@ def _representatives(inst):
          for state, _ in pure_nash_set(inst)],
         dtype=np.int64,
     )
-    orbits = oracle.orbits_of(inst.n, inst.m, oracle._symmetric(StateEvaluator(inst)))
+    orbits = oracle.orbits_of(inst.n, inst.m, StateEvaluator(inst).symmetric)
     return candidates, orbits.lex(orbits.orbit_map())[candidates]
 
 

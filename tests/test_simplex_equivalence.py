@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_simplex
 from conflictgames import oracle, simplex
+from conflictgames.fastpath import max_abs
 from conflictgames.games import GameKind
 from conflictgames.instances import gen_random
 from conftest import ALL_KINDS, small_instance
@@ -453,3 +454,53 @@ def test_certify_decides_any_basis_as_the_fraction_tableau(lp, factor, data):
         sol = simplex._solution(form, *certified)
         assert sol.x == _basic_x(form, tableau, at)
         assert sol.value == sum(F(c) * v for c, v in zip(lp["objective"], sol.x))
+
+
+def _same_solution(lp):
+    """The integer solver, with the certificate on, returns the reference's
+    exact value and point."""
+    got, want = simplex.solve(**lp), reference_simplex.solve(**lp)
+    assert (got.value, got.x) == (want.value, want.x)
+
+
+def test_phase_1_sums_past_int64_start_on_object():
+    # every entry fits int64, but the phase-1 row sums four rows of 2^61:
+    # (nrows + 1) * max reaches 2^63, so the rows start on object
+    big = 1 << 61
+    lp = dict(objective=[1, 2, 3], a_ge=[[big, 1, 0], [0, big, 1], [1, 0, big]], b_ge=[big] * 3)
+    form = simplex._standard_form(lp["objective"], (), (), lp["a_ge"], lp["b_ge"], False)
+    assert form.rows.dtype == object and max_abs(form.rows) < simplex._INT64_BOUND
+    assert (len(form.rows) + 1) * max_abs(form.rows) >= simplex._INT64_BOUND
+    _same_solution(lp)
+    assert_equivalent(lp)
+
+
+def test_priced_phase_2_row_past_int64_turns_the_tableau_object():
+    # small rows keep phase 1 on int64 (d = 5 after it), and d times an
+    # objective near 2^62 passes int64 in the priced phase-2 row: that is
+    # the certificate's one try, then Bland's rule goes on on object
+    c = 1 << 62
+    lp = dict(objective=[c, c + 1], a_ge=[[2, 1], [1, 3]], b_ge=[1, 1])
+    real_priced, real_try = simplex._priced, simplex._certified_optimum
+    events = []
+
+    def priced(lp, tableau, basis, d):
+        row = real_priced(lp, tableau, basis, d)
+        events.append(("priced", tableau.dtype, max_abs(row)))
+        return row
+
+    def tried(*args):
+        events.append(("try", args[1].dtype))
+        return real_try(*args)
+
+    simplex._priced, simplex._certified_optimum = priced, tried
+    try:
+        _same_solution(lp)
+    finally:
+        simplex._priced, simplex._certified_optimum = real_priced, real_try
+    # the first priced row is phase 2's, on the int64 tableau, and its only
+    # way on is to_object's try of the certificate
+    kind, dtype, size = events[0]
+    assert kind == "priced" and dtype == np.int64 and size >= simplex._INT64_BOUND
+    assert events[1] == ("try", np.int64)
+    assert_equivalent(lp)

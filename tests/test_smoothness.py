@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conflictgames import oracle
+from conflictgames import oracle, smoothness
 from conflictgames.fastpath import _INT64_SAFE, StateEvaluator, to_public
 from conflictgames.games import (
     GameKind,
@@ -450,3 +450,30 @@ class TestOptLowerBounds:
 
     def test_payoff_kinds_trivially_hold(self):
         assert check_opt_lower_bounds(gen_swc_pos(3, F(1, 10))).holds
+
+    @pytest.mark.parametrize(
+        "first, later, name", [(10, 5, "conflict_volume"), (5, 10, "load_floor")]
+    )
+    def test_failing_witness(self, monkeypatch, first, later, name):
+        # K4 on two machines (value scale 1): a social cost below 8 fails
+        # load_floor, one below 12 conflict_volume.  With columns 1 and 5 of
+        # the social column lowered, the witness is the lex-smallest failing
+        # state, column 1's (1, 1, 1, 2), its first failing check and value
+        inst = make_instance(
+            GameKind.BWC, 4, 2, conflict_edges=itertools.combinations(range(1, 5), 2),
+            alpha=1, beta=1,
+        )
+        real = smoothness.state_columns
+
+        def lowered(*args, **kwargs):
+            ev, orbits, (social,) = real(*args, **kwargs)
+            assert orbits.state(1) == (1, 1, 1, 2) and ev.value_scale == 1
+            social = social.copy()  # the kept table is read-only
+            social[[1, 5]] = first, later
+            return ev, orbits, (social,)
+
+        monkeypatch.setattr(smoothness, "state_columns", lowered)
+        verdict = check_opt_lower_bounds(inst)
+        assert not verdict.holds
+        assert verdict.checks == ("load_floor", "conflict_volume")
+        assert verdict.witness == (name, (1, 1, 1, 2), F(first))

@@ -252,16 +252,16 @@ def test_orbit_table_equals_the_full_table(monkeypatch, table_cells):
         monkeypatch.setattr(oracle, "_kept", None)
         on_orbits, strings = _orbit_passes(inst)
         if table_cells:
-            assert strings == oracle._symmetric(ev)
+            assert strings == ev.symmetric
         else:
             assert oracle._kept is None
         with monkeypatch.context() as full:
-            full.setattr(oracle, "_symmetric", lambda ev: False)
+            full.setattr(StateEvaluator, "symmetric", property(lambda ev: False))
             full.setattr(oracle, "_kept", None)
             on_states, strings = _orbit_passes(inst)
             assert not strings
         assert on_orbits == on_states
-        if oracle._symmetric(ev) and inst.m > 1:
+        if ev.symmetric and inst.m > 1:
             on_strings.add((inst.kind, ev.dtype()))
             refuted += len(on_orbits[2]) - len(on_orbits[3])  # pure, strong
     # every kind, and the object dtype, on the strings; the sharing kinds

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from conflictgames import oracle
+import reference_dynamics
+from conflictgames import dynamics, oracle, smoothness
 from conflictgames.dynamics import (
     check_convergence_theorems,
     random_start,
@@ -20,6 +21,8 @@ from conflictgames.dynamics import (
     steps_to_quality,
 )
 from conflictgames.games import GameKind, make_instance
+from conflictgames.instances import gen_random
+from conflictgames.smoothness import cce_bound, make_params
 
 from conftest import ALL_KINDS, beyond_int64_pool, kind_pool
 from reference_dynamics import check_convergence_theorems_reference, steps_to_quality_reference
@@ -67,6 +70,45 @@ def test_payoff_instances_with_zero_optimum():
             for worst in (True, False):
                 rows = _assert_same_rows(inst, eps, 2, 1, worst)
                 assert {"dyn.reach1", "dyn.persist2"} <= {r.claim_id for r in rows}
+
+
+def _certifying(lam, mu):
+    """A ``certificate_params`` that certifies (lam, mu) for every kind."""
+
+    def certified(kind, n, m, *weights):
+        params = make_params(kind, lam, mu)
+        return params, cce_bound(kind, params)
+
+    return certified
+
+
+def test_cost_traces_that_never_get_within_tau(monkeypatch):
+    # a certified lambda of 1/2 puts tau = (1/2)(1 + eps) below 1, which no
+    # cost ratio meets: each trace's persist ratio is its whole maximum and
+    # no trace counts steps.  BwF's bound is its lambda in both versions
+    certified = _certifying(F(1, 2), 0)
+    monkeypatch.setattr(smoothness, "certificate_params", certified)  # pure_poa_bound's
+    monkeypatch.setattr(reference_dynamics, "certificate_params", certified)
+    inst = gen_random(5, 3, GameKind.BWF, F(1, 2), seed=1)
+    rows = {r.claim_id: r for r in _assert_same_rows(inst, F(1, 10), 3, 1, True)}
+    persist = rows["dyn.quality.persist"]
+    assert persist.bound == F(11, 20) and persist.measured >= 1 and not persist.passed
+    assert rows["dyn.steps"].measured == 0
+
+
+@pytest.mark.parametrize("kind", [GameKind.SWC, GameKind.SWF, GameKind.MAXCUT],
+                         ids=lambda k: k.value)
+def test_payoff_traces_that_miss_the_potential_threshold(monkeypatch, kind):
+    # a certified rho of 100 puts the threshold 100 (1 - eps) / 2 * OPT past
+    # every potential: every trace misses it and no persist row is made
+    certified = _certifying(100, 0)
+    monkeypatch.setattr(dynamics, "certificate_params", certified)
+    monkeypatch.setattr(reference_dynamics, "certificate_params", certified)
+    inst = gen_random(5, 2 if kind is GameKind.MAXCUT else 3, kind, F(1, 2), seed=1)
+    rows = {r.claim_id: r for r in _assert_same_rows(inst, F(1, 10), 3, 1, True)}
+    missed = rows["dyn.potential_threshold"]
+    assert missed.measured == 4 and not missed.passed  # three random starts, the worst
+    assert "dyn.persist2" not in rows
 
 
 def _ratios(values, opt):
