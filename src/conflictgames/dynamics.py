@@ -171,7 +171,7 @@ def run_br(inst: Instance, start: State, max_steps: Optional[int] = None) -> Tra
     validate_state(inst, start)
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    ev = StateEvaluator(inst)
+    ev = StateEvaluator.of(inst)
     walk = ev.walk(to_internal(start))
     start_social, start_potential = walk.social, walk.potential
     # the potential changes by the gain, on the potential scale

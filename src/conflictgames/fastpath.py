@@ -83,6 +83,16 @@ keep a move table current move by move:
   rounding that threshold.  Where ``S`` reaches ``_FLOAT_SAFE`` floats cannot
   hold the gains, and the exact argmax runs on ``dtype=object``.
 
+Each instance has one evaluator: :meth:`StateEvaluator.of` builds it on
+first use and keeps it in the instance's ``__dict__``, the way
+:func:`functools.cached_property` keeps the instance's neighbour lists, and
+every pass, best-response run and expectation on the instance reads it.  It
+is no process-wide registry: the evaluator holds no reference back to its
+instance, so reference counting frees both together, and a pickle of the
+instance holds its fields alone.  Every run from the instance reads the same
+``ends``, ``w``, ``_sep`` and ``_touching``, so they are read-only from the
+set-up on.
+
 Every enumeration pass reads the state table over a grid of states it is
 handed: which states are the columns of a table, and how they are cut into
 blocks, is decided in :class:`conflictgames.oracle.Orbits`.  Nothing here is
@@ -156,8 +166,17 @@ class StateEvaluator:
     """Per-instance tables, the state table over a block of states, and the
     move table of a best-response run, which also evaluates one state."""
 
+    @classmethod
+    def of(cls, inst: Instance) -> "StateEvaluator":
+        """The evaluator of ``inst``, built on first use and kept in the
+        instance's ``__dict__``, as :func:`functools.cached_property` keeps
+        its neighbour lists, so it is freed together with the instance."""
+        ev = inst.__dict__.get("_evaluator")
+        if ev is None:
+            ev = inst.__dict__["_evaluator"] = cls(inst)
+        return ev
+
     def __init__(self, inst: Instance):
-        self.inst = inst
         self.n = n = inst.n
         self.m = m = inst.m
         self.minimizes = inst.kind.minimizes
@@ -218,6 +237,10 @@ class StateEvaluator:
         np.add.at(self._sep, ends, np.maximum(-w, 0).repeat(2))
         self._touching = np.zeros(n, dtype=w.dtype)
         np.add.at(self._touching, ends, abs(w).repeat(2))
+        # every run on the instance reads these: a stray write would corrupt
+        # every later one
+        for array in (self.ends, self.w, self._sep, self._touching):
+            array.flags.writeable = False
 
     # -- conversions --------------------------------------------------------
 

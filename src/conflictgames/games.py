@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
@@ -89,7 +89,9 @@ class Instance:
     so the weighted cost formula covers all three balancing kinds.
 
     The neighbour lists and edge weights that the Fraction formulas read are
-    built on first use and kept on the instance.
+    built on first use and kept on the instance, and so is its
+    :class:`conflictgames.fastpath.StateEvaluator` (``StateEvaluator.of``).
+    A pickle or copy holds the fields alone and builds its own.
     """
 
     kind: GameKind
@@ -102,6 +104,11 @@ class Instance:
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
+
+    def __getstate__(self) -> dict:
+        # the kept structures are rebuilt on first use: an evaluator
+        # unpickled with the instance would come back writeable
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
 
     @cached_property
     def conflict_neighbors(self) -> tuple[tuple[int, ...], ...]:

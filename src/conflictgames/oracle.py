@@ -68,15 +68,19 @@ arrays.  The semi-smoothness LHS at one state sums the same expectations
 under the point mass of that state, so every state table of the package is
 built in :func:`_whole`.
 
-One table per instance: :func:`state_columns` keeps the table of the last
-instance it was asked for (one entry, keyed by instance equality and by its
-columns, the last one dropped before the next is built), so the optimum, the
-Nash and strong sets, the smoothness and niceness checks, the floors and the
-sandwich constants over one instance share one evaluator and one table
-build, over the strings when the machines are symmetric.  A pass over the
-other columns of the kept instance builds its table anew with the same
-evaluator.  The split into blocks is decided here alone, in :func:`_whole`,
-which serves both cases:
+Every evaluator here is the instance's own, from
+:meth:`StateEvaluator.of`, so the passes, the expectations and the
+verification over one instance share it.  One table per instance:
+:func:`state_columns` keeps the table of the last instance it was asked for
+in ``_kept``, ``(instance, table, orbits)`` (one entry, keyed by instance
+equality and by its columns, the last one dropped before the next is built;
+an equal instance reads the kept one's table and evaluator), so the
+optimum, the Nash and strong sets, the smoothness and niceness checks, the
+floors and the sandwich constants over one instance share one table build,
+over the strings when the machines are symmetric.  A pass over the other
+columns of the kept instance builds its table anew with the same evaluator.
+The split into blocks is decided here alone, in :func:`_whole`, which
+serves both cases:
 
 * kept: the four arrays of :meth:`StateEvaluator.table` (``vals[k, i, c]``,
   ``cur[i, c]``, ``social[c]`` and the potential ``phi[c]``, the columns
@@ -404,7 +408,8 @@ def orbits_of(n: int, m: int, symmetric: bool) -> Orbits:
     return Orbits(n, m, symmetric, False)
 
 
-# the last state table within _TABLE_CELLS: (instance, evaluator, table, orbits)
+# the last state table within _TABLE_CELLS: (instance, table, orbits); the
+# evaluator is the instance's own
 _kept: Optional[tuple] = None
 
 
@@ -440,15 +445,15 @@ def _whole_table(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS, orbits: 
     for its shape, as its table has more than ``_TABLE_CELLS`` cells.
     Raises :class:`StateSpaceExceeded` first when the columns pass
     ``max_states``.  The last table within the budget is kept, so the passes
-    over one instance build it once, and a pass over the other columns of
-    the kept instance reuses its evaluator."""
+    over one instance build it once; the evaluator is the instance's own."""
     global _kept
+    domain = table = None
     if _kept is not None and _kept[0] == inst:
-        _, ev, table, domain = _kept
-        if domain.symmetric != (orbits and ev.symmetric):
-            domain = table = None
-    else:
-        ev, domain, table = StateEvaluator(inst), None, None
+        # an equal instance reads the kept one's table and evaluator
+        inst, table, domain = _kept
+    ev = StateEvaluator.of(inst)
+    if domain is not None and domain.symmetric != (orbits and ev.symmetric):
+        domain = table = None
     if domain is None:
         domain = orbits_of(ev.n, ev.m, orbits and ev.symmetric)
     if domain.count > limits.max_states:
@@ -461,7 +466,7 @@ def _whole_table(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS, orbits: 
     table = _whole(ev, domain, lambda *table: table)
     for array in table:
         array.flags.writeable = False
-    _kept = (inst, ev, table, domain)
+    _kept = (inst, table, domain)
     return ev, domain, table
 
 
@@ -634,7 +639,7 @@ def expected_player_value(
     validate_profile(inst, profile)
     _check_player(inst, i)
     _check_machine(inst, k)
-    return StateEvaluator(inst).expected(profile, i - 1, k - 1)
+    return StateEvaluator.of(inst).expected(profile, i - 1, k - 1)
 
 
 def _expected_row(ev: StateEvaluator, profile: MixedProfile, i: int) -> tuple[list, Fraction]:
@@ -648,13 +653,13 @@ def profile_expected_value(inst: Instance, profile: MixedProfile, i: int) -> Fra
     """E[value of player i] with everyone (including i) drawn from the profile."""
     validate_profile(inst, profile)
     _check_player(inst, i)
-    return _expected_row(StateEvaluator(inst), profile, i - 1)[1]
+    return _expected_row(StateEvaluator.of(inst), profile, i - 1)[1]
 
 
 def verify_mixed_ne(inst: Instance, profile: MixedProfile) -> bool:
     """Exact check: no player can improve in expectation by a pure deviation."""
     validate_profile(inst, profile)
-    ev = StateEvaluator(inst)
+    ev = StateEvaluator.of(inst)
     for i in range(inst.n):
         row, current = _expected_row(ev, profile, i)
         if (min(row) < current) if ev.minimizes else (max(row) > current):

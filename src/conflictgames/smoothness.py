@@ -83,7 +83,7 @@ def semi_smooth_lhs(inst: Instance, state: State, profile: MixedProfile) -> Frac
     point mass of ``state`` (player ``i``'s terms ignore row ``i``)."""
     pinned = point_mass_profile(inst, state)
     validate_profile(inst, profile)
-    ev = StateEvaluator(inst)
+    ev = StateEvaluator.of(inst)
     # every row of the profile sums to 1, so the sum has a Fraction term
     return sum(
         q * ev.expected(pinned, i, k)

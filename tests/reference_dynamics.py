@@ -43,16 +43,16 @@ def run_br_reference(inst: Instance, start: State, max_steps: Optional[int] = No
     records = []
     exhausted = False
     while True:
-        aux = pointwise.analyze(ev, cur)
+        aux = pointwise.analyze(inst, cur)
         best_gain = 0
         best_player = -1
         best_machine = -1
         for i in range(n):
-            here = pointwise.value(ev, aux, i, cur[i])
+            here = pointwise.value(inst, aux, i, cur[i])
             for k in range(m):
                 if k == cur[i]:
                     continue
-                dev = pointwise.value(ev, aux, i, k)
+                dev = pointwise.value(inst, aux, i, k)
                 gain = here - dev if minimizes else dev - here
                 if gain > best_gain:
                     best_gain, best_player, best_machine = gain, i, k
@@ -64,14 +64,14 @@ def run_br_reference(inst: Instance, start: State, max_steps: Optional[int] = No
         source = cur[best_player]
         cur[best_player] = best_machine
         records.append((best_player + 1, source + 1, best_machine + 1,
-                        best_gain, pointwise.potential(ev, cur), pointwise.social(ev, cur)))
+                        best_gain, pointwise.potential(inst, cur), pointwise.social(inst, cur)))
     start0 = to_internal(start)
     return Trace(
         start=tuple(start),
         end=to_public(cur),
         records=tuple(records),
-        start_social=ev.as_value(pointwise.social(ev, start0)),
-        start_potential=ev.as_potential(pointwise.potential(ev, start0)),
+        start_social=ev.as_value(pointwise.social(inst, start0)),
+        start_potential=ev.as_potential(pointwise.potential(inst, start0)),
         maximizes=not minimizes,
         exhausted=exhausted,
         value_scale=ev.value_scale,

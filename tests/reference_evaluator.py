@@ -13,10 +13,11 @@ decodes every state from its lex index by division, independently of the
 digits of ``conflictgames.oracle.Orbits``.
 
 :func:`analyze`, :func:`value`, :func:`values`, :func:`social` and
-:func:`potential` evaluate one state of an evaluator at a time, each a loop
-over the ``(a, b, w)`` edge triples of the reference set-up of its instance
-(:func:`setup_of`, built once per evaluator), never over the evaluator's own
-edge arrays: the references for every entry of the state table, and for the
+:func:`potential` evaluate one state of an instance at a time, each a loop
+over the ``(a, b, w)`` edge triples of the reference set-up of the instance
+(:func:`setup_of`, built once per instance), never over the evaluator's own
+edge arrays; of the instance's evaluator they read only the machine terms.
+They are the references for every entry of the state table, and for the
 gains of the move table ``conflictgames.fastpath.Walk`` and the aggregates
 that ``StateEvaluator.social`` and ``potential`` read off it.
 """
@@ -157,8 +158,8 @@ def reference_table(inst: Instance):
     return vals, cur, social, potential
 
 
-def loads(ev: StateEvaluator, state) -> list[int]:
-    loads = [0] * ev.m
+def loads(inst: Instance, state) -> list[int]:
+    loads = [0] * inst.m
     for k in state:
         loads[k] += 1
     return loads
@@ -167,54 +168,60 @@ def loads(ev: StateEvaluator, state) -> list[int]:
 _SETUPS: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def setup_of(ev: StateEvaluator) -> Setup:
-    """The reference set-up of ``ev``'s instance, built once per evaluator."""
+def setup_of(inst: Instance) -> tuple[StateEvaluator, Setup]:
+    """The evaluator of ``inst`` (``StateEvaluator.of``), for its machine
+    terms, and the reference set-up of ``inst``, built once per evaluator and
+    so once per instance."""
+    ev = StateEvaluator.of(inst)
     ref = _SETUPS.get(ev)
     if ref is None:
-        ref = _SETUPS[ev] = reference_setup(ev.inst)
-    return ref
+        ref = _SETUPS[ev] = reference_setup(inst)
+    return ev, ref
 
 
-def edge_term(ev: StateEvaluator, state) -> int:
+def edge_term(inst: Instance, state) -> int:
     """Separated-edge weight at ``state``: w_sep plus the signed weight of
     every co-located edge."""
-    ref = setup_of(ev)
+    _, ref = setup_of(inst)
     return ref.w_sep + sum(w for a, b, w in ref.edges if state[a] == state[b])
 
 
-def social(ev: StateEvaluator, state) -> int:
-    machines = sum(x * row[x] for row, x in zip(ev.mach, loads(ev, state)))
-    return machines + 2 * edge_term(ev, state)
+def social(inst: Instance, state) -> int:
+    ev, _ = setup_of(inst)
+    machines = sum(x * row[x] for row, x in zip(ev.mach, loads(inst, state)))
+    return machines + 2 * edge_term(inst, state)
 
 
-def potential(ev: StateEvaluator, state) -> int:
-    machines = sum(row[x] for row, x in zip(ev.pot, loads(ev, state)))
-    return machines + ev.pot_per_value * edge_term(ev, state)
+def potential(inst: Instance, state) -> int:
+    ev, _ = setup_of(inst)
+    machines = sum(row[x] for row, x in zip(ev.pot, loads(inst, state)))
+    return machines + ev.pot_per_value * edge_term(inst, state)
 
 
-def analyze(ev: StateEvaluator, state):
+def analyze(inst: Instance, state):
     """Aux bundle for :func:`value`: (state, loads, table).  The table is
     a flat n*m list; entry i*m+k is the signed weight of i's neighbours
     on machine k."""
-    m = ev.m
-    tab = [0] * (ev.n * m)
-    for a, b, w in setup_of(ev).edges:
+    m = inst.m
+    tab = [0] * (inst.n * m)
+    for a, b, w in setup_of(inst)[1].edges:
         tab[a * m + state[b]] += w
         tab[b * m + state[a]] += w
-    return (tuple(state), loads(ev, state), tab)
+    return (tuple(state), loads(inst, state), tab)
 
 
-def value(ev: StateEvaluator, aux, i: int, k: int) -> int:
+def value(inst: Instance, aux, i: int, k: int) -> int:
     """Scaled value of player ``i`` if assigned to ``k``, all others fixed
     at the analyzed state.  Exact both for k == s_i and for deviations."""
     state, loads, tab = aux
     occ = loads[k] if state[i] == k else loads[k] + 1
-    return ev.mach[k][occ] + setup_of(ev).base[i] + tab[i * ev.m + k]
+    ev, ref = setup_of(inst)
+    return ev.mach[k][occ] + ref.base[i] + tab[i * inst.m + k]
 
 
-def values(ev: StateEvaluator, aux) -> list[int]:
+def values(inst: Instance, aux) -> list[int]:
     state = aux[0]
-    return [value(ev, aux, i, state[i]) for i in range(ev.n)]
+    return [value(inst, aux, i, state[i]) for i in range(inst.n)]
 
 
 def lex_states(n: int, m: int, idx: np.ndarray) -> np.ndarray:

@@ -74,8 +74,8 @@ def strong_nash_set_by_coalitions(
     players = range(n)
     out = []
     for s in itertools.product(range(m), repeat=n):
-        aux = pointwise.analyze(ev, s)
-        vs = pointwise.values(ev, aux)
+        aux = pointwise.analyze(inst, s)
+        vs = pointwise.values(inst, aux)
         stable = True
         for size in range(1, n + 1):
             for coalition in itertools.combinations(players, size):
@@ -85,11 +85,11 @@ def strong_nash_set_by_coalitions(
                         t[i] = k
                     if tuple(t) == s:
                         continue
-                    taux = pointwise.analyze(ev, t)
+                    taux = pointwise.analyze(inst, t)
                     if all(
-                        (pointwise.value(ev, taux, i, t[i]) < vs[i])
+                        (pointwise.value(inst, taux, i, t[i]) < vs[i])
                         if ev.minimizes
-                        else (pointwise.value(ev, taux, i, t[i]) > vs[i])
+                        else (pointwise.value(inst, taux, i, t[i]) > vs[i])
                         for i in coalition
                     ):
                         stable = False
@@ -99,7 +99,7 @@ def strong_nash_set_by_coalitions(
             if not stable:
                 break
         if stable:
-            out.append((to_public(s), ev.as_value(pointwise.social(ev, s))))
+            out.append((to_public(s), ev.as_value(pointwise.social(inst, s))))
     return out
 
 

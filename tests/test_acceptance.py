@@ -223,11 +223,10 @@ def test_criterion_11_maxcut_certificates():
             n = 2 + t % 5
             inst = gen_random(n, 2, GameKind.MAXCUT, PROBS[t % 3], seed=1100 + t)
             edges = len(inst.conflict_edges)
-            ev = StateEvaluator(inst)
             for s in itertools.product(range(2), repeat=n):
-                aux = pointwise.analyze(ev, s)
+                aux = pointwise.analyze(inst, s)
                 lhs_doubled = sum(
-                    pointwise.value(ev, aux, i, 0) + pointwise.value(ev, aux, i, 1)
+                    pointwise.value(inst, aux, i, 0) + pointwise.value(inst, aux, i, 1)
                     for i in range(n)
                 )
                 assert lhs_doubled == 2 * edges  # uniform LHS equals |E| exactly
@@ -260,14 +259,14 @@ def test_criterion_12_exact_potential_law():
                 ev = StateEvaluator(inst)
                 vs, ps = ev.value_scale, ev.potential_scale
                 for s in itertools.product(range(m), repeat=n):
-                    aux = pointwise.analyze(ev, s)
-                    base_pot = pointwise.potential(ev, s)
+                    aux = pointwise.analyze(inst, s)
+                    base_pot = pointwise.potential(inst, s)
                     for i in range(n):
-                        base_val = pointwise.value(ev, aux, i, s[i])
+                        base_val = pointwise.value(inst, aux, i, s[i])
                         for k in range(m):
                             moved = s[:i] + (k,) + s[i + 1:]
-                            d_pot = pointwise.potential(ev, moved) - base_pot
-                            d_val = pointwise.value(ev, aux, i, k) - base_val
+                            d_pot = pointwise.potential(inst, moved) - base_pot
+                            d_val = pointwise.value(inst, aux, i, k) - base_val
                             assert d_pot * vs == d_val * ps, (kind, s, i, k)
 
 
@@ -302,11 +301,10 @@ def test_criterion_14_dynamics_on_pool(pool):
 def test_criterion_15_sharing_sandwich(pool):
     with criterion(15, "conflict sharing: potential <= H_n * value, value <= 2 * potential"):
         for inst in pool[GameKind.SWC]:
-            ev = StateEvaluator(inst)
             hn = harmonic(inst.n)
             a, b = hn.numerator, hn.denominator
             for s in itertools.product(range(inst.m), repeat=inst.n):
-                u = pointwise.social(ev, s)
-                phi = pointwise.potential(ev, s)  # same scale as u for sharing kinds
+                u = pointwise.social(inst, s)
+                phi = pointwise.potential(inst, s)  # same scale as u for sharing kinds
                 assert phi * b <= a * u
                 assert u <= 2 * phi

@@ -71,6 +71,25 @@ def test_large_instances_on_both_dtypes(kind):
         _assert_same_traces(inst, starts)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_runs_on_one_instance_equal_runs_on_fresh_ones(kind):
+    # every run from one instance reads the evaluator kept on it: four starts
+    # there trace as on a fresh equal instance each, also where floats propose
+    # (the sharing kinds at n = 40)
+    m = 2 if kind is GameKind.MAXCUT else 3
+
+    def build():
+        return gen_random(40, m, kind, F(1, 4), seed=40)
+
+    inst = build()
+    starts = _starts(inst, 4, 40)
+    kept = [run_br(inst, start) for start in starts]
+    fresh = [run_br(build(), start) for start in starts]
+    assert kept == fresh and repr(kept) == repr(fresh)
+    assert StateEvaluator.of(inst) is StateEvaluator.of(inst)
+    assert _move_table(inst, starts[0])[0] is kind.sharing
+
+
 def test_beyond_int64_pool():
     for seed, inst in enumerate(beyond_int64_pool()):
         assert StateEvaluator(inst).dtype() is object

@@ -135,8 +135,8 @@ def test_every_kind_and_edge_case_matches_the_reference():
     assert {inst.kind for inst in pool} == set(ALL_KINDS)
     assert any(inst.kind.sharing and inst.edge_weights for inst in pool)
     assert any(ev.w.dtype == object for ev in evs)
-    assert any(ev.w.dtype == object and ev.inst.kind.sharing and ev.inst.edge_weights
-               for ev in evs)
+    assert any(ev.w.dtype == object and inst.kind.sharing and inst.edge_weights
+               for inst, ev in zip(pool, evs))
     # exact gains on int64, and floats proposing over bt on int64 and object
     modes = {(tol is None, dtype) for _, tol, dtype in (ev._move_mode for ev in evs)}
     assert modes >= {(True, np.int64), (False, np.int64), (False, object)}

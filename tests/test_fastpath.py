@@ -6,15 +6,19 @@ best-response run.  The pointwise reference evaluator of
 small instances of every kind, including weighted sharing and rational
 combination weights: values, socials, potentials and deviation values.  Every
 entry of the state table, and the aggregates and gains of the move table at
-every state, are then compared with that reference.
+every state, are then compared with that reference.  The evaluator kept on
+an instance is freed with it.
 """
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
 
+from conflictgames.dynamics import random_start, run_br
 from conflictgames.fastpath import StateEvaluator, to_internal, to_public
 from conflictgames.games import (
     GameKind,
@@ -47,11 +51,11 @@ def test_values_social_potential_match_fraction_api():
             ev = StateEvaluator(inst)
             for state in _all_states(inst):
                 s0 = to_internal(state)
-                aux = pointwise.analyze(ev, s0)
-                got = [ev.as_value(v) for v in pointwise.values(ev, aux)]
+                aux = pointwise.analyze(inst, s0)
+                got = [ev.as_value(v) for v in pointwise.values(inst, aux)]
                 assert tuple(got) == player_values(inst, state)
-                assert ev.as_value(pointwise.social(ev, s0)) == social_value(inst, state)
-                assert ev.as_potential(pointwise.potential(ev, s0)) == potential(inst, state)
+                assert ev.as_value(pointwise.social(inst, s0)) == social_value(inst, state)
+                assert ev.as_potential(pointwise.potential(inst, s0)) == potential(inst, state)
 
 
 def test_deviation_values_match_mutated_states():
@@ -60,12 +64,12 @@ def test_deviation_values_match_mutated_states():
             ev = StateEvaluator(inst)
             for state in _all_states(inst):
                 s0 = to_internal(state)
-                aux = pointwise.analyze(ev, s0)
+                aux = pointwise.analyze(inst, s0)
                 for i in range(inst.n):
                     for k in range(inst.m):
                         moved = state[:i] + (k + 1,) + state[i + 1:]
                         expected = player_value(inst, moved, i + 1)
-                        assert ev.as_value(pointwise.value(ev, aux, i, k)) == expected
+                        assert ev.as_value(pointwise.value(inst, aux, i, k)) == expected
 
 
 def _assert_walk_matches_pointwise(inst, states):
@@ -77,16 +81,16 @@ def _assert_walk_matches_pointwise(inst, states):
     for state in states:
         s0 = to_internal(state)
         social, phi = ev.social(s0), ev.potential(s0)
-        assert social == pointwise.social(ev, s0)
+        assert social == pointwise.social(inst, s0)
         assert ev.as_value(social) == social_value(inst, state)
-        assert phi == pointwise.potential(ev, s0)
+        assert phi == pointwise.potential(inst, s0)
         assert ev.as_potential(phi) == potential(inst, state)
-        walk, aux = ev.walk(s0), pointwise.analyze(ev, s0)
+        walk, aux = ev.walk(s0), pointwise.analyze(inst, s0)
         for i in range(inst.n):
-            here = pointwise.value(ev, aux, i, s0[i])
+            here = pointwise.value(inst, aux, i, s0[i])
             for k in range(inst.m):
                 if k != s0[i]:
-                    delta = pointwise.value(ev, aux, i, k) - here
+                    delta = pointwise.value(inst, aux, i, k) - here
                     assert walk.gain(i, k) == (-delta if ev.minimizes else delta), (state, i, k)
     return walk
 
@@ -117,19 +121,19 @@ def _table_pool():
     return pool
 
 
-def _assert_table_matches_pointwise(ev):
-    inst = ev.inst
+def _assert_table_matches_pointwise(inst):
+    ev = StateEvaluator(inst)
     for grid in state_blocks(inst.n, inst.m):
         vals, cur, social, phi = ev.table(grid)
         assert vals.shape == (inst.m, inst.n, len(grid))
         for s, state in enumerate(grid.tolist()):
-            aux = pointwise.analyze(ev, state)
+            aux = pointwise.analyze(inst, state)
             assert vals[:, :, s].tolist() == [
-                [pointwise.value(ev, aux, i, k) for i in range(inst.n)] for k in range(inst.m)
+                [pointwise.value(inst, aux, i, k) for i in range(inst.n)] for k in range(inst.m)
             ]
-            assert cur[:, s].tolist() == pointwise.values(ev, aux)
-            assert social[s] == pointwise.social(ev, state)
-            assert phi[s] == pointwise.potential(ev, state)
+            assert cur[:, s].tolist() == pointwise.values(inst, aux)
+            assert social[s] == pointwise.social(inst, state)
+            assert phi[s] == pointwise.potential(inst, state)
     return vals.dtype
 
 
@@ -138,12 +142,12 @@ def test_table_matches_pointwise_evaluator():
     assert {inst.kind for inst in pool} == set(ALL_KINDS)
     assert any(inst.kind.sharing and inst.edge_weights for inst in pool)
     for inst in pool:
-        assert _assert_table_matches_pointwise(StateEvaluator(inst)) == np.int64
+        assert _assert_table_matches_pointwise(inst) == np.int64
 
 
 def test_table_beyond_int64_is_exact_on_object_dtype():
     for inst in beyond_int64_pool():
-        assert _assert_table_matches_pointwise(StateEvaluator(inst)) == object
+        assert _assert_table_matches_pointwise(inst) == object
 
 
 def test_neighbour_sums_on_float64_only_while_exact():
@@ -159,4 +163,21 @@ def test_neighbour_sums_on_float64_only_while_exact():
         assert ev.dtype() is np.int64
         adjacency = ev._table_arrays[2]
         assert (adjacency.dtype == np.float64) is on_float
-        assert _assert_table_matches_pointwise(ev) == np.int64
+        assert _assert_table_matches_pointwise(inst) == np.int64
+
+
+def test_a_kept_evaluator_is_freed_with_its_instance():
+    # the evaluator holds no reference back to its instance: with the cycle
+    # collector off, reference counting alone frees both
+    inst = gen_random(40, 3, GameKind.SWF, F(1, 4), seed=1)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ev = weakref.ref(StateEvaluator.of(inst))
+        run_br(inst, random_start(inst, random.Random(1)))
+        alive = weakref.ref(inst)
+        del inst
+        assert alive() is None and ev() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -445,9 +445,11 @@ class TestCaches:
 
         a, b = build(), build()
         assert a is not b and a == b and hash(a) == hash(b)
-        # the structures kept on an instance change none of its fields
+        # the structures kept on an instance, its evaluator among them, change
+        # none of its fields
         for name in self.CACHED:
             getattr(a, name)
+        ev = StateEvaluator.of(a)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert [f.name for f in dataclasses.fields(a)] == [
             "kind", "n", "m", "conflict_edges", "friendship_edges", "machine_values",
@@ -459,4 +461,17 @@ class TestCaches:
             assert getattr(a, name) is getattr(a, name)
             assert getattr(a, name) == getattr(b, name) and getattr(a, name) is not getattr(b, name)
         assert a.weighted_neighbors[0] == ((2, Fraction(5, 2)),)
-        assert pickle.loads(pickle.dumps(a)) == a
+        # the evaluator too: one per instance, equal arrays on equal instances
+        assert StateEvaluator.of(a) is ev and StateEvaluator.of(b) is not ev
+        other = StateEvaluator.of(b)
+        for name in ("ends", "w", "_sep", "_touching"):
+            assert getattr(ev, name).tolist() == getattr(other, name).tolist()
+        assert (ev.mach, ev.pot, ev.unit, ev.value_scale) == (
+            other.mach, other.pot, other.unit, other.value_scale
+        )
+        # a pickled instance holds its fields alone and builds its own
+        # evaluator, read-only like every other
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and hash(copy) == hash(a) and repr(copy) == repr(a)
+        assert StateEvaluator.of(copy) is not ev and not StateEvaluator.of(copy).w.flags.writeable
+        assert StateEvaluator.of(copy).w.tolist() == ev.w.tolist()

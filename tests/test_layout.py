@@ -40,7 +40,11 @@ the move table.  ``StateEvaluator.analyze``, ``social`` and ``potential``
 only read a walk, and the pointwise formulas are the test suite's own
 reference, in ``reference_evaluator``.  The per-instance
 structure of the Fraction API lives on the instance, so no process-wide
-cache keeps it.
+cache keeps it, and so does the evaluator: ``StateEvaluator.of`` builds each
+instance's one evaluator and keeps it there, and it is the package's only
+constructor call.  The kept state table holds no evaluator, the evaluator
+holds no instance (no reference cycle), and the edge arrays every run on the
+instance reads are read-only.
 
 The exact LP has one tableau: the certificate of
 :mod:`conflictgames.simplex` checks its basis on the Bareiss tableau of the
@@ -60,10 +64,17 @@ counter of where the positive edge groups end.
 
 import ast
 import pathlib
+import random
 import re
+from fractions import Fraction
+
+import pytest
 
 import conflictgames
-from conflictgames.instances import GENERATORS
+from conflictgames import dynamics, oracle
+from conflictgames.fastpath import StateEvaluator
+from conflictgames.games import GameKind, Instance
+from conflictgames.instances import GENERATORS, gen_random
 
 PER_KIND_HELPERS = re.compile(
     r"\b(conflict_neighbors|friendship_neighbors|weighted_neighbors|sharing_weights)\b"
@@ -273,3 +284,41 @@ def test_only_fastpath_reads_the_evaluator_arrays():
     # the set-up reads each edge's sign, not where its group ends
     init = _methods("fastpath.py", "StateEvaluator")["__init__"]
     assert "split" not in {node.id for node in ast.walk(init) if isinstance(node, ast.Name)}
+
+
+def test_only_the_accessor_builds_evaluators():
+    # every evaluator of the package is kept on its instance by
+    # StateEvaluator.of: a constructor call anywhere else would build one that
+    # no later pass or run finds
+    package = pathlib.Path(conflictgames.__file__).parent
+    built = {
+        path.name: [
+            node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and _callee(node) in {"StateEvaluator", "cls"}
+        ]
+        for path in sorted(package.glob("*.py"))
+    }
+    of = _methods("fastpath.py", "StateEvaluator")["of"]
+    inside = [node.lineno for node in ast.walk(of)
+              if isinstance(node, ast.Call) and _callee(node) == "cls"]
+    assert len(inside) == 1
+    assert {name: lines for name, lines in built.items() if lines} == {"fastpath.py": inside}
+
+
+def test_the_kept_evaluator_lives_on_its_instance(monkeypatch):
+    # the instance holds its evaluator and no reference leads back: the kept
+    # table holds no evaluator, the evaluator no instance; and the arrays
+    # every run on the instance reads cannot be written
+    monkeypatch.setattr(oracle, "_kept", None)
+    inst = gen_random(6, 3, GameKind.SWC, Fraction(1, 2), seed=1, weighted=True)
+    oracle.optimum(inst)
+    dynamics.run_br(inst, dynamics.random_start(inst, random.Random(1)))
+    assert len(oracle._kept) == 3 and oracle._kept[0] is inst
+    assert not any(isinstance(part, StateEvaluator) for part in oracle._kept)
+    ev = StateEvaluator.of(inst)
+    assert not hasattr(ev, "inst")
+    assert not any(isinstance(value, Instance) for value in vars(ev).values())
+    for name in ("ends", "w", "_sep", "_touching"):
+        array = getattr(ev, name)
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1

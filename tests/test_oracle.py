@@ -188,11 +188,10 @@ class TestStrongNash:
         # scaled values above the int64-safe bound take the object-dtype scan
         pool = beyond_int64_pool()
         for inst in pool:
-            ev = StateEvaluator(inst)
             top = max(
                 abs(v)
                 for s in enumerate_states(inst)
-                for v in pointwise.values(ev, pointwise.analyze(ev, to_internal(s)))
+                for v in pointwise.values(inst, pointwise.analyze(inst, to_internal(s)))
             )
             assert top >= _INT64_SAFE
             assert strong_nash_set(inst) == strong_nash_set_by_coalitions(inst)

@@ -1,10 +1,16 @@
 """Smoke runs of the scripts: they exit 0 and print their summary."""
 
+import importlib.util
 import pathlib
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
+from conflictgames.dynamics import random_start, run_br
+from conflictgames.fastpath import StateEvaluator, Walk
 from conflictgames.games import GameKind
+from conflictgames.instances import gen_random
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -43,24 +49,44 @@ def test_poa_conjecture_sweep():
 def test_br_step_times():
     lines = _run("br_step_times.py", "--n", "12", "--repeats", "1")
     assert lines[0] == (
-        "us of set-up per run and us per BR step, n=12, edge probability 1/16, best of 1"
+        "us of set-up per run (fresh instance, kept evaluator) and us per BR step, n=12,"
+        " edge probability 1/16, best of 1"
     )
     assert lines[1].split() == [
-        "kind", "m", "steps", "set-up", "walk", "trace", "views", "run_br", "trace%"
+        "kind", "m", "steps", "fresh", "kept", "walk", "trace", "views", "run_br", "trace%"
     ]
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == [kind.value for kind in GameKind]
     for row in rows:
         m, steps = int(row[1]), int(row[2])
-        setup, walk, trace, views, total = map(float, row[3:8])
+        fresh, setup, walk, trace, views, total = map(float, row[3:9])
         assert m == (2 if row[0] == "MaxCut" else 8) and steps > 0
-        assert setup > 0 and walk > 0 and views > 0 and total > 0
+        assert fresh > 0 and setup > 0 and walk > 0 and views > 0 and total > 0
         # every part is a span of the one timed run: none is negative, even
         # at one repeat
-        assert trace >= 0 and not row[5].startswith("-") and not row[8].startswith("-")
+        assert trace >= 0 and not row[6].startswith("-") and not row[9].startswith("-")
         # the trace is run_br minus the other two, to rounding
         assert abs(setup / steps + walk + trace - total) < 0.2
-        assert row[8].endswith("%") and abs(float(row[8][:-1]) - 100 * trace / total) < 1.5
+        assert row[9].endswith("%") and abs(float(row[9][:-1]) - 100 * trace / total) < 1.5
+
+
+def test_br_step_times_leaves_the_kept_evaluator_alone():
+    # the clocks wrap the classes for one run and restore them: the evaluator
+    # kept on the instance gains no attribute, and a repeat run builds none
+    spec = importlib.util.spec_from_file_location("br_step_times", SCRIPTS / "br_step_times.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    inst = gen_random(12, 3, GameKind.SWF, Fraction(1, 4), seed=1)
+    start = random_start(inst, random.Random(1))
+    originals = [StateEvaluator.__dict__["of"], StateEvaluator.walk, Walk.best, Walk.move]
+    trace, _, setup, walk = script.timed_run(inst, start)
+    ev = StateEvaluator.of(inst)
+    attributes = set(vars(ev))
+    again = script.timed_run(inst, start)
+    assert StateEvaluator.of(inst) is ev and set(vars(ev)) == attributes
+    assert not {"of", "walk", "best", "move"} & attributes
+    assert [StateEvaluator.__dict__["of"], StateEvaluator.walk, Walk.best, Walk.move] == originals
+    assert again[0] == trace == run_br(inst, start) and setup > 0 and walk > 0
 
 
 def test_br_step_times_checks_its_counts():

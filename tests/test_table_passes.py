@@ -219,7 +219,7 @@ def _orbit_passes(inst):
     ]
     for p in params:
         results += [smoothness.check_semi_smooth(inst, p), smoothness.check_nice(inst, p)]
-    strings = oracle._kept is not None and oracle._kept[3].symmetric
+    strings = oracle._kept is not None and oracle._kept[2].symmetric
     results += [smoothness.check_semi_smooth(inst, p, _skewed_profile(inst)) for p in params]
     return results, strings
 
@@ -360,7 +360,7 @@ class TestBeyondInt64:
             oracle.optimum(inst)  # an int64 pass first, which keeps the table
             kept = oracle._kept
             if cells:
-                assert kept[0] is inst and kept[2][0].dtype == np.int64
+                assert kept[0] is inst and kept[1][0].dtype == np.int64
             else:
                 assert kept is None
             for check, lhs in checks:
@@ -486,7 +486,7 @@ class TestKeptTable:
         assert oracle.state_count(inst) * inst.n * inst.m > _TABLE_CELLS
         assert orbit_count(inst.n, inst.m) * inst.n * inst.m <= _TABLE_CELLS
         assert oracle.optimum(inst) == ((1,) * 4 + (2,) * 3 + (3,) * 3, 34)
-        assert oracle._kept[0] is inst and oracle._kept[3].count == 9842
+        assert oracle._kept[0] is inst and oracle._kept[2].count == 9842
         # 131072 states in 65536 orbits, more than the budget even so
         inst = make_instance(GameKind.BWC, 17, 2)
         assert orbit_count(inst.n, inst.m) * inst.n * inst.m > _TABLE_CELLS
@@ -513,6 +513,12 @@ class TestKeptTable:
         smoothness.check_opt_lower_bounds(inst)
         dynamics.sandwich_constants(inst)
         oracle.strong_nash_set(inst)
+        # and so do the runs and the expectations, through the instance
+        for start in ((1,) * 7, (1, 2, 3) * 2 + (1,), (3,) * 7, (2, 1) * 3 + (3,)):
+            dynamics.run_br(inst, start)
+        profile = uniform_profile(inst)
+        smoothness.semi_smooth_lhs(inst, (1, 2, 3, 1, 2, 3, 1), profile)
+        oracle.expected_player_value(inst, profile, 2, 3)
         assert built == [inst]
         # the worst-CCE LP reads the same kept table as the scans
         small = gen_random(3, 3, GameKind.SWC, F(1, 2), seed=3, weighted=True)
