@@ -9,8 +9,9 @@ machines, 2 for the cut game) from one seeded random start.  One untimed
 even at ``--repeats 1``.  Each of ``--repeats`` repeats makes a fresh
 instance equal to that one and times two ``run_br`` on it with clocks inside
 them, and then the read after the second.  The fresh column is the fastest
-first set-up; every other column comes from the repeat whose second
-``run_br`` is fastest.  The clocks are wrappers on the classes
+first set-up and the views column the fastest read; kept, walk, trace and
+run_br come from the repeat whose second ``run_br`` is fastest (see
+:func:`best`).  The clocks are wrappers on the classes
 (``StateEvaluator.of`` and ``walk``, ``Walk.best`` and ``move``), restored
 after each run, so the evaluator kept on the instance is never touched.
 Kept, walk and trace are disjoint spans of the second run, so they add up to
@@ -103,6 +104,15 @@ def timed_run(inst, start) -> tuple:
     return trace, total, spent["setup"], spent["walk"]
 
 
+def best(runs: list) -> tuple:
+    """(run_br s, set-up s, walk s, views s) of the repeats ``runs``, each
+    ``(run_br, set-up, walk, views)``: the first three from the repeat whose
+    ``run_br`` is fastest, since they are disjoint spans of that one run, and
+    the views, a separate call after it, their own fastest."""
+    total, setup, walk, _ = min(runs, key=lambda run: run[0])
+    return total, setup, walk, min(run[3] for run in runs)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=120)
@@ -130,7 +140,7 @@ def main() -> int:
             t0 = clock()
             tuple(trace.steps)
             runs.append((total, setup, walk, clock() - t0))
-        total, setup, walk, views = min(runs)
+        total, setup, walk, views = best(runs)
         steps = max(len(trace.steps), 1)
         record = total - setup - walk
         print(

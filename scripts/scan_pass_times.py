@@ -37,6 +37,15 @@ kind, and are left out).  Each prints the best of ``--repeats`` runs in
 milliseconds and, from one more run under ``tracemalloc``, the peak of
 traced memory in MB.
 
+A last block times the strong scan past 2^18 states, at the
+``strong_max_players`` cap of ten players: on ``gen_random(10, m, BWC, 1/2,
+seed=1)`` with m = 3 and 4 (59049 and 1048576 states, 9842 and 43947
+orbit strings).  Each run starts with no table kept, so it builds the
+table's columns and then tests its candidates' orbits against them; the
+best of ``--repeats`` runs is printed in milliseconds, with the strong
+equilibria found and, from one more run under ``tracemalloc``, the peak of
+traced memory in MB.
+
 Usage:
     python scripts/scan_pass_times.py [--seed 1] [--repeats 3]
 """
@@ -118,6 +127,28 @@ def streamed_passes(inst, repeats: int) -> None:
         print(f"  {name:12} {1e3 * spent:8.2f} {peak / 2**20:8.2f}")
 
 
+def strong_at_scale(repeats: int) -> None:
+    """Print ms (best of ``repeats``), the strong equilibria and the
+    tracemalloc peak MB of the strong scan over ten players, each run with
+    no table kept."""
+    print(f"ms and tracemalloc peak MB per strong scan, BwC n=10, best of {repeats}")
+    print(f"  {'m':>2} {'states':>8} {'strong':>7} {'ms':>9} {'MB':>8}")
+    for m in (3, 4):
+        inst = gen_random(10, m, GameKind.BWC, Fraction(1, 2), seed=1)
+        spent = float("inf")
+        for _ in range(repeats):
+            oracle._kept = None
+            t0 = time.perf_counter()
+            strong = oracle.strong_nash_set(inst)
+            spent = min(spent, time.perf_counter() - t0)
+        oracle._kept = None
+        tracemalloc.start()
+        oracle.strong_nash_set(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"  {m:2} {m**10:8} {len(strong):7} {1e3 * spent:9.1f} {peak / 2**20:8.2f}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=1)
@@ -174,6 +205,7 @@ def main() -> int:
 
     for kind in (GameKind.BWC, GameKind.SWC):
         streamed_passes(gen_random(12, 3, kind, Fraction(1, 2), seed=1), args.repeats)
+    strong_at_scale(args.repeats)
     return 0
 
 

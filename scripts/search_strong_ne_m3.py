@@ -12,7 +12,7 @@ Usage:
 
 ``--max-n`` runs from ``--m`` up to ``strong_max_players`` (10): the
 instances cycle through n = m, ..., max-n.  At n = 10, m = 3 (59049 states)
-one strong scan takes a few tenths of a second.
+one strong scan takes about 30 ms on a 2-vCPU VM.
 """
 
 import argparse

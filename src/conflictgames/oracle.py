@@ -57,8 +57,8 @@ budget keeps nothing.
 
 ``max_states`` bounds what a pass reads and lists: the columns of its table
 (the strings of an orbit pass, all m^n states otherwise) and the
-equilibria :func:`pure_nash_set` lists.  :func:`strong_nash_set` reads
-every state, and keeps guarding m^n.
+equilibria :func:`pure_nash_set` lists.  :func:`strong_nash_set` keeps
+guarding m^n, as its candidates' orbits may hold every state.
 
 Expectations under a product profile sum :meth:`StateEvaluator.expected`,
 which averages the machine term over the exact distribution of the
@@ -100,20 +100,21 @@ serves both cases:
   the table is int64, its ``columns`` read the kept table, or each streamed
   block, through ``astype(object)``; the values are the same exact integers.
 
-The strong scan (:func:`strong_nash_set`) reads the orbit table: its pure
-equilibria among the columns are the candidates, one per orbit, and each
-verdict holds for the whole orbit.  A deviation may go to any state, so on
-the strings it spreads ``cur`` over every state through the state-to-orbit
-map (:meth:`Orbits.orbit_map`, the kept one of the shape where there is
-one); no second, full table is built, and each player's machine at every
-state is a row of the digits of the states (:attr:`Orbits.state_digits`).
-It tests the candidates in chunks of at most ``_STRONG_CELLS`` (candidate,
-state) cells.  Per player, one elementwise ``stay | better`` over
-(candidates x states) narrows the states that still refute some candidate
-of the chunk; ``better`` compares the player's row of ``cur`` in place,
-``<`` for the cost kinds and ``>`` for the payoff kinds (exact on int64 and
-on ``object``).  A candidate survives when no state other than itself is
-left for it, and the surviving columns are expanded into their orbits.
+The strong scan (:func:`strong_nash_set`) reads the orbit table's columns
+alone, as every pass does: its candidates are its pure equilibria among the
+columns, one per orbit, each verdict holding for the whole orbit.  Every
+state takes the values of its orbit's column, so each state of the
+candidates' orbits (:meth:`Orbits._members`) is tested against the
+columns, with no value spread over the states.  The members
+are tested 64 at a time, one bit each in a ``uint64`` word per column.  Per
+player, ``searchsorted`` places each column's value among the members' own
+values, sorted (exact on int64 and on ``object``), and ``stays | beats``
+is ANDed into the column's word, two lookups by the column's machine and by
+that place: the members whose player sits on that machine, or is strictly
+better off at the column (``<`` for the cost kinds, ``>`` for the payoff
+kinds).  A member is refuted when its bit survives every player at some
+column other than itself, a candidate survives when none of its members is
+refuted, and the surviving columns are expanded into their orbits.
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ class Orbits:
 
     Build one through :func:`orbits_of`, which keeps it (``kept``) when its
     table fits ``_TABLE_CELLS``.  A kept shape of at most ``_INDEX_STATES``
-    states is indexed: :meth:`orbit_map` is built once and kept, and
+    states is indexed: its state-to-column map is built once and kept, and
     :meth:`expand` lists states by one lookup through it.  Any other shape
     renames its columns on every call."""
 
@@ -278,8 +279,8 @@ class Orbits:
 
     @property
     def indexed(self) -> bool:
-        """Whether :meth:`orbit_map` is the kept map; ``_INDEX_STATES`` is
-        read on every call."""
+        """Whether :meth:`expand` reads the kept state-to-column map;
+        ``_INDEX_STATES`` is read on every call."""
         return self.kept and self.m**self.n <= _INDEX_STATES
 
     @cached_property
@@ -329,15 +330,6 @@ class Orbits:
             grid, cols = grid[order], cols[order]
         states = np.add(grid, 1, dtype=np.int64).tolist()
         return list(map(tuple, states)), cols
-
-    def lex(self, cols: np.ndarray) -> np.ndarray:
-        """The lex indexes of the states of columns ``cols``."""
-        return self._place @ self.digits.take(cols, axis=1)
-
-    def orbit_map(self) -> np.ndarray:
-        """The column of every state's orbit, the states in lex order;
-        read-only, and the same array on every call where indexed."""
-        return self._index if self.indexed else self._map()
 
     @cached_property
     def _index(self) -> np.ndarray:
@@ -567,9 +559,8 @@ def _valued_states(ev: StateEvaluator, states, social) -> list[tuple[State, Frac
 # outcome, and movers are themselves a valid coalition.  So a state is a
 # strong equilibrium iff no alternative state strictly improves all of its
 # movers.  Singleton coalitions make every strong equilibrium a pure one, so
-# only the pure equilibria are tested, a chunk of them against all states at
-# once.  The coalition definition itself is kept in the tests as the
-# reference.
+# only the pure equilibria are tested.  The coalition definition itself is
+# kept in the tests as the reference.
 #
 # A player's value is the machine term of its machine at its occupancy plus
 # its base and the signed weights of its neighbours on the same machine.
@@ -577,11 +568,15 @@ def _valued_states(ev: StateEvaluator, states, social) -> list[tuple[State, Frac
 # permutation p therefore keeps every player's value at every state.  A
 # deviation s -> t then maps to p(s) -> p(t), with the same movers and the
 # same values on both sides, so s is strong exactly when p(s) is: only the
-# pure equilibria among the orbit table's strings are tested, and each
+# pure equilibria among the orbit table's strings are candidates, and each
 # verdict holds for the whole orbit.
-
-# upper bound on the (candidate, state) cells of one chunk of the strong scan
-_STRONG_CELLS = 1 << 18
+#
+# Every state t is p(o) for a column o, and takes o's values.  So t refutes
+# candidate c iff, at o, each player sits where it sits in c' = p^-1(c) or is
+# strictly better off than at c: the states c' of c's orbit are tested
+# against the columns, and the one pairing left out is c' = o (then t = c,
+# where nobody moves).  On the states domain each orbit is the candidate
+# alone and the columns are all the states.
 
 
 def strong_nash_set(
@@ -597,33 +592,38 @@ def strong_nash_set(
         lambda vals, cur, social, phi: (cur, social, pure_ne_flags(minimizes, vals, cur)),
         orbits=True,
     )
-    # row i of machine, like row i of cur, is player i's at every state
-    count = state_count(inst)
-    machine = orbits.state_digits
-    if orbits.symmetric:  # every state takes its orbit's values, each row contiguous
-        cur = cur.take(orbits.orbit_map(), axis=1)
-    better = np.less if minimizes else np.greater
     candidates = np.flatnonzero(flags)  # columns: one pure equilibrium per orbit
-    reps = orbits.lex(candidates)
-    step = max(1, _STRONG_CELLS // count)
-    strong = np.zeros(len(reps), dtype=bool)
-    for start in range(0, len(reps), step):
-        chunk = reps[start : start + step]
-        # refutes[c, j]: at states[j] every player so far stays or is better
-        # off than at candidate c.  Only the states where that holds for some
-        # candidate of the chunk go on to the next player.
-        states = np.arange(count)
-        refutes = np.ones((len(chunk), len(states)), dtype=bool)
-        for here, values in zip(machine, cur):
-            ok = here[states] == here[chunk, None]
-            ok |= better(values[states], values[chunk, None])
-            refutes &= ok
-            live = np.flatnonzero(refutes.any(0))
-            states, refutes = states[live], refutes.take(live, axis=1)
-        # the candidate itself is the one state where nobody moves
-        refutes &= states != chunk[:, None]
-        strong[start : start + step] = ~refutes.any(1)
-    states, cols = orbits.expand(candidates[strong])
+    grid, of = orbits._members(candidates)  # grid[b, i]: member b's player i
+    itself = (grid == orbits.digits.T[of]).all(1)  # the member that is its column
+    side = "right" if minimizes else "left"
+    # the machines the columns sit on, at most n on the strings: a member's
+    # player on any other machine stays at no column, so it is filed past them
+    n, reach = len(cur), int(orbits.digits.max(initial=0)) + 1
+    slot = np.minimum(grid, reach, dtype=np.intp) + np.arange(0, n * (reach + 1), reach + 1)
+    refuted = np.zeros(orbits.count, dtype=bool)  # by column
+    for start in range(0, len(of), 64):
+        chunk = slice(start, start + 64)
+        bits = np.left_shift(np.uint64(1), np.arange(len(of[chunk]), dtype=np.uint64))
+        # stays[i, k]: the members whose player i sits on machine k
+        stays = np.zeros((n, reach + 1), dtype=np.uint64)
+        np.bitwise_or.at(stays.ravel(), slot[chunk].ravel(), np.repeat(bits, n))
+        # beats[i, r]: the members whose player i is strictly worse off than
+        # at a column whose value searchsorted places at r among theirs
+        own = cur[:, of[chunk]]
+        order = own.argsort(1)
+        own = np.take_along_axis(own, order, 1)
+        beats = np.zeros((n, len(bits) + 1), dtype=np.uint64)
+        np.cumsum(bits[order], axis=1, out=beats[:, 1:])
+        if minimizes:
+            beats = beats[:, -1:] - beats
+        # word[o]: the members column o refutes for every player so far
+        word = np.full(orbits.count, ~np.uint64(0))
+        for i, values in enumerate(cur):
+            rank = own[i].searchsorted(values, side)
+            word &= stays[i].take(orbits.digits[i]) | beats[i].take(rank)
+        word[of[chunk][itself[chunk]]] &= ~bits[itself[chunk]]  # where nobody moves
+        refuted[of[chunk][(np.bitwise_or.reduce(word) & bits) != 0]] = True
+    states, cols = orbits.expand(candidates[~refuted[candidates]])
     return _valued_states(ev, states, social[cols])
 
 

@@ -60,6 +60,11 @@ evaluator's representation (``mach``, ``pot``, ``ends``, ``w``, ``unit``,
 the walks, ``StateEvaluator.expected`` and ``StateEvaluator.symmetric``.
 The set-up sums ``_sep`` and ``_touching`` by each edge's sign, with no
 counter of where the positive edge groups end.
+
+Every pass reads only the table's columns, the strong scan included: it
+tests the states of its candidates' orbits against the columns, and reads
+neither every state's digits nor a state-to-column map; only
+``Orbits.expand`` reads the states' digits, to list equilibria.
 """
 
 import ast
@@ -322,3 +327,26 @@ def test_the_kept_evaluator_lives_on_its_instance(monkeypatch):
         array = getattr(ev, name)
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1
+
+
+def test_the_strong_scan_reads_only_the_columns():
+    # the strong scan tests its candidates' orbits against the columns: a
+    # read of every state's digits or of a state-to-column map fails here,
+    # and so does a second reader of the states' digits besides the listing
+    strong = _functions("oracle.py")["strong_nash_set"]
+    named = {node.attr for node in ast.walk(strong) if isinstance(node, ast.Attribute)}
+    named |= {node.id for node in ast.walk(strong) if isinstance(node, ast.Name)}
+    assert not {"state_digits", "orbit_map", "_index", "_map"} & named
+    package = pathlib.Path(conflictgames.__file__).parent
+    reads = sum(
+        isinstance(node, ast.Attribute) and node.attr == "state_digits"
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+    expand = _methods("oracle.py", "Orbits")["expand"]
+    inside = sum(
+        isinstance(node, ast.Attribute) and node.attr == "state_digits"
+        for node in ast.walk(expand)
+    )
+    assert reads == inside > 0
+    assert not {"orbit_map", "lex"} & _methods("oracle.py", "Orbits").keys()

@@ -235,22 +235,53 @@ def _strong_pool(kind):
     return pool
 
 
-DEFAULT_CELLS = oracle._STRONG_CELLS
+HUGE = F(3, 2**61 - 1)
+
+
+def _word_pool():
+    """(instance, members, symmetric): the members of the strong scan's
+    candidate orbits are the pure equilibria, 63, 64, 65 and more than 128 of
+    them, so a chunk of 64 falls short of one word, fills it, spills into a
+    second, and a third (the 151 of SwC refute the last member of the first
+    word, the first of the second and the first of the third, and keep 18);
+    on both column domains, cost and payoff kinds, int64 and ``object``
+    tables, with strings on fewer machines than m (the 64 of BwF are 32
+    strings on one or two machines, the 65 of BwCF one on a single machine
+    and one on three of five), and one machine."""
+    swc, dense = (gen_random(5, 4, GameKind.SWC, prob, seed=0) for prob in (F(1, 4), F(1)))
+    return [
+        (gen_random(6, 4, GameKind.SWC, F(1), seed=7, weighted=True), 63, False),
+        (gen_random(6, 4, GameKind.SWC, F(3, 4), seed=1, weighted=True), 64, False),
+        (gen_random(6, 2, GameKind.BWF, F(1), seed=0), 64, True),
+        (gen_random(8, 3, GameKind.SWF, F(1), seed=10), 65, False),
+        (gen_random(4, 5, GameKind.BWCF, F(3, 4), seed=11), 65, True),
+        (gen_random(5, 4, GameKind.BWC, F(1, 4), seed=0), 216, True),
+        (gen_random(6, 4, GameKind.SWC, F(1, 4), seed=0), 159, False),
+        (gen_random(7, 3, GameKind.SWC, F(3, 4), seed=6), 151, False),
+        (with_machine_values(swc, (HUGE,) * 4), 216, True),
+        (with_machine_values(dense, (HUGE,) + (F(1),) * 3), 180, False),
+        (make_instance(GameKind.BWC, 4, 1), 1, True),
+        (make_instance(GameKind.SWF, 3, 1, friendship_edges=[(1, 2)], machine_values=[2]), 1,
+         True),
+    ]
+
+
+WORD_POOL = [
+    pytest.param(*case, id=f"{case[1]}-{case[0].kind.value}-m{case[0].m}") for case in _word_pool()
+]
 
 
 class TestChunkedStrongScan:
-    """The chunked strong scan against the one-candidate-at-a-time scan of
-    ``reference_oracle``, on chunks of the default size and of one, three
-    and seven representatives; and the orbit reduction behind it."""
+    """The strong scan, 64 members of the candidates' orbits to a word,
+    against the one-candidate-at-a-time scan of ``reference_oracle``, across
+    the word boundaries; and the orbit reduction behind it."""
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-    def test_matches_candidate_scan(self, monkeypatch, kind):
+    def test_matches_candidate_scan(self, kind):
         refuted = 0
         for inst in _strong_pool(kind):
             expected = strong_nash_set_by_candidates(inst)
-            for cells in (DEFAULT_CELLS, 1, 3 * state_count(inst), 7 * state_count(inst)):
-                monkeypatch.setattr(oracle, "_STRONG_CELLS", cells)
-                assert strong_nash_set(inst) == expected
+            assert strong_nash_set(inst) == expected
             # every machine has the same machine term unless the machine
             # values differ, which they do in this pool
             candidates, tested = _representatives(inst)
@@ -261,9 +292,20 @@ class TestChunkedStrongScan:
     def test_more_candidates_than_one_chunk(self):
         inst = make_instance(GameKind.BWC, 7, 3)  # every balanced state
         strong = strong_nash_set(inst)
-        assert len(strong) == len(pure_nash_set(inst)) == 630
-        assert 630 > oracle._STRONG_CELLS // state_count(inst)
+        # the 630 members of the 105 candidate strings fill nine words and
+        # part of a tenth
+        assert len(strong) == len(pure_nash_set(inst)) == 630 > 9 * 64
         assert strong == strong_nash_set_by_candidates(inst)
+
+    @pytest.mark.parametrize("inst,members,symmetric", WORD_POOL)
+    def test_members_across_word_boundaries(self, inst, members, symmetric):
+        ev = StateEvaluator(inst)
+        assert len(pure_nash_set(inst)) == members and ev.symmetric == symmetric
+        assert (ev.dtype() is object) == (HUGE in (inst.machine_values or ()))
+        strong = strong_nash_set(inst)
+        assert strong == strong_nash_set_by_candidates(inst)
+        if inst.m == 1:
+            assert strong == strong_nash_set_by_coalitions(inst)
 
     def test_object_values(self):
         for inst in beyond_int64_pool():
@@ -292,7 +334,7 @@ class TestChunkedStrongScan:
             monkeypatch.setattr(oracle, "_INDEX_STATES", cap)
             orbits = oracle.orbits_of(n, m, symmetric=True)
             assert orbits.indexed == (cap > 0)
-            assert orbits.lex(orbits.orbit_map()).tolist() == smallest
+            assert _lex(orbits, _orbit_map(orbits)).tolist() == smallest
 
     def test_orbit_expansion_past_int64_lex_indexes(self):
         # 256^8 = 2^64 states: lex indexes pass int64, so the expansion
@@ -338,7 +380,7 @@ class TestChunkedStrongScan:
                     refuted += len(candidates) - len(strong)
         assert refuted > 0
 
-    def test_orbits_of_equilibria_that_leave_machines_empty(self, monkeypatch):
+    def test_orbits_of_equilibria_that_leave_machines_empty(self):
         # pure equilibria on fewer than m machines; the orbit of one on k
         # machines has m!/(m-k)! states, fewer than m! when k <= m - 2
         friends = gen_random(4, 4, GameKind.SWF, F(1, 2), seed=3)
@@ -356,9 +398,7 @@ class TestChunkedStrongScan:
             assert sizes.sum() == len(candidates) > len(sizes)
             smaller += int(sizes.min() < math.factorial(inst.m))
             expected = strong_nash_set_by_candidates(inst)
-            for cells in (DEFAULT_CELLS, 1, 3 * state_count(inst), 7 * state_count(inst)):
-                monkeypatch.setattr(oracle, "_STRONG_CELLS", cells)
-                assert strong_nash_set(inst) == expected
+            assert strong_nash_set(inst) == expected
             if inst.n <= 4:
                 assert expected == strong_nash_set_by_coalitions(inst)
             refuted += len(candidates) - len(expected)
@@ -394,8 +434,8 @@ class TestOrbits:
             ]
             assert [tuple(s) for s in orbits.state_digits.T.tolist()] == states
             every = np.arange(orbits.count)
-            assert orbits.lex(every).tolist() == [states.index(s) for s in smallest]
-            assert orbits.orbit_map().tolist() == [column[orbit[0]] for orbit in orbit_of]
+            assert _lex(orbits, every).tolist() == [states.index(s) for s in smallest]
+            assert _orbit_map(orbits).tolist() == [column[orbit[0]] for orbit in orbit_of]
             for cols in ([], [0], every[::2].tolist(), every[::-3].tolist(), every.tolist()):
                 got, of = orbits.expand(np.array(cols, dtype=np.int64))
                 expected = [
@@ -411,13 +451,14 @@ class TestOrbits:
         second = gen_random(7, 3, GameKind.BWF, F(1, 2), seed=2)
         (_, one, _), (_, other, _) = (oracle._whole_table(i, orbits=True) for i in (first, second))
         assert one is other and one.indexed and one.symmetric
-        index = one.orbit_map()
-        assert index is other.orbit_map() and not index.flags.writeable
+        index = one._index
+        assert index is other._index and not index.flags.writeable
+        assert np.array_equal(index, one._map())
         with pytest.raises(ValueError):
             index[0] = 1
         # the states domain's index is the identity
         states = oracle.orbits_of(7, 3, False)
-        assert states is not one and np.array_equal(states.orbit_map(), np.arange(3**7))
+        assert states is not one and np.array_equal(states._index, np.arange(3**7))
         # a kept shape is one of the last eight; past the table budget (65536
         # strings of 17 players on 2 machines) none is kept
         assert oracle._kept_orbits.cache_info().maxsize == 8
@@ -453,7 +494,18 @@ def _representatives(inst):
         dtype=np.int64,
     )
     orbits = oracle.orbits_of(inst.n, inst.m, StateEvaluator(inst).symmetric)
-    return candidates, orbits.lex(orbits.orbit_map())[candidates]
+    return candidates, _lex(orbits, orbits._map())[candidates]
+
+
+def _orbit_map(orbits):
+    """The column of every state's orbit, the states in lex order: the kept
+    index where the shape is indexed, else built afresh."""
+    return orbits._index if orbits.indexed else orbits._map()
+
+
+def _lex(orbits, cols):
+    """The lex indexes of the states of columns ``cols``."""
+    return orbits._place @ orbits.digits.take(cols, axis=1)
 
 
 def test_state_blocks_cover_every_state_in_lex_order(monkeypatch):

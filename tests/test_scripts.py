@@ -89,6 +89,18 @@ def test_br_step_times_leaves_the_kept_evaluator_alone():
     assert again[0] == trace == run_br(inst, start) and setup > 0 and walk > 0
 
 
+def test_br_step_times_reads_views_apart_from_the_fastest_run():
+    # kept, walk and trace are spans of the one fastest run_br; the read of
+    # the finished trace is its own call, so a pause inside the fastest
+    # repeat's read is not printed
+    spec = importlib.util.spec_from_file_location("br_step_times", SCRIPTS / "br_step_times.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    runs = [(3e-3, 2e-4, 2e-3, 4e-5), (2e-3, 1e-4, 1e-3, 9e-2), (4e-3, 3e-4, 3e-3, 3e-5)]
+    assert script.best(runs) == (2e-3, 1e-4, 1e-3, 3e-5)
+    assert script.best(runs[1:2]) == runs[1]
+
+
 def test_br_step_times_checks_its_counts():
     for args, got in ((("--repeats", "0"), "120, 0"), (("--n", "0"), "0, 3")):
         lines = _run("br_step_times.py", *args, code=2)
@@ -135,7 +147,15 @@ def test_scan_pass_times():
             ms, mb = map(float, line[14:].split())
             assert ms > 0 and mb > 0
         start += 2 + len(passes)
-    assert len(lines) == start == 30
+    # the strong scan at ten players, past 2^18 states on four machines:
+    # ms, the strong equilibria found and peak MB
+    assert start == 30
+    assert lines[30] == "ms and tracemalloc peak MB per strong scan, BwC n=10, best of 1"
+    assert lines[31].split() == ["m", "states", "strong", "ms", "MB"]
+    rows = [line.split() for line in lines[32:]]
+    assert [row[:3] for row in rows] == [["3", "59049", "1074"], ["4", "1048576", "9264"]]
+    for row in rows:
+        assert float(row[3]) > 0 and float(row[4]) > 0
 
 
 def _check_strong_scan_size(line):
