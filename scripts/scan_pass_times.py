@@ -15,11 +15,12 @@ kept and the columns cached, which is what each cold pass pays on top of its
 warm time; "column build" is the uncached build of the columns those passes
 read (``oracle._build_columns``) of every instance: the restricted growth
 strings where the machines all have the same machine term, all the states
-elsewhere; "orbit index build" is a fresh build of the same shape's
-state-to-column map (``Orbits._map`` of the ``oracle.Orbits`` that
-``oracle.orbits_of`` keeps, by renaming every string, ``np.arange`` on
-the states domain; the columns and the states' digits kept), which a scan pays once per shape and a listing of
-equilibria reads from then on.
+elsewhere; "orbit index build" is a fresh build of the index of each
+string shape (``Orbits._index`` of the ``oracle.Orbits`` that
+``oracle.orbits_of`` keeps: the column and the digits of every state, by
+renaming every string once; the columns kept), which a scan pays once per
+shape and a listing of equilibria reads from then on.  The states domain
+has no index, as a column there is its own state, so it adds nothing.
 The best of ``--repeats`` cycles is printed in milliseconds per cycle.  The
 block ends with the columns the scan passes read per cycle, one per orbit
 under renaming the machines where the machines are symmetric and one per
@@ -84,10 +85,12 @@ def orbit_table(inst):
 
 
 def index_build(orbits) -> float:
-    """Seconds to build the state-to-column map of a kept shape afresh,
-    beside the one it keeps, which the passes go on reading."""
+    """Seconds to build the index of an indexed string shape afresh, beside
+    the one it keeps, which the passes go on reading; 0 on any other."""
+    if not orbits.indexed:
+        return 0.0
     t0 = time.perf_counter()
-    orbits._map()
+    oracle.Orbits._index.func(orbits)
     return time.perf_counter() - t0
 
 

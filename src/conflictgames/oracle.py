@@ -25,11 +25,11 @@ reported value is an exact Fraction.  The columns, in order, are those of an
 Both are one form, read by one code path, and this module alone builds it
 (:class:`Orbits`, behind :func:`orbits_of`): the digits of the columns,
 player-major on the smallest unsigned dtype, in lex order, and each one's
-orbit size; only :meth:`Orbits._renamings` knows which group acts.  The
-strings, ``sum_{j <= m} S(n, j)`` of them (:func:`column_count`), are grown
-one position at a time with whole-array operations, each extended by every
-machine up to one above its largest so far; the states' digits come from
-``np.indices``.  A column is the lex-smallest state of its orbit, so it is
+orbit size; only :meth:`Orbits._members` and :attr:`Orbits.indexed` know
+which group acts.  The strings, ``sum_{j <= m} S(n, j)`` of them
+(:func:`column_count`), are grown one position at a time with whole-array
+operations, each extended by every machine up to one above its largest so
+far; the states' digits come from ``np.indices``.  A column is the lex-smallest state of its orbit, so it is
 decoded to a state only where a pass reports it, and ties (optimum, worst
 equilibrium, tightest slack, first failing floor) resolve to the
 lexicographically smallest state through numpy's first
@@ -43,15 +43,16 @@ columns there are.
 One cache per shape: every :class:`Orbits` comes from :func:`orbits_of`,
 which keeps those of the last eight ``(n, m, symmetric)`` whose table fits
 ``_TABLE_CELLS`` (2^20) cells, the same budget as the kept table below.  A
-kept one builds its columns once; one of at most ``_INDEX_STATES`` (2^16)
-states is also indexed: it builds its state-to-column map once, by renaming
-every string into its orbit (on the states domain the map is the identity,
-``np.arange``), and keeps it read-only.  A string shape reads the digits of
-the states from the kept states domain of its shape, so they are decoded
-once.  The pure and the strong equilibria of an indexed shape are listed by
-lookup (:meth:`Orbits.expand`): their distinct columns are marked, the mark
-is read through the map, and the states so selected, already in lex order,
-are decoded from the states' digits.  Any other shape lists by renaming its
+kept one builds its columns once, and each stands alone: none reads another
+shape.  A kept string shape of at most ``_INDEX_STATES`` (2^16) states is
+also indexed: one renaming of every string into its orbit builds its index,
+the column of each state and each state's digits as a row, the states in
+lex order, and it is kept read-only.  The pure and the strong equilibria of
+an indexed shape are listed by lookup (:meth:`Orbits.expand`): their
+distinct columns are marked, the mark is read through the index, and the
+rows of the states so selected are read off, already in lex order.  On the
+states domain a column is the state of that lex index, so a listing reads
+the columns themselves; any other string shape lists by renaming its
 columns into every state of their orbits, sorted, and a shape past the
 budget keeps nothing.
 
@@ -72,12 +73,12 @@ Every evaluator here is the instance's own, from
 :meth:`StateEvaluator.of`, so the passes, the expectations and the
 verification over one instance share it.  One table per instance:
 :func:`state_columns` keeps the table of the last instance it was asked for
-in ``_kept``, ``(instance, table, orbits)`` (one entry, keyed by instance
-equality and by its columns, the last one dropped before the next is built;
-an equal instance reads the kept one's table and evaluator), so the
-optimum, the Nash and strong sets, the smoothness and niceness checks, the
-floors and the sandwich constants over one instance share one table build,
-over the strings when the machines are symmetric.  A pass over the other
+in ``_kept``, ``(instance, table, orbits)`` (one entry, keyed by the
+instance object, as its evaluator is, and by its columns, the last one
+dropped before the next is built; an equal but distinct instance builds its
+own), so the optimum, the Nash and strong sets, the smoothness and niceness
+checks, the floors and the sandwich constants over one instance share one
+table build, over the strings when the machines are symmetric.  A pass over the other
 columns of the kept instance builds its table anew with the same evaluator.
 The split into blocks is decided here alone, in :func:`_whole`, which
 serves both cases:
@@ -193,7 +194,7 @@ _BLOCK_CELLS = 1 << 16
 # table of a shape whose Orbits is kept; a larger table streams block by block
 _TABLE_CELLS = 1 << 20
 
-# the most states of a kept shape whose orbit index is built
+# the most states of a kept string shape whose index is built
 _INDEX_STATES = 1 << 16
 
 
@@ -264,14 +265,16 @@ class Orbits:
     columns their restricted growth strings (every entry at most one above
     the largest before it); without, every state is its own orbit and column
     ``c`` is the state of lex index ``c``.  Past the columns themselves, only
-    :meth:`_renamings` depends on which group acts.  The columns are built on
-    first use.
+    :meth:`_members` (through :meth:`_renamings`) and :attr:`indexed` depend
+    on which group acts.  The columns are built on first use.
 
     Build one through :func:`orbits_of`, which keeps it (``kept``) when its
-    table fits ``_TABLE_CELLS``.  A kept shape of at most ``_INDEX_STATES``
-    states is indexed: its state-to-column map is built once and kept, and
-    :meth:`expand` lists states by one lookup through it.  Any other shape
-    renames its columns on every call."""
+    table fits ``_TABLE_CELLS``; no method reads another shape.  A kept
+    string shape of at most ``_INDEX_STATES`` states is indexed: its index,
+    the column and the digits of every state, is built once and kept, and
+    :meth:`expand` lists states by one lookup through it.  Any other string
+    shape renames its columns on every call; on the states domain a column
+    is its own orbit's one state."""
 
     def __init__(self, n: int, m: int, symmetric: bool, kept: bool):
         self.n, self.m, self.symmetric, self.kept = n, m, symmetric, kept
@@ -279,9 +282,9 @@ class Orbits:
 
     @property
     def indexed(self) -> bool:
-        """Whether :meth:`expand` reads the kept state-to-column map;
-        ``_INDEX_STATES`` is read on every call."""
-        return self.kept and self.m**self.n <= _INDEX_STATES
+        """Whether :meth:`expand` reads the kept index: a kept string shape
+        of at most ``_INDEX_STATES`` states, read on every call."""
+        return self.kept and self.symmetric and self.m**self.n <= _INDEX_STATES
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -293,14 +296,6 @@ class Orbits:
         read-only, on the smallest unsigned dtype that holds ``m - 1``; its
         transpose is a grid for :meth:`StateEvaluator.table`."""
         return self._columns[0]
-
-    @cached_property
-    def state_digits(self) -> np.ndarray:
-        """``state_digits[i, s]``: player ``i``'s machine in the state of lex
-        index ``s``: the digits of the states domain of the same shape, which
-        :func:`orbits_of` keeps where its table fits, so the states are
-        decoded once per shape."""
-        return orbits_of(self.n, self.m, False).digits if self.symmetric else self.digits
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The columns' states in order, as grids for :meth:`StateEvaluator.table`."""
@@ -320,10 +315,11 @@ class Orbits:
         """(every state in the orbits of columns ``cols``, distinct column
         indexes, as a public state, in lex order; the column of each)."""
         if self.indexed:
+            of, rows = self._index
             mark = np.zeros(self.count, dtype=bool)
             mark[cols] = True
-            lex = np.flatnonzero(mark[self._index])  # already in lex order
-            grid, cols = self.state_digits.take(lex, axis=1).T, self._index[lex]
+            lex = np.flatnonzero(mark[of])  # already in lex order
+            grid, cols = rows[lex], of[lex]
         else:
             grid, cols = self._members(cols)
             order = (grid @ self._place).argsort()  # by lex index
@@ -332,21 +328,17 @@ class Orbits:
         return list(map(tuple, states)), cols
 
     @cached_property
-    def _index(self) -> np.ndarray:
-        """The kept, read-only state-to-column map of an indexed shape."""
-        of = self._map()
-        of.flags.writeable = False
-        return of
-
-    def _map(self) -> np.ndarray:
-        """The state-to-column map, built by renaming every string; the
-        identity on the states domain."""
-        if not self.symmetric:
-            return np.arange(self.count, dtype=np.int64)
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kept, read-only index of an indexed shape, built by renaming
+        every string once: (the column of each state, each state's digits as
+        a row), the states in lex order."""
         grid, cols = self._members(np.arange(self.count))
-        of = np.empty(self.m**self.n, dtype=np.int64)
-        of[grid @ self._place] = cols
-        return of
+        lex = grid @ self._place
+        of, states = np.empty(len(lex), dtype=np.int64), np.empty_like(grid)
+        of[lex], states[lex] = cols, grid
+        for array in (of, states):
+            array.flags.writeable = False
+        return of, states
 
     @cached_property
     def _place(self) -> np.ndarray:
@@ -358,8 +350,10 @@ class Orbits:
     def _members(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(every state in the orbits of columns ``cols``, as an ``(S, n)``
         grid of the digits' dtype in no particular order; the column of
-        each)."""
+        each).  On the states domain these are the columns themselves."""
         grid = self.digits.take(cols, axis=1).T  # [c, i]
+        if not self.symmetric:
+            return grid, cols
         top = grid.max(1, initial=0)  # the largest machine of each column
         grids, of = [grid[:0]], [cols[:0]]
         for j in set(top.tolist()):
@@ -371,16 +365,15 @@ class Orbits:
         return np.concatenate(grids), np.concatenate(of)
 
     def _renamings(self, j: int) -> np.ndarray:
-        """The renamings of machines 0..j-1 that map a column on them to
+        """The renamings of machines 0..j-1 that map a string on them to
         every state of its orbit, one per row: every injective one into the
-        m machines when the machines are symmetric, the identity alone
-        otherwise."""
-        renamings = itertools.permutations(range(self.m), j) if self.symmetric else [range(j)]
+        m machines."""
+        renamings = itertools.permutations(range(self.m), j)
         return np.array(list(renamings), dtype=self.digits.dtype)
 
 
-# one seed-1 scan cycle of the benchmark reads 4 string shapes, 3 state
-# shapes and the strong scan's (7, 3) states
+# one seed-1 scan cycle of the benchmark reads 7 shapes: 4 string shapes and
+# 3 state shapes
 _kept_orbits = lru_cache(maxsize=8)(Orbits)
 
 
@@ -390,11 +383,10 @@ def orbits_of(n: int, m: int, symmetric: bool) -> Orbits:
     eight ``(n, m, symmetric)`` whose table fits ``_TABLE_CELLS`` (2^20)
     cells are kept and shared: their columns, at most 2^20 / m digits, with
     the sizes at most 768 KiB on two or more machines (the 32768 strings of
-    16 players on 2 machines), and where indexed a map of 8 bytes per state.
-    A string shape keeps the states' digits once it has read them, one byte
-    per player and state (two past 256 machines), those of its kept states
-    domain where there is one.  A larger shape gets a fresh :class:`Orbits`
-    on every call."""
+    16 players on 2 machines), and where indexed (a string shape) an index
+    of 8 bytes per state for its column and one byte per player and state
+    (two past 256 machines) for its digits.  Each is built from its own key
+    alone.  A larger shape gets a fresh :class:`Orbits` on every call."""
     if column_count(n, m, symmetric) * n * m <= _TABLE_CELLS:
         return _kept_orbits(n, m, symmetric, True)
     return Orbits(n, m, symmetric, False)
@@ -440,9 +432,8 @@ def _whole_table(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS, orbits: 
     over one instance build it once; the evaluator is the instance's own."""
     global _kept
     domain = table = None
-    if _kept is not None and _kept[0] == inst:
-        # an equal instance reads the kept one's table and evaluator
-        inst, table, domain = _kept
+    if _kept is not None and _kept[0] is inst:
+        _, table, domain = _kept
     ev = StateEvaluator.of(inst)
     if domain is not None and domain.symmetric != (orbits and ev.symmetric):
         domain = table = None

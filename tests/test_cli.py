@@ -2,6 +2,7 @@
 
 import inspect
 import io
+import pathlib
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -357,6 +358,13 @@ class TestReproduce:
         assert code == 0
         assert out.startswith("claim_id,")
         assert ",fail," not in out
+
+    def test_batteries_match_the_committed_csv(self):
+        # every equilibrium list and measured value of the named and the
+        # table battery is pinned: a changed one shows as a diff here
+        pinned = pathlib.Path(__file__).parent / "data" / "reproduce_named_table.csv"
+        code, out, _ = run_cli("reproduce", "--named", "--table", "--format", "csv")
+        assert code == 0 and out == pinned.read_text()
 
     def test_writes_file(self, tmp_path):
         path = tmp_path / "report.csv"

@@ -329,24 +329,45 @@ def test_the_kept_evaluator_lives_on_its_instance(monkeypatch):
             array[(0,) * array.ndim] = 1
 
 
+def _names(tree) -> set[str]:
+    """Every attribute, variable and definition named in ``tree``."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            named.add(node.name)
+    return named
+
+
 def test_the_strong_scan_reads_only_the_columns():
     # the strong scan tests its candidates' orbits against the columns: a
-    # read of every state's digits or of a state-to-column map fails here,
-    # and so does a second reader of the states' digits besides the listing
+    # read of every state's digits or of a state-to-column map fails here
     strong = _functions("oracle.py")["strong_nash_set"]
-    named = {node.attr for node in ast.walk(strong) if isinstance(node, ast.Attribute)}
-    named |= {node.id for node in ast.walk(strong) if isinstance(node, ast.Name)}
-    assert not {"state_digits", "orbit_map", "_index", "_map"} & named
-    package = pathlib.Path(conflictgames.__file__).parent
-    reads = sum(
-        isinstance(node, ast.Attribute) and node.attr == "state_digits"
-        for path in package.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-    )
-    expand = _methods("oracle.py", "Orbits")["expand"]
-    inside = sum(
-        isinstance(node, ast.Attribute) and node.attr == "state_digits"
-        for node in ast.walk(expand)
-    )
-    assert reads == inside > 0
+    assert not {"state_digits", "orbit_map", "_index", "_map"} & _names(strong)
     assert not {"orbit_map", "lex"} & _methods("oracle.py", "Orbits").keys()
+
+
+def test_each_orbits_stands_alone():
+    # each oracle cache holds only its own key's data: an Orbits reads no
+    # second shape, a string shape's index carries its own states (no
+    # states' digits or map read apart from it), the kept table is the
+    # instance object's own, and the strong scan lists through no index
+    assert not any(
+        isinstance(node, ast.Call) and _callee(node) == "orbits_of"
+        for method in _methods("oracle.py", "Orbits").values()
+        for node in ast.walk(method)
+    )
+    package = pathlib.Path(conflictgames.__file__).parent
+    for path in package.glob("*.py"):
+        assert not {"state_digits", "_map"} & _names(ast.parse(path.read_text())), path.name
+    ops = {
+        type(op)
+        for node in ast.walk(_functions("oracle.py")["_whole_table"])
+        if isinstance(node, ast.Compare) and "_kept" in _names(node)
+        for op in node.ops
+    }
+    assert ast.Is in ops and not {ast.Eq, ast.NotEq} & ops
+    assert "_index" not in _names(_functions("oracle.py")["strong_nash_set"])

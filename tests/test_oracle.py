@@ -334,7 +334,9 @@ class TestChunkedStrongScan:
             monkeypatch.setattr(oracle, "_INDEX_STATES", cap)
             orbits = oracle.orbits_of(n, m, symmetric=True)
             assert orbits.indexed == (cap > 0)
-            assert _lex(orbits, _orbit_map(orbits)).tolist() == smallest
+            states, cols = orbits.expand(np.arange(orbits.count))
+            assert states == list(itertools.product(range(1, m + 1), repeat=n))
+            assert _lex(orbits, cols).tolist() == smallest
 
     def test_orbit_expansion_past_int64_lex_indexes(self):
         # 256^8 = 2^64 states: lex indexes pass int64, so the expansion
@@ -408,8 +410,9 @@ class TestChunkedStrongScan:
 class TestOrbits:
     """Both column domains against brute force over every state: the orbits
     under renaming the machines, and every state its own orbit; each on both
-    sides of the index cap, so both the kept index and the renaming on every
-    call are checked."""
+    sides of the index cap, so both the kept index of a string shape and the
+    renaming on every call are checked, and the states domain keeps no
+    index on either side."""
 
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (3, 1), (2, 3), (4, 3), (3, 4), (5, 2)])
@@ -424,7 +427,7 @@ class TestOrbits:
         for cap in (oracle._INDEX_STATES, m**n - 1):
             monkeypatch.setattr(oracle, "_INDEX_STATES", cap)
             orbits = oracle.orbits_of(n, m, symmetric)
-            assert orbits.indexed == (cap >= m**n)
+            assert orbits.indexed == (symmetric and cap >= m**n)
             assert orbits.count == len(smallest)
             sizes = orbits.sizes()
             assert int(sizes.sum()) == m**n
@@ -432,10 +435,12 @@ class TestOrbits:
             assert [orbits.state(c) for c in range(orbits.count)] == [
                 tuple(k + 1 for k in s) for s in smallest
             ]
-            assert [tuple(s) for s in orbits.state_digits.T.tolist()] == states
+            if orbits.indexed:
+                of, rows = orbits._index
+                assert [tuple(s) for s in rows.tolist()] == states
+                assert of.tolist() == [column[orbit[0]] for orbit in orbit_of]
             every = np.arange(orbits.count)
             assert _lex(orbits, every).tolist() == [states.index(s) for s in smallest]
-            assert _orbit_map(orbits).tolist() == [column[orbit[0]] for orbit in orbit_of]
             for cols in ([], [0], every[::2].tolist(), every[::-3].tolist(), every.tolist()):
                 got, of = orbits.expand(np.array(cols, dtype=np.int64))
                 expected = [
@@ -444,6 +449,33 @@ class TestOrbits:
                     if column[orbit[0]] in cols
                 ]
                 assert list(zip(got, of.tolist())) == expected
+            # on the states domain a column is its own state: no index
+            assert symmetric or "_index" not in vars(orbits)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (3, 1), (4, 3), (3, 4), (5, 2), (7, 3)])
+    def test_index_rows_are_the_states_in_lex_order(self, n, m):
+        orbits = oracle.orbits_of(n, m, symmetric=True)
+        assert orbits.indexed
+        of, rows = orbits._index
+        assert rows.dtype == orbits.digits.dtype and rows.shape == (m**n, n)
+        assert [tuple(s) for s in rows.tolist()] == list(itertools.product(range(m), repeat=n))
+        # each state's column holds its orbit's string, the smallest renaming
+        assert np.array_equal(of, _orbit_map(orbits))
+
+    def test_states_domain_lists_without_an_index(self):
+        # a column of the states domain is the state of that lex index, so
+        # its listings read the columns themselves and build no index
+        oracle._kept_orbits.cache_clear()
+        inst = gen_random(7, 3, GameKind.SWC, F(1, 2), seed=1)
+        assert not StateEvaluator(inst).symmetric
+        assert pure_nash_set(inst) and strong_nash_set(inst) == strong_nash_set_by_candidates(inst)
+        states = oracle.orbits_of(7, 3, symmetric=False)
+        assert states.kept and not states.indexed
+        cols = np.array([2186, 5, 0, 17], dtype=np.int64)
+        got, of = states.expand(cols)
+        assert of.tolist() == sorted(cols.tolist())
+        assert got == [states.state(c) for c in sorted(cols.tolist())]
+        assert "_index" not in vars(states)
 
     def test_one_read_only_index_per_shape(self):
         # two instances of one shape share the kept Orbits and its index
@@ -452,13 +484,14 @@ class TestOrbits:
         (_, one, _), (_, other, _) = (oracle._whole_table(i, orbits=True) for i in (first, second))
         assert one is other and one.indexed and one.symmetric
         index = one._index
-        assert index is other._index and not index.flags.writeable
-        assert np.array_equal(index, one._map())
-        with pytest.raises(ValueError):
-            index[0] = 1
-        # the states domain's index is the identity
+        assert index is other._index and np.array_equal(index[0], _orbit_map(one))
+        for array in index:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        # the states domain keeps none
         states = oracle.orbits_of(7, 3, False)
-        assert states is not one and np.array_equal(states._index, np.arange(3**7))
+        assert states is not one and states.kept and not states.indexed
         # a kept shape is one of the last eight; past the table budget (65536
         # strings of 17 players on 2 machines) none is kept
         assert oracle._kept_orbits.cache_info().maxsize == 8
@@ -484,23 +517,38 @@ class TestOrbits:
             assert listed[0] == listed[1]
 
 
+def _smallest_renaming(state, m, symmetric):
+    """The lex-smallest state of the orbit of ``state`` (0-based), by trying
+    every renaming of the machines; ``state`` itself unless ``symmetric``."""
+    if not symmetric:
+        return tuple(state)
+    return min(tuple(p[k] for k in state) for p in itertools.permutations(range(m)))
+
+
 def _representatives(inst):
     """(lex indexes of the pure equilibria, the lex index of the string of
     each one's orbit; every state is its own orbit unless every machine has
     the same machine term)."""
-    candidates = np.array(
-        [sum((k - 1) * inst.m ** (inst.n - 1 - i) for i, k in enumerate(state))
-         for state, _ in pure_nash_set(inst)],
-        dtype=np.int64,
-    )
-    orbits = oracle.orbits_of(inst.n, inst.m, StateEvaluator(inst).symmetric)
-    return candidates, _lex(orbits, orbits._map())[candidates]
+    symmetric = StateEvaluator(inst).symmetric
+    place = [inst.m ** (inst.n - 1 - i) for i in range(inst.n)]
+
+    def lex(state):
+        return sum(k * p for k, p in zip(state, place))
+
+    states = [[k - 1 for k in state] for state, _ in pure_nash_set(inst)]
+    candidates = np.array([lex(s) for s in states], dtype=np.int64)
+    tested = np.array([lex(_smallest_renaming(s, inst.m, symmetric)) for s in states])
+    return candidates, tested
 
 
 def _orbit_map(orbits):
-    """The column of every state's orbit, the states in lex order: the kept
-    index where the shape is indexed, else built afresh."""
-    return orbits._index if orbits.indexed else orbits._map()
+    """The column of every state's orbit, the states in lex order, by brute
+    force: the column whose digits are the state's smallest renaming."""
+    column = {tuple(s): c for c, s in enumerate(orbits.digits.T.tolist())}
+    return np.array([
+        column[_smallest_renaming(s, orbits.m, orbits.symmetric)]
+        for s in itertools.product(range(orbits.m), repeat=orbits.n)
+    ], dtype=np.int64)
 
 
 def _lex(orbits, cols):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from conflictgames import oracle
 from conflictgames.dynamics import random_start, run_br
 from conflictgames.fastpath import StateEvaluator, Walk
 from conflictgames.games import GameKind
@@ -120,6 +121,15 @@ def test_scan_pass_times():
     for line in lines[10:13]:  # the builds alone: one time, no warm column
         build = line[19:].split()
         assert len(build) == 1 and float(build[0]) > 0
+    # the index build is a fresh index of each string shape, beside the kept
+    # one; the states domain has none and builds none
+    spec = importlib.util.spec_from_file_location("scan_pass_times", SCRIPTS / "scan_pass_times.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    strings, states = (oracle.orbits_of(7, 3, symmetric) for symmetric in (True, False))
+    kept = strings._index
+    assert script.index_build(strings) > 0 and strings._index is kept
+    assert script.index_build(states) == 0 and "_index" not in vars(states)
     # the eight slots whose machines all have one machine term read one
     # column per orbit, the four sharing slots (random machine values) one
     # per state

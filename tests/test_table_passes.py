@@ -440,9 +440,13 @@ class TestKeptTable:
         oracle.pure_nash_set(second)
         assert oracle._kept[0] is second
         equal = gen_random(5, 3, GameKind.BWC, F(1, 2), seed=2)
-        assert equal is not second
+        assert equal == second and equal is not second
+        table = oracle._kept[1]
         oracle.optimum(equal)
-        assert oracle._kept[0] is second  # an equal instance reads the same table
+        # an equal instance builds its own table, read with its own evaluator
+        assert oracle._kept[0] is equal and oracle._kept[1] is not table
+        ev, _, _ = oracle.state_columns(equal, OracleLimits(), lambda *t: t, orbits=True)
+        assert ev is StateEvaluator.of(equal) is not StateEvaluator.of(second)
 
     def test_arrays_are_read_only(self):
         inst = gen_random(4, 3, GameKind.SWC, F(1, 2), seed=1)
